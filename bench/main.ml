@@ -1011,13 +1011,16 @@ let smoke_baseline_us = [ (0, 25.0); (1, 165.0); (2, 168.0); (3, 171.0); (4, 174
 let smoke_uninterested_baseline_us = 25.0
 
 (* Real-allocation ceiling for a warm uninterested trap (minor words
-   per getpid, pool warm, tracing off).  Measured 63.0 words/trap when
-   the array-backed pool landed (remaining words are the envelope and
-   effect-handler plumbing; the wire is recycled).  The pre-pool path
-   measured 64.0, and a naive list/option pool 72.0 — the ceiling sits
-   at 70 so either regression trips the gate while ~11% headroom
-   absorbs compiler drift. *)
-let smoke_minor_words_ceiling = 70.0
+   per getpid, pool warm, tracing off).  Measured 13.0 words/trap once
+   the kernel half of a trap ran on the calling fibre (DESIGN.md §3.8
+   "Direct kernel entry"); what remains is the call's result and the
+   dispatch outcome around it — the wire and the envelope record are
+   recycled.  Every trap through the scheduler's run queue cost 56.0,
+   so the ceiling sits at 18: a trap that performs an effect again, or
+   a pool that stops recycling (+7 words for the envelope record
+   alone), trips the gate, while 5 words of headroom absorb compiler
+   drift. *)
+let smoke_minor_words_ceiling = 18.0
 
 (* The smoke/ablations document shape, stated declaratively — the
    shared [Report.Schema] walker does the checking (one validator for

@@ -12,7 +12,6 @@ type exec_spec = {
 }
 
 type _ Effect.t +=
-  | Trap : Abi.Envelope.t * via -> trap_reply Effect.t
   | Cpu : int -> int list Effect.t
   | Exec_load : exec_spec -> unit Effect.t
   | Set_emulation :

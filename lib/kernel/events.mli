@@ -1,9 +1,11 @@
 (** Effect declarations shared by the scheduler (handler side) and the
     user-space stubs (perform side).
 
-    A simulated process is an OCaml fibre; everything it asks of the
-    kernel is an effect performed here and handled by the scheduler in
-    {!Kernel}. *)
+    A simulated process is an OCaml fibre.  A system call runs its
+    kernel half directly on the calling fibre ({!Uspace}) and performs
+    an effect only when the scheduler has work to do
+    ({!Kstate.Settle}); the primitives here always go through the
+    scheduler in {!Kernel}. *)
 
 (** How a trap reached the kernel: directly from the application, or
     through [htg_unix_syscall] (which bypasses the emulation vector and
@@ -31,10 +33,6 @@ type exec_spec = {
 }
 
 type _ Effect.t +=
-  | Trap : Abi.Envelope.t * via -> trap_reply Effect.t
-      (** A system call arriving at the kernel, as a decode-once
-          envelope: the kernel reuses a typed view materialized by any
-          agent above it rather than decoding again. *)
   | Cpu : int -> int list Effect.t
       (** Charge [n] µs of user computation to the virtual clock.  Also
           a scheduling and signal-check point: returns the signals to

@@ -33,50 +33,14 @@ let enqueue_resume (t : t) (proc : Proc.t) k v =
     | Proc.Zombie | Proc.Reaped -> discard k
     | Proc.Parked _ | Proc.Stopped _ -> discard k)
 
-(* Terminal (default-action) signals left pending by
-   collect_deliverable: decide the process's fate at a trap boundary. *)
-let pending_terminal (proc : Proc.t) =
-  let result = ref `None in
-  (try
-     for s = 1 to Signal.max_signal do
-       if Signal.Mask.mem proc.sigs.pending s
-          && (s = Signal.sigkill || s = Signal.sigstop
-              || not (Signal.Mask.mem proc.sigs.mask s))
-       then begin
-         let dispo =
-           if s = Signal.sigkill then `Terminate
-           else if s = Signal.sigstop then `Stop
-           else
-             match Proc.handler proc s with
-             | Value.H_default ->
-               (match Signal.default_action s with
-                | Signal.Terminate -> `Terminate
-                | Signal.Stop -> `Stop
-                | Signal.Ignore | Signal.Continue -> `Other)
-             | Value.H_ignore | Value.H_fn _ -> `Other
-         in
-         match dispo with
-         | `Terminate ->
-           result := `Kill (s, Flags.Wait.sig_status s);
-           raise Exit
-         | `Stop ->
-           result := `Stop s;
-           raise Exit
-         | `Other -> ()
-       end
-     done
-   with Exit -> ());
-  !result
-
 (* Deliver a reply to a process at a trap boundary, honouring pending
    terminal signals and stops. *)
 let finish_reply (t : t) (proc : Proc.t) k (reply : Events.trap_reply) =
   let deliver = reply.deliver @ Kstate.collect_deliverable t proc in
   let reply = { reply with deliver } in
-  match pending_terminal proc with
+  match Kstate.pending_terminal proc with
   | `Kill (s, status) ->
-    proc.sigs.pending <- Signal.Mask.remove proc.sigs.pending s;
-    Kstate.do_exit t proc status;
+    Kstate.exit_by_signal t proc s status;
     discard k
   | `Stop s ->
     proc.sigs.pending <- Signal.Mask.remove proc.sigs.pending s;
@@ -98,7 +62,7 @@ let keys_of_cond (cond : Proc.cond) : Kstate.wait_key list =
   | Proc.On_accept i -> [ Kstate.K_accept i ]
   | Proc.On_connq i -> [ Kstate.K_connq i ]
   | Proc.On_time _ -> []         (* woken by the timer wheel *)
-  | Proc.On_signal -> []         (* woken by signal posting *)
+  | Proc.On_signal _ -> []       (* woken by signal posting *)
   | Proc.On_select s ->
     List.map (fun i -> Kstate.K_pipe_r i) s.rpipes
     @ List.map (fun i -> Kstate.K_pipe_w i) s.wpipes
@@ -106,59 +70,21 @@ let keys_of_cond (cond : Proc.cond) : Kstate.wait_key list =
     @ List.map (fun i -> Kstate.K_fifo_w i) s.wfifos
     @ List.map (fun i -> Kstate.K_accept i) s.rlisten
 
-let base_cost (via : Events.via) call =
-  Cost_model.syscall_us call
-  + (match via with
-     | Events.Htg -> Cost_model.htg_overhead_us
-     | Events.App -> 0)
-
-let rec process_trap (t : t) (proc : Proc.t) (env : Envelope.t)
-    (via : Events.via) k ~first =
-  (* a deferred fatal signal takes effect at syscall entry, before the
-     call can park the process out of its reach *)
-  match pending_terminal proc with
-  | `Kill (s, status) ->
-    proc.sigs.pending <- Signal.Mask.remove proc.sigs.pending s;
-    Kstate.do_exit t proc status;
-    discard k
-  | `Stop _ | `None ->
-  (* decode-once: if any agent above already materialized the typed
-     view, this is a memoized read, not a second decode *)
-  match Envelope.call env with
-  | Error e ->
-    if first then Kstate.charge t Cost_model_base.trivial_us;
-    finish_reply t proc k { Events.res = Error e; deliver = [] }
-  | Ok call ->
-    if first then begin
-      let cost = base_cost via call in
-      proc.stime_us <- proc.stime_us + cost;
-      Kstate.charge t cost
-    end;
-    let pre_mask = proc.sigs.mask in
-    let outcome = Syscalls.dispatch t proc call in
-    (match outcome with
-     | Kstate.Done res ->
-       Kstate.run_trace_hook t proc call res;
-       finish_reply t proc k { Events.res; deliver = [] }
-     | Kstate.Block cond ->
-       let saved_mask =
-         match cond with
-         | Proc.On_signal -> Some pre_mask
-         | Proc.On_child | Proc.On_pipe_read _ | Proc.On_pipe_write _
-         | Proc.On_fifo_read _ | Proc.On_fifo_write _ | Proc.On_accept _
-         | Proc.On_connq _ | Proc.On_time _ | Proc.On_select _ ->
-           None
-       in
-       proc.state <- Proc.Parked { k; env; via; cond; saved_mask };
-       (match cond with
-        | Proc.On_child -> Kstate.sleep_on t (Kstate.K_child proc.pid) proc.pid
-        | _ ->
-          List.iter
-            (fun key -> Kstate.sleep_on t key proc.pid)
-            (keys_of_cond cond))
-     | Kstate.Exited -> ()  (* _exit never returns: abandon the fibre *)
-     | Kstate.Exec spec ->
-       start_exec t proc spec)
+(* The scheduler's half of a trap whose kernel work is done: resume,
+   park, abandon or replace the fibre as the outcome says. *)
+let rec settle (t : t) (proc : Proc.t) env k (outcome : Kstate.outcome) =
+  match outcome with
+  | Kstate.Done res -> finish_reply t proc k { Events.res; deliver = [] }
+  | Kstate.Block cond ->
+    proc.state <- Proc.Parked { k; env; cond };
+    (match cond with
+     | Proc.On_child -> Kstate.sleep_on t (Kstate.K_child proc.pid) proc.pid
+     | _ ->
+       List.iter
+         (fun key -> Kstate.sleep_on t key proc.pid)
+         (keys_of_cond cond))
+  | Kstate.Exited -> ()  (* _exit never returns: abandon the fibre *)
+  | Kstate.Exec spec -> start_exec t proc spec
 
 and start_exec (t : t) (proc : Proc.t) (spec : Events.exec_spec) =
   (* the exec trap's span(s) can never be closed by the code that
@@ -196,21 +122,19 @@ let run_fiber (t : t) (proc : Proc.t) (body : unit -> int) =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Events.Trap (env, via) ->
+          | Kstate.Settle (env, outcome) ->
             Some (fun (k : (a, unit) continuation) ->
               Proc.Cur.set None;
-              process_trap t proc env via k ~first:true)
+              settle t proc env k outcome)
           | Events.Cpu us ->
             Some (fun (k : (a, unit) continuation) ->
               Proc.Cur.set None;
               proc.utime_us <- proc.utime_us + us;
               Kstate.charge t us;
               let deliver = Kstate.collect_deliverable t proc in
-              (match pending_terminal proc with
+              (match Kstate.pending_terminal proc with
                | `Kill (s, status) ->
-                 proc.sigs.pending <-
-                   Signal.Mask.remove proc.sigs.pending s;
-                 Kstate.do_exit t proc status;
+                 Kstate.exit_by_signal t proc s status;
                  discard k
                | `Stop _ | `None ->
                  (* stops at a pure compute point are deferred to the
@@ -274,14 +198,24 @@ let enqueue_start (t : t) (proc : Proc.t) (body : unit -> int) =
       Proc.Cur.set None
     | Proc.Zombie | Proc.Reaped | Proc.Parked _ | Proc.Stopped _ -> ())
 
+(* Re-attempt a parked trap from the run queue (BSD restart: the same
+   call, dispatched again, its entry cost already paid).  A deferred
+   fatal signal takes effect first, before the call can park the
+   process out of its reach again. *)
+let process_trap (t : t) (proc : Proc.t) env k =
+  match Kstate.pending_terminal proc with
+  | `Kill (s, status) ->
+    Kstate.exit_by_signal t proc s status;
+    discard k
+  | `Stop _ | `None -> settle t proc env k (Syscalls.serve t proc env)
+
 let retry (t : t) (proc : Proc.t) =
   match proc.state with
   | Proc.Parked park ->
     proc.state <- Proc.Runnable;
     Kstate.enqueue t (fun () ->
       match proc.state with
-      | Proc.Runnable ->
-        process_trap t proc park.env park.via park.k ~first:false
+      | Proc.Runnable -> process_trap t proc park.env park.k
       | Proc.Zombie | Proc.Reaped -> discard park.k
       | Proc.Parked _ | Proc.Stopped _ -> ())
   | Proc.Runnable | Proc.Stopped _ | Proc.Zombie | Proc.Reaped -> ()
@@ -416,10 +350,7 @@ let with_shard (t : t) f =
 
 let current () = !Kstate.Ambient.current
 
-let current_exn () =
-  match !Kstate.Ambient.current with
-  | Some t -> t
-  | None -> failwith "no current kernel shard (called outside a simulation?)"
+let current_exn = Kstate.Ambient.get_exn
 
 (* --- creation and boot ------------------------------------------------------ *)
 

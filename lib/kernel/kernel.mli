@@ -12,10 +12,12 @@
     which case the stragglers are killed and counted in
     [deadlock_kills]).
 
-    Simulated processes are OCaml fibres; they interact with the kernel
-    exclusively through the effects in {!Events}, performed by the
-    stubs in {!Uspace} (applications normally go through {!Libc} on top
-    of those). *)
+    Simulated processes are OCaml fibres; they reach the kernel only
+    through the stubs in {!Uspace} (applications normally go through
+    {!Libc} on top of those).  A system call runs its kernel half on
+    the calling fibre and yields to the scheduler, through
+    {!Kstate.Settle}, only when the scheduler has work to do; the other
+    requests are the effects in {!Events}. *)
 
 (** {1 Submodules}
 

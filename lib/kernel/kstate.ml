@@ -21,6 +21,8 @@ type outcome =
   | Exited
   | Exec of Events.exec_spec
 
+type _ Effect.t += Settle : Envelope.t * outcome -> Events.trap_reply Effect.t
+
 type hooks = {
   spawn : Proc.t -> (unit -> int) -> unit;
   retry : Proc.t -> unit;
@@ -121,6 +123,11 @@ let create ?(shard_id = 0) ?(fused = true) () =
    allowlist. *)
 module Ambient = struct
   let current : t option ref = ref None
+
+  let get_exn () =
+    match !current with
+    | Some t -> t
+    | None -> failwith "no current kernel shard (called outside a simulation?)"
 end
 
 let charge t us = Sim.Clock.charge t.clock us
@@ -184,7 +191,7 @@ let cond_matches (cond : Proc.cond) (key : wait_key) =
   | Proc.On_fifo_write i, K_fifo_w j -> i = j
   | Proc.On_accept i, K_accept j -> i = j
   | Proc.On_connq i, K_connq j -> i = j
-  | Proc.On_signal, K_signal _ -> true
+  | Proc.On_signal _, K_signal _ -> true
   | Proc.On_select s, K_pipe_r j -> List.mem j s.rpipes
   | Proc.On_select s, K_pipe_w j -> List.mem j s.wpipes
   | Proc.On_select s, K_fifo_r j -> List.mem j s.rfifos
@@ -244,6 +251,9 @@ let next_timer_at t =
 
 let pop_timer t =
   match t.timers with [] -> () | _ :: tl -> t.timers <- tl
+
+let uncontended t (p : Proc.t) ~until =
+  p.sigs.pending = 0 && Queue.is_empty t.runq && next_timer_at t > until
 
 (* --- open files --------------------------------------------------------- *)
 
@@ -478,9 +488,9 @@ and act_on_pending t (p : Proc.t) s =
             whatever call the process makes next *)
          clear_pending p s;
          cancel_select_timers t p.pid;
-         (match park.saved_mask with
-          | Some m -> p.sigs.mask <- m
-          | None -> ());
+         (match park.cond with
+          | Proc.On_signal saved -> p.sigs.mask <- saved
+          | _ -> ());
          p.state <- Proc.Runnable;
          let reply =
            { Events.res = Error Errno.EINTR; deliver = [ s ] }
@@ -586,6 +596,32 @@ let collect_deliverable _t (p : Proc.t) =
     done;
     List.rev !deliver
   end
+
+(* Terminal (default-action) signals left pending by
+   collect_deliverable: decide the process's fate at a trap boundary. *)
+let pending_terminal (p : Proc.t) =
+  if p.sigs.pending = 0 then `None
+  else begin
+    let result = ref `None in
+    (try
+       for s = 1 to Signal.max_signal do
+         if Signal.Mask.mem p.sigs.pending s && not (blocked p s) then
+           match disposition p s with
+           | `Terminate ->
+             result := `Kill (s, Flags.Wait.sig_status s);
+             raise Exit
+           | `Stop ->
+             result := `Stop s;
+             raise Exit
+           | `Ignore | `Continue | `Handler -> ()
+       done
+     with Exit -> ());
+    !result
+  end
+
+let exit_by_signal t (p : Proc.t) s status =
+  clear_pending p s;
+  do_exit t p status
 
 let wake_parked_with t (p : Proc.t) (park : Proc.park) reply =
   p.state <- Proc.Runnable;

@@ -26,6 +26,15 @@ type outcome =
   | Exec of Events.exec_spec
       (** replace the caller's program text; abandon the fibre *)
 
+(** The one trap effect.  A system call's kernel half runs on the
+    calling fibre ([Uspace]); when its outcome needs the scheduler — a
+    reply while another fibre, a due timer or a pending signal is
+    waiting, a block, an exit or an exec — the fibre performs [Settle]
+    with the trap's envelope and outcome, and the scheduler finishes
+    the trap exactly as if it had dispatched the call itself
+    (DESIGN.md §3.8). *)
+type _ Effect.t += Settle : Abi.Envelope.t * outcome -> Events.trap_reply Effect.t
+
 (** Functions supplied by the scheduler layer at start-up. *)
 type hooks = {
   spawn : Proc.t -> (unit -> int) -> unit;
@@ -97,6 +106,9 @@ val create : ?shard_id:int -> ?fused:bool -> unit -> t
     globals-lint allowlist. *)
 module Ambient : sig
   val current : t option ref
+
+  val get_exn : unit -> t
+  (** @raise Failure when no shard is current. *)
 end
 
 val charge : t -> int -> unit
@@ -133,6 +145,13 @@ val next_timer_at : t -> int
     path reads it on every dispatch level. *)
 
 val pop_timer : t -> unit
+
+val uncontended : t -> Proc.t -> until:int -> bool
+(** Nothing for the scheduler to do for [p] up to virtual time
+    [until]: no signal pending, an empty run queue and no timer due at
+    or before [until].  A fibre for which this holds may skip the
+    scheduling point it is at — the scheduler would resume it next,
+    unchanged.  Allocation-free. *)
 
 (* --- open files and descriptors --- *)
 
@@ -187,6 +206,17 @@ val collect_deliverable : t -> Proc.t -> int list
     pending bits) and apply default actions for the rest.  May
     terminate or stop [Runnable] processes as a side effect; the caller
     must re-check the process state afterwards. *)
+
+val pending_terminal :
+  Proc.t -> [ `Kill of int * int | `Stop of int | `None ]
+(** The first pending, unblocked signal whose action terminates
+    ([`Kill (signal, wait_status)]) or stops the process — what
+    {!collect_deliverable} leaves pending for the trap boundary to act
+    on. *)
+
+val exit_by_signal : t -> Proc.t -> int -> int -> unit
+(** [exit_by_signal t p s status] consumes pending signal [s] and
+    exits [p] with [status]. *)
 
 val wake_parked_with : t -> Proc.t -> Proc.park -> Events.trap_reply -> unit
 (** Resume a parked process with an explicit reply (used by timers). *)

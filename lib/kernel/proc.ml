@@ -7,7 +7,7 @@ type cond =
   | On_accept of int       (* listener id: until a connection is pending *)
   | On_connq of int        (* listener id: until the accept queue drains *)
   | On_time of int
-  | On_signal
+  | On_signal of int       (* sigsuspend: the mask to restore *)
   | On_select of {
       rpipes : int list;   (* pipe/sock ids awaited for readability *)
       wpipes : int list;   (* pipe/sock ids awaited for writability *)
@@ -19,9 +19,7 @@ type cond =
 type park = {
   k : (Events.trap_reply, unit) Effect.Deep.continuation;
   env : Abi.Envelope.t;
-  via : Events.via;
   cond : cond;
-  saved_mask : int option;
 }
 
 type stopped = {

@@ -12,7 +12,7 @@ type cond =
   | On_connq of int             (** listener id: until the accept queue
                                     has room for another connection *)
   | On_time of int              (** absolute virtual deadline, µs *)
-  | On_signal                   (** sigsuspend *)
+  | On_signal of int            (** sigsuspend: the mask to restore *)
   | On_select of {
       rpipes : int list;   (* pipe/sock ids awaited for readability *)
       wpipes : int list;   (* pipe/sock ids awaited for writability *)
@@ -25,9 +25,7 @@ type park = {
   k : (Events.trap_reply, unit) Effect.Deep.continuation;
   env : Abi.Envelope.t;         (** the in-flight call, typed view memoized
                                     across wakeup retries *)
-  via : Events.via;
   cond : cond;
-  saved_mask : int option;      (** sigsuspend restores this mask *)
 }
 
 type stopped = {

@@ -1018,9 +1018,10 @@ let dispatch t (p : Proc.t) (call : Call.t) : outcome =
   | Call.Sigprocmask (how, m) -> do_sigprocmask p how m
   | Call.Sigpending -> done_ret p.sigs.pending
   | Call.Sigsuspend m ->
-    (* the saved mask is restored by the scheduler on wake *)
+    (* the saved mask is restored by the signal that wakes us *)
+    let saved = p.sigs.mask in
     p.sigs.mask <- Signal.Mask.sanitize m;
-    Block Proc.On_signal
+    Block (Proc.On_signal saved)
   | Call.Ioctl (fd, op, buf) -> do_ioctl t p fd op buf
   | Call.Symlink (target, path) ->
     of_unit (Vfs.Fs.symlink fs c ~cwd ~target path)
@@ -1124,6 +1125,34 @@ let dispatch t (p : Proc.t) (call : Call.t) : outcome =
          done_ret (String.length path)
        end
      | None -> fail Errno.ENOENT)
+
+(* --- one trap's kernel work ----------------------------------------------- *)
+
+let base_cost (via : Events.via) call =
+  Cost_model.syscall_us call
+  + (match via with
+     | Events.Htg -> Cost_model.htg_overhead_us
+     | Events.App -> 0)
+
+let serve ?via t (p : Proc.t) env =
+  (* decode-once: if any agent above already materialized the typed
+     view, this is a memoized read, not a second decode *)
+  match Envelope.call env with
+  | Error e ->
+    if Option.is_some via then charge t Cost_model_base.trivial_us;
+    Done (Error e)
+  | Ok call ->
+    (match via with
+     | Some via ->
+       let cost = base_cost via call in
+       p.stime_us <- p.stime_us + cost;
+       charge t cost
+     | None -> ());
+    (match dispatch t p call with
+     | Done res as outcome ->
+       run_trace_hook t p call res;
+       outcome
+     | (Block _ | Exited | Exec _) as outcome -> outcome)
 
 (* --- restart policy --------------------------------------------------------- *)
 

@@ -8,6 +8,15 @@
 
 val dispatch : Kstate.t -> Proc.t -> Abi.Call.t -> Kstate.outcome
 
+val serve :
+  ?via:Events.via -> Kstate.t -> Proc.t -> Abi.Envelope.t -> Kstate.outcome
+(** One trap's kernel work: decode the envelope (a memoized read when
+    an agent above already decoded it), charge the call's base cost,
+    {!dispatch}, and run the trace hook on completion.  [via] says how
+    a first arrival reached the kernel and selects its cost; a retry
+    after a wake-up was paid for then and passes none.  An undecodable
+    envelope completes with its error (trivial cost, no trace hook). *)
+
 val restartable : ?errno:Abi.Errno.t -> int -> bool
 (** The restart policy itself, as a predicate on syscall numbers:
     [true] for the calls an interruption transparently re-issues

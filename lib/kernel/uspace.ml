@@ -32,14 +32,61 @@ let deliver_one (proc : Proc.t) s =
 
 let deliver proc sigs = List.iter (deliver_one proc) sigs
 
-let to_kernel (proc : Proc.t) (env : Envelope.t) : Value.res =
-  (* nothing interposed: the kernel is the only layer below us *)
-  let reply =
-    Obs.in_layer ~span:(Envelope.span env) "kernel" (fun () ->
-        Effect.perform (Events.Trap (env, Events.App)))
-  in
-  deliver proc reply.deliver;
-  reply.res
+let leave_layer = function Some fr -> Obs.layer_exit fr | None -> ()
+
+(* A trap's kernel work, on the calling fibre.  Kernel code sees no
+   current process, exactly as it did on the scheduler stack; the
+   caller's is restored afterwards, even when dispatch raises.  A
+   terminal signal left pending since the last trap boundary takes
+   effect first: the process exits and its fibre unwinds from here, as
+   it would have on being discontinued by the scheduler. *)
+let serve_inline ?via t (proc : Proc.t) env =
+  let cur = Proc.Cur.get () in
+  Proc.Cur.set None;
+  (match Kstate.pending_terminal proc with
+   | `Kill (s, status) ->
+     Kstate.exit_by_signal t proc s status;
+     raise Events.Process_killed
+   | `Stop _ | `None -> ());
+  match Syscalls.serve ?via t proc env with
+  | outcome ->
+    Proc.Cur.set cur;
+    outcome
+  | exception e ->
+    Proc.Cur.set cur;
+    raise e
+
+(* Direct kernel entry (DESIGN.md §3.8).  The scheduler resumes a
+   settled reply only after due timers, pending signals and the fibres
+   queued ahead of it; with none of those, resuming is its very next
+   step, so the trap returns its result on the spot.  Any other outcome
+   settles through the scheduler: queued behind the other fibres,
+   parked, abandoned or replaced. *)
+let enter_kernel ?via (proc : Proc.t) (env : Envelope.t) : Value.res =
+  let t = Kstate.Ambient.get_exn () in
+  (* an unsampled trap opens no frame *)
+  let fr = Obs.layer_enter ~span:(Envelope.span env) "kernel" in
+  match serve_inline ?via t proc env with
+  | Kstate.Done res
+    when Kstate.uncontended t proc ~until:(Sim.Clock.now_us t.Kstate.clock)
+    ->
+    leave_layer fr;
+    res
+  | outcome ->
+    (match Effect.perform (Kstate.Settle (env, outcome)) with
+     | reply ->
+       leave_layer fr;
+       deliver proc reply.deliver;
+       reply.res
+     | exception e ->
+       leave_layer fr;
+       raise e)
+  | exception e ->
+    leave_layer fr;
+    raise e
+
+(* nothing interposed: the kernel is the only layer below us *)
+let to_kernel proc env = enter_kernel ~via:Events.App proc env
 
 (* The fused-chain jump target for slots with no handler installed:
    Proc sits below this module, so it reaches [to_kernel] through a
@@ -81,9 +128,8 @@ let cpu_charge (proc : Proc.t) us : int list =
   match !Kstate.Ambient.current with
   | Some t
     when t.Kstate.fused_dispatch
-         && proc.sigs.pending = 0
-         && Queue.is_empty t.Kstate.runq
-         && Kstate.next_timer_at t > Sim.Clock.now_us t.Kstate.clock + us ->
+         && Kstate.uncontended t proc
+              ~until:(Sim.Clock.now_us t.Kstate.clock + us) ->
     proc.utime_us <- proc.utime_us + us;
     Kstate.charge t us;
     []
@@ -196,14 +242,7 @@ let syscall c =
     instrumented ~sysno:(Call.number c) (fun () ->
         Envelope.at_boundary ?pool ?epool c)
 
-let htg_trap (env : Envelope.t) : Value.res =
-  let proc = self () in
-  let reply =
-    Obs.in_layer ~span:(Envelope.span env) "kernel" (fun () ->
-        Effect.perform (Events.Trap (env, Events.Htg)))
-  in
-  deliver proc reply.deliver;
-  reply.res
+let htg_trap env = enter_kernel ~via:Events.Htg (self ()) env
 
 let htg_unix_syscall w = htg_trap (Envelope.of_wire w)
 

@@ -914,6 +914,168 @@ let test_pipe_drain_then_eof () =
   in
   check_exit "bytes before EOF" 0 status
 
+(* --- direct kernel entry ------------------------------------------------------ *)
+
+(* A trap returns on the calling fibre only when the scheduler would
+   have resumed it next anyway; these pin the scheduling decisions that
+   must come out exactly as when every trap went through the run
+   queue. *)
+
+let test_getpid_loops_interleave () =
+  let log = ref [] in
+  let spin () =
+    for _ = 1 to 4 do
+      let pid = Libc.Unistd.getpid () in
+      log := pid :: !log
+    done
+  in
+  let _, status = boot (fun () ->
+    let pid =
+      u "fork" (Libc.Unistd.fork ~child:(fun () -> spin (); 0))
+    in
+    spin ();
+    ignore (u "wait" (Libc.Unistd.waitpid pid 0));
+    0)
+  in
+  check_exit "session" 0 status;
+  (* the child runs first; from then on each trap is a turn *)
+  Alcotest.(check (list int)) "one trap per turn" [ 2; 1; 2; 1; 2; 1; 2; 1 ]
+    (List.rev !log)
+
+let test_alarm_due_inside_a_charge () =
+  let k = fresh_kernel () in
+  let now () = Sim.Clock.now_us (Kernel.clock k) in
+  let due = ref 0 in
+  let completed = ref 0 in
+  let clocks = ref [] in
+  let seen_at = ref (-1) in
+  let status =
+    boot_k k (fun () ->
+      ignore
+        (u "signal"
+           (Libc.Unistd.signal Signal.sigalrm
+              (Value.H_fn (fun _ -> seen_at := !completed))));
+      ignore (u "alarm" (Libc.Unistd.alarm 1));
+      due := now () + 1_000_000;
+      (* off the getpid grid, so the deadline lands mid-charge *)
+      Kernel.Uspace.cpu_work 7;
+      (* bounded: a lost signal must fail the test, not hang it *)
+      while !seen_at < 0 && !completed < 100_000 do
+        ignore (Libc.Unistd.getpid ());
+        incr completed;
+        clocks := now () :: !clocks
+      done;
+      0)
+  in
+  check_exit "session" 0 status;
+  (* trap [c] is the one whose charge carries the clock past the
+     deadline: the timer fires at the scheduling point after it, and
+     the handler runs on the way out of the next trap *)
+  let clocks = Array.of_list (List.rev !clocks) in
+  let c = ref 1 in
+  while clocks.(!c - 1) < !due do incr c done;
+  let before = if !c >= 2 then clocks.(!c - 2) else 0 in
+  Alcotest.(check bool) "deadline falls inside trap c's charge" true
+    (before < !due && !due < clocks.(!c - 1));
+  Alcotest.(check int) "delivered on the way out of trap c + 1" !c !seen_at;
+  Alcotest.(check int) "no trap after the delivering one" (!c + 1)
+    (Array.length clocks)
+
+let test_kill_self_ends_at_same_count () =
+  let k = fresh_kernel () in
+  let status =
+    boot_k k (fun () ->
+      for _ = 1 to 3 do ignore (Libc.Unistd.getpid ()) done;
+      ignore (Libc.Unistd.kill (Libc.Unistd.getpid ()) Signal.sigterm);
+      for _ = 1 to 3 do ignore (Libc.Unistd.getpid ()) done;
+      0)
+  in
+  Alcotest.(check bool) "killed by SIGTERM" true
+    (Flags.Wait.wifsignaled status
+     && Flags.Wait.wtermsig status = Signal.sigterm);
+  (* three getpids, the getpid for kill's argument, and the kill *)
+  Alcotest.(check int) "syscalls made" 5 (Kernel.total_syscalls k)
+
+let test_kill_from_peer_at_next_entry () =
+  let child_done = ref 0 in
+  let _, status = boot (fun () ->
+    let pid =
+      u "fork"
+        (Libc.Unistd.fork ~child:(fun () ->
+           for _ = 1 to 10 do
+             ignore (Libc.Unistd.getpid ());
+             incr child_done
+           done;
+           0))
+    in
+    u "kill" (Libc.Unistd.kill pid Signal.sigterm);
+    let _, st = u "wait" (Libc.Unistd.waitpid pid 0) in
+    if Flags.Wait.wifsignaled st && Flags.Wait.wtermsig st = Signal.sigterm
+    then 0
+    else 1)
+  in
+  check_exit "child killed" 0 status;
+  (* the child's first getpid was already answered when the signal
+     arrived; its second trap is the boundary that ends it *)
+  Alcotest.(check int) "getpids completed by the child" 1 !child_done
+
+let test_fork_child_runs_first () =
+  let log = ref [] in
+  let _, status = boot (fun () ->
+    let pid =
+      u "fork"
+        (Libc.Unistd.fork ~child:(fun () -> log := "child" :: !log; 0))
+    in
+    log := "parent" :: !log;
+    ignore (u "wait" (Libc.Unistd.waitpid pid 0));
+    0)
+  in
+  check_exit "session" 0 status;
+  Alcotest.(check (list string)) "child before parent" [ "child"; "parent" ]
+    (List.rev !log)
+
+exception Hook_failed
+
+let test_kernel_code_sees_no_process () =
+  let k = fresh_kernel () in
+  let hooked = ref 0 in
+  let with_process = ref 0 in
+  Kernel.set_trace_hook k
+    (Some
+       (fun _ _ _ ->
+         incr hooked;
+         if Option.is_some (Kernel.Proc.Cur.get ()) then incr with_process));
+  let status =
+    boot_k k (fun () ->
+      for _ = 1 to 5 do ignore (Libc.Unistd.getpid ()) done;
+      0)
+  in
+  check_exit "session" 0 status;
+  Alcotest.(check bool) "hook ran" true (!hooked >= 5);
+  Alcotest.(check int) "hook calls with a current process" 0 !with_process
+
+let test_current_restored_after_raise () =
+  let k = fresh_kernel () in
+  Kernel.set_trace_hook k
+    (Some
+       (fun _ call _ ->
+         match call with
+         | Call.Getppid -> raise Hook_failed
+         | _ -> ()));
+  let status =
+    boot_k k (fun () ->
+      let me = Libc.Unistd.getpid () in
+      match Libc.Unistd.getppid () with
+      | _ -> 1
+      | exception Hook_failed ->
+        (match Kernel.Proc.Cur.get () with
+         | Some p when p.Kernel.Proc.pid = me ->
+           (* and the process carries on trapping normally *)
+           if Libc.Unistd.getpid () = me then 0 else 3
+         | Some _ | None -> 2))
+  in
+  check_exit "current process restored" 0 status
+
 let () =
   Alcotest.run "kernel-extra"
     [ "process-groups",
@@ -939,6 +1101,21 @@ let () =
       [ Alcotest.test_case "alarm replace/cancel" `Quick
           test_alarm_replaced_and_cancelled;
         Alcotest.test_case "settimeofday" `Quick test_settimeofday_root_only ];
+      "direct-entry",
+      [ Alcotest.test_case "getpid loops interleave" `Quick
+          test_getpid_loops_interleave;
+        Alcotest.test_case "alarm due inside a charge" `Quick
+          test_alarm_due_inside_a_charge;
+        Alcotest.test_case "kill self" `Quick
+          test_kill_self_ends_at_same_count;
+        Alcotest.test_case "kill from a peer" `Quick
+          test_kill_from_peer_at_next_entry;
+        Alcotest.test_case "fork child first" `Quick
+          test_fork_child_runs_first;
+        Alcotest.test_case "kernel sees no process" `Quick
+          test_kernel_code_sees_no_process;
+        Alcotest.test_case "current restored after raise" `Quick
+          test_current_restored_after_raise ];
       "crashes",
       [ Alcotest.test_case "uncaught exn" `Quick
           test_uncaught_exception_is_abort;
