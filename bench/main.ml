@@ -629,6 +629,32 @@ let alloc_json (a : alloc_report) =
       ("pool_recycled", Int a.al_pool.Value.Pool.Stats.recycled);
       ("pool_dropped", Int a.al_pool.Value.Pool.Stats.dropped) ]
 
+(* --- reaping cost (`smoke`) ------------------------------------------------------ *)
+
+(* Minor words per wait4 while init reaps [n] exited children with
+   wait4(-1).  Fork runs the child first, so all [n] are zombies before
+   the window opens, and the window holds only the [n] waits.  A wait
+   that scans or sorts the process table allocates in proportion to
+   [n]; one that reads the caller's child index does not. *)
+let reap_probe n =
+  let k = fresh () in
+  let reaped = ref 0 and words = ref 0.0 in
+  let _ =
+    Kernel.boot k ~name:"reap" (fun () ->
+      for _ = 1 to n do
+        ignore (Libc.Unistd.fork ~child:(fun () -> 0))
+      done;
+      let m0 = Gc.minor_words () in
+      for _ = 1 to n do
+        match Libc.Unistd.wait () with Ok _ -> incr reaped | Error _ -> ()
+      done;
+      words := Gc.minor_words () -. m0;
+      0)
+  in
+  if !reaped <> n then
+    failwith (Printf.sprintf "reap probe: reaped %d of %d children" !reaped n);
+  !words /. float_of_int n
+
 (* --- sampled tracing (ablation 7 and `smoke`) ---------------------------------- *)
 
 (* The stacked-getpid loop with the observation plane ON at a 1-in-N
@@ -1022,13 +1048,24 @@ let smoke_uninterested_baseline_us = 25.0
    drift. *)
 let smoke_minor_words_ceiling = 18.0
 
-(* The smoke/ablations document shape, stated declaratively — the
-   shared [Report.Schema] walker does the checking (one validator for
-   all seven BENCH_*.json files; see [causal ()], which re-validates
-   the full set). *)
-let smoke_schema =
+(* Reaping gate: init reaps N exited children with wait4(-1) at two
+   sizes.  Measured 101 minor words/wait at 500 children and 109 at
+   2000 once wait4 read the caller's child index (DESIGN.md §3.6
+   "Process tree"); the table scan and sort it replaced cost 8185 and
+   38441, 4.7x apart.  The ceiling leaves ~50% headroom for compiler
+   drift, and the ratio bound catches any per-wait cost that grows with
+   the number of children. *)
+let smoke_reap_children = (500, 2000)
+let smoke_reap_words_ceiling = 160.0
+let smoke_reap_max_ratio = 1.5
+
+(* The ablations document shape, stated declaratively — the shared
+   [Report.Schema] walker does the checking (one validator for all
+   eight BENCH_*.json files; see [causal ()], which re-validates the
+   full set).  The smoke document is the same shape plus its reaping
+   rows. *)
+let ablations_fields =
   let open Report.Schema in
-  Obj
     [ ("name", Str);
       ("stacked_getpid_us", Numbers 5);
       ("uninterested_getpid_us", Numbers 5);
@@ -1059,6 +1096,16 @@ let smoke_schema =
              [ ("n", Int); ("getpid_us", Num); ("calls", Int);
                ("spans", Int); ("est_spans", Int); ("p50_us", Int);
                ("p90_us", Int); ("p99_us", Int) ]) ) ]
+
+let ablations_schema = Report.Schema.Obj ablations_fields
+
+let smoke_schema =
+  let open Report.Schema in
+  Obj
+    (ablations_fields
+    @ [ ( "reap",
+          Arr_nonempty (Obj [ ("children", Int); ("minor_words_per_wait", Num) ])
+        ) ])
 
 let smoke () =
   Report.print_title "Smoke: tracing-off guard + metrics schema validation";
@@ -1130,6 +1177,25 @@ let smoke () =
     al.al_minor_words_per_trap smoke_minor_words_ceiling
     al.al_pool.Value.Pool.Stats.hits al.al_iters
     al.al_pool.Value.Pool.Stats.recycled;
+  (* 1d. reaping: per-wait allocation flat in the number of children *)
+  let small, large = smoke_reap_children in
+  let reap_rows = List.map (fun n -> (n, reap_probe n)) [ small; large ] in
+  List.iter
+    (fun (n, w) ->
+      if w > smoke_reap_words_ceiling then
+        fail "reaping %d children: %.1f minor words/wait exceeds the %.0f ceiling"
+          n w smoke_reap_words_ceiling)
+    reap_rows;
+  let reap_ratio = List.assoc large reap_rows /. List.assoc small reap_rows in
+  if reap_ratio > smoke_reap_max_ratio then
+    fail "reaping: words/wait grew %.2fx from %d to %d children (max %.1fx)"
+      reap_ratio small large smoke_reap_max_ratio;
+  Printf.printf
+    "reaping with wait4(-1): %s minor words/wait (ceiling %.0f), %.2fx from \
+     %d to %d children (max %.1fx)\n"
+    (String.concat ", "
+       (List.map (fun (n, w) -> Printf.sprintf "%.1f at %d" w n) reap_rows))
+    smoke_reap_words_ceiling reap_ratio small large smoke_reap_max_ratio;
   (* 2. tracing ON at depth 4: attribution must agree with the codec
         counters and with end-to-end span time, at zero virtual cost *)
   let a = stack_attrib 4 in
@@ -1275,12 +1341,18 @@ let smoke () =
                (let _, _, us, m =
                   List.find (fun (d, _, _, _) -> d = 4) sampled_rows
                 in
-                (256, us, m)) ] ) ]);
+                (256, us, m)) ] );
+         ( "reap",
+           Arr
+             (List.map
+                (fun (n, w) ->
+                  Obj [ ("children", Int n); ("minor_words_per_wait", Float w) ])
+                reap_rows) ) ]);
   let vfail s = fail "%s" s in
   Report.validate_file ~tag:"smoke" ~fail:vfail "BENCH_smoke.json"
     smoke_schema;
   Report.validate_file ~tag:"smoke" ~fail:vfail "BENCH_ablations.json"
-    smoke_schema;
+    ablations_schema;
   match !failures with
   | [] -> Printf.printf "[smoke] all checks passed\n"
   | fs ->
@@ -2821,7 +2893,7 @@ let causal () =
       Report.validate_file ~tag:"causal" ~fail:vfail path schema)
     [ ("BENCH_causal.json", causal_schema);
       ("BENCH_smoke.json", smoke_schema);
-      ("BENCH_ablations.json", smoke_schema);
+      ("BENCH_ablations.json", ablations_schema);
       ("BENCH_faults.json", faults_schema);
       ("BENCH_scale.json", scale_schema);
       ("BENCH_conformance.json", conformance_schema);

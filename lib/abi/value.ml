@@ -153,10 +153,16 @@ let pp_wire ppf w =
   Array.iter (fun v -> Format.fprintf ppf ", %a" pp v) w.args;
   Format.fprintf ppf ")"
 
-let pp_res ppf = function
-  | Ok { r0; r1 = 0 } -> Format.fprintf ppf "%d" r0
-  | Ok { r0; r1 } -> Format.fprintf ppf "(%d, %d)" r0 r1
-  | Error e -> Format.fprintf ppf "-1 %a (%s)" Errno.pp e (Errno.message e)
+(* Built by concatenation, not [Format]: the trace agent renders every
+   result it sees through here. *)
+let res_to_string = function
+  | Ok { r0; r1 = 0 } -> string_of_int r0
+  | Ok { r0; r1 } ->
+    String.concat "" [ "("; string_of_int r0; ", "; string_of_int r1; ")" ]
+  | Error e ->
+    String.concat "" [ "-1 "; Errno.name e; " ("; Errno.message e; ")" ]
+
+let pp_res ppf r = Format.pp_print_string ppf (res_to_string r)
 
 module Get = struct
   let arg w i =

@@ -115,7 +115,12 @@ val pp : Format.formatter -> t -> unit
     truncated, buffers as [0xADDR[len]] style placeholders. *)
 
 val pp_wire : Format.formatter -> wire -> unit
+val res_to_string : res -> string
+(** The strace-style result text: [5], [(3, 4)] when the second result
+    register is set, [-1 ENOENT (No such file or directory)] on error. *)
+
 val pp_res : Format.formatter -> res -> unit
+(** {!res_to_string} as a printer. *)
 
 (** Argument extraction used by the kernel decoder and the
     [bsd_numeric_syscall] toolkit layer.  Each returns [Error EFAULT]

@@ -1,7 +1,5 @@
 open Abi
 
-let res_str (ret : Value.res) = Format.asprintf "%a" Value.pp_res ret
-
 let buf_str b =
   Printf.sprintf "0x%x[%d]" (Hashtbl.hash b land 0xffffff) (Bytes.length b)
 
@@ -67,7 +65,7 @@ class agent =
       self#event name args None
 
     method private post name ret =
-      self#event name "" (Some (res_str ret));
+      self#event name "" (Some (Value.res_to_string ret));
       ret
 
     method! init_child = self#emit "--- fork: child running under trace ---\n"

@@ -144,14 +144,22 @@ let alloc_pid t =
   t.next_pid <- pid + 1;
   pid
 
-let add_proc t (p : Proc.t) = Hashtbl.replace t.procs p.pid p
+(* [procs] holds exactly the unreaped processes, and each one sits in
+   its parent's [kids] index for as long as it is there: [add_proc]
+   enters both, [reap] leaves both, and [do_exit] moves an orphan from
+   its dead parent's index to init's. *)
+let add_proc t (p : Proc.t) =
+  Hashtbl.replace t.procs p.pid p;
+  match proc t p.ppid with
+  | Some parent -> parent.kids <- Proc.Kids.add p.pid p parent.kids
+  | None -> ()
 
-let children t (p : Proc.t) =
-  Hashtbl.fold
-    (fun _ (c : Proc.t) acc ->
-      if c.ppid = p.pid && c.state <> Proc.Reaped then c :: acc else acc)
-    t.procs []
-  |> List.sort (fun (a : Proc.t) b -> compare a.pid b.pid)
+let reap t (p : Proc.t) =
+  p.state <- Proc.Reaped;
+  Hashtbl.remove t.procs p.pid;
+  match proc t p.ppid with
+  | Some parent -> parent.kids <- Proc.Kids.remove p.pid parent.kids
+  | None -> ()
 
 let live_procs t =
   Hashtbl.fold
@@ -554,28 +562,35 @@ and do_exit t (p : Proc.t) status =
      p.exit_status <- status;
      t.retired_syscalls <- t.retired_syscalls + p.syscall_count;
      p.syscall_count <- 0;
-     (* orphans go to init (pid 1); init's own orphans self-reap *)
-     Hashtbl.iter
-       (fun _ (c : Proc.t) ->
-         if c.ppid = p.pid && c.state <> Proc.Reaped then begin
+     (* orphans go to init (pid 1), zombies among them reaped on the
+        spot when init is dead or gone; init's own orphans keep it as
+        their parent and self-reap when they exit *)
+     if p.pid <> 1 then begin
+       let init = proc t 1 in
+       let init_live =
+         match init with
+         | Some i -> i.state <> Proc.Zombie
+         | None -> false
+       in
+       Proc.Kids.iter
+         (fun _ (c : Proc.t) ->
            c.ppid <- 1;
-           if c.state = Proc.Zombie && p.pid <> 1 then begin
-             match proc t 1 with
-             | Some init when init.state = Proc.Zombie || init.state = Proc.Reaped ->
-               c.state <- Proc.Reaped
-             | _ -> ()
-           end
-         end)
-       t.procs;
+           if c.state = Proc.Zombie && not init_live then reap t c
+           else
+             match init with
+             | Some i -> i.kids <- Proc.Kids.add c.pid c i.kids
+             | None -> ())
+         p.kids;
+       p.kids <- Proc.Kids.empty
+     end;
      (* notify the parent *)
      (match proc t p.ppid with
-      | Some parent when parent.state <> Proc.Zombie
-                      && parent.state <> Proc.Reaped ->
+      | Some parent when parent.state <> Proc.Zombie ->
         post_signal t parent Signal.sigchld;
         wake_key t (K_child parent.pid)
       | _ ->
         (* no live parent: nobody will wait for us *)
-        p.state <- Proc.Reaped))
+        reap t p))
 
 let collect_deliverable _t (p : Proc.t) =
   if p.sigs.pending = 0 then []
@@ -622,10 +637,6 @@ let pending_terminal (p : Proc.t) =
 let exit_by_signal t (p : Proc.t) s status =
   clear_pending p s;
   do_exit t p status
-
-let wake_parked_with t (p : Proc.t) (park : Proc.park) reply =
-  p.state <- Proc.Runnable;
-  enqueue t (fun () -> resume_parked p park reply)
 
 (* --- trace hooks -------------------------------------------------------- *)
 

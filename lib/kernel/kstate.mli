@@ -122,7 +122,14 @@ val cred : Proc.t -> Vfs.Fs.cred
 val proc : t -> int -> Proc.t option
 val alloc_pid : t -> int
 val add_proc : t -> Proc.t -> unit
-val children : t -> Proc.t -> Proc.t list
+(** Enter a process in the table and in its parent's [kids]
+    index (when the parent is in the table). *)
+
+val reap : t -> Proc.t -> unit
+(** The one transition to [Reaped]: the process leaves the table and
+    its parent's [kids] index.  The table therefore holds exactly the
+    unreaped processes — zombies included, self-reaped exits not. *)
+
 val live_procs : t -> Proc.t list
 val total_syscalls : t -> int
 
@@ -218,12 +225,12 @@ val exit_by_signal : t -> Proc.t -> int -> int -> unit
 (** [exit_by_signal t p s status] consumes pending signal [s] and
     exits [p] with [status]. *)
 
-val wake_parked_with : t -> Proc.t -> Proc.park -> Events.trap_reply -> unit
-(** Resume a parked process with an explicit reply (used by timers). *)
-
 val do_exit : t -> Proc.t -> int -> unit
 (** Terminate with the given wait-status: close descriptors, zombify,
-    reparent children to pid 1, notify and wake the parent. *)
+    move the children from the exiting process's [kids] index to
+    init's (reaping zombie orphans when init is dead or gone), then
+    notify and wake the parent — or reap at once when there is no live
+    parent to wait. *)
 
 (* --- tracing hooks (the in-kernel DFSTrace comparator) --- *)
 

@@ -69,9 +69,14 @@ let chain_kernel_entry : (Abi.Envelope.t -> Abi.Value.res) ref =
    equality. *)
 let chain_unset env = !chain_kernel_entry env
 
+module Kids = Map.Make (Int)
+
 type t = {
   pid : int;
   mutable ppid : int;
+  mutable kids : t Kids.t;
+      (* the unreaped processes whose [ppid] is [pid], keyed by pid;
+         [Kstate] keeps it in step with [ppid] *)
   mutable pgrp : int;
   mutable name : string;
   mutable cred : Vfs.Fs.cred;
@@ -125,7 +130,7 @@ let fresh_sigstate () =
     pending = 0 }
 
 let create ~pid ~ppid ~pgrp ~name ~cred ~cwd =
-  { pid; ppid; pgrp; name; cred; cwd;
+  { pid; ppid; kids = Kids.empty; pgrp; name; cred; cwd;
     umask = 0o022;
     fds = Array.make fd_table_size None;
     sigs = fresh_sigstate ();
@@ -147,6 +152,7 @@ let fork_copy t ~pid ~name =
   in
   { pid;
     ppid = t.pid;
+    kids = Kids.empty;
     pgrp = t.pgrp;
     name;
     cred = t.cred;

@@ -79,9 +79,17 @@ val chain_unset : Abi.Envelope.t -> Abi.Value.res
     {!chain_kernel_entry}.  Its physical identity is how
     {!emulation_consistent} recognizes a slot with no handler. *)
 
+(** Pid-keyed maps: a process's index of its children. *)
+module Kids : Map.S with type key = int
+
 type t = {
   pid : int;
   mutable ppid : int;
+  mutable kids : t Kids.t;
+      (** the unreaped processes whose [ppid] is [pid], in pid order.
+          Invariant, maintained by [Kstate]: [kids] holds exactly the
+          processes [q] in the table with [q.ppid = pid].  [wait4] and
+          exit-time reparenting read it instead of scanning the table. *)
   mutable pgrp : int;
   mutable name : string;
   mutable cred : Vfs.Fs.cred;

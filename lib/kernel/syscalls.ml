@@ -440,42 +440,52 @@ let do_fork t (p : Proc.t) body =
   t.hooks.spawn child body;
   Done (Value.ret pid ~r1:1)
 
+(* A wait4 choice reads the caller's [kids] index, which is in pid
+   order: the lowest-pid matching zombie, else under WUNTRACED the
+   lowest-pid matching stopped child — the choices a pid sort of the
+   caller's children would give.  Only [pid > 0] skips the walk. *)
+exception Wait_pick of Proc.t
+
 let do_wait4 t (p : Proc.t) pid options =
-  let kids = children t p in
-  if kids = [] then fail Errno.ECHILD
-  else begin
-    let matches (c : Proc.t) =
-      if pid > 0 then c.pid = pid
-      else if pid = 0 then c.pgrp = p.pgrp
-      else if pid = -1 then true
-      else c.pgrp = -pid
-    in
-    let candidates = List.filter matches kids in
-    if candidates = [] then fail Errno.ECHILD
-    else
+  let wuntraced = options land Flags.Wait.wuntraced <> 0 in
+  let pick =
+    if pid > 0 then Proc.Kids.find_opt pid p.kids
+    else begin
+      let matches (c : Proc.t) =
+        if pid = 0 then c.pgrp = p.pgrp
+        else if pid = -1 then true
+        else c.pgrp = -pid
+      in
+      let first = ref None and stopped = ref None in
       match
-        List.find_opt (fun (c : Proc.t) -> c.state = Proc.Zombie) candidates
+        Proc.Kids.iter
+          (fun _ (c : Proc.t) ->
+            if matches c then begin
+              if Option.is_none !first then first := Some c;
+              match c.state with
+              | Proc.Zombie -> raise_notrace (Wait_pick c)
+              | Proc.Stopped _ when wuntraced && Option.is_none !stopped ->
+                stopped := Some c
+              | _ -> ()
+            end)
+          p.kids
       with
-      | Some z ->
-        z.state <- Proc.Reaped;
-        Hashtbl.remove t.procs z.pid;
-        Done (Value.ret z.pid ~r1:z.exit_status)
-      | None ->
-        let stopped =
-          if options land Flags.Wait.wuntraced <> 0 then
-            List.find_opt
-              (fun (c : Proc.t) ->
-                match c.state with Proc.Stopped _ -> true | _ -> false)
-              candidates
-          else None
-        in
-        (match stopped with
-         | Some s ->
-           Done (Value.ret s.pid ~r1:(Flags.Wait.stop_status Signal.sigstop))
-         | None ->
-           if options land Flags.Wait.wnohang <> 0 then done_ret 0
-           else Block Proc.On_child)
-  end
+      | () -> if Option.is_some !stopped then !stopped else !first
+      | exception Wait_pick z -> Some z
+    end
+  in
+  match pick with
+  | None -> fail Errno.ECHILD
+  | Some c ->
+    (match c.state with
+     | Proc.Zombie ->
+       reap t c;
+       Done (Value.ret c.pid ~r1:c.exit_status)
+     | Proc.Stopped _ when wuntraced ->
+       Done (Value.ret c.pid ~r1:(Flags.Wait.stop_status Signal.sigstop))
+     | _ ->
+       if options land Flags.Wait.wnohang <> 0 then done_ret 0
+       else Block Proc.On_child)
 
 let may_signal (p : Proc.t) (q : Proc.t) =
   p.cred.uid = 0 || p.cred.uid = q.cred.uid

@@ -50,12 +50,14 @@ type record = Segment of segment | Call of call | Mark of mark
 
 (* --- textual rendering (the trace agent's two line shapes) --- *)
 
+(* Concatenated rather than [Printf]-formatted: the trace agent renders
+   one line per event through here. *)
 let call_line c =
   match c.c_result with
-  | None -> Printf.sprintf "%s(%s) ..." c.c_name c.c_args
+  | None -> String.concat "" [ c.c_name; "("; c.c_args; ") ..." ]
   | Some r when c.c_rewrote ->
-    Printf.sprintf "... %s -> %s [rewritten]" c.c_name r
-  | Some r -> Printf.sprintf "... %s -> %s" c.c_name r
+    String.concat "" [ "... "; c.c_name; " -> "; r; " [rewritten]" ]
+  | Some r -> String.concat "" [ "... "; c.c_name; " -> "; r ]
 
 (* --- JSONL --- *)
 

@@ -273,6 +273,18 @@ let test_call_pp () =
       Alcotest.(check bool) (Call.name c) true (String.length s > 0))
     call_cases
 
+(* The trace agent's three result shapes, pinned byte for byte, and
+   the [Format] printer agreeing with the string renderer. *)
+let test_res_shapes () =
+  List.iter
+    (fun (res, want) ->
+      Alcotest.(check string) want want (Value.res_to_string res);
+      Alcotest.(check string) ("pp " ^ want) want
+        (Format.asprintf "%a" Value.pp_res res))
+    [ (Value.ret 5, "5");
+      (Value.ret 3 ~r1:4, "(3, 4)");
+      (Error Errno.ENOENT, "-1 ENOENT (No such file or directory)") ]
+
 (* --- exhaustive encode/decode round-trip ------------------------------------- *)
 
 (* Wire values carry closures and shared out-cells, so equality is
@@ -819,6 +831,7 @@ let () =
         Alcotest.test_case "bad decode" `Quick test_call_decode_bad;
         Alcotest.test_case "classification" `Quick test_call_classification;
         Alcotest.test_case "pp" `Quick test_call_pp;
+        Alcotest.test_case "result shapes" `Quick test_res_shapes;
         Alcotest.test_case "sysno" `Quick test_sysno_table ];
       "envelope",
       [ Alcotest.test_case "decode once" `Quick test_envelope_decode_once;

@@ -1076,6 +1076,268 @@ let test_current_restored_after_raise () =
   in
   check_exit "current process restored" 0 status
 
+(* --- process tree: wait4 against a table scan ------------------------------------------------ *)
+
+module Proc = Kernel.Proc
+module Kstate = Kernel.Kstate
+
+(* wait4's choice as the kernel made it before each process indexed
+   its children: scan the whole table for the caller's unreaped
+   children, sort them by pid, take the first matching zombie, else
+   under WUNTRACED the first matching stopped child. *)
+let reference_wait4 (k : Kernel.t) (p : Proc.t) pid options =
+  let kids =
+    Hashtbl.fold
+      (fun _ (c : Proc.t) acc ->
+        if c.ppid = p.pid && c.state <> Proc.Reaped then c :: acc else acc)
+      k.Kstate.procs []
+    |> List.sort (fun (a : Proc.t) b -> compare a.pid b.pid)
+  in
+  let matches (c : Proc.t) =
+    if pid > 0 then c.pid = pid
+    else if pid = 0 then c.pgrp = p.pgrp
+    else if pid = -1 then true
+    else c.pgrp = -pid
+  in
+  let stopped (c : Proc.t) =
+    match c.state with Proc.Stopped _ -> true | _ -> false
+  in
+  match List.filter matches kids with
+  | [] -> `Done (Error Errno.ECHILD)
+  | candidates ->
+    (match
+       List.find_opt (fun (c : Proc.t) -> c.state = Proc.Zombie) candidates
+     with
+     | Some z -> `Done (Value.ret z.pid ~r1:z.exit_status)
+     | None ->
+       (match
+          if options land Flags.Wait.wuntraced <> 0 then
+            List.find_opt stopped candidates
+          else None
+        with
+        | Some s ->
+          `Done (Value.ret s.pid ~r1:(Flags.Wait.stop_status Signal.sigstop))
+        | None ->
+          if options land Flags.Wait.wnohang <> 0 then `Done (Value.ret 0)
+          else `Block))
+
+type tree_step =
+  | Fork of int               (* the i-th runnable process forks *)
+  | Exit of int * int         (* the i-th live process exits with a code *)
+  | Setpgrp of int * int      (* the i-th runnable process joins a group *)
+  | Stop of int               (* the i-th runnable process is stopped *)
+  | Exit_init of int          (* init exits, orphaning its children *)
+  | Wait of int * int * int   (* the i-th runnable process: wait4 pid options *)
+
+let tree_step_to_string = function
+  | Fork i -> Printf.sprintf "fork %d" i
+  | Exit (i, c) -> Printf.sprintf "exit %d %d" i c
+  | Setpgrp (i, g) -> Printf.sprintf "setpgrp %d %d" i g
+  | Stop i -> Printf.sprintf "stop %d" i
+  | Exit_init c -> Printf.sprintf "exit-init %d" c
+  | Wait (i, pid, o) -> Printf.sprintf "wait %d %d 0x%x" i pid o
+
+let tree_steps =
+  let open QCheck.Gen in
+  let i = 0 -- 15 in
+  let selector =
+    oneof [ 1 -- 24; return 0; return (-1); map (fun g -> -g) (2 -- 4) ]
+  in
+  let options =
+    oneofl
+      Flags.Wait.[ 0; wnohang; wuntraced; wnohang lor wuntraced ]
+  in
+  let step =
+    frequency
+      [ (5, map (fun i -> Fork i) i);
+        (3, map2 (fun i c -> Exit (i, c)) i (0 -- 3));
+        (1, map2 (fun i g -> Setpgrp (i, g)) i (1 -- 4));
+        (1, map (fun i -> Stop i) i);
+        (1, map (fun c -> Exit_init c) (0 -- 3));
+        (6, map3 (fun i pid o -> Wait (i, pid, o)) i selector options) ]
+  in
+  QCheck.make
+    ~print:(fun l -> String.concat "; " (List.map tree_step_to_string l))
+    (list_size (1 -- 40) step)
+
+type _ Effect.t += Stop_here : Kernel.Events.trap_reply Effect.t
+
+(* A suspended fibre, standing in for the trap a stopped process is
+   held at. *)
+let stopped_fibre () =
+  let saved : (Kernel.Events.trap_reply, unit) Effect.Deep.continuation option ref =
+    ref None
+  in
+  Effect.Deep.match_with
+    (fun () -> ignore (Effect.perform Stop_here))
+    ()
+    { retc = (fun () -> ());
+      exnc = raise;
+      effc =
+        (fun (type a) (e : a Effect.t) ->
+          match e with
+          | Stop_here ->
+            Some (fun (k : (a, unit) Effect.Deep.continuation) -> saved := Some k)
+          | _ -> None) };
+  Option.get !saved
+
+(* Every process in the table is unreaped, and its [kids] index holds
+   exactly the table's processes naming it as parent. *)
+let check_child_index (k : Kernel.t) =
+  Hashtbl.iter
+    (fun pid (p : Proc.t) ->
+      if p.state = Proc.Reaped then
+        QCheck.Test.fail_reportf "pid %d: reaped but still in the table" pid;
+      let want =
+        Hashtbl.fold
+          (fun _ (q : Proc.t) acc -> if q.ppid = pid then q.pid :: acc else acc)
+          k.Kstate.procs []
+        |> List.sort compare
+      in
+      let got = List.map fst (Proc.Kids.bindings p.kids) in
+      if got <> want then
+        QCheck.Test.fail_reportf "pid %d: kids [%s], table children [%s]" pid
+          (String.concat " " (List.map string_of_int got))
+          (String.concat " " (List.map string_of_int want));
+      Proc.Kids.iter
+        (fun cpid c ->
+          match Kstate.proc k cpid with
+          | Some q when q == c -> ()
+          | _ ->
+            QCheck.Test.fail_reportf "pid %d: kid %d is not the table's process"
+              pid cpid)
+        p.kids)
+    k.Kstate.procs
+
+(* The steps drive the kernel's own fork/exit/setpgrp/wait4 handlers
+   directly, with no scheduler: a forked child's fibre is queued but
+   never run, so the tree changes only through the steps. *)
+let test_wait4_matches_table_scan =
+  QCheck.Test.make ~name:"wait4 picks what a table scan picks" ~count:200
+    tree_steps
+    (fun steps ->
+      let k = fresh_kernel () in
+      let init =
+        Proc.create ~pid:(Kstate.alloc_pid k) ~ppid:0 ~pgrp:1 ~name:"init"
+          ~cred:Vfs.Fs.root_cred ~cwd:(Vfs.Fs.root_ino (Kernel.fs k))
+      in
+      Kstate.add_proc k init;
+      let pick pred i =
+        let ps =
+          Hashtbl.fold
+            (fun _ (p : Proc.t) acc -> if pred p then p :: acc else acc)
+            k.Kstate.procs []
+          |> List.sort (fun (a : Proc.t) b -> compare a.pid b.pid)
+        in
+        match ps with [] -> None | _ -> Some (List.nth ps (i mod List.length ps))
+      in
+      let runnable (p : Proc.t) =
+        match p.state with Proc.Runnable -> true | _ -> false
+      in
+      let live (p : Proc.t) =
+        match p.state with Proc.Runnable | Proc.Stopped _ -> true | _ -> false
+      in
+      let call p c = Kernel.Syscalls.dispatch k p c in
+      List.iter
+        (fun step ->
+          (match step with
+           | Fork i ->
+             Option.iter
+               (fun p -> ignore (call p (Call.Fork (fun () -> 0))))
+               (pick runnable i)
+           | Exit (i, code) ->
+             Option.iter (fun p -> ignore (call p (Call.Exit code))) (pick live i)
+           | Setpgrp (i, g) ->
+             Option.iter
+               (fun p -> ignore (call p (Call.Setpgrp (0, g))))
+               (pick runnable i)
+           | Stop i ->
+             Option.iter
+               (fun (p : Proc.t) ->
+                 p.state <-
+                   Proc.Stopped
+                     { sk = stopped_fibre ();
+                       reply = { Kernel.Events.res = Value.ret 0; deliver = [] } })
+               (pick runnable i)
+           | Exit_init code ->
+             if live init then ignore (call init (Call.Exit code))
+           | Wait (i, pid, options) ->
+             Option.iter
+               (fun (p : Proc.t) ->
+                 let want = reference_wait4 k p pid options in
+                 let got =
+                   match call p (Call.Wait4 (pid, options)) with
+                   | Kstate.Done res -> `Done res
+                   | Kstate.Block _ -> `Block
+                   | Kstate.Exited | Kstate.Exec _ ->
+                     QCheck.Test.fail_reportf "wait4 left the caller"
+                 in
+                 if got <> want then
+                   QCheck.Test.fail_reportf "pid %d: wait4 %d 0x%x differs" p.pid
+                     pid options)
+               (pick runnable i));
+          check_child_index k)
+        steps;
+      true)
+
+(* --- the process table holds only unreaped processes ------------------------------------- *)
+
+(* (entries, entries in state Reaped) *)
+let table_census (k : Kernel.t) =
+  Hashtbl.fold
+    (fun _ (p : Proc.t) (n, reaped) ->
+      (n + 1, if p.state = Proc.Reaped then reaped + 1 else reaped))
+    k.Kstate.procs (0, 0)
+
+let test_table_parent_exits_unwaited () =
+  (* a parent forks 2000 children that exit, then exits without
+     waiting; init inherits the zombies and reaps every one *)
+  let n = 2000 in
+  let k, status = boot (fun () ->
+    let _ =
+      u "fork"
+        (Libc.Unistd.fork ~child:(fun () ->
+           for _ = 1 to n do
+             ignore (u "fork" (Libc.Unistd.fork ~child:(fun () -> 0)))
+           done;
+           0))
+    in
+    let rec reap_all count =
+      match Libc.Unistd.wait () with
+      | Ok _ -> reap_all (count + 1)
+      | Error _ -> count
+    in
+    if reap_all 0 = n + 1 then 0 else 1)
+  in
+  check_exit "init reaped the parent and its 2000 orphans" 0 status;
+  Alcotest.(check (pair int int)) "table (entries, reaped)" (0, 0)
+    (table_census k)
+
+let test_table_orphans_outlive_init () =
+  (* init exits while its child sleeps; the child then forks 2000
+     children and exits, half of them still running.  Nobody is left to
+     wait, so every process reaps itself and leaves the table *)
+  let n = 2000 in
+  let k, status = boot (fun () ->
+    let _ =
+      u "fork"
+        (Libc.Unistd.fork ~child:(fun () ->
+           ignore (Libc.Unistd.sleep_us 1000);
+           for i = 1 to n do
+             ignore
+               (u "fork"
+                  (Libc.Unistd.fork ~child:(fun () ->
+                     if i mod 2 = 0 then ignore (Libc.Unistd.sleep_us 1000);
+                     0)))
+           done;
+           0))
+    in
+    0)
+  in
+  check_exit "init" 0 status;
+  Alcotest.(check (pair int int)) "table (entries, reaped)" (0, 0)
+    (table_census k)
+
 let () =
   Alcotest.run "kernel-extra"
     [ "process-groups",
@@ -1160,4 +1422,10 @@ let () =
         Alcotest.test_case "100 children" `Quick test_many_children;
         Alcotest.test_case "30-stage brigade" `Quick
           test_pipeline_chain_of_processes;
-        Alcotest.test_case "deep fork chain" `Quick test_deep_fork_chain ] ]
+        Alcotest.test_case "deep fork chain" `Quick test_deep_fork_chain ];
+      "process-tree",
+      [ QCheck_alcotest.to_alcotest test_wait4_matches_table_scan;
+        Alcotest.test_case "parent exits unwaited" `Quick
+          test_table_parent_exits_unwaited;
+        Alcotest.test_case "orphans outlive init" `Quick
+          test_table_orphans_outlive_init ] ]
