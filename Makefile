@@ -23,11 +23,11 @@ test:
 # 1/2/4/8 kernel shards over 2048 mixed-syscall processes must balance,
 # reproduce byte-identically, and keep the 1-shard stacked-getpid
 # baseline (DESIGN.md 3.6); BENCH_scale.json must validate.  The
-# `hostspeed` section is the raw-speed gate (DESIGN.md 3.8): fused
-# dispatch must beat the generic walk on depth-4 traps/sec, envelope
-# pooling must keep minor words/trap below the PR 3 wires-only
-# baselines, the fused counters must prove the generic vector is never
-# probed, and BENCH_hostspeed.json must validate.  The `causal` section
+# `hostspeed` section is the raw-speed gate (DESIGN.md 3.8): the
+# trap counters must prove every trap took the expected path (depth 0:
+# all fast_path; depth >= 1: all intercepted), envelope pooling must
+# keep minor words/trap below the PR 3 wires-only baselines, and
+# BENCH_hostspeed.json must validate.  The `causal` section
 # is the observability gate (DESIGN.md 3.9): fork/signal/pipe edge
 # tables and slices must reproduce byte-identically (incl. cross-shard
 # signal mail over 2 shards), chrome flow events must bind balanced,

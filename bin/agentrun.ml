@@ -262,12 +262,10 @@ let print_metrics k =
   if h.Kernel.h_traps > 0 then
     Printf.eprintf
       "[host] %d trap(s) in %.3fs host CPU: %.0f ns/trap, %.1f minor \
-       words/trap, %.0f promoted, %d major GC(s); pools: wire %.0f%% \
-       env %.0f%% hit\n"
+       words/trap, %.0f promoted, %d major GC(s); env pool %.0f%% hit\n"
       h.Kernel.h_traps h.Kernel.h_cpu_s h.Kernel.h_ns_per_trap
       h.Kernel.h_minor_words_per_trap h.Kernel.h_promoted_words
       h.Kernel.h_major_collections
-      (100. *. h.Kernel.h_wire_pool_hit_rate)
       (100. *. h.Kernel.h_env_pool_hit_rate)
 
 (* --- fault campaigns --------------------------------------------------------- *)

@@ -1,13 +1,9 @@
 (** Packed bitsets over a fixed universe [0, len).
 
-    The interposition fast path keys on these: {!Kernel.Proc.emulation}
-    and the toolkit's downlink each keep a bitmap of intercepted
-    syscall numbers alongside their handler vector, so an uninterested
-    trap is decided by {!mem} — one load and an AND — without ever
-    probing the option array.  All operations treat out-of-range
+    Sets of syscall numbers: an agent's declared interests, a fault
+    injector's candidate numbers.  All operations treat out-of-range
     indices as absent ({!mem} returns [false]; {!set}/{!clear} are
-    no-ops), matching the bounds behaviour of the vectors they
-    shadow. *)
+    no-ops). *)
 
 type t
 
@@ -20,12 +16,10 @@ val set : t -> int -> unit
 val clear : t -> int -> unit
 
 val assign : t -> int -> bool -> unit
-(** [assign t i present]: {!set} when [present], {!clear} otherwise —
-    the one-liner for mirroring an option-array slot. *)
+(** [assign t i present]: {!set} when [present], {!clear} otherwise. *)
 
 val copy : t -> t
-(** Fresh storage; used on [fork] alongside [Array.copy] of the
-    vector. *)
+(** Fresh storage. *)
 
 val clear_all : t -> unit
 val equal : t -> t -> bool

@@ -149,9 +149,9 @@ let number = function
 let name c = Sysno.name (number c)
 
 (* The encoder writes argument slots into an existing wire so the pool
-   fast path ([Value.Pool] via [Envelope.at_boundary]) can refill a
-   recycled record in place; the args array is reused whenever the
-   arity matches (for a pooled wire in a syscall loop, always). *)
+   fast path ([Envelope.at_boundary]) can refill the wire a recycled
+   envelope owns in place; the args array is reused whenever the arity
+   matches (for a pooled wire in a syscall loop, always). *)
 
 let slots (w : Value.wire) n =
   let a = w.args in

@@ -101,7 +101,7 @@ val encode : t -> Value.wire
 val encode_into : Value.wire -> t -> unit
 (** [encode_into w c] overwrites [w] in place with the wire form of
     [c], reusing [w]'s argument array when the arity matches.  This is
-    the pooled-wire refill path ([Value.Pool]); [encode] is
+    the pooled-envelope refill path ([Envelope.at_boundary]); [encode] is
     [encode_into] onto a fresh record. *)
 
 val decode : Value.wire -> (t, Errno.t) result

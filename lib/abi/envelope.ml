@@ -5,7 +5,6 @@ module Stats = struct
   type snapshot = {
     traps : int;
     intercepted : int;
-    fused : int;
     fast_path : int;
     decodes : int;
     encodes : int;
@@ -20,7 +19,6 @@ module Stats = struct
   type t = {
     mutable c_traps : int;
     mutable c_intercepted : int;
-    mutable c_fused : int;
     mutable c_fast_path : int;
     mutable c_decodes : int;
     mutable c_encodes : int;
@@ -29,7 +27,7 @@ module Stats = struct
   }
 
   let create () =
-    { c_traps = 0; c_intercepted = 0; c_fused = 0; c_fast_path = 0;
+    { c_traps = 0; c_intercepted = 0; c_fast_path = 0;
       c_decodes = 0; c_encodes = 0; c_crossings = 0; c_agent_calls = 0 }
 
   let cur : t ref = ref (create ())
@@ -40,7 +38,6 @@ module Stats = struct
     {
       traps = c.c_traps;
       intercepted = c.c_intercepted;
-      fused = c.c_fused;
       fast_path = c.c_fast_path;
       decodes = c.c_decodes;
       encodes = c.c_encodes;
@@ -51,7 +48,6 @@ module Stats = struct
   let reset_of c =
     c.c_traps <- 0;
     c.c_intercepted <- 0;
-    c.c_fused <- 0;
     c.c_fast_path <- 0;
     c.c_decodes <- 0;
     c.c_encodes <- 0;
@@ -62,7 +58,6 @@ module Stats = struct
     {
       traps = after.traps - before.traps;
       intercepted = after.intercepted - before.intercepted;
-      fused = after.fused - before.fused;
       fast_path = after.fast_path - before.fast_path;
       decodes = after.decodes - before.decodes;
       encodes = after.encodes - before.encodes;
@@ -72,9 +67,9 @@ module Stats = struct
 
   let pp fmt s =
     Format.fprintf fmt
-      "traps=%d intercepted=%d fused=%d fast_path=%d decodes=%d encodes=%d \
+      "traps=%d intercepted=%d fast_path=%d decodes=%d encodes=%d \
        crossings=%d agent_calls=%d"
-      s.traps s.intercepted s.fused s.fast_path s.decodes s.encodes
+      s.traps s.intercepted s.fast_path s.decodes s.encodes
       s.crossings s.agent_calls
 
   let to_json s =
@@ -82,7 +77,6 @@ module Stats = struct
       [
         ("traps", Obs.Json.Int s.traps);
         ("intercepted", Obs.Json.Int s.intercepted);
-        ("fused", Obs.Json.Int s.fused);
         ("fast_path", Obs.Json.Int s.fast_path);
         ("decodes", Obs.Json.Int s.decodes);
         ("encodes", Obs.Json.Int s.encodes);
@@ -90,15 +84,10 @@ module Stats = struct
         ("agent_calls", Obs.Json.Int s.agent_calls);
       ]
 
-  let note_trap ~intercepted:hit =
+  let note_trap_intercepted () =
     let c = !cur in
     c.c_traps <- c.c_traps + 1;
-    if hit then c.c_intercepted <- c.c_intercepted + 1
-
-  let note_trap_chained () =
-    let c = !cur in
-    c.c_traps <- c.c_traps + 1;
-    c.c_fused <- c.c_fused + 1
+    c.c_intercepted <- c.c_intercepted + 1
 
   let note_trap_fast () =
     let c = !cur in
@@ -138,50 +127,48 @@ type t = {
   mutable span : int;
       (* Obs span this envelope's codec work attributes to; 0 when
          tracing is off or the envelope is born outside any trap. *)
-  mutable home : Value.Pool.t option;
-      (* The pool the wire came from, when [at_boundary] took it from
-         one; cleared by [release] so a wire recycles at most once. *)
   mutable exposed : bool;
       (* Set once the raw wire has been handed out ([wire]/[peek_wire]):
-         an agent may have kept the reference, so neither the wire nor
-         the record can be recycled. *)
+         an agent may have kept the reference, so the record and its
+         wire can no longer be recycled. *)
   mutable retained : bool;
       (* The escape hatch of the pooling contract: an agent that stashes
          the envelope past the trap boundary calls [retain], and
          [release] then leaves the whole record to the GC. *)
-  mutable ehome : epool option;
-      (* The pool the *record* came from, when [at_boundary]/[of_call]
+  mutable home : pool option;
+      (* The pool the record came from, when [at_boundary]/[of_call]
          took it from one; cleared by [release] so a record recycles at
          most once. *)
+  mutable own : Value.wire option;
+      (* The wire a pooled record owns for life: built, together with
+         this [Some], on the record's first boundary trap and refilled
+         in place by every later one, so a warm boundary trap allocates
+         neither.  [None] on unpooled records and on pooled records no
+         boundary trap has used yet. *)
 }
 
-(* The record pool lives in the same recursive knot as [t] (a record
-   points back at its home pool), so the module below is mostly a
-   veneer over this representation. *)
-and epool = {
-  mutable estack : t array;
-  mutable elen : int;
-  ecapacity : int;
+(* The free list lives in the same recursive knot as [t] (a record
+   points back at its home pool). *)
+and pool = {
+  mutable stack : t array;
+  mutable len : int;
+  capacity : int;
 }
 
-(* Per-process free lists of envelope records — the PR 3 follow-on: the
-   wires are pooled by [Value.Pool], but until now every trap still
-   allocated the envelope record around them.  Same shape and contract
-   as the wire pool: the free list only ever receives records whose
-   trap owned them exclusively ([release] enforces the
-   exposed/retained/rewritten rules), and every recycled record is
-   scrubbed so a stale view, wire or span cannot leak into the next
-   trap or pin dead objects against the GC. *)
+(* Per-process free lists of envelope records, each record with the
+   wire it owns.  The free list only ever receives records whose trap
+   owned them exclusively ([release] enforces the exposed/retained
+   rules), and every recycled record is scrubbed, its owned wire
+   included, so a stale view, wire, argument or span can neither leak
+   into the next trap nor pin dead objects against the GC. *)
 module Pool = struct
-  type nonrec t = epool
+  type nonrec t = pool
 
   let blank () =
-    { num = 0; wire = None; view = Undecoded; span = 0; home = None;
-      exposed = false; retained = false; ehome = None }
+    { num = 0; wire = None; view = Undecoded; span = 0; exposed = false;
+      retained = false; home = None; own = None }
 
-  let dummy =
-    { num = 0; wire = None; view = Undecoded; span = 0; home = None;
-      exposed = false; retained = false; ehome = None }
+  let dummy = blank ()
 
   module Stats = struct
     type snapshot = {
@@ -192,10 +179,9 @@ module Pool = struct
     }
 
     (* A counter set aggregating over every envelope pool of one kernel
-       shard, exactly like [Value.Pool.Stats] for wires.  Deliberately
-       *not* named [cur]: the globals lint keys allowlist entries by
-       [file:binding], and a second [cur] in this file would silently
-       ride the existing [envelope.ml:cur] entry. *)
+       shard.  Deliberately *not* named [cur]: the globals lint keys
+       allowlist entries by [file:binding], and a second [cur] in this
+       file would silently ride the existing [envelope.ml:cur] entry. *)
     type t = {
       mutable c_hits : int;
       mutable c_misses : int;
@@ -234,99 +220,105 @@ module Pool = struct
           ("dropped", Obs.Json.Int s.dropped) ]
   end
 
+  (* Array-backed stack rather than a list: a warm take/recycle pair
+     must allocate nothing at all. *)
   let create ?(capacity = 64) () =
     if capacity < 0 then invalid_arg "Envelope.Pool.create";
-    { estack = Array.make capacity dummy; elen = 0; ecapacity = capacity }
+    { stack = Array.make capacity dummy; len = 0; capacity }
 
-  let size p = p.elen
+  let size p = p.len
 
   (* Invariant: every record on the free list is scrubbed (the state
-     [blank] builds), so [take] only refills the fields the new trap
-     needs. *)
+     [blank] builds, apart from the owned wire it keeps), so [take] only
+     refills the fields the new trap needs. *)
   let take p =
     let c = !Stats.pcur in
-    if p.elen = 0 then begin
+    if p.len = 0 then begin
       c.Stats.c_misses <- c.Stats.c_misses + 1;
       blank ()
     end
     else begin
-      p.elen <- p.elen - 1;
-      let e = p.estack.(p.elen) in
-      p.estack.(p.elen) <- dummy;
+      p.len <- p.len - 1;
+      let e = p.stack.(p.len) in
+      p.stack.(p.len) <- dummy;
       c.Stats.c_hits <- c.Stats.c_hits + 1;
       e
     end
 
   let recycle p e =
     let c = !Stats.pcur in
-    if p.elen >= p.ecapacity then c.Stats.c_dropped <- c.Stats.c_dropped + 1
+    if p.len >= p.capacity then c.Stats.c_dropped <- c.Stats.c_dropped + 1
     else begin
       e.num <- 0;
       e.wire <- None;
       e.view <- Undecoded;
       e.span <- 0;
-      e.home <- None;
       e.exposed <- false;
       e.retained <- false;
-      e.ehome <- None;
-      p.estack.(p.elen) <- e;
-      p.elen <- p.elen + 1;
+      e.home <- None;
+      (match e.own with
+       | Some w ->
+         w.Value.num <- 0;
+         Array.fill w.Value.args 0 (Array.length w.Value.args) Value.Nil
+       | None -> ());
+      p.stack.(p.len) <- e;
+      p.len <- p.len + 1;
       c.Stats.c_recycled <- c.Stats.c_recycled + 1
     end
 end
 
 let of_wire w =
   { num = w.Value.num; wire = Some w; view = Undecoded; span = Obs.current ();
-    home = None; exposed = true; retained = false; ehome = None }
+    exposed = true; retained = false; home = None; own = None }
 
-let of_call ?epool c =
-  match epool with
+let of_call ?pool c =
+  match pool with
   | None ->
     { num = Call.number c; wire = None; view = Typed c;
-      span = Obs.current (); home = None; exposed = false; retained = false;
-      ehome = None }
+      span = Obs.current (); exposed = false; retained = false; home = None;
+      own = None }
   | Some p ->
     let t = Pool.take p in
     (* the record off the free list is scrubbed; fill only what this
-       trap needs.  [ehome = epool] shares the caller's option — a
-       fresh [Some] per trap would undo part of what the pool saves. *)
+       trap needs.  [home = pool] shares the caller's option — a fresh
+       [Some] per trap would undo part of what the pool saves. *)
     t.num <- Call.number c;
     t.view <- Typed c;
     t.span <- Obs.current ();
-    t.ehome <- epool;
+    t.home <- pool;
     t
 
-let at_boundary ?pool ?epool c =
+let at_boundary ?pool c =
   (* The application/system boundary is the untyped numeric form: encode
      now and deliberately forget the typed view, so agents below see
      exactly what an application would have trapped with.  With [pool],
-     the wire record comes off the caller's free list when one is
-     available; with [epool], so does the envelope record itself;
-     [release] sends both back after the trap. *)
+     the record comes off the caller's free list when one is available
+     and its owned wire is refilled in place; [release] sends both back
+     after the trap. *)
   let span = Obs.current () in
   Stats.note_encode ();
   Obs.note_encode span;
-  let wire =
-    match pool with
-    | None -> Call.encode c
-    | Some p ->
-      let w = Value.Pool.take p in
-      Call.encode_into w c;
-      w
-  in
-  (* [home = pool] shares the caller's option — building a fresh [Some]
-     per trap would undo part of what the pool saves *)
-  match epool with
+  match pool with
   | None ->
-    { num = Call.number c; wire = Some wire; view = Undecoded; span;
-      home = pool; exposed = false; retained = false; ehome = None }
-  | Some ep ->
-    let t = Pool.take ep in
-    t.num <- Call.number c;
-    t.wire <- Some wire;
+    { num = Call.number c; wire = Some (Call.encode c); view = Undecoded;
+      span; exposed = false; retained = false; home = None; own = None }
+  | Some p ->
+    let t = Pool.take p in
+    let w =
+      match t.own with
+      | Some w -> w
+      | None ->
+        let w = { Value.num = 0; args = [||] } in
+        t.own <- Some w;
+        w
+    in
+    Call.encode_into w c;
+    t.num <- w.Value.num;
+    (* [wire = own] and [home = pool] share existing options: a warm
+       boundary trap allocates no [Some] *)
+    t.wire <- t.own;
     t.span <- span;
     t.home <- pool;
-    t.ehome <- epool;
     t
 
 let retain t = t.retained <- true
@@ -337,30 +329,19 @@ let release t =
      [retain]ed envelope was stashed past the trap boundary by some
      layer (trace sink, journal): leave record and wire alone — the
      stash must stay readable — and let the GC have them eventually.
-     Otherwise the wire recycles when it came from a pool, was never
-     handed out raw, and was never rewritten (a dirty envelope dropped
-     its original wire; any re-encoded one may be aliased by whoever
-     forced it); the record recycles under the same exposure rule. *)
-  if not t.retained then begin
-    (match t.home with
-     | None -> ()
-     | Some p ->
-       t.home <- None;
-       (match t.wire with
-        | Some w when not t.exposed ->
-          (* Drop our reference before recycling: the record is about to
-             be scrubbed and refilled by a later trap, and a released
-             envelope must fail loudly (assert in [call]) rather than
-             silently read someone else's arguments. *)
-          t.wire <- None;
-          Value.Pool.recycle p w
-        | Some _ | None -> ()));
-    match t.ehome with
-    | None -> ()
-    | Some ep ->
-      t.ehome <- None;
-      if not t.exposed then Pool.recycle ep t
-  end
+     Otherwise the record, with the wire it owns, recycles when it came
+     from a pool and its raw wire was never handed out (which covers
+     every rewrite: a dirty envelope's wire is built only when some
+     layer forces it).  The recycle scrub drops the record's view and
+     wire, so a released envelope fails loudly (assert in [call])
+     rather than silently reading the next trap's arguments. *)
+  match t.home with
+  | Some p when not t.retained ->
+    t.home <- None;
+    if not t.exposed then Pool.recycle p t
+  | Some _ | None -> ()
+
+let owned_wire t = t.own
 
 let span t = t.span
 let set_span t s = t.span <- s

@@ -28,27 +28,27 @@
     so the invariant is measured (bench ablation 3, test suite) rather
     than asserted.
 
-    {b Lifetime and pooling} (DESIGN.md §3.8): both the wire record
-    ({!Value.Pool}) and the envelope record itself ({!Pool}) can come
-    from per-process free lists.  The contract is the same for both: a
-    record recycles on {!release} only while the trap still owns it
-    exclusively — never once the raw wire was handed out
-    ({!wire}/{!peek_wire} mark the envelope {e exposed}, which also
-    covers rewritten envelopes, since forcing the wire of a dirty
-    envelope is the rewrite), and never once an agent declared a stash
-    with {!retain}.  Recycled records are scrubbed before reuse. *)
+    {b Lifetime and pooling} (DESIGN.md §3.8): an envelope record can
+    come from a per-process free list ({!Pool}), and a pooled record
+    owns one wire for life, which every boundary trap that takes the
+    record refills in place.  Record and wire recycle together on
+    {!release}, and only while the trap still owns them exclusively —
+    never once the raw wire was handed out ({!wire}/{!peek_wire} mark
+    the envelope {e exposed}, which also covers rewritten envelopes,
+    since forcing the wire of a dirty envelope is the rewrite), and
+    never once an agent declared a stash with {!retain}.  Recycled
+    records are scrubbed before reuse, owned wire included. *)
 
 type t
 
 (** {1 Record pooling}
 
-    Free lists of envelope records, one per process, feeding
-    {!of_call} and {!at_boundary}.  Same design as {!Value.Pool} for
-    wires: array-backed stack so a warm take/recycle pair allocates
-    nothing, scrub-on-recycle so a stale view or wire can neither leak
-    into the next trap nor pin dead objects against the GC, and a
-    shard-owned counter set ([Kernel.env_pool_stats], the
-    [env_pool] metrics block). *)
+    Free lists of envelope records, one per process, feeding both
+    {!of_call} and {!at_boundary}: an array-backed stack so a warm
+    take/recycle pair allocates nothing, scrub-on-recycle so a stale
+    view, wire or argument can neither leak into the next trap nor pin
+    dead objects against the GC, and a shard-owned counter set
+    ([Kernel.env_pool_stats], the [env_pool] metrics block). *)
 module Pool : sig
   type t
 
@@ -59,7 +59,7 @@ module Pool : sig
   (** Records currently on the free list. *)
 
   (** Counters aggregating over every envelope pool of one kernel
-      shard; mirrors {!Value.Pool.Stats}. *)
+      shard, in the snapshot/diff style of {!Stats}. *)
   module Stats : sig
     type snapshot = {
       hits : int;      (** takes served from the free list *)
@@ -87,22 +87,22 @@ val of_wire : Value.wire -> t
 (** Wrap an untyped vector; the typed view is decoded lazily.  Born
     {e exposed} (the caller holds the wire), so never recycles. *)
 
-val of_call : ?epool:Pool.t -> Call.t -> t
+val of_call : ?pool:Pool.t -> Call.t -> t
 (** Wrap a typed call; the wire form is encoded lazily (the envelope
     starts {!dirty}).  This is what agents and the toolkit use to send
-    new or rewritten calls down the stack.  With [epool], the record
-    itself comes off the free list and {!release} returns it. *)
+    new or rewritten calls down the stack.  With [pool], the record
+    comes off the free list and {!release} returns it. *)
 
-val at_boundary : ?pool:Value.Pool.t -> ?epool:Pool.t -> Call.t -> t
+val at_boundary : ?pool:Pool.t -> Call.t -> t
 (** Encode a typed call for the application trap boundary: the wire
     form is materialized now (and counted), the typed view dropped.
     Used by the C-library stubs, where the ABI contract is untyped.
 
-    With [pool] (the calling process's wire pool), the wire record is
-    taken from the free list when one is available and refilled in
-    place ([Call.encode_into]); with [epool], the envelope record is
-    pooled the same way; {!release} returns both after the trap.
-    Without the pools the envelope never recycles. *)
+    With [pool] (the calling process's), the record is taken from the
+    free list when one is available and the call is encoded into the
+    wire that record owns ([Call.encode_into]), so a warm boundary trap
+    allocates neither; {!release} returns both after the trap.  Without
+    a pool the envelope never recycles. *)
 
 val retain : t -> unit
 (** Declare that this envelope escapes the trap that carried it: a
@@ -115,8 +115,7 @@ val retained : t -> bool
 
 val release : t -> unit
 (** Declare the trap that carried this envelope complete and recycle
-    what it still owns exclusively: the wire back to the
-    {!Value.Pool} it came from, and the record back to the {!Pool} it
+    it: the record, with the wire it owns, goes back to the {!Pool} it
     came from — but only when the envelope was never handed out raw
     ({!wire} / {!peek_wire} mark it {e exposed}; that includes every
     rewritten envelope) and never {!retain}ed.  In every other case
@@ -124,6 +123,11 @@ val release : t -> unit
     Idempotent; after a successful release the record is scrubbed and
     must not be touched again (a stale reference reads the {e next}
     trap's call, which is exactly what {!retain} exists to prevent). *)
+
+val owned_wire : t -> Value.wire option
+(** The wire a pooled record owns ({!at_boundary}), read without
+    marking the envelope exposed.  For checking the recycle scrub only:
+    layers on the trap path use {!wire} / {!peek_wire}. *)
 
 (** {1 The two views} *)
 
@@ -196,12 +200,10 @@ val set_span : t -> int -> unit
 module Stats : sig
   type snapshot = {
     traps : int;         (** application-level trap entries *)
-    intercepted : int;   (** traps routed through the generic handler
-                             vector (an option probe per trap) *)
-    fused : int;         (** traps routed through a fused closure
-                             chain — the generic vector never probed *)
-    fast_path : int;     (** traps dismissed by the interest bitmap
-                             without probing the handler vector *)
+    intercepted : int;   (** traps that ran an installed handler *)
+    fast_path : int;     (** traps with no handler installed, sent
+                             straight to the kernel; always
+                             [traps = fast_path + intercepted] *)
     decodes : int;       (** wire → typed materializations *)
     encodes : int;       (** typed → wire materializations *)
     crossings : int;     (** envelope handed down one stack layer *)
@@ -246,23 +248,19 @@ module Stats : sig
 
   val to_json : snapshot -> Obs.Json.t
   (** The ["codec"] block of [Kernel.metrics_json] and [/obs/metrics]
-      — notably the [fast_path] and [fused] counters next to the span
-      metrics. *)
+      — notably the [fast_path] and [intercepted] counters next to the
+      span metrics. *)
 
   (** {2 Attribution hooks} — called by the kernel stubs and the
       toolkit's down path; not meant for agent code. *)
 
-  val note_trap : intercepted:bool -> unit
-
-  val note_trap_chained : unit -> unit
-  (** A trap dispatched through a fused closure chain: counted in
-      [traps] and [fused], never in [intercepted] — together with an
-      [intercepted] count of zero this is the proof that the generic
-      vector is never probed on the fused path. *)
+  val note_trap_intercepted : unit -> unit
+  (** A trap whose handler slot held an installed handler: counted in
+      [traps] and [intercepted]. *)
 
   val note_trap_fast : unit -> unit
-  (** A trap the interest bitmap dismissed: counted in [traps] and
-      [fast_path], never in [intercepted]. *)
+  (** A trap whose handler slot was empty: counted in [traps] and
+      [fast_path]. *)
 
   val note_crossing : unit -> unit
   val note_agent_call : unit -> unit

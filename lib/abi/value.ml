@@ -24,110 +24,6 @@ type res = (ret, Errno.t) result
 
 type wire = { mutable num : int; mutable args : t array }
 
-(* Per-process free lists of wire records, so the trap boundary can
-   reuse a vector instead of allocating one per call.  The pool only
-   ever sees wires whose envelope owned them exclusively (never handed
-   out raw, never rewritten) — Envelope.release enforces that — and
-   every recycled wire is scrubbed here so a stale [Buf]/[Str]/[Body]
-   reference can neither leak data into the next trap nor pin dead
-   objects against the GC. *)
-module Pool = struct
-  (* Array-backed stack rather than a list: a warm take/recycle pair
-     must allocate nothing at all (a cons cell per recycle, or an
-     option per take, would cost more than the recycled wire saves on
-     small calls). *)
-  type pool = {
-    mutable stack : wire array;
-    mutable len : int;
-    capacity : int;
-  }
-
-  type t = pool
-
-  let dummy = { num = 0; args = [||] }
-
-  module Stats = struct
-    type snapshot = {
-      hits : int;      (* takes served from the free list *)
-      misses : int;    (* takes that fell back to allocation *)
-      recycled : int;  (* wires returned for reuse *)
-      dropped : int;   (* returns rejected by a full pool *)
-    }
-
-    (* A counter set aggregating over every pool of one kernel shard
-       (DESIGN.md §3.6).  The shard installs its counters on entry; the
-       pools below bump whichever set is installed.  A default set
-       exists from program start for pool use outside any kernel. *)
-    type t = {
-      mutable c_hits : int;
-      mutable c_misses : int;
-      mutable c_recycled : int;
-      mutable c_dropped : int;
-    }
-
-    let create () = { c_hits = 0; c_misses = 0; c_recycled = 0; c_dropped = 0 }
-
-    let cur : t ref = ref (create ())
-    let install c = cur := c
-    let installed () = !cur
-
-    let snapshot_of c =
-      { hits = c.c_hits; misses = c.c_misses;
-        recycled = c.c_recycled; dropped = c.c_dropped }
-
-    let reset_of c =
-      c.c_hits <- 0; c.c_misses <- 0; c.c_recycled <- 0; c.c_dropped <- 0
-
-    let diff before after =
-      { hits = after.hits - before.hits;
-        misses = after.misses - before.misses;
-        recycled = after.recycled - before.recycled;
-        dropped = after.dropped - before.dropped }
-
-    let pp fmt s =
-      Format.fprintf fmt "hits=%d misses=%d recycled=%d dropped=%d"
-        s.hits s.misses s.recycled s.dropped
-
-    let to_json s =
-      Obs.Json.Obj
-        [ ("hits", Obs.Json.Int s.hits);
-          ("misses", Obs.Json.Int s.misses);
-          ("recycled", Obs.Json.Int s.recycled);
-          ("dropped", Obs.Json.Int s.dropped) ]
-  end
-
-  let create ?(capacity = 64) () =
-    if capacity < 0 then invalid_arg "Pool.create";
-    { stack = Array.make capacity dummy; len = 0; capacity }
-
-  let size p = p.len
-
-  let take p =
-    let c = !Stats.cur in
-    if p.len = 0 then begin
-      c.Stats.c_misses <- c.Stats.c_misses + 1;
-      { num = 0; args = [||] }
-    end
-    else begin
-      p.len <- p.len - 1;
-      let w = p.stack.(p.len) in
-      p.stack.(p.len) <- dummy;
-      c.Stats.c_hits <- c.Stats.c_hits + 1;
-      w
-    end
-
-  let recycle p w =
-    let c = !Stats.cur in
-    if p.len >= p.capacity then c.Stats.c_dropped <- c.Stats.c_dropped + 1
-    else begin
-      w.num <- 0;
-      Array.fill w.args 0 (Array.length w.args) Nil;
-      p.stack.(p.len) <- w;
-      p.len <- p.len + 1;
-      c.Stats.c_recycled <- c.Stats.c_recycled + 1
-    end
-end
-
 let truncate_str s =
   if String.length s <= 32 then s else String.sub s 0 29 ^ "..."
 

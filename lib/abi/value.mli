@@ -40,75 +40,11 @@ val ok : (ret, Errno.t) result
 type res = (ret, Errno.t) result
 
 (** A trapped system call: number plus untyped argument vector.  The
-    fields are mutable only so pooled wires can be refilled in place
-    ({!Pool}, [Call.encode_into]); every other consumer treats a wire
-    as immutable for its lifetime. *)
+    fields are mutable only so the wire a pooled envelope owns can be
+    refilled in place ([Envelope.at_boundary], [Call.encode_into]);
+    every other consumer treats a wire as immutable for its
+    lifetime. *)
 type wire = { mutable num : int; mutable args : t array }
-
-(** Free lists of {!wire} records for the zero-alloc trap boundary.
-
-    Each process owns one pool ([Kernel.Proc.t]).  [Envelope.at_boundary]
-    takes a wire from it instead of allocating, and [Envelope.release]
-    recycles it once the trap completes — but only when the envelope
-    still owns the wire exclusively: a wire that was handed out raw
-    ([Envelope.wire]/[peek_wire]) or belongs to a rewritten (dirty)
-    envelope is simply left to the GC, correctness over reuse.
-    Recycled wires are scrubbed ([num = 0], every slot [Nil]) so no
-    argument of one trap can leak into, or stay live because of, the
-    next. *)
-module Pool : sig
-  type t
-
-  val create : ?capacity:int -> unit -> t
-  (** Default capacity 64 wires; returns beyond it are dropped. *)
-
-  val size : t -> int
-  (** Wires currently on the free list. *)
-
-  val take : t -> wire
-  (** Pop a (scrubbed) wire, or allocate a fresh empty one when the
-      pool is dry (counted as a miss).  A warm take allocates
-      nothing. *)
-
-  val recycle : t -> wire -> unit
-  (** Scrub and push; silently drops the wire when the pool is full.
-      The caller must guarantee nothing else references [w].  A
-      non-full recycle allocates nothing. *)
-
-  (** Hit/miss accounting aggregated over every pool of one kernel
-      shard, in the same snapshot/diff style as [Envelope.Stats] (and
-      under the same contract — see [envelope.mli]).  A counter set
-      ({!Stats.t}) is owned by the shard and installed on entry; read
-      it through [Kernel.pool_stats] or, outside any kernel, through
-      {!Stats.snapshot_of}[ (installed ())]. *)
-  module Stats : sig
-    type snapshot = {
-      hits : int;      (** takes served from a free list *)
-      misses : int;    (** takes that fell back to allocation *)
-      recycled : int;  (** wires returned for reuse *)
-      dropped : int;   (** returns rejected by a full pool *)
-    }
-
-    type t
-    (** A live counter set (one per kernel shard). *)
-
-    val create : unit -> t
-    val install : t -> unit
-    (** Make [c] the set the pools bump; a default set is installed at
-        program start. *)
-
-    val installed : unit -> t
-    val snapshot_of : t -> snapshot
-    val reset_of : t -> unit
-
-    val diff : snapshot -> snapshot -> snapshot
-    val pp : Format.formatter -> snapshot -> unit
-
-    val to_json : snapshot -> Obs.Json.t
-    (** The ["wire_pool"] block of [Kernel.metrics_json] and
-        [/obs/metrics]. *)
-  end
-end
 
 val pp : Format.formatter -> t -> unit
 (** Numeric-layer rendering: ints in decimal, strings quoted and

@@ -7,7 +7,7 @@ let spans_text () =
     (List.map (fun r -> Obs.Span.to_line r ^ "\n") (Obs.records ()))
 
 (* the same document [Kernel.metrics_json] serves to the host — span
-   metrics plus codec (fast_path) and wire_pool counters — so there is
+   metrics plus codec (fast_path) and env_pool counters — so there is
    exactly one set of numbers however you reach it; generators run
    in-fibre, so the shard they report on is the current one *)
 let metrics_text () =

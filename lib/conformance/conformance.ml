@@ -172,11 +172,11 @@ type capture = {
    installed, so agent construction syscalls stay out of the
    signature.  Ambient obs state is restored on the way out, exactly
    as [Fault.Campaign.baseline] does. *)
-let capture ?fused (w : workload) stack =
+let capture (w : workload) stack =
   let was_enabled = Obs.enabled () in
   Obs.reset ();
   Obs.enable ();
-  let k = Kernel.create ?fused () in
+  let k = Kernel.create () in
   Workloads.Scribe.register k;
   Workloads.Make_cc.register k;
   Workloads.Kvd.register k;

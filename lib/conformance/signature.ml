@@ -309,8 +309,6 @@ let diff_processes ~bare ~under =
   in
   go (by_pid bare) (by_pid under)
 
-let equal_processes a b = diff_processes ~bare:a ~under:b = None
-
 let divergence_to_string d =
   let span = function
     | Some ev -> event_to_string ev

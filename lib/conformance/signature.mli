@@ -109,7 +109,5 @@ val diff_processes : bare:t -> under:t -> divergence option
     divergence.  Only meaningful for workloads whose fork order (and
     hence pid assignment) is deterministic. *)
 
-val equal_processes : t -> t -> bool
-
 val divergence_to_string : divergence -> string
 val divergence_to_json : divergence -> Obs.Json.t

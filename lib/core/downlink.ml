@@ -1,95 +1,54 @@
 open Abi
 
-(* The fused-chain jump target for slots with no captured handler:
-   below the lowest agent sits the kernel. *)
-let kernel_entry env = Kernel.Uspace.htg_trap env
-
 type t = {
-  mutable prev : (Envelope.t -> Value.res) option array;
-  mutable bitmap : Bitset.t;
-      (* Same invariant as Proc.emulation: bit [n] set iff [prev.(n)]
-         holds a captured handler, so [down] decides "straight to the
-         kernel" with one bit test. *)
-  mutable chain : (Envelope.t -> Value.res) array;
-      (* Fused mirror of [prev], maintained by [capture]: slot [n] is
-         the captured closure itself, or [kernel_entry] when nothing is
-         captured — the fused [down] jumps through it with no option
-         probe (DESIGN.md §3.8). *)
+  prev : (Envelope.t -> Value.res) option array;
+      (* the handlers captured below this agent, one slot per number;
+         [None] means the kernel is next *)
   mutable prev_sig : (int -> unit) option;
 }
 
 let create () =
-  { prev = Array.make (Sysno.max_sysno + 1) None;
-    bitmap = Bitset.create (Sysno.max_sysno + 1);
-    chain = Array.make (Sysno.max_sysno + 1) kernel_entry;
-    prev_sig = None }
+  { prev = Array.make (Sysno.max_sysno + 1) None; prev_sig = None }
 
 let capture t ~numbers =
   List.iter
     (fun n ->
-      if n >= 0 && n < Array.length t.prev then begin
-        let h = Kernel.Uspace.task_get_emulation n in
-        t.prev.(n) <- h;
-        t.chain.(n) <- (match h with Some f -> f | None -> kernel_entry);
-        Bitset.assign t.bitmap n (Option.is_some h)
-      end)
+      if n >= 0 && n < Array.length t.prev then
+        t.prev.(n) <- Kernel.Uspace.task_get_emulation n)
     numbers;
   t.prev_sig <- Kernel.Uspace.task_get_emulation_signal ()
-
-let consistent t =
-  Bitset.length t.bitmap = Array.length t.prev
-  && Array.length t.chain = Array.length t.prev
-  && (let ok = ref true in
-      Array.iteri
-        (fun i h ->
-          if Bitset.mem t.bitmap i <> (h <> None) then ok := false;
-          (match h with
-           | Some f -> if t.chain.(i) != f then ok := false
-           | None -> if t.chain.(i) != kernel_entry then ok := false))
-        t.prev;
-      !ok)
 
 let captured_handler t n =
   if n >= 0 && n < Array.length t.prev then t.prev.(n) else None
 
 let captured_signal t = t.prev_sig
 
+let lower handler env =
+  match handler with
+  | Some h -> h env
+  | None -> Kernel.Uspace.htg_trap env
+
+(* One slot read per crossing.  Tracing-off runs also skip the
+   layer-frame closure — [in_layer] with span <= 0 is the identity, so
+   eliding it is exact. *)
 let down t (env : Envelope.t) =
   Envelope.Stats.note_crossing ();
-  let num = Envelope.number env in
-  if Kernel.Uspace.fused_dispatch () then begin
-    (* Fused path: one pre-linked jump per crossing.  Tracing-off runs
-       also skip the layer-frame closure — [in_layer] with span <= 0 is
-       the identity, so eliding it is exact. *)
-    let target =
-      if num >= 0 && num < Array.length t.chain then t.chain.(num)
-      else kernel_entry
-    in
-    let span = Envelope.span env in
-    if span <= 0 then target env
-    else Obs.in_layer ~span "downlink" (fun () -> target env)
-  end
-  else if not (Bitset.mem t.bitmap num) then
-    (* no captured handler below: skip the vector probe entirely *)
-    Obs.in_layer ~span:(Envelope.span env) "downlink" (fun () ->
-        Kernel.Uspace.htg_trap env)
-  else
-    Obs.in_layer ~span:(Envelope.span env) "downlink" (fun () ->
-        match t.prev.(num) with
-        | Some handler -> handler env
-        | None -> Kernel.Uspace.htg_trap env)
+  let handler = captured_handler t (Envelope.number env) in
+  let span = Envelope.span env in
+  if span <= 0 then lower handler env
+  else Obs.in_layer ~span "downlink" (fun () -> lower handler env)
 
 (* agent-originated calls ride a pooled envelope: taken from the
-   calling process's record pool, released as soon as the lower layers
-   return (an agent that stashes it must [Envelope.retain] it) *)
+   calling process's pool, released as soon as the lower layers return
+   (an agent that stashes it must [Envelope.retain] it) *)
 let down_call t c =
   Envelope.Stats.note_agent_call ();
-  let epool =
+  let pool =
     match Kernel.Proc.Cur.get () with
     | Some proc -> proc.Kernel.Proc.env_pool
     | None -> None
   in
-  let env = Envelope.of_call ?epool c in
+  let env = Envelope.of_call ?pool c in
   let res = down t env in
   Envelope.release env;
   res

@@ -41,9 +41,3 @@ val down_signal : t -> int -> unit
     application: the previously installed interposer if any, else the
     application's own handler for that signal (one shared dispatch
     definition, [Kernel.Uspace.deliver_via]). *)
-
-val consistent : t -> bool
-(** Runtime check that the interest bitmap and the fused chain
-    shadowing the captured vector match it slot-for-slot (the chain by
-    physical identity, unset slots pointing at the kernel entry);
-    exercised by the property tests. *)

@@ -22,8 +22,8 @@ let install (agent : #Numeric.numeric_syscall) ~argv =
     (Some
        (fun env ->
          (* span <= 0 means tracing is off for this trap, and [in_layer]
-            is then the identity — skip its closure so the fused chain
-            costs one call per level on the hot path *)
+            is then the identity — skip its closure so dispatch costs
+            one call per level on the hot path *)
          let span = Abi.Envelope.span env in
          if span <= 0 then agent#syscall env
          else Obs.in_layer ~span name (fun () -> agent#syscall env)));

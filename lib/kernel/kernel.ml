@@ -148,25 +148,10 @@ let run_fiber (t : t) (proc : Proc.t) (body : unit -> int) =
           | Events.Set_emulation (numbers, handler) ->
             Some (fun (k : (a, unit) continuation) ->
               Proc.Cur.set None;
-              (* the interest bitmap and the fused chain shadow the
-                 vector slot-for-slot: this handler is the only writer,
-                 so updating all three here keeps both the fast-path
-                 invariant and the chain invariant — the chain slot is
-                 the handler closure itself (no per-trap option match),
-                 or the canonical kernel jump when cleared *)
-              let chained =
-                match handler with
-                | Some h -> h
-                | None -> Proc.chain_unset
-              in
               List.iter
                 (fun n ->
-                  if n >= 0 && n < Array.length proc.emul.vector then begin
-                    proc.emul.vector.(n) <- handler;
-                    proc.emul.chain.(n) <- chained;
-                    Abi.Bitset.assign proc.emul.bitmap n
-                      (Option.is_some handler)
-                  end)
+                  if n >= 0 && n < Array.length proc.emul.vector then
+                    proc.emul.vector.(n) <- handler)
                 numbers;
               enqueue_resume t proc k ())
           | Events.Get_emulation n ->
@@ -322,7 +307,6 @@ let rec sched_loop (t : t) =
 let enter (t : t) =
   Obs.install t.obs;
   Envelope.Stats.install t.codec;
-  Value.Pool.Stats.install t.pool_stats;
   Envelope.Pool.Stats.install t.epool_stats;
   Proc.Cur.install t.cur;
   Kstate.Ambient.current := Some t
@@ -333,7 +317,6 @@ let enter (t : t) =
 let with_shard (t : t) f =
   let prev_obs = Obs.installed () in
   let prev_codec = Envelope.Stats.installed () in
-  let prev_pool = Value.Pool.Stats.installed () in
   let prev_epool = Envelope.Pool.Stats.installed () in
   let prev_cur = Proc.Cur.installed () in
   let prev_amb = !Kstate.Ambient.current in
@@ -342,7 +325,6 @@ let with_shard (t : t) f =
     ~finally:(fun () ->
       Obs.install prev_obs;
       Envelope.Stats.install prev_codec;
-      Value.Pool.Stats.install prev_pool;
       Envelope.Pool.Stats.install prev_epool;
       Proc.Cur.install prev_cur;
       Kstate.Ambient.current := prev_amb)
@@ -354,8 +336,8 @@ let current_exn = Kstate.Ambient.get_exn
 
 (* --- creation and boot ------------------------------------------------------ *)
 
-let create ?shard_id ?fused () =
-  let t = Kstate.create ?shard_id ?fused () in
+let create ?shard_id () =
+  let t = Kstate.create ?shard_id () in
   t.hooks <-
     { Kstate.spawn = (fun proc body -> enqueue_start t proc body);
       retry = (fun proc -> retry t proc) };
@@ -489,7 +471,6 @@ let populate_standard (t : t) =
 (* --- console and misc --------------------------------------------------------- *)
 
 let console_output (t : t) = Dev.Console.contents t.console
-let clear_console (t : t) = Dev.Console.clear t.console
 let feed_console (t : t) s = Dev.Console.feed t.console s
 let echo_console_to (t : t) f = Dev.Console.set_echo t.console f
 
@@ -504,11 +485,7 @@ let register_image (t : t) name image = Registry.register t.registry name image
 let codec_stats (t : t) = Envelope.Stats.snapshot_of t.codec
 let reset_codec_stats (t : t) = Envelope.Stats.reset_of t.codec
 
-let pool_stats (t : t) = Value.Pool.Stats.snapshot_of t.pool_stats
 let env_pool_stats (t : t) = Envelope.Pool.Stats.snapshot_of t.epool_stats
-
-let fused (t : t) = t.fused_dispatch
-let set_fused (t : t) on = t.fused_dispatch <- on
 
 let metrics (t : t) = Obs.metrics_of t.obs
 
@@ -528,8 +505,7 @@ type host_stats = {
   h_minor_words_per_trap : float;
   h_promoted_words : float;
   h_major_collections : int;
-  h_wire_pool_hit_rate : float;   (* hits / (hits + misses); 1.0 when idle *)
-  h_env_pool_hit_rate : float;
+  h_env_pool_hit_rate : float;    (* hits / (hits + misses); 1.0 when idle *)
 }
 
 let host_stats (t : t) =
@@ -537,12 +513,8 @@ let host_stats (t : t) =
   let traps = (Envelope.Stats.snapshot_of t.codec).Envelope.Stats.traps in
   let cpu = Sys.time () -. t.host_cpu_t0 in
   let per d n = if d > 0 then n /. float_of_int d else 0.0 in
-  let rate (hits : int) (misses : int) =
-    let total = hits + misses in
-    if total = 0 then 1.0 else float_of_int hits /. float_of_int total
-  in
-  let wp = Value.Pool.Stats.snapshot_of t.pool_stats in
   let ep = Envelope.Pool.Stats.snapshot_of t.epool_stats in
+  let taken = ep.Envelope.Pool.Stats.hits + ep.Envelope.Pool.Stats.misses in
   { h_traps = traps;
     h_cpu_s = cpu;
     h_ns_per_trap = per traps (cpu *. 1e9);
@@ -551,10 +523,9 @@ let host_stats (t : t) =
     h_promoted_words = q.Gc.promoted_words -. t.host_promoted_words_t0;
     h_major_collections =
       q.Gc.major_collections - t.host_major_collections_t0;
-    h_wire_pool_hit_rate =
-      rate wp.Value.Pool.Stats.hits wp.Value.Pool.Stats.misses;
     h_env_pool_hit_rate =
-      rate ep.Envelope.Pool.Stats.hits ep.Envelope.Pool.Stats.misses }
+      (if taken = 0 then 1.0
+       else float_of_int ep.Envelope.Pool.Stats.hits /. float_of_int taken) }
 
 let host_stats_json (h : host_stats) =
   Obs.Json.Obj
@@ -564,12 +535,11 @@ let host_stats_json (h : host_stats) =
       ("minor_words_per_trap", Obs.Json.Float h.h_minor_words_per_trap);
       ("promoted_words", Obs.Json.Float h.h_promoted_words);
       ("major_collections", Obs.Json.Int h.h_major_collections);
-      ("wire_pool_hit_rate", Obs.Json.Float h.h_wire_pool_hit_rate);
       ("env_pool_hit_rate", Obs.Json.Float h.h_env_pool_hit_rate) ]
 
 (* One document for every runtime statistic of one shard: span/latency
    metrics from its [Obs] engine plus its codec (incl. [fast_path] and
-   [fused]), wire-pool, envelope-pool and host-side counters.
+   [intercepted]), envelope-pool and host-side counters.
    [/obs/metrics] serves exactly this JSON, so programs inside the
    simulation and hosts outside it read the same numbers. *)
 (* --- watchdogs ---------------------------------------------------------------- *)
@@ -603,7 +573,6 @@ let watch_verdicts (t : t) =
 let metrics_json (t : t) =
   let base = Obs.metrics_to_json ~name:Abi.Sysno.name (Obs.metrics_of t.obs) in
   let codec = Envelope.Stats.to_json (Envelope.Stats.snapshot_of t.codec) in
-  let pool = Value.Pool.Stats.to_json (Value.Pool.Stats.snapshot_of t.pool_stats) in
   let epool =
     Envelope.Pool.Stats.to_json (Envelope.Pool.Stats.snapshot_of t.epool_stats)
   in
@@ -613,7 +582,7 @@ let metrics_json (t : t) =
   | Obs.Json.Obj fields ->
     Obs.Json.Obj
       (fields
-      @ [ ("codec", codec); ("wire_pool", pool); ("env_pool", epool);
+      @ [ ("codec", codec); ("env_pool", epool);
           ("host", host); ("watchdogs", watchdogs) ])
   | other -> other
 let drain_obs (t : t) = Obs.drain_of t.obs
@@ -781,7 +750,7 @@ module Cluster = struct
          (Array.map (fun s -> Obs.metrics_of s.Kstate.obs) c.shards))
 
   (* Same document shape as the per-shard [metrics_json], with codec
-     and wire-pool counters summed field-by-field across shards and a
+     and envelope-pool counters summed field-by-field across shards and a
      [shards] field recording the fan-in. *)
   let metrics_json c =
     let base = Obs.metrics_to_json ~name:Abi.Sysno.name (metrics c) in
@@ -792,7 +761,6 @@ module Cluster = struct
           {
             Envelope.Stats.traps = acc.traps + x.traps;
             intercepted = acc.intercepted + x.intercepted;
-            fused = acc.fused + x.fused;
             fast_path = acc.fast_path + x.fast_path;
             decodes = acc.decodes + x.decodes;
             encodes = acc.encodes + x.encodes;
@@ -802,26 +770,12 @@ module Cluster = struct
         {
           Envelope.Stats.traps = 0;
           intercepted = 0;
-          fused = 0;
           fast_path = 0;
           decodes = 0;
           encodes = 0;
           crossings = 0;
           agent_calls = 0;
         }
-        c.shards
-    in
-    let pool =
-      Array.fold_left
-        (fun (acc : Value.Pool.Stats.snapshot) s ->
-          let x = Value.Pool.Stats.snapshot_of s.Kstate.pool_stats in
-          {
-            Value.Pool.Stats.hits = acc.hits + x.hits;
-            misses = acc.misses + x.misses;
-            recycled = acc.recycled + x.recycled;
-            dropped = acc.dropped + x.dropped;
-          })
-        { Value.Pool.Stats.hits = 0; misses = 0; recycled = 0; dropped = 0 }
         c.shards
     in
     let epool =
@@ -854,7 +808,6 @@ module Cluster = struct
         (fields
         @ [
             ("codec", Envelope.Stats.to_json codec);
-            ("wire_pool", Value.Pool.Stats.to_json pool);
             ("env_pool", Envelope.Pool.Stats.to_json epool);
             ("shards", Obs.Json.Int (Array.length c.shards));
             ("watchdogs", watchdogs);

@@ -3,7 +3,7 @@
 
     A kernel instance — a {e shard} (DESIGN.md §3.6) — owns a virtual
     clock, a filesystem, a console, a process table, an executable
-    {!Registry}, an [Obs] engine, codec and wire-pool counters and a
+    {!Registry}, an [Obs] engine, codec and envelope-pool counters and a
     current-process cell.  Nothing about a session is module-global:
     two kernels coexist in one OCaml process without observing each
     other, and {!Cluster} drives N of them deterministically.  [boot]
@@ -35,16 +35,13 @@ module Uspace = Uspace
 
 type t = Kstate.t
 
-val create : ?shard_id:int -> ?fused:bool -> unit -> t
+val create : ?shard_id:int -> unit -> t
 (** A fresh shard with its own clock, filesystem, registry, obs engine
     (inheriting the installed engine's {e configuration} — enablement,
     sampling, ring capacity — so observation set up before [create]
     applies to the new kernel) and counters.  The new kernel is
     {!enter}ed, becoming the current shard.  [shard_id] (default 0) is
-    its position in a {!Cluster}.  [fused] (default [true]) selects
-    fused trap dispatch (DESIGN.md §3.8); [~fused:false] keeps the
-    generic option-vector walk — semantically identical (gated by the
-    conformance matrix), only slower on the host. *)
+    its position in a {!Cluster}. *)
 
 (** {1 The current shard}
 
@@ -99,7 +96,6 @@ val exists : t -> string -> bool
 (** {1 Console} *)
 
 val console_output : t -> string
-val clear_console : t -> unit
 val feed_console : t -> string -> unit
 val echo_console_to : t -> (string -> unit) -> unit
 
@@ -129,22 +125,10 @@ val reset_codec_stats : t -> unit
     mid-session code should snapshot/{!Abi.Envelope.Stats.diff}
     instead, or use {!metrics}. *)
 
-val pool_stats : t -> Abi.Value.Pool.Stats.snapshot
-(** This shard's wire-pool hit/miss counters, same snapshot contract
-    as {!codec_stats}.  Also exported as the ["wire_pool"] member of
-    {!metrics_json}. *)
-
 val env_pool_stats : t -> Abi.Envelope.Pool.Stats.snapshot
-(** This shard's envelope-record-pool counters, same contract as
-    {!pool_stats}.  Also exported as the ["env_pool"] member of
-    {!metrics_json}. *)
-
-val fused : t -> bool
-val set_fused : t -> bool -> unit
-(** Select fused vs generic trap dispatch for [t] at run time.  Legal
-    mid-run: the flag only chooses host-speed machinery — the
-    conformance gate checks signatures are byte-identical either
-    way. *)
+(** This shard's envelope-pool hit/miss counters (records and the wires
+    they own), same snapshot contract as {!codec_stats}.  Also exported
+    as the ["env_pool"] member of {!metrics_json}. *)
 
 (** Host-side (wall/GC) cost estimates for one shard since its
     creation, next to the virtual tables: the ["host"] block of
@@ -159,12 +143,10 @@ type host_stats = {
   h_minor_words_per_trap : float;
   h_promoted_words : float;
   h_major_collections : int;
-  h_wire_pool_hit_rate : float;
   h_env_pool_hit_rate : float;
 }
 
 val host_stats : t -> host_stats
-val host_stats_json : host_stats -> Obs.Json.t
 
 val metrics : t -> Obs.metrics
 (** Aggregated observability snapshot of this shard's engine
@@ -190,8 +172,8 @@ val watch_verdicts : t -> Obs.Watch.verdict list
 val metrics_json : t -> Obs.Json.t
 (** {!metrics} rendered with syscall names resolved via
     [Abi.Sysno.name], plus ["codec"] ({!codec_stats}, incl.
-    [fast_path] and [fused]), ["wire_pool"] ({!pool_stats}),
-    ["env_pool"] ({!env_pool_stats}), ["host"] ({!host_stats}) and
+    [fast_path] and [intercepted]), ["env_pool"] ({!env_pool_stats}),
+    ["host"] ({!host_stats}) and
     ["watchdogs"] ({!watch_verdicts}) blocks — every runtime statistic
     of one shard in one document.  The [/obs/metrics] synthetic file
     serves exactly this JSON inside the simulation. *)
@@ -286,7 +268,7 @@ module Cluster : sig
 
   val metrics_json : t -> Obs.Json.t
   (** The aggregate as the same JSON document shape a single kernel's
-      [metrics_json] produces — codec and wire-pool counters summed
+      [metrics_json] produces — codec and envelope-pool counters summed
       across shards — plus a [shards] field with the fan-in and a
       [watchdogs] block evaluating shard 0's rules over the merged
       metrics. *)

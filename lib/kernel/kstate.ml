@@ -41,10 +41,8 @@ type t = {
   registry : Registry.t;
   obs : Obs.engine;
   codec : Envelope.Stats.t;
-  pool_stats : Value.Pool.Stats.t;
   epool_stats : Envelope.Pool.Stats.t;
   cur : Proc.Cur.cell;
-  mutable fused_dispatch : bool;
   host_cpu_t0 : float;
   host_minor_words_t0 : float;
   host_promoted_words_t0 : float;
@@ -68,7 +66,7 @@ let no_hooks = {
   retry = (fun _ -> failwith "Kstate: hooks not installed");
 }
 
-let create ?(shard_id = 0) ?(fused = true) () =
+let create ?(shard_id = 0) () =
   let clock = Sim.Clock.create () in
   let fs = Vfs.Fs.create ~now:(fun () -> Sim.Clock.now_us clock / 1_000_000) () in
   let console = Dev.Console.create () in
@@ -91,10 +89,8 @@ let create ?(shard_id = 0) ?(fused = true) () =
     registry = Registry.create ();
     obs = Obs.engine_like (Obs.installed ());
     codec = Envelope.Stats.create ();
-    pool_stats = Value.Pool.Stats.create ();
     epool_stats = Envelope.Pool.Stats.create ();
     cur = Proc.Cur.cell ();
-    fused_dispatch = fused;
     host_cpu_t0 = Sys.time ();
     (* [Gc.minor_words] reads the live allocation pointer;
        [quick_stat]'s field lags until the next minor collection *)
@@ -251,7 +247,7 @@ let has_select_timer t pid =
 let next_timer t =
   match t.timers with [] -> None | hd :: _ -> Some hd
 
-(* Allocation-free variant for the fused CPU-charge fast path, which
+(* Allocation-free variant for the inline CPU-charge fast path, which
    asks this once or more per dispatch level: the earliest deadline,
    or [max_int] with no timers armed. *)
 let next_timer_at t =

@@ -59,17 +59,9 @@ type t = {
   registry : Registry.t;           (** shard-owned executable images *)
   obs : Obs.engine;                (** shard-owned observability engine *)
   codec : Abi.Envelope.Stats.t;    (** shard-owned codec counters *)
-  pool_stats : Abi.Value.Pool.Stats.t;  (** shard-owned wire-pool counters *)
   epool_stats : Abi.Envelope.Pool.Stats.t;
-      (** shard-owned envelope-record-pool counters *)
+      (** shard-owned envelope-pool counters *)
   cur : Proc.Cur.cell;             (** shard-owned current process *)
-  mutable fused_dispatch : bool;
-      (** dispatch interested traps through the per-process fused
-          closure chains (and take the inline CPU-charge fast path)
-          instead of the generic option-vector walk.  Semantically
-          invisible — the conformance gate checks signatures are
-          byte-identical either way — so flipping it mid-run is legal;
-          it selects host-speed machinery only. *)
   host_cpu_t0 : float;             (** [Sys.time] at shard creation *)
   host_minor_words_t0 : float;     (** GC baselines at shard creation, *)
   host_promoted_words_t0 : float;  (** for the [host] metrics block *)
@@ -91,14 +83,12 @@ type t = {
           [Obs.reset] and stay per-shard in a cluster *)
 }
 
-val create : ?shard_id:int -> ?fused:bool -> unit -> t
+val create : ?shard_id:int -> unit -> t
 (** A fresh shard: everything above is newly allocated, except that the
     obs engine inherits the {e configuration} (enablement, sampling,
     ring capacity — never the data) of the currently installed engine,
     preserving the "configure observation, then create the kernel"
-    call order.  [fused] (default [true]) selects fused trap dispatch;
-    [~fused:false] keeps the generic option-vector walk, the honest
-    baseline the host-speed bench compares against. *)
+    call order. *)
 
 (** The ambient current shard: which kernel's state in-fibre code that
     holds no handle (agents, the C-library stubs) should reach.
@@ -148,7 +138,7 @@ val next_timer : t -> (int * timer_event) option
 
 val next_timer_at : t -> int
 (** Earliest timer deadline, [max_int] when none are armed.  Unlike
-    {!next_timer} this never allocates — the fused CPU-charge fast
+    {!next_timer} this never allocates — the inline CPU-charge fast
     path reads it on every dispatch level. *)
 
 val pop_timer : t -> unit

@@ -42,32 +42,10 @@ type sigstate = {
 
 type emulation = {
   mutable vector : (Abi.Envelope.t -> Abi.Value.res) option array;
-  mutable bitmap : Abi.Bitset.t;
-      (* Invariant: [Bitset.mem bitmap n] iff [vector.(n) <> None].
-         The trap fast path tests the bit and never touches the vector
-         for uninterested calls. *)
-  mutable chain : (Abi.Envelope.t -> Abi.Value.res) array;
-      (* The fused form of [vector]: slot [n] is the installed handler
-         itself when [vector.(n) = Some h] (physically the same
-         closure), and [chain_unset] — a direct jump to the kernel
-         entry — when it is [None].  Interested traps in fused mode
-         call [chain.(n)] with no option probe or match; recompiled at
-         every write point of [vector] ([Set_emulation], [fork_copy],
-         the fresh emulation an exec installs). *)
+      (* The one handler table: the trap stub reads slot [n] once, and
+         [None] sends the call straight to the kernel. *)
   mutable sig_emul : (int -> unit) option;
 }
-
-(* [Uspace] fills this at module initialization with "enter the kernel
-   for the current process" — Proc sits below Uspace in the library, so
-   the jump target is a forward reference (allowlisted in
-   tools/globals_allowlist.txt: written exactly once, at init). *)
-let chain_kernel_entry : (Abi.Envelope.t -> Abi.Value.res) ref =
-  ref (fun _ -> failwith "Proc.chain_kernel_entry: Uspace not initialized")
-
-(* The one canonical "no handler" chain slot.  A top-level function, so
-   [emulation_consistent] can recognize empty slots by physical
-   equality. *)
-let chain_unset env = !chain_kernel_entry env
 
 module Kids = Map.Make (Int)
 
@@ -91,38 +69,16 @@ type t = {
   mutable syscall_count : int;
   mutable utime_us : int;
   mutable stime_us : int;
-  wire_pool : Abi.Value.Pool.t option;
+  env_pool : Abi.Envelope.Pool.t option;
       (* Always [Some] in practice; option-typed so the trap stub can
          pass it to [Envelope.at_boundary ?pool] without wrapping a
          fresh [Some] on every trap. *)
-  env_pool : Abi.Envelope.Pool.t option;
-      (* Free list for the envelope records themselves, same contract
-         and same option-typing rationale as [wire_pool]. *)
 }
 
 let fd_table_size = 64
 
 let fresh_emulation () =
-  { vector = Array.make (Abi.Sysno.max_sysno + 1) None;
-    bitmap = Abi.Bitset.create (Abi.Sysno.max_sysno + 1);
-    chain = Array.make (Abi.Sysno.max_sysno + 1) chain_unset;
-    sig_emul = None }
-
-let emulation_consistent e =
-  Abi.Bitset.length e.bitmap = Array.length e.vector
-  && Array.length e.chain = Array.length e.vector
-  && (let ok = ref true in
-      Array.iteri
-        (fun i h ->
-           if Abi.Bitset.mem e.bitmap i <> (h <> None) then ok := false;
-           (* the fused chain mirrors the vector by physical identity:
-              the installed closure itself, or the canonical empty
-              slot *)
-           (match h with
-            | Some f -> if not (e.chain.(i) == f) then ok := false
-            | None -> if not (e.chain.(i) == chain_unset) then ok := false))
-        e.vector;
-      !ok)
+  { vector = Array.make (Abi.Sysno.max_sysno + 1) None; sig_emul = None }
 
 let fresh_sigstate () =
   { handlers = Array.make (Abi.Signal.max_signal + 1) Abi.Value.H_default;
@@ -141,7 +97,6 @@ let create ~pid ~ppid ~pgrp ~name ~cred ~cwd =
     syscall_count = 0;
     utime_us = 0;
     stime_us = 0;
-    wire_pool = Some (Abi.Value.Pool.create ());
     env_pool = Some (Abi.Envelope.Pool.create ()) }
 
 let fork_copy t ~pid ~name =
@@ -162,21 +117,15 @@ let fork_copy t ~pid ~name =
     sigs = { handlers = Array.copy t.sigs.handlers;
              mask = t.sigs.mask;
              pending = 0 };
-    emul = { vector = Array.copy t.emul.vector;
-             bitmap = Abi.Bitset.copy t.emul.bitmap;
-             (* the chain recompiles by copy: the child's slots alias
-                the same handler closures its copied vector holds *)
-             chain = Array.copy t.emul.chain;
-             sig_emul = t.emul.sig_emul };
+    emul = { vector = Array.copy t.emul.vector; sig_emul = t.emul.sig_emul };
     state = Runnable;
     exit_status = 0;
     alarm_at = None;
     syscall_count = 0;
     utime_us = 0;
     stime_us = 0;
-    (* The pools are caches, not address-space state: the child starts
-       with empty ones rather than stealing the parent's records. *)
-    wire_pool = Some (Abi.Value.Pool.create ());
+    (* The pool is a cache, not address-space state: the child starts
+       with an empty one rather than stealing the parent's records. *)
     env_pool = Some (Abi.Envelope.Pool.create ()) }
 
 let fd t n =

@@ -53,31 +53,13 @@ type sigstate = {
     [execve]. *)
 type emulation = {
   mutable vector : (Abi.Envelope.t -> Abi.Value.res) option array;
-  mutable bitmap : Abi.Bitset.t;
-      (** interest bitmap shadowing [vector]: bit [n] set iff
-          [vector.(n)] is [Some _].  Maintained by the kernel's
-          [Set_emulation] handler and {!fork_copy}; the trap fast path
-          tests the bit and skips the vector for uninterested calls. *)
-  mutable chain : (Abi.Envelope.t -> Abi.Value.res) array;
-      (** fused dispatch chain shadowing [vector] (DESIGN.md §3.8):
-          slot [n] holds the installed handler itself when
-          [vector.(n) = Some h], and {!chain_unset} otherwise, so an
-          interested trap in fused mode runs [chain.(n) env] with no
-          array-of-option probe or match.  Recompiled at every vector
-          write point ([Set_emulation], {!fork_copy}, the fresh
-          emulation installed by exec). *)
+      (** the one handler table, indexed by system call number: slot
+          [n] is the handler installed for [n], or [None] to send the
+          call straight to the kernel.  Written only by the kernel's
+          [Set_emulation] handler; {!fork_copy} copies it and exec
+          without [keep_emulation] replaces it. *)
   mutable sig_emul : (int -> unit) option;
 }
-
-val chain_kernel_entry : (Abi.Envelope.t -> Abi.Value.res) ref
-(** Forward reference to "enter the kernel for the current process",
-    filled once by [Uspace] at module initialization (Proc cannot
-    depend on Uspace).  On the globals-lint allowlist. *)
-
-val chain_unset : Abi.Envelope.t -> Abi.Value.res
-(** The canonical empty chain slot: jumps straight to the kernel via
-    {!chain_kernel_entry}.  Its physical identity is how
-    {!emulation_consistent} recognizes a slot with no handler. *)
 
 (** Pid-keyed maps: a process's index of its children. *)
 module Kids : Map.S with type key = int
@@ -104,27 +86,17 @@ type t = {
   mutable syscall_count : int;  (** total traps, for accounting *)
   mutable utime_us : int;       (** virtual user time (cpu_work, agent work) *)
   mutable stime_us : int;       (** virtual system time (in-kernel call cost) *)
-  wire_pool : Abi.Value.Pool.t option;
-      (** free list feeding [Envelope.at_boundary] for this process's
-          traps; a cache only, so [fork] gives the child a fresh one.
-          Always [Some]; option-typed so the trap stub can hand it to
-          [at_boundary ?pool] without allocating a [Some] per trap *)
   env_pool : Abi.Envelope.Pool.t option;
-      (** free list for the envelope records themselves, feeding
-          [Envelope.at_boundary ?epool] / [of_call ?epool]; same cache
-          semantics and option-typing rationale as [wire_pool] *)
+      (** free list of envelope records (each owning its wire) feeding
+          [Envelope.at_boundary] and [Envelope.of_call] for this
+          process's traps; a cache only, so [fork] gives the child a
+          fresh one.  Always [Some]; option-typed so the trap stub can
+          hand it to [?pool] without allocating a [Some] per trap *)
 }
 
 val fd_table_size : int
 
 val fresh_emulation : unit -> emulation
-
-val emulation_consistent : emulation -> bool
-(** Runtime check of the bitmap/vector and chain/vector invariants:
-    same lengths, bit [n] set exactly when slot [n] holds a handler,
-    and chain slot [n] physically equal to the installed handler (or
-    to {!chain_unset} when there is none).  Exercised by the property
-    tests after arbitrary set/clear/fork sequences. *)
 
 val create :
   pid:int -> ppid:int -> pgrp:int -> name:string -> cred:Vfs.Fs.cred

@@ -88,87 +88,58 @@ let enter_kernel ?via (proc : Proc.t) (env : Envelope.t) : Value.res =
 (* nothing interposed: the kernel is the only layer below us *)
 let to_kernel proc env = enter_kernel ~via:Events.App proc env
 
-(* The fused-chain jump target for slots with no handler installed:
-   Proc sits below this module, so it reaches [to_kernel] through a
-   forward reference filled exactly once, here. *)
-let () = Proc.chain_kernel_entry := fun env -> to_kernel (self ()) env
-
-(* Whether the current shard dispatches through the fused chains.
-   Read per trap from the ambient shard handle — the flag lives on
-   [Kstate.t], so flipping it at run time (bench A/B, future hot-swap
-   quiesce points) needs no global. *)
-let fused_dispatch () =
-  match !Kstate.Ambient.current with
-  | Some t -> t.Kstate.fused_dispatch
-  | None -> false
-
 (* Charge [us] of virtual CPU time to [proc] and collect any signals
    that became deliverable, preferably without performing an effect.
 
    The [Events.Cpu] perform captures the whole fibre continuation and
    round-trips through the run queue — by far the dominant *host* cost
-   of an interested trap (one perform per agent dispatch layer).  In
-   fused mode we replicate the scheduler's Cpu handler inline when, and
-   only when, doing so is observationally identical:
+   of an interested trap (one perform per agent dispatch layer).  So we
+   replicate the scheduler's Cpu handler inline when, and only when,
+   doing so is observationally identical:
 
    - no signal is pending, so [collect_deliverable] would return []
      and [pending_terminal] would decide `None — nothing to deliver,
      nobody to kill or stop;
-   - the run queue is empty, so the generic path would re-enqueue this
+   - the run queue is empty, so the perform would re-enqueue this
      continuation and pop it right back — no other fibre's turn is
      being stolen;
    - no timer is due at or before [now + us], so the scheduling point
      the perform would create cannot fire one.
 
    Every guard is a deterministic function of simulation state, so a
-   fused run makes exactly the same scheduling decisions every time
-   (and the same decisions a generic run makes — the conformance gate
-   checks the syscall signatures are byte-identical). *)
+   run makes exactly the same scheduling decisions every time. *)
 let cpu_charge (proc : Proc.t) us : int list =
   match !Kstate.Ambient.current with
   | Some t
-    when t.Kstate.fused_dispatch
-         && Kstate.uncontended t proc
-              ~until:(Sim.Clock.now_us t.Kstate.clock + us) ->
+    when Kstate.uncontended t proc
+           ~until:(Sim.Clock.now_us t.Kstate.clock + us) ->
     proc.utime_us <- proc.utime_us + us;
     Kstate.charge t us;
     []
   | _ -> Effect.perform (Events.Cpu us)
 
+(* One range-checked read of the process's handler table decides the
+   trap: an empty slot (or a number outside the table) goes straight to
+   the kernel, which answers unknown numbers with ENOSYS; an installed
+   handler pays the interception charge and runs. *)
 let trap_raw (env : Envelope.t) : Value.res =
   let proc = self () in
   proc.syscall_count <- proc.syscall_count + 1;
   let num = Envelope.number env in
-  if not (Bitset.mem proc.emul.bitmap num) then begin
-    (* Fast path: one bit test says no handler is interposed for this
-       number — the option vector is never probed. *)
+  let vector = proc.emul.vector in
+  let handler =
+    if num >= 0 && num < Array.length vector then vector.(num) else None
+  in
+  match handler with
+  | None ->
     Envelope.Stats.note_trap_fast ();
     to_kernel proc env
-  end
-  else if fused_dispatch () then begin
-    (* Fused path: the chain slot *is* the installed handler (the
-       bitmap/chain invariant guarantees a set bit is in range and
-       pre-linked), so there is no vector probe and no option match —
-       [fused] grows while [intercepted] stays zero, the measured proof
-       that the generic machinery is bypassed. *)
-    Envelope.Stats.note_trap_chained ();
+  | Some h ->
+    Envelope.Stats.note_trap_intercepted ();
     (match cpu_charge proc Cost_model.intercept_us with
      | [] -> ()
      | sigs -> deliver proc sigs);
-    proc.emul.chain.(num) env
-  end
-  else begin
-    (* The bit is only ever set for in-range numbers with a handler
-       installed (the bitmap/vector invariant), but stay defensive. *)
-    let handler = proc.emul.vector.(num) in
-    Envelope.Stats.note_trap ~intercepted:(Option.is_some handler);
-    match handler with
-    | Some h ->
-      let sigs = Effect.perform (Events.Cpu Cost_model.intercept_us) in
-      deliver proc sigs;
-      h env
-    | None -> to_kernel proc env
-  end
+    h env
 
 (* Open a span around one trap.  The envelope is built *inside* the
    span (the [mk_env] thunk) so that a boundary encode — and any other
@@ -225,22 +196,19 @@ let trap_wire w =
 
 (* the application/system boundary is untyped: encode here, and let the
    first interested layer below (agent or kernel) do the one decode;
-   both the wire record and the envelope record around it come from
-   (and, when still exclusively owned, return to) the calling
-   process's pools *)
+   the envelope record and the wire it owns come from (and, when still
+   exclusively owned, return to) the calling process's pool *)
 let syscall c =
-  let proc = self () in
-  let pool = proc.Proc.wire_pool in
-  let epool = proc.Proc.env_pool in
+  let pool = (self ()).Proc.env_pool in
   if not (Obs.enabled ()) then begin
-    let env = Envelope.at_boundary ?pool ?epool c in
+    let env = Envelope.at_boundary ?pool c in
     let res = trap_raw env in
     Envelope.release env;
     res
   end
   else
     instrumented ~sysno:(Call.number c) (fun () ->
-        Envelope.at_boundary ?pool ?epool c)
+        Envelope.at_boundary ?pool c)
 
 let htg_trap env = enter_kernel ~via:Events.Htg (self ()) env
 
@@ -251,8 +219,7 @@ let htg_unix_syscall w = htg_trap (Envelope.of_wire w)
    record is pooled like any boundary envelope (an exit/exec that
    never returns simply leaks its record to the GC) *)
 let htg_syscall c =
-  let proc = self () in
-  let env = Envelope.of_call ?epool:proc.Proc.env_pool c in
+  let env = Envelope.of_call ?pool:(self ()).Proc.env_pool c in
   let res = htg_trap env in
   Envelope.release env;
   res

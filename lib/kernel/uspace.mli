@@ -34,10 +34,10 @@ val syscall : Abi.Call.t -> Abi.Value.res
     ({!Abi.Envelope.at_boundary}) — the boundary contract is the
     untyped vector, so stacked agents see exactly what a real
     application would have trapped with, and the first interested
-    layer performs the single decode.  The wire record is drawn from
-    the calling process's pool ([Proc.wire_pool]) and recycled when
-    the trap completes with the envelope still exclusively owned
-    ({!Abi.Envelope.release}). *)
+    layer performs the single decode.  The envelope record, and the
+    wire it owns, are drawn from the calling process's pool
+    ([Proc.env_pool]) and recycled when the trap completes with the
+    envelope still exclusively owned ({!Abi.Envelope.release}). *)
 
 val htg_trap : Abi.Envelope.t -> Abi.Value.res
 (** Call the underlying system interface even if the number is being
@@ -53,12 +53,6 @@ val htg_syscall : Abi.Call.t -> Abi.Value.res
 val cpu_work : int -> unit
 (** Charge local computation to the virtual clock.  Also a signal
     delivery point, like any trap. *)
-
-val fused_dispatch : unit -> bool
-(** Whether the current shard dispatches interested traps through the
-    fused closure chains ([Kstate.fused_dispatch]; false with no shard
-    entered).  The toolkit's downlink consults this to pick its own
-    fused crossing path. *)
 
 (** {1 Signal dispatch}
 

@@ -495,46 +495,55 @@ let test_envelope_undecodable_memoized () =
   in
   Alcotest.(check int) "failure decoded once" 1 d.Envelope.Stats.decodes
 
-(* --- wire pool ------------------------------------------------------------- *)
+(* --- envelope pool: the boundary wire a pooled record owns ------------------- *)
 
 let pool_window f =
-  let stats = Value.Pool.Stats.installed () in
-  let before = Value.Pool.Stats.snapshot_of stats in
+  let stats = Envelope.Pool.Stats.installed () in
+  let before = Envelope.Pool.Stats.snapshot_of stats in
   let r = f () in
-  (r, Value.Pool.Stats.diff before (Value.Pool.Stats.snapshot_of stats))
+  (r, Envelope.Pool.Stats.diff before (Envelope.Pool.Stats.snapshot_of stats))
 
 let test_pool_scrub_on_recycle () =
-  let p = Value.Pool.create ~capacity:4 () in
-  let (w, d) = pool_window (fun () -> Value.Pool.take p) in
-  Alcotest.(check int) "dry take is a miss" 1 d.Value.Pool.Stats.misses;
-  w.Value.num <- Sysno.sys_open;
-  w.Value.args <- [| Value.Str "secret"; Value.Int 0; Value.Int 0o644 |];
-  Value.Pool.recycle p w;
-  Alcotest.(check int) "one wire parked" 1 (Value.Pool.size p);
-  let (w', d) = pool_window (fun () -> Value.Pool.take p) in
-  Alcotest.(check int) "warm take is a hit" 1 d.Value.Pool.Stats.hits;
-  Alcotest.(check int) "warm take never allocates" 0 d.Value.Pool.Stats.misses;
-  Alcotest.(check bool) "same record reused" true (w == w');
-  Alcotest.(check int) "number scrubbed" 0 w'.Value.num;
+  let p = Envelope.Pool.create ~capacity:4 () in
+  let (env, d) =
+    pool_window (fun () ->
+        Envelope.at_boundary ~pool:p (Call.Open ("secret", 0, 0o644)))
+  in
+  Alcotest.(check int) "dry take is a miss" 1 d.Envelope.Pool.Stats.misses;
+  let w = Option.get (Envelope.owned_wire env) in
+  Alcotest.(check int) "owned wire carries the call" Sysno.sys_open
+    w.Value.num;
+  Envelope.release env;
+  Alcotest.(check int) "one record parked" 1 (Envelope.Pool.size p);
+  Alcotest.(check int) "number scrubbed" 0 w.Value.num;
   Alcotest.(check bool) "every argument scrubbed to Nil" true
-    (Array.for_all (fun v -> v = Value.Nil) w'.Value.args)
+    (Array.for_all (fun v -> v = Value.Nil) w.Value.args);
+  let (env', d) =
+    pool_window (fun () -> Envelope.at_boundary ~pool:p Call.Getpid)
+  in
+  Alcotest.(check int) "warm take is a hit" 1 d.Envelope.Pool.Stats.hits;
+  Alcotest.(check int) "warm take never allocates" 0
+    d.Envelope.Pool.Stats.misses;
+  Alcotest.(check bool) "same record reused" true (env == env');
+  Alcotest.(check bool) "same wire reused" true
+    (Envelope.owned_wire env' == Envelope.owned_wire env)
 
 let test_pool_boundary_reuse_no_stale () =
   (* a pooled wire refilled by a later trap carries only the later
      call: arity resets and nothing of the old arguments survives *)
-  let p = Value.Pool.create () in
+  let p = Envelope.Pool.create () in
   let env1 =
     Envelope.at_boundary ~pool:p (Call.Open ("/tmp/secret", 3, 0o600))
   in
   Envelope.release env1;
-  Alcotest.(check int) "un-rewritten trap parks its wire" 1
-    (Value.Pool.size p);
+  Alcotest.(check int) "un-rewritten trap parks its record" 1
+    (Envelope.Pool.size p);
   let (env2, d) =
     pool_window (fun () ->
         Envelope.at_boundary ~pool:p (Call.Unlink "/tmp/other"))
   in
   Alcotest.(check int) "refill reused the parked record" 1
-    d.Value.Pool.Stats.hits;
+    d.Envelope.Pool.Stats.hits;
   let w2 = Envelope.wire env2 in
   Alcotest.(check int) "number is the new call's" Sysno.sys_unlink
     w2.Value.num;
@@ -544,13 +553,13 @@ let test_pool_boundary_reuse_no_stale () =
 let test_pool_release_ownership () =
   (* release recycles only while the envelope still owns the wire
      exclusively *)
-  let p = Value.Pool.create () in
+  let p = Envelope.Pool.create () in
   let env = Envelope.at_boundary ~pool:p Call.Getpid in
   ignore (Envelope.wire env); (* an agent saw the raw record *)
   let ((), d) = pool_window (fun () -> Envelope.release env) in
   Alcotest.(check int) "exposed wire is not recycled" 0
-    d.Value.Pool.Stats.recycled;
-  Alcotest.(check int) "pool stays empty" 0 (Value.Pool.size p);
+    d.Envelope.Pool.Stats.recycled;
+  Alcotest.(check int) "pool stays empty" 0 (Envelope.Pool.size p);
   let env' = Envelope.at_boundary ~pool:p Call.Getpid in
   let ((), d) =
     pool_window (fun () ->
@@ -558,67 +567,56 @@ let test_pool_release_ownership () =
         Envelope.release env')
   in
   Alcotest.(check int) "double release recycles once" 1
-    d.Value.Pool.Stats.recycled;
+    d.Envelope.Pool.Stats.recycled;
   let ((), d) =
     pool_window (fun () -> Envelope.release (Envelope.of_call Call.Sync))
   in
-  Alcotest.(check bool) "release of a typed-born envelope is a no-op" true
-    (d = { Value.Pool.Stats.hits = 0; misses = 0; recycled = 0; dropped = 0 })
+  Alcotest.(check bool) "release of an unpooled envelope is a no-op" true
+    (d
+     = { Envelope.Pool.Stats.hits = 0; misses = 0; recycled = 0; dropped = 0 })
 
-let test_pool_release_keeps_typed_view () =
-  (* the internal decode does not expose the wire, so a released
-     envelope both recycles and stays readable through its memoized
-     view *)
-  let p = Value.Pool.create () in
+let test_pool_decode_keeps_ownership () =
+  (* the internal decode does not expose the wire, so a decoded
+     envelope still recycles, and the released record keeps no
+     reference to the wire it handed back *)
+  let p = Envelope.Pool.create () in
   let env = Envelope.at_boundary ~pool:p (Call.Close 7) in
   (match Envelope.call env with
    | Ok (Call.Close 7) -> ()
    | _ -> Alcotest.fail "decode failed");
   let ((), d) = pool_window (fun () -> Envelope.release env) in
-  Alcotest.(check int) "decoded-but-unexposed wire recycles" 1
-    d.Value.Pool.Stats.recycled;
-  Alcotest.(check (option int)) "raw record is gone" None
-    (Option.map (fun (w : Value.wire) -> w.Value.num)
-       (Envelope.peek_wire env));
-  (match Envelope.call env with
-   | Ok (Call.Close 7) -> ()
-   | _ -> Alcotest.fail "typed view lost by release")
+  Alcotest.(check int) "decoded-but-unexposed record recycles" 1
+    d.Envelope.Pool.Stats.recycled;
+  Alcotest.(check bool) "released record holds no wire" true
+    (Envelope.peek_wire env = None)
 
 let test_pool_capacity_drop () =
-  let p = Value.Pool.create ~capacity:1 () in
-  let w1 = Value.Pool.take p in
-  let w2 = Value.Pool.take p in
+  let p = Envelope.Pool.create ~capacity:1 () in
+  let env1 = Envelope.at_boundary ~pool:p Call.Getpid in
+  let env2 = Envelope.at_boundary ~pool:p Call.Getpid in
   let ((), d) =
     pool_window (fun () ->
-        Value.Pool.recycle p w1;
-        Value.Pool.recycle p w2)
+        Envelope.release env1;
+        Envelope.release env2)
   in
-  Alcotest.(check int) "first return kept" 1 d.Value.Pool.Stats.recycled;
-  Alcotest.(check int) "overflow dropped" 1 d.Value.Pool.Stats.dropped;
-  Alcotest.(check int) "size capped" 1 (Value.Pool.size p)
+  Alcotest.(check int) "first return kept" 1 d.Envelope.Pool.Stats.recycled;
+  Alcotest.(check int) "overflow dropped" 1 d.Envelope.Pool.Stats.dropped;
+  Alcotest.(check int) "size capped" 1 (Envelope.Pool.size p)
 
-(* --- envelope record pool --------------------------------------------------- *)
-
-let epool_window f =
-  let stats = Envelope.Pool.Stats.installed () in
-  let before = Envelope.Pool.Stats.snapshot_of stats in
-  let r = f () in
-  ( r,
-    Envelope.Pool.Stats.diff before
-      (Envelope.Pool.Stats.snapshot_of stats) )
+(* --- envelope pool: records ------------------------------------------------- *)
 
 let test_epool_reuse_and_scrub () =
   let p = Envelope.Pool.create ~capacity:4 () in
   let (env1, d) =
-    epool_window (fun () -> Envelope.of_call ~epool:p (Call.Close 7))
+    pool_window (fun () -> Envelope.of_call ~pool:p (Call.Close 7))
   in
   Alcotest.(check int) "dry take is a miss" 1 d.Envelope.Pool.Stats.misses;
-  let ((), d) = epool_window (fun () -> Envelope.release env1) in
+  let ((), d) = pool_window (fun () -> Envelope.release env1) in
   Alcotest.(check int) "clean release recycles the record" 1
     d.Envelope.Pool.Stats.recycled;
   Alcotest.(check int) "one record parked" 1 (Envelope.Pool.size p);
   let (env2, d) =
-    epool_window (fun () -> Envelope.of_call ~epool:p (Call.Unlink "/x"))
+    pool_window (fun () -> Envelope.of_call ~pool:p (Call.Unlink "/x"))
   in
   Alcotest.(check int) "warm take is a hit" 1 d.Envelope.Pool.Stats.hits;
   Alcotest.(check int) "warm take never allocates" 0
@@ -634,9 +632,9 @@ let test_epool_reuse_and_scrub () =
 
 let test_epool_never_recycles_retained () =
   let p = Envelope.Pool.create () in
-  let env = Envelope.of_call ~epool:p (Call.Close 3) in
+  let env = Envelope.of_call ~pool:p (Call.Close 3) in
   Envelope.retain env;
-  let ((), d) = epool_window (fun () -> Envelope.release env) in
+  let ((), d) = pool_window (fun () -> Envelope.release env) in
   Alcotest.(check int) "retained record not recycled" 0
     d.Envelope.Pool.Stats.recycled;
   Alcotest.(check int) "pool stays empty" 0 (Envelope.Pool.size p);
@@ -649,50 +647,56 @@ let test_epool_never_recycles_exposed () =
   (* handing out the raw wire — including the forced encode of a dirty
      envelope, i.e. a rewrite — blocks record recycling *)
   let p = Envelope.Pool.create () in
-  let env = Envelope.of_call ~epool:p (Call.Close 9) in
+  let env = Envelope.of_call ~pool:p (Call.Close 9) in
   ignore (Envelope.wire env);  (* rewrite: dirty envelope forced to wire *)
-  let ((), d) = epool_window (fun () -> Envelope.release env) in
+  let ((), d) = pool_window (fun () -> Envelope.release env) in
   Alcotest.(check int) "exposed record not recycled" 0
     d.Envelope.Pool.Stats.recycled;
   Alcotest.(check int) "pool stays empty" 0 (Envelope.Pool.size p);
-  let env' = Envelope.at_boundary ~epool:p Call.Getpid in
+  let env' = Envelope.at_boundary ~pool:p Call.Getpid in
   ignore (Envelope.peek_wire env');
-  let ((), d) = epool_window (fun () -> Envelope.release env') in
+  let ((), d) = pool_window (fun () -> Envelope.release env') in
   Alcotest.(check int) "peeked record not recycled" 0
     d.Envelope.Pool.Stats.recycled
 
-let test_epool_boundary_pairs_with_wire_pool () =
-  (* at_boundary with both pools: one release sends the wire to its
-     pool and the record to its own *)
-  let wp = Value.Pool.create () in
-  let ep = Envelope.Pool.create () in
-  let env = Envelope.at_boundary ~pool:wp ~epool:ep (Call.Close 1) in
+let test_epool_record_owns_wire () =
+  (* one free list for both constructors: a record parked by a boundary
+     trap keeps its wire when [of_call] takes it, and leaves it unused *)
+  let p = Envelope.Pool.create () in
+  let env = Envelope.at_boundary ~pool:p (Call.Close 1) in
+  let w = Envelope.owned_wire env in
   Envelope.release env;
-  Alcotest.(check int) "wire parked" 1 (Value.Pool.size wp);
-  Alcotest.(check int) "record parked" 1 (Envelope.Pool.size ep)
+  Alcotest.(check int) "record parked" 1 (Envelope.Pool.size p);
+  let env' = Envelope.of_call ~pool:p Call.Sync in
+  Alcotest.(check bool) "of_call takes the same record" true (env == env');
+  Alcotest.(check bool) "the wire stays with the record" true
+    (Envelope.owned_wire env' == w);
+  Alcotest.(check bool) "of_call leaves it unused" true (Envelope.dirty env')
 
 (* Model property: drive a small pool through random
-   take/action/release cycles and mirror the free list with an
-   integer.  Actions: 0 = clean trap, 1 = retained stash, 2 = rewrite
-   (wire forced on a dirty envelope).  Only clean traps may recycle;
-   the pool never exceeds capacity; counters match the model
-   exactly. *)
+   take/action/release cycles, drawing records with [at_boundary] or
+   [of_call] from the one free list, and mirror the free list with an
+   integer.  Actions: 0 = clean trap, 1 = retained stash, 2 = raw wire
+   handed out (for [of_call], the rewrite: wire forced on a dirty
+   envelope).  Only clean traps may recycle; the pool never exceeds
+   capacity; counters match the model exactly. *)
 let test_epool_model =
   QCheck.Test.make ~name:"envelope pool matches free-list model" ~count:100
-    QCheck.(small_list (int_bound 2))
-    (fun actions ->
+    QCheck.(small_list (pair bool (int_bound 2)))
+    (fun steps ->
       let cap = 2 in
       let p = Envelope.Pool.create ~capacity:cap () in
       let model_len = ref 0 in
       let ok = ref true in
       let (_, d) =
-        epool_window (fun () ->
+        pool_window (fun () ->
             List.iteri
-              (fun i action ->
+              (fun i (boundary, action) ->
                 let expect_hit = !model_len > 0 in
                 let (env, dt) =
-                  epool_window (fun () ->
-                      Envelope.of_call ~epool:p (Call.Close i))
+                  pool_window (fun () ->
+                      if boundary then Envelope.at_boundary ~pool:p (Call.Close i)
+                      else Envelope.of_call ~pool:p (Call.Close i))
                 in
                 if expect_hit then begin
                   if dt.Envelope.Pool.Stats.hits <> 1 then ok := false;
@@ -709,15 +713,13 @@ let test_epool_model =
                  | _ -> ignore (Envelope.wire env));
                 Envelope.release env;
                 if action = 0 && !model_len < cap then incr model_len)
-              actions)
+              steps)
       in
       !ok
       && Envelope.Pool.size p = !model_len
       && d.Envelope.Pool.Stats.recycled
          + d.Envelope.Pool.Stats.dropped
-         = List.length (List.filter (fun a -> a = 0) actions))
-
-(* --- bitset ---------------------------------------------------------------- *)
+         = List.length (List.filter (fun (_, a) -> a = 0) steps))
 
 let test_bitset_bounds () =
   let b = Bitset.create 10 in
@@ -848,8 +850,8 @@ let () =
           test_pool_boundary_reuse_no_stale;
         Alcotest.test_case "release ownership" `Quick
           test_pool_release_ownership;
-        Alcotest.test_case "release keeps view" `Quick
-          test_pool_release_keeps_typed_view;
+        Alcotest.test_case "decode keeps ownership" `Quick
+          test_pool_decode_keeps_ownership;
         Alcotest.test_case "capacity" `Quick test_pool_capacity_drop ];
       "env pool",
       [ Alcotest.test_case "reuse and scrub" `Quick
@@ -858,8 +860,8 @@ let () =
           test_epool_never_recycles_retained;
         Alcotest.test_case "exposed never recycles" `Quick
           test_epool_never_recycles_exposed;
-        Alcotest.test_case "pairs with wire pool" `Quick
-          test_epool_boundary_pairs_with_wire_pool;
+        Alcotest.test_case "boundary record owns its wire" `Quick
+          test_epool_record_owns_wire;
         qtest test_epool_model ];
       "bitset",
       [ Alcotest.test_case "bounds" `Quick test_bitset_bounds;

@@ -1128,15 +1128,15 @@ let test_dfs_record_roundtrip =
       in
       Agents.Dfs_record.parse (Agents.Dfs_record.encode r) = Some r)
 
-(* --- sockets under a fused agent chain ----------------------------------- *)
+(* --- sockets under an agent stack ---------------------------------------- *)
 
 let test_sock_inherit_under_stack () =
-  (* the full socket rendezvous across fork, under a depth-2 fused
-     chain: a child forked before the parent parks in accept inherits
-     the listening descriptor's world and connects to it; a second
-     child serves the accepted connection it inherited.  The chain must
-     actually have run — [fused] proves the traps took the pre-linked
-     path, not the generic vector. *)
+  (* the full socket rendezvous across fork, under a depth-2 stack: a
+     child forked before the parent parks in accept inherits the
+     listening descriptor's world and connects to it; a second child
+     serves the accepted connection it inherited.  The stack must
+     actually have run — [intercepted] proves the traps reached the
+     installed handlers. *)
   let k, status =
     boot_under_agent (Agents.Timex.create ~offset_seconds:60 ())
       (fun () ->
@@ -1180,10 +1180,11 @@ let test_sock_inherit_under_stack () =
   in
   check_exit "rendezvous under stack" 0 status;
   let d = Kernel.codec_stats k in
-  Alcotest.(check bool) "fused chain engaged" true
-    (d.Envelope.Stats.fused > 0);
-  Alcotest.(check int) "generic vector never probed" 0
-    d.Envelope.Stats.intercepted
+  Alcotest.(check bool) "handlers engaged" true
+    (d.Envelope.Stats.intercepted > 0);
+  Alcotest.(check int) "every trap counted once"
+    d.Envelope.Stats.traps
+    (d.Envelope.Stats.fast_path + d.Envelope.Stats.intercepted)
 
 let qtest = QCheck_alcotest.to_alcotest
 

@@ -205,11 +205,11 @@ let test_installed_sets () =
     "installed codec set is the current shard's"
     (Kernel.codec_stats k).Envelope.Stats.traps
     codec_amb.Envelope.Stats.traps;
-  let pool_amb = Value.Pool.Stats.(snapshot_of (installed ())) in
+  let pool_amb = Envelope.Pool.Stats.(snapshot_of (installed ())) in
   Alcotest.(check int)
-    "installed wire-pool set is the current shard's"
-    (Kernel.pool_stats k).Value.Pool.Stats.hits
-    pool_amb.Value.Pool.Stats.hits;
+    "installed env-pool set is the current shard's"
+    (Kernel.env_pool_stats k).Envelope.Pool.Stats.hits
+    pool_amb.Envelope.Pool.Stats.hits;
   Envelope.Stats.(reset_of (installed ()));
   Alcotest.(check int)
     "reset_of (installed ()) zeroes the current shard" 0

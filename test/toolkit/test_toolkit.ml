@@ -129,10 +129,8 @@ let test_decode_once_under_stack () =
     Envelope.Stats.diff (Option.get !before) (Option.get !after)
   in
   Alcotest.(check int) "traps" iters d.Envelope.Stats.traps;
-  (* fused dispatch (the default): every interested trap goes through
-     the chain, never the generic option vector *)
-  Alcotest.(check int) "all chained" iters d.Envelope.Stats.fused;
-  Alcotest.(check int) "vector never probed" 0 d.Envelope.Stats.intercepted;
+  Alcotest.(check int) "every trap ran its handler" iters
+    d.Envelope.Stats.intercepted;
   Alcotest.(check int) "decode-count = 1 per trap" iters
     d.Envelope.Stats.decodes;
   Alcotest.(check int) "encode-count = 1 per trap" iters
@@ -380,128 +378,220 @@ let test_loader_adds_minimum () =
   in
   check_exit "fork under bare numeric agent" 3 status
 
-(* --- interest-bitmap fast path --------------------------------------------- *)
+(* --- the handler table and its fast path ------------------------------------ *)
 
 let qtest = QCheck_alcotest.to_alcotest
 
-(* Trap-counter window around [iters] getpid calls inside a booted
-   session, with [install] run first to set up whatever agent stack the
-   test wants. *)
-let trap_window ~install iters =
+(* Trap-counter window around [traps ()] inside a booted session, with
+   [install] run first to set up whatever agent stack the test wants. *)
+let counter_window ~install traps =
   let stats () = Kernel.codec_stats (Kernel.current_exn ()) in
   let d = ref None in
   let _, status =
     boot (fun () ->
       install ();
       let before = stats () in
-      for _ = 1 to iters do
-        ignore (Libc.Unistd.getpid ())
-      done;
+      traps ();
       d := Some (Envelope.Stats.diff before (stats ()));
       0)
   in
   check_exit "exit" 0 status;
   Option.get !d
 
+let trap_window ~install iters =
+  counter_window ~install (fun () ->
+      for _ = 1 to iters do
+        ignore (Libc.Unistd.getpid ())
+      done)
+
+let open_only () =
+  object (self)
+    inherit Toolkit.numeric_syscall
+    method! init _ = self#register_interest Sysno.sys_open
+  end
+
 let test_fast_path_uninterested () =
-  (* an agent interested only in open: getpid traps must resolve on the
-     bitmap alone, never probing the handler vector *)
-  let open_only =
-    object (self)
-      inherit Toolkit.numeric_syscall
-      method! init _ = self#register_interest Sysno.sys_open
-    end
-  in
+  (* an agent interested only in open: getpid traps find an empty
+     handler slot and go straight to the kernel *)
   let iters = 25 in
   let d =
     trap_window iters ~install:(fun () ->
-        Toolkit.Loader.install open_only ~argv:[||])
+        Toolkit.Loader.install (open_only ()) ~argv:[||])
   in
   Alcotest.(check int) "one trap per getpid" iters d.Envelope.Stats.traps;
   Alcotest.(check int) "every trap took the fast path" iters
     d.Envelope.Stats.fast_path;
-  Alcotest.(check int) "no handler probed" 0 d.Envelope.Stats.intercepted
+  Alcotest.(check int) "no handler ran" 0 d.Envelope.Stats.intercepted
 
 let test_fast_path_interested () =
-  (* full interest under fused dispatch (the default): every trap runs
-     the pre-linked chain — [fused] counts them all, and the generic
-     vector is provably never probed ([intercepted] stays 0) *)
+  (* full interest: every trap runs the installed handler *)
   let iters = 25 in
   let d =
     trap_window iters ~install:(fun () ->
         Toolkit.Loader.install (Agents.Time_symbolic.create ()) ~argv:[||])
   in
-  Alcotest.(check int) "every trap chained" iters d.Envelope.Stats.fused;
-  Alcotest.(check int) "vector never probed" 0 d.Envelope.Stats.intercepted;
-  Alcotest.(check int) "fast path never taken" 0 d.Envelope.Stats.fast_path
-
-let test_fast_path_interested_generic () =
-  (* same stack with fused dispatch off: the legacy counters, and no
-     chained traps — the A/B baseline the host-speed bench measures *)
-  let iters = 25 in
-  let d =
-    trap_window iters ~install:(fun () ->
-        Kernel.set_fused (Kernel.current_exn ()) false;
-        Toolkit.Loader.install (Agents.Time_symbolic.create ()) ~argv:[||])
-  in
-  Alcotest.(check int) "every trap intercepted" iters
+  Alcotest.(check int) "every trap ran its handler" iters
     d.Envelope.Stats.intercepted;
-  Alcotest.(check int) "chain never used" 0 d.Envelope.Stats.fused;
   Alcotest.(check int) "fast path never taken" 0 d.Envelope.Stats.fast_path
 
-(* Property: whatever sequence of emulation updates and downlink
-   captures runs, the interest bitmaps — and the fused chains — mirror
-   their handler vectors slot-for-slot ([emulation_consistent] and
-   [Downlink.consistent] check the chains by physical identity), in
-   this process and in a forked child's copy; and dispatching through
-   the fused machinery returns exactly what the generic walk returns.
-   Ops are (kind, numbers) pairs; numbers run a little past
-   [max_sysno] so the out-of-range-is-ignored paths get exercised
-   too. *)
-let consistency_after_ops ops =
-  let passthrough = Some (fun env -> Kernel.Uspace.htg_trap env) in
-  let ok = ref true in
-  let _, status =
-    boot (fun () ->
-      let dl = Toolkit.Downlink.create () in
-      let here () =
-        Kernel.Proc.emulation_consistent
-          (Kernel.Proc.Cur.get_exn ()).Kernel.Proc.emul
-        && Toolkit.Downlink.consistent dl
-      in
-      List.iter
-        (fun (kind, numbers) ->
-          match kind mod 3 with
-          | 0 -> Kernel.Uspace.task_set_emulation ~numbers passthrough
-          | 1 -> Kernel.Uspace.task_set_emulation ~numbers None
-          | _ -> Toolkit.Downlink.capture dl ~numbers)
-        ops;
-      ok := here ();
-      (* differential: fused vs generic dispatch of the same trap *)
-      let k = Kernel.current_exn () in
-      Kernel.set_fused k true;
-      let r_fused = Libc.Unistd.getpid () in
-      Kernel.set_fused k false;
-      let r_generic = Libc.Unistd.getpid () in
-      Kernel.set_fused k true;
-      if r_fused <> r_generic then ok := false;
-      let pid =
-        check_ok "fork"
-          (Libc.Unistd.fork ~child:(fun () -> if here () then 0 else 1))
-      in
-      let _, st = check_ok "wait" (Libc.Unistd.waitpid pid 0) in
-      if Flags.Wait.wexitstatus st <> 0 then ok := false;
-      0)
+let test_counter_identity () =
+  (* a window mixing both kinds of trap: each lands in exactly one of
+     the two counters *)
+  let iters = 10 in
+  let d =
+    counter_window
+      ~install:(fun () -> Toolkit.Loader.install (open_only ()) ~argv:[||])
+      (fun () ->
+        for _ = 1 to iters do
+          ignore (Libc.Unistd.getpid ());
+          ignore (Libc.Unistd.open_ "/no/such/file" 0 0)
+        done)
   in
+  Alcotest.(check int) "getpid took the fast path" iters
+    d.Envelope.Stats.fast_path;
+  Alcotest.(check int) "open ran its handler" iters
+    d.Envelope.Stats.intercepted;
+  Alcotest.(check int) "traps = fast_path + intercepted"
+    d.Envelope.Stats.traps
+    (d.Envelope.Stats.fast_path + d.Envelope.Stats.intercepted)
+
+let passthrough env = Kernel.Uspace.htg_trap env
+
+let all_numbers = List.init (Sysno.max_sysno + 1) Fun.id
+
+let test_out_of_range_numbers () =
+  (* numbers outside the handler table fail the range check: they go
+     to the kernel, which knows no such call, even when every number in
+     the table has a handler *)
+  let results = ref [] in
+  let d =
+    counter_window
+      ~install:(fun () ->
+        Kernel.Uspace.task_set_emulation ~numbers:all_numbers
+          (Some passthrough))
+      (fun () ->
+        results :=
+          List.map
+            (fun num -> Kernel.Uspace.trap_wire { Value.num; args = [||] })
+            [ -1; Sysno.max_sysno + 1 ])
+  in
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) "ENOSYS" true (r = Error Errno.ENOSYS))
+    !results;
+  Alcotest.(check int) "both took the fast path" 2 d.Envelope.Stats.fast_path;
+  Alcotest.(check int) "no handler ran" 0 d.Envelope.Stats.intercepted
+
+(* Model property for the one handler table.  Ops set and clear
+   handlers over numbers that run past both ends of the table, capture
+   a downlink, fork, and exec with [keep_emulation]; after every op,
+   [task_get_emulation n] and [Downlink.captured_handler] agree with a
+   model map for every number.  On fork, the parent then flips every
+   slot of its own table while the child waits on a pipe: the child's
+   table must still match the model as it was at the fork. *)
+module Model = Map.Make (Int)
+
+let handlers = Array.init 3 (fun i env -> ignore i; passthrough env)
+
+let same got expect =
+  match (got, expect) with
+  | None, None -> true
+  | Some f, Some i -> f == handlers.(i)
+  | Some _, None | None, Some _ -> false
+
+let in_table n = n >= 0 && n <= Sysno.max_sysno
+
+let table_matches model =
+  List.for_all
+    (fun n -> same (Kernel.Uspace.task_get_emulation n) (Model.find_opt n model))
+    (List.init (Sysno.max_sysno + 5) (fun i -> i - 2))
+
+let downlink_matches dl model =
+  List.for_all
+    (fun n ->
+      same (Toolkit.Downlink.captured_handler dl n) (Model.find_opt n model))
+    (List.init (Sysno.max_sysno + 5) (fun i -> i - 2))
+
+let set_in model numbers v =
+  List.fold_left
+    (fun m n ->
+      if not (in_table n) then m
+      else match v with Some i -> Model.add n i m | None -> Model.remove n m)
+    model numbers
+
+(* the parent's post-fork write: every empty slot gets handler 2, every
+   filled slot is cleared *)
+let flip model =
+  let filled, empty = List.partition (fun n -> Model.mem n model) all_numbers in
+  Kernel.Uspace.task_set_emulation ~numbers:empty (Some handlers.(2));
+  Kernel.Uspace.task_set_emulation ~numbers:filled None;
+  set_in Model.empty empty (Some 2)
+
+let fork_keeps_table model =
+  let r, w = check_ok "pipe" (Libc.Unistd.pipe ()) in
+  let pid =
+    check_ok "fork"
+      (Libc.Unistd.fork ~child:(fun () ->
+           ignore (Libc.Unistd.read r (Bytes.create 1) 1);
+           if table_matches model then 0 else 1))
+  in
+  let model' = flip model in
+  ignore (Libc.Unistd.write w "x");
+  let _, st = check_ok "wait" (Libc.Unistd.waitpid pid 0) in
+  ignore (Libc.Unistd.close r);
+  ignore (Libc.Unistd.close w);
+  (Flags.Wait.wexitstatus st = 0, model')
+
+let table_follows_model ops =
+  let ok = ref true in
+  let dl = Toolkit.Downlink.create () in
+  let rec run model captured ops =
+    if not (table_matches model && downlink_matches dl captured) then
+      ok := false;
+    match ops with
+    | [] -> 0
+    | (kind, h, numbers) :: rest ->
+      let model, captured =
+        match kind with
+        | 0 ->
+          Kernel.Uspace.task_set_emulation ~numbers (Some handlers.(h));
+          (set_in model numbers (Some h), captured)
+        | 1 ->
+          Kernel.Uspace.task_set_emulation ~numbers None;
+          (set_in model numbers None, captured)
+        | 2 ->
+          Toolkit.Downlink.capture dl ~numbers;
+          ( model,
+            List.fold_left
+              (fun c n ->
+                if not (in_table n) then c
+                else match Model.find_opt n model with
+                  | Some i -> Model.add n i c
+                  | None -> Model.remove n c)
+              captured numbers )
+        | 3 ->
+          let child_ok, model' = fork_keeps_table model in
+          if not child_ok then ok := false;
+          (model', captured)
+        | _ ->
+          Kernel.Uspace.exec_load
+            { Kernel.Events.exec_name = "model";
+              exec_body = (fun () -> run model captured rest);
+              keep_emulation = true }
+      in
+      run model captured rest
+  in
+  let _, status = boot (fun () -> run Model.empty Model.empty ops) in
   exit_code status = 0 && !ok
 
-let test_bitmap_matches_vector =
-  QCheck.Test.make ~name:"bitmap mirrors handler vector (incl. fork)"
+let test_table_model =
+  QCheck.Test.make ~name:"handler table follows model"
     ~count:30
     QCheck.(
       small_list
-        (pair small_nat (small_list (int_bound (Sysno.max_sysno + 4)))))
-    consistency_after_ops
+        (triple (int_bound 4) (int_bound 2)
+           (small_list (int_range (-2) (Sysno.max_sysno + 2)))))
+    table_follows_model
 
 let () =
   Alcotest.run "toolkit"
@@ -545,6 +635,7 @@ let () =
           test_fast_path_uninterested;
         Alcotest.test_case "interested traps" `Quick
           test_fast_path_interested;
-        Alcotest.test_case "interested traps (generic)" `Quick
-          test_fast_path_interested_generic;
-        qtest test_bitmap_matches_vector ] ]
+        Alcotest.test_case "counter identity" `Quick test_counter_identity;
+        Alcotest.test_case "out-of-range numbers" `Quick
+          test_out_of_range_numbers;
+        qtest test_table_model ] ]
