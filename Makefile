@@ -1,4 +1,4 @@
-.PHONY: all check test lint-globals bench-smoke bench-host bench-causal bench-net clean
+.PHONY: all check test lint-globals lint-exports bench-smoke bench-host bench-causal bench-net clean
 
 all:
 	dune build @all
@@ -39,7 +39,7 @@ test:
 # in both fork-per-connection and prefork modes with zero request
 # errors, monotone latency percentiles, no stack faster than bare, and
 # a byte-reproducible two-sweep matrix in BENCH_net.json.
-check: all test lint-globals bench-smoke
+check: all test lint-globals lint-exports bench-smoke
 
 # The wall-clock harness alone (ns/trap, traps/sec, GC deltas; writes
 # BENCH_hostspeed.json).  Numbers are machine-dependent; the gates are
@@ -53,6 +53,13 @@ bench-host:
 # (tools/globals_allowlist.txt).
 lint-globals:
 	tools/lint_globals.sh
+
+# Every `val` in lib/**/*.mli has a caller outside its own module in
+# lib/, bin/, bench/, perf/ or examples/, or a reason in
+# tools/exports_allowlist.txt (test hooks, the modelled ABI's
+# constants); stale allowlist lines fail too.
+lint-exports:
+	tools/lint_exports.sh
 
 bench-smoke:
 	dune exec bench/main.exe -- ablations faults conformance netbench smoke scale hostspeed causal

@@ -32,10 +32,6 @@ let clear t i =
           land lnot (1 lsl (i land 7))))
   end
 
-let assign t i present = if present then set t i else clear t i
-
-let copy t = { bits = Bytes.copy t.bits; len = t.len }
-
 let clear_all t = Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
 
 let equal a b = a.len = b.len && Bytes.equal a.bits b.bits

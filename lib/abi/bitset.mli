@@ -15,12 +15,6 @@ val mem : t -> int -> bool
 val set : t -> int -> unit
 val clear : t -> int -> unit
 
-val assign : t -> int -> bool -> unit
-(** [assign t i present]: {!set} when [present], {!clear} otherwise. *)
-
-val copy : t -> t
-(** Fresh storage. *)
-
 val clear_all : t -> unit
 val equal : t -> t -> bool
 val is_empty : t -> bool

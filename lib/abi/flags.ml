@@ -16,7 +16,7 @@ module Open = struct
   let writable f =
     match accmode f with 1 | 2 -> true | _ -> false
 
-  let pp ppf f =
+  let to_string f =
     let acc =
       match accmode f with
       | 0 -> "O_RDONLY"
@@ -33,7 +33,9 @@ module Open = struct
            (fun (bit, n) -> if f land bit <> 0 then Some n else None)
            opt
     in
-    Format.pp_print_string ppf (String.concat "|" parts)
+    String.concat "|" parts
+
+  let pp ppf f = Format.pp_print_string ppf (to_string f)
 end
 
 module Mode = struct

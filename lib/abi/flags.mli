@@ -18,7 +18,13 @@ module Open : sig
 
   val readable : int -> bool
   val writable : int -> bool
+  val to_string : int -> string
+  (** The access mode and every set option bit as [O_*] names joined
+      by ['|'], e.g. ["O_WRONLY|O_CREAT|O_TRUNC"]; other bits are not
+      shown. *)
+
   val pp : Format.formatter -> int -> unit
+  (** Prints [to_string]. *)
 end
 
 (** [st_mode] bits. *)

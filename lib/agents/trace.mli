@@ -10,24 +10,51 @@
     Trace output is not buffered across calls, so it survives the
     client being killed.
 
-    Each event is built as an [Obs.Span.call] record and formatted by
-    [Obs.Span.call_line] — the same record is appended to the [Obs]
-    flight recorder when tracing is enabled, so [agentrun --agent
-    trace] text and [--trace-out] JSONL are two renderings of one
-    stream.
+    Each line is rendered once, straight into one [Buffer.t] owned by
+    the agent, by the {!Render} helpers (no [Printf]), and written
+    with one [Buffer.contents].  Each call line is
+    [Obs.Span.call_line] of an [Obs.Span.call] record; when obs is
+    enabled that record is also built and appended to the flight
+    recorder, so [agentrun --agent trace] text and [--trace-out] JSONL
+    are two renderings of one stream.  A return line ends in [" [rewritten]"] when a layer below
+    rewrote the call in flight, which obs tracks only while enabled.
+
+    Buffer arguments print as [0x<n>[<length>]], where [<n>] is an
+    ordinal (in hex) that advances whenever the buffer is not
+    physically the previous one seen by this agent.  It reads no
+    contents, since a read buffer is uninitialised at entry, so a
+    trace is byte-identical from run to run.
 
     Declared delta: none — tracing is pure observation, and the
     conformance checker holds it to that (the trace descriptor's
     writes are agent-originated, so they never enter the client's
     syscall signature). *)
 
+(** The argument renderers.  Each appends one argument to the line
+    under construction and returns the buffer, so an entry line is
+    one pipeline, e.g.
+    [self#call "read" |> int fd |> self#bytes buf |> int cnt].  A
+    [", "] separator goes first unless the buffer is empty or ends in
+    ['(']. *)
+module Render : sig
+  val int : int -> Buffer.t -> Buffer.t
+  (** As [Printf "%d"]. *)
+
+  val octal : int -> Buffer.t -> Buffer.t
+  (** As [Printf "0%o"]. *)
+
+  val hex : int -> Buffer.t -> Buffer.t
+  (** As [Printf "0x%x"]. *)
+
+  val str : string -> Buffer.t -> Buffer.t
+  (** As [Printf "%S"]. *)
+end
+
 class agent : object
   inherit Toolkit.symbolic_syscall
 
   method set_output : int -> unit
   (** Trace to this descriptor (default 2). *)
-
-  method calls_traced : int
 end
 
 val create : ?fd:int -> unit -> agent

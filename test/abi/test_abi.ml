@@ -125,6 +125,25 @@ let test_open_flags () =
   Alcotest.(check bool) "wronly" true
     Flags.Open.(writable o_wronly && not (readable o_wronly))
 
+(* every access mode with every subset of the option bits: the access
+   mode's name, then each set option in bit order; [pp] prints the same *)
+let test_open_flag_names () =
+  let opts =
+    Flags.Open.
+      [ (o_nonblock, "O_NONBLOCK"); (o_append, "O_APPEND"); (o_creat, "O_CREAT");
+        (o_trunc, "O_TRUNC"); (o_excl, "O_EXCL") ]
+  in
+  let accs = [| "O_RDONLY"; "O_WRONLY"; "O_RDWR"; "O_BADACC" |] in
+  for acc = 0 to 3 do
+    for subset = 0 to 31 do
+      let chosen = List.filteri (fun i _ -> subset land (1 lsl i) <> 0) opts in
+      let f = List.fold_left (fun f (bit, _) -> f lor bit) acc chosen in
+      let expect = String.concat "|" (accs.(acc) :: List.map snd chosen) in
+      Alcotest.(check string) "to_string" expect (Flags.Open.to_string f);
+      Alcotest.(check string) "pp" expect (Format.asprintf "%a" Flags.Open.pp f)
+    done
+  done
+
 (* --- dirent codec --------------------------------------------------------------- *)
 
 let name_gen = QCheck.(string_of_size Gen.(1 -- 60))
@@ -734,18 +753,17 @@ let test_bitset_bounds () =
 let test_bitset_ops () =
   let b = Bitset.create 40 in
   List.iter (Bitset.set b) [ 0; 7; 8; 39 ];
-  Bitset.assign b 7 false;
-  Bitset.assign b 9 true;
+  Bitset.clear b 7;
+  Bitset.set b 9;
   Alcotest.(check (list int)) "members" [ 0; 8; 9; 39 ] (Bitset.to_list b);
   Alcotest.(check int) "cardinal" 4 (Bitset.cardinal b);
-  let c = Bitset.copy b in
+  let c = Bitset.create 40 in
+  List.iter (Bitset.set c) [ 0; 8; 9 ];
   Bitset.clear b 39;
-  Alcotest.(check bool) "copy is independent" true (Bitset.mem c 39);
   Alcotest.(check bool) "cleared" false (Bitset.mem b 39);
+  Alcotest.(check bool) "equal on equal contents" true (Bitset.equal b c);
   Bitset.clear_all c;
-  Alcotest.(check bool) "clear_all empties" true (Bitset.is_empty c);
-  Alcotest.(check bool) "equal on equal contents" true
-    (Bitset.equal b (Bitset.copy b))
+  Alcotest.(check bool) "clear_all empties" true (Bitset.is_empty c)
 
 let test_bitset_model =
   QCheck.Test.make ~name:"bitset matches reference set" ~count:200
@@ -755,7 +773,7 @@ let test_bitset_model =
       let m = Hashtbl.create 16 in
       List.iter
         (fun (present, i) ->
-          Bitset.assign b i present;
+          (if present then Bitset.set else Bitset.clear) b i;
           if i >= 0 && i < 64 then
             if present then Hashtbl.replace m i () else Hashtbl.remove m i)
         ops;
@@ -820,7 +838,8 @@ let () =
       [ qtest test_wait_exit; qtest test_wait_signal; qtest test_wait_stop ];
       "mode",
       [ Alcotest.test_case "ls strings" `Quick test_ls_string;
-        Alcotest.test_case "open flags" `Quick test_open_flags ];
+        Alcotest.test_case "open flags" `Quick test_open_flags;
+        Alcotest.test_case "open flag names" `Quick test_open_flag_names ];
       "dirent",
       [ qtest test_dirent_roundtrip;
         qtest test_dirent_list_roundtrip;

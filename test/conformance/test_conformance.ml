@@ -446,6 +446,60 @@ let test_agent_deltas_declared () =
        (Agents.Record_replay.create_replayer ~journal:""
          :> Toolkit.Numeric.numeric_syscall))
 
+(* --- one stream ------------------------------------------------------------ *)
+
+(* The trace agent's text and the flight recorder's call records are
+   two renderings of one stream (trace.mli): under the full stack, on
+   a workload whose /vault traffic crypt rewrites, the text log must be
+   the ring's [Call] records rendered by [call_line], line for line. *)
+let test_trace_text_is_ring () =
+  let open Tharness in
+  let was = Obs.sampling () in
+  Obs.set_sampling 1;
+  Obs.configure ~ring_capacity:(1 lsl 16) ();
+  Obs.reset ();
+  Obs.enable ();
+  let text, records, dropped, status =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.disable ();
+        Obs.set_sampling was;
+        Obs.configure ())
+      (fun () ->
+        let k, status =
+          boot (fun () ->
+            let agents = Conformance.stacked.Conformance.sk_make () in
+            (* the stack's trace sink is the top descriptor: point it at a file *)
+            let log =
+              check_ok "open log"
+                (Libc.Unistd.open_ "/tmp/trace.log" Flags.Open.(o_wronly lor o_creat) 0o644)
+            in
+            ignore (check_ok "dup2" (Libc.Unistd.dup2 log (Libc.Unistd.getdtablesize () - 1)));
+            ignore (Libc.Unistd.close log);
+            List.iter (fun a -> Toolkit.Loader.install a ~argv:[||]) agents;
+            Obs.reset ();
+            ignore (check_ok "mkdir" (Libc.Unistd.mkdir "/vault" 0o755));
+            ignore (check_ok "write" (Libc.Stdio.write_file "/vault/secret" "attack at dawn"));
+            let back = check_ok "read" (Libc.Stdio.read_file "/vault/secret") in
+            ignore (Libc.Unistd.stat "/vault/none");
+            if back = "attack at dawn" then 0 else 1)
+        in
+        (read_file_exn k "/tmp/trace.log", Obs.records (), Obs.dropped (), status))
+  in
+  check_exit "session" 0 status;
+  Alcotest.(check int) "ring kept everything" 0 dropped;
+  let ring =
+    List.filter_map
+      (function Obs.Span.Call c -> Some (Obs.Span.call_line c ^ "\n") | _ -> None)
+      records
+  in
+  let lines = String.split_on_char '\n' text |> List.filter (( <> ) "") in
+  Alcotest.(check bool) "crypt rewrites are flagged" true
+    (List.exists (String.ends_with ~suffix:" [rewritten]") lines);
+  Alcotest.(check (list string)) "text is the ring's call lines"
+    (List.map (fun l -> l ^ "\n") lines) ring;
+  Alcotest.(check string) "byte for byte" text (String.concat "" ring)
+
 let () =
   Alcotest.run "conformance"
     [
@@ -486,6 +540,8 @@ let () =
           Alcotest.test_case "stack specs" `Quick test_of_spec;
           Alcotest.test_case "agents declare their deltas" `Quick
             test_agent_deltas_declared;
+          Alcotest.test_case "trace text is the ring" `Quick
+            test_trace_text_is_ring;
         ] );
       ( "remap",
         [
