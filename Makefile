@@ -1,4 +1,4 @@
-.PHONY: all check test lint-globals lint-exports bench-smoke bench-host bench-causal bench-net clean
+.PHONY: all check test lint-globals lint-exports bench-gates bench-golden bench-causal bench-net clean
 
 all:
 	dune build @all
@@ -6,46 +6,10 @@ all:
 test:
 	dune runtest
 
-# Tier-1 verification plus a bench smoke run, so the benchmark harness
-# (and the ablation tables it prints) cannot bit-rot silently.  The
-# `smoke` section exits nonzero if tracing-off getpid regresses >10%
-# against the recorded baseline, if per-layer attribution stops agreeing
-# with the global codec counters, or if BENCH_*.json is malformed.  The
-# `faults` section is the campaign gate: a site x errno sweep over
-# scribe and make where every run must classify, BENCH_faults.json must
-# validate, and the seeded failing case must replay byte-identically
-# from its repro bundle.  The `conformance` section is the transparency
-# gate: every workload runs bare and under each declared agent stack,
-# the syscall signatures must agree modulo the stack's declared delta,
-# the seeded undeclared mutation must be flagged naming the first
-# diverging call, and BENCH_conformance.json must validate.  The
-# `scale` section is the sharding gate:
-# 1/2/4/8 kernel shards over 2048 mixed-syscall processes must balance,
-# reproduce byte-identically, and keep the 1-shard stacked-getpid
-# baseline (DESIGN.md 3.6); BENCH_scale.json must validate.  The
-# `hostspeed` section is the raw-speed gate (DESIGN.md 3.8): the
-# trap counters must prove every trap took the expected path (depth 0:
-# all fast_path; depth >= 1: all intercepted), envelope pooling must
-# keep minor words/trap below the PR 3 wires-only baselines, and
-# BENCH_hostspeed.json must validate.  The `causal` section
-# is the observability gate (DESIGN.md 3.9): fork/signal/pipe edge
-# tables and slices must reproduce byte-identically (incl. cross-shard
-# signal mail over 2 shards), chrome flow events must bind balanced,
-# flame folds must conserve segment self time, the live stream cursor
-# must deliver every record exactly once, the watchdogs block must trip
-# honestly, and all eight BENCH_*.json files must pass the one shared
-# schema validator.  The `netbench` section is the socket gate: the kvd
-# key-value server must serve all 1000 clients under every agent stack
-# in both fork-per-connection and prefork modes with zero request
-# errors, monotone latency percentiles, no stack faster than bare, and
-# a byte-reproducible two-sweep matrix in BENCH_net.json.
-check: all test lint-globals lint-exports bench-smoke
-
-# The wall-clock harness alone (ns/trap, traps/sec, GC deltas; writes
-# BENCH_hostspeed.json).  Numbers are machine-dependent; the gates are
-# ratios and counter proofs, so they hold anywhere.
-bench-host:
-	dune exec bench/main.exe -- hostspeed
+# Tier-1 verification, the two lints, and every bench gate with its
+# documents diffed against the committed goldens (DESIGN.md 3.8,
+# "The gates").
+check: all test lint-globals lint-exports bench-gates
 
 # No new module-level mutable state in lib/ outside the shard handle:
 # everything a kernel owns lives in the Kstate record, and the only
@@ -61,8 +25,20 @@ lint-globals:
 lint-exports:
 	tools/lint_exports.sh
 
-bench-smoke:
-	dune exec bench/main.exe -- ablations faults conformance netbench smoke scale hostspeed causal
+# Every gate section, run in a scratch directory; any drifted, missing
+# or extra BENCH_*.json fails the diff.  After an intended change,
+# refresh the goldens with `make bench-golden` and commit the diff.
+bench-gates:
+	dune build ./bench/main.exe
+	out=$$(mktemp -d) && \
+	  (cd $$out && $(CURDIR)/_build/default/bench/main.exe gates) && \
+	  diff -r $$out bench/golden; \
+	  status=$$?; rm -rf $$out; exit $$status
+
+bench-golden:
+	dune build ./bench/main.exe
+	rm -f bench/golden/BENCH_*.json
+	cd bench/golden && $(CURDIR)/_build/default/bench/main.exe gates
 
 # The socket-workload gate alone (kvd under agent stacks, both server
 # modes; writes BENCH_net.json).

@@ -32,18 +32,20 @@ let print_table ~headers rows =
   List.iter print_row rows;
   line '-'
 
-(* Machine-readable companion to the human tables: BENCH_<name>.json in
-   the current directory (the repo root under `make bench`, _build when
-   run via dune exec). *)
-let write_json ~name json =
-  let path = Printf.sprintf "BENCH_%s.json" name in
-  let oc = open_out path in
+(* A gate's document: BENCH_<stem>.json in the current directory, one
+   top-level field (and one element of each top-level array) per line
+   so a diff against the golden copy names the row that moved.
+   Returns the path. *)
+let write_json ~stem json =
+  let path = Printf.sprintf "BENCH_%s.json" stem in
+  let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc (Obs.Json.to_string json);
+      output_string oc (Obs.Json.to_lines json);
       output_char oc '\n');
-  Printf.printf "[json] wrote %s\n" path
+  Printf.printf "[json] wrote %s\n" path;
+  path
 
 (* --- BENCH_*.json schema checking ------------------------------------------ *)
 
@@ -128,26 +130,22 @@ module Schema = struct
         (Ok ()) fields
 end
 
-(* Re-read a BENCH_*.json from disk and validate it against [schema];
-   absent files are skipped (sections may run alone), everything else
-   reports through [fail]. *)
-let validate_file ~tag ~fail path schema =
-  if not (Sys.file_exists path) then
-    Printf.printf "[%s] %s: absent, skipped\n" tag path
-  else begin
-    let ic = open_in_bin path in
-    let content =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Obs.Json.of_string (String.trim content) with
-    | Error e -> fail (Printf.sprintf "%s: malformed JSON: %s" path e)
-    | Ok json ->
-      (match Schema.validate schema json with
-       | Error e -> fail (Printf.sprintf "%s: schema: %s" path e)
-       | Ok () -> Printf.printf "[%s] %s: schema ok\n" tag path)
-  end
+(* Re-read a BENCH_*.json from disk and validate it against [schema]. *)
+let validate_file path schema =
+  let ic = open_in_bin path in
+  let content =
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  match Obs.Json.of_string (String.trim content) with
+  | Error e -> Error (Printf.sprintf "%s: malformed JSON: %s" path e)
+  | Ok json ->
+    (match Schema.validate schema json with
+     | Error e -> Error (Printf.sprintf "%s: schema: %s" path e)
+     | Ok () ->
+       Printf.printf "%s: schema ok\n" path;
+       Ok ())
 
 let pct base v =
   if base <= 0.0 then "-"

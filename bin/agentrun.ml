@@ -206,7 +206,30 @@ let write_host_file path content =
 
 (* --- observability reporting ----------------------------------------------- *)
 
-let print_metrics k =
+(* Host-side baselines taken when the kernel is created: process CPU
+   time and GC counters.  Both are process-wide, so the per-trap
+   figures derived from them are estimates, exact when one kernel
+   dominates the process, as it does here. *)
+type host_t0 = {
+  cpu_s : float;
+  minor_words : float;
+  promoted_words : float;
+  major_collections : int;
+}
+
+let host_start () =
+  let q = Gc.quick_stat () in
+  { cpu_s = Sys.time ();
+    (* [Gc.minor_words] reads the live allocation pointer;
+       [quick_stat]'s field lags until the next minor collection *)
+    minor_words = Gc.minor_words ();
+    promoted_words = q.Gc.promoted_words;
+    major_collections = q.Gc.major_collections }
+
+(* process CPU since kernel creation *)
+let host_cpu_s h0 = Sys.time () -. h0.cpu_s
+
+let print_metrics k h0 =
   let m = Kernel.metrics k in
   let n = m.Obs.m_sample_n in
   Printf.eprintf
@@ -258,15 +281,24 @@ let print_metrics k =
   (* host-side cost of the run: wall-clock and GC figures, the one
      deliberately non-deterministic block (everything above is virtual
      time and exact counts) *)
-  let h = Kernel.host_stats k in
-  if h.Kernel.h_traps > 0 then
+  let traps = (Kernel.codec_stats k).Envelope.Stats.traps in
+  if traps > 0 then begin
+    let q = Gc.quick_stat () in
+    let cpu = host_cpu_s h0 in
+    let per n = n /. float_of_int traps in
+    let ep = Kernel.env_pool_stats k in
+    let taken = ep.Envelope.Pool.Stats.hits + ep.Envelope.Pool.Stats.misses in
     Printf.eprintf
       "[host] %d trap(s) in %.3fs host CPU: %.0f ns/trap, %.1f minor \
        words/trap, %.0f promoted, %d major GC(s); env pool %.0f%% hit\n"
-      h.Kernel.h_traps h.Kernel.h_cpu_s h.Kernel.h_ns_per_trap
-      h.Kernel.h_minor_words_per_trap h.Kernel.h_promoted_words
-      h.Kernel.h_major_collections
-      (100. *. h.Kernel.h_env_pool_hit_rate)
+      traps cpu (per (cpu *. 1e9))
+      (per (Gc.minor_words () -. h0.minor_words))
+      (q.Gc.promoted_words -. h0.promoted_words)
+      (q.Gc.major_collections - h0.major_collections)
+      (if taken = 0 then 100.
+       else 100. *. float_of_int ep.Envelope.Pool.Stats.hits
+            /. float_of_int taken)
+  end
 
 (* --- fault campaigns --------------------------------------------------------- *)
 
@@ -466,6 +498,7 @@ let run agents setups stats feed record replay metrics trace_out trace_format
       Obs.enable ()
     end;
     let k = Kernel.create () in
+    let h0 = host_start () in
     Kernel.populate_standard k;
     Workloads.Progs.install_all k;
     Workloads.Scribe.register k;
@@ -631,9 +664,8 @@ let run agents setups stats feed record replay metrics trace_out trace_format
             | "host" ->
               (* reweight virtual µs by measured host ns per virtual
                  µs: the same stacks, at raw-machine cost *)
-              let h = Kernel.host_stats k in
               let tot = Obs.Flame.total folds in
-              if tot > 0 then h.Kernel.h_cpu_s *. 1e9 /. float_of_int tot
+              if tot > 0 then host_cpu_s h0 *. 1e9 /. float_of_int tot
               else 1.0
             | _ -> 1.0
           in
@@ -648,7 +680,7 @@ let run agents setups stats feed record replay metrics trace_out trace_format
               (List.length folds) flame_weight flame
         end
       end;
-      if metrics then print_metrics k
+      if metrics then print_metrics k h0
     end;
     (* watchdog verdicts come last: a trip turns an otherwise clean
        exit into failure, so CI gates can watch exit codes alone *)

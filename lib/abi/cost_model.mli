@@ -47,14 +47,6 @@ val agent_fork_extra_us : int
 val agent_execve_extra_us : int
 (** Ditto for the toolkit's from-scratch [execve] (§3.5.1.2). *)
 
-val io_chunk_bytes : int
-val io_chunk_us : int
-(** Data-dependent I/O cost: each started chunk of [io_chunk_bytes]
-    transferred by read/write costs [io_chunk_us]. *)
-
-val namei_component_us : int
-(** Pathname translation cost per component. *)
-
 val path_components : string -> int
 (** Number of non-["."] components in a path (used for namei cost). *)
 

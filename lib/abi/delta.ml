@@ -38,5 +38,3 @@ let clause_to_string = function
 let to_string = function
   | [] -> "none"
   | clauses -> String.concat "; " (List.map clause_to_string clauses)
-
-let pp fmt d = Format.pp_print_string fmt (to_string d)

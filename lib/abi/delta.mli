@@ -51,5 +51,3 @@ val compose : t list -> t
 val to_string : t -> string
 (** ["none"] or ["; "]-joined clauses, syscall numbers rendered via
     [Sysno.name]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -20,15 +20,6 @@ let zero = {
   st_ctime = 0; st_blksize = 512; st_blocks = 0;
 }
 
-let kind_char t =
-  match Flags.Mode.kind_bits t.st_mode with
-  | k when k = Flags.Mode.ifdir -> 'd'
-  | k when k = Flags.Mode.iflnk -> 'l'
-  | k when k = Flags.Mode.ifchr -> 'c'
-  | k when k = Flags.Mode.ififo -> 'p'
-  | k when k = Flags.Mode.ifsock -> 's'
-  | _ -> '-'
-
 let pp ppf t =
   Format.fprintf ppf
     "{ino=%d mode=%s nlink=%d uid=%d gid=%d size=%d mtime=%d}"

@@ -18,8 +18,4 @@ type t = {
 
 val zero : t
 
-val kind_char : t -> char
-(** One-character kind, as in ls(1): ['-'], ['d'], ['l'], ['c'], ['p'],
-    ['s']. *)
-
 val pp : Format.formatter -> t -> unit

@@ -132,13 +132,6 @@ let descriptor_calls =
     sys_bind; sys_listen; sys_accept; sys_connect; sys_send; sys_recv;
     sys_shutdown ]
 
-(* The socket surface as a set: what a connection-aware agent (or a
-   fault campaign targeting the accept/recv/send path) registers
-   interest in. *)
-let socket_calls =
-  [ sys_socket; sys_bind; sys_listen; sys_accept; sys_connect;
-    sys_send; sys_recv; sys_shutdown ]
-
 let uses_pathname n = List.mem n pathname_calls
 let uses_descriptor n = List.mem n descriptor_calls
 

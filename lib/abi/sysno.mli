@@ -100,7 +100,6 @@ val is_valid : int -> bool
 val uses_pathname : int -> bool
 val uses_descriptor : int -> bool
 
-val pathname_calls : int list
 val descriptor_calls : int list
 
 val file_calls : int list
@@ -108,8 +107,3 @@ val file_calls : int list
     the interest set for agents that care about files and nothing
     else, so [register_interest] stays the cheap path rather than a
     blanket [register_interest_all]. *)
-
-val socket_calls : int list
-(** The socket surface (socket/bind/listen/accept/connect/send/recv/
-    shutdown) — the interest set for connection-aware agents and the
-    site family connection-level fault campaigns sweep. *)

@@ -13,9 +13,6 @@
     change under the protected subtrees; counts, outcomes and shapes
     are untouched. *)
 
-val keystream_byte : key:int -> pos:int -> int
-(** The keystream octet at a file position (exposed for tests). *)
-
 val transform : key:int -> pos:int -> Bytes.t -> off:int -> len:int -> unit
 (** XOR a buffer region in place with the keystream starting at file
     position [pos].  Involutive: applying it twice restores the

@@ -56,9 +56,4 @@ let install ?(cost_us = 18) kernel =
              :: t.collected));
   t
 
-let uninstall kernel = Kernel.set_trace_hook kernel None
-
 let records t = List.rev t.collected
-
-let dump t =
-  String.concat "" (List.map Dfs_record.encode (records t))

@@ -15,10 +15,5 @@ val install : ?cost_us:int -> Kernel.t -> t
 (** Attach to the kernel's trace hook.  [cost_us] defaults to 18 µs per
     observed call (in-kernel bookkeeping). *)
 
-val uninstall : Kernel.t -> unit
-
 val records : t -> Dfs_record.t list
 (** Records collected so far, in order. *)
-
-val dump : t -> string
-(** The encoded trace, identical in format to the agent's log file. *)

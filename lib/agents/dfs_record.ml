@@ -139,7 +139,3 @@ let parse line =
 
 let parse_all content =
   String.split_on_char '\n' content |> List.filter_map parse
-
-let pp ppf t =
-  Format.fprintf ppf "#%d pid=%d t=%dus %s(%s) -> %d" t.serial t.pid
-    t.time_us (op_name t.op) t.path t.result

@@ -49,5 +49,3 @@ val parse : string -> t option
 
 val parse_all : string -> t list
 (** Parse a whole trace file, skipping malformed lines. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,5 +1,3 @@
-let worst_case_len n = n + (n / 128) + 1
-
 let encode s =
   let n = String.length s in
   let out = Buffer.create (n / 2) in

@@ -8,6 +8,3 @@
 val encode : string -> string
 val decode : string -> (string, string) result
 (** [Error msg] on a malformed stream. *)
-
-val worst_case_len : int -> int
-(** Upper bound on encoded size for an input of the given length. *)

@@ -247,8 +247,6 @@ let diff ~bare ~under =
   in
   go 0 bare.sg_events under.sg_events
 
-let equal a b = diff ~bare:a ~under:b = None
-
 (* --- per-process differencing --------------------------------------------- *)
 
 (* A concurrent workload's global interleaving is scheduler state, not

@@ -53,14 +53,10 @@ val counts : t -> ((int * string * outcome) * int) list
     [[seq,pid,sysno,"shape","outcome"],...]}].  Round-trips exactly
     (qcheck-verified). *)
 
-val to_json : t -> Obs.Json.t
-val of_json : Obs.Json.t -> (t, string) result
 val to_string : t -> string
 val of_string : string -> (t, string) result
 
 val outcome_name : outcome -> string
-val outcome_of_name : string -> outcome option
-val event_to_string : event -> string
 
 (** {1 Normalization}
 
@@ -92,13 +88,6 @@ val diff : bare:t -> under:t -> divergence option
     the signatures agree call-for-call.  The first mismatch — or the
     point where one stream ends — is returned with both sides'
     events. *)
-
-val equal : t -> t -> bool
-(** [diff ~bare:s ~under:s = None] for every [s]. *)
-
-val by_pid : t -> (int * t) list
-(** The signature split into per-process streams (event order
-    preserved within each), sorted by pid. *)
 
 val diff_processes : bare:t -> under:t -> divergence option
 (** {!diff} applied per process: each pid's stream is compared in

@@ -34,11 +34,6 @@ type trace = {
   tr_lines : int;            (** lines recognized as syscalls *)
 }
 
-val native_of_linux : string -> int option
-(** The Linux-name → native-sysno table ([openat] → [open],
-    [getdents64] → [getdirentries], [clock_gettime] → [gettimeofday],
-    …). *)
-
 val parse : string -> trace
 
 val to_signature : ?pid:int -> trace -> Signature.t

@@ -10,9 +10,6 @@
     on incoming signals, initialises the agent, and finally execs the
     unmodified application. *)
 
-val minimum_interests : int list
-(** fork, execve, exit. *)
-
 val install : #Numeric.numeric_syscall -> argv:string array -> unit
 (** Install in the calling process.  Installing a second agent stacks
     it above the first. *)

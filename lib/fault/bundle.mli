@@ -18,10 +18,6 @@ type t = {
   b_journal : string;
 }
 
-val digest : string -> string
-(** 64-bit FNV-1a, hex — the byte-identity check used in bundles (an
-    integrity fingerprint, not cryptography). *)
-
 val of_run : workload:string -> Campaign.run -> t
 
 val to_string : t -> string

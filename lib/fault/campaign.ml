@@ -158,10 +158,8 @@ let default_candidates =
 let default_errnos = [ Errno.EIO; Errno.ENOENT; Errno.EINTR ]
 
 (* connection-level sites: faults on the server/client rendezvous path
-   of a socket workload, paired with the errnos a network stack
-   actually produces there *)
+   of a socket workload *)
 let conn_candidates = [ Sysno.sys_accept; Sysno.sys_recv; Sysno.sys_send ]
-let conn_errnos = [ Errno.ECONNRESET; Errno.EINTR; Errno.EIO ]
 
 type baseline = {
   b_run : run;

@@ -61,18 +61,12 @@ val clean_run : ?mode:mode -> workload -> run
 (** The fault-free run (classified against itself: always
     [Tolerated]).  Default mode [Bare]. *)
 
-val default_candidates : int list
-(** read, write, open, stat. *)
-
 val default_errnos : Abi.Errno.t list
 (** EIO, ENOENT, EINTR. *)
 
 val conn_candidates : int list
 (** accept, recv, send — the connection-level sites of a socket
     workload. *)
-
-val conn_errnos : Abi.Errno.t list
-(** ECONNRESET, EINTR, EIO. *)
 
 type baseline = {
   b_run : run;              (** the fault-free run, [Record]ed *)

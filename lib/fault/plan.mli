@@ -11,9 +11,6 @@
     [ [pid@]sysname[#k]=fail:ERRNO|delay:US[;...] ], e.g.
     ["read#3=fail:EIO;2@write=delay:500"]. *)
 
-val action_to_string : Agents.Faultinject.action -> string
-val action_of_string : string -> Agents.Faultinject.action option
-
 val site_to_string : Agents.Faultinject.site -> string
 val site_of_string : string -> Agents.Faultinject.site option
 
@@ -23,7 +20,6 @@ val to_string : Agents.Faultinject.site list -> string
 val of_string : string -> (Agents.Faultinject.site list, string) result
 (** Inverse of {!to_string}; blank lines and [#] comments skipped. *)
 
-val site_of_spec : string -> Agents.Faultinject.site option
 val of_spec : string -> (Agents.Faultinject.site list, string) result
 (** Parse the command-line plan spec (sites separated by [;]). *)
 

@@ -69,17 +69,6 @@ let inode t =
   | Vnode i | Fifo_read (i, _) | Fifo_write (i, _) -> Some i
   | Pipe_read _ | Pipe_write _ | Sock _ -> None
 
-(* The established connection behind a socket descriptor, if any. *)
-let conn_of t =
-  match t.kind with
-  | Sock { sock = S_conn c } -> Some c
-  | _ -> None
-
-let listener_of t =
-  match t.kind with
-  | Sock { sock = S_listening (_, l) } -> Some l
-  | _ -> None
-
 type fd_entry = {
   file : t;
   mutable cloexec : bool;

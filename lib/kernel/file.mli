@@ -70,11 +70,6 @@ val is_writable : t -> bool
 
 val inode : t -> Vfs.Inode.t option
 
-val conn_of : t -> conn option
-(** The established connection behind a socket descriptor, if any. *)
-
-val listener_of : t -> listener option
-
 (** A slot in a process descriptor table. *)
 type fd_entry = {
   file : t;

@@ -489,59 +489,6 @@ let env_pool_stats (t : t) = Envelope.Pool.Stats.snapshot_of t.epool_stats
 
 let metrics (t : t) = Obs.metrics_of t.obs
 
-(* --- host-side cost estimates ------------------------------------------------ *)
-
-(* Raw-speed counters next to the virtual tables: how much *host* CPU
-   and allocation the shard has burned per simulated trap since its
-   creation.  [Sys.time]/GC counters are process-wide (this library
-   deliberately has no unix dependency), so these are estimates —
-   exact when one shard dominates the process, which is the common
-   deployment; the bench hostspeed harness measures tight windows with
-   its own clocks when precision matters. *)
-type host_stats = {
-  h_traps : int;
-  h_cpu_s : float;              (* process CPU since shard creation *)
-  h_ns_per_trap : float;
-  h_minor_words_per_trap : float;
-  h_promoted_words : float;
-  h_major_collections : int;
-  h_env_pool_hit_rate : float;    (* hits / (hits + misses); 1.0 when idle *)
-}
-
-let host_stats (t : t) =
-  let q = Gc.quick_stat () in
-  let traps = (Envelope.Stats.snapshot_of t.codec).Envelope.Stats.traps in
-  let cpu = Sys.time () -. t.host_cpu_t0 in
-  let per d n = if d > 0 then n /. float_of_int d else 0.0 in
-  let ep = Envelope.Pool.Stats.snapshot_of t.epool_stats in
-  let taken = ep.Envelope.Pool.Stats.hits + ep.Envelope.Pool.Stats.misses in
-  { h_traps = traps;
-    h_cpu_s = cpu;
-    h_ns_per_trap = per traps (cpu *. 1e9);
-    h_minor_words_per_trap =
-      per traps (Gc.minor_words () -. t.host_minor_words_t0);
-    h_promoted_words = q.Gc.promoted_words -. t.host_promoted_words_t0;
-    h_major_collections =
-      q.Gc.major_collections - t.host_major_collections_t0;
-    h_env_pool_hit_rate =
-      (if taken = 0 then 1.0
-       else float_of_int ep.Envelope.Pool.Stats.hits /. float_of_int taken) }
-
-let host_stats_json (h : host_stats) =
-  Obs.Json.Obj
-    [ ("traps", Obs.Json.Int h.h_traps);
-      ("cpu_s", Obs.Json.Float h.h_cpu_s);
-      ("ns_per_trap", Obs.Json.Float h.h_ns_per_trap);
-      ("minor_words_per_trap", Obs.Json.Float h.h_minor_words_per_trap);
-      ("promoted_words", Obs.Json.Float h.h_promoted_words);
-      ("major_collections", Obs.Json.Int h.h_major_collections);
-      ("env_pool_hit_rate", Obs.Json.Float h.h_env_pool_hit_rate) ]
-
-(* One document for every runtime statistic of one shard: span/latency
-   metrics from its [Obs] engine plus its codec (incl. [fast_path] and
-   [intercepted]), envelope-pool and host-side counters.
-   [/obs/metrics] serves exactly this JSON, so programs inside the
-   simulation and hosts outside it read the same numbers. *)
 (* --- watchdogs ---------------------------------------------------------------- *)
 
 (* Rules live on the shard handle (never the obs engine), so they
@@ -570,20 +517,25 @@ let watch_verdicts (t : t) =
   in
   Obs.Watch.eval t.watch (watch_input_of (Obs.metrics_of t.obs) ~env_pool_misses:misses)
 
+(* One document for every runtime statistic of one shard: span/latency
+   metrics from its [Obs] engine plus its codec (incl. [fast_path] and
+   [intercepted]) and envelope-pool counters.  [/obs/metrics] serves
+   exactly this JSON, so programs inside the simulation and hosts
+   outside it read the same numbers, and every byte is a function of
+   simulation state. *)
 let metrics_json (t : t) =
   let base = Obs.metrics_to_json ~name:Abi.Sysno.name (Obs.metrics_of t.obs) in
   let codec = Envelope.Stats.to_json (Envelope.Stats.snapshot_of t.codec) in
   let epool =
     Envelope.Pool.Stats.to_json (Envelope.Pool.Stats.snapshot_of t.epool_stats)
   in
-  let host = host_stats_json (host_stats t) in
   let watchdogs = Obs.Watch.verdicts_to_json (watch_verdicts t) in
   match base with
   | Obs.Json.Obj fields ->
     Obs.Json.Obj
       (fields
       @ [ ("codec", codec); ("env_pool", epool);
-          ("host", host); ("watchdogs", watchdogs) ])
+          ("watchdogs", watchdogs) ])
   | other -> other
 let drain_obs (t : t) = Obs.drain_of t.obs
 let obs_engine (t : t) = t.obs

@@ -130,24 +130,6 @@ val env_pool_stats : t -> Abi.Envelope.Pool.Stats.snapshot
     they own), same snapshot contract as {!codec_stats}.  Also exported
     as the ["env_pool"] member of {!metrics_json}. *)
 
-(** Host-side (wall/GC) cost estimates for one shard since its
-    creation, next to the virtual tables: the ["host"] block of
-    {!metrics_json} and the [\[host\]] section of
-    [agentrun --metrics].  Derived from process-wide [Sys.time] and GC
-    counters, so per-trap figures are estimates — exact when one shard
-    dominates the process. *)
-type host_stats = {
-  h_traps : int;
-  h_cpu_s : float;
-  h_ns_per_trap : float;
-  h_minor_words_per_trap : float;
-  h_promoted_words : float;
-  h_major_collections : int;
-  h_env_pool_hit_rate : float;
-}
-
-val host_stats : t -> host_stats
-
 val metrics : t -> Obs.metrics
 (** Aggregated observability snapshot of this shard's engine
     (per-syscall counters and latency histograms, per-layer
@@ -159,10 +141,6 @@ val set_watch : t -> Obs.Watch.rule list -> unit
     between workload phases. *)
 
 val watch_rules : t -> Obs.Watch.rule list
-
-val watch_input_of : Obs.metrics -> env_pool_misses:int -> Obs.Watch.input
-(** Adapt a metrics snapshot into watchdog-evaluation rows (p99 read
-    from each syscall's histogram). *)
 
 val watch_verdicts : t -> Obs.Watch.verdict list
 (** Evaluate the installed rules against this shard's current metrics

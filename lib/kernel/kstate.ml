@@ -43,10 +43,6 @@ type t = {
   codec : Envelope.Stats.t;
   epool_stats : Envelope.Pool.Stats.t;
   cur : Proc.Cur.cell;
-  host_cpu_t0 : float;
-  host_minor_words_t0 : float;
-  host_promoted_words_t0 : float;
-  host_major_collections_t0 : int;
   mutable timers : (int * timer_event) list;
   mutable next_pid : int;
   mutable next_file_id : int;
@@ -70,12 +66,6 @@ let create ?(shard_id = 0) () =
   let clock = Sim.Clock.create () in
   let fs = Vfs.Fs.create ~now:(fun () -> Sim.Clock.now_us clock / 1_000_000) () in
   let console = Dev.Console.create () in
-  (* host-side baselines for the `host` metrics block: process CPU
-     time (Sys.time — this library has no unix dependency) and GC
-     counters at shard creation.  Both are process-wide, so the
-     derived per-trap figures are estimates, exact only when one shard
-     dominates the process (the common case: one kernel per run). *)
-  let q = Gc.quick_stat () in
   { shard_id; clock; fs; console;
     devs = Dev.standard_table console;
     procs = Hashtbl.create 32;
@@ -91,12 +81,6 @@ let create ?(shard_id = 0) () =
     codec = Envelope.Stats.create ();
     epool_stats = Envelope.Pool.Stats.create ();
     cur = Proc.Cur.cell ();
-    host_cpu_t0 = Sys.time ();
-    (* [Gc.minor_words] reads the live allocation pointer;
-       [quick_stat]'s field lags until the next minor collection *)
-    host_minor_words_t0 = Gc.minor_words ();
-    host_promoted_words_t0 = q.Gc.promoted_words;
-    host_major_collections_t0 = q.Gc.major_collections;
     timers = [];
     next_pid = 1;
     next_file_id = 1;

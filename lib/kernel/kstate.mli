@@ -62,10 +62,6 @@ type t = {
   epool_stats : Abi.Envelope.Pool.Stats.t;
       (** shard-owned envelope-pool counters *)
   cur : Proc.Cur.cell;             (** shard-owned current process *)
-  host_cpu_t0 : float;             (** [Sys.time] at shard creation *)
-  host_minor_words_t0 : float;     (** GC baselines at shard creation, *)
-  host_promoted_words_t0 : float;  (** for the [host] metrics block *)
-  host_major_collections_t0 : int;
   mutable timers : (int * timer_event) list;  (** sorted by time *)
   mutable next_pid : int;
   mutable next_file_id : int;
@@ -135,11 +131,6 @@ val cancel_timers_for : t -> int -> unit
 val cancel_select_timers : t -> int -> unit
 val has_select_timer : t -> int -> bool
 val next_timer : t -> (int * timer_event) option
-
-val next_timer_at : t -> int
-(** Earliest timer deadline, [max_int] when none are armed.  Unlike
-    {!next_timer} this never allocates — the inline CPU-charge fast
-    path reads it on every dispatch level. *)
 
 val pop_timer : t -> unit
 

@@ -60,13 +60,10 @@ val cpu_work : int -> unit
     shared by the trap exit path here and by the toolkit's downlink
     chain ([Downlink.down_signal]). *)
 
-val deliver_app : Proc.t -> int -> unit
-(** Invoke the application's own disposition for [s]: its [H_fn]
-    handler, or nothing for default/ignore. *)
-
 val deliver_via : (int -> unit) option -> int -> unit
 (** Route through an interposer when one is given, else fall back to
-    {!deliver_app} on the calling process. *)
+    the calling process's own disposition for [s]: its [H_fn] handler,
+    or nothing for default/ignore. *)
 
 (** {1 Mach-style task primitives} *)
 

@@ -2,11 +2,8 @@
 
 type t
 
-val opendir : string -> (t, Abi.Errno.t) result
 val readdir : t -> Abi.Dirent.t option
 (** Next entry, including "." and "..". *)
-
-val closedir : t -> unit
 
 val entries : string -> (Abi.Dirent.t list, Abi.Errno.t) result
 (** The whole directory in one call, "." and ".." excluded. *)

@@ -8,7 +8,6 @@ let fprint fd s = ignore (Unistd.write_all fd s)
 let print s = fprint stdout s
 let eprint s = fprint stderr s
 
-let fprintf fd fmt = Printf.ksprintf (fprint fd) fmt
 let printf fmt = Printf.ksprintf print fmt
 let eprintf fmt = Printf.ksprintf eprint fmt
 
@@ -27,19 +26,6 @@ let read_line fd =
          go ())
   in
   go ()
-
-let with_file path ~flags ?(mode = 0o644) f =
-  match Unistd.open_ path flags mode with
-  | Error e -> Error e
-  | Ok fd ->
-    let result =
-      try Ok (f fd)
-      with e ->
-        ignore (Unistd.close fd);
-        raise e
-    in
-    ignore (Unistd.close fd);
-    result
 
 let read_file path =
   match Unistd.open_ path Flags.Open.o_rdonly 0 with

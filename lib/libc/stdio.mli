@@ -14,16 +14,9 @@ val eprint : string -> unit
 val printf : ('a, unit, string, unit) format4 -> 'a
 val eprintf : ('a, unit, string, unit) format4 -> 'a
 
-val fprint : int -> string -> unit
-val fprintf : int -> ('a, unit, string, unit) format4 -> 'a
-
 val read_line : int -> string option
 (** Read up to (and consuming) the next newline; [None] at EOF.
     Byte-at-a-time, as a teaching libc would. *)
-
-val with_file :
-  string -> flags:int -> ?mode:int -> (int -> 'a) -> ('a, Abi.Errno.t) result
-(** Open, apply, and close even if the function raises. *)
 
 val read_file : string -> (string, Abi.Errno.t) result
 val write_file : string -> ?mode:int -> string -> (unit, Abi.Errno.t) result

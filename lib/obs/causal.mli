@@ -16,8 +16,6 @@ type kind = Fork | Signal | Pipe
 val kind_name : kind -> string
 (** ["fork"] / ["signal"] / ["pipe"]. *)
 
-val kind_of_name : string -> kind option
-
 type edge = {
   ed_kind : kind;
   ed_src_shard : int;  (** shard owning the source span *)
@@ -31,16 +29,12 @@ type edge = {
   ed_detail : string;  (** signal name / pipe byte range / [""] *)
 }
 
-val compare_edge : edge -> edge -> int
-(** Orders by [(t_us, shard, seq)] — the same merge rule that makes
+val sort : edge list -> edge list
+(** Sorted by [(t_us, shard, seq)] — the same merge rule that makes
     cross-shard signal delivery deterministic (DESIGN.md §3.6), so a
     merged multi-shard edge table is byte-stable across reruns. *)
 
-val sort : edge list -> edge list
-(** Sorted by {!compare_edge}. *)
-
 val to_json : edge -> Json.t
-val of_json : Json.t -> edge option
 
 val to_line : edge -> string
 (** One compact JSON object, no trailing newline (JSONL row). *)

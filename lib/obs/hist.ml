@@ -73,11 +73,3 @@ let merge ~into src =
   into.total <- into.total + src.total;
   into.sum_us <- into.sum_us + src.sum_us;
   if src.max_us > into.max_us then into.max_us <- src.max_us
-
-let pp fmt t =
-  Format.fprintf fmt "n=%d mean=%.1fus max=%dus" t.total (mean_us t) t.max_us;
-  List.iter
-    (fun (i, n) ->
-      if i = 0 then Format.fprintf fmt " [0]:%d" n
-      else Format.fprintf fmt " [%d-%d):%d" (lower_bound i) (1 lsl i) n)
-    (nonzero t)

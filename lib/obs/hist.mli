@@ -39,4 +39,3 @@ val quantile : t -> float -> int
 
 val copy : t -> t
 val merge : into:t -> t -> unit
-val pp : Format.formatter -> t -> unit

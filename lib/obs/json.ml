@@ -66,6 +66,37 @@ let to_string v =
   emit buf v;
   Buffer.contents buf
 
+(* [emit], breaking the line before each top-level field and before
+   each element of a top-level array *)
+let to_lines v =
+  let buf = Buffer.create 1024 in
+  let block ~indent first last items item =
+    Buffer.add_char buf first;
+    List.iteri
+      (fun i x ->
+        Buffer.add_string buf (if i > 0 then ",\n" else "\n");
+        Buffer.add_string buf indent;
+        item x)
+      items;
+    if items <> [] then begin
+      Buffer.add_char buf '\n';
+      Buffer.add_string buf (String.sub indent 2 (String.length indent - 2))
+    end;
+    Buffer.add_char buf last
+  in
+  let lines_of_array ~indent = function
+    | Arr xs -> block ~indent '[' ']' xs (emit buf)
+    | x -> emit buf x
+  in
+  (match v with
+   | Obj kvs ->
+     block ~indent:"  " '{' '}' kvs (fun (k, x) ->
+         escape_to buf k;
+         Buffer.add_string buf ": ";
+         lines_of_array ~indent:"    " x)
+   | x -> lines_of_array ~indent:"  " x);
+  Buffer.contents buf
+
 (* ---------- parse ---------- *)
 
 exception Parse_error of string
@@ -263,5 +294,4 @@ let to_int = function Int n -> Some n | _ -> None
 let to_number = function Int n -> Some (float_of_int n) | Float f -> Some f | _ -> None
 let to_str = function Str s -> Some s | _ -> None
 let to_list = function Arr xs -> Some xs | _ -> None
-let to_obj = function Obj kvs -> Some kvs | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None

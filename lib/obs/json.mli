@@ -3,7 +3,7 @@
     The container ships no JSON library; this covers exactly the subset
     the observability stack needs — finite numbers, UTF-8 strings,
     arrays, objects — for span JSONL, [BENCH_<name>.json], and the
-    schema validation in [bench smoke]. *)
+    schema validation of the bench gates. *)
 
 type t =
   | Null
@@ -16,6 +16,12 @@ type t =
 
 val to_string : t -> string
 (** Compact (single-line) rendering.  Floats must be finite. *)
+
+val to_lines : t -> string
+(** {!to_string} with one top-level object field, and one element of
+    each top-level array, per line, so a line diff of two documents
+    names the field or row that changed.  Parses back to the same
+    value. *)
 
 val of_string : string -> (t, string) result
 (** Parses a complete document; trailing non-whitespace is an error.
@@ -32,4 +38,3 @@ val to_number : t -> float option
 val to_str : t -> string option
 val to_bool : t -> bool option
 val to_list : t -> t list option
-val to_obj : t -> (string * t) list option

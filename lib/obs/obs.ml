@@ -483,8 +483,6 @@ let causal_drain_of e =
   e.e_causal_rev <- [];
   l
 
-let causal_drain () = causal_drain_of !cur
-
 (* ---------- streaming ---------- *)
 
 let poll_of e c = Stream.poll c e.e_ring

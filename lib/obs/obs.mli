@@ -236,8 +236,6 @@ val sig_done : sig_event -> errno:int -> unit
 val sig_events : unit -> sig_event list
 (** The captured stream in issue order. *)
 
-val sig_events_of : engine -> sig_event list
-
 val sig_clear : unit -> unit
 (** Drop captured events (the switch is untouched); {!reset} also
     clears them. *)
@@ -313,7 +311,6 @@ val causal_edges : unit -> Causal.edge list
 (** Recorded edges, oldest first; non-destructive. *)
 
 val causal_edges_of : engine -> Causal.edge list
-val causal_drain : unit -> Causal.edge list
 val causal_drain_of : engine -> Causal.edge list
 
 (** {1 Streaming} *)
@@ -386,7 +383,6 @@ val merge_metrics : metrics list -> metrics
     bucket-wise (inputs are left untouched), [sample_n] is the maximum
     across inputs so sampled estimates stay conservative. *)
 
-val records_of : engine -> Span.record list
 val drain_of : engine -> Span.record list
 
 val metrics_to_json : ?name:(int -> string) -> metrics -> Json.t

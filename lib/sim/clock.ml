@@ -26,6 +26,3 @@ let advance_to c t = if t > c.now_us then c.now_us <- t
 let set_scale c f = c.scale <- (if f < 0.0 then 0.0 else f)
 let scale c = c.scale
 let seconds c = float_of_int (elapsed_us c) /. 1e6
-
-let pp ppf c =
-  Format.fprintf ppf "t=%+.6fs (abs %dus)" (seconds c) c.now_us

@@ -36,5 +36,3 @@ val scale : t -> float
 
 val seconds : t -> float
 (** [seconds c] is {!elapsed_us} expressed in seconds. *)
-
-val pp : Format.formatter -> t -> unit

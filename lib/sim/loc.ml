@@ -83,19 +83,6 @@ let read_file path =
 
 let count_file path = count_string (read_file path)
 
-let count_dir dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> zero
-  | entries ->
-    Array.sort compare entries;
-    Array.fold_left
-      (fun acc name ->
-        if Filename.check_suffix name ".ml"
-           || Filename.check_suffix name ".mli"
-        then add acc (count_file (Filename.concat dir name))
-        else acc)
-      zero entries
-
 let find_repo_root () =
   let rec up dir =
     if Sys.file_exists (Filename.concat dir "dune-project") then Some dir

@@ -24,10 +24,6 @@ val count_string : string -> count
 val count_file : string -> count
 (** Count statements in one [.ml]/[.mli] file. *)
 
-val count_dir : string -> count
-(** Sum over every [.ml] and [.mli] file directly inside a directory
-    (not recursive).  Missing directories count as {!zero}. *)
-
 val find_repo_root : unit -> string option
 (** Walk upward from the current directory looking for [dune-project];
     lets benchmarks locate the sources they measure when run from a

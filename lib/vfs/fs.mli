@@ -69,11 +69,6 @@ val resolve : t -> cred -> cwd:int -> ?follow_last:bool -> string
     expansions, [EACCES] on a missing search permission, [ENOTDIR],
     [ENOENT], [ENAMETOOLONG]. *)
 
-val resolve_parent : t -> cred -> cwd:int -> string
-  -> (Inode.t * string, Abi.Errno.t) result
-(** Resolve all but the final component; returns the parent directory
-    and the final name.  Used by the creating/removing calls. *)
-
 val path_of_ino : t -> int -> string option
 (** Reconstruct an absolute path by walking ".." upward; [None] if the
     inode is not reachable from the root (e.g. an unlinked

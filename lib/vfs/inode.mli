@@ -19,9 +19,6 @@ type t = {
   mutable ctime : int;
 }
 
-val kind_bits : t -> int
-(** The [Flags.Mode.ifmt] bits implied by [kind]. *)
-
 val mode : t -> int
 (** Kind bits combined with permission bits, as found in [st_mode]. *)
 
@@ -36,6 +33,3 @@ val dir_table : t -> ((string, int) Hashtbl.t, Abi.Errno.t) result
 val dir_entries : t -> (string * int) list
 (** Sorted directory listing including "." and "..";
     empty list for non-directories. *)
-
-val dir_size : t -> int
-(** Apparent byte size of a directory (its encoded dirent stream). *)

@@ -19,12 +19,6 @@ type params = {
 val default_params : params
 val quick_params : params
 
-val source_dir : string
-(** [/afs/src] *)
-
-val work_dir : string
-(** [/afs/work] *)
-
 val setup : ?params:params -> ?seed:int -> Kernel.t -> unit
 (** Create the source files; also registers the ["afsbench"] image. *)
 

@@ -37,9 +37,6 @@ val default_params : params
 val quick_params : params
 (** A dozen clients, for tests and campaigns. *)
 
-val addr : string
-(** ["kv.svc"] — the server's bound name. *)
-
 val data_dir : string
 (** [/kvd/data] — one file per key. *)
 

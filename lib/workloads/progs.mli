@@ -41,7 +41,3 @@ type sh_cmd =
   | Sh_pipe of sh_stage list
   | Sh_and of sh_cmd * sh_cmd
   | Sh_seq of sh_cmd list
-
-val sh_parse : string -> sh_cmd
-val exec_cmd : sh_cmd -> int
-(** Run a parsed command in the current simulated process. *)

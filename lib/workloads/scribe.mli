@@ -24,13 +24,6 @@ val default_params : params
 val quick_params : params
 (** A small document for tests. *)
 
-val generate : Sim.Rng.t -> params -> string * (string * string) list
-(** The main document and the [(name, content)] include files it
-    references. *)
-
-val input_path : string
-(** [/doc/dissertation.mss] *)
-
 val output_path : string
 (** [/doc/dissertation.out] *)
 
@@ -42,5 +35,5 @@ val register : Kernel.t -> unit
 (** Register the ["scribe"] image ([scribe input output]). *)
 
 val body : ?params:params -> unit -> int
-(** The formatter as a direct process body reading {!input_path} and
+(** The formatter as a direct process body reading the generated input and
     writing {!output_path}. *)

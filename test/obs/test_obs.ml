@@ -121,9 +121,12 @@ let test_json_roundtrip () =
           ("null", Null);
           ("xs", Arr [ Int 1; Str "two"; Obj [] ]) ])
   in
-  match Obs.Json.of_string (Obs.Json.to_string v) with
-  | Ok v' -> Alcotest.(check bool) "round-trips" true (v = v')
-  | Error e -> Alcotest.failf "parse failed: %s" e
+  List.iter
+    (fun (what, render) ->
+      match Obs.Json.of_string (render v) with
+      | Ok v' -> Alcotest.(check bool) (what ^ " round-trips") true (v = v')
+      | Error e -> Alcotest.failf "%s: parse failed: %s" what e)
+    [ ("to_string", Obs.Json.to_string); ("to_lines", Obs.Json.to_lines) ]
 
 let test_json_rejects_garbage () =
   let bad s =
@@ -492,6 +495,28 @@ let test_obs_fs_files () =
            i + n <= len && (String.sub s i n = needle || scan (i + 1))
          in
          scan 0))
+
+(* What a simulated program reads about itself is simulation state:
+   two identical runs read identical /obs/metrics bytes. *)
+let test_obs_metrics_reproducible () =
+  let read_metrics () =
+    with_obs (fun () ->
+        let content = ref "" in
+        let _, status =
+          boot (fun () ->
+              Toolkit.Loader.install (Agents.Obs_fs.create ()) ~argv:[||];
+              for _ = 1 to 2000 do
+                ignore (Libc.Unistd.getpid ())
+              done;
+              content :=
+                check_ok "metrics" (Libc.Stdio.read_file "/obs/metrics");
+              0)
+        in
+        check_exit "session" 0 status;
+        !content)
+  in
+  let first = read_metrics () in
+  Alcotest.(check string) "same bytes" first (read_metrics ())
 
 (* --- histogram quantiles ------------------------------------------------- *)
 
@@ -1126,5 +1151,7 @@ let () =
         [ Alcotest.test_case "trace agent call records" `Quick
             test_trace_agent_records_calls;
           Alcotest.test_case "/obs synthetic files" `Quick test_obs_fs_files;
+          Alcotest.test_case "/obs/metrics reproducible" `Quick
+            test_obs_metrics_reproducible;
           Alcotest.test_case "disabled records nothing" `Quick
             test_disabled_records_nothing ] ) ]

@@ -95,16 +95,9 @@ let traced_session () =
   in
   Tharness.check_exit "traced session" 0 status;
   let clock_us, traps, console = observe k in
-  (* The "host" block is the one deliberately wall-clock member of the
-     metrics document (ns/trap, GC deltas) — every other byte is a pure
-     function of simulation state, so compare with host stripped. *)
-  let metrics =
-    match Kernel.metrics_json k with
-    | Obs.Json.Obj fields ->
-      Obs.Json.Obj (List.filter (fun (k, _) -> k <> "host") fields)
-    | j -> j
-  in
-  (clock_us, traps, console, Obs.Json.to_string metrics)
+  (* every byte of the metrics document is a function of simulation
+     state *)
+  (clock_us, traps, console, Obs.Json.to_string (Kernel.metrics_json k))
 
 let test_determinism_one_shard () =
   let c1, t1, o1, m1 = traced_session () in

@@ -411,28 +411,64 @@ let open_only () =
   end
 
 let test_fast_path_uninterested () =
-  (* an agent interested only in open: getpid traps find an empty
-     handler slot and go straight to the kernel *)
+  (* no agent, or one interested only in open: getpid traps find an
+     empty handler slot and go straight to the kernel *)
   let iters = 25 in
-  let d =
-    trap_window iters ~install:(fun () ->
-        Toolkit.Loader.install (open_only ()) ~argv:[||])
-  in
-  Alcotest.(check int) "one trap per getpid" iters d.Envelope.Stats.traps;
-  Alcotest.(check int) "every trap took the fast path" iters
-    d.Envelope.Stats.fast_path;
-  Alcotest.(check int) "no handler ran" 0 d.Envelope.Stats.intercepted
+  List.iter
+    (fun (what, install) ->
+      let d = trap_window iters ~install in
+      Alcotest.(check int) (what ^ ": one trap per getpid") iters
+        d.Envelope.Stats.traps;
+      Alcotest.(check int) (what ^ ": every trap took the fast path") iters
+        d.Envelope.Stats.fast_path;
+      Alcotest.(check int) (what ^ ": no handler ran") 0
+        d.Envelope.Stats.intercepted)
+    [ ("no agent", ignore);
+      ( "open-only agent",
+        fun () -> Toolkit.Loader.install (open_only ()) ~argv:[||] ) ]
+
+let install_symbolic depth () =
+  for _ = 1 to depth do
+    Toolkit.Loader.install (Agents.Time_symbolic.create ()) ~argv:[||]
+  done
+
+(* rewind + 64-byte read + getpid on a file opened before the window:
+   three traps per iteration *)
+let mixed_read_window ~depth iters =
+  let fd = ref (-1) in
+  counter_window
+    ~install:(fun () ->
+      install_symbolic depth ();
+      check_ok "write"
+        (Libc.Stdio.write_file "/tmp/mixed" (String.make 256 'h'));
+      fd := check_ok "open" (Libc.Unistd.open_ "/tmp/mixed" 0 0))
+    (fun () ->
+      let buf = Bytes.create 64 in
+      for _ = 1 to iters do
+        ignore (Libc.Unistd.lseek !fd 0 0);
+        ignore (Libc.Unistd.read !fd buf 64);
+        ignore (Libc.Unistd.getpid ())
+      done)
 
 let test_fast_path_interested () =
-  (* full interest: every trap runs the installed handler *)
+  (* full interest at any depth: every trap runs the installed handler *)
   let iters = 25 in
-  let d =
-    trap_window iters ~install:(fun () ->
-        Toolkit.Loader.install (Agents.Time_symbolic.create ()) ~argv:[||])
-  in
-  Alcotest.(check int) "every trap ran its handler" iters
-    d.Envelope.Stats.intercepted;
-  Alcotest.(check int) "fast path never taken" 0 d.Envelope.Stats.fast_path
+  List.iter
+    (fun (what, calls, d) ->
+      Alcotest.(check int) (what ^ ": one trap per call") calls
+        d.Envelope.Stats.traps;
+      Alcotest.(check int) (what ^ ": every trap ran its handler") calls
+        d.Envelope.Stats.intercepted;
+      Alcotest.(check int) (what ^ ": fast path never taken") 0
+        d.Envelope.Stats.fast_path)
+    (List.map
+       (fun depth ->
+         ( Printf.sprintf "getpid, depth %d" depth,
+           iters,
+           trap_window iters ~install:(install_symbolic depth) ))
+       [ 1; 2; 3; 4 ]
+    @ [ ("lseek+read+getpid, depth 4", 3 * iters,
+         mixed_read_window ~depth:4 iters) ])
 
 let test_counter_identity () =
   (* a window mixing both kinds of trap: each lands in exactly one of
