@@ -726,6 +726,35 @@ let sampling_json rows =
              ("p99_us", Int (Obs.Hist.quantile g.Obs.sm_hist 0.99)) ])
        rows)
 
+(* Minor words per trap of Table 3-3's make build under [variant], with
+   obs off or on at 1-in-[n].  Observation is configured before
+   [Kernel.create], which copies it into the new shard's engine, and
+   switched off again on that engine afterwards.  Like the other
+   allocation probes, a pure function of the code path. *)
+let make_words ?obs variant =
+  (match obs with
+   | Some n ->
+     Obs.set_sampling ~seed:1 n;
+     Obs.enable ()
+   | None ->
+     Obs.disable ();
+     Obs.set_sampling 1);
+  let k = fresh () in
+  Workloads.Make_cc.setup k;
+  let m0 = Gc.minor_words () in
+  let status =
+    Kernel.boot k ~name:"make-words" (fun () ->
+      install_variant variant ~mounts:[];
+      Workloads.Make_cc.body ())
+  in
+  let words = Gc.minor_words () -. m0 in
+  Obs.disable ();
+  Obs.set_sampling 1;
+  let r = finish k status in
+  if r.status <> 0 then
+    failwith (Printf.sprintf "make-words (%s): exit %d" (variant_name variant) r.status);
+  (r.calls, words /. float_of_int r.calls)
+
 (* --- ablations: the paper-shape tables and the trap-path gates ----------------- *)
 
 (* Stacked-getpid baseline with tracing off, recorded when decode-once
@@ -769,6 +798,18 @@ let reap_children = (500, 2000)
 let reap_words_ceiling = 160.0
 let reap_max_ratio = 1.5
 
+(* What obs costs the traps its sampler skips (DESIGN.md §3.4): minor
+   words/trap of the make build at 1-in-256 over obs off, with no agent
+   and under trace.  The sampler draws without boxing, the exact
+   counters probe without an option, the uspace span wrapper builds no
+   closure, and trace builds no ring record for an unsampled trap, so
+   such a trap allocates nothing for obs; what remains is the sampled
+   traps' spans, frames, segments and records, amortised over 256.
+   Measured +0.60 (no agent) and +1.96 (trace) words/trap; before that
+   work, +20.6 and +52.9. *)
+let obs_unsampled_rate = 256
+let obs_unsampled_max_words = [ (V_none, 1.0); (V_trace, 3.0) ]
+
 let ablations_schema =
   let open Report.Schema in
   let alloc =
@@ -807,7 +848,14 @@ let ablations_schema =
       ("uninterested_read_alloc", alloc);
       ( "reap",
         Arr_nonempty (Obj [ ("children", Int); ("minor_words_per_wait", Num) ])
-      ) ]
+      );
+      ( "obs_unsampled_words",
+        Arr
+          (Obj
+             [ ("agent", Str); ("traps", Int); ("sample_n", Int);
+               ("off_words_per_trap", Num); ("sampled_words_per_trap", Num);
+               ("added_words_per_trap", Num);
+               ("max_added_words_per_trap", Num) ]) ) ]
 
 (* The chrome export of a real traced window parses and carries the
    trace_event essentials: 5 getpids through a depth-1 stack are 4
@@ -1186,6 +1234,26 @@ let ablations fail =
    if est16 < sample_iters * 2 / 5 || est16 > sample_iters * 8 / 5 then
      fail "sampling: 1-in-16 estimate %d too far from the true %d" est16
        sample_iters);
+  let unsampled =
+    List.map
+      (fun (v, max_added) ->
+        let traps, off = make_words v in
+        let traps', on = make_words ~obs:obs_unsampled_rate v in
+        let name = variant_name v in
+        Printf.printf
+          "make build, %s (%d traps): %.1f minor words/trap with obs off, \
+           %.1f at 1-in-%d (+%.2f, max +%.1f)\n"
+          name traps off on obs_unsampled_rate (on -. off) max_added;
+        if traps' <> traps then
+          fail "%s: obs at 1-in-%d changed the make build's trap count: %d, want %d"
+            name obs_unsampled_rate traps' traps;
+        if on -. off > max_added then
+          fail "%s: obs at 1-in-%d adds %.2f minor words/trap to the make build \
+                (max %.1f)"
+            name obs_unsampled_rate (on -. off) max_added;
+        (name, traps, off, on, max_added))
+      obs_unsampled_max_words
+  in
   chrome_check (fail "%s");
 
   let open Obs.Json in
@@ -1252,7 +1320,20 @@ let ablations fail =
           (List.map
              (fun (n, w) ->
                Obj [ ("children", Int n); ("minor_words_per_wait", Float w) ])
-             reap) ) ]
+             reap) );
+      ( "obs_unsampled_words",
+        Arr
+          (List.map
+             (fun (name, traps, off, on, max_added) ->
+               Obj
+                 [ ("agent", Str name);
+                   ("traps", Int traps);
+                   ("sample_n", Int obs_unsampled_rate);
+                   ("off_words_per_trap", Float off);
+                   ("sampled_words_per_trap", Float on);
+                   ("added_words_per_trap", Float (on -. off));
+                   ("max_added_words_per_trap", Float max_added) ])
+             unsampled) ) ]
 
 (* --- fault campaigns (ablation 8 and the `make check` gate) ----------------- *)
 

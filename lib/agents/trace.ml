@@ -86,16 +86,23 @@ class agent =
       add (hex buf_ord b) "["; dec b (Bytes.length buf); add b "]"; b
 
     (* Each line is [Obs.Span.call_line] of the record the flight recorder
-       gets when obs is on (and only then built), so [agentrun --agent
-       trace] text and [--trace-out] JSONL render one stream. *)
-    method private record c_name c_args c_result c_rewrote =
+       gets, so [agentrun --agent trace] text and [--trace-out] JSONL
+       render one stream.  The records are sampled with their trap's
+       span (DESIGN.md §3.4): one is built, and its strings rendered,
+       only when the span is sampled ([span > 0]), so the records of a
+       1-in-N run are the 1-in-1 run's records of the sampled traps,
+       and an unsampled trap pushes nothing into the ring. *)
+    method private record span c_name c_args c_result c_rewrote =
       Obs.record_call
-        { Obs.Span.c_span = Obs.current (); c_pid = Obs.current_pid ();
+        { Obs.Span.c_span = span; c_pid = Obs.current_pid ();
           c_t_us = Obs.now_us (); c_name; c_args; c_result; c_rewrote }
 
     method private pre b =
-      let n = String.length name + 1 in
-      if Obs.enabled () then self#record name (Buffer.sub b n (Buffer.length b - n)) None false;
+      let span = Obs.current () in
+      if span > 0 then begin
+        let n = String.length name + 1 in
+        self#record span name (Buffer.sub b n (Buffer.length b - n)) None false
+      end;
       add b ") ...\n";
       self#emit (Buffer.contents b)
 
@@ -105,9 +112,11 @@ class agent =
        | Ok { Value.r0; r1 = 0 } -> dec line r0
        | r -> add line (Value.res_to_string r));
       (* post events flag traps some layer below us mutated *)
-      let rewrote = Obs.span_rewrites (Obs.current ()) > 0 in
+      let span = Obs.current () in
+      let rewrote = Obs.span_rewrites span > 0 in
       if rewrote then add line " [rewritten]";
-      if Obs.enabled () then self#record name "" (Some (Value.res_to_string ret)) rewrote;
+      if span > 0 then
+        self#record span name "" (Some (Value.res_to_string ret)) rewrote;
       add line "\n";
       self#emit (Buffer.contents line);
       ret

@@ -321,6 +321,18 @@ let install_fd t p ?(cloexec = false) ?(from = 0) file =
 
 let retain_file (f : File.t) = f.refs <- f.refs + 1
 
+(* Once a buffer has lost its last reader and writer, nothing can
+   move bytes through it again, and its causal watermarks go
+   (DESIGN.md §3.9).  A FIFO's buffer belongs to its inode: a later
+   open may still read what is left, so its channel stays while bytes
+   remain. *)
+let chan_released buf chan =
+  if Vfs.Pipebuf.readers buf = 0 && Vfs.Pipebuf.writers buf = 0 then
+    Obs.causal_chan_closed chan
+
+let fifo_released buf ino =
+  if Vfs.Pipebuf.available buf = 0 then chan_released buf (Obs.chan_fifo ino)
+
 (* Release one direction of a connection endpoint.  The shut flags make
    these idempotent: [shutdown] drops a direction early, and the final
    close must then skip it — each pipe reference is dropped exactly
@@ -329,6 +341,7 @@ let shut_conn_rd t (c : File.conn) =
   if not c.File.shut_rd then begin
     c.File.shut_rd <- true;
     Vfs.Pipebuf.drop_reader c.File.rx.buf;
+    chan_released c.File.rx.buf (Obs.chan_sock c.File.rx.pipe_id);
     (* the peer may be blocked writing into our receive pipe *)
     wake_key t (K_pipe_w c.File.rx.pipe_id)
   end
@@ -337,6 +350,7 @@ let shut_conn_wr t (c : File.conn) =
   if not c.File.shut_wr then begin
     c.File.shut_wr <- true;
     Vfs.Pipebuf.drop_writer c.File.tx.buf;
+    chan_released c.File.tx.buf (Obs.chan_sock c.File.tx.pipe_id);
     (* the peer may be blocked reading from our send pipe *)
     wake_key t (K_pipe_r c.File.tx.pipe_id)
   end
@@ -359,16 +373,20 @@ let release_file t (f : File.t) =
       Vfs.Fs.decr_opens t.fs inode.Vfs.Inode.ino
     | File.Pipe_read p ->
       Vfs.Pipebuf.drop_reader p.buf;
+      chan_released p.buf (Obs.chan_pipe p.pipe_id);
       wake_key t (K_pipe_w p.pipe_id)
     | File.Pipe_write p ->
       Vfs.Pipebuf.drop_writer p.buf;
+      chan_released p.buf (Obs.chan_pipe p.pipe_id);
       wake_key t (K_pipe_r p.pipe_id)
     | File.Fifo_read (inode, b) ->
       Vfs.Pipebuf.drop_reader b;
+      fifo_released b inode.Vfs.Inode.ino;
       Vfs.Fs.decr_opens t.fs inode.Vfs.Inode.ino;
       wake_key t (K_fifo_w inode.Vfs.Inode.ino)
     | File.Fifo_write (inode, b) ->
       Vfs.Pipebuf.drop_writer b;
+      fifo_released b inode.Vfs.Inode.ino;
       Vfs.Fs.decr_opens t.fs inode.Vfs.Inode.ino;
       wake_key t (K_fifo_r inode.Vfs.Inode.ino)
     | File.Sock s ->

@@ -59,13 +59,14 @@ let pipe_read t (p : Proc.t) (f : File.t) buf cnt ~(buffer : Vfs.Pipebuf.t)
 (* A connection endpoint reads its receive pipe.  After [shutdown]
    of the read half our reader reference is gone, so anything still
    buffered is unreachable: the read side is simply at EOF.  The
-   causal channel is per-connection-direction ("sock", pipe id) so
-   request and reply bytes form distinct lanes in the event graph. *)
+   causal channel is per connection direction ([Obs.chan_sock] of the
+   pipe id) so request and reply bytes form distinct lanes in the
+   event graph. *)
 let conn_read t (p : Proc.t) (f : File.t) (c : File.conn) buf cnt =
   if c.File.shut_rd then done_ret 0
   else
     pipe_read t p f buf cnt ~buffer:c.File.rx.buf
-      ~chan:("sock", c.File.rx.pipe_id)
+      ~chan:(Obs.chan_sock c.File.rx.pipe_id)
       ~wake:(K_pipe_w c.File.rx.pipe_id)
       ~cond:(Proc.On_pipe_read c.File.rx.pipe_id)
 
@@ -95,12 +96,12 @@ let do_read t (p : Proc.t) fd buf cnt =
            | Vfs.Inode.Fifo _ -> fail Errno.EBADF)
         | File.Pipe_read pipe ->
           pipe_read t p f buf cnt ~buffer:pipe.buf
-            ~chan:("pipe", pipe.pipe_id)
+            ~chan:(Obs.chan_pipe pipe.pipe_id)
             ~wake:(K_pipe_w pipe.pipe_id)
             ~cond:(Proc.On_pipe_read pipe.pipe_id)
         | File.Fifo_read (inode, buffer) ->
           pipe_read t p f buf cnt ~buffer
-            ~chan:("fifo", inode.ino)
+            ~chan:(Obs.chan_fifo inode.ino)
             ~wake:(K_fifo_w inode.ino)
             ~cond:(Proc.On_fifo_read inode.ino)
         | File.Sock s ->
@@ -142,7 +143,7 @@ let conn_write t (p : Proc.t) (f : File.t) (c : File.conn) data =
   end
   else
     pipe_write t p f data ~buffer:c.File.tx.buf
-      ~chan:("sock", c.File.tx.pipe_id)
+      ~chan:(Obs.chan_sock c.File.tx.pipe_id)
       ~wake:(K_pipe_r c.File.tx.pipe_id)
       ~cond:(Proc.On_pipe_write c.File.tx.pipe_id)
 
@@ -173,12 +174,12 @@ let do_write t (p : Proc.t) fd data =
          | Vfs.Inode.Symlink _ | Vfs.Inode.Fifo _ -> fail Errno.EBADF)
       | File.Pipe_write pipe ->
         pipe_write t p f data ~buffer:pipe.buf
-          ~chan:("pipe", pipe.pipe_id)
+          ~chan:(Obs.chan_pipe pipe.pipe_id)
           ~wake:(K_pipe_r pipe.pipe_id)
           ~cond:(Proc.On_pipe_write pipe.pipe_id)
       | File.Fifo_write (inode, buffer) ->
         pipe_write t p f data ~buffer
-          ~chan:("fifo", inode.ino)
+          ~chan:(Obs.chan_fifo inode.ino)
           ~wake:(K_fifo_r inode.ino)
           ~cond:(Proc.On_fifo_write inode.ino)
       | File.Sock s ->

@@ -141,74 +141,73 @@ let trap_raw (env : Envelope.t) : Value.res =
      | sigs -> deliver proc sigs);
     h env
 
+(* The trap proper, inside its span.  The signature tap piggybacks on
+   the span stream: one event per application-issued trap, shape
+   computed only while capture is on (and without marking the wire
+   exposed — [Envelope.shape]).  Independent of the sampler, so
+   signature counts stay exact at any 1-in-N rate.  A trap that never
+   returns here (exit, exec) keeps its pending outcome. *)
+let in_span (proc : Proc.t) ~sysno span (env : Envelope.t) =
+  Envelope.set_span env span;
+  let sev =
+    if Obs.sig_capturing () then
+      Some (Obs.sig_note ~pid:proc.pid ~sysno (Envelope.shape env))
+    else None
+  in
+  let res = trap_raw env in
+  (* Normal completion only: on an exception the wire may still be
+     referenced by whoever threw, so it is left to the GC. *)
+  Envelope.release env;
+  (match sev with
+   | Some ev ->
+     Obs.sig_done ev ~errno:(match res with Ok _ -> 0 | Error e -> Errno.to_int e)
+   | None -> ());
+  res
+
 (* Open a span around one trap.  The envelope is built *inside* the
-   span (the [mk_env] thunk) so that a boundary encode — and any other
+   span ([build proc arg]) so that a boundary encode — and any other
    codec work at construction — attributes to the "uspace" frame rather
-   than vanishing.  Observation itself charges no virtual time. *)
-let instrumented ~sysno mk_env =
-  let proc = self () in
+   than vanishing.  Every [build] is a closed function, so an
+   instrumented trap allocates no closure, ref or thunk of its own.
+   Observation itself charges no virtual time. *)
+let instrumented (proc : Proc.t) ~sysno build arg =
   let span = Obs.span_begin ~pid:proc.pid ~sysno in
   let fr = Obs.layer_enter ~span "uspace" in
-  let finish ~error =
-    (match fr with Some fr -> Obs.layer_exit fr | None -> ());
-    Obs.span_end span ~error
-  in
-  let made = ref None in
-  let sev = ref None in
-  match
-    let env = mk_env () in
-    made := Some env;
-    Envelope.set_span env span;
-    (* The signature tap piggybacks on the span stream: one event per
-       application-issued trap, shape computed only while capture is on
-       (and without marking the wire exposed — [Envelope.shape]).
-       Independent of the sampler, so signature counts stay exact at
-       any 1-in-N rate.  A trap that never returns here (exit, exec)
-       keeps its pending outcome. *)
-    if Obs.sig_capturing () then
-      sev := Some (Obs.sig_note ~pid:proc.pid ~sysno (Envelope.shape env));
-    trap_raw env
-  with
+  match in_span proc ~sysno span (build proc arg) with
   | res ->
-    (* Normal completion only: on an exception the wire may still be
-       referenced by whoever threw, so it is left to the GC. *)
-    (match !made with Some env -> Envelope.release env | None -> ());
-    (match !sev with
-     | Some ev ->
-       Obs.sig_done ev
-         ~errno:(match res with Ok _ -> 0 | Error e -> Errno.to_int e)
-     | None -> ());
-    finish ~error:(Result.is_error res);
+    leave_layer fr;
+    Obs.span_end span ~error:(Result.is_error res);
     res
   | exception e ->
-    finish ~error:true;
+    leave_layer fr;
+    Obs.span_end span ~error:true;
     raise e
 
 let trap (env : Envelope.t) : Value.res =
   (* re-entrant traps (an envelope already inside a span) and the
      tracing-off fast path skip straight to the raw trap *)
   if (not (Obs.enabled ())) || Envelope.span env <> 0 then trap_raw env
-  else instrumented ~sysno:(Envelope.number env) (fun () -> env)
+  else instrumented (self ()) ~sysno:(Envelope.number env) (fun _ env -> env) env
 
 let trap_wire w =
   if not (Obs.enabled ()) then trap_raw (Envelope.of_wire w)
-  else instrumented ~sysno:w.Value.num (fun () -> Envelope.of_wire w)
+  else
+    instrumented (self ()) ~sysno:w.Value.num (fun _ w -> Envelope.of_wire w) w
 
 (* the application/system boundary is untyped: encode here, and let the
    first interested layer below (agent or kernel) do the one decode;
    the envelope record and the wire it owns come from (and, when still
    exclusively owned, return to) the calling process's pool *)
+let at_boundary (proc : Proc.t) c = Envelope.at_boundary ?pool:proc.env_pool c
+
 let syscall c =
-  let pool = (self ()).Proc.env_pool in
   if not (Obs.enabled ()) then begin
-    let env = Envelope.at_boundary ?pool c in
+    let env = at_boundary (self ()) c in
     let res = trap_raw env in
     Envelope.release env;
     res
   end
-  else
-    instrumented ~sysno:(Call.number c) (fun () ->
-        Envelope.at_boundary ?pool c)
+  else instrumented (self ()) ~sysno:(Call.number c) at_boundary c
 
 let htg_trap env = enter_kernel ~via:Events.Htg (self ()) env
 

@@ -108,12 +108,19 @@ let sig_pending = -1
    intervals stamped with the writing span; reads advance a consume
    watermark and emit one Pipe edge per distinct writer span whose
    interval the read overlapped.  Bounded by the pipe's unread bytes:
-   fully consumed intervals are discarded as the watermark passes. *)
+   fully consumed intervals are discarded as the watermark passes, and
+   the whole channel when the kernel reports it closed. *)
+type pipe_write = {
+  w_start : int;
+  w_stop : int;
+  w_span : int;
+  w_pid : int;
+}
+
 type pipe_chan = {
   mutable pc_wrote : int; (* absolute bytes ever written *)
   mutable pc_read : int;  (* absolute bytes ever consumed *)
-  mutable pc_writes : (int * int * int * int) list;
-      (* (start, stop, writer span, writer pid), oldest first *)
+  pc_writes : pipe_write Queue.t; (* oldest first *)
 }
 
 (* ---------- the engine ---------- *)
@@ -161,8 +168,8 @@ type engine = {
       (* child pid -> (src span, src pid) *)
   e_pending_sig : (int * int, (int * int * int) Queue.t) Hashtbl.t;
       (* (dst pid, signal) -> (src shard, src span, src pid) fifo *)
-  e_pipes : (string * int, pipe_chan) Hashtbl.t;
-      (* ("pipe"|"fifo", id) -> watermarks *)
+  e_pipes : (int, pipe_chan) Hashtbl.t;
+      (* channel ([chan_pipe] and friends) -> watermarks *)
 }
 
 let engine ?(ring_capacity = default_ring_capacity) () =
@@ -253,10 +260,12 @@ let configure ?(ring_capacity = default_ring_capacity) () =
 
 (* ---------- aggregation ---------- *)
 
+(* [find] and its [Not_found] rather than [find_opt]: every trap
+   reaches this, and an unsampled one must not allocate the option *)
 let sys_agg_for e sysno =
-  match Hashtbl.find_opt e.e_by_sysno sysno with
-  | Some a -> a
-  | None ->
+  match Hashtbl.find e.e_by_sysno sysno with
+  | a -> a
+  | exception Not_found ->
     let a = { sa_calls = 0; sa_errors = 0; sa_hist = Hist.create () } in
     Hashtbl.replace e.e_by_sysno sysno a;
     a
@@ -290,7 +299,7 @@ let sig_capturing () =
   let e = !cur in
   e.e_on && e.e_sig_on
 
-(* Called by [Uspace.instrumented] only — the application-issued trap
+(* Called by [Uspace.in_span] only — the application-issued trap
    stream.  Agent-originated calls descend through the htg entry points
    and never reach this, so the capture is exactly the interface the
    application observes.  Like [note_injected], the sampler does not
@@ -346,9 +355,9 @@ let shard () = !cur.e_shard
    context: the causal hooks run inside the kernel dispatcher, where
    the current-process register is cleared, but they know the pid. *)
 let innermost e pid =
-  match Hashtbl.find_opt e.e_open_by_pid pid with
-  | Some { contents = s :: _ } -> s
-  | _ -> 0
+  match Hashtbl.find e.e_open_by_pid pid with
+  | { contents = s :: _ } -> s
+  | { contents = [] } | (exception Not_found) -> 0
 
 let emit_edge e ~kind ~src_shard ~src_span ~src_pid ~dst_span ~dst_pid ~detail =
   e.e_causal_n <- e.e_causal_n + 1;
@@ -427,22 +436,38 @@ let causal_signal_delivered ~pid ~signal ~span ~detail =
         ~dst_span:span ~dst_pid:pid ~detail
     | _ -> ()
 
-let pipe_chan_for e key =
-  match Hashtbl.find_opt e.e_pipes key with
-  | Some c -> c
-  | None ->
-    let c = { pc_wrote = 0; pc_read = 0; pc_writes = [] } in
-    Hashtbl.replace e.e_pipes key c;
+(* A channel is an immediate int — the buffer's id with its kind in
+   the low two bits — so the kernel's read and write paths build no
+   key, with obs on or off. *)
+let chan_pipe id = id lsl 2
+let chan_fifo ino = (ino lsl 2) lor 1
+let chan_sock id = (id lsl 2) lor 2
+
+let chan_kind chan =
+  match chan land 3 with 0 -> "pipe" | 1 -> "fifo" | _ -> "sock"
+
+let pipe_chan_for e chan =
+  match Hashtbl.find e.e_pipes chan with
+  | c -> c
+  | exception Not_found ->
+    let c = { pc_wrote = 0; pc_read = 0; pc_writes = Queue.create () } in
+    Hashtbl.replace e.e_pipes chan c;
     c
 
 let causal_pipe_write ~chan ~pid ~bytes =
   let e = !cur in
   if e.e_on && bytes > 0 then begin
     let c = pipe_chan_for e chan in
-    let span = innermost e pid in
-    c.pc_writes <- c.pc_writes @ [ (c.pc_wrote, c.pc_wrote + bytes, span, pid) ];
+    Queue.push
+      { w_start = c.pc_wrote; w_stop = c.pc_wrote + bytes;
+        w_span = innermost e pid; w_pid = pid }
+      c.pc_writes;
     c.pc_wrote <- c.pc_wrote + bytes
   end
+
+let rec seen_writer span pid = function
+  | [] -> false
+  | w :: tl -> (w.w_span = span && w.w_pid = pid) || seen_writer span pid tl
 
 let causal_pipe_read ~chan ~pid ~bytes =
   let e = !cur in
@@ -452,28 +477,51 @@ let causal_pipe_read ~chan ~pid ~bytes =
     let hi = lo + bytes in
     c.pc_read <- hi;
     let dst_span = innermost e pid in
-    (* one edge per distinct writer span this read consumed from *)
-    let seen : (int * int, unit) Hashtbl.t = Hashtbl.create 4 in
-    let rec consume = function
-      | [] -> []
-      | ((s, t, wspan, wpid) as iv) :: tl ->
-        if t <= lo then consume tl (* fully consumed by earlier reads *)
-        else if s >= hi then iv :: tl (* past this read's window *)
-        else begin
-          if not (Hashtbl.mem seen (wspan, wpid)) then begin
-            Hashtbl.replace seen (wspan, wpid) ();
-            let o_lo = max s lo and o_hi = min t hi in
-            emit_edge e ~kind:Causal.Pipe ~src_shard:e.e_shard ~src_span:wspan
-              ~src_pid:wpid ~dst_span ~dst_pid:pid
-              ~detail:
-                (Printf.sprintf "%s#%d bytes %d..%d" (fst chan) (snd chan)
-                   o_lo o_hi)
-          end;
-          if t <= hi then consume tl else iv :: tl
+    let q = c.pc_writes in
+    (* one edge per distinct writer span this read consumed from;
+       [seen] holds the writes that already made one *)
+    let rec consume seen =
+      if not (Queue.is_empty q) then begin
+        let w = Queue.peek q in
+        if w.w_stop <= lo then begin
+          (* fully consumed by earlier reads *)
+          ignore (Queue.take q);
+          consume seen
         end
+        else if w.w_start < hi then begin
+          let seen =
+            if seen_writer w.w_span w.w_pid seen then seen
+            else begin
+              emit_edge e ~kind:Causal.Pipe ~src_shard:e.e_shard
+                ~src_span:w.w_span ~src_pid:w.w_pid ~dst_span ~dst_pid:pid
+                ~detail:
+                  (String.concat ""
+                     [ chan_kind chan; "#"; string_of_int (chan asr 2);
+                       " bytes "; string_of_int (max w.w_start lo); "..";
+                       string_of_int (min w.w_stop hi) ]);
+              w :: seen
+            end
+          in
+          (* a write reaching past this read's window stays queued *)
+          if w.w_stop <= hi then begin
+            ignore (Queue.take q);
+            consume seen
+          end
+        end
+      end
     in
-    c.pc_writes <- consume c.pc_writes
+    consume []
   end
+
+(* The kernel calls this once no process can read or write [chan]
+   again; its watermarks go with it, so the table holds live channels
+   only.  Unconditional on [e_on]: a channel filed before obs was
+   switched off is still forgotten. *)
+let causal_chan_closed chan =
+  let e = !cur in
+  if Hashtbl.length e.e_pipes > 0 then Hashtbl.remove e.e_pipes chan
+
+let causal_chans () = Hashtbl.length !cur.e_pipes
 
 let causal_edges_of e = List.rev e.e_causal_rev
 let causal_edges () = causal_edges_of !cur
@@ -492,11 +540,7 @@ let poll c = poll_of !cur c
 
 let current () =
   let e = !cur in
-  if not e.e_on then 0
-  else
-    match Hashtbl.find_opt e.e_open_by_pid (e.e_context_fn ()) with
-    | Some { contents = s :: _ } -> s
-    | _ -> 0
+  if not e.e_on then 0 else innermost e (e.e_context_fn ())
 
 (* Unsampled traps are represented by a negative sentinel carrying the
    sysno, so their close can still count errors exactly without any
@@ -532,12 +576,13 @@ let span_begin ~pid ~sysno =
     (* a pending fork half-edge completes at the child's first trap,
        sampled or not — an unsampled first trap yields a sentinel
        endpoint, which slice/flow views skip *)
-    (match Hashtbl.find_opt e.e_pending_fork pid with
-     | Some (src_span, src_pid) ->
-       Hashtbl.remove e.e_pending_fork pid;
-       emit_edge e ~kind:Causal.Fork ~src_shard:e.e_shard ~src_span ~src_pid
-         ~dst_span:id ~dst_pid:pid ~detail:""
-     | None -> ());
+    (if Hashtbl.length e.e_pending_fork > 0 then
+       match Hashtbl.find e.e_pending_fork pid with
+       | src_span, src_pid ->
+         Hashtbl.remove e.e_pending_fork pid;
+         emit_edge e ~kind:Causal.Fork ~src_shard:e.e_shard ~src_span
+           ~src_pid ~dst_span:id ~dst_pid:pid ~detail:""
+       | exception Not_found -> ());
     id
   end
 

@@ -190,7 +190,7 @@ val record_mark : ?span:int -> ?pid:int -> kind:string -> detail:string -> unit 
 (** {1 Signature capture}
 
     The syscall-signature tap behind [lib/conformance]: with capture on
-    (and the engine enabled), [Uspace.instrumented] appends one
+    (and the engine enabled), [Uspace.in_span] appends one
     {!sig_event} per {e application-issued} trap — ordinal, pid, sysno,
     the canonical arg shape ([Abi.Shape], passed in as an opaque string
     since obs sits below [abi]) — and patches the errno outcome in when
@@ -229,7 +229,7 @@ val sig_capturing : unit -> bool
 
 val sig_note : pid:int -> sysno:int -> string -> sig_event
 (** Append an event with a pending outcome; returns it for {!sig_done}
-    to patch.  [Uspace.instrumented] only. *)
+    to patch.  [Uspace.in_span] only. *)
 
 val sig_done : sig_event -> errno:int -> unit
 
@@ -299,13 +299,33 @@ val causal_signal_delivered :
     without a sender span — alarms, kernel-raised SIGPIPE — have
     none). *)
 
-val causal_pipe_write : chan:string * int -> pid:int -> bytes:int -> unit
-(** [pid]'s current trap wrote [bytes] accepted bytes to channel
-    [chan] ([("pipe"|"fifo", id)]). *)
+val chan_pipe : int -> int
+(** The causal channel of an anonymous pipe, by pipe id: an immediate
+    int, as are {!chan_fifo} and {!chan_sock}.  Edge details name it
+    ["pipe#<id>"], ["fifo#<ino>"] or ["sock#<id>"]. *)
 
-val causal_pipe_read : chan:string * int -> pid:int -> bytes:int -> unit
+val chan_fifo : int -> int
+(** A FIFO's channel, by inode number. *)
+
+val chan_sock : int -> int
+(** One direction of a stream connection, by the id of the pipe that
+    carries it. *)
+
+val causal_pipe_write : chan:int -> pid:int -> bytes:int -> unit
+(** [pid]'s current trap wrote [bytes] accepted bytes to channel
+    [chan]. *)
+
+val causal_pipe_read : chan:int -> pid:int -> bytes:int -> unit
 (** [pid]'s current trap consumed [bytes] from [chan]; emits one Pipe
     edge per distinct writer span those bytes came from. *)
+
+val causal_chan_closed : int -> unit
+(** No process can read or write the channel any more: forget its
+    watermarks.  The kernel calls this when a buffer loses its last
+    reader and writer (and, for a FIFO, holds no unread bytes). *)
+
+val causal_chans : unit -> int
+(** Channels with live watermarks on the installed engine. *)
 
 val causal_edges : unit -> Causal.edge list
 (** Recorded edges, oldest first; non-destructive. *)

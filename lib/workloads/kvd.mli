@@ -12,7 +12,7 @@
     each client runs a deterministic per-index put/get/scan mix with
     hold times and records round-trip latency into a shared
     {!Obs.Hist.t}.  Every connection contributes its own causal pipe
-    lanes ([("sock", id)] channels), so the event graph shows one
+    lanes ([Obs.chan_sock] channels), so the event graph shows one
     request/reply braid per client. *)
 
 type mode = Fork_per_conn | Prefork

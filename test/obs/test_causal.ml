@@ -119,6 +119,166 @@ let test_edge_jsonl_roundtrip () =
       | None -> Alcotest.failf "unparseable edge line: %s" (Obs.Causal.to_line e))
     edges
 
+(* --- pipe bookkeeping ----------------------------------------------------- *)
+
+(* The watermark algorithm as it stood when channels were
+   [(kind, id)] pairs: a tuple list appended at its tail, a [Hashtbl]
+   of seen writers per read and a [Printf] detail.  The engine's queue
+   and immediate-int channels must reproduce its edges exactly. *)
+module Ref_pipes = struct
+  type chan = {
+    mutable wrote : int;
+    mutable read : int;
+    mutable writes : (int * int * int * int) list;
+  }
+
+  let chan tbl key =
+    match Hashtbl.find_opt tbl key with
+    | Some c -> c
+    | None ->
+      let c = { wrote = 0; read = 0; writes = [] } in
+      Hashtbl.replace tbl key c;
+      c
+
+  let write tbl key ~span ~pid ~bytes =
+    if bytes > 0 then begin
+      let c = chan tbl key in
+      c.writes <- c.writes @ [ (c.wrote, c.wrote + bytes, span, pid) ];
+      c.wrote <- c.wrote + bytes
+    end
+
+  (* edges as (src span, src pid, dst span, dst pid, detail) *)
+  let read tbl key ~span ~pid ~bytes emit =
+    if bytes > 0 then begin
+      let c = chan tbl key in
+      let lo = c.read in
+      let hi = lo + bytes in
+      c.read <- hi;
+      let seen = Hashtbl.create 4 in
+      let rec consume = function
+        | [] -> []
+        | ((s, t, wspan, wpid) as iv) :: tl ->
+          if t <= lo then consume tl
+          else if s >= hi then iv :: tl
+          else begin
+            if not (Hashtbl.mem seen (wspan, wpid)) then begin
+              Hashtbl.replace seen (wspan, wpid) ();
+              emit
+                ( wspan, wpid, span, pid,
+                  Printf.sprintf "%s#%d bytes %d..%d" (fst key) (snd key)
+                    (max s lo) (min t hi) )
+            end;
+            if t <= hi then consume tl else iv :: tl
+          end
+      in
+      c.writes <- consume c.writes
+    end
+end
+
+type pipe_op =
+  | Open_span of int (* pid *)
+  | Close_span of int
+  | Write of int * int * int * int (* kind, id, pid, bytes *)
+  | Read of int * int * int * int
+
+let show_pipe_op = function
+  | Open_span p -> Printf.sprintf "open %d" p
+  | Close_span p -> Printf.sprintf "close %d" p
+  | Write (k, i, p, n) -> Printf.sprintf "write k%d#%d pid %d %dB" k i p n
+  | Read (k, i, p, n) -> Printf.sprintf "read k%d#%d pid %d %dB" k i p n
+
+let gen_pipe_op =
+  let open QCheck.Gen in
+  let pid = int_range 1 3 and kind = int_range 0 2 and id = int_range 1 2 in
+  frequency
+    [ (2, map (fun p -> Open_span p) pid);
+      (1, map (fun p -> Close_span p) pid);
+      (4, map (fun (k, i, p, n) -> Write (k, i, p, n))
+           (quad kind id pid (int_range 0 24)));
+      (4, map (fun (k, i, p, n) -> Read (k, i, p, n))
+           (quad kind id pid (int_range 0 40))) ]
+
+(* Random span nesting (sampled and not), writes and reads over six
+   channels, reads free to outrun the writes: the engine's pipe edges
+   equal the reference's, detail text included. *)
+let test_pipe_edges_match_reference =
+  QCheck.Test.make ~name:"pipe edges match the list algorithm" ~count:300
+    QCheck.(
+      pair (int_range 1 3)
+        (make ~print:(Print.list show_pipe_op) Gen.(list_size (int_range 0 80) gen_pipe_op)))
+    (fun (rate, ops) ->
+      let kinds = [| "pipe"; "fifo"; "sock" |] in
+      let obs_chan k i =
+        match k with 0 -> Obs.chan_pipe i | 1 -> Obs.chan_fifo i | _ -> Obs.chan_sock i
+      in
+      let stacks = Hashtbl.create 4 in
+      let stack pid = Option.value ~default:[] (Hashtbl.find_opt stacks pid) in
+      (* the engine's innermost open span: sampled spans only *)
+      let innermost pid =
+        match List.filter (fun s -> s > 0) (stack pid) with s :: _ -> s | [] -> 0
+      in
+      let ref_tbl = Hashtbl.create 8 in
+      let want = ref [] in
+      let got =
+        Obs.with_engine (Obs.engine ()) (fun () ->
+          Obs.set_sampling ~seed:7 rate;
+          Obs.enable ();
+          List.iter
+            (function
+              | Open_span pid ->
+                Hashtbl.replace stacks pid (Obs.span_begin ~pid ~sysno:3 :: stack pid)
+              | Close_span pid ->
+                (match stack pid with
+                 | s :: rest ->
+                   Obs.span_end s ~error:false;
+                   Hashtbl.replace stacks pid rest
+                 | [] -> ())
+              | Write (k, i, pid, bytes) ->
+                Ref_pipes.write ref_tbl (kinds.(k), i) ~span:(innermost pid) ~pid ~bytes;
+                Obs.causal_pipe_write ~chan:(obs_chan k i) ~pid ~bytes
+              | Read (k, i, pid, bytes) ->
+                Ref_pipes.read ref_tbl (kinds.(k), i) ~span:(innermost pid) ~pid ~bytes
+                  (fun e -> want := e :: !want);
+                Obs.causal_pipe_read ~chan:(obs_chan k i) ~pid ~bytes)
+            ops;
+          Obs.causal_edges ())
+      in
+      let got =
+        List.map
+          (fun (e : Obs.Causal.edge) ->
+            ( e.Obs.Causal.ed_src_span, e.Obs.Causal.ed_src_pid,
+              e.Obs.Causal.ed_dst_span, e.Obs.Causal.ed_dst_pid,
+              e.Obs.Causal.ed_detail ))
+          got
+      in
+      got = List.rev !want)
+
+(* A channel's watermarks go when its buffer loses its last reader and
+   writer: after every connection of a fork-per-connection kvd run has
+   closed, and after the pipe session, no channel is left, though both
+   made pipe edges. *)
+let test_pipe_chans_forgotten () =
+  let chans k = Obs.with_engine (Kernel.obs_engine k) Obs.causal_chans in
+  let k = causal_session () in
+  Alcotest.(check bool) "pipe session made pipe edges" true
+    (count Obs.Causal.Pipe (Kernel.causal_edges k) > 0);
+  Alcotest.(check int) "pipe session leaves no channel" 0 (chans k);
+  (* [Kernel.create] copies the switch and installs the new engine *)
+  Obs.enable ();
+  let k = fresh_kernel () in
+  let params = { Workloads.Kvd.quick_params with Workloads.Kvd.clients = 40 } in
+  let stats = Workloads.Kvd.run ~params ~mode:Workloads.Kvd.Fork_per_conn k in
+  Alcotest.(check int) "every client connected" 40 stats.Workloads.Kvd.conns;
+  Alcotest.(check int) "no request failed" 0 stats.Workloads.Kvd.errors;
+  Alcotest.(check bool) "kvd made socket edges" true
+    (List.exists
+       (fun (e : Obs.Causal.edge) ->
+         e.Obs.Causal.ed_kind = Obs.Causal.Pipe
+         && String.starts_with ~prefix:"sock#" e.Obs.Causal.ed_detail)
+       (Kernel.causal_edges k));
+  Alcotest.(check int) "40 closed connections leave no channel" 0 (chans k);
+  Obs.disable ()
+
 (* --- slices -------------------------------------------------------------- *)
 
 let test_slice_reachability () =
@@ -479,6 +639,10 @@ let () =
           Alcotest.test_case "byte-identical reruns" `Quick
             test_edges_byte_identical;
           Alcotest.test_case "JSONL round-trip" `Quick test_edge_jsonl_roundtrip ] );
+      ( "pipes",
+        [ QCheck_alcotest.to_alcotest test_pipe_edges_match_reference;
+          Alcotest.test_case "closed channels are forgotten" `Quick
+            test_pipe_chans_forgotten ] );
       ( "slice",
         [ Alcotest.test_case "reachability from fork roots" `Quick
             test_slice_reachability ] );

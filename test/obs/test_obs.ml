@@ -436,6 +436,82 @@ let test_trace_agent_records_calls () =
           && pre.Obs.Span.c_span > 0)
       | _ -> Alcotest.fail "expected exactly two events")
 
+(* Trace [Call] records are sampled with their trap's span (DESIGN.md
+   §3.4).  One session under the trace agent alone, run at 1-in-1 and
+   at 1-in-16: at 1-in-16 every record names a sampled span whose
+   segments carry the same pid, and the text the agent writes to its
+   sink is the 1-in-1 run's, byte for byte. *)
+let traced_session ~n =
+  with_obs (fun () ->
+      let k, status =
+        boot (fun () ->
+            let log =
+              check_ok "open log"
+                (Libc.Unistd.open_ "/tmp/trace.log"
+                   Flags.Open.(o_wronly lor o_creat)
+                   0o644)
+            in
+            let fd = Libc.Unistd.getdtablesize () - 1 in
+            ignore (check_ok "dup2" (Libc.Unistd.dup2 log fd));
+            ignore (Libc.Unistd.close log);
+            Toolkit.Loader.install (Agents.Trace.create ~fd ()) ~argv:[||];
+            Obs.configure ~ring_capacity:(1 lsl 16) ();
+            Obs.set_sampling ~seed:3 n;
+            Obs.reset ();
+            for i = 1 to 20 do
+              let path = Printf.sprintf "/tmp/f%d" i in
+              ignore (Libc.Stdio.write_file path (String.make i 'x'));
+              ignore (Libc.Stdio.read_file path);
+              ignore (Libc.Unistd.stat path);
+              ignore (Libc.Unistd.getpid ())
+            done;
+            let child =
+              check_ok "fork"
+                (Libc.Unistd.fork ~child:(fun () ->
+                     ignore (Libc.Unistd.getpid ());
+                     ignore (Libc.Unistd.stat "/tmp/none");
+                     0))
+            in
+            ignore (Libc.Unistd.waitpid child 0);
+            Obs.disable ();
+            0)
+      in
+      check_exit "session" 0 status;
+      let records = Obs.records () in
+      let dropped = Obs.dropped () in
+      Obs.configure ();
+      (read_file_exn k "/tmp/trace.log", records, dropped))
+
+let test_trace_records_sampled_with_span () =
+  let text1, records1, _ = traced_session ~n:1 in
+  let text16, records16, dropped = traced_session ~n:16 in
+  Alcotest.(check int) "ring kept everything" 0 dropped;
+  let calls rs =
+    List.filter_map (function Obs.Span.Call c -> Some c | _ -> None) rs
+  in
+  let calls1 = calls records1 and calls16 = calls records16 in
+  Alcotest.(check bool) "some traps sampled" true (calls16 <> []);
+  Alcotest.(check bool) "most traps not" true
+    (4 * List.length calls16 < List.length calls1);
+  let segments =
+    List.filter_map (function Obs.Span.Segment s -> Some s | _ -> None) records16
+  in
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) "record names a sampled span" true
+        (c.Obs.Span.c_span > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "span %d has a segment of pid %d" c.Obs.Span.c_span
+           c.Obs.Span.c_pid)
+        true
+        (List.exists
+           (fun s ->
+             s.Obs.Span.span = c.Obs.Span.c_span && s.Obs.Span.pid = c.Obs.Span.c_pid)
+           segments))
+    calls16;
+  Alcotest.(check bool) "sink text non-empty" true (String.length text1 > 0);
+  Alcotest.(check string) "sink text at 1-in-16 is the 1-in-1 text" text1 text16
+
 (* --- /obs synthetic files ------------------------------------------------ *)
 
 let test_obs_fs_files () =
@@ -1150,6 +1226,8 @@ let () =
       ( "sinks",
         [ Alcotest.test_case "trace agent call records" `Quick
             test_trace_agent_records_calls;
+          Alcotest.test_case "trace records sampled with their span" `Quick
+            test_trace_records_sampled_with_span;
           Alcotest.test_case "/obs synthetic files" `Quick test_obs_fs_files;
           Alcotest.test_case "/obs/metrics reproducible" `Quick
             test_obs_metrics_reproducible;

@@ -79,6 +79,48 @@ let test_rng_split_differs () =
   let sb = List.init 10 (fun _ -> Rng.next b) in
   Alcotest.(check bool) "streams differ" true (sa <> sb)
 
+(* The splitmix64 stream is part of every seeded result (obs sampling
+   decisions, perf inputs, fault plans): these first draws were
+   recorded from the original boxed-[int64] implementation and must
+   never change. *)
+let test_rng_pinned_stream () =
+  let check seed want_next want_int =
+    let r = Rng.create seed in
+    List.iteri
+      (fun i want ->
+        Alcotest.(check int64) (Printf.sprintf "seed %d next #%d" seed i) want
+          (Rng.next r))
+      want_next;
+    let r = Rng.create seed in
+    Alcotest.(check (list int)) (Printf.sprintf "seed %d int 1000" seed)
+      want_int (List.init 4 (fun _ -> Rng.int r 1000))
+  in
+  check 0
+    [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL;
+      0xf88bb8a8724c81ecL ]
+    [ 883; 925; 419; 611 ];
+  check 1
+    [ 0x910a2dec89025cc1L; 0xbeeb8da1658eec67L; 0xf893a2eefb32555eL;
+      0x71c18690ee42c90bL ]
+    [ 616; 129; 647; 58 ];
+  check 42
+    [ 0xbdd732262feb6e95L; 0x28efe333b266f103L; 0x47526757130f9f52L;
+      0x581ce1ff0e4ae394L ]
+    [ 853; 72; 964; 941 ]
+
+(* the sampler draws once per trap: a draw must not allocate *)
+let test_rng_int_allocates_nothing () =
+  let r = Rng.create 3 in
+  let acc = ref 0 in
+  ignore (Rng.int r 256);
+  let m0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc + Rng.int r 256
+  done;
+  let words = Gc.minor_words () -. m0 in
+  Alcotest.(check (float 0.)) "minor words for 10k draws" 0. words;
+  Alcotest.(check bool) "draws used" true (!acc > 0)
+
 (* --- loc ---------------------------------------------------------------- *)
 
 let test_loc_counts_statements () =
@@ -124,7 +166,10 @@ let () =
         Alcotest.test_case "copy" `Quick test_rng_copy_independent;
         qtest test_rng_bounds;
         qtest test_rng_shuffle_permutes;
-        Alcotest.test_case "split" `Quick test_rng_split_differs ];
+        Alcotest.test_case "split" `Quick test_rng_split_differs;
+        Alcotest.test_case "pinned stream" `Quick test_rng_pinned_stream;
+        Alcotest.test_case "int allocates nothing" `Quick
+          test_rng_int_allocates_nothing ];
       "loc",
       [ Alcotest.test_case "statements" `Quick test_loc_counts_statements;
         Alcotest.test_case "comments/strings" `Quick
