@@ -480,7 +480,7 @@ let stack_codec depth =
       after := Kernel.codec_stats k;
       0)
   in
-  let d = Envelope.Stats.diff !before !after in
+  let d = Obs.Codec.diff !before !after in
   (iters, d)
 
 (* The same loop with tracing ON: per-(depth, layer) attribution from
@@ -489,7 +489,7 @@ let stack_codec depth =
 type attrib = {
   at_iters : int;
   at_metrics : Obs.metrics;
-  at_codec : Envelope.Stats.snapshot; (* diff over the traced window *)
+  at_codec : Obs.Codec.t; (* diff over the traced window *)
 }
 
 let stack_attrib depth =
@@ -515,7 +515,7 @@ let stack_attrib depth =
   let m = Kernel.metrics k in
   { at_iters = iters;
     at_metrics = m;
-    at_codec = Envelope.Stats.diff !before !after }
+    at_codec = Obs.Codec.diff !before !after }
 
 (* attribution invariants: per-layer codec totals = global diff, and
    per-layer self times sum to the end-to-end span times *)
@@ -530,8 +530,8 @@ let attrib_checks a =
       0 a.at_metrics.Obs.m_syscalls
   in
   let codec_ok =
-    layer_decodes = a.at_codec.Envelope.Stats.decodes
-    && layer_encodes = a.at_codec.Envelope.Stats.encodes
+    layer_decodes = a.at_codec.Obs.Codec.decodes
+    && layer_encodes = a.at_codec.Obs.Codec.encodes
   in
   (layer_decodes, layer_encodes, layer_self, span_total, codec_ok)
 
@@ -565,8 +565,8 @@ let uninterested_cost depth =
 type alloc_report = {
   al_traps : int;
   al_minor_words_per_trap : float;
-  al_pool : Envelope.Pool.Stats.snapshot;  (* diff over the window *)
-  al_codec : Envelope.Stats.snapshot;    (* diff over the window *)
+  al_pool : Obs.Env_pool.t;  (* diff over the window *)
+  al_codec : Obs.Codec.t;    (* diff over the window *)
 }
 
 let alloc_probe ~tpi ~prepare ~iter =
@@ -592,8 +592,8 @@ let alloc_probe ~tpi ~prepare ~iter =
         Some
           { al_traps = traps;
             al_minor_words_per_trap = (m1 -. m0) /. float_of_int traps;
-            al_pool = Envelope.Pool.Stats.diff p0 (Kernel.env_pool_stats k);
-            al_codec = Envelope.Stats.diff c0 (Kernel.codec_stats k) };
+            al_pool = Obs.Env_pool.diff p0 (Kernel.env_pool_stats k);
+            al_codec = Obs.Codec.diff c0 (Kernel.codec_stats k) };
       0)
   in
   match !report with
@@ -631,11 +631,11 @@ let alloc_json (a : alloc_report) =
   Obj
     [ ("traps", Int a.al_traps);
       ("minor_words_per_trap", Float a.al_minor_words_per_trap);
-      ("fast_path", Int a.al_codec.Envelope.Stats.fast_path);
-      ("pool_hits", Int a.al_pool.Envelope.Pool.Stats.hits);
-      ("pool_misses", Int a.al_pool.Envelope.Pool.Stats.misses);
-      ("pool_recycled", Int a.al_pool.Envelope.Pool.Stats.recycled);
-      ("pool_dropped", Int a.al_pool.Envelope.Pool.Stats.dropped) ]
+      ("fast_path", Int a.al_codec.Obs.Codec.fast_path);
+      ("pool_hits", Int a.al_pool.Obs.Env_pool.hits);
+      ("pool_misses", Int a.al_pool.Obs.Env_pool.misses);
+      ("pool_recycled", Int a.al_pool.Obs.Env_pool.recycled);
+      ("pool_dropped", Int a.al_pool.Obs.Env_pool.dropped) ]
 
 (* --- reaping cost ---------------------------------------------------------------- *)
 
@@ -970,9 +970,9 @@ let ablations fail =
         let iters, diff = stack_codec d in
         ((d, us, diff, iters),
          [ string_of_int d; Report.us us;
-           per_trap iters diff.Envelope.Stats.decodes;
-           per_trap iters diff.Envelope.Stats.encodes;
-           per_trap iters diff.Envelope.Stats.crossings ]))
+           per_trap iters diff.Obs.Codec.decodes;
+           per_trap iters diff.Obs.Codec.encodes;
+           per_trap iters diff.Obs.Codec.crossings ]))
       stacked_us
   in
   Report.print_table
@@ -1022,9 +1022,9 @@ let ablations fail =
          let ld, le, self, span, codec_ok = attrib_checks a in
          [ string_of_int d;
            per_trap a.at_iters ld;
-           per_trap a.at_iters a.at_codec.Envelope.Stats.decodes;
+           per_trap a.at_iters a.at_codec.Obs.Codec.decodes;
            per_trap a.at_iters le;
-           per_trap a.at_iters a.at_codec.Envelope.Stats.encodes;
+           per_trap a.at_iters a.at_codec.Obs.Codec.encodes;
            Printf.sprintf "%d = %d" self span;
            (if codec_ok && self = span then "ok" else "MISMATCH") ])
        attribs);
@@ -1037,8 +1037,8 @@ let ablations fail =
   (let ld, le, self, span, codec_ok = attrib_checks deep in
    if not codec_ok then
      fail "attribution: layer codec totals (%d dec / %d enc) != global (%d / %d)"
-       ld le deep.at_codec.Envelope.Stats.decodes
-       deep.at_codec.Envelope.Stats.encodes;
+       ld le deep.at_codec.Obs.Codec.decodes
+       deep.at_codec.Obs.Codec.encodes;
    if ld <> deep.at_iters || le <> deep.at_iters then
      fail "attribution: expected exactly 1.00 decode and encode per trap, got %s/%s"
        (per_trap deep.at_iters ld) (per_trap deep.at_iters le);
@@ -1118,25 +1118,25 @@ let ablations fail =
      (ceiling %.0f),\n\
      fast_path %s/trap, pool hits %s/trap, recycled %s/trap (%d dropped)\n"
     al.al_traps al.al_minor_words_per_trap minor_words_ceiling
-    (per_trap al.al_traps al.al_codec.Envelope.Stats.fast_path)
-    (per_trap al.al_traps al.al_pool.Envelope.Pool.Stats.hits)
-    (per_trap al.al_traps al.al_pool.Envelope.Pool.Stats.recycled)
-    al.al_pool.Envelope.Pool.Stats.dropped;
+    (per_trap al.al_traps al.al_codec.Obs.Codec.fast_path)
+    (per_trap al.al_traps al.al_pool.Obs.Env_pool.hits)
+    (per_trap al.al_traps al.al_pool.Obs.Env_pool.recycled)
+    al.al_pool.Obs.Env_pool.dropped;
   if al.al_minor_words_per_trap > minor_words_ceiling then
     fail "allocation: %.1f minor words/trap exceeds the %.0f ceiling"
       al.al_minor_words_per_trap minor_words_ceiling;
-  if al.al_codec.Envelope.Stats.fast_path <> al.al_traps then
+  if al.al_codec.Obs.Codec.fast_path <> al.al_traps then
     fail "fast path: %d of %d uninterested traps took it"
-      al.al_codec.Envelope.Stats.fast_path al.al_traps;
-  if al.al_codec.Envelope.Stats.intercepted <> 0 then
+      al.al_codec.Obs.Codec.fast_path al.al_traps;
+  if al.al_codec.Obs.Codec.intercepted <> 0 then
     fail "fast path: %d uninterested traps probed a handler"
-      al.al_codec.Envelope.Stats.intercepted;
-  if al.al_pool.Envelope.Pool.Stats.hits <> al.al_traps
-     || al.al_pool.Envelope.Pool.Stats.recycled <> al.al_traps
+      al.al_codec.Obs.Codec.intercepted;
+  if al.al_pool.Obs.Env_pool.hits <> al.al_traps
+     || al.al_pool.Obs.Env_pool.recycled <> al.al_traps
   then
     fail "env pool: warm loop expected %d hits/recycles, got %d/%d"
-      al.al_traps al.al_pool.Envelope.Pool.Stats.hits
-      al.al_pool.Envelope.Pool.Stats.recycled;
+      al.al_traps al.al_pool.Obs.Env_pool.hits
+      al.al_pool.Obs.Env_pool.recycled;
   let ar = alloc_read () in
   Printf.printf "lseek+read at depth 4: %.1f minor words/trap (baseline %.0f)\n"
     ar.al_minor_words_per_trap read_words_baseline;
@@ -1271,9 +1271,9 @@ let ablations fail =
                Obj
                  [ ("depth", Int d);
                    ("traps", Int iters);
-                   ("decodes", Int diff.Envelope.Stats.decodes);
-                   ("encodes", Int diff.Envelope.Stats.encodes);
-                   ("crossings", Int diff.Envelope.Stats.crossings) ])
+                   ("decodes", Int diff.Obs.Codec.decodes);
+                   ("encodes", Int diff.Obs.Codec.encodes);
+                   ("crossings", Int diff.Obs.Codec.crossings) ])
              codec_rows) );
       ( "layers",
         Arr

@@ -281,13 +281,13 @@ let print_metrics k h0 =
   (* host-side cost of the run: wall-clock and GC figures, the one
      deliberately non-deterministic block (everything above is virtual
      time and exact counts) *)
-  let traps = (Kernel.codec_stats k).Envelope.Stats.traps in
+  let traps = (Kernel.codec_stats k).Obs.Codec.traps in
   if traps > 0 then begin
     let q = Gc.quick_stat () in
     let cpu = host_cpu_s h0 in
     let per n = n /. float_of_int traps in
     let ep = Kernel.env_pool_stats k in
-    let taken = ep.Envelope.Pool.Stats.hits + ep.Envelope.Pool.Stats.misses in
+    let taken = ep.Obs.Env_pool.hits + ep.Obs.Env_pool.misses in
     Printf.eprintf
       "[host] %d trap(s) in %.3fs host CPU: %.0f ns/trap, %.1f minor \
        words/trap, %.0f promoted, %d major GC(s); env pool %.0f%% hit\n"
@@ -296,7 +296,7 @@ let print_metrics k h0 =
       (q.Gc.promoted_words -. h0.promoted_words)
       (q.Gc.major_collections - h0.major_collections)
       (if taken = 0 then 100.
-       else 100. *. float_of_int ep.Envelope.Pool.Stats.hits
+       else 100. *. float_of_int ep.Obs.Env_pool.hits
             /. float_of_int taken)
   end
 

@@ -1,116 +1,6 @@
 (* Decode-once call envelopes: the wire vector and its typed decoding
    travel the stack together, each materialized at most once. *)
 
-module Stats = struct
-  type snapshot = {
-    traps : int;
-    intercepted : int;
-    fast_path : int;
-    decodes : int;
-    encodes : int;
-    crossings : int;
-    agent_calls : int;
-  }
-
-  (* The live counter set of one kernel shard (DESIGN.md §3.6).  The
-     shard installs its set on entry; envelopes bump whichever set is
-     installed.  A default set exists from program start so envelopes
-     work outside any kernel. *)
-  type t = {
-    mutable c_traps : int;
-    mutable c_intercepted : int;
-    mutable c_fast_path : int;
-    mutable c_decodes : int;
-    mutable c_encodes : int;
-    mutable c_crossings : int;
-    mutable c_agent_calls : int;
-  }
-
-  let create () =
-    { c_traps = 0; c_intercepted = 0; c_fast_path = 0;
-      c_decodes = 0; c_encodes = 0; c_crossings = 0; c_agent_calls = 0 }
-
-  let cur : t ref = ref (create ())
-  let install c = cur := c
-  let installed () = !cur
-
-  let snapshot_of c =
-    {
-      traps = c.c_traps;
-      intercepted = c.c_intercepted;
-      fast_path = c.c_fast_path;
-      decodes = c.c_decodes;
-      encodes = c.c_encodes;
-      crossings = c.c_crossings;
-      agent_calls = c.c_agent_calls;
-    }
-
-  let reset_of c =
-    c.c_traps <- 0;
-    c.c_intercepted <- 0;
-    c.c_fast_path <- 0;
-    c.c_decodes <- 0;
-    c.c_encodes <- 0;
-    c.c_crossings <- 0;
-    c.c_agent_calls <- 0
-
-  let diff before after =
-    {
-      traps = after.traps - before.traps;
-      intercepted = after.intercepted - before.intercepted;
-      fast_path = after.fast_path - before.fast_path;
-      decodes = after.decodes - before.decodes;
-      encodes = after.encodes - before.encodes;
-      crossings = after.crossings - before.crossings;
-      agent_calls = after.agent_calls - before.agent_calls;
-    }
-
-  let pp fmt s =
-    Format.fprintf fmt
-      "traps=%d intercepted=%d fast_path=%d decodes=%d encodes=%d \
-       crossings=%d agent_calls=%d"
-      s.traps s.intercepted s.fast_path s.decodes s.encodes
-      s.crossings s.agent_calls
-
-  let to_json s =
-    Obs.Json.Obj
-      [
-        ("traps", Obs.Json.Int s.traps);
-        ("intercepted", Obs.Json.Int s.intercepted);
-        ("fast_path", Obs.Json.Int s.fast_path);
-        ("decodes", Obs.Json.Int s.decodes);
-        ("encodes", Obs.Json.Int s.encodes);
-        ("crossings", Obs.Json.Int s.crossings);
-        ("agent_calls", Obs.Json.Int s.agent_calls);
-      ]
-
-  let note_trap_intercepted () =
-    let c = !cur in
-    c.c_traps <- c.c_traps + 1;
-    c.c_intercepted <- c.c_intercepted + 1
-
-  let note_trap_fast () =
-    let c = !cur in
-    c.c_traps <- c.c_traps + 1;
-    c.c_fast_path <- c.c_fast_path + 1
-
-  let note_crossing () =
-    let c = !cur in
-    c.c_crossings <- c.c_crossings + 1
-
-  let note_agent_call () =
-    let c = !cur in
-    c.c_agent_calls <- c.c_agent_calls + 1
-
-  let note_decode () =
-    let c = !cur in
-    c.c_decodes <- c.c_decodes + 1
-
-  let note_encode () =
-    let c = !cur in
-    c.c_encodes <- c.c_encodes + 1
-end
-
 type view =
   | Undecoded
   | Typed of Call.t
@@ -170,56 +60,6 @@ module Pool = struct
 
   let dummy = blank ()
 
-  module Stats = struct
-    type snapshot = {
-      hits : int;      (* takes served from the free list *)
-      misses : int;    (* takes that fell back to allocation *)
-      recycled : int;  (* records returned for reuse *)
-      dropped : int;   (* returns rejected by a full pool *)
-    }
-
-    (* A counter set aggregating over every envelope pool of one kernel
-       shard.  Deliberately *not* named [cur]: the globals lint keys
-       allowlist entries by [file:binding], and a second [cur] in this
-       file would silently ride the existing [envelope.ml:cur] entry. *)
-    type t = {
-      mutable c_hits : int;
-      mutable c_misses : int;
-      mutable c_recycled : int;
-      mutable c_dropped : int;
-    }
-
-    let create () = { c_hits = 0; c_misses = 0; c_recycled = 0; c_dropped = 0 }
-
-    let pcur : t ref = ref (create ())
-    let install c = pcur := c
-    let installed () = !pcur
-
-    let snapshot_of c =
-      { hits = c.c_hits; misses = c.c_misses;
-        recycled = c.c_recycled; dropped = c.c_dropped }
-
-    let reset_of c =
-      c.c_hits <- 0; c.c_misses <- 0; c.c_recycled <- 0; c.c_dropped <- 0
-
-    let diff before after =
-      { hits = after.hits - before.hits;
-        misses = after.misses - before.misses;
-        recycled = after.recycled - before.recycled;
-        dropped = after.dropped - before.dropped }
-
-    let pp fmt s =
-      Format.fprintf fmt "hits=%d misses=%d recycled=%d dropped=%d"
-        s.hits s.misses s.recycled s.dropped
-
-    let to_json s =
-      Obs.Json.Obj
-        [ ("hits", Obs.Json.Int s.hits);
-          ("misses", Obs.Json.Int s.misses);
-          ("recycled", Obs.Json.Int s.recycled);
-          ("dropped", Obs.Json.Int s.dropped) ]
-  end
-
   (* Array-backed stack rather than a list: a warm take/recycle pair
      must allocate nothing at all. *)
   let create ?(capacity = 64) () =
@@ -232,22 +72,20 @@ module Pool = struct
      [blank] builds, apart from the owned wire it keeps), so [take] only
      refills the fields the new trap needs. *)
   let take p =
-    let c = !Stats.pcur in
     if p.len = 0 then begin
-      c.Stats.c_misses <- c.Stats.c_misses + 1;
+      Obs.note_pool_miss ();
       blank ()
     end
     else begin
       p.len <- p.len - 1;
       let e = p.stack.(p.len) in
       p.stack.(p.len) <- dummy;
-      c.Stats.c_hits <- c.Stats.c_hits + 1;
+      Obs.note_pool_hit ();
       e
     end
 
   let recycle p e =
-    let c = !Stats.pcur in
-    if p.len >= p.capacity then c.Stats.c_dropped <- c.Stats.c_dropped + 1
+    if p.len >= p.capacity then Obs.note_pool_dropped ()
     else begin
       e.num <- 0;
       e.wire <- None;
@@ -263,7 +101,7 @@ module Pool = struct
        | None -> ());
       p.stack.(p.len) <- e;
       p.len <- p.len + 1;
-      c.Stats.c_recycled <- c.Stats.c_recycled + 1
+      Obs.note_pool_recycled ()
     end
 end
 
@@ -296,7 +134,6 @@ let at_boundary ?pool c =
      and its owned wire is refilled in place; [release] sends both back
      after the trap. *)
   let span = Obs.current () in
-  Stats.note_encode ();
   Obs.note_encode span;
   match pool with
   | None ->
@@ -358,7 +195,6 @@ let call t =
       | Some w -> w
       | None -> assert false (* Undecoded implies a wire form exists *)
     in
-    Stats.note_decode ();
     Obs.note_decode t.span;
     match Call.decode w with
     | Ok c ->
@@ -375,7 +211,6 @@ let wire t =
   | None -> (
     match t.view with
     | Typed c ->
-      Stats.note_encode ();
       Obs.note_encode t.span;
       (* a dirty envelope forced back to wire form is the PR 1
          definition of a genuine rewrite: some layer wants the raw

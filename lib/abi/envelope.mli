@@ -24,9 +24,9 @@
     So: at any stacking depth a trap pays at most one decode (at the
     first symbolic layer, or in the kernel when nothing intercepts)
     and re-encodes only when some layer genuinely needs the raw vector
-    after a rewrite.  {!Stats} counts the codec work per kernel shard
-    so the invariant is measured (bench ablation 3, test suite) rather
-    than asserted.
+    after a rewrite.  The installed obs engine counts the codec work
+    ([Obs.Codec], one engine per kernel shard) so the invariant is
+    measured (bench ablation 3, test suite) rather than asserted.
 
     {b Lifetime and pooling} (DESIGN.md §3.8): an envelope record can
     come from a per-process free list ({!Pool}), and a pooled record
@@ -47,8 +47,8 @@ type t
     {!of_call} and {!at_boundary}: an array-backed stack so a warm
     take/recycle pair allocates nothing, scrub-on-recycle so a stale
     view, wire or argument can neither leak into the next trap nor pin
-    dead objects against the GC, and a shard-owned counter set
-    ([Kernel.env_pool_stats], the [env_pool] metrics block). *)
+    dead objects against the GC, and hit/miss counters on the installed
+    obs engine ([Obs.Env_pool], the [env_pool] metrics block). *)
 module Pool : sig
   type t
 
@@ -57,28 +57,6 @@ module Pool : sig
 
   val size : t -> int
   (** Records currently on the free list. *)
-
-  (** Counters aggregating over every envelope pool of one kernel
-      shard, in the snapshot/diff style of {!Stats}. *)
-  module Stats : sig
-    type snapshot = {
-      hits : int;      (** takes served from the free list *)
-      misses : int;    (** takes that fell back to allocation *)
-      recycled : int;  (** records returned for reuse *)
-      dropped : int;   (** returns rejected by a full pool *)
-    }
-
-    type t
-
-    val create : unit -> t
-    val install : t -> unit
-    val installed : unit -> t
-    val snapshot_of : t -> snapshot
-    val reset_of : t -> unit
-    val diff : snapshot -> snapshot -> snapshot
-    val pp : Format.formatter -> snapshot -> unit
-    val to_json : snapshot -> Obs.Json.t
-  end
 end
 
 (** {1 Construction} *)
@@ -184,84 +162,3 @@ val set_span : t -> int -> unit
 (** Normally only [Uspace] re-stamps an envelope, when it opens the
     span {e after} the envelope was built (the re-entrant [trap] entry
     point). *)
-
-(** {1 Codec accounting}
-
-    Counters over every envelope of one kernel shard, bumped only when
-    real codec work happens (memoized hits are free).  A live counter
-    set ({!Stats.t}) is owned by its [Kernel.t] and installed whenever
-    that shard runs (DESIGN.md §3.6), so two kernels in one process
-    account independently; a default set is installed at program start
-    for envelope use outside any kernel.  The bench harness and the
-    test suite take {!Stats.snapshot}s around a workload and check
-    invariants on the {!Stats.diff}: e.g. under a stack of null
-    symbolic agents, [decodes = traps] exactly — one decode per
-    intercepted trap, at any depth. *)
-module Stats : sig
-  type snapshot = {
-    traps : int;         (** application-level trap entries *)
-    intercepted : int;   (** traps that ran an installed handler *)
-    fast_path : int;     (** traps with no handler installed, sent
-                             straight to the kernel; always
-                             [traps = fast_path + intercepted] *)
-    decodes : int;       (** wire → typed materializations *)
-    encodes : int;       (** typed → wire materializations *)
-    crossings : int;     (** envelope handed down one stack layer *)
-    agent_calls : int;   (** envelopes originated by agent/toolkit code *)
-  }
-
-  type t
-  (** A live counter set (one per kernel shard). *)
-
-  val create : unit -> t
-  (** A fresh, zeroed set. *)
-
-  val install : t -> unit
-  (** Make [c] the set envelope codec work bumps.  [Kernel] installs
-      the running shard's set on entry; agent and test code should not
-      normally need this. *)
-
-  val installed : unit -> t
-  (** The set currently receiving counts. *)
-
-  val snapshot_of : t -> snapshot
-  (** Read a specific shard's counters ([Kernel.codec_stats] is
-      [snapshot_of] on the kernel's own set). *)
-
-  val reset_of : t -> unit
-  (** Zero a set you own — e.g. a scratch set under test.  The old
-      mid-session hygiene problem is structurally gone: resetting one
-      shard's counters cannot disturb another shard's open measurement
-      window.  Within a shard, still prefer {!diff} over zeroing. *)
-
-  val diff : snapshot -> snapshot -> snapshot
-  (** [diff before after]: counts in the window between two snapshots.
-
-      {b Contract} (updates the PR 2 note): this remains the way to
-      scope counters to a workload.  Per-shard ownership removed the
-      cross-session footgun — a reset in one shard can no longer skew
-      another's window — but within a single shard a mid-session
-      [reset_of] still discards partial codec work of open traps, so
-      measure with snapshot pairs, not zeroing. *)
-
-  val pp : Format.formatter -> snapshot -> unit
-
-  val to_json : snapshot -> Obs.Json.t
-  (** The ["codec"] block of [Kernel.metrics_json] and [/obs/metrics]
-      — notably the [fast_path] and [intercepted] counters next to the
-      span metrics. *)
-
-  (** {2 Attribution hooks} — called by the kernel stubs and the
-      toolkit's down path; not meant for agent code. *)
-
-  val note_trap_intercepted : unit -> unit
-  (** A trap whose handler slot held an installed handler: counted in
-      [traps] and [intercepted]. *)
-
-  val note_trap_fast : unit -> unit
-  (** A trap whose handler slot was empty: counted in [traps] and
-      [fast_path]. *)
-
-  val note_crossing : unit -> unit
-  val note_agent_call : unit -> unit
-end

@@ -56,7 +56,6 @@ module Stub = struct
   let trap num args = Kernel.Uspace.trap_wire { Value.num; args }
 
   let exit code = trap v_exit [| Value.Int code |]
-  let fork body = trap v_fork [| Value.Body body |]
   let read fd buf cnt = trap v_read [| Value.Int fd; Value.Buf buf; Value.Int cnt |]
   let write fd data = trap v_write [| Value.Int fd; Value.Str data |]
 

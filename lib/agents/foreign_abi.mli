@@ -39,7 +39,6 @@ val to_native : Abi.Value.wire -> (Abi.Value.wire, Abi.Errno.t) result
     are interceptable like any other call. *)
 module Stub : sig
   val exit : int -> Abi.Value.res
-  val fork : (unit -> int) -> Abi.Value.res
   val read : int -> Bytes.t -> int -> Abi.Value.res
   val write : int -> string -> Abi.Value.res
   val open_ : mode:int -> flags:int -> string -> Abi.Value.res

@@ -14,7 +14,7 @@ let metrics_text () =
   Obs.Json.to_string (Kernel.metrics_json (Kernel.current_exn ())) ^ "\n"
 
 let codec_text () =
-  Format.asprintf "%a\n" Abi.Envelope.Stats.pp
+  Format.asprintf "%a\n" Obs.Codec.pp
     (Kernel.codec_stats (Kernel.current_exn ()))
 
 (* the causal edge table (fork/signal/pipe), one edge per line — read

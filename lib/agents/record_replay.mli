@@ -24,9 +24,6 @@
     (inputs come from the journal) and [May_fail \{replayable; EIO\}]
     for desyncs. *)
 
-val replayable : int -> bool
-(** The input calls that are journaled/replayed. *)
-
 class recorder : object
   inherit Toolkit.numeric_syscall
 

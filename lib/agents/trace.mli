@@ -16,8 +16,10 @@
     [Obs.Span.call_line] of an [Obs.Span.call] record; when obs is
     enabled that record is also built and appended to the flight
     recorder, so [agentrun --agent trace] text and [--trace-out] JSONL
-    are two renderings of one stream.  A return line ends in [" [rewritten]"] when a layer below
-    rewrote the call in flight, which obs tracks only while enabled.
+    are two renderings of one stream.  A return line ends in
+    [" [rewritten]"] when a layer below rewrote the call or its result
+    in flight ([Obs.rewrites]), whether obs is enabled or not and at
+    any sampling rate.
 
     Buffer arguments print as [0x<n>[<length>]], where [<n>] is an
     ordinal (in hex) that advances whenever the buffer is not

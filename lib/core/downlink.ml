@@ -32,7 +32,7 @@ let lower handler env =
    layer-frame closure — [in_layer] with span <= 0 is the identity, so
    eliding it is exact. *)
 let down t (env : Envelope.t) =
-  Envelope.Stats.note_crossing ();
+  Obs.note_crossing ();
   let handler = captured_handler t (Envelope.number env) in
   let span = Envelope.span env in
   if span <= 0 then lower handler env
@@ -42,9 +42,9 @@ let down t (env : Envelope.t) =
    calling process's pool, released as soon as the lower layers return
    (an agent that stashes it must [Envelope.retain] it) *)
 let down_call t c =
-  Envelope.Stats.note_agent_call ();
+  Obs.note_agent_call ();
   let pool =
-    match Kernel.Proc.Cur.get () with
+    match Kernel.Uspace.current_proc () with
     | Some proc -> proc.Kernel.Proc.env_pool
     | None -> None
   in

@@ -5,7 +5,7 @@
     syscall number — whatever handler was installed before it (another
     agent's, for stacked configurations like Figure 1-3/1-4 and nested
     transactions).  Calling {!down} routes to that handler, or to the
-    kernel via [htg_unix_syscall] when the agent is the lowest one.
+    kernel via [Uspace.htg_trap] when the agent is the lowest one.
     The incoming-signal path chains the same way. *)
 
 type t

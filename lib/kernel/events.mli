@@ -8,7 +8,7 @@
     scheduler in {!Kernel}. *)
 
 (** How a trap reached the kernel: directly from the application, or
-    through [htg_unix_syscall] (which bypasses the emulation vector and
+    through [Uspace.htg_trap] (which bypasses the emulation vector and
     costs an extra 37 µs, Table 3-4). *)
 type via = App | Htg
 

@@ -24,12 +24,12 @@ let discard k =
    process may have been killed while its resumption sat in the run
    queue. *)
 let enqueue_resume (t : t) (proc : Proc.t) k v =
-  Kstate.enqueue t (fun () ->
+  Kstate.enqueue t (fun t ->
     match proc.state with
     | Proc.Runnable ->
-      Proc.Cur.set (Some proc);
+      t.cur <- Some proc;
       Effect.Deep.continue k v;
-      Proc.Cur.set None
+      t.cur <- None
     | Proc.Zombie | Proc.Reaped -> discard k
     | Proc.Parked _ | Proc.Stopped _ -> discard k)
 
@@ -124,11 +124,11 @@ let run_fiber (t : t) (proc : Proc.t) (body : unit -> int) =
           match eff with
           | Kstate.Settle (env, outcome) ->
             Some (fun (k : (a, unit) continuation) ->
-              Proc.Cur.set None;
+              t.cur <- None;
               settle t proc env k outcome)
           | Events.Cpu us ->
             Some (fun (k : (a, unit) continuation) ->
-              Proc.Cur.set None;
+              t.cur <- None;
               proc.utime_us <- proc.utime_us + us;
               Kstate.charge t us;
               let deliver = Kstate.collect_deliverable t proc in
@@ -142,12 +142,12 @@ let run_fiber (t : t) (proc : Proc.t) (body : unit -> int) =
                  enqueue_resume t proc k deliver))
           | Events.Exec_load spec ->
             Some (fun (k : (a, unit) continuation) ->
-              Proc.Cur.set None;
+              t.cur <- None;
               ignore (k : (a, unit) continuation);
               start_exec t proc spec)
           | Events.Set_emulation (numbers, handler) ->
             Some (fun (k : (a, unit) continuation) ->
-              Proc.Cur.set None;
+              t.cur <- None;
               List.iter
                 (fun n ->
                   if n >= 0 && n < Array.length proc.emul.vector then
@@ -156,7 +156,7 @@ let run_fiber (t : t) (proc : Proc.t) (body : unit -> int) =
               enqueue_resume t proc k ())
           | Events.Get_emulation n ->
             Some (fun (k : (a, unit) continuation) ->
-              Proc.Cur.set None;
+              t.cur <- None;
               let h =
                 if n >= 0 && n < Array.length proc.emul.vector then
                   proc.emul.vector.(n)
@@ -165,22 +165,22 @@ let run_fiber (t : t) (proc : Proc.t) (body : unit -> int) =
               enqueue_resume t proc k h)
           | Events.Set_emulation_signal h ->
             Some (fun (k : (a, unit) continuation) ->
-              Proc.Cur.set None;
+              t.cur <- None;
               proc.emul.sig_emul <- h;
               enqueue_resume t proc k ())
           | Events.Get_emulation_signal ->
             Some (fun (k : (a, unit) continuation) ->
-              Proc.Cur.set None;
+              t.cur <- None;
               enqueue_resume t proc k proc.emul.sig_emul)
           | _ -> None) }
 
 let enqueue_start (t : t) (proc : Proc.t) (body : unit -> int) =
-  Kstate.enqueue t (fun () ->
+  Kstate.enqueue t (fun _ ->
     match proc.state with
     | Proc.Runnable ->
-      Proc.Cur.set (Some proc);
+      t.cur <- Some proc;
       run_fiber t proc body;
-      Proc.Cur.set None
+      t.cur <- None
     | Proc.Zombie | Proc.Reaped | Proc.Parked _ | Proc.Stopped _ -> ())
 
 (* Re-attempt a parked trap from the run queue (BSD restart: the same
@@ -198,7 +198,7 @@ let retry (t : t) (proc : Proc.t) =
   match proc.state with
   | Proc.Parked park ->
     proc.state <- Proc.Runnable;
-    Kstate.enqueue t (fun () ->
+    Kstate.enqueue t (fun _ ->
       match proc.state with
       | Proc.Runnable -> process_trap t proc park.env park.k
       | Proc.Zombie | Proc.Reaped -> discard park.k
@@ -281,7 +281,7 @@ let rec step (t : t) ~until =
   | timer ->
     match Queue.take_opt t.runq with
     | Some thunk ->
-      thunk ();
+      thunk t;
       step t ~until
     | None ->
       match timer with
@@ -300,15 +300,13 @@ let rec sched_loop (t : t) =
 
 (* --- entering a shard --------------------------------------------------------- *)
 
-(* Install [t]'s shard-owned pieces — obs engine, codec and pool
-   counters, current-process cell, ambient handle — as the ones the
-   handle-less code paths (envelope codecs, uspace stubs, agents)
-   reach.  The moral equivalent of loading a CPU's task register. *)
+(* Install [t] as the shard the handle-less code paths reach: its obs
+   engine (codec and pool counters included) for obs and abi code, the
+   shard itself, with its running process, for the kernel and
+   everything above.  The moral equivalent of loading a CPU's task
+   register. *)
 let enter (t : t) =
   Obs.install t.obs;
-  Envelope.Stats.install t.codec;
-  Envelope.Pool.Stats.install t.epool_stats;
-  Proc.Cur.install t.cur;
   Kstate.Ambient.current := Some t
 
 (* Enter [t] for the duration of [f], restoring whatever was installed
@@ -316,21 +314,13 @@ let enter (t : t) =
    with this. *)
 let with_shard (t : t) f =
   let prev_obs = Obs.installed () in
-  let prev_codec = Envelope.Stats.installed () in
-  let prev_epool = Envelope.Pool.Stats.installed () in
-  let prev_cur = Proc.Cur.installed () in
   let prev_amb = !Kstate.Ambient.current in
   enter t;
   Fun.protect
     ~finally:(fun () ->
       Obs.install prev_obs;
-      Envelope.Stats.install prev_codec;
-      Envelope.Pool.Stats.install prev_epool;
-      Proc.Cur.install prev_cur;
       Kstate.Ambient.current := prev_amb)
     f
-
-let current () = !Kstate.Ambient.current
 
 let current_exn = Kstate.Ambient.get_exn
 
@@ -340,13 +330,16 @@ let create ?shard_id () =
   let t = Kstate.create ?shard_id () in
   t.hooks <-
     { Kstate.spawn = (fun proc body -> enqueue_start t proc body);
-      retry = (fun proc -> retry t proc) };
+      retry = (fun proc -> retry t proc);
+      send =
+        (fun ~dst:_ ~pid:_ ~signal:_ ->
+          invalid_arg "Cluster.send: no cluster is running") };
   (* give this shard's observability engine this shard's clock and
      current-process context; they live and die with the handle *)
   Obs.with_engine t.obs (fun () ->
     Obs.set_clock (fun () -> Sim.Clock.now_us t.clock);
     Obs.set_context (fun () ->
-        match Proc.Cur.get () with Some p -> p.Proc.pid | None -> 0);
+        match t.cur with Some p -> p.Proc.pid | None -> 0);
     (* causal edge endpoints carry the shard id — span ids are unique
        only per engine (DESIGN.md §3.9) *)
     Obs.set_shard t.shard_id);
@@ -482,10 +475,8 @@ let shard_id (t : t) = t.shard_id
 let registry (t : t) = t.registry
 let register_image (t : t) name image = Registry.register t.registry name image
 
-let codec_stats (t : t) = Envelope.Stats.snapshot_of t.codec
-let reset_codec_stats (t : t) = Envelope.Stats.reset_of t.codec
-
-let env_pool_stats (t : t) = Envelope.Pool.Stats.snapshot_of t.epool_stats
+let codec_stats (t : t) = Obs.codec_of t.obs
+let env_pool_stats (t : t) = Obs.env_pool_of t.obs
 
 let metrics (t : t) = Obs.metrics_of t.obs
 
@@ -499,44 +490,38 @@ let metrics (t : t) = Obs.metrics_of t.obs
 let set_watch (t : t) rules = t.watch <- rules
 let watch_rules (t : t) = t.watch
 
-let watch_input_of (m : Obs.metrics) ~env_pool_misses =
-  { Obs.Watch.wi_sys =
-      List.map
-        (fun (s : Obs.syscall_metrics) ->
-          { Obs.Watch.ws_sysno = s.Obs.sm_sysno;
-            ws_calls = s.Obs.sm_calls;
-            ws_errors = s.Obs.sm_errors;
-            ws_p99_us = Obs.Hist.quantile s.Obs.sm_hist 0.99 })
-        m.Obs.m_syscalls;
-    wi_aborted = m.Obs.m_aborted;
-    wi_env_pool_misses = env_pool_misses }
+let eval_watch rules (m : Obs.metrics) =
+  Obs.Watch.eval rules
+    { Obs.Watch.wi_sys =
+        List.map
+          (fun (s : Obs.syscall_metrics) ->
+            { Obs.Watch.ws_sysno = s.Obs.sm_sysno;
+              ws_calls = s.Obs.sm_calls;
+              ws_errors = s.Obs.sm_errors;
+              ws_p99_us = Obs.Hist.quantile s.Obs.sm_hist 0.99 })
+          m.Obs.m_syscalls;
+      wi_aborted = m.Obs.m_aborted;
+      wi_env_pool_misses = m.Obs.m_env_pool.Obs.Env_pool.misses }
 
-let watch_verdicts (t : t) =
-  let misses =
-    (Envelope.Pool.Stats.snapshot_of t.epool_stats).Envelope.Pool.Stats.misses
-  in
-  Obs.Watch.eval t.watch (watch_input_of (Obs.metrics_of t.obs) ~env_pool_misses:misses)
+let watch_verdicts (t : t) = eval_watch t.watch (Obs.metrics_of t.obs)
+
+(* [m] as JSON, then the [extra] members, then the verdicts of [rules]
+   over [m]. *)
+let json_with ~rules m extra =
+  let watchdogs = Obs.Watch.verdicts_to_json (eval_watch rules m) in
+  match Obs.metrics_to_json ~name:Abi.Sysno.name m with
+  | Obs.Json.Obj fields ->
+    Obs.Json.Obj (fields @ extra @ [ ("watchdogs", watchdogs) ])
+  | other -> other
 
 (* One document for every runtime statistic of one shard: span/latency
-   metrics from its [Obs] engine plus its codec (incl. [fast_path] and
-   [intercepted]) and envelope-pool counters.  [/obs/metrics] serves
-   exactly this JSON, so programs inside the simulation and hosts
-   outside it read the same numbers, and every byte is a function of
-   simulation state. *)
-let metrics_json (t : t) =
-  let base = Obs.metrics_to_json ~name:Abi.Sysno.name (Obs.metrics_of t.obs) in
-  let codec = Envelope.Stats.to_json (Envelope.Stats.snapshot_of t.codec) in
-  let epool =
-    Envelope.Pool.Stats.to_json (Envelope.Pool.Stats.snapshot_of t.epool_stats)
-  in
-  let watchdogs = Obs.Watch.verdicts_to_json (watch_verdicts t) in
-  match base with
-  | Obs.Json.Obj fields ->
-    Obs.Json.Obj
-      (fields
-      @ [ ("codec", codec); ("env_pool", epool);
-          ("watchdogs", watchdogs) ])
-  | other -> other
+   metrics from its [Obs] engine, its codec (incl. [fast_path] and
+   [intercepted]) and envelope-pool counters, and its watchdogs.
+   [/obs/metrics] serves exactly this JSON, so programs inside the
+   simulation and hosts outside it read the same numbers, and every
+   byte is a function of simulation state. *)
+let metrics_json (t : t) = json_with ~rules:t.watch (Obs.metrics_of t.obs) []
+
 let drain_obs (t : t) = Obs.drain_of t.obs
 let obs_engine (t : t) = t.obs
 
@@ -592,17 +577,35 @@ module Cluster = struct
     mutable seq : int;
   }
 
-  (* The cluster currently being driven by [run], for in-fibre [send]
-     (allowlisted global; installed/restored by [run]). *)
-  let running : t option ref = ref None
-
   let default_quantum_us = 50_000
+
+  (* Runs in the sending fibre of [src], its engine installed: the
+     origin stamp is the sender's innermost open span. *)
+  let post c (src : Kstate.t) ~dst ~pid ~signal =
+    if dst < 0 || dst >= Array.length c.shards then
+      invalid_arg "Cluster.send: no such shard";
+    let o_shard, o_span, o_pid = Obs.causal_origin () in
+    c.seq <- c.seq + 1;
+    c.mailbox <-
+      { m_ts = Sim.Clock.now_us src.Kstate.clock;
+        m_src = src.Kstate.shard_id;
+        m_seq = c.seq;
+        m_dst = dst;
+        m_ev = Post_signal { pid; signal; o_shard; o_span; o_pid } }
+      :: c.mailbox
 
   let create ?(quantum_us = default_quantum_us) ~shards:n () =
     if n < 1 then invalid_arg "Cluster.create: need at least one shard";
     if quantum_us < 1 then invalid_arg "Cluster.create: quantum must be positive";
-    { shards = Array.init n (fun i -> create ~shard_id:i ());
-      quantum_us; mailbox = []; seq = 0 }
+    let c =
+      { shards = Array.init n (fun i -> create ~shard_id:i ());
+        quantum_us; mailbox = []; seq = 0 }
+    in
+    Array.iter
+      (fun (t : Kstate.t) ->
+        t.hooks <- { t.hooks with Kstate.send = post c t })
+      c.shards;
+    c
 
   let shards c = Array.length c.shards
   let shard c i = c.shards.(i)
@@ -611,24 +614,7 @@ module Cluster = struct
     let t = c.shards.(i) in
     with_shard t (fun () -> spawn_init t ~name body)
 
-  let send ~dst ~pid ~signal =
-    match !running with
-    | None -> invalid_arg "Cluster.send: no cluster is running"
-    | Some c ->
-      if dst < 0 || dst >= Array.length c.shards then
-        invalid_arg "Cluster.send: no such shard";
-      let src = current_exn () in
-      (* runs in the sending fibre, its engine installed: the origin
-         stamp is the sender's innermost open span *)
-      let o_shard, o_span, o_pid = Obs.causal_origin () in
-      c.seq <- c.seq + 1;
-      c.mailbox <-
-        { m_ts = Sim.Clock.now_us src.Kstate.clock;
-          m_src = src.Kstate.shard_id;
-          m_seq = c.seq;
-          m_dst = dst;
-          m_ev = Post_signal { pid; signal; o_shard; o_span; o_pid } }
-        :: c.mailbox
+  let send ~dst ~pid ~signal = (current_exn ()).hooks.send ~dst ~pid ~signal
 
   let deliver c horizon =
     let due, later =
@@ -660,9 +646,6 @@ module Cluster = struct
       true
 
   let run c =
-    let prev = !running in
-    running := Some c;
-    Fun.protect ~finally:(fun () -> running := prev) @@ fun () ->
     let n = Array.length c.shards in
     (* Run every shard up to [horizon], re-delivering any mail that
        lands inside the window, until the whole cluster is quiescent at
@@ -701,70 +684,14 @@ module Cluster = struct
       (Array.to_list
          (Array.map (fun s -> Obs.metrics_of s.Kstate.obs) c.shards))
 
-  (* Same document shape as the per-shard [metrics_json], with codec
-     and envelope-pool counters summed field-by-field across shards and a
-     [shards] field recording the fan-in. *)
+  (* Same document shape as the per-shard [metrics_json] over the
+     merged metrics, plus a [shards] field recording the fan-in.
+     Cluster watchdogs: shard 0's rules (rule sets are installed shard
+     by shard; by convention shard 0 carries the cluster-wide set)
+     evaluated over the merged metrics. *)
   let metrics_json c =
-    let base = Obs.metrics_to_json ~name:Abi.Sysno.name (metrics c) in
-    let codec =
-      Array.fold_left
-        (fun (acc : Envelope.Stats.snapshot) s ->
-          let x = Envelope.Stats.snapshot_of s.Kstate.codec in
-          {
-            Envelope.Stats.traps = acc.traps + x.traps;
-            intercepted = acc.intercepted + x.intercepted;
-            fast_path = acc.fast_path + x.fast_path;
-            decodes = acc.decodes + x.decodes;
-            encodes = acc.encodes + x.encodes;
-            crossings = acc.crossings + x.crossings;
-            agent_calls = acc.agent_calls + x.agent_calls;
-          })
-        {
-          Envelope.Stats.traps = 0;
-          intercepted = 0;
-          fast_path = 0;
-          decodes = 0;
-          encodes = 0;
-          crossings = 0;
-          agent_calls = 0;
-        }
-        c.shards
-    in
-    let epool =
-      Array.fold_left
-        (fun (acc : Envelope.Pool.Stats.snapshot) s ->
-          let x = Envelope.Pool.Stats.snapshot_of s.Kstate.epool_stats in
-          {
-            Envelope.Pool.Stats.hits = acc.hits + x.hits;
-            misses = acc.misses + x.misses;
-            recycled = acc.recycled + x.recycled;
-            dropped = acc.dropped + x.dropped;
-          })
-        { Envelope.Pool.Stats.hits = 0; misses = 0; recycled = 0;
-          dropped = 0 }
-        c.shards
-    in
-    (* Cluster watchdogs: shard 0's rules (the cluster driver installs
-       rule sets shard-by-shard; by convention shard 0 carries the
-       cluster-wide set) evaluated over the *merged* metrics and the
-       summed envelope-pool misses. *)
-    let watchdogs =
-      Obs.Watch.verdicts_to_json
-        (Obs.Watch.eval c.shards.(0).Kstate.watch
-           (watch_input_of (metrics c)
-              ~env_pool_misses:epool.Envelope.Pool.Stats.misses))
-    in
-    match base with
-    | Obs.Json.Obj fields ->
-      Obs.Json.Obj
-        (fields
-        @ [
-            ("codec", Envelope.Stats.to_json codec);
-            ("env_pool", Envelope.Pool.Stats.to_json epool);
-            ("shards", Obs.Json.Int (Array.length c.shards));
-            ("watchdogs", watchdogs);
-          ])
-    | other -> other
+    json_with ~rules:c.shards.(0).Kstate.watch (metrics c)
+      [ ("shards", Obs.Json.Int (Array.length c.shards)) ]
 
   (* Per-shard record streams, tagged with shard ids — the shape
      [Obs.Chrome.to_json_sharded] consumes for disjoint trace lanes. *)

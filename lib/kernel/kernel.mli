@@ -3,8 +3,9 @@
 
     A kernel instance — a {e shard} (DESIGN.md §3.6) — owns a virtual
     clock, a filesystem, a console, a process table, an executable
-    {!Registry}, an [Obs] engine, codec and envelope-pool counters and a
-    current-process cell.  Nothing about a session is module-global:
+    {!Registry}, an [Obs] engine (which carries its codec and
+    envelope-pool counters) and its running process.  Nothing about a
+    session is module-global:
     two kernels coexist in one OCaml process without observing each
     other, and {!Cluster} drives N of them deterministically.  [boot]
     starts pid 1 on a program body and runs the cooperative scheduler
@@ -46,9 +47,11 @@ val create : ?shard_id:int -> unit -> t
 (** {1 The current shard}
 
     Code on the trap path — envelope codecs, uspace stubs, in-fibre
-    agents — holds no handle; it reaches the right kernel through the
-    ambient current shard, which {!enter} installs together with the
-    shard's obs engine, codec/pool counters and current-process cell. *)
+    agents — holds no handle.  It reaches the right shard through two
+    installed cells, one per layer: the shard's obs engine for obs and
+    abi code, which sit below the kernel, and the ambient current shard
+    (and through it the running process) for the kernel and everything
+    above.  {!enter} installs both. *)
 
 val enter : t -> unit
 (** Make [t] the current shard.  {!create} and {!boot} call this;
@@ -59,9 +62,6 @@ val with_shard : t -> (unit -> 'a) -> 'a
 (** Run [f] with [t] entered, restoring the previously current shard
     afterwards (exception-safe).  This is how {!Cluster} multiplexes
     shards. *)
-
-val current : unit -> t option
-(** The current shard, if any. *)
 
 val current_exn : unit -> t
 (** @raise Failure when no shard is current. *)
@@ -114,18 +114,14 @@ val registry : t -> Registry.t
 val register_image : t -> string -> Registry.image -> unit
 (** [Registry.register (registry t)]. *)
 
-val codec_stats : t -> Abi.Envelope.Stats.snapshot
+val codec_stats : t -> Obs.Codec.t
 (** This shard's envelope codec counters (decodes, encodes, stack
     crossings) — the measured form of the decode-once invariant.  The
     codec work happens in user space, but user space belongs to exactly
-    one shard: whichever is entered while its fibres run. *)
+    one shard: whichever is entered while its fibres run.  Cumulative:
+    scope a window with {!Obs.Codec.diff}. *)
 
-val reset_codec_stats : t -> unit
-(** Zero [t]'s codec counters.  Only between sessions of that shard;
-    mid-session code should snapshot/{!Abi.Envelope.Stats.diff}
-    instead, or use {!metrics}. *)
-
-val env_pool_stats : t -> Abi.Envelope.Pool.Stats.snapshot
+val env_pool_stats : t -> Obs.Env_pool.t
 (** This shard's envelope-pool hit/miss counters (records and the wires
     they own), same snapshot contract as {!codec_stats}.  Also exported
     as the ["env_pool"] member of {!metrics_json}. *)
@@ -149,12 +145,12 @@ val watch_verdicts : t -> Obs.Watch.verdict list
 
 val metrics_json : t -> Obs.Json.t
 (** {!metrics} rendered with syscall names resolved via
-    [Abi.Sysno.name], plus ["codec"] ({!codec_stats}, incl.
-    [fast_path] and [intercepted]), ["env_pool"] ({!env_pool_stats}),
-    ["host"] ({!host_stats}) and
-    ["watchdogs"] ({!watch_verdicts}) blocks — every runtime statistic
-    of one shard in one document.  The [/obs/metrics] synthetic file
-    serves exactly this JSON inside the simulation. *)
+    [Abi.Sysno.name] — its ["codec"] ({!codec_stats}, incl.
+    [fast_path] and [intercepted]) and ["env_pool"] ({!env_pool_stats})
+    blocks included — plus a ["watchdogs"] ({!watch_verdicts}) block:
+    every runtime statistic of one shard in one document.  The
+    [/obs/metrics] synthetic file serves exactly this JSON inside the
+    simulation. *)
 
 val drain_obs : t -> Obs.Span.record list
 (** Drain this shard's flight recorder (oldest first). *)
@@ -173,9 +169,6 @@ val drain_causal : t -> Obs.Causal.edge list
 val pid_label : t -> int -> string
 (** ["pid N name"] when the process is still in the table, ["pid N"]
     otherwise — a [?pid_label] for {!Obs.Chrome.to_json}. *)
-
-val post_signal : t -> pid:int -> int -> unit
-(** Inject a signal from outside the simulation (like a console ^C). *)
 
 val set_trace_hook :
   t -> ?cost_us:int
@@ -236,8 +229,10 @@ module Cluster : sig
   val send : dst:int -> pid:int -> signal:int -> unit
   (** In-fibre: mail a signal to process [pid] of shard [dst], stamped
       with the sending shard's current virtual time.  Delivered at the
-      next quantum boundary.  Raises [Invalid_argument] outside
-      {!run} or for an unknown shard. *)
+      next quantum boundary.  Goes through the current shard's
+      [Kstate.hooks.send], which {!create} installs; raises
+      [Invalid_argument] on a shard outside any cluster or for an
+      unknown [dst]. *)
 
   val metrics : t -> Obs.metrics
   (** Cluster-wide aggregate over every shard's obs engine: exact
@@ -245,10 +240,9 @@ module Cluster : sig
       ({!Obs.merge_metrics}). *)
 
   val metrics_json : t -> Obs.Json.t
-  (** The aggregate as the same JSON document shape a single kernel's
-      [metrics_json] produces — codec and envelope-pool counters summed
-      across shards — plus a [shards] field with the fan-in and a
-      [watchdogs] block evaluating shard 0's rules over the merged
+  (** {!metrics} as the same JSON document shape a single kernel's
+      [metrics_json] produces, plus a [shards] field with the fan-in and
+      a [watchdogs] block evaluating shard 0's rules over the merged
       metrics. *)
 
   val drain_obs : t -> (int * Obs.Span.record list) list

@@ -26,6 +26,7 @@ type _ Effect.t += Settle : Envelope.t * outcome -> Events.trap_reply Effect.t
 type hooks = {
   spawn : Proc.t -> (unit -> int) -> unit;
   retry : Proc.t -> unit;
+  send : dst:int -> pid:int -> signal:int -> unit;
 }
 
 type t = {
@@ -35,14 +36,12 @@ type t = {
   console : Dev.Console.t;
   devs : Dev.table;
   procs : (int, Proc.t) Hashtbl.t;
-  runq : (unit -> unit) Queue.t;
+  runq : (t -> unit) Queue.t;
   waitqs : (wait_key, int list ref) Hashtbl.t;
   bindings : (string, File.sock) Hashtbl.t;
   registry : Registry.t;
   obs : Obs.engine;
-  codec : Envelope.Stats.t;
-  epool_stats : Envelope.Pool.Stats.t;
-  cur : Proc.Cur.cell;
+  mutable cur : Proc.t option;
   mutable timers : (int * timer_event) list;
   mutable next_pid : int;
   mutable next_file_id : int;
@@ -60,6 +59,7 @@ type t = {
 let no_hooks = {
   spawn = (fun _ _ -> failwith "Kstate: hooks not installed");
   retry = (fun _ -> failwith "Kstate: hooks not installed");
+  send = (fun ~dst:_ ~pid:_ ~signal:_ -> failwith "Kstate: hooks not installed");
 }
 
 let create ?(shard_id = 0) () =
@@ -78,9 +78,7 @@ let create ?(shard_id = 0) () =
        set up before [Kernel.create] still applies *)
     registry = Registry.create ();
     obs = Obs.engine_like (Obs.installed ());
-    codec = Envelope.Stats.create ();
-    epool_stats = Envelope.Pool.Stats.create ();
-    cur = Proc.Cur.cell ();
+    cur = None;
     timers = [];
     next_pid = 1;
     next_file_id = 1;
@@ -96,11 +94,12 @@ let create ?(shard_id = 0) () =
 
 (* --- the ambient current shard ----------------------------------------- *)
 
-(* The one place the "which kernel is running?" question is answered
-   for code that holds no handle (in-fibre agents, the C-library
-   stubs).  [Kernel.enter] installs a shard here together with its
-   obs/codec/pool/cur pieces; this ref is on the globals-lint
-   allowlist. *)
+(* The one place the "which kernel is running, and which of its
+   processes?" question is answered for code that holds no handle
+   (in-fibre agents, the C-library stubs): the shard here, its running
+   process in its [cur].  [Kernel.enter] installs a shard here together
+   with its obs engine, the only other installed cell; this ref is on
+   the globals-lint allowlist. *)
 module Ambient = struct
   let current : t option ref = ref None
 
@@ -156,6 +155,8 @@ let total_syscalls t =
 
 (* --- run queue, wait queues and timers --------------------------------- *)
 
+(* The scheduler hands each thunk its shard, so a thunk that only needs
+   the shard to set [cur] does not capture it. *)
 let enqueue t thunk = Queue.add thunk t.runq
 
 let waitq t key =
@@ -470,7 +471,7 @@ and act_on_pending t (p : Proc.t) s =
       (match p.state with
        | Proc.Stopped st ->
          p.state <- Proc.Runnable;
-         enqueue t (fun () -> resume_stopped p st)
+         enqueue t (fun t -> resume_stopped t p st)
        | Proc.Runnable | Proc.Parked _ | Proc.Zombie | Proc.Reaped -> ())
     | `Terminate ->
       (match p.state with
@@ -501,7 +502,7 @@ and act_on_pending t (p : Proc.t) s =
          let reply =
            { Events.res = Error Errno.EINTR; deliver = [ s ] }
          in
-         enqueue t (fun () -> resume_parked p park reply)
+         enqueue t (fun t -> resume_parked t p park reply)
        | Proc.Runnable | Proc.Stopped _ | Proc.Zombie | Proc.Reaped ->
          (* delivered at the next trap boundary *)
          ())
@@ -513,23 +514,23 @@ and act_on_pending t (p : Proc.t) s =
          ()
        | Proc.Stopped _ | Proc.Zombie | Proc.Reaped -> clear_pending p s)
 
-and resume_parked (p : Proc.t) (park : Proc.park) reply =
+and resume_parked t (p : Proc.t) (park : Proc.park) reply =
   match p.state with
   | Proc.Runnable ->
-    Proc.Cur.set (Some p);
+    t.cur <- Some p;
     Effect.Deep.continue park.k reply;
-    Proc.Cur.set None
+    t.cur <- None
   | Proc.Zombie | Proc.Reaped ->
     (try Effect.Deep.discontinue park.k Events.Process_killed
      with Events.Process_killed | _ -> ())
   | Proc.Parked _ | Proc.Stopped _ -> ()
 
-and resume_stopped (p : Proc.t) (st : Proc.stopped) =
+and resume_stopped t (p : Proc.t) (st : Proc.stopped) =
   match p.state with
   | Proc.Runnable ->
-    Proc.Cur.set (Some p);
+    t.cur <- Some p;
     Effect.Deep.continue st.sk st.reply;
-    Proc.Cur.set None
+    t.cur <- None
   | Proc.Zombie | Proc.Reaped ->
     (try Effect.Deep.discontinue st.sk Events.Process_killed
      with Events.Process_killed | _ -> ())

@@ -41,6 +41,9 @@ type hooks = {
       (** enqueue a fresh fibre for an (already registered) process *)
   retry : Proc.t -> unit;
       (** make a parked process re-attempt its system call *)
+  send : dst:int -> pid:int -> signal:int -> unit;
+      (** mail a signal to a sibling shard's process ([Kernel.Cluster]
+          installs it; a solo kernel's raises [Invalid_argument]) *)
 }
 
 type t = {
@@ -50,18 +53,19 @@ type t = {
   console : Dev.Console.t;
   devs : Dev.table;
   procs : (int, Proc.t) Hashtbl.t;
-  runq : (unit -> unit) Queue.t;
+  runq : (t -> unit) Queue.t;
   waitqs : (wait_key, int list ref) Hashtbl.t;
   bindings : (string, File.sock) Hashtbl.t;
       (** socket address namespace: [bind] claims a name (EADDRINUSE on
           conflict), [connect] resolves one, closing the bound or
           listening socket releases it *)
   registry : Registry.t;           (** shard-owned executable images *)
-  obs : Obs.engine;                (** shard-owned observability engine *)
-  codec : Abi.Envelope.Stats.t;    (** shard-owned codec counters *)
-  epool_stats : Abi.Envelope.Pool.Stats.t;
-      (** shard-owned envelope-pool counters *)
-  cur : Proc.Cur.cell;             (** shard-owned current process *)
+  obs : Obs.engine;
+      (** shard-owned observability engine, codec and envelope-pool
+          counters included *)
+  mutable cur : Proc.t option;
+      (** the running process: set by the scheduler around each resumed
+          fibre, [None] while kernel code runs *)
   mutable timers : (int * timer_event) list;  (** sorted by time *)
   mutable next_pid : int;
   mutable next_file_id : int;
@@ -86,10 +90,11 @@ val create : ?shard_id:int -> unit -> t
     preserving the "configure observation, then create the kernel"
     call order. *)
 
-(** The ambient current shard: which kernel's state in-fibre code that
-    holds no handle (agents, the C-library stubs) should reach.
-    [Kernel.enter] maintains it; read it via [Kernel.current].  On the
-    globals-lint allowlist. *)
+(** The ambient current shard: which kernel's state — and, through its
+    [cur], which running process — in-fibre code that holds no handle
+    (agents, the C-library stubs) should reach.  [Kernel.enter]
+    maintains it; read it via [Kernel.current_exn].  On the globals-lint
+    allowlist. *)
 module Ambient : sig
   val current : t option ref
 
@@ -121,7 +126,9 @@ val total_syscalls : t -> int
 
 (* --- wait queues and timers --- *)
 
-val enqueue : t -> (unit -> unit) -> unit
+val enqueue : t -> (t -> unit) -> unit
+(** Queue a thunk; the scheduler runs it with the shard as argument. *)
+
 val sleep_on : t -> wait_key -> int -> unit
 val wake_key : t -> wait_key -> unit
 (** Retry every parked process on the queue (liveness is re-checked). *)

@@ -144,25 +144,3 @@ let handler t s =
 
 let set_handler t s h =
   if Abi.Signal.is_valid s then t.sigs.handlers.(s) <- h
-
-(* Each kernel shard owns one current-process cell; entering a shard
-   installs its cell here (DESIGN.md §3.6), so the running process of
-   one kernel can never be observed from another.  A default cell is
-   installed at program start for code probing "am I in a simulation?"
-   outside any kernel. *)
-module Cur = struct
-  type cell = t option ref
-
-  let cell () : cell = ref None
-
-  let cur : cell ref = ref (cell ())
-  let install c = cur := c
-  let installed () = !cur
-
-  let get () = !(!cur)
-  let get_exn () =
-    match !(!cur) with
-    | Some p -> p
-    | None -> failwith "no current process (called outside a simulation?)"
-  let set p = !cur := p
-end

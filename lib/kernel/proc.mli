@@ -116,26 +116,3 @@ val alloc_fd : ?from:int -> t -> int option
 val handler : t -> int -> Abi.Value.handler
 
 val set_handler : t -> int -> Abi.Value.handler -> unit
-
-(** Access to the currently running process, set by the scheduler
-    before resuming a fibre.  The user-space stubs use it to consult
-    the emulation vector without entering the kernel.
-
-    The cell holding the current process is owned by the kernel shard
-    (DESIGN.md §3.6): [Kstate.create] allocates one, entering a shard
-    installs it, and {!get}/{!set} operate on whichever cell is
-    installed — so one kernel's running process is unobservable from
-    another.  A default cell is installed at program start. *)
-module Cur : sig
-  type cell
-
-  val cell : unit -> cell
-  (** A fresh, empty cell. *)
-
-  val install : cell -> unit
-  val installed : unit -> cell
-
-  val get : unit -> t option
-  val get_exn : unit -> t
-  val set : t option -> unit
-end

@@ -1,6 +1,14 @@
 open Abi
 
-let self () = Proc.Cur.get_exn ()
+(* The running process is a field of the current shard: reading it is
+   two loads, and allocates nothing. *)
+let current_proc () =
+  match !Kstate.Ambient.current with Some t -> t.Kstate.cur | None -> None
+
+let self () =
+  match current_proc () with
+  | Some p -> p
+  | None -> failwith "no current process (called outside a simulation?)"
 
 (* One definition of signal dispatch, shared by the trap exit path here
    and by the toolkit's [Downlink.down_signal] chain. *)
@@ -40,9 +48,9 @@ let leave_layer = function Some fr -> Obs.layer_exit fr | None -> ()
    terminal signal left pending since the last trap boundary takes
    effect first: the process exits and its fibre unwinds from here, as
    it would have on being discontinued by the scheduler. *)
-let serve_inline ?via t (proc : Proc.t) env =
-  let cur = Proc.Cur.get () in
-  Proc.Cur.set None;
+let serve_inline ?via (t : Kstate.t) (proc : Proc.t) env =
+  let cur = t.cur in
+  t.cur <- None;
   (match Kstate.pending_terminal proc with
    | `Kill (s, status) ->
      Kstate.exit_by_signal t proc s status;
@@ -50,10 +58,10 @@ let serve_inline ?via t (proc : Proc.t) env =
    | `Stop _ | `None -> ());
   match Syscalls.serve ?via t proc env with
   | outcome ->
-    Proc.Cur.set cur;
+    t.cur <- cur;
     outcome
   | exception e ->
-    Proc.Cur.set cur;
+    t.cur <- cur;
     raise e
 
 (* Direct kernel entry (DESIGN.md §3.8).  The scheduler resumes a
@@ -132,10 +140,10 @@ let trap_raw (env : Envelope.t) : Value.res =
   in
   match handler with
   | None ->
-    Envelope.Stats.note_trap_fast ();
+    Obs.note_trap_fast ();
     to_kernel proc env
   | Some h ->
-    Envelope.Stats.note_trap_intercepted ();
+    Obs.note_trap_intercepted ();
     (match cpu_charge proc Cost_model.intercept_us with
      | [] -> ()
      | sigs -> deliver proc sigs);
@@ -210,8 +218,6 @@ let syscall c =
   else instrumented (self ()) ~sysno:(Call.number c) at_boundary c
 
 let htg_trap env = enter_kernel ~via:Events.Htg (self ()) env
-
-let htg_unix_syscall w = htg_trap (Envelope.of_wire w)
 
 (* agent-originated: the typed view rides the envelope down, never
    paying an encode unless some layer demands the wire form; the

@@ -4,7 +4,8 @@
     [trap_wire] is the moral equivalent of the trap instruction: it
     consults the process's in-address-space emulation vector first
     (installed by {!task_set_emulation}), so an interposition agent
-    sees the call before the kernel does.  [htg_unix_syscall] bypasses
+    sees the call before the kernel does.  {!htg_trap} (the paper's
+    [htg_unix_syscall]) bypasses
     the vector, letting agent code reach the underlying implementation
     of a call it intercepts — the two primitives the paper's toolkit
     builds on.
@@ -42,9 +43,6 @@ val syscall : Abi.Call.t -> Abi.Value.res
 val htg_trap : Abi.Envelope.t -> Abi.Value.res
 (** Call the underlying system interface even if the number is being
     intercepted (+37 µs, Table 3-4). *)
-
-val htg_unix_syscall : Abi.Value.wire -> Abi.Value.res
-(** Numeric-form convenience over {!htg_trap}. *)
 
 val htg_syscall : Abi.Call.t -> Abi.Value.res
 (** Typed convenience over {!htg_trap}; the typed view rides the
@@ -84,4 +82,10 @@ val exec_load : Events.exec_spec -> 'a
     across an exec. *)
 
 val self : unit -> Proc.t
-(** The calling process (stubs run in process context). *)
+(** The calling process (stubs run in process context): the current
+    shard's running process.
+    @raise Failure outside any process. *)
+
+val current_proc : unit -> Proc.t option
+(** The current shard's running process, if any: [None] outside a
+    simulation and while kernel code runs. *)

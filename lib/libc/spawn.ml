@@ -29,41 +29,3 @@ let run_exit_code path argv =
   | Ok status when Flags.Wait.wifexited status ->
     Flags.Wait.wexitstatus status
   | Ok _ | Error _ -> 127
-
-let pipeline stages =
-  match stages with
-  | [] -> Ok (Flags.Wait.exit_status 0)
-  | _ ->
-    let rec start prev_read pids = function
-      | [] -> Ok (List.rev pids)
-      | (path, argv) :: rest ->
-        let is_last = rest = [] in
-        let pipe_fds = if is_last then Ok None
-          else
-            match Unistd.pipe () with
-            | Ok (r, w) -> Ok (Some (r, w))
-            | Error e -> Error e
-        in
-        (match pipe_fds with
-         | Error e -> Error e
-         | Ok fds ->
-           let stdout = Option.map snd fds in
-           (match spawn ?stdin:prev_read ?stdout path argv with
-            | Error e -> Error e
-            | Ok pid ->
-              Option.iter (fun fd -> ignore (Unistd.close fd)) prev_read;
-              Option.iter (fun (_, w) -> ignore (Unistd.close w)) fds;
-              start (Option.map fst fds) (pid :: pids) rest))
-    in
-    match start None [] stages with
-    | Error e -> Error e
-    | Ok pids ->
-      let last = List.hd pids in
-      let rec reap status = function
-        | [] -> status
-        | pid :: rest ->
-          (match Unistd.waitpid pid 0 with
-           | Ok (_, st) when pid = last -> reap (Ok st) rest
-           | Ok _ | Error _ -> reap status rest)
-      in
-      reap (Ok (Flags.Wait.exit_status 0)) pids

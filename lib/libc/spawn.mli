@@ -13,7 +13,3 @@ val run : ?stdin:int -> ?stdout:int -> ?stderr:int
 val run_exit_code : string -> string array -> int
 (** {!run}, decoded to an exit code; 127 on any failure (as a shell
     would report). *)
-
-val pipeline : (string * string array) list -> (int, Abi.Errno.t) result
-(** Run a pipeline [p1 | p2 | ...], stdin/stdout of the ends untouched;
-    returns the wait status of the last stage. *)

@@ -25,14 +25,16 @@
    1-in-N subset — consumers scale those by `sample_n` from the metrics
    snapshot.
 
-   Ownership: all engine state lives in an [engine] record.  Each
-   kernel shard owns one; entering a shard installs its engine in the
-   module-level [cur] pointer (the one allowlisted global here, the
-   moral equivalent of a CPU's current-task register) so that code deep
-   in the trap path — envelope codecs, agents, uspace — reaches the
-   right engine without threading a handle through every signature.
-   A default engine is installed at program start for engine-only use
-   (tests drive spans with no kernel at all).
+   Ownership: all engine state lives in an [engine] record, the codec
+   and envelope-pool counters included.  Each kernel shard owns one;
+   entering a shard installs its engine in the module-level [cur]
+   pointer so that code deep in the trap path — envelope codecs,
+   agents, uspace — reaches the right engine without threading a
+   handle through every signature.  It is one of the two installed
+   cells (DESIGN.md §3.6): obs and abi sit below the kernel and cannot
+   see the kernel's own, [Kstate.Ambient.current].  A default engine is
+   installed at program start for engine-only use (tests drive spans
+   with no kernel at all).
 
    Observation charges no *virtual* time: enabling tracing must not
    move any published µs number. *)
@@ -46,6 +48,72 @@ module Causal = Causal
 module Flame = Flame
 module Stream = Stream
 module Watch = Watch
+
+(* ---------- codec and envelope-pool counters ---------- *)
+
+(* Exact and cumulative: bumped whether or not the engine is on, never
+   sampled, and left alone by [reset]. *)
+module Codec = struct
+  type t = {
+    traps : int;
+    intercepted : int;
+    fast_path : int;
+    decodes : int;
+    encodes : int;
+    crossings : int;
+    agent_calls : int;
+  }
+
+  let map2 f a b =
+    { traps = f a.traps b.traps;
+      intercepted = f a.intercepted b.intercepted;
+      fast_path = f a.fast_path b.fast_path;
+      decodes = f a.decodes b.decodes;
+      encodes = f a.encodes b.encodes;
+      crossings = f a.crossings b.crossings;
+      agent_calls = f a.agent_calls b.agent_calls }
+
+  let zero =
+    { traps = 0; intercepted = 0; fast_path = 0; decodes = 0; encodes = 0;
+      crossings = 0; agent_calls = 0 }
+
+  let diff before after = map2 ( - ) after before
+
+  let pp fmt s =
+    Format.fprintf fmt
+      "traps=%d intercepted=%d fast_path=%d decodes=%d encodes=%d \
+       crossings=%d agent_calls=%d"
+      s.traps s.intercepted s.fast_path s.decodes s.encodes
+      s.crossings s.agent_calls
+
+  let to_json s =
+    Json.Obj
+      [ ("traps", Json.Int s.traps);
+        ("intercepted", Json.Int s.intercepted);
+        ("fast_path", Json.Int s.fast_path);
+        ("decodes", Json.Int s.decodes);
+        ("encodes", Json.Int s.encodes);
+        ("crossings", Json.Int s.crossings);
+        ("agent_calls", Json.Int s.agent_calls) ]
+end
+
+module Env_pool = struct
+  type t = { hits : int; misses : int; recycled : int; dropped : int }
+
+  let map2 f a b =
+    { hits = f a.hits b.hits; misses = f a.misses b.misses;
+      recycled = f a.recycled b.recycled; dropped = f a.dropped b.dropped }
+
+  let zero = { hits = 0; misses = 0; recycled = 0; dropped = 0 }
+  let diff before after = map2 ( - ) after before
+
+  let to_json s =
+    Json.Obj
+      [ ("hits", Json.Int s.hits);
+        ("misses", Json.Int s.misses);
+        ("recycled", Json.Int s.recycled);
+        ("dropped", Json.Int s.dropped) ]
+end
 
 (* ---------- live per-span state ---------- *)
 
@@ -66,7 +134,6 @@ type span_state = {
   s_sysno : int;
   s_begin_us : int;
   mutable s_frames : frame list; (* innermost first *)
-  mutable s_rewrites : int;
 }
 
 (* ---------- aggregation rows ---------- *)
@@ -170,6 +237,22 @@ type engine = {
       (* (dst pid, signal) -> (src shard, src span, src pid) fifo *)
   e_pipes : (int, pipe_chan) Hashtbl.t;
       (* channel ([chan_pipe] and friends) -> watermarks *)
+  e_rewrites : (int, int) Hashtbl.t;
+      (* pid -> rewrites noted while it ran, exact like the counters
+         below; a process's entry goes with it ([abort_pid]) *)
+  (* codec counters ([Codec]) *)
+  mutable e_traps : int;
+  mutable e_intercepted : int;
+  mutable e_fast_path : int;
+  mutable e_decodes : int;
+  mutable e_encodes : int;
+  mutable e_crossings : int;
+  mutable e_agent_calls : int;
+  (* envelope-pool counters ([Env_pool]), over every pool of the shard *)
+  mutable e_pool_hits : int;
+  mutable e_pool_misses : int;
+  mutable e_pool_recycled : int;
+  mutable e_pool_dropped : int;
 }
 
 let engine ?(ring_capacity = default_ring_capacity) () =
@@ -199,6 +282,18 @@ let engine ?(ring_capacity = default_ring_capacity) () =
     e_pending_fork = Hashtbl.create 16;
     e_pending_sig = Hashtbl.create 16;
     e_pipes = Hashtbl.create 16;
+    e_rewrites = Hashtbl.create 16;
+    e_traps = 0;
+    e_intercepted = 0;
+    e_fast_path = 0;
+    e_decodes = 0;
+    e_encodes = 0;
+    e_crossings = 0;
+    e_agent_calls = 0;
+    e_pool_hits = 0;
+    e_pool_misses = 0;
+    e_pool_recycled = 0;
+    e_pool_dropped = 0;
   }
 
 (* A fresh engine carrying the *configuration* of [src] — on/off
@@ -217,8 +312,9 @@ let engine_like src =
   e
 
 (* The installed (current-shard) engine: the single allowlisted piece
-   of module-level state in this library.  Everything below operates on
-   [!cur]. *)
+   of module-level state in this library, and with
+   [Kstate.Ambient.current] one of the two installed cells.  Everything
+   below operates on [!cur]. *)
 let cur : engine ref = ref (engine ())
 
 let install e = cur := e
@@ -566,7 +662,7 @@ let span_begin ~pid ~sysno =
         let id = e.e_next_span in
         Hashtbl.replace e.e_spans id
           { s_id = id; s_pid = pid; s_sysno = sysno;
-            s_begin_us = e.e_clock_fn (); s_frames = []; s_rewrites = 0 };
+            s_begin_us = e.e_clock_fn (); s_frames = [] };
         (match Hashtbl.find_opt e.e_open_by_pid pid with
          | Some stack -> stack := id :: !stack
          | None -> Hashtbl.replace e.e_open_by_pid pid (ref [ id ]));
@@ -713,6 +809,7 @@ let span_end span ~error =
 
 let abort_pid pid =
   let e = !cur in
+  if Hashtbl.length e.e_rewrites > 0 then Hashtbl.remove e.e_rewrites pid;
   match Hashtbl.find_opt e.e_open_by_pid pid with
   | None -> ()
   | Some stack ->
@@ -724,36 +821,87 @@ let abort_pid pid =
         | None -> ())
       ids
 
-(* ---------- codec and rewrite attribution ---------- *)
+(* ---------- codec, pool and rewrite counting ---------- *)
 
+let note_trap_fast () =
+  let e = !cur in
+  e.e_traps <- e.e_traps + 1;
+  e.e_fast_path <- e.e_fast_path + 1
+
+let note_trap_intercepted () =
+  let e = !cur in
+  e.e_traps <- e.e_traps + 1;
+  e.e_intercepted <- e.e_intercepted + 1
+
+let note_crossing () =
+  let e = !cur in
+  e.e_crossings <- e.e_crossings + 1
+
+let note_agent_call () =
+  let e = !cur in
+  e.e_agent_calls <- e.e_agent_calls + 1
+
+let note_pool_hit () =
+  let e = !cur in
+  e.e_pool_hits <- e.e_pool_hits + 1
+
+let note_pool_miss () =
+  let e = !cur in
+  e.e_pool_misses <- e.e_pool_misses + 1
+
+let note_pool_recycled () =
+  let e = !cur in
+  e.e_pool_recycled <- e.e_pool_recycled + 1
+
+let note_pool_dropped () =
+  let e = !cur in
+  e.e_pool_dropped <- e.e_pool_dropped + 1
+
+(* The exact count always; the top frame of a sampled span too. *)
 let note_decode span =
+  let e = !cur in
+  e.e_decodes <- e.e_decodes + 1;
   if span > 0 then
-    match Hashtbl.find_opt !cur.e_spans span with
+    match Hashtbl.find_opt e.e_spans span with
     | Some { s_frames = fr :: _; _ } -> fr.f_decodes <- fr.f_decodes + 1
     | _ -> ()
 
 let note_encode span =
+  let e = !cur in
+  e.e_encodes <- e.e_encodes + 1;
   if span > 0 then
-    match Hashtbl.find_opt !cur.e_spans span with
+    match Hashtbl.find_opt e.e_spans span with
     | Some { s_frames = fr :: _; _ } -> fr.f_encodes <- fr.f_encodes + 1
     | _ -> ()
 
-let note_rewrite span =
-  if span > 0 then
-    match Hashtbl.find_opt !cur.e_spans span with
-    | Some st ->
-      st.s_rewrites <- st.s_rewrites + 1;
-      (match st.s_frames with
-       | fr :: _ -> fr.f_rewrites <- fr.f_rewrites + 1
-       | [] -> ())
-    | None -> ()
+let rewrites_of e pid =
+  if Hashtbl.length e.e_rewrites = 0 then 0
+  else match Hashtbl.find e.e_rewrites pid with
+    | n -> n
+    | exception Not_found -> 0
 
-let span_rewrites span =
-  if span <= 0 then 0
-  else
-    match Hashtbl.find_opt !cur.e_spans span with
-    | Some st -> st.s_rewrites
-    | None -> 0
+let rewrites () =
+  let e = !cur in
+  rewrites_of e (e.e_context_fn ())
+
+let note_rewrite span =
+  let e = !cur in
+  let pid = e.e_context_fn () in
+  if pid > 0 then Hashtbl.replace e.e_rewrites pid (rewrites_of e pid + 1);
+  if span > 0 then
+    match Hashtbl.find_opt e.e_spans span with
+    | Some { s_frames = fr :: _; _ } -> fr.f_rewrites <- fr.f_rewrites + 1
+    | _ -> ()
+
+let codec_of e =
+  { Codec.traps = e.e_traps; intercepted = e.e_intercepted;
+    fast_path = e.e_fast_path; decodes = e.e_decodes;
+    encodes = e.e_encodes; crossings = e.e_crossings;
+    agent_calls = e.e_agent_calls }
+
+let env_pool_of e =
+  { Env_pool.hits = e.e_pool_hits; misses = e.e_pool_misses;
+    recycled = e.e_pool_recycled; dropped = e.e_pool_dropped }
 
 (* ---------- trace-agent records and marks ---------- *)
 
@@ -815,6 +963,8 @@ type metrics = {
   m_sample_n : int;
   m_syscalls : syscall_metrics list;
   m_layers : layer_metrics list;
+  m_codec : Codec.t;
+  m_env_pool : Env_pool.t;
 }
 
 let metrics_of e =
@@ -847,6 +997,8 @@ let metrics_of e =
     m_sample_n = e.e_sample_n;
     m_syscalls = syscalls;
     m_layers = layers;
+    m_codec = codec_of e;
+    m_env_pool = env_pool_of e;
   }
 
 let metrics () = metrics_of !cur
@@ -908,6 +1060,12 @@ let merge_metrics (ms : metrics list) =
       Hashtbl.fold (fun _ l acc -> l :: acc) lay []
       |> List.sort (fun a b ->
            compare (a.lm_depth, a.lm_layer) (b.lm_depth, b.lm_layer));
+    m_codec =
+      List.fold_left (fun acc m -> Codec.map2 ( + ) acc m.m_codec) Codec.zero ms;
+    m_env_pool =
+      List.fold_left
+        (fun acc m -> Env_pool.map2 ( + ) acc m.m_env_pool)
+        Env_pool.zero ms;
   }
 
 (* Exact vs estimated (DESIGN.md §3.4): per-syscall [calls]/[errors]
@@ -989,4 +1147,6 @@ let metrics_to_json ?(name = fun n -> Printf.sprintf "syscall#%d" n) (m : metric
                        [ ("traps", l.lm_traps); ("self_us", l.lm_self_us);
                          ("total_us", l.lm_total_us) ]))
                m.m_layers) );
+        ("codec", Codec.to_json m.m_codec);
+        ("env_pool", Env_pool.to_json m.m_env_pool);
       ])

@@ -40,13 +40,14 @@ module Watch = Watch
 (** {1 Engines}
 
     All engine state — the on/off switch, clock and context hooks,
-    sampler, span tables, ring, aggregations — lives in an {!engine}
-    value.  Each kernel shard owns one (DESIGN.md §3.6); entering a
-    shard {!install}s its engine so the unit-argument API below, called
-    from code deep in the trap path, reaches the right engine without
-    threading a handle through every signature.  A default engine is
-    installed at program start, so engine-only use (driving spans with
-    no kernel) keeps working unchanged. *)
+    sampler, span tables, ring, aggregations, and the codec and
+    envelope-pool counters — lives in an {!engine} value.  Each kernel
+    shard owns one (DESIGN.md §3.6); entering a shard {!install}s its
+    engine so the unit-argument API below, called from code deep in the
+    trap path, reaches the right engine without threading a handle
+    through every signature.  A default engine is installed at program
+    start, so engine-only use (driving spans with no kernel) keeps
+    working unchanged. *)
 
 type engine
 
@@ -85,7 +86,7 @@ val set_clock : (unit -> int) -> unit
 
 val set_context : (unit -> int) -> unit
 (** Source of the currently-running simulated pid (0 when none);
-    [Kernel.create] installs [Proc.Cur]-based lookup. *)
+    [Kernel.create] installs a read of its shard's running process. *)
 
 val now_us : unit -> int
 val current_pid : unit -> int
@@ -107,9 +108,9 @@ val reset : unit -> unit
 (** Clear all state: open spans, aggregations, the ring.  The sampling
     rate and seed persist but the decision stream restarts, so a reset
     window replays the same choices.  Call between independent
-    measurement windows (the enable/reset pairing replaces the old
-    global [Kernel.reset_codec_stats] hygiene problem — see
-    [envelope.mli]). *)
+    measurement windows.  The {!Codec} and {!Env_pool} counters and the
+    per-process {!rewrites} counts are cumulative and survive it:
+    scope them to a window with a [diff] of two snapshots. *)
 
 (** {1 Span lifecycle} *)
 
@@ -154,26 +155,95 @@ val in_layer : span:int -> string -> (unit -> 'a) -> 'a
     exception-safely.  Runs [f] bare when the span is dead, unsampled
     or 0. *)
 
-(** {1 Codec and rewrite attribution} *)
+(** {1 Codec, envelope-pool and rewrite counting}
+
+    Counters over every envelope of one engine's shard, bumped only
+    when real work happens (memoized views are free).  They are exact
+    and cumulative: counted whether or not the engine is enabled, never
+    thinned by the sampler, untouched by {!reset}.  The bench harness
+    and the test suite take snapshots around a workload and check
+    invariants on the [diff]: e.g. under a stack of null symbolic
+    agents, [decodes = traps] exactly — one decode per intercepted
+    trap, at any depth. *)
+
+module Codec : sig
+  type t = {
+    traps : int;         (** application-level trap entries *)
+    intercepted : int;   (** traps that ran an installed handler *)
+    fast_path : int;     (** traps with no handler installed, sent
+                             straight to the kernel; always
+                             [traps = fast_path + intercepted] *)
+    decodes : int;       (** wire → typed materializations *)
+    encodes : int;       (** typed → wire materializations *)
+    crossings : int;     (** envelope handed down one stack layer *)
+    agent_calls : int;   (** envelopes originated by agent/toolkit code *)
+  }
+
+  val diff : t -> t -> t
+  (** [diff before after]: counts in the window between two snapshots. *)
+
+  val pp : Format.formatter -> t -> unit
+
+  val to_json : t -> Json.t
+  (** The ["codec"] block of {!metrics_to_json}. *)
+end
+
+(** Hit/miss counters over every envelope pool of one shard (records
+    and the wires they own). *)
+module Env_pool : sig
+  type t = {
+    hits : int;      (** takes served from the free list *)
+    misses : int;    (** takes that fell back to allocation *)
+    recycled : int;  (** records returned for reuse *)
+    dropped : int;   (** returns rejected by a full pool *)
+  }
+
+  val diff : t -> t -> t
+  val to_json : t -> Json.t
+  (** The ["env_pool"] block of {!metrics_to_json}. *)
+end
+
+val codec_of : engine -> Codec.t
+val env_pool_of : engine -> Env_pool.t
+
+(** The counting hooks, for the envelope codecs, uspace stubs and the
+    toolkit's down path; not meant for agent code. *)
+
+val note_trap_fast : unit -> unit
+(** A trap whose handler slot was empty: counted in [traps] and
+    [fast_path]. *)
+
+val note_trap_intercepted : unit -> unit
+(** A trap whose handler slot held a handler: counted in [traps] and
+    [intercepted]. *)
+
+val note_crossing : unit -> unit
+val note_agent_call : unit -> unit
+val note_pool_hit : unit -> unit
+val note_pool_miss : unit -> unit
+val note_pool_recycled : unit -> unit
+val note_pool_dropped : unit -> unit
 
 val note_decode : int -> unit
-(** An envelope belonging to this span was decoded; attributed to the
-    span's innermost open frame.  No-op on span ≤ 0. *)
+(** An envelope belonging to this span was decoded: counted, and
+    attributed to the span's innermost open frame when the span is
+    sampled (> 0). *)
 
 val note_encode : int -> unit
 
 val note_rewrite : int -> unit
-(** The call (or its result) was rewritten in flight; attributed to
-    the innermost frame and accumulated on the span.  Fired
-    automatically when a dirty envelope forces a re-encode (the PR 1
-    "genuine rewrite"), and explicitly by mutating agents — crypt's
-    payload transform, timex's result shift, remap's ABI translation.
-    No-op on span ≤ 0. *)
+(** The call (or its result) was rewritten in flight: counted against
+    the current process ({!rewrites}), and attributed to the span's
+    innermost frame when the span is sampled.  Fired automatically when
+    a dirty envelope forces a re-encode (a "genuine rewrite", DESIGN.md
+    §3.1), and explicitly by mutating agents — crypt's payload
+    transform, timex's result shift, remap's ABI translation. *)
 
-val span_rewrites : int -> int
-(** Rewrites accumulated on an open span so far (0 for closed spans,
-    sentinels and span 0) — the trace agent's post events use this to
-    flag traps some lower layer mutated. *)
+val rewrites : unit -> int
+(** Rewrites noted so far while the current process ran (since its
+    last exec) — exact at any sampling rate and with the engine off.
+    The trace agent compares two readings around a call to flag calls
+    some lower layer mutated. *)
 
 (** {1 Trace-agent records and marks} *)
 
@@ -389,6 +459,8 @@ type metrics = {
   m_sample_n : int; (** 1-in-N rate the sampled figures cover *)
   m_syscalls : syscall_metrics list; (** ascending sysno *)
   m_layers : layer_metrics list;     (** ascending (depth, layer) *)
+  m_codec : Codec.t;                 (** exact, cumulative *)
+  m_env_pool : Env_pool.t;           (** exact, cumulative *)
 }
 
 val metrics : unit -> metrics
@@ -400,8 +472,9 @@ val metrics_of : engine -> metrics
 val merge_metrics : metrics list -> metrics
 (** Aggregate per-shard snapshots into one cluster-wide view: exact
     counters sum, per-syscall and per-layer histograms merge
-    bucket-wise (inputs are left untouched), [sample_n] is the maximum
-    across inputs so sampled estimates stay conservative. *)
+    bucket-wise (inputs are left untouched), the codec and pool
+    counters add, and [sample_n] is the maximum across inputs so
+    sampled estimates stay conservative. *)
 
 val drain_of : engine -> Span.record list
 
@@ -411,4 +484,5 @@ val metrics_to_json : ?name:(int -> string) -> metrics -> Json.t
     Histograms carry [p50_us]/[p90_us]/[p99_us] upper-bucket-bound
     estimates ({!Hist.quantile}); when [sample_n > 1], sampled figures
     gain pre-scaled [est_*] companions so consumers can tell estimated
-    from exact. *)
+    from exact.  The last two members are the ["codec"] and
+    ["env_pool"] counter blocks. *)

@@ -46,7 +46,6 @@ val call_line : call -> string
     JSONL render through this one function. *)
 
 val to_json : record -> Json.t
-val of_json : Json.t -> record option
 
 val to_line : record -> string
 (** One compact JSON object (no trailing newline), with a

@@ -17,7 +17,6 @@
 type cursor = { mutable c_pos : int }
 
 let cursor () = { c_pos = 0 }
-let position c = c.c_pos
 
 let poll c ring =
   let pushed = Ring.pushed ring in

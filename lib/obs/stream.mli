@@ -16,9 +16,6 @@ val cursor : unit -> cursor
     live in the ring are delivered on the first poll; older ones
     count as lost). *)
 
-val position : cursor -> int
-(** Records consumed or skipped so far, in push order. *)
-
 val poll : cursor -> 'a Ring.t -> 'a list * int
 (** [(fresh, lost)]: records pushed since the last poll that are
     still live (oldest first), and how many were lost to overwrite or

@@ -22,7 +22,6 @@ val dev : t -> int
 
 val root_ino : t -> int
 
-val get : t -> int -> Inode.t option
 val get_exn : t -> int -> Inode.t
 (** [get_exn] raises [Invalid_argument] on a dangling ino; kernel code
     uses it only for inos it knows are live. *)

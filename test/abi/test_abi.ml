@@ -449,11 +449,10 @@ let test_call_roundtrip_exhaustive =
 
 let codec_window f =
   (* no kernel here: envelopes count against the installed (default)
-     per-shard counter set *)
-  let codec = Envelope.Stats.installed () in
-  let before = Envelope.Stats.snapshot_of codec in
+     obs engine's counters *)
+  let before = Obs.codec_of (Obs.installed ()) in
   let r = f () in
-  (r, Envelope.Stats.diff before (Envelope.Stats.snapshot_of codec))
+  (r, Obs.Codec.diff before (Obs.codec_of (Obs.installed ())))
 
 let test_envelope_decode_once () =
   let env = Envelope.of_wire (Call.encode (Call.Close 3)) in
@@ -466,8 +465,8 @@ let test_envelope_decode_once () =
         (match a, b with Ok x, Ok y -> x == y | _ -> false);
       a)
   in
-  Alcotest.(check int) "one decode for two reads" 1 d.Envelope.Stats.decodes;
-  Alcotest.(check int) "no encodes" 0 d.Envelope.Stats.encodes;
+  Alcotest.(check int) "one decode for two reads" 1 d.Obs.Codec.decodes;
+  Alcotest.(check int) "no encodes" 0 d.Obs.Codec.encodes;
   (match first with
    | Ok (Call.Close 3) -> ()
    | _ -> Alcotest.fail "decoded to the wrong call");
@@ -488,15 +487,15 @@ let test_envelope_of_call_lazy_encode () =
       let b = Envelope.wire env in
       Alcotest.(check bool) "memoized wire is the same" true (a == b))
   in
-  Alcotest.(check int) "one encode for two reads" 1 d.Envelope.Stats.encodes;
-  Alcotest.(check int) "no decodes" 0 d.Envelope.Stats.decodes;
+  Alcotest.(check int) "one encode for two reads" 1 d.Obs.Codec.encodes;
+  Alcotest.(check int) "no decodes" 0 d.Obs.Codec.decodes;
   Alcotest.(check bool) "clean after encoding" false (Envelope.dirty env)
 
 let test_envelope_boundary_drops_view () =
   let (env, d) =
     codec_window (fun () -> Envelope.at_boundary (Call.Getpid))
   in
-  Alcotest.(check int) "boundary encodes eagerly" 1 d.Envelope.Stats.encodes;
+  Alcotest.(check int) "boundary encodes eagerly" 1 d.Obs.Codec.encodes;
   Alcotest.(check bool) "typed view dropped" false (Envelope.decoded env);
   Alcotest.(check int) "number still free" Sysno.sys_getpid
     (Envelope.number env)
@@ -512,15 +511,14 @@ let test_envelope_undecodable_memoized () =
       | Error Errno.ENOSYS -> ()
       | _ -> Alcotest.fail "expected memoized ENOSYS")
   in
-  Alcotest.(check int) "failure decoded once" 1 d.Envelope.Stats.decodes
+  Alcotest.(check int) "failure decoded once" 1 d.Obs.Codec.decodes
 
 (* --- envelope pool: the boundary wire a pooled record owns ------------------- *)
 
 let pool_window f =
-  let stats = Envelope.Pool.Stats.installed () in
-  let before = Envelope.Pool.Stats.snapshot_of stats in
+  let before = Obs.env_pool_of (Obs.installed ()) in
   let r = f () in
-  (r, Envelope.Pool.Stats.diff before (Envelope.Pool.Stats.snapshot_of stats))
+  (r, Obs.Env_pool.diff before (Obs.env_pool_of (Obs.installed ())))
 
 let test_pool_scrub_on_recycle () =
   let p = Envelope.Pool.create ~capacity:4 () in
@@ -528,7 +526,7 @@ let test_pool_scrub_on_recycle () =
     pool_window (fun () ->
         Envelope.at_boundary ~pool:p (Call.Open ("secret", 0, 0o644)))
   in
-  Alcotest.(check int) "dry take is a miss" 1 d.Envelope.Pool.Stats.misses;
+  Alcotest.(check int) "dry take is a miss" 1 d.Obs.Env_pool.misses;
   let w = Option.get (Envelope.owned_wire env) in
   Alcotest.(check int) "owned wire carries the call" Sysno.sys_open
     w.Value.num;
@@ -540,9 +538,9 @@ let test_pool_scrub_on_recycle () =
   let (env', d) =
     pool_window (fun () -> Envelope.at_boundary ~pool:p Call.Getpid)
   in
-  Alcotest.(check int) "warm take is a hit" 1 d.Envelope.Pool.Stats.hits;
+  Alcotest.(check int) "warm take is a hit" 1 d.Obs.Env_pool.hits;
   Alcotest.(check int) "warm take never allocates" 0
-    d.Envelope.Pool.Stats.misses;
+    d.Obs.Env_pool.misses;
   Alcotest.(check bool) "same record reused" true (env == env');
   Alcotest.(check bool) "same wire reused" true
     (Envelope.owned_wire env' == Envelope.owned_wire env)
@@ -562,7 +560,7 @@ let test_pool_boundary_reuse_no_stale () =
         Envelope.at_boundary ~pool:p (Call.Unlink "/tmp/other"))
   in
   Alcotest.(check int) "refill reused the parked record" 1
-    d.Envelope.Pool.Stats.hits;
+    d.Obs.Env_pool.hits;
   let w2 = Envelope.wire env2 in
   Alcotest.(check int) "number is the new call's" Sysno.sys_unlink
     w2.Value.num;
@@ -577,7 +575,7 @@ let test_pool_release_ownership () =
   ignore (Envelope.wire env); (* an agent saw the raw record *)
   let ((), d) = pool_window (fun () -> Envelope.release env) in
   Alcotest.(check int) "exposed wire is not recycled" 0
-    d.Envelope.Pool.Stats.recycled;
+    d.Obs.Env_pool.recycled;
   Alcotest.(check int) "pool stays empty" 0 (Envelope.Pool.size p);
   let env' = Envelope.at_boundary ~pool:p Call.Getpid in
   let ((), d) =
@@ -586,13 +584,13 @@ let test_pool_release_ownership () =
         Envelope.release env')
   in
   Alcotest.(check int) "double release recycles once" 1
-    d.Envelope.Pool.Stats.recycled;
+    d.Obs.Env_pool.recycled;
   let ((), d) =
     pool_window (fun () -> Envelope.release (Envelope.of_call Call.Sync))
   in
   Alcotest.(check bool) "release of an unpooled envelope is a no-op" true
     (d
-     = { Envelope.Pool.Stats.hits = 0; misses = 0; recycled = 0; dropped = 0 })
+     = { Obs.Env_pool.hits = 0; misses = 0; recycled = 0; dropped = 0 })
 
 let test_pool_decode_keeps_ownership () =
   (* the internal decode does not expose the wire, so a decoded
@@ -605,7 +603,7 @@ let test_pool_decode_keeps_ownership () =
    | _ -> Alcotest.fail "decode failed");
   let ((), d) = pool_window (fun () -> Envelope.release env) in
   Alcotest.(check int) "decoded-but-unexposed record recycles" 1
-    d.Envelope.Pool.Stats.recycled;
+    d.Obs.Env_pool.recycled;
   Alcotest.(check bool) "released record holds no wire" true
     (Envelope.peek_wire env = None)
 
@@ -618,8 +616,8 @@ let test_pool_capacity_drop () =
         Envelope.release env1;
         Envelope.release env2)
   in
-  Alcotest.(check int) "first return kept" 1 d.Envelope.Pool.Stats.recycled;
-  Alcotest.(check int) "overflow dropped" 1 d.Envelope.Pool.Stats.dropped;
+  Alcotest.(check int) "first return kept" 1 d.Obs.Env_pool.recycled;
+  Alcotest.(check int) "overflow dropped" 1 d.Obs.Env_pool.dropped;
   Alcotest.(check int) "size capped" 1 (Envelope.Pool.size p)
 
 (* --- envelope pool: records ------------------------------------------------- *)
@@ -629,17 +627,17 @@ let test_epool_reuse_and_scrub () =
   let (env1, d) =
     pool_window (fun () -> Envelope.of_call ~pool:p (Call.Close 7))
   in
-  Alcotest.(check int) "dry take is a miss" 1 d.Envelope.Pool.Stats.misses;
+  Alcotest.(check int) "dry take is a miss" 1 d.Obs.Env_pool.misses;
   let ((), d) = pool_window (fun () -> Envelope.release env1) in
   Alcotest.(check int) "clean release recycles the record" 1
-    d.Envelope.Pool.Stats.recycled;
+    d.Obs.Env_pool.recycled;
   Alcotest.(check int) "one record parked" 1 (Envelope.Pool.size p);
   let (env2, d) =
     pool_window (fun () -> Envelope.of_call ~pool:p (Call.Unlink "/x"))
   in
-  Alcotest.(check int) "warm take is a hit" 1 d.Envelope.Pool.Stats.hits;
+  Alcotest.(check int) "warm take is a hit" 1 d.Obs.Env_pool.hits;
   Alcotest.(check int) "warm take never allocates" 0
-    d.Envelope.Pool.Stats.misses;
+    d.Obs.Env_pool.misses;
   Alcotest.(check bool) "same record refilled" true (env1 == env2);
   (* scrubbed before reuse: nothing of the Close survives *)
   Alcotest.(check int) "number is the new call's" Sysno.sys_unlink
@@ -655,7 +653,7 @@ let test_epool_never_recycles_retained () =
   Envelope.retain env;
   let ((), d) = pool_window (fun () -> Envelope.release env) in
   Alcotest.(check int) "retained record not recycled" 0
-    d.Envelope.Pool.Stats.recycled;
+    d.Obs.Env_pool.recycled;
   Alcotest.(check int) "pool stays empty" 0 (Envelope.Pool.size p);
   (* the whole point of retain: the stash stays readable *)
   (match Envelope.call env with
@@ -670,13 +668,13 @@ let test_epool_never_recycles_exposed () =
   ignore (Envelope.wire env);  (* rewrite: dirty envelope forced to wire *)
   let ((), d) = pool_window (fun () -> Envelope.release env) in
   Alcotest.(check int) "exposed record not recycled" 0
-    d.Envelope.Pool.Stats.recycled;
+    d.Obs.Env_pool.recycled;
   Alcotest.(check int) "pool stays empty" 0 (Envelope.Pool.size p);
   let env' = Envelope.at_boundary ~pool:p Call.Getpid in
   ignore (Envelope.peek_wire env');
   let ((), d) = pool_window (fun () -> Envelope.release env') in
   Alcotest.(check int) "peeked record not recycled" 0
-    d.Envelope.Pool.Stats.recycled
+    d.Obs.Env_pool.recycled
 
 let test_epool_record_owns_wire () =
   (* one free list for both constructors: a record parked by a boundary
@@ -718,10 +716,10 @@ let test_epool_model =
                       else Envelope.of_call ~pool:p (Call.Close i))
                 in
                 if expect_hit then begin
-                  if dt.Envelope.Pool.Stats.hits <> 1 then ok := false;
+                  if dt.Obs.Env_pool.hits <> 1 then ok := false;
                   decr model_len
                 end
-                else if dt.Envelope.Pool.Stats.misses <> 1 then ok := false;
+                else if dt.Obs.Env_pool.misses <> 1 then ok := false;
                 (* scrub check: the record carries only this trap's call *)
                 (match Envelope.call env with
                  | Ok (Call.Close j) when j = i -> ()
@@ -736,8 +734,8 @@ let test_epool_model =
       in
       !ok
       && Envelope.Pool.size p = !model_len
-      && d.Envelope.Pool.Stats.recycled
-         + d.Envelope.Pool.Stats.dropped
+      && d.Obs.Env_pool.recycled
+         + d.Obs.Env_pool.dropped
          = List.length (List.filter (fun (_, a) -> a = 0) steps))
 
 let test_bitset_bounds () =

@@ -1217,10 +1217,10 @@ let test_sock_inherit_under_stack () =
   check_exit "rendezvous under stack" 0 status;
   let d = Kernel.codec_stats k in
   Alcotest.(check bool) "handlers engaged" true
-    (d.Envelope.Stats.intercepted > 0);
+    (d.Obs.Codec.intercepted > 0);
   Alcotest.(check int) "every trap counted once"
-    d.Envelope.Stats.traps
-    (d.Envelope.Stats.fast_path + d.Envelope.Stats.intercepted)
+    d.Obs.Codec.traps
+    (d.Obs.Codec.fast_path + d.Obs.Codec.intercepted)
 
 let qtest = QCheck_alcotest.to_alcotest
 

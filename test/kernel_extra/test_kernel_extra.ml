@@ -1044,7 +1044,8 @@ let test_kernel_code_sees_no_process () =
     (Some
        (fun _ _ _ ->
          incr hooked;
-         if Option.is_some (Kernel.Proc.Cur.get ()) then incr with_process));
+         if Option.is_some (Kernel.Uspace.current_proc ()) then
+           incr with_process));
   let status =
     boot_k k (fun () ->
       for _ = 1 to 5 do ignore (Libc.Unistd.getpid ()) done;
@@ -1068,7 +1069,7 @@ let test_current_restored_after_raise () =
       match Libc.Unistd.getppid () with
       | _ -> 1
       | exception Hook_failed ->
-        (match Kernel.Proc.Cur.get () with
+        (match Kernel.Uspace.current_proc () with
          | Some p when p.Kernel.Proc.pid = me ->
            (* and the process carries on trapping normally *)
            if Libc.Unistd.getpid () = me then 0 else 3

@@ -222,7 +222,7 @@ let test_call_line_shapes () =
 
 let null_stack_session ~depth ~iters =
   with_obs (fun () ->
-      let stats () = Envelope.Stats.snapshot_of (Envelope.Stats.installed ()) in
+      let stats () = Obs.codec_of (Obs.installed ()) in
       let codec = ref (stats ()) in
       let codec' = ref !codec in
       let _, status =
@@ -240,7 +240,7 @@ let null_stack_session ~depth ~iters =
             0)
       in
       check_exit "session" 0 status;
-      (Obs.metrics (), Envelope.Stats.diff !codec !codec'))
+      (Obs.metrics (), Obs.Codec.diff !codec !codec'))
 
 let test_attribution_four_deep () =
   let iters = 50 in
@@ -278,9 +278,9 @@ let test_attribution_four_deep () =
   let layer_encodes =
     List.fold_left (fun acc l -> acc + l.Obs.lm_encodes) 0 m.Obs.m_layers
   in
-  Alcotest.(check int) "decodes attributed" codec.Envelope.Stats.decodes
+  Alcotest.(check int) "decodes attributed" codec.Obs.Codec.decodes
     layer_decodes;
-  Alcotest.(check int) "encodes attributed" codec.Envelope.Stats.encodes
+  Alcotest.(check int) "encodes attributed" codec.Obs.Codec.encodes
     layer_encodes;
   Alcotest.(check int) "one decode per trap" iters layer_decodes;
   Alcotest.(check int) "one encode per trap" iters layer_encodes;
@@ -308,7 +308,7 @@ let test_attribution_depth_zero () =
     List.find (fun l -> l.Obs.lm_layer = "kernel") m.Obs.m_layers
   in
   Alcotest.(check int) "kernel decodes" iters kernel.Obs.lm_decodes;
-  Alcotest.(check int) "global agrees" codec.Envelope.Stats.decodes
+  Alcotest.(check int) "global agrees" codec.Obs.Codec.decodes
     kernel.Obs.lm_decodes
 
 let test_error_spans_counted () =
@@ -804,11 +804,21 @@ let metrics_gen =
     let* spans = int_range 0 100 in
     let* aborted = int_range 0 5 in
     let* sample_n = int_range 1 8 in
+    let* traps = int_range 0 100 in
+    let* fast = int_range 0 traps in
+    let* decodes = int_range 0 100 in
+    let* hits = int_range 0 100 in
+    let* misses = int_range 0 10 in
     return
       { Obs.m_spans = spans; m_aborted = aborted; m_injected = 0;
         m_open = 0; m_dropped = 0; m_sample_n = sample_n;
         m_syscalls = dedup (fun s -> s.Obs.sm_sysno) sms;
-        m_layers = dedup (fun l -> (l.Obs.lm_depth, l.Obs.lm_layer)) lms })
+        m_layers = dedup (fun l -> (l.Obs.lm_depth, l.Obs.lm_layer)) lms;
+        m_codec =
+          { Obs.Codec.traps; intercepted = traps - fast; fast_path = fast;
+            decodes; encodes = traps; crossings = 2 * decodes;
+            agent_calls = misses };
+        m_env_pool = { Obs.Env_pool.hits; misses; recycled = hits; dropped = 0 } })
 
 let print_metrics m =
   Printf.sprintf "spans=%d sysnos=[%s] sample_n=%d" m.Obs.m_spans
@@ -837,6 +847,21 @@ let qcheck_merge_counts_and_overflow =
       in
       merged.Obs.m_spans = sum (fun m -> m.Obs.m_spans)
       && merged.Obs.m_aborted = sum (fun m -> m.Obs.m_aborted)
+      && merged.Obs.m_codec
+         = Obs.Codec.
+             { traps = sum (fun m -> m.Obs.m_codec.traps);
+               intercepted = sum (fun m -> m.Obs.m_codec.intercepted);
+               fast_path = sum (fun m -> m.Obs.m_codec.fast_path);
+               decodes = sum (fun m -> m.Obs.m_codec.decodes);
+               encodes = sum (fun m -> m.Obs.m_codec.encodes);
+               crossings = sum (fun m -> m.Obs.m_codec.crossings);
+               agent_calls = sum (fun m -> m.Obs.m_codec.agent_calls) }
+      && merged.Obs.m_env_pool
+         = Obs.Env_pool.
+             { hits = sum (fun m -> m.Obs.m_env_pool.hits);
+               misses = sum (fun m -> m.Obs.m_env_pool.misses);
+               recycled = sum (fun m -> m.Obs.m_env_pool.recycled);
+               dropped = sum (fun m -> m.Obs.m_env_pool.dropped) }
       && merged.Obs.m_sample_n
          = List.fold_left (fun acc m -> max acc m.Obs.m_sample_n) 1 ms
       && ascending
@@ -1090,6 +1115,50 @@ let test_chrome_sharded_lane_names () =
 
 (* --- rewrite flags -------------------------------------------------------- *)
 
+(* [agentrun -a timex:1000 -a trace touch /tmp/a ... /tmp/h]: the trace
+   sink's text, with obs off ([None]) or sampling 1 in [n]. *)
+let timex_trace_touch obs =
+  (match obs with
+   | Some n ->
+     Obs.set_sampling n;
+     Obs.enable ()
+   | None -> Obs.disable ());
+  let k = Tharness.fresh_kernel () in
+  Workloads.Progs.install_all k;
+  let status =
+    Tharness.boot_k k (fun () ->
+      Toolkit.Loader.install (Agents.Timex.create ~offset_seconds:1000 ())
+        ~argv:[||];
+      Toolkit.Loader.install (Agents.Trace.create ~fd:2 ()) ~argv:[||];
+      let files =
+        List.map (fun c -> "/tmp/" ^ c) [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" ]
+      in
+      match Libc.Spawn.run "/bin/touch" (Array.of_list ("touch" :: files)) with
+      | Ok st -> Flags.Wait.wexitstatus st
+      | Error _ -> 127)
+  in
+  Obs.disable ();
+  Obs.set_sampling 1;
+  check_exit "touch under timex and trace" 0 status;
+  Kernel.console_output k
+
+let test_rewrite_marks_sampler_free () =
+  let off = timex_trace_touch None in
+  let marks =
+    List.length
+      (List.filter
+         (String.ends_with ~suffix:" [rewritten]")
+         (String.split_on_char '\n' off))
+  in
+  Alcotest.(check int) "one mark per shifted gettimeofday" 8 marks;
+  List.iter
+    (fun n ->
+      Alcotest.(check string)
+        (Printf.sprintf "text at 1-in-%d = text with obs off" n)
+        off
+        (timex_trace_touch (Some n)))
+    [ 1; 2; 16 ]
+
 let test_rewrite_flag_timex_under_trace () =
   with_obs (fun () ->
       let _, status =
@@ -1222,7 +1291,9 @@ let () =
             test_chrome_sharded_lane_names ] );
       ( "rewrites",
         [ Alcotest.test_case "timex under trace" `Quick
-            test_rewrite_flag_timex_under_trace ] );
+            test_rewrite_flag_timex_under_trace;
+          Alcotest.test_case "marks do not depend on the sampler" `Quick
+            test_rewrite_marks_sampler_free ] );
       ( "sinks",
         [ Alcotest.test_case "trace agent call records" `Quick
             test_trace_agent_records_calls;

@@ -48,15 +48,15 @@ let test_sequential_isolation () =
     (List.mem "only-in-a" (Kernel.Registry.registered (Kernel.registry b)));
   Alcotest.(check int) "b counted no syscalls" 0 (Kernel.total_syscalls b);
   Alcotest.(check int)
-    "b codec counters start at zero" 0 (Kernel.codec_stats b).Envelope.Stats.traps;
+    "b codec counters start at zero" 0 (Kernel.codec_stats b).Obs.Codec.traps;
   Alcotest.(check bool)
     "b fs has no file of a" false (Kernel.exists b "/tmp/a-only");
   Tharness.check_exit "b session" 0 (Tharness.boot_k b (traffic "b-only" 4));
   (* and running b did not disturb a *)
   Alcotest.(check int) "a trap count unchanged" a_traps (Kernel.total_syscalls a);
   Alcotest.(check int)
-    "a codec unchanged" a_codec.Envelope.Stats.traps
-    (Kernel.codec_stats a).Envelope.Stats.traps;
+    "a codec unchanged" a_codec.Obs.Codec.traps
+    (Kernel.codec_stats a).Obs.Codec.traps;
   Alcotest.(check bool)
     "a fs has no file of b" false (Kernel.exists a "/tmp/b-only")
 
@@ -187,26 +187,140 @@ let test_cluster_reproducible () =
       Alcotest.(check string) (what "console") o1 o2)
     (List.combine r1 r2)
 
-(* --- the installed counter sets alias the current shard's ----------------- *)
+(* --- cross-shard mail: merge order and misuse ------------------------------ *)
+
+(* Shards 0 and 1 each mail three signals to shard 2 at one virtual
+   timestamp; each lands on its own process parked in [sigsuspend], so
+   the handlers run in posting order, which is the mailbox's
+   (ts, src, seq) order. *)
+let test_cluster_mail_order () =
+  let c = Kernel.Cluster.create ~shards:3 () in
+  for i = 0 to 2 do
+    Kernel.populate_standard (Kernel.Cluster.shard c i)
+  done;
+  let ran = ref [] in
+  let u = Tharness.check_ok in
+  let receiver =
+    Kernel.Cluster.boot_shard c 2 ~name:"receiver" (fun () ->
+      let kids =
+        List.init 6 (fun _ ->
+          u "fork"
+            (Libc.Unistd.fork ~child:(fun () ->
+               let me = Libc.Unistd.getpid () in
+               ignore
+                 (u "signal"
+                    (Libc.Unistd.signal Signal.sigusr1
+                       (Value.H_fn (fun _ -> ran := me :: !ran))));
+               ignore (Libc.Unistd.sigsuspend 0);
+               0)))
+      in
+      List.iter (fun pid -> ignore (u "wait" (Libc.Unistd.waitpid pid 0))) kids;
+      0)
+  in
+  let sender targets () =
+    (* both senders sleep alike: their clocks agree at the sends *)
+    ignore (u "sleep" (Libc.Unistd.sleep_us 1_000_000));
+    List.iter
+      (fun pid -> Kernel.Cluster.send ~dst:2 ~pid ~signal:Signal.sigusr1)
+      targets;
+    0
+  in
+  let s0 = Kernel.Cluster.boot_shard c 0 ~name:"s0" (sender [ 7; 3; 5 ]) in
+  let s1 = Kernel.Cluster.boot_shard c 1 ~name:"s1" (sender [ 2; 6; 4 ]) in
+  Kernel.Cluster.run c;
+  List.iter
+    (fun (p : Kernel.Proc.t) ->
+      Tharness.check_exit "init" 0 p.Kernel.Proc.exit_status)
+    [ receiver; s0; s1 ];
+  Alcotest.(check (list int))
+    "handlers run in (ts, src, send order)" [ 7; 3; 5; 2; 6; 4 ]
+    (List.rev !ran)
+
+let test_cluster_send_misuse () =
+  let raises_invalid f =
+    match f () with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  let solo = ref false in
+  let k = Tharness.fresh_kernel () in
+  Tharness.check_exit "solo session" 0
+    (Tharness.boot_k k (fun () ->
+       solo :=
+         raises_invalid (fun () ->
+           Kernel.Cluster.send ~dst:0 ~pid:1 ~signal:Signal.sigusr1);
+       0));
+  Alcotest.(check bool) "send from a solo kernel" true !solo;
+  let c = Kernel.Cluster.create ~shards:2 () in
+  Kernel.populate_standard (Kernel.Cluster.shard c 0);
+  let out_of_range = ref [] in
+  let p =
+    Kernel.Cluster.boot_shard c 0 ~name:"misuse" (fun () ->
+      out_of_range :=
+        List.map
+          (fun dst ->
+            raises_invalid (fun () ->
+              Kernel.Cluster.send ~dst ~pid:1 ~signal:Signal.sigusr1))
+          [ -1; 2 ];
+      0)
+  in
+  Kernel.Cluster.run c;
+  Tharness.check_exit "cluster session" 0 p.Kernel.Proc.exit_status;
+  Alcotest.(check (list bool)) "send to no such shard" [ true; true ]
+    !out_of_range
+
+(* --- with_shard restores the current shard when its body raises --------- *)
+
+let test_with_shard_raise () =
+  let a = Tharness.fresh_kernel () in
+  let b = Tharness.fresh_kernel () in
+  let current = ref false and engine = ref false in
+  let a_traps = ref 0 and b_traps = ref 0 in
+  Tharness.check_exit "session" 0
+    (Tharness.boot_k b (fun () ->
+       (match Kernel.with_shard a (fun () -> raise Exit) with
+        | () -> ()
+        | exception Exit -> ());
+       current := Kernel.current_exn () == b;
+       engine := Obs.installed () == Kernel.obs_engine b;
+       let traps k = (Kernel.codec_stats k).Obs.Codec.traps in
+       let a0 = traps a and b0 = traps b in
+       ignore (Libc.Unistd.getpid ());
+       a_traps := traps a - a0;
+       b_traps := traps b - b0;
+       0));
+  Alcotest.(check bool) "b is current again" true !current;
+  Alcotest.(check bool) "b's obs engine is installed again" true !engine;
+  Alcotest.(check int) "the next trap counts on b" 1 !b_traps;
+  Alcotest.(check int) "and not on a" 0 !a_traps
+
+(* --- the installed engine's counters are the current shard's --------------- *)
 
 let test_installed_sets () =
   let k = Tharness.fresh_kernel () in
   Tharness.check_exit "session" 0 (Tharness.boot_k k (traffic "shim" 5));
-  (* k is the current shard, so the ambient installed sets are its own *)
-  let codec_amb = Envelope.Stats.(snapshot_of (installed ())) in
+  (* k is the current shard, so the installed engine, and the codec and
+     pool counters on it, are its own *)
+  Alcotest.(check bool)
+    "installed engine is the current shard's" true
+    (Obs.installed () == Kernel.obs_engine k);
+  let codec_amb = Obs.codec_of (Obs.installed ()) in
+  Alcotest.(check bool) "the session counted traps" true
+    (codec_amb.Obs.Codec.traps > 0);
   Alcotest.(check int)
     "installed codec set is the current shard's"
-    (Kernel.codec_stats k).Envelope.Stats.traps
-    codec_amb.Envelope.Stats.traps;
-  let pool_amb = Envelope.Pool.Stats.(snapshot_of (installed ())) in
+    (Kernel.codec_stats k).Obs.Codec.traps
+    codec_amb.Obs.Codec.traps;
+  let pool_amb = Obs.env_pool_of (Obs.installed ()) in
   Alcotest.(check int)
     "installed env-pool set is the current shard's"
-    (Kernel.env_pool_stats k).Envelope.Pool.Stats.hits
-    pool_amb.Envelope.Pool.Stats.hits;
-  Envelope.Stats.(reset_of (installed ()));
+    (Kernel.env_pool_stats k).Obs.Env_pool.hits
+    pool_amb.Obs.Env_pool.hits;
+  Obs.reset ();
   Alcotest.(check int)
-    "reset_of (installed ()) zeroes the current shard" 0
-    (Kernel.codec_stats k).Envelope.Stats.traps
+    "Obs.reset leaves the cumulative counters alone"
+    codec_amb.Obs.Codec.traps
+    (Kernel.codec_stats k).Obs.Codec.traps
 
 (* --- cluster-wide metrics: exact counters sum, histograms merge ---------- *)
 
@@ -294,7 +408,7 @@ let test_cluster_metrics_merge () =
     List.fold_left
       (fun acc i ->
         acc
-        + (Kernel.codec_stats (Kernel.Cluster.shard c i)).Envelope.Stats.traps)
+        + (Kernel.codec_stats (Kernel.Cluster.shard c i)).Obs.Codec.traps)
       0 [ 0; 1 ]
   in
   Alcotest.(check int) "codec traps sum across shards" want_traps codec_traps
@@ -427,14 +541,20 @@ let () =
           Alcotest.test_case "with_shard multiplexes two kernels" `Quick
             test_with_shard_coexist;
           Alcotest.test_case "installed counter sets read the current shard"
-            `Quick test_installed_sets ] );
+            `Quick test_installed_sets;
+          Alcotest.test_case "with_shard restores both cells on a raise"
+            `Quick test_with_shard_raise ] );
       ( "determinism",
         [ Alcotest.test_case "same seed, same bytes at 1 shard" `Quick
             test_determinism_one_shard;
           Alcotest.test_case "2 shards without sends = two solo runs" `Quick
             test_cluster_matches_solo;
           Alcotest.test_case "signal ring reproduces byte-identically" `Quick
-            test_cluster_reproducible ] );
+            test_cluster_reproducible;
+          Alcotest.test_case "cross-shard mail runs in (ts, src, seq) order"
+            `Quick test_cluster_mail_order;
+          Alcotest.test_case "send from a solo kernel or to no shard raises" `Quick
+            test_cluster_send_misuse ] );
       ( "cluster metrics",
         [ Alcotest.test_case "counters sum, histograms merge" `Quick
             test_cluster_metrics_merge;

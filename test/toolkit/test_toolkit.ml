@@ -126,17 +126,17 @@ let test_decode_once_under_stack () =
   in
   check_exit "exit" 0 status;
   let d =
-    Envelope.Stats.diff (Option.get !before) (Option.get !after)
+    Obs.Codec.diff (Option.get !before) (Option.get !after)
   in
-  Alcotest.(check int) "traps" iters d.Envelope.Stats.traps;
+  Alcotest.(check int) "traps" iters d.Obs.Codec.traps;
   Alcotest.(check int) "every trap ran its handler" iters
-    d.Envelope.Stats.intercepted;
+    d.Obs.Codec.intercepted;
   Alcotest.(check int) "decode-count = 1 per trap" iters
-    d.Envelope.Stats.decodes;
+    d.Obs.Codec.decodes;
   Alcotest.(check int) "encode-count = 1 per trap" iters
-    d.Envelope.Stats.encodes;
+    d.Obs.Codec.encodes;
   Alcotest.(check int) "every layer crossed" (depth * iters)
-    d.Envelope.Stats.crossings
+    d.Obs.Codec.crossings
 
 let test_uninstall_restores () =
   let log = ref [] in
@@ -392,7 +392,7 @@ let counter_window ~install traps =
       install ();
       let before = stats () in
       traps ();
-      d := Some (Envelope.Stats.diff before (stats ()));
+      d := Some (Obs.Codec.diff before (stats ()));
       0)
   in
   check_exit "exit" 0 status;
@@ -418,11 +418,11 @@ let test_fast_path_uninterested () =
     (fun (what, install) ->
       let d = trap_window iters ~install in
       Alcotest.(check int) (what ^ ": one trap per getpid") iters
-        d.Envelope.Stats.traps;
+        d.Obs.Codec.traps;
       Alcotest.(check int) (what ^ ": every trap took the fast path") iters
-        d.Envelope.Stats.fast_path;
+        d.Obs.Codec.fast_path;
       Alcotest.(check int) (what ^ ": no handler ran") 0
-        d.Envelope.Stats.intercepted)
+        d.Obs.Codec.intercepted)
     [ ("no agent", ignore);
       ( "open-only agent",
         fun () -> Toolkit.Loader.install (open_only ()) ~argv:[||] ) ]
@@ -456,11 +456,11 @@ let test_fast_path_interested () =
   List.iter
     (fun (what, calls, d) ->
       Alcotest.(check int) (what ^ ": one trap per call") calls
-        d.Envelope.Stats.traps;
+        d.Obs.Codec.traps;
       Alcotest.(check int) (what ^ ": every trap ran its handler") calls
-        d.Envelope.Stats.intercepted;
+        d.Obs.Codec.intercepted;
       Alcotest.(check int) (what ^ ": fast path never taken") 0
-        d.Envelope.Stats.fast_path)
+        d.Obs.Codec.fast_path)
     (List.map
        (fun depth ->
          ( Printf.sprintf "getpid, depth %d" depth,
@@ -484,12 +484,12 @@ let test_counter_identity () =
         done)
   in
   Alcotest.(check int) "getpid took the fast path" iters
-    d.Envelope.Stats.fast_path;
+    d.Obs.Codec.fast_path;
   Alcotest.(check int) "open ran its handler" iters
-    d.Envelope.Stats.intercepted;
+    d.Obs.Codec.intercepted;
   Alcotest.(check int) "traps = fast_path + intercepted"
-    d.Envelope.Stats.traps
-    (d.Envelope.Stats.fast_path + d.Envelope.Stats.intercepted)
+    d.Obs.Codec.traps
+    (d.Obs.Codec.fast_path + d.Obs.Codec.intercepted)
 
 let passthrough env = Kernel.Uspace.htg_trap env
 
@@ -515,8 +515,8 @@ let test_out_of_range_numbers () =
     (fun r ->
       Alcotest.(check bool) "ENOSYS" true (r = Error Errno.ENOSYS))
     !results;
-  Alcotest.(check int) "both took the fast path" 2 d.Envelope.Stats.fast_path;
-  Alcotest.(check int) "no handler ran" 0 d.Envelope.Stats.intercepted
+  Alcotest.(check int) "both took the fast path" 2 d.Obs.Codec.fast_path;
+  Alcotest.(check int) "no handler ran" 0 d.Obs.Codec.intercepted
 
 (* Model property for the one handler table.  Ops set and clear
    handlers over numbers that run past both ends of the table, capture

@@ -7,6 +7,8 @@
 # other than the module's own <m>.ml and <m>.mli, contains both the
 # value's name and the module's name as words (a qualified reference,
 # an `open`, or a local alias all leave the module name in the file).
+# Words inside comments do not count: a comment naming an export is
+# not a caller.
 # Tests do not count as callers: an export only tests reach is either
 # a test hook, which the allowlist says, or dead code.
 #
@@ -21,15 +23,49 @@ cd "$(dirname "$0")/.."
 
 allow=tools/exports_allowlist.txt
 
+# The file with its OCaml comments blanked out.  Comments nest, and
+# string and character literals are skipped whole, inside comments as
+# well as outside, as the OCaml lexer does.
+strip_comments() {
+  awk '
+    {
+      line = $0; out = ""; n = length(line); i = 1
+      while (i <= n) {
+        c = substr(line, i, 1); c2 = substr(line, i, 2); w = 1
+        if (str) {
+          if (c == "\\") w = 2
+          else if (c == "\"") str = 0
+        } else if (c2 == "(*") {
+          depth++; w = 2; c = " "
+        } else if (depth && c2 == "*)") {
+          depth--; w = 2; c = " "
+        } else if (c == "\"") {
+          str = 1
+        } else if (c == "\047" && substr(line, i + 1, 1) == "\\") {
+          w = 3
+          while (i + w <= n && substr(line, i + w, 1) != "\047") w++
+          w++
+        } else if (c == "\047" && substr(line, i + 2, 1) == "\047") {
+          w = 3
+        }
+        if (!depth && c != " ") out = out substr(line, i, w)
+        else out = out " "
+        i += w
+      }
+      print out
+    }' "$1"
+}
+
 found=$(
   {
     find lib bin bench perf examples \( -name '*.ml' -o -name '*.mli' \) \
       -not -path '*/_build/*' | sort | while IFS= read -r f; do
-      grep -oE "[A-Za-z_][A-Za-z0-9_']*" "$f" | sort -u \
+      strip_comments "$f" | grep -oE "[A-Za-z_][A-Za-z0-9_']*" | sort -u \
         | awk -v f="$f" '{ print "W", f, $1 }'
     done
     find lib -name '*.mli' | sort | while IFS= read -r f; do
-      grep -oE "^[[:space:]]*val[[:space:]]+[a-z_][A-Za-z0-9_']*" "$f" \
+      strip_comments "$f" \
+        | grep -oE "^[[:space:]]*val[[:space:]]+[a-z_][A-Za-z0-9_']*" \
         | awk -v f="$f" '{ print "V", f, $2 }'
     done
   } | awk '
