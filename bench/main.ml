@@ -1964,6 +1964,7 @@ type causal_run = {
   cz_records : Obs.Span.record list;    (* drained flight recorder *)
   cz_slice : (int * int) list;          (* reachable from the first fork *)
   cz_streamed : int;                    (* records seen by live polling *)
+  cz_streamed_edges : Obs.Causal.edge list; (* the edges among them *)
   cz_lost : int;
   cz_polls : int;
   cz_watchdogs : Obs.Json.t;            (* metrics_json "watchdogs" block *)
@@ -1985,14 +1986,16 @@ let causal_once () =
   (* live streaming rides the zero-cost trace hook, exactly as
      `agentrun --follow` wires it: every record exactly once *)
   let cursor = Obs.Stream.cursor () in
-  let streamed = ref 0 and lost = ref 0 and polls = ref 0 in
+  let streamed = ref [] and lost = ref 0 and polls = ref 0 in
+  let take (fresh, l) =
+    streamed := List.rev_append fresh !streamed;
+    lost := !lost + l
+  in
   Kernel.set_trace_hook k ~cost_us:0
     (Some
        (fun _ _ _ ->
          incr polls;
-         let fresh, l = Obs.poll cursor in
-         streamed := !streamed + List.length fresh;
-         lost := !lost + l));
+         take (Obs.poll cursor)));
   let status =
     Kernel.boot k ~name:"causal" (fun () ->
       for _ = 1 to 4 do
@@ -2034,9 +2037,9 @@ let causal_once () =
       0)
   in
   (* flush the live cursor before the drain empties the ring *)
-  let final_fresh, final_lost = Obs.poll_of (Kernel.obs_engine k) cursor in
-  let edges = Kernel.drain_causal k in
+  take (Obs.poll_of (Kernel.obs_engine k) cursor);
   let records = Kernel.drain_obs k in
+  let edges = Obs.Span.edges records in
   (* slice roots: every fork trap the parent issued — "all the spans
      this spawn fan-out caused" (edges are span-granular, so each root
      reaches its own child's first span) *)
@@ -2057,8 +2060,9 @@ let causal_once () =
     cz_edges = edges;
     cz_records = records;
     cz_slice = Obs.Causal.slice ~roots edges;
-    cz_streamed = !streamed + List.length final_fresh;
-    cz_lost = !lost + final_lost;
+    cz_streamed = List.length !streamed;
+    cz_streamed_edges = Obs.Span.edges !streamed;
+    cz_lost = !lost;
     cz_polls = !polls;
     cz_watchdogs = watchdogs }
 
@@ -2088,7 +2092,7 @@ let causal_cluster_once () =
           0))
   in
   Kernel.Cluster.run c;
-  Kernel.Cluster.drain_causal c
+  Obs.Span.edges (List.concat_map snd (Kernel.Cluster.drain_obs c))
 
 let causal_schema =
   let open Report.Schema in
@@ -2133,7 +2137,7 @@ let causal fail =
   if forks < 3 then fail "want >=3 fork edges, got %d" forks;
   if signals < 3 then fail "want >=3 signal edges, got %d" signals;
   if pipes < 3 then fail "want >=3 pipe edges, got %d" pipes;
-  let render es = List.map Obs.Causal.to_line es in
+  let render es = List.map (fun e -> Obs.Span.to_line (Obs.Span.Edge e)) es in
   let edges_repro = render a.cz_edges = render b.cz_edges in
   if not edges_repro then fail "edge tables differ between identical runs";
   Printf.printf
@@ -2150,9 +2154,7 @@ let causal fail =
   Printf.printf "slice from fork roots: %d reachable node(s), reproducible: %b\n"
     (List.length a.cz_slice) slice_repro;
   (* 3. chrome export binds flow events for the recorded edges *)
-  let chrome =
-    Obs.Chrome.to_string ~name:Sysno.name ~edges:a.cz_edges a.cz_records
-  in
+  let chrome = Obs.Chrome.to_string ~name:Sysno.name a.cz_records in
   let occurrences needle hay =
     let nl = String.length needle and hl = String.length hay in
     let n = ref 0 in
@@ -2185,14 +2187,20 @@ let causal fail =
     fail "flame folds total %dus but segments sum %dus" fold_total seg_total;
   Printf.printf "flame: %d stack(s), %dus folded = %dus segment self time\n"
     (List.length folds) fold_total seg_total;
-  (* 5. the live stream saw every record exactly once *)
+  (* 5. the live stream saw every record exactly once, every causal
+        edge of the final drain among them *)
   let drained = List.length a.cz_records in
   let stream_ok = a.cz_streamed = drained && a.cz_lost = 0 in
   if not stream_ok then
     fail "stream: %d streamed + %d lost vs %d drained" a.cz_streamed
       a.cz_lost drained;
-  Printf.printf "stream: %d poll(s) delivered %d/%d record(s), %d lost\n"
-    a.cz_polls a.cz_streamed drained a.cz_lost;
+  if a.cz_streamed_edges <> a.cz_edges then
+    fail "stream: %d edge(s) streamed vs %d drained"
+      (List.length a.cz_streamed_edges) (List.length a.cz_edges);
+  Printf.printf
+    "stream: %d poll(s) delivered %d/%d record(s) (%d/%d edges), %d lost\n"
+    a.cz_polls a.cz_streamed drained
+    (List.length a.cz_streamed_edges) (List.length a.cz_edges) a.cz_lost;
   (* 6. watchdogs: the impossible rule trips, the lax one does not *)
   let wd_rules, wd_tripped =
     match
@@ -2228,9 +2236,9 @@ let causal fail =
     "cluster: %d cross-shard signal edge(s) over 2 shards, reproducible: %b\n"
     (List.length cross) cluster_repro;
   Report.print_note
-    "Causal edges are events of record (exact at any sampling rate,\n\
-     zero virtual cost): fork edges resolve at the child's first trap,\n\
-     signal edges at delivery (kill-originated, incl. cross-shard\n\
+    "Causal edges are records of the one log, kept at any sampling\n\
+     rate at zero virtual cost: fork edges resolve at the child's first\n\
+     trap, signal edges at delivery (kill-originated, incl. cross-shard\n\
      mail), pipe edges by byte-offset watermark (DESIGN.md 3.9).";
   let open Obs.Json in
   Obj

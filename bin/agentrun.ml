@@ -638,9 +638,9 @@ let run agents setups stats feed record replay metrics trace_out trace_format
             | "chrome" ->
               (* one trace_event JSON array — loads directly in
                  chrome://tracing and Perfetto; causal fork/signal/pipe
-                 edges render as flow arrows between span slices *)
-              Obs.Chrome.to_string ~name:Sysno.name ~pid_label
-                ~edges:(Kernel.causal_edges k) records
+                 edge records render as flow arrows between span
+                 slices *)
+              Obs.Chrome.to_string ~name:Sysno.name ~pid_label records
               ^ "\n"
             | _ ->
               String.concat ""

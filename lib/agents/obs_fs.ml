@@ -2,6 +2,7 @@
    readable from inside the simulation.  Reuses the synthfs machinery;
    generators run at open time in the opening process's context. *)
 
+(* every record of the one log, causal edges included ("type":"edge") *)
 let spans_text () =
   String.concat ""
     (List.map (fun r -> Obs.Span.to_line r ^ "\n") (Obs.records ()))
@@ -16,12 +17,6 @@ let metrics_text () =
 let codec_text () =
   Format.asprintf "%a\n" Obs.Codec.pp
     (Kernel.codec_stats (Kernel.current_exn ()))
-
-(* the causal edge table (fork/signal/pipe), one edge per line — read
-   without draining, so the host's exporter still sees every edge *)
-let causal_text () =
-  String.concat ""
-    (List.map (fun e -> Obs.Causal.to_line e ^ "\n") (Obs.causal_edges ()))
 
 (* /obs/stream: a tail file.  The cursor persists across opens (it
    lives in the [create] closure), so each open serves exactly the
@@ -41,6 +36,5 @@ let create ?(mount = "/obs") () =
   a#register_file "spans" spans_text;
   a#register_file "metrics" metrics_text;
   a#register_file "codec" codec_text;
-  a#register_file "causal" causal_text;
   a#register_file "stream" (stream_text (Obs.Stream.cursor ()));
   a

@@ -43,7 +43,7 @@ let finish_reply (t : t) (proc : Proc.t) k (reply : Events.trap_reply) =
     Kstate.exit_by_signal t proc s status;
     discard k
   | `Stop s ->
-    proc.sigs.pending <- Signal.Mask.remove proc.sigs.pending s;
+    Kstate.clear_pending proc s;
     proc.state <- Proc.Stopped { sk = k; reply };
     (match Kstate.proc t proc.ppid with
      | Some parent ->
@@ -525,9 +525,6 @@ let metrics_json (t : t) = json_with ~rules:t.watch (Obs.metrics_of t.obs) []
 let drain_obs (t : t) = Obs.drain_of t.obs
 let obs_engine (t : t) = t.obs
 
-let causal_edges (t : t) = Obs.causal_edges_of t.obs
-let drain_causal (t : t) = Obs.causal_drain_of t.obs
-
 (* A human label for chrome's process rows: the image (or init-body)
    name when the pid is still in the table, the bare pid otherwise
    (exited processes keep their spans). *)
@@ -535,11 +532,6 @@ let pid_label (t : t) pid =
   match Kstate.proc t pid with
   | Some p -> Printf.sprintf "pid %d %s" pid p.Proc.name
   | None -> Printf.sprintf "pid %d" pid
-
-let post_signal (t : t) ~pid s =
-  match Kstate.proc t pid with
-  | Some proc -> Kstate.post_signal t proc s
-  | None -> ()
 
 let set_trace_hook = Kstate.set_trace_hook
 
@@ -554,13 +546,12 @@ let set_trace_hook = Kstate.set_trace_hook
    (DESIGN.md §3.6). *)
 module Cluster = struct
   (* Besides the delivery payload, a signal mail carries its causal
-     origin — (shard, span, pid) of the sender at [send] time — so the
-     receiving shard can record a cross-shard Signal edge before
-     posting (DESIGN.md §3.9).  [o_span] may be a sampler sentinel;
-     edge recording keeps it verbatim. *)
+     origin — (shard, span, pid) of the sender at [send] time — which
+     the receiving shard's post files as the signal's half-edge
+     (DESIGN.md §3.9).  Its span may be a sampler sentinel; edge
+     recording keeps it verbatim. *)
   type event =
-    | Post_signal of
-        { pid : int; signal : int; o_shard : int; o_span : int; o_pid : int }
+    | Post_signal of { pid : int; signal : int; origin : int * int * int }
 
   type mail = {
     m_ts : int;   (* sender's virtual clock at send *)
@@ -584,14 +575,14 @@ module Cluster = struct
   let post c (src : Kstate.t) ~dst ~pid ~signal =
     if dst < 0 || dst >= Array.length c.shards then
       invalid_arg "Cluster.send: no such shard";
-    let o_shard, o_span, o_pid = Obs.causal_origin () in
+    let origin = Obs.causal_origin (Obs.current_pid ()) in
     c.seq <- c.seq + 1;
     c.mailbox <-
       { m_ts = Sim.Clock.now_us src.Kstate.clock;
         m_src = src.Kstate.shard_id;
         m_seq = c.seq;
         m_dst = dst;
-        m_ev = Post_signal { pid; signal; o_shard; o_span; o_pid } }
+        m_ev = Post_signal { pid; signal; origin } }
       :: c.mailbox
 
   let create ?(quantum_us = default_quantum_us) ~shards:n () =
@@ -635,13 +626,13 @@ module Cluster = struct
           let dst = c.shards.(m.m_dst) in
           with_shard dst (fun () ->
             match m.m_ev with
-            | Post_signal { pid; signal; o_shard; o_span; o_pid } ->
-              (* queue the sender's half-edge under the *receiving*
-                 shard's engine before posting: delivery in uspace then
-                 completes it exactly as a local kill would *)
-              Obs.causal_signal_send_remote ~src_shard:o_shard
-                ~src_span:o_span ~src_pid:o_pid ~dst_pid:pid ~signal;
-              post_signal dst ~pid signal))
+            | Post_signal { pid; signal; origin } ->
+              (* posted under the *receiving* shard's engine: delivery
+                 in uspace completes the half-edge exactly as a local
+                 kill's *)
+              match Kstate.proc dst pid with
+              | Some proc -> Kstate.post_signal ~origin dst proc signal
+              | None -> ()))
         due;
       true
 
@@ -698,20 +689,4 @@ module Cluster = struct
   let drain_obs c =
     Array.to_list
       (Array.mapi (fun i s -> (i, Obs.drain_of s.Kstate.obs)) c.shards)
-
-  (* The cluster-wide causal graph: every shard's edge table, merged
-     and sorted by (virtual time, recording shard, seq) — the same
-     total order the mailbox uses, so two same-seed runs produce
-     byte-identical edge lists. *)
-  let causal_edges c =
-    Obs.Causal.sort
-      (List.concat_map
-         (fun s -> Obs.causal_edges_of s.Kstate.obs)
-         (Array.to_list c.shards))
-
-  let drain_causal c =
-    Obs.Causal.sort
-      (List.concat_map
-         (fun s -> Obs.causal_drain_of s.Kstate.obs)
-         (Array.to_list c.shards))
 end

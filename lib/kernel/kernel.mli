@@ -153,18 +153,13 @@ val metrics_json : t -> Obs.Json.t
     simulation. *)
 
 val drain_obs : t -> Obs.Span.record list
-(** Drain this shard's flight recorder (oldest first). *)
+(** Drain this shard's flight recorder (oldest first): segments, trace
+    calls, marks and causal edges ([Obs.Span.edges] picks the edge
+    table out). *)
 
 val obs_engine : t -> Obs.engine
 (** The shard's own engine — for host-side incremental reads
-    ([Obs.poll_of], [Obs.causal_edges_of]) without draining. *)
-
-val causal_edges : t -> Obs.Causal.edge list
-(** This shard's causal edge table (fork / signal / pipe), oldest
-    first, without draining it. *)
-
-val drain_causal : t -> Obs.Causal.edge list
-(** Drain the edge table (returned oldest first). *)
+    ([Obs.poll_of]) without draining. *)
 
 val pid_label : t -> int -> string
 (** ["pid N name"] when the process is still in the table, ["pid N"]
@@ -194,15 +189,14 @@ module Cluster : sig
   type t
 
   type event =
-    | Post_signal of
-        { pid : int; signal : int; o_shard : int; o_span : int; o_pid : int }
+    | Post_signal of { pid : int; signal : int; origin : int * int * int }
   (** The cross-shard event vocabulary (signals, for now — the paper's
       agents communicate through the system interface, and the asynchronous
-      half of that interface is exactly signal delivery).  The [o_*]
-      fields stamp the sender's causal origin — shard, innermost open
-      span (possibly a sampler sentinel) and pid at [send] time — so
-      the receiving shard records a cross-shard Signal edge before
-      posting. *)
+      half of that interface is exactly signal delivery).  [origin]
+      stamps the sender's causal origin ([Obs.causal_origin]: shard,
+      innermost open span, possibly a sampler sentinel, and pid at
+      [send] time), which the receiving shard's post files as the
+      signal's half-edge. *)
 
   val create : ?quantum_us:int -> shards:int -> unit -> t
   (** [shards] ≥ 1 fresh kernels with shard ids [0 .. shards-1];
@@ -248,12 +242,8 @@ module Cluster : sig
   val drain_obs : t -> (int * Obs.Span.record list) list
   (** Drain every shard's flight recorder, tagged with shard ids —
       feed directly to {!Obs.Chrome.to_json_sharded} for a trace with
-      disjoint per-shard process lanes. *)
-
-  val causal_edges : t -> Obs.Causal.edge list
-  (** Every shard's edge table, merged and sorted by (virtual time,
-      recording shard, seq) — the mailbox's total order, so two
-      same-seed runs produce byte-identical lists. *)
-
-  val drain_causal : t -> Obs.Causal.edge list
+      disjoint per-shard process lanes.  [Obs.Span.edges] over the
+      concatenated records is the cluster-wide edge table, sorted by
+      (virtual time, recording shard, seq) — the mailbox's total
+      order, so two same-seed runs produce byte-identical tables. *)
 end

@@ -193,7 +193,8 @@ let wake_key t key =
   | None -> ()
   | Some q ->
     let pids = !q in
-    q := [];
+    (* the entry goes with its sleepers: a re-park files a fresh one *)
+    Hashtbl.remove t.waitqs key;
     List.iter
       (fun pid ->
         match proc t pid with
@@ -437,18 +438,24 @@ let disposition (p : Proc.t) s =
        | Signal.Stop -> `Stop
        | Signal.Continue -> `Continue)
 
-let set_pending (p : Proc.t) s =
-  p.sigs.pending <- Signal.Mask.add p.sigs.pending s
+(* A pending signal's causal half-edge (DESIGN.md §3.9) lives exactly
+   as long as its pending bit: [post_signal] files it, [take_pending]
+   leaves it for the delivery to complete, [clear_pending] discards it
+   with the signal. *)
+let take_pending (p : Proc.t) s =
+  p.sigs.pending <- Signal.Mask.remove p.sigs.pending s
 
 let clear_pending (p : Proc.t) s =
-  p.sigs.pending <- Signal.Mask.remove p.sigs.pending s
+  take_pending p s;
+  Obs.causal_signal_discard ~pid:p.pid ~signal:s
 
 let blocked (p : Proc.t) s =
   Signal.Mask.mem p.sigs.mask s
   && s <> Signal.sigkill && s <> Signal.sigstop
 
-(* Forward references resolved after do_exit is defined. *)
-let rec post_signal t (p : Proc.t) s =
+(* Forward references resolved after do_exit is defined.  The post that
+   makes [s] pending names its sender: a kill's [origin], or none. *)
+let rec post_signal ?origin t (p : Proc.t) s =
   match p.state with
   | Proc.Zombie | Proc.Reaped -> ()
   | Proc.Runnable | Proc.Parked _ | Proc.Stopped _ ->
@@ -458,7 +465,12 @@ let rec post_signal t (p : Proc.t) s =
         [ Signal.sigstop; Signal.sigtstp; Signal.sigttin; Signal.sigttou ]
     end;
     if is_stop_signal s then clear_pending p Signal.sigcont;
-    set_pending p s;
+    if not (Signal.Mask.mem p.sigs.pending s) then begin
+      (match origin with
+       | Some origin -> Obs.causal_signal_send ~origin ~pid:p.pid ~signal:s
+       | None -> Obs.causal_signal_discard ~pid:p.pid ~signal:s);
+      p.sigs.pending <- Signal.Mask.add p.sigs.pending s
+    end;
     act_on_pending t p s
 
 and act_on_pending t (p : Proc.t) s =
@@ -493,7 +505,7 @@ and act_on_pending t (p : Proc.t) s =
             the call was a select with a timeout armed, its T_select
             timer must die with it — a stale one would later fire into
             whatever call the process makes next *)
-         clear_pending p s;
+         take_pending p s;
          cancel_select_timers t p.pid;
          (match park.cond with
           | Proc.On_signal saved -> p.sigs.mask <- saved
@@ -547,6 +559,7 @@ and do_exit t (p : Proc.t) status =
    | Proc.Runnable | Proc.Parked _ | Proc.Stopped _ ->
      (* the exit trap's span never returns to its opener; force-close *)
      Obs.abort_pid p.pid;
+     Obs.causal_exit p.pid;
      (* close every descriptor *)
      Array.iteri
        (fun i entry ->
@@ -600,7 +613,7 @@ let collect_deliverable _t (p : Proc.t) =
         match disposition p s with
         | `Ignore | `Continue -> clear_pending p s
         | `Handler ->
-          clear_pending p s;
+          take_pending p s;
           deliver := s :: !deliver
         | `Terminate | `Stop ->
           (* the caller handles terminal dispositions via proc state;

@@ -192,9 +192,14 @@ val close_fd : t -> Proc.t -> int -> (unit, Abi.Errno.t) result
 
 (* --- signals --- *)
 
-val post_signal : t -> Proc.t -> int -> unit
+val post_signal : ?origin:int * int * int -> t -> Proc.t -> int -> unit
 (** Make a signal pending and act on it as far as the target's state
-    allows (terminate, stop, continue, or interrupt a sleep). *)
+    allows (terminate, stop, continue, or interrupt a sleep).  When
+    this post sets the pending bit, a kill's [origin] ({!Obs.causal_origin})
+    becomes the signal's causal half-edge (DESIGN.md §3.9). *)
+
+val clear_pending : Proc.t -> int -> unit
+(** Discard a pending signal, and its causal half-edge with it. *)
 
 val collect_deliverable : t -> Proc.t -> int list
 (** Drain pending, unmasked, user-handled signals (clearing their

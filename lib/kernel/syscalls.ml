@@ -528,12 +528,10 @@ let do_kill t (p : Proc.t) pid s =
         if s <> 0 then
           List.iter
             (fun q ->
-              if may_signal p q then begin
-                (* causal hook: kill-originated signals carry a sender
-                   span; delivery completes the edge *)
-                Obs.causal_signal_send ~src_pid:p.pid ~dst_pid:q.pid ~signal:s;
-                post_signal t q s
-              end)
+              (* a kill names its sender span: the signal's causal
+                 half-edge, which delivery completes *)
+              if may_signal p q then
+                post_signal ~origin:(Obs.causal_origin p.pid) t q s)
             targets;
         done_ret 0
       end

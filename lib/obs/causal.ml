@@ -5,9 +5,10 @@
    trap, a kill trap caused a signal delivery inside the receiver's
    current trap, a pipe write trap produced the bytes a later read
    trap consumed.  Edges are pure data here — the engine in [Obs]
-   owns their collection; this module owns the representation, the
-   deterministic merge order, the JSONL codec, and the transitive
-   [slice] query.
+   records them into its flight recorder as [Span.Edge] records; this
+   module owns the representation, the deterministic merge order, the
+   JSON field codec [Span] reuses for them, and the transitive [slice]
+   query.
 
    Span ids are only unique per engine (per shard), so every endpoint
    carries its shard id and the graph is keyed by (shard, span). *)
@@ -31,7 +32,7 @@ type edge = {
   ed_dst_span : int;   (* negative sentinel when the sampler skipped it *)
   ed_dst_pid : int;
   ed_t_us : int;       (* virtual time the edge resolved, dst clock *)
-  ed_seq : int;        (* recording engine's emission counter *)
+  ed_seq : int;        (* the record's position in its engine's log *)
   ed_detail : string;  (* signal name / "pipe#n bytes a..b" / "" *)
 }
 
@@ -44,11 +45,14 @@ let compare_edge a b =
 
 let sort edges = List.sort compare_edge edges
 
-(* ---------- JSON / JSONL ---------- *)
+(* ---------- JSON ---------- *)
 
+(* An edge's JSON is a log record's: the ["type":"edge"] discriminator
+   comes first, as on every [Span] record line. *)
 let to_json ed =
   Json.Obj
     [
+      ("type", Json.Str "edge");
       ("kind", Json.Str (kind_name ed.ed_kind));
       ("src_shard", Json.Int ed.ed_src_shard);
       ("src_span", Json.Int ed.ed_src_span);
@@ -84,11 +88,6 @@ let of_json j =
           ed_detail = Option.value ~default:"" (str "detail");
         })
   | _ -> None
-
-let to_line ed = Json.to_string (to_json ed)
-
-let of_line s =
-  match Json.of_string s with Ok j -> of_json j | Error _ -> None
 
 (* ---------- transitive slice ---------- *)
 

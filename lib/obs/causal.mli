@@ -25,7 +25,9 @@ type edge = {
   ed_dst_span : int;   (** negative sentinel when the sampler skipped it *)
   ed_dst_pid : int;
   ed_t_us : int;       (** virtual time the edge resolved, dst clock *)
-  ed_seq : int;        (** recording engine's emission counter *)
+  ed_seq : int;        (** the record's 1-based position in the
+                           recording engine's log (its ring's
+                           [pushed] count once the edge is in) *)
   ed_detail : string;  (** signal name / pipe byte range / [""] *)
 }
 
@@ -35,11 +37,12 @@ val sort : edge list -> edge list
     merged multi-shard edge table is byte-stable across reruns. *)
 
 val to_json : edge -> Json.t
+(** The edge's fields after a ["type": "edge"] discriminator: the
+    [Span] record codec's rendering of an [Edge]. *)
 
-val to_line : edge -> string
-(** One compact JSON object, no trailing newline (JSONL row). *)
-
-val of_line : string -> edge option
+val of_json : Json.t -> edge option
+(** The inverse of {!to_json}; [None] on a missing or malformed field
+    (the discriminator is the caller's to check). *)
 
 val slice : roots:(int * int) list -> edge list -> (int * int) list
 (** All (shard, span) nodes transitively reachable from [roots] along

@@ -6,7 +6,8 @@
    stack order — plus thread 0 for point events (trace-agent calls,
    signal and abort marks).  Segments become complete events
    ([ph:"X"], ts/dur in µs, which is what the virtual clock already
-   counts); calls and marks become instant events ([ph:"i"]); names
+   counts); calls and marks become instant events ([ph:"i"]); edge
+   records become flow arrows between span slices; names
    come from the caller-supplied syscall-number renderer, since obs
    sits below [abi] and cannot name numbers itself.
 
@@ -28,7 +29,8 @@ let tid_tables records =
         Hashtbl.replace pids s.Span.pid ();
         Hashtbl.replace tracks (s.Span.pid, (s.Span.depth, s.Span.layer)) ()
       | Span.Call c -> Hashtbl.replace pids c.Span.c_pid ()
-      | Span.Mark m -> Hashtbl.replace pids m.Span.m_pid ())
+      | Span.Mark m -> Hashtbl.replace pids m.Span.m_pid ()
+      | Span.Edge _ -> ())
     records;
   let by_track = Hashtbl.create 16 in
   Hashtbl.iter
@@ -68,7 +70,7 @@ let default_pid_label pid = Printf.sprintf "pid %d" pid
    already shard-disjoint here) and its timestamp clamped into that
    slice; edges whose endpoints the ring dropped or the sampler
    skipped are omitted. *)
-let flow_events edges records ~by_track =
+let flow_events records ~by_track =
   let slices : (int * int, int * string * int * int) Hashtbl.t =
     Hashtbl.create 64
   in
@@ -86,7 +88,7 @@ let flow_events edges records ~by_track =
         if keep then
           Hashtbl.replace slices key
             (s.Span.depth, s.Span.layer, s.Span.start_us, s.Span.total_us)
-      | Span.Call _ | Span.Mark _ -> ())
+      | Span.Call _ | Span.Mark _ | Span.Edge _ -> ())
     records;
   let clamp ts (_, _, lo, dur) = max lo (min ts (lo + dur)) in
   let tid_for pid (depth, layer, _, _) =
@@ -138,10 +140,9 @@ let flow_events edges records ~by_track =
               ~ts:(clamp ed.Causal.ed_t_us dst_slice);
           ]
         | _ -> [])
-    edges
+    (List.filter_map (function Span.Edge ed -> Some ed | _ -> None) records)
 
-let to_json ?(name = default_name) ?(pid_label = default_pid_label)
-    ?(edges = []) records =
+let to_json ?(name = default_name) ?(pid_label = default_pid_label) records =
   let pid_list, by_track = tid_tables records in
   let metadata =
     List.concat_map
@@ -163,76 +164,80 @@ let to_json ?(name = default_name) ?(pid_label = default_pid_label)
       pid_list
   in
   let event_of = function
+    | Span.Edge _ -> None (* rendered by [flow_events] *)
     | Span.Segment s ->
       let tid =
         match Hashtbl.find_opt by_track (s.Span.pid, (s.Span.depth, s.Span.layer)) with
         | Some tid -> tid
         | None -> 0
       in
-      ( s.Span.start_us,
-        Json.Obj
-          [
-            ("name", Json.Str (name s.Span.sysno));
-            ("cat", Json.Str "trap");
-            ("ph", Json.Str "X");
-            ("ts", Json.Int s.Span.start_us);
-            ("dur", Json.Int s.Span.total_us);
-            ("pid", Json.Int s.Span.pid);
-            ("tid", Json.Int tid);
-            ( "args",
-              Json.Obj
-                [
-                  ("span", Json.Int s.Span.span);
-                  ("sysno", Json.Int s.Span.sysno);
-                  ("layer", Json.Str s.Span.layer);
-                  ("depth", Json.Int s.Span.depth);
-                  ("self_us", Json.Int s.Span.self_us);
-                  ("decodes", Json.Int s.Span.decodes);
-                  ("encodes", Json.Int s.Span.encodes);
-                  ("rewrites", Json.Int s.Span.rewrites);
-                ] );
-          ] )
+      Some
+        ( s.Span.start_us,
+          Json.Obj
+            [
+              ("name", Json.Str (name s.Span.sysno));
+              ("cat", Json.Str "trap");
+              ("ph", Json.Str "X");
+              ("ts", Json.Int s.Span.start_us);
+              ("dur", Json.Int s.Span.total_us);
+              ("pid", Json.Int s.Span.pid);
+              ("tid", Json.Int tid);
+              ( "args",
+                Json.Obj
+                  [
+                    ("span", Json.Int s.Span.span);
+                    ("sysno", Json.Int s.Span.sysno);
+                    ("layer", Json.Str s.Span.layer);
+                    ("depth", Json.Int s.Span.depth);
+                    ("self_us", Json.Int s.Span.self_us);
+                    ("decodes", Json.Int s.Span.decodes);
+                    ("encodes", Json.Int s.Span.encodes);
+                    ("rewrites", Json.Int s.Span.rewrites);
+                  ] );
+            ] )
     | Span.Call c ->
-      ( c.Span.c_t_us,
-        Json.Obj
-          [
-            ("name", Json.Str (Span.call_line c));
-            ("cat", Json.Str "call");
-            ("ph", Json.Str "i");
-            ("s", Json.Str "t");
-            ("ts", Json.Int c.Span.c_t_us);
-            ("pid", Json.Int c.Span.c_pid);
-            ("tid", Json.Int 0);
-            ( "args",
-              Json.Obj
-                ([ ("span", Json.Int c.Span.c_span) ]
-                @
-                if c.Span.c_rewrote then [ ("rewrote", Json.Bool true) ]
-                else []) );
-          ] )
+      Some
+        ( c.Span.c_t_us,
+          Json.Obj
+            [
+              ("name", Json.Str (Span.call_line c));
+              ("cat", Json.Str "call");
+              ("ph", Json.Str "i");
+              ("s", Json.Str "t");
+              ("ts", Json.Int c.Span.c_t_us);
+              ("pid", Json.Int c.Span.c_pid);
+              ("tid", Json.Int 0);
+              ( "args",
+                Json.Obj
+                  ([ ("span", Json.Int c.Span.c_span) ]
+                  @
+                  if c.Span.c_rewrote then [ ("rewrote", Json.Bool true) ]
+                  else []) );
+            ] )
     | Span.Mark m ->
-      ( m.Span.m_t_us,
-        Json.Obj
-          [
-            ("name", Json.Str (m.Span.m_kind ^ " " ^ m.Span.m_detail));
-            ("cat", Json.Str m.Span.m_kind);
-            ("ph", Json.Str "i");
-            ("s", Json.Str "t");
-            ("ts", Json.Int m.Span.m_t_us);
-            ("pid", Json.Int m.Span.m_pid);
-            ("tid", Json.Int 0);
-            ("args", Json.Obj [ ("span", Json.Int m.Span.m_span) ]);
-          ] )
+      Some
+        ( m.Span.m_t_us,
+          Json.Obj
+            [
+              ("name", Json.Str (m.Span.m_kind ^ " " ^ m.Span.m_detail));
+              ("cat", Json.Str m.Span.m_kind);
+              ("ph", Json.Str "i");
+              ("s", Json.Str "t");
+              ("ts", Json.Int m.Span.m_t_us);
+              ("pid", Json.Int m.Span.m_pid);
+              ("tid", Json.Int 0);
+              ("args", Json.Obj [ ("span", Json.Int m.Span.m_span) ]);
+            ] )
   in
   let events =
-    List.map event_of records @ flow_events edges records ~by_track
+    List.filter_map event_of records @ flow_events records ~by_track
     |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
     |> List.map snd
   in
   Json.Arr (metadata @ events)
 
-let to_string ?name ?pid_label ?edges records =
-  Json.to_string (to_json ?name ?pid_label ?edges records)
+let to_string ?name ?pid_label records =
+  Json.to_string (to_json ?name ?pid_label records)
 
 (* Cluster export: shards reuse pid numbers (each runs its own init as
    pid 1), so lanes from different shards would collide in the viewer.
@@ -240,36 +245,28 @@ let to_string ?name ?pid_label ?edges records =
    while staying reversible for the label. *)
 let shard_stride = 100_000
 
-let map_pid f = function
-  | Span.Segment s -> Span.Segment { s with Span.pid = f s.Span.pid }
-  | Span.Call c -> Span.Call { c with Span.c_pid = f c.Span.c_pid }
-  | Span.Mark m -> Span.Mark { m with Span.m_pid = f m.Span.m_pid }
+let lane shard pid = (shard * shard_stride) + pid
+
+(* An edge's endpoints map through their own shards: a cross-shard
+   edge's source lives on another shard than the one that recorded it. *)
+let to_lanes shard = function
+  | Span.Segment s -> Span.Segment { s with Span.pid = lane shard s.Span.pid }
+  | Span.Call c -> Span.Call { c with Span.c_pid = lane shard c.Span.c_pid }
+  | Span.Mark m -> Span.Mark { m with Span.m_pid = lane shard m.Span.m_pid }
+  | Span.Edge ed ->
+    Span.Edge
+      { ed with
+        Causal.ed_src_pid = lane ed.Causal.ed_src_shard ed.Causal.ed_src_pid;
+        ed_dst_pid = lane ed.Causal.ed_shard ed.Causal.ed_dst_pid }
 
 let default_sharded_pid_label pid =
   Printf.sprintf "s%d pid %d" (pid / shard_stride) (pid mod shard_stride)
 
-let to_json_sharded ?name ?(pid_label = default_sharded_pid_label)
-    ?(edges = []) shards =
-  let records =
-    List.concat_map
-      (fun (shard, records) ->
-        List.map (map_pid (fun pid -> (shard * shard_stride) + pid)) records)
-      shards
-  in
-  (* edge endpoints follow the same per-shard pid offsetting as the
-     records they bind to; each side maps through its own shard *)
-  let edges =
-    List.map
-      (fun ed ->
-        {
-          ed with
-          Causal.ed_src_pid =
-            (ed.Causal.ed_src_shard * shard_stride) + ed.Causal.ed_src_pid;
-          ed_dst_pid = (ed.Causal.ed_shard * shard_stride) + ed.Causal.ed_dst_pid;
-        })
-      edges
-  in
-  to_json ?name ~pid_label ~edges records
+let to_json_sharded ?name ?(pid_label = default_sharded_pid_label) shards =
+  to_json ?name ~pid_label
+    (List.concat_map
+       (fun (shard, records) -> List.map (to_lanes shard) records)
+       shards)
 
-let to_string_sharded ?name ?pid_label ?edges shards =
-  Json.to_string (to_json_sharded ?name ?pid_label ?edges shards)
+let to_string_sharded ?name ?pid_label shards =
+  Json.to_string (to_json_sharded ?name ?pid_label shards)

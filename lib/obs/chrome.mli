@@ -14,23 +14,22 @@
 val to_json :
   ?name:(int -> string) ->
   ?pid_label:(int -> string) ->
-  ?edges:Causal.edge list ->
   Span.record list ->
   Json.t
 (** [name] renders syscall numbers (callers pass [Abi.Sysno.name]; obs
     itself sits below [abi] and cannot).  [pid_label] names the trace
     process for a pid (default ["pid <n>"]; agentrun passes the
-    image/workload name from the kernel's process table).  [edges]
-    render as causal flow events — a [ph:"s"] start on the source
-    span's slice and a [ph:"f"] finish (binding point ["e"]) on the
-    destination's, matched by id; edges whose endpoint spans are not
-    among the records (ring-dropped or sampler-skipped) are omitted.
-    Metadata events first, then all events sorted by timestamp. *)
+    image/workload name from the kernel's process table).
+    {!Span.Edge} records render as causal flow events — a [ph:"s"]
+    start on the source span's slice and a [ph:"f"] finish (binding
+    point ["e"]) on the destination's, matched by id; edges whose
+    endpoint spans are not among the records (ring-dropped or
+    sampler-skipped) are omitted.  Metadata events first, then all
+    events sorted by timestamp. *)
 
 val to_string :
   ?name:(int -> string) ->
   ?pid_label:(int -> string) ->
-  ?edges:Causal.edge list ->
   Span.record list ->
   string
 (** [to_json] rendered compactly (no trailing newline). *)
@@ -42,20 +41,18 @@ val shard_stride : int
 val to_json_sharded :
   ?name:(int -> string) ->
   ?pid_label:(int -> string) ->
-  ?edges:Causal.edge list ->
   (int * Span.record list) list ->
   Json.t
 (** Merge per-shard record streams into one trace.  Every shard runs
     its own pid 1, so pids are offset by [shard * shard_stride] to
     keep lanes disjoint; [pid_label] receives the offset pid and
-    defaults to ["s<shard> pid <n>"].  [edges] may span shards — each
-    endpoint's pid is offset through its own shard before the flow
-    events bind. *)
+    defaults to ["s<shard> pid <n>"].  Edge records may span shards —
+    each endpoint's pid is offset through its own shard before the
+    flow events bind. *)
 
 val to_string_sharded :
   ?name:(int -> string) ->
   ?pid_label:(int -> string) ->
-  ?edges:Causal.edge list ->
   (int * Span.record list) list ->
   string
 (** [to_json_sharded] rendered compactly (no trailing newline). *)

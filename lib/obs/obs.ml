@@ -219,22 +219,19 @@ type engine = {
   mutable e_sig_on : bool;
   mutable e_sig_rev : sig_event list;
   mutable e_sig_n : int;
-  (* causal edge table (DESIGN.md §3.9): which shard this engine
-     belongs to (stamped into every edge it records), the edges
-     themselves (newest first), the emission counter that orders them
-     under the cluster merge rule, and the pending half-edges — forks
-     waiting for the child's first span, kill-originated signals
-     waiting for delivery, pipe byte watermarks waiting for a read.
-     Like signature capture, edges are events of record, not latency
-     samples; endpoints the sampler skipped carry their sentinel and
-     drop out of slice/flow views. *)
+  (* causal bookkeeping (DESIGN.md §3.9): which shard this engine
+     belongs to (stamped into every edge it records) and the pending
+     half-edges — forks waiting for the child's first span, pending
+     kill-originated signals waiting for delivery, pipe byte watermarks
+     waiting for a read.  The edges themselves are [Span.Edge] records
+     of the ring: kept at any sampling rate, but raw records, so the
+     oldest go first when the ring wraps, counted in [dropped]. *)
   mutable e_shard : int;
-  mutable e_causal_rev : Causal.edge list;
-  mutable e_causal_n : int;
   e_pending_fork : (int, int * int) Hashtbl.t;
       (* child pid -> (src span, src pid) *)
-  e_pending_sig : (int * int, (int * int * int) Queue.t) Hashtbl.t;
-      (* (dst pid, signal) -> (src shard, src span, src pid) fifo *)
+  e_pending_sig : (int, int * int * int) Hashtbl.t;
+      (* [sig_key] dst pid, signal -> (src shard, src span, src pid)
+         of the kill that made the signal pending *)
   e_pipes : (int, pipe_chan) Hashtbl.t;
       (* channel ([chan_pipe] and friends) -> watermarks *)
   e_rewrites : (int, int) Hashtbl.t;
@@ -277,8 +274,6 @@ let engine ?(ring_capacity = default_ring_capacity) () =
     e_sig_rev = [];
     e_sig_n = 0;
     e_shard = 0;
-    e_causal_rev = [];
-    e_causal_n = 0;
     e_pending_fork = Hashtbl.create 16;
     e_pending_sig = Hashtbl.create 16;
     e_pipes = Hashtbl.create 16;
@@ -432,8 +427,6 @@ let reset () =
   e.e_injected <- 0;
   e.e_sig_rev <- [];
   e.e_sig_n <- 0;
-  e.e_causal_rev <- [];
-  e.e_causal_n <- 0;
   Hashtbl.reset e.e_pending_fork;
   Hashtbl.reset e.e_pending_sig;
   Hashtbl.reset e.e_pipes;
@@ -455,22 +448,23 @@ let innermost e pid =
   | { contents = s :: _ } -> s
   | { contents = [] } | (exception Not_found) -> 0
 
+(* An edge is a record of the one log; its [seq] is its position there
+   (the ring's [pushed] once it is in), monotone per engine. *)
 let emit_edge e ~kind ~src_shard ~src_span ~src_pid ~dst_span ~dst_pid ~detail =
-  e.e_causal_n <- e.e_causal_n + 1;
-  e.e_causal_rev <-
-    {
-      Causal.ed_kind = kind;
-      ed_src_shard = src_shard;
-      ed_src_span = src_span;
-      ed_src_pid = src_pid;
-      ed_shard = e.e_shard;
-      ed_dst_span = dst_span;
-      ed_dst_pid = dst_pid;
-      ed_t_us = e.e_clock_fn ();
-      ed_seq = e.e_causal_n;
-      ed_detail = detail;
-    }
-    :: e.e_causal_rev
+  Ring.push e.e_ring
+    (Span.Edge
+       {
+         Causal.ed_kind = kind;
+         ed_src_shard = src_shard;
+         ed_src_span = src_span;
+         ed_src_pid = src_pid;
+         ed_shard = e.e_shard;
+         ed_dst_span = dst_span;
+         ed_dst_pid = dst_pid;
+         ed_t_us = e.e_clock_fn ();
+         ed_seq = Ring.pushed e.e_ring + 1;
+         ed_detail = detail;
+       })
 
 (* Fork: the parent's fork trap is still open when the kernel clones
    the process; the edge completes at the child's first span_begin. *)
@@ -480,57 +474,51 @@ let causal_fork ~parent ~child =
     Hashtbl.replace e.e_pending_fork child (innermost e parent, parent)
 
 (* Signals: only kill-originated signals make edges (an alarm or a
-   kernel-raised SIGPIPE has no sender span).  The sender side files a
-   pending half-edge; delivery into the receiver's current trap
-   completes it.  Dispositions that never deliver to the application
-   (ignore, terminate) leave the half-edge pending, harmlessly. *)
-let causal_signal_send ~src_pid ~dst_pid ~signal =
+   kernel-raised SIGPIPE has no sender span).  A half-edge lives
+   exactly as long as the kernel's pending bit: the kernel files one
+   for the kill that makes a signal pending (a second kill of a
+   pending signal changes nothing: one pending bit per signal), delivery into
+   the receiver's current trap completes it, and a discard (ignored,
+   terminated, exited) drops it.  So the table holds at most one
+   half-edge per pending signal. *)
+let causal_origin pid =
   let e = !cur in
-  if e.e_on then begin
-    let q =
-      match Hashtbl.find_opt e.e_pending_sig (dst_pid, signal) with
-      | Some q -> q
-      | None ->
-        let q = Queue.create () in
-        Hashtbl.replace e.e_pending_sig (dst_pid, signal) q;
-        q
-    in
-    Queue.push (e.e_shard, innermost e src_pid, src_pid) q
-  end
-
-(* Cross-shard variant: runs on the *destination* shard's engine with
-   the origin captured on the source shard ([causal_origin]) and
-   shipped with the cluster mail. *)
-let causal_signal_send_remote ~src_shard ~src_span ~src_pid ~dst_pid ~signal =
-  let e = !cur in
-  if e.e_on then begin
-    let q =
-      match Hashtbl.find_opt e.e_pending_sig (dst_pid, signal) with
-      | Some q -> q
-      | None ->
-        let q = Queue.create () in
-        Hashtbl.replace e.e_pending_sig (dst_pid, signal) q;
-        q
-    in
-    Queue.push (src_shard, src_span, src_pid) q
-  end
-
-(* (shard, innermost span, pid) of the ambient process — what
-   [Cluster.send] stamps into cross-shard mail on the source shard. *)
-let causal_origin () =
-  let e = !cur in
-  let pid = e.e_context_fn () in
   (e.e_shard, (if e.e_on then innermost e pid else 0), pid)
+
+(* an immediate key: signal numbers are below 64 *)
+let sig_key pid signal = (pid lsl 6) lor signal
+
+let causal_signal_send ~origin ~pid ~signal =
+  let e = !cur in
+  if e.e_on then Hashtbl.replace e.e_pending_sig (sig_key pid signal) origin
+
+(* Unconditional on [e_on], like [causal_chan_closed]: a half-edge
+   filed before obs was switched off still goes with its signal. *)
+let causal_signal_discard ~pid ~signal =
+  let e = !cur in
+  if Hashtbl.length e.e_pending_sig > 0 then
+    Hashtbl.remove e.e_pending_sig (sig_key pid signal)
 
 let causal_signal_delivered ~pid ~signal ~span ~detail =
   let e = !cur in
   if e.e_on then
-    match Hashtbl.find_opt e.e_pending_sig (pid, signal) with
-    | Some q when not (Queue.is_empty q) ->
-      let src_shard, src_span, src_pid = Queue.pop q in
+    match Hashtbl.find e.e_pending_sig (sig_key pid signal) with
+    | src_shard, src_span, src_pid ->
+      Hashtbl.remove e.e_pending_sig (sig_key pid signal);
       emit_edge e ~kind:Causal.Signal ~src_shard ~src_span ~src_pid
         ~dst_span:span ~dst_pid:pid ~detail
-    | _ -> ()
+    | exception Not_found -> ()
+
+(* An exited process takes its half-edges with it: its pending
+   signals (the table holds only pending ones, so the scan is short),
+   and its fork edge if it never trapped with obs on. *)
+let causal_exit pid =
+  let e = !cur in
+  if Hashtbl.length e.e_pending_sig > 0 then
+    Hashtbl.filter_map_inplace
+      (fun k origin -> if k lsr 6 = pid then None else Some origin)
+      e.e_pending_sig;
+  if Hashtbl.length e.e_pending_fork > 0 then Hashtbl.remove e.e_pending_fork pid
 
 (* A channel is an immediate int — the buffer's id with its kind in
    the low two bits — so the kernel's read and write paths build no
@@ -617,15 +605,10 @@ let causal_chan_closed chan =
   let e = !cur in
   if Hashtbl.length e.e_pipes > 0 then Hashtbl.remove e.e_pipes chan
 
-let causal_chans () = Hashtbl.length !cur.e_pipes
-
-let causal_edges_of e = List.rev e.e_causal_rev
-let causal_edges () = causal_edges_of !cur
-
-let causal_drain_of e =
-  let l = List.rev e.e_causal_rev in
-  e.e_causal_rev <- [];
-  l
+let causal_pending () =
+  let e = !cur in
+  Hashtbl.length e.e_pipes + Hashtbl.length e.e_pending_fork
+  + Hashtbl.length e.e_pending_sig
 
 (* ---------- streaming ---------- *)
 
@@ -930,7 +913,7 @@ let dropped () = Ring.dropped !cur.e_ring
 
 let segments () =
   List.filter_map
-    (function Span.Segment s -> Some s | Span.Call _ | Span.Mark _ -> None)
+    (function Span.Segment s -> Some s | _ -> None)
     (records ())
 
 (* ---------- metrics snapshot ---------- *)

@@ -321,22 +321,25 @@ val note_injected : unit -> unit
 (** {1 Causal edges}
 
     The cross-process event graph (DESIGN.md §3.9): fork, signal and
-    pipe edges between spans, recorded by kernel hooks as {e events of
-    record} (like signature capture, the sampler does not thin them —
-    but an endpoint the sampler skipped carries its negative sentinel
-    and drops out of {!Causal.slice} and Chrome flow views).  Each
-    hook is pure bookkeeping on the installed engine: edges charge
-    zero virtual time, so no published µs figure moves.
+    pipe edges between spans, recorded by kernel hooks as
+    {!Span.Edge} records of the flight recorder.  The sampler does not
+    thin them (an endpoint it skipped carries its negative sentinel
+    and drops out of {!Causal.slice} and Chrome flow views), but they
+    are raw records: when the ring wraps the oldest are lost and
+    counted in {!dropped}.  Read them with {!Span.edges} over a drain,
+    or follow them with {!poll}.  Each hook is pure bookkeeping on the
+    installed engine: edges charge zero virtual time, so no published
+    µs figure moves.
 
     Fork and signal edges resolve in two halves — the source files a
-    pending half-edge (the fork trap, the kill trap), the destination
-    completes it (the child's first {!span_begin}, the delivery into
-    the receiver's current trap).  Pipe edges resolve through per-pipe
-    byte-offset watermarks: writes append byte intervals stamped with
-    the writing span, reads consume them.  Cross-shard signal edges
-    ship their origin with the cluster mail and complete on the
-    destination shard, ordered by the same (ts, shard, seq) merge rule
-    as the mail itself. *)
+    pending half-edge (the fork trap, the kill that makes a signal
+    pending), the destination completes it (the child's first
+    {!span_begin}, the delivery into the receiver's current trap).  A
+    signal's half-edge lives exactly as long as the kernel's pending
+    bit.  Pipe edges resolve through per-pipe byte-offset watermarks:
+    writes append byte intervals stamped with the writing span, reads
+    consume them.  Cross-shard signal edges ship their origin with the
+    cluster mail and complete on the destination shard. *)
 
 val set_shard : int -> unit
 (** Stamp the installed engine with its owning shard id
@@ -349,25 +352,31 @@ val causal_fork : parent:int -> child:int -> unit
 (** The kernel cloned [child] inside [parent]'s (still open) fork
     trap; the edge completes at the child's first span. *)
 
-val causal_signal_send : src_pid:int -> dst_pid:int -> signal:int -> unit
-(** [src_pid]'s kill trap posted [signal] to [dst_pid] (same shard). *)
+val causal_origin : int -> int * int * int
+(** [(shard, innermost open span, pid)] of process [pid] on the
+    installed engine: a kill's sender, and what [Cluster.send] stamps
+    into cross-shard mail. *)
 
-val causal_signal_send_remote :
-  src_shard:int -> src_span:int -> src_pid:int -> dst_pid:int -> signal:int -> unit
-(** Cross-shard variant, run on the {e destination} shard's engine
-    with the origin captured by {!causal_origin} on the source shard
-    and shipped with the cluster mail. *)
+val causal_signal_send :
+  origin:int * int * int -> pid:int -> signal:int -> unit
+(** A kill from [origin] (a {!causal_origin}, possibly another
+    shard's) made [signal] pending on [pid]: file its half-edge,
+    replacing any stale one.  The kernel calls this only for the post
+    that sets the pending bit. *)
 
-val causal_origin : unit -> int * int * int
-(** [(shard, innermost open span, pid)] of the ambient process — what
-    [Cluster.send] stamps into cross-shard mail. *)
+val causal_signal_discard : pid:int -> signal:int -> unit
+(** The kernel discarded pending [signal] without delivering it
+    (ignored, terminated, continued, stopped): drop its half-edge. *)
 
 val causal_signal_delivered :
   pid:int -> signal:int -> span:int -> detail:string -> unit
 (** A signal reached [pid]'s application handler inside span [span];
-    completes the oldest matching pending half-edge, if any (signals
-    without a sender span — alarms, kernel-raised SIGPIPE — have
-    none). *)
+    completes its pending half-edge, if any (signals without a sender
+    span — alarms, kernel-raised SIGPIPE — have none). *)
+
+val causal_exit : int -> unit
+(** Process [pid] exited: drop its pending half-edges (signals, and a
+    fork edge its first trap never completed). *)
 
 val chan_pipe : int -> int
 (** The causal channel of an anonymous pipe, by pipe id: an immediate
@@ -394,14 +403,10 @@ val causal_chan_closed : int -> unit
     watermarks.  The kernel calls this when a buffer loses its last
     reader and writer (and, for a FIFO, holds no unread bytes). *)
 
-val causal_chans : unit -> int
-(** Channels with live watermarks on the installed engine. *)
-
-val causal_edges : unit -> Causal.edge list
-(** Recorded edges, oldest first; non-destructive. *)
-
-val causal_edges_of : engine -> Causal.edge list
-val causal_drain_of : engine -> Causal.edge list
+val causal_pending : unit -> int
+(** Pending causal bookkeeping on the installed engine: channels with
+    live watermarks, uncompleted fork half-edges and pending signal
+    half-edges. *)
 
 (** {1 Streaming} *)
 

@@ -46,7 +46,15 @@ type mark = {
   m_detail : string;
 }
 
-type record = Segment of segment | Call of call | Mark of mark
+type record =
+  | Segment of segment
+  | Call of call
+  | Mark of mark
+  | Edge of Causal.edge
+
+(* The edge table of a record stream, in the cluster merge order. *)
+let edges records =
+  Causal.sort (List.filter_map (function Edge e -> Some e | _ -> None) records)
 
 (* --- textual rendering (the trace agent's two line shapes) --- *)
 
@@ -106,6 +114,7 @@ let to_json = function
   | Segment s -> segment_to_json s
   | Call c -> call_to_json c
   | Mark m -> mark_to_json m
+  | Edge e -> Causal.to_json e
 
 let to_line r = Json.to_string (to_json r)
 
@@ -159,6 +168,7 @@ let of_json j =
     let* m_kind = str_field j "kind" in
     let* m_detail = str_field j "detail" in
     Some (Mark { m_span; m_pid; m_t_us; m_kind; m_detail })
+  | Some "edge" -> Option.map (fun e -> Edge e) (Causal.of_json j)
   | _ -> None
 
 let of_line line =

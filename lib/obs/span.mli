@@ -1,7 +1,7 @@
 (** Flight-recorder records: per-layer trap segments, trace-agent call
-    events, and point marks (signals, aborted spans), with one JSONL
-    codec shared by [agentrun --trace-out], the [/obs/spans] synthetic
-    file, and the tests. *)
+    events, point marks (signals, aborted spans) and causal edges, with
+    one JSONL codec shared by [agentrun --trace-out], the [/obs/spans]
+    and [/obs/stream] synthetic files, and the tests. *)
 
 type segment = {
   span : int;       (** span id; unique per traced trap within a session *)
@@ -36,7 +36,15 @@ type mark = {
   m_detail : string;(** signal name / aborted syscall number *)
 }
 
-type record = Segment of segment | Call of call | Mark of mark
+type record =
+  | Segment of segment
+  | Call of call
+  | Mark of mark
+  | Edge of Causal.edge  (** a fork / signal / pipe cause (DESIGN.md §3.9) *)
+
+val edges : record list -> Causal.edge list
+(** The [Edge] records, sorted by {!Causal.sort}: the edge table of one
+    shard's drain, or of several shards' drains concatenated. *)
 
 val call_line : call -> string
 (** The trace agent's line shapes (no trailing newline):
@@ -49,6 +57,7 @@ val to_json : record -> Json.t
 
 val to_line : record -> string
 (** One compact JSON object (no trailing newline), with a
-    ["type": "segment"|"call"|"mark"] discriminator. *)
+    ["type": "segment"|"call"|"mark"|"edge"] discriminator; an edge's
+    fields are {!Causal.to_json}'s. *)
 
 val of_line : string -> (record, string) result

@@ -28,9 +28,10 @@ let occurrences needle hay =
 
 let msg i = Printf.sprintf "child %d reporting in\n" i
 
-let causal_session () =
+let causal_session ?(setup = ignore) () =
   Obs.reset ();
   let k = fresh_kernel () in
+  setup k;
   let status =
     boot_k k (fun () ->
         Obs.enable ();
@@ -73,11 +74,17 @@ let count kind edges =
   List.length
     (List.filter (fun (e : Obs.Causal.edge) -> e.Obs.Causal.ed_kind = kind) edges)
 
+(* The edge table: the edge records of a drain, in merge order. *)
+let drain_edges k = Obs.Span.edges (Kernel.drain_obs k)
+
+let edge_line e = Obs.Span.to_line (Obs.Span.Edge e)
+
 (* --- the edge table ------------------------------------------------------ *)
 
 let test_edge_kinds () =
   let k = causal_session () in
-  let edges = Kernel.drain_causal k in
+  let records = Kernel.drain_obs k in
+  let edges = Obs.Span.edges records in
   Alcotest.(check int) "three fork edges" 3 (count Obs.Causal.Fork edges);
   Alcotest.(check int) "three signal edges" 3 (count Obs.Causal.Signal edges);
   Alcotest.(check bool) "at least three pipe edges" true
@@ -98,25 +105,39 @@ let test_edge_kinds () =
         Alcotest.(check string) "signal edge names the signal" "SIGUSR1"
           e.Obs.Causal.ed_detail)
     edges;
-  Alcotest.(check bool) "table already in merge order" true
-    (Obs.Causal.sort edges = edges);
-  Alcotest.(check int) "drain emptied the table" 0
-    (List.length (Kernel.causal_edges k))
+  (* an edge's seq is its 1-based position in the log, so the log
+     already holds the edges in merge order *)
+  let in_log =
+    List.concat
+      (List.mapi
+         (fun i -> function
+           | Obs.Span.Edge e ->
+             Alcotest.(check int) "seq is the log position" (i + 1)
+               e.Obs.Causal.ed_seq;
+             [ e ]
+           | _ -> [])
+         records)
+  in
+  Alcotest.(check bool) "log already in merge order" true (in_log = edges);
+  Alcotest.(check int) "drain emptied the log" 0
+    (List.length (drain_edges k))
 
 let test_edges_byte_identical () =
-  let render k = List.map Obs.Causal.to_line (Kernel.drain_causal k) in
+  let render k = List.map edge_line (drain_edges k) in
   let a = render (causal_session ()) in
   let b = render (causal_session ()) in
   Alcotest.(check bool) "non-empty" true (a <> []);
   Alcotest.(check (list string)) "two same-seed runs render identically" a b
 
 let test_edge_jsonl_roundtrip () =
-  let edges = Kernel.drain_causal (causal_session ()) in
+  let edges = drain_edges (causal_session ()) in
   List.iter
     (fun e ->
-      match Obs.Causal.of_line (Obs.Causal.to_line e) with
-      | Some e' -> Alcotest.(check bool) "line round-trips" true (e = e')
-      | None -> Alcotest.failf "unparseable edge line: %s" (Obs.Causal.to_line e))
+      match Obs.Span.of_line (edge_line e) with
+      | Ok r ->
+        Alcotest.(check bool) "line round-trips" true (r = Obs.Span.Edge e)
+      | Error err ->
+        Alcotest.failf "unparseable edge line %s: %s" (edge_line e) err)
     edges
 
 (* --- pipe bookkeeping ----------------------------------------------------- *)
@@ -241,7 +262,7 @@ let test_pipe_edges_match_reference =
                   (fun e -> want := e :: !want);
                 Obs.causal_pipe_read ~chan:(obs_chan k i) ~pid ~bytes)
             ops;
-          Obs.causal_edges ())
+          Obs.Span.edges (Obs.drain ()))
       in
       let got =
         List.map
@@ -256,13 +277,16 @@ let test_pipe_edges_match_reference =
 (* A channel's watermarks go when its buffer loses its last reader and
    writer: after every connection of a fork-per-connection kvd run has
    closed, and after the pipe session, no channel is left, though both
-   made pipe edges. *)
+   made pipe edges.  Nor is any other half-edge or wait-queue entry. *)
 let test_pipe_chans_forgotten () =
-  let chans k = Obs.with_engine (Kernel.obs_engine k) Obs.causal_chans in
+  let pending k = Obs.with_engine (Kernel.obs_engine k) Obs.causal_pending in
+  let edges k =
+    Obs.Span.edges (Obs.with_engine (Kernel.obs_engine k) Obs.records)
+  in
   let k = causal_session () in
   Alcotest.(check bool) "pipe session made pipe edges" true
-    (count Obs.Causal.Pipe (Kernel.causal_edges k) > 0);
-  Alcotest.(check int) "pipe session leaves no channel" 0 (chans k);
+    (count Obs.Causal.Pipe (edges k) > 0);
+  Alcotest.(check int) "pipe session leaves nothing pending" 0 (pending k);
   (* [Kernel.create] copies the switch and installs the new engine *)
   Obs.enable ();
   let k = fresh_kernel () in
@@ -275,14 +299,148 @@ let test_pipe_chans_forgotten () =
        (fun (e : Obs.Causal.edge) ->
          e.Obs.Causal.ed_kind = Obs.Causal.Pipe
          && String.starts_with ~prefix:"sock#" e.Obs.Causal.ed_detail)
-       (Kernel.causal_edges k));
-  Alcotest.(check int) "40 closed connections leave no channel" 0 (chans k);
+       (edges k));
+  Alcotest.(check int) "40 closed connections leave nothing pending" 0
+    (pending k);
+  Alcotest.(check int) "no wait-queue entry outlives its sleepers" 0
+    (Hashtbl.length k.Kernel.Kstate.waitqs);
   Obs.disable ()
+
+(* --- signal half-edges ------------------------------------------------------ *)
+
+(* A signal's half-edge lives exactly as long as the kernel's pending
+   bit: the kill that makes the signal pending is its sender, a second
+   kill of a pending signal changes nothing, and a discarded signal
+   takes its half-edge with it.  Pid 1 signals itself, so each kill's
+   span is the session's [kill] segments, in order. *)
+let self_signal_session body =
+  Obs.reset ();
+  let k = fresh_kernel () in
+  let status =
+    boot_k k (fun () ->
+        Obs.enable ();
+        body (fun () ->
+            ignore (Libc.Unistd.kill (Libc.Unistd.getpid ()) Signal.sigusr1));
+        Obs.disable ();
+        0)
+  in
+  check_exit "self-signal session" 0 status;
+  let records = Kernel.drain_obs k in
+  let kill_spans =
+    List.sort_uniq compare
+      (List.filter_map
+         (function
+           | Obs.Span.Segment s when s.Obs.Span.sysno = Sysno.sys_kill ->
+             Some s.Obs.Span.span
+           | _ -> None)
+         records)
+  in
+  let signal_edges =
+    List.filter
+      (fun (e : Obs.Causal.edge) -> e.Obs.Causal.ed_kind = Obs.Causal.Signal)
+      (Obs.Span.edges records)
+  in
+  ( kill_spans,
+    signal_edges,
+    Obs.with_engine (Kernel.obs_engine k) Obs.causal_pending )
+
+let handle_usr1 () =
+  ignore
+    (Libc.Unistd.ok_exn "signal"
+       (Libc.Unistd.signal Signal.sigusr1 (Value.H_fn (fun _ -> ()))))
+
+let test_signal_first_kill_is_sender () =
+  let usr1 = Signal.Mask.add 0 Signal.sigusr1 in
+  let kills, edges, pending =
+    self_signal_session (fun kill ->
+        handle_usr1 ();
+        ignore (Libc.Unistd.sigprocmask Flags.Sighow.sig_block usr1);
+        kill ();
+        kill ();
+        (* one pending bit, one delivery *)
+        ignore (Libc.Unistd.sigprocmask Flags.Sighow.sig_unblock usr1);
+        kill ())
+  in
+  match kills, edges with
+  | [ a; _b; c ], [ first; second ] ->
+    Alcotest.(check (list int))
+      "each delivery names the kill that made it pending" [ a; c ]
+      [ first.Obs.Causal.ed_src_span; second.Obs.Causal.ed_src_span ];
+    Alcotest.(check int) "an unblocked kill is delivered in its own span" c
+      second.Obs.Causal.ed_dst_span;
+    Alcotest.(check int) "nothing left pending" 0 pending
+  | _ ->
+    Alcotest.failf "want 3 kills and 2 signal edges, got %d and %d"
+      (List.length kills) (List.length edges)
+
+let test_signal_ignored_discards () =
+  let kills, edges, pending =
+    self_signal_session (fun kill ->
+        ignore
+          (Libc.Unistd.ok_exn "signal"
+             (Libc.Unistd.signal Signal.sigusr1 Value.H_ignore));
+        kill ();
+        handle_usr1 ();
+        kill ())
+  in
+  match kills, edges with
+  | [ _ignored; handled ], [ e ] ->
+    Alcotest.(check (pair int int)) "the handled kill is the edge's both ends"
+      (handled, handled)
+      (e.Obs.Causal.ed_src_span, e.Obs.Causal.ed_dst_span);
+    Alcotest.(check int) "nothing left pending" 0 pending
+  | _ ->
+    Alcotest.failf "want 2 kills and 1 signal edge, got %d and %d"
+      (List.length kills) (List.length edges)
+
+(* Fork 50 children parked in sigsuspend, signal each and reap it: no
+   half-edge outlives its child, whether the signal kills it, is
+   ignored before a SIGKILL, or runs its handler. *)
+let test_signal_reaped_children_leave_nothing () =
+  let run ~setup signals =
+    Obs.reset ();
+    let k = fresh_kernel () in
+    let status =
+      boot_k k (fun () ->
+          Obs.enable ();
+          let children =
+            List.init 50 (fun _ ->
+                Libc.Unistd.ok_exn "fork"
+                  (Libc.Unistd.fork ~child:(fun () ->
+                       setup ();
+                       ignore (Libc.Unistd.sigsuspend 0);
+                       0)))
+          in
+          (* let every child park before it is signalled *)
+          ignore (Libc.Unistd.sleep_us 1000);
+          List.iter
+            (fun pid ->
+              List.iter (fun s -> ignore (Libc.Unistd.kill pid s)) signals;
+              ignore (Libc.Unistd.waitpid pid 0))
+            children;
+          Obs.disable ();
+          0)
+    in
+    check_exit "fork-and-signal session" 0 status;
+    Obs.with_engine (Kernel.obs_engine k) Obs.causal_pending
+  in
+  let ignore_usr1 () =
+    ignore
+      (Libc.Unistd.ok_exn "signal"
+         (Libc.Unistd.signal Signal.sigusr1 Value.H_ignore))
+  in
+  List.iter
+    (fun (what, setup, signals) ->
+      Alcotest.(check int) what 0 (run ~setup signals))
+    [ ("SIGKILL", ignore, [ Signal.sigkill ]);
+      ("SIGTERM", ignore, [ Signal.sigterm ]);
+      ("ignored, then SIGKILL", ignore_usr1, [ Signal.sigusr1; Signal.sigkill ]);
+      ("handled", handle_usr1, [ Signal.sigusr1 ]) ]
 
 (* --- slices -------------------------------------------------------------- *)
 
 let test_slice_reachability () =
-  let edges = Kernel.drain_causal (causal_session ()) in
+  let edges = drain_edges (causal_session ()) in
   let roots =
     List.filter_map
       (fun (e : Obs.Causal.edge) ->
@@ -307,16 +465,17 @@ let test_slice_reachability () =
 (* --- chrome flow events --------------------------------------------------- *)
 
 let test_chrome_flow_events () =
-  let k = causal_session () in
-  let edges = Kernel.drain_causal k in
-  let records = Kernel.drain_obs k in
-  let trace = Obs.Chrome.to_string ~name:Sysno.name ~edges records in
+  let records = Kernel.drain_obs (causal_session ()) in
+  let trace = Obs.Chrome.to_string ~name:Sysno.name records in
   let starts = occurrences "\"ph\":\"s\"" trace in
   let finishes = occurrences "\"ph\":\"f\"" trace in
   Alcotest.(check bool) "flow events present" true (starts > 0);
   Alcotest.(check int) "every start binds a finish" starts finishes;
-  (* without edges the same records render no flow events *)
-  let bare = Obs.Chrome.to_string ~name:Sysno.name records in
+  (* without its edge records the same log renders no flow events *)
+  let bare =
+    Obs.Chrome.to_string ~name:Sysno.name
+      (List.filter (function Obs.Span.Edge _ -> false | _ -> true) records)
+  in
   Alcotest.(check int) "no edges, no flows" 0 (occurrences "\"ph\":\"s\"" bare)
 
 (* --- cross-shard signal edges --------------------------------------------- *)
@@ -344,7 +503,7 @@ let cluster_session () =
             0))
   in
   Kernel.Cluster.run c;
-  Kernel.Cluster.drain_causal c
+  Obs.Span.edges (List.concat_map snd (Kernel.Cluster.drain_obs c))
 
 let test_cluster_cross_shard () =
   let edges = cluster_session () in
@@ -367,12 +526,10 @@ let test_cluster_cross_shard () =
       Alcotest.(check int) "origin pid survived the mail" 1
         e.Obs.Causal.ed_src_pid)
     cross;
-  Alcotest.(check bool) "merged table is in merge order" true
-    (Obs.Causal.sort edges = edges);
   let again = cluster_session () in
   Alcotest.(check (list string)) "two cluster runs render identically"
-    (List.map Obs.Causal.to_line edges)
-    (List.map Obs.Causal.to_line again)
+    (List.map edge_line edges)
+    (List.map edge_line again)
 
 (* --- flame folds ---------------------------------------------------------- *)
 
@@ -466,6 +623,79 @@ let test_stream_session_complete () =
   Alcotest.(check (pair int int)) "post-drain poll is empty and free" (0, 0)
     (let fresh, l = Obs.poll_of (Kernel.obs_engine k) cursor in
      (List.length fresh, l))
+
+(* --- soak: obs live words stay flat ------------------------------------------ *)
+
+(* Fork-per-connection kvd under the stacked agents at 1-in-256, at N
+   and 3N clients, with a ring small enough that both runs wrap it.
+   Every per-shard structure is bounded — the log by its capacity
+   (edges included), pending half-edges and channels by what is live —
+   so the kernel's reachable words after 3N clients stay within 10% of
+   the N run's. *)
+let soak_ring = 512
+
+let kvd_soak_words clients =
+  Obs.reset ();
+  Obs.configure ~ring_capacity:soak_ring ();
+  Obs.set_sampling ~seed:1 256;
+  Obs.enable ();
+  let k = fresh_kernel () in
+  Workloads.Kvd.setup k;
+  let params = { Workloads.Kvd.default_params with Workloads.Kvd.clients } in
+  let stats = Workloads.Kvd.fresh_stats () in
+  let status =
+    boot_k k (fun () ->
+        List.iter
+          (fun a -> Toolkit.Loader.install a ~argv:[||])
+          (Conformance.stacked.Conformance.sk_make ());
+        Workloads.Kvd.body ~params ~stats ~mode:Workloads.Kvd.Fork_per_conn ())
+  in
+  check_exit "kvd soak" 0 status;
+  Alcotest.(check int) "every client served" clients stats.Workloads.Kvd.conns;
+  Obs.with_engine (Kernel.obs_engine k) (fun () ->
+      Alcotest.(check bool) "the log wrapped" true (Obs.dropped () > 0);
+      Alcotest.(check int) "nothing left pending" 0 (Obs.causal_pending ()));
+  Obj.reachable_words (Obj.repr k)
+
+let test_soak_words_flat () =
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.set_sampling 1;
+      Obs.configure ();
+      Obs.reset ())
+    (fun () ->
+      let small = kvd_soak_words 100 in
+      let large = kvd_soak_words 300 in
+      if float_of_int large >= 1.10 *. float_of_int small then
+        Alcotest.failf "kernel words %d -> %d (%.2fx) from 100 to 300 clients"
+          small large
+          (float_of_int large /. float_of_int small))
+
+(* Edges are records of the one log, so a cursor tailing the causal
+   session sees every edge the final drain holds. *)
+let test_stream_delivers_edges () =
+  let cursor = Obs.Stream.cursor () in
+  let streamed = ref [] and lost = ref 0 in
+  let take (fresh, l) =
+    streamed := List.rev_append fresh !streamed;
+    lost := !lost + l
+  in
+  let k =
+    causal_session
+      ~setup:(fun k ->
+        Kernel.set_trace_hook k ~cost_us:0
+          (Some (fun _ _ _ -> take (Obs.poll cursor))))
+      ()
+  in
+  take (Obs.poll_of (Kernel.obs_engine k) cursor);
+  let drained = drain_edges k in
+  Alcotest.(check bool) "every edge kind drained" true
+    (List.length drained >= 9);
+  Alcotest.(check int) "nothing lost" 0 !lost;
+  Alcotest.(check (list string)) "streamed edges = drained edges"
+    (List.map edge_line drained)
+    (List.map edge_line (Obs.Span.edges !streamed))
 
 (* --- watchdog rules --------------------------------------------------------- *)
 
@@ -643,6 +873,13 @@ let () =
         [ QCheck_alcotest.to_alcotest test_pipe_edges_match_reference;
           Alcotest.test_case "closed channels are forgotten" `Quick
             test_pipe_chans_forgotten ] );
+      ( "signals",
+        [ Alcotest.test_case "the first kill of a pending signal is its sender"
+            `Quick test_signal_first_kill_is_sender;
+          Alcotest.test_case "an ignored signal takes its half-edge" `Quick
+            test_signal_ignored_discards;
+          Alcotest.test_case "reaped children leave no half-edge" `Quick
+            test_signal_reaped_children_leave_nothing ] );
       ( "slice",
         [ Alcotest.test_case "reachability from fork roots" `Quick
             test_slice_reachability ] );
@@ -659,7 +896,12 @@ let () =
         [ Alcotest.test_case "ring cursor exactly-once" `Quick
             test_stream_exactly_once;
           Alcotest.test_case "session stream is complete" `Quick
-            test_stream_session_complete ] );
+            test_stream_session_complete;
+          Alcotest.test_case "the causal session streams every edge" `Quick
+            test_stream_delivers_edges ] );
+      ( "soak",
+        [ Alcotest.test_case "kvd words flat from N to 3N clients" `Quick
+            test_soak_words_flat ] );
       ( "watch",
         [ Alcotest.test_case "parse" `Quick test_watch_parse;
           Alcotest.test_case "rejects garbage" `Quick test_watch_rejects_garbage;

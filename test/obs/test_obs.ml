@@ -185,12 +185,27 @@ let mark_gen =
         { Obs.Span.m_span; m_pid; m_t_us; m_kind; m_detail })
       (pair (triple nat nat nat) (pair string string)))
 
+(* dst spans range over the sampler's negative sentinels too *)
+let edge_gen =
+  QCheck.Gen.(
+    map
+      (fun ((ed_kind, ed_src_shard, ed_src_span),
+            ((ed_src_pid, ed_shard, ed_dst_span),
+             ((ed_dst_pid, ed_t_us), (ed_seq, ed_detail)))) ->
+        { Obs.Causal.ed_kind; ed_src_shard; ed_src_span; ed_src_pid;
+          ed_shard; ed_dst_span; ed_dst_pid; ed_t_us; ed_seq; ed_detail })
+      (pair
+         (triple (oneofl Obs.Causal.[ Fork; Signal; Pipe ]) nat nat)
+         (pair (triple nat nat small_signed_int)
+            (pair (pair nat nat) (pair nat string)))))
+
 let record_gen =
   QCheck.Gen.(
     oneof
       [ map (fun s -> Obs.Span.Segment s) segment_gen;
         map (fun c -> Obs.Span.Call c) call_gen;
-        map (fun m -> Obs.Span.Mark m) mark_gen ])
+        map (fun m -> Obs.Span.Mark m) mark_gen;
+        map (fun e -> Obs.Span.Edge e) edge_gen ])
 
 let record_arb =
   QCheck.make record_gen ~print:(fun r -> Obs.Span.to_line r)
@@ -417,7 +432,7 @@ let test_trace_agent_records_calls () =
         List.filter_map
           (function
             | Obs.Span.Call c -> Some c
-            | Obs.Span.Segment _ | Obs.Span.Mark _ -> None)
+            | Obs.Span.Segment _ | Obs.Span.Mark _ | Obs.Span.Edge _ -> None)
           (Obs.records ())
       in
       (* two events per traced call: entry and return *)

@@ -466,14 +466,16 @@ let test_kvd_causal_deterministic () =
         Obs.disable ();
         rc)
     in
-    Kernel.causal_edges k
+    Obs.Span.edges (Kernel.drain_obs k)
+  in
+  let render es =
+    String.concat "\n"
+      (List.map (fun e -> Obs.Span.to_line (Obs.Span.Edge e)) es)
   in
   let a = edges () and b = edges () in
   Alcotest.(check bool) "pipe edges present" true
     (List.exists (fun e -> e.Obs.Causal.ed_kind = Obs.Causal.Pipe) a);
-  Alcotest.(check string) "edge table byte-identical"
-    (String.concat "\n" (List.map Obs.Causal.to_line (Obs.Causal.sort a)))
-    (String.concat "\n" (List.map Obs.Causal.to_line (Obs.Causal.sort b)))
+  Alcotest.(check string) "edge table byte-identical" (render a) (render b)
 
 let test_kvd_under_trace_equivalent () =
   let summary agent_opt =
