@@ -43,7 +43,7 @@ let observe k ~status ~output_path =
         | Kernel.Proc.Reaped -> acc
         | Kernel.Proc.Zombie -> if pid = 1 then acc else acc + 1
         | Kernel.Proc.Runnable | Kernel.Proc.Parked _
-        | Kernel.Proc.Stopped _ -> acc + 1)
+        | Kernel.Proc.Stopped -> acc + 1)
       k.Kernel.Kstate.procs 0
   in
   {

@@ -4,21 +4,16 @@
     A simulated process is an OCaml fibre.  A system call runs its
     kernel half directly on the calling fibre ({!Uspace}) and performs
     an effect only when the scheduler has work to do
-    ({!Kstate.Settle}); the primitives here always go through the
-    scheduler in {!Kernel}. *)
+    ({!Kstate.Reply}, {!Kstate.Settle}); the primitives here always go
+    through the scheduler in {!Kernel}.  Every yield but [Exec_load] is
+    answered through the process's resume slot ({!Proc.resume}), so
+    the effects carry no payload and the continuation's answer is
+    [unit]. *)
 
 (** How a trap reached the kernel: directly from the application, or
     through [Uspace.htg_trap] (which bypasses the emulation vector and
     costs an extra 37 µs, Table 3-4). *)
 type via = App | Htg
-
-(** What a trap resumes with: the call's result, plus any signals the
-    kernel decided must be delivered to user-space handlers before the
-    stub returns to the application. *)
-type trap_reply = {
-  res : Abi.Value.res;
-  deliver : int list;
-}
 
 (** Parameters of the exec-load Mach-style primitive: replace the
     calling process's program text.  [keep_emulation] preserves the
@@ -33,26 +28,17 @@ type exec_spec = {
 }
 
 type _ Effect.t +=
-  | Cpu : int -> int list Effect.t
-      (** Charge [n] µs of user computation to the virtual clock.  Also
-          a scheduling and signal-check point: returns the signals to
-          deliver to user handlers. *)
+  | Cpu : unit Effect.t
+      (** A scheduling and signal-check point after user computation the
+          caller has already charged to the clock: the signals to
+          deliver to user handlers are in the process's [deliver] when
+          it resumes. *)
+  | Yield : unit Effect.t
+      (** A bare scheduling point: the Mach emulation primitives
+          ([task_set_emulation] and friends) act on the caller's own
+          handler table and then yield, without a signal check. *)
   | Exec_load : exec_spec -> unit Effect.t
       (** Never returns: the scheduler abandons the current fibre. *)
-  | Set_emulation :
-      int list * (Abi.Envelope.t -> Abi.Value.res) option
-      -> unit Effect.t
-      (** [task_set_emulation]: install (or, with [None], clear) the
-          in-address-space handler for the given syscall numbers. *)
-  | Get_emulation :
-      int -> (Abi.Envelope.t -> Abi.Value.res) option Effect.t
-      (** Read the current handler for one number (used to chain
-          stacked agents). *)
-  | Set_emulation_signal : (int -> unit) option -> unit Effect.t
-      (** Interpose on incoming signals: when set, user-handled signals
-          are delivered to this function instead of directly to the
-          application's handler. *)
-  | Get_emulation_signal : (int -> unit) option Effect.t
 
 exception Process_exit of int
 (** Raised inside a fibre to unwind it after [_exit]. *)

@@ -11,46 +11,28 @@ open Abi
 
 type t = Kstate.t
 
-let log_src = Logs.Src.create "kernel" ~doc:"simulated kernel"
-module Log = (val Logs.src_log log_src : Logs.LOG)
+module Log = Kstate.Log
 
 (* --- fibre plumbing ------------------------------------------------------ *)
 
-let discard k =
-  try Effect.Deep.discontinue k Events.Process_killed
-  with Events.Process_killed -> () | _ -> ()
-
-(* Resume a continuation with liveness re-checked at run time: the
-   process may have been killed while its resumption sat in the run
-   queue. *)
-let enqueue_resume (t : t) (proc : Proc.t) k v =
-  Kstate.enqueue t (fun t ->
-    match proc.state with
-    | Proc.Runnable ->
-      t.cur <- Some proc;
-      Effect.Deep.continue k v;
-      t.cur <- None
-    | Proc.Zombie | Proc.Reaped -> discard k
-    | Proc.Parked _ | Proc.Stopped _ -> discard k)
-
-(* Deliver a reply to a process at a trap boundary, honouring pending
-   terminal signals and stops. *)
-let finish_reply (t : t) (proc : Proc.t) k (reply : Events.trap_reply) =
-  let deliver = reply.deliver @ Kstate.collect_deliverable t proc in
-  let reply = { reply with deliver } in
+(* Deliver a trap's result, already in the process's [res], at a trap
+   boundary: collect the signals to deliver with it, and honour a
+   pending terminal signal or stop.  The fibre is in the resume slot. *)
+let finish_reply (t : t) (proc : Proc.t) =
+  proc.deliver <- Kstate.collect_deliverable t proc;
   match Kstate.pending_terminal proc with
   | `Kill (s, status) ->
     Kstate.exit_by_signal t proc s status;
-    discard k
+    Kstate.discard_fibre t proc
   | `Stop s ->
     Kstate.clear_pending proc s;
-    proc.state <- Proc.Stopped { sk = k; reply };
+    proc.state <- Proc.Stopped;
     (match Kstate.proc t proc.ppid with
      | Some parent ->
        Kstate.post_signal t parent Signal.sigchld;
        Kstate.wake_key t (Kstate.K_child parent.pid)
      | None -> ())
-  | `None -> enqueue_resume t proc k reply
+  | `None -> Kstate.enqueue t proc
 
 let keys_of_cond (cond : Proc.cond) : Kstate.wait_key list =
   match cond with
@@ -70,28 +52,70 @@ let keys_of_cond (cond : Proc.cond) : Kstate.wait_key list =
     @ List.map (fun i -> Kstate.K_fifo_w i) s.wfifos
     @ List.map (fun i -> Kstate.K_accept i) s.rlisten
 
+let start_exec (t : t) (proc : Proc.t) (spec : Events.exec_spec) =
+  (* the exec trap's span(s) can never be closed by the code that
+     opened them — the old fibre is abandoned *)
+  Obs.abort_pid proc.pid;
+  if not spec.keep_emulation then proc.emul <- Proc.fresh_emulation ();
+  Kstate.spawn t proc spec.exec_body
+
 (* The scheduler's half of a trap whose kernel work is done: resume,
-   park, abandon or replace the fibre as the outcome says. *)
-let rec settle (t : t) (proc : Proc.t) env k (outcome : Kstate.outcome) =
+   park, abandon or replace the fibre as the outcome says.  An
+   abandoned fibre is unwound, after the exit or exec it made. *)
+let settle (t : t) (proc : Proc.t) env k (outcome : Kstate.outcome) =
   match outcome with
-  | Kstate.Done res -> finish_reply t proc k { Events.res; deliver = [] }
+  | Kstate.Done res ->
+    proc.res <- res;
+    proc.resume <- Proc.Continue k;
+    finish_reply t proc
   | Kstate.Block cond ->
-    proc.state <- Proc.Parked { k; env; cond };
+    proc.state <- Proc.Parked { env; cond };
+    proc.resume <- Proc.Continue k;
     (match cond with
      | Proc.On_child -> Kstate.sleep_on t (Kstate.K_child proc.pid) proc.pid
      | _ ->
        List.iter
          (fun key -> Kstate.sleep_on t key proc.pid)
          (keys_of_cond cond))
-  | Kstate.Exited -> ()  (* _exit never returns: abandon the fibre *)
-  | Kstate.Exec spec -> start_exec t proc spec
+  | Kstate.Exited -> Kstate.discard t k
+  | Kstate.Exec spec ->
+    start_exec t proc spec;
+    Kstate.discard t k
 
-and start_exec (t : t) (proc : Proc.t) (spec : Events.exec_spec) =
-  (* the exec trap's span(s) can never be closed by the code that
-     opened them — the old fibre is abandoned here *)
-  Obs.abort_pid proc.pid;
-  if not spec.keep_emulation then proc.emul <- Proc.fresh_emulation ();
-  t.hooks.spawn proc spec.exec_body
+(* The handlers of the three payload-free yields, each built once.  A
+   handler finds the shard through the ambient cell and the yielding
+   process through its [cur] (the fibre that performs is the one the
+   scheduler resumed), leaves the fibre in the process's resume slot
+   and then does [f], with no current process, as kernel code runs.
+   So a perform allocates only its continuation and the [Continue]
+   that holds it. *)
+let yield_handler f =
+  Some
+    (fun k ->
+      let t = Kstate.Ambient.get_exn () in
+      match t.cur with
+      | Some proc ->
+        t.cur <- None;
+        proc.resume <- Proc.Continue k;
+        f t proc
+      | None -> invalid_arg "yield outside a process")
+
+let on_reply = yield_handler finish_reply
+
+let on_yield = yield_handler Kstate.enqueue
+
+(* A CPU charge is a signal-check point; a stop there is deferred to
+   the next trap. *)
+let on_cpu =
+  yield_handler (fun t proc ->
+    let deliver = Kstate.collect_deliverable t proc in
+    match Kstate.pending_terminal proc with
+    | `Kill (s, status) ->
+      Kstate.exit_by_signal t proc s status;
+      Kstate.discard_fibre t proc
+    | `Stop _ | `None ->
+      proc.deliver <- deliver;
+      Kstate.enqueue t proc)
 
 (* --- the fibre root ------------------------------------------------------- *)
 
@@ -105,13 +129,25 @@ let run_fiber (t : t) (proc : Proc.t) (body : unit -> int) =
     ignore (Uspace.syscall (Abi.Call.Exit code));
     code
   in
+  (* a discarded fibre only finishes: its process has exited already,
+     or runs a new image that must not be exited for the old one (the
+     unwind cannot return normally: the crt0 exit below needs a
+     current process) *)
+  t.fibres <- t.fibres + 1;
   match_with body ()
     { retc =
-        (fun status -> Kstate.do_exit t proc (Flags.Wait.exit_status status));
+        (fun status ->
+          t.fibres <- t.fibres - 1;
+          Kstate.do_exit t proc (Flags.Wait.exit_status status));
       exnc =
         (fun e ->
+          t.fibres <- t.fibres - 1;
           match e with
           | Events.Process_killed -> ()
+          | e when t.unwinding ->
+            Log.warn (fun m ->
+              m "pid %d (%s): exception while unwinding an abandoned fibre: %s"
+                proc.pid proc.name (Printexc.to_string e))
           | Events.Process_exit code ->
             Kstate.do_exit t proc (Flags.Wait.exit_status code)
           | e ->
@@ -120,92 +156,60 @@ let run_fiber (t : t) (proc : Proc.t) (body : unit -> int) =
                 (Printexc.to_string e));
             Kstate.do_exit t proc (Flags.Wait.sig_status Signal.sigabrt));
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) continuation -> unit) option ->
           match eff with
+          | Kstate.Reply -> on_reply
+          | Events.Cpu -> on_cpu
+          | Events.Yield -> on_yield
           | Kstate.Settle (env, outcome) ->
-            Some (fun (k : (a, unit) continuation) ->
+            Some (fun k ->
               t.cur <- None;
               settle t proc env k outcome)
-          | Events.Cpu us ->
-            Some (fun (k : (a, unit) continuation) ->
-              t.cur <- None;
-              proc.utime_us <- proc.utime_us + us;
-              Kstate.charge t us;
-              let deliver = Kstate.collect_deliverable t proc in
-              (match Kstate.pending_terminal proc with
-               | `Kill (s, status) ->
-                 Kstate.exit_by_signal t proc s status;
-                 discard k
-               | `Stop _ | `None ->
-                 (* stops at a pure compute point are deferred to the
-                    next trap *)
-                 enqueue_resume t proc k deliver))
           | Events.Exec_load spec ->
-            Some (fun (k : (a, unit) continuation) ->
+            Some (fun k ->
               t.cur <- None;
-              ignore (k : (a, unit) continuation);
-              start_exec t proc spec)
-          | Events.Set_emulation (numbers, handler) ->
-            Some (fun (k : (a, unit) continuation) ->
-              t.cur <- None;
-              List.iter
-                (fun n ->
-                  if n >= 0 && n < Array.length proc.emul.vector then
-                    proc.emul.vector.(n) <- handler)
-                numbers;
-              enqueue_resume t proc k ())
-          | Events.Get_emulation n ->
-            Some (fun (k : (a, unit) continuation) ->
-              t.cur <- None;
-              let h =
-                if n >= 0 && n < Array.length proc.emul.vector then
-                  proc.emul.vector.(n)
-                else None
-              in
-              enqueue_resume t proc k h)
-          | Events.Set_emulation_signal h ->
-            Some (fun (k : (a, unit) continuation) ->
-              t.cur <- None;
-              proc.emul.sig_emul <- h;
-              enqueue_resume t proc k ())
-          | Events.Get_emulation_signal ->
-            Some (fun (k : (a, unit) continuation) ->
-              t.cur <- None;
-              enqueue_resume t proc k proc.emul.sig_emul)
+              start_exec t proc spec;
+              Kstate.discard t k)
           | _ -> None) }
 
-let enqueue_start (t : t) (proc : Proc.t) (body : unit -> int) =
-  Kstate.enqueue t (fun _ ->
-    match proc.state with
-    | Proc.Runnable ->
-      t.cur <- Some proc;
-      run_fiber t proc body;
-      t.cur <- None
-    | Proc.Zombie | Proc.Reaped | Proc.Parked _ | Proc.Stopped _ -> ())
-
-(* Re-attempt a parked trap from the run queue (BSD restart: the same
-   call, dispatched again, its entry cost already paid).  A deferred
-   fatal signal takes effect first, before the call can park the
-   process out of its reach again. *)
+(* Re-attempt a parked trap (BSD restart: the same call, dispatched
+   again, its entry cost already paid).  A deferred fatal signal takes
+   effect first, before the call can park the process out of its reach
+   again. *)
 let process_trap (t : t) (proc : Proc.t) env k =
   match Kstate.pending_terminal proc with
   | `Kill (s, status) ->
     Kstate.exit_by_signal t proc s status;
-    discard k
+    Kstate.discard t k
   | `Stop _ | `None -> settle t proc env k (Syscalls.serve t proc env)
 
-let retry (t : t) (proc : Proc.t) =
-  match proc.state with
-  | Proc.Parked park ->
-    proc.state <- Proc.Runnable;
-    Kstate.enqueue t (fun _ ->
-      match proc.state with
-      | Proc.Runnable -> process_trap t proc park.env park.k
-      | Proc.Zombie | Proc.Reaped -> discard park.k
-      | Proc.Parked _ | Proc.Stopped _ -> ())
-  | Proc.Runnable | Proc.Stopped _ | Proc.Zombie | Proc.Reaped -> ()
+(* The one way a fibre runs: a process's turn in the run queue does
+   what its resume slot says, if the process is still runnable, and
+   otherwise discards the fibre. *)
+let run_turn (t : t) (proc : Proc.t) =
+  let resume = proc.resume in
+  proc.resume <- Proc.Idle;
+  match proc.state, resume with
+  | Proc.Runnable, Proc.Continue k ->
+    t.cur <- proc.me;
+    Effect.Deep.continue k ();
+    t.cur <- None
+  | Proc.Runnable, Proc.Start body ->
+    t.cur <- proc.me;
+    run_fiber t proc body;
+    t.cur <- None
+  | Proc.Runnable, Proc.Retry (env, k) -> process_trap t proc env k
+  | _, (Proc.Continue k | Proc.Retry (_, k)) -> Kstate.discard t k
+  | _, (Proc.Start _ | Proc.Idle) -> ()
 
 (* --- the scheduler --------------------------------------------------------- *)
+
+(* A timed wait ends with [res] as its result. *)
+let time_out (t : t) (proc : Proc.t) res =
+  proc.state <- Proc.Runnable;
+  proc.res <- res;
+  finish_reply t proc
 
 let fire_timer (t : t) (ev : Kstate.timer_event) =
   match ev with
@@ -217,34 +221,24 @@ let fire_timer (t : t) (ev : Kstate.timer_event) =
      | None -> ())
   | Kstate.T_wake pid ->
     (match Kstate.proc t pid with
-     | Some proc ->
-       (match proc.state with
-        | Proc.Parked ({ cond = Proc.On_time _; _ } as park) ->
-          proc.state <- Proc.Runnable;
-          finish_reply t proc park.k
-            { Events.res = Value.ret 0; deliver = [] }
-        | Proc.Runnable | Proc.Parked _ | Proc.Stopped _
-        | Proc.Zombie | Proc.Reaped -> ())
-     | None -> ())
+     | Some ({ state = Proc.Parked { cond = Proc.On_time _; _ }; _ } as proc)
+       ->
+       time_out t proc (Value.ret 0)
+     | Some _ | None -> ())
   | Kstate.T_select pid ->
     (match Kstate.proc t pid with
-     | Some proc ->
-       (match proc.state with
-        | Proc.Parked ({ cond = Proc.On_select _; _ } as park) ->
-          (* timeout: no descriptors ready *)
-          proc.state <- Proc.Runnable;
-          finish_reply t proc park.k
-            { Events.res = Value.ret 0 ~r1:0; deliver = [] }
-        | Proc.Runnable | Proc.Parked _ | Proc.Stopped _
-        | Proc.Zombie | Proc.Reaped -> ())
-     | None -> ())
+     | Some ({ state = Proc.Parked { cond = Proc.On_select _; _ }; _ } as proc)
+       ->
+       (* timeout: no descriptors ready *)
+       time_out t proc (Value.ret 0 ~r1:0)
+     | Some _ | None -> ())
 
 let kill_stragglers (t : t) =
   let stragglers =
     List.filter
       (fun (p : Proc.t) ->
         match p.state with
-        | Proc.Parked _ | Proc.Stopped _ -> true
+        | Proc.Parked _ | Proc.Stopped -> true
         | Proc.Runnable | Proc.Zombie | Proc.Reaped -> false)
       (Kstate.live_procs t)
   in
@@ -253,14 +247,8 @@ let kill_stragglers (t : t) =
       Log.warn (fun m ->
         m "deadlock: killing pid %d (%s)" p.pid p.name);
       t.deadlock_kills <- t.deadlock_kills + 1;
-      match p.state with
-      | Proc.Parked park ->
-        Kstate.do_exit t p (Flags.Wait.sig_status Signal.sigkill);
-        discard park.k
-      | Proc.Stopped st ->
-        Kstate.do_exit t p (Flags.Wait.sig_status Signal.sigkill);
-        discard st.sk
-      | Proc.Runnable | Proc.Zombie | Proc.Reaped -> ())
+      Kstate.do_exit t p (Flags.Wait.sig_status Signal.sigkill);
+      Kstate.discard_fibre t p)
     stragglers;
   stragglers <> []
 
@@ -273,25 +261,26 @@ let rec step (t : t) ~until =
   (* timers whose deadline virtual time has already passed fire at
      every scheduling point, so runnable (even spinning) processes
      cannot starve them *)
-  match Kstate.next_timer t with
-  | Some (at, ev) when at <= Sim.Clock.now_us t.clock ->
-    Kstate.pop_timer t;
+  match t.timers with
+  | (at, ev) :: rest when at <= Sim.Clock.now_us t.clock ->
+    t.timers <- rest;
     fire_timer t ev;
     step t ~until
-  | timer ->
-    match Queue.take_opt t.runq with
-    | Some thunk ->
-      thunk t;
+  | timers ->
+    match Kstate.dequeue t with
+    | Some proc ->
+      t.round_trips <- t.round_trips + 1;
+      run_turn t proc;
       step t ~until
     | None ->
-      match timer with
-      | Some (at, ev) when at <= until ->
-        Kstate.pop_timer t;
+      match timers with
+      | (at, ev) :: rest when at <= until ->
+        t.timers <- rest;
         Sim.Clock.advance_to t.clock at;
         fire_timer t ev;
         step t ~until
-      | Some (at, _) -> `Sleep_until at
-      | None -> `Idle
+      | (at, _) :: _ -> `Sleep_until at
+      | [] -> `Idle
 
 let rec sched_loop (t : t) =
   match step t ~until:max_int with
@@ -328,12 +317,6 @@ let current_exn = Kstate.Ambient.get_exn
 
 let create ?shard_id () =
   let t = Kstate.create ?shard_id () in
-  t.hooks <-
-    { Kstate.spawn = (fun proc body -> enqueue_start t proc body);
-      retry = (fun proc -> retry t proc);
-      send =
-        (fun ~dst:_ ~pid:_ ~signal:_ ->
-          invalid_arg "Cluster.send: no cluster is running") };
   (* give this shard's observability engine this shard's clock and
      current-process context; they live and die with the handle *)
   Obs.with_engine t.obs (fun () ->
@@ -371,7 +354,7 @@ let spawn_init (t : t) ~name body =
   in
   Kstate.add_proc t proc;
   open_tty_fds t proc;
-  enqueue_start t proc body;
+  Kstate.spawn t proc body;
   proc
 
 let boot (t : t) ~name body =
@@ -593,8 +576,7 @@ module Cluster = struct
         quantum_us; mailbox = []; seq = 0 }
     in
     Array.iter
-      (fun (t : Kstate.t) ->
-        t.hooks <- { t.hooks with Kstate.send = post c t })
+      (fun (t : Kstate.t) -> t.send <- post c t)
       c.shards;
     c
 
@@ -605,7 +587,7 @@ module Cluster = struct
     let t = c.shards.(i) in
     with_shard t (fun () -> spawn_init t ~name body)
 
-  let send ~dst ~pid ~signal = (current_exn ()).hooks.send ~dst ~pid ~signal
+  let send ~dst ~pid ~signal = (current_exn ()).send ~dst ~pid ~signal
 
   let deliver c horizon =
     let due, later =

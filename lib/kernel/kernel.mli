@@ -17,8 +17,20 @@
     through the stubs in {!Uspace} (applications normally go through
     {!Libc} on top of those).  A system call runs its kernel half on
     the calling fibre and yields to the scheduler, through
-    {!Kstate.Settle}, only when the scheduler has work to do; the other
-    requests are the effects in {!Events}. *)
+    {!Kstate.Reply} or {!Kstate.Settle}, only when the scheduler has
+    work to do; the other requests are the effects in {!Events}.
+
+    The scheduler is a ring of processes ({!Kstate.enqueue}).  A
+    process's turn does what its resume slot ({!Proc.resume}) says:
+    enter a program, continue a suspended fibre, or re-dispatch a woken
+    parked call.  A fibre that yields leaves its continuation in that
+    slot and finds its answer in the process's [res] and [deliver], so
+    a contended trap or CPU charge allocates only the continuation and
+    the [Continue] that holds it.  A fibre the kernel abandons (exit,
+    exec, a kill, a deadlock) is discontinued, never dropped, so its
+    stack is freed; its cleanup code runs with no current process and
+    cannot act on the process, and [Kstate.t.fibres] counts the fibres
+    not yet finished. *)
 
 (** {1 Submodules}
 
@@ -224,7 +236,7 @@ module Cluster : sig
   (** In-fibre: mail a signal to process [pid] of shard [dst], stamped
       with the sending shard's current virtual time.  Delivered at the
       next quantum boundary.  Goes through the current shard's
-      [Kstate.hooks.send], which {!create} installs; raises
+      [Kstate.t.send], which {!create} installs; raises
       [Invalid_argument] on a shard outside any cluster or for an
       unknown [dst]. *)
 

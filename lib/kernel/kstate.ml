@@ -21,12 +21,14 @@ type outcome =
   | Exited
   | Exec of Events.exec_spec
 
-type _ Effect.t += Settle : Envelope.t * outcome -> Events.trap_reply Effect.t
+type _ Effect.t +=
+  | Reply : unit Effect.t
+  | Settle : Envelope.t * outcome -> unit Effect.t
 
-type hooks = {
-  spawn : Proc.t -> (unit -> int) -> unit;
-  retry : Proc.t -> unit;
-  send : dst:int -> pid:int -> signal:int -> unit;
+type runq = {
+  mutable ring : Proc.t option array;
+  mutable head : int;
+  mutable len : int;
 }
 
 type t = {
@@ -36,7 +38,7 @@ type t = {
   console : Dev.Console.t;
   devs : Dev.table;
   procs : (int, Proc.t) Hashtbl.t;
-  runq : (t -> unit) Queue.t;
+  runq : runq;
   waitqs : (wait_key, int list ref) Hashtbl.t;
   bindings : (string, File.sock) Hashtbl.t;
   registry : Registry.t;
@@ -48,19 +50,19 @@ type t = {
   mutable next_pipe_id : int;
   mutable next_listener_id : int;
   mutable tod_offset_us : int;
-  mutable hooks : hooks;
+  mutable send : dst:int -> pid:int -> signal:int -> unit;
   mutable trace_hook : (Proc.t -> Call.t -> Value.res -> unit) option;
   mutable trace_hook_cost_us : int;
   mutable retired_syscalls : int;
   mutable deadlock_kills : int;
+  mutable round_trips : int;
+  mutable fibres : int;
+  mutable unwinding : bool;
   mutable watch : Obs.Watch.rule list;
 }
 
-let no_hooks = {
-  spawn = (fun _ _ -> failwith "Kstate: hooks not installed");
-  retry = (fun _ -> failwith "Kstate: hooks not installed");
-  send = (fun ~dst:_ ~pid:_ ~signal:_ -> failwith "Kstate: hooks not installed");
-}
+let log_src = Logs.Src.create "kernel" ~doc:"simulated kernel"
+module Log = (val Logs.src_log log_src : Logs.LOG)
 
 let create ?(shard_id = 0) () =
   let clock = Sim.Clock.create () in
@@ -69,7 +71,7 @@ let create ?(shard_id = 0) () =
   { shard_id; clock; fs; console;
     devs = Dev.standard_table console;
     procs = Hashtbl.create 32;
-    runq = Queue.create ();
+    runq = { ring = Array.make 16 None; head = 0; len = 0 };
     waitqs = Hashtbl.create 32;
     bindings = Hashtbl.create 16;
     (* the shard-owned pieces that used to be module globals
@@ -85,11 +87,16 @@ let create ?(shard_id = 0) () =
     next_pipe_id = 1;
     next_listener_id = 1;
     tod_offset_us = 0;
-    hooks = no_hooks;
+    send =
+      (fun ~dst:_ ~pid:_ ~signal:_ ->
+        invalid_arg "Cluster.send: no cluster is running");
     trace_hook = None;
     trace_hook_cost_us = 0;
     retired_syscalls = 0;
     deadlock_kills = 0;
+    round_trips = 0;
+    fibres = 0;
+    unwinding = false;
     watch = [] }
 
 (* --- the ambient current shard ----------------------------------------- *)
@@ -145,7 +152,7 @@ let live_procs t =
     (fun _ (p : Proc.t) acc ->
       match p.state with
       | Proc.Zombie | Proc.Reaped -> acc
-      | Proc.Runnable | Proc.Parked _ | Proc.Stopped _ -> p :: acc)
+      | Proc.Runnable | Proc.Parked _ | Proc.Stopped -> p :: acc)
     t.procs []
   |> List.sort (fun (a : Proc.t) b -> compare a.pid b.pid)
 
@@ -153,11 +160,73 @@ let total_syscalls t =
   Hashtbl.fold (fun _ (p : Proc.t) acc -> acc + p.syscall_count)
     t.procs t.retired_syscalls
 
-(* --- run queue, wait queues and timers --------------------------------- *)
+(* --- fibres and the run queue ------------------------------------------- *)
 
-(* The scheduler hands each thunk its shard, so a thunk that only needs
-   the shard to set [cur] does not capture it. *)
-let enqueue t thunk = Queue.add thunk t.runq
+(* A fibre abandoned without being resumed would keep its stack: unwind
+   it instead.  The unwind runs with no current process, so the fibre's
+   cleanup code cannot act on the process (which has exited, or runs a
+   new image by now): every way into the kernel starts at
+   [Uspace.self], which fails.  With [unwinding] set the fibre's root
+   only finishes it, logging any exception other than
+   [Process_killed]. *)
+let discard t k =
+  let outer = t.unwinding in
+  t.unwinding <- true;
+  match Effect.Deep.discontinue k Events.Process_killed with
+  | () -> t.unwinding <- outer
+  | exception e ->
+    t.unwinding <- outer;
+    raise e
+
+let discard_fibre t (p : Proc.t) =
+  match p.resume with
+  | Proc.Continue k | Proc.Retry (_, k) ->
+    p.resume <- Proc.Idle;
+    discard t k
+  | Proc.Start _ | Proc.Idle -> p.resume <- Proc.Idle
+
+(* The run queue is a ring of processes, each entry the process's own
+   [me], so a turn allocates nothing.  A process is in it at most once:
+   it is queued only when it is created, yields, or leaves the parked
+   or stopped state, and its resume slot says what its turn does. *)
+let enqueue t (p : Proc.t) =
+  let q = t.runq in
+  let cap = Array.length q.ring in
+  if q.len = cap then begin
+    let ring = Array.make (2 * cap) None in
+    for i = 0 to q.len - 1 do ring.(i) <- q.ring.((q.head + i) mod cap) done;
+    q.ring <- ring;
+    q.head <- 0
+  end;
+  q.ring.((q.head + q.len) mod Array.length q.ring) <- p.me;
+  q.len <- q.len + 1
+
+let dequeue t =
+  let q = t.runq in
+  if q.len = 0 then None
+  else begin
+    let e = q.ring.(q.head) in
+    q.ring.(q.head) <- None;
+    q.head <- (q.head + 1) mod Array.length q.ring;
+    q.len <- q.len - 1;
+    e
+  end
+
+let spawn t (p : Proc.t) body =
+  p.resume <- Proc.Start body;
+  enqueue t p
+
+(* A woken parked call goes back to the run queue, to be dispatched
+   again at its turn (BSD restart). *)
+let retry t (p : Proc.t) (park : Proc.park) =
+  match p.resume with
+  | Proc.Continue k ->
+    p.state <- Proc.Runnable;
+    p.resume <- Proc.Retry (park.env, k);
+    enqueue t p
+  | Proc.Start _ | Proc.Retry _ | Proc.Idle -> ()
+
+(* --- wait queues and timers -------------------------------------------- *)
 
 let waitq t key =
   match Hashtbl.find_opt t.waitqs key with
@@ -201,7 +270,7 @@ let wake_key t key =
         | Some p ->
           (match p.Proc.state with
            | Proc.Parked park when cond_matches park.cond key ->
-             t.hooks.retry p
+             retry t p park
            | _ -> ())
         | None -> ())
       (List.rev pids)
@@ -230,20 +299,12 @@ let has_select_timer t pid =
     (fun (_, ev) -> match ev with T_select p -> p = pid | _ -> false)
     t.timers
 
-let next_timer t =
-  match t.timers with [] -> None | hd :: _ -> Some hd
-
-(* Allocation-free variant for the inline CPU-charge fast path, which
-   asks this once or more per dispatch level: the earliest deadline,
-   or [max_int] with no timers armed. *)
+(* The earliest deadline, or [max_int] with no timers armed. *)
 let next_timer_at t =
   match t.timers with [] -> max_int | (at, _) :: _ -> at
 
-let pop_timer t =
-  match t.timers with [] -> () | _ :: tl -> t.timers <- tl
-
 let uncontended t (p : Proc.t) ~until =
-  p.sigs.pending = 0 && Queue.is_empty t.runq && next_timer_at t > until
+  p.sigs.pending = 0 && t.runq.len = 0 && next_timer_at t > until
 
 (* --- open files --------------------------------------------------------- *)
 
@@ -458,7 +519,7 @@ let blocked (p : Proc.t) s =
 let rec post_signal ?origin t (p : Proc.t) s =
   match p.state with
   | Proc.Zombie | Proc.Reaped -> ()
-  | Proc.Runnable | Proc.Parked _ | Proc.Stopped _ ->
+  | Proc.Runnable | Proc.Parked _ | Proc.Stopped ->
     if s = Signal.sigcont then begin
       (* a continue clears pending stops, and vice versa *)
       List.iter (clear_pending p)
@@ -481,18 +542,16 @@ and act_on_pending t (p : Proc.t) s =
     | `Continue ->
       clear_pending p s;
       (match p.state with
-       | Proc.Stopped st ->
+       | Proc.Stopped ->
          p.state <- Proc.Runnable;
-         enqueue t (fun t -> resume_stopped t p st)
+         enqueue t p
        | Proc.Runnable | Proc.Parked _ | Proc.Zombie | Proc.Reaped -> ())
     | `Terminate ->
       (match p.state with
-       | Proc.Parked park ->
+       | Proc.Parked _ | Proc.Stopped ->
          clear_pending p s;
-         terminate_fiber t p park.k (Flags.Wait.sig_status s)
-       | Proc.Stopped st ->
-         clear_pending p s;
-         terminate_fiber t p st.sk (Flags.Wait.sig_status s)
+         do_exit t p (Flags.Wait.sig_status s);
+         discard_fibre t p
        | Proc.Runnable ->
          (* acted on at the next trap boundary via collect_deliverable;
             SIGKILL additionally prevents further progress there *)
@@ -511,11 +570,10 @@ and act_on_pending t (p : Proc.t) s =
           | Proc.On_signal saved -> p.sigs.mask <- saved
           | _ -> ());
          p.state <- Proc.Runnable;
-         let reply =
-           { Events.res = Error Errno.EINTR; deliver = [ s ] }
-         in
-         enqueue t (fun t -> resume_parked t p park reply)
-       | Proc.Runnable | Proc.Stopped _ | Proc.Zombie | Proc.Reaped ->
+         p.res <- Error Errno.EINTR;
+         p.deliver <- [ s ];
+         enqueue t p
+       | Proc.Runnable | Proc.Stopped | Proc.Zombie | Proc.Reaped ->
          (* delivered at the next trap boundary *)
          ())
     | `Stop ->
@@ -524,39 +582,12 @@ and act_on_pending t (p : Proc.t) s =
          (* simplification: stops take effect at the next trap
             boundary (a process blocked forever will not stop) *)
          ()
-       | Proc.Stopped _ | Proc.Zombie | Proc.Reaped -> clear_pending p s)
-
-and resume_parked t (p : Proc.t) (park : Proc.park) reply =
-  match p.state with
-  | Proc.Runnable ->
-    t.cur <- Some p;
-    Effect.Deep.continue park.k reply;
-    t.cur <- None
-  | Proc.Zombie | Proc.Reaped ->
-    (try Effect.Deep.discontinue park.k Events.Process_killed
-     with Events.Process_killed | _ -> ())
-  | Proc.Parked _ | Proc.Stopped _ -> ()
-
-and resume_stopped t (p : Proc.t) (st : Proc.stopped) =
-  match p.state with
-  | Proc.Runnable ->
-    t.cur <- Some p;
-    Effect.Deep.continue st.sk st.reply;
-    t.cur <- None
-  | Proc.Zombie | Proc.Reaped ->
-    (try Effect.Deep.discontinue st.sk Events.Process_killed
-     with Events.Process_killed | _ -> ())
-  | Proc.Parked _ | Proc.Stopped _ -> ()
-
-and terminate_fiber t (p : Proc.t) k status =
-  do_exit t p status;
-  (try Effect.Deep.discontinue k Events.Process_killed
-   with Events.Process_killed | _ -> ())
+       | Proc.Stopped | Proc.Zombie | Proc.Reaped -> clear_pending p s)
 
 and do_exit t (p : Proc.t) status =
   (match p.state with
    | Proc.Zombie | Proc.Reaped -> ()
-   | Proc.Runnable | Proc.Parked _ | Proc.Stopped _ ->
+   | Proc.Runnable | Proc.Parked _ | Proc.Stopped ->
      (* the exit trap's span never returns to its opener; force-close *)
      Obs.abort_pid p.pid;
      Obs.causal_exit p.pid;

@@ -26,25 +26,23 @@ type outcome =
   | Exec of Events.exec_spec
       (** replace the caller's program text; abandon the fibre *)
 
-(** The one trap effect.  A system call's kernel half runs on the
-    calling fibre ([Uspace]); when its outcome needs the scheduler — a
-    reply while another fibre, a due timer or a pending signal is
-    waiting, a block, an exit or an exec — the fibre performs [Settle]
-    with the trap's envelope and outcome, and the scheduler finishes
-    the trap exactly as if it had dispatched the call itself
-    (DESIGN.md §3.8). *)
-type _ Effect.t += Settle : Abi.Envelope.t * outcome -> Events.trap_reply Effect.t
+(** The two trap effects.  A system call's kernel half runs on the
+    calling fibre ([Uspace]); when its outcome needs the scheduler, the
+    fibre yields and the scheduler finishes the trap exactly as if it
+    had dispatched the call itself (DESIGN.md §3.8):
+    - [Reply], for a result while another fibre, a due timer or a
+      pending signal is waiting.  The result rides in the caller's
+      [res], so the perform allocates no payload;
+    - [Settle], with the trap's envelope and outcome, for a block, an
+      exit or an exec.
+    Either way the fibre resumes with its answer in [res] and
+    [deliver] (or never, after an exit or exec). *)
+type _ Effect.t +=
+  | Reply : unit Effect.t
+  | Settle : Abi.Envelope.t * outcome -> unit Effect.t
 
-(** Functions supplied by the scheduler layer at start-up. *)
-type hooks = {
-  spawn : Proc.t -> (unit -> int) -> unit;
-      (** enqueue a fresh fibre for an (already registered) process *)
-  retry : Proc.t -> unit;
-      (** make a parked process re-attempt its system call *)
-  send : dst:int -> pid:int -> signal:int -> unit;
-      (** mail a signal to a sibling shard's process ([Kernel.Cluster]
-          installs it; a solo kernel's raises [Invalid_argument]) *)
-}
+(** The run queue: a growable ring of processes. *)
+type runq
 
 type t = {
   shard_id : int;  (** position in a [Kernel.Cluster], 0 standalone *)
@@ -53,7 +51,7 @@ type t = {
   console : Dev.Console.t;
   devs : Dev.table;
   procs : (int, Proc.t) Hashtbl.t;
-  runq : (t -> unit) Queue.t;
+  runq : runq;
   waitqs : (wait_key, int list ref) Hashtbl.t;
   bindings : (string, File.sock) Hashtbl.t;
       (** socket address namespace: [bind] claims a name (EADDRINUSE on
@@ -72,11 +70,21 @@ type t = {
   mutable next_pipe_id : int;
   mutable next_listener_id : int;
   mutable tod_offset_us : int;   (** settimeofday adjustment *)
-  mutable hooks : hooks;
+  mutable send : dst:int -> pid:int -> signal:int -> unit;
+      (** mail a signal to a sibling shard's process ([Kernel.Cluster]
+          installs it; a solo kernel's raises [Invalid_argument]) *)
   mutable trace_hook : (Proc.t -> Abi.Call.t -> Abi.Value.res -> unit) option;
   mutable trace_hook_cost_us : int;
   mutable retired_syscalls : int;
   mutable deadlock_kills : int;
+  mutable round_trips : int;
+      (** run-queue entries the scheduler has taken: every trap or CPU
+          charge that yielded, every wake-up retry and fibre start *)
+  mutable fibres : int;
+      (** fibres started and not yet finished (returned or unwound);
+          0 once a session is over, or a fibre's stack leaked *)
+  mutable unwinding : bool;
+      (** a discarded fibre is being unwound ([discard]) *)
   mutable watch : Obs.Watch.rule list;
       (** watchdog rules evaluated over this shard's metrics; stored on
           the shard handle, not the obs engine, so rules survive
@@ -124,23 +132,45 @@ val reap : t -> Proc.t -> unit
 val live_procs : t -> Proc.t list
 val total_syscalls : t -> int
 
-(* --- wait queues and timers --- *)
+module Log : Logs.LOG
+(** The ["kernel"] log source. *)
 
-val enqueue : t -> (t -> unit) -> unit
-(** Queue a thunk; the scheduler runs it with the shard as argument. *)
+(* --- fibres and the run queue --- *)
+
+val discard : t -> (unit, unit) Effect.Deep.continuation -> unit
+(** Unwind an abandoned fibre by discontinuing it with
+    [Events.Process_killed], so its stack is freed.  The unwind runs
+    with [unwinding] set and no current process: the fibre's cleanup
+    code cannot reach the process, and its root finishes it without
+    exiting the process again, logging any exception other than
+    [Process_killed]. *)
+
+val discard_fibre : t -> Proc.t -> unit
+(** Empty the process's resume slot, discarding the fibre in it. *)
+
+val enqueue : t -> Proc.t -> unit
+(** Give the process a turn at the back of the run queue; its resume
+    slot says what the turn does.  Allocation-free while the ring has
+    room. *)
+
+val dequeue : t -> Proc.t option
+(** The process whose turn is next, if any.  Allocation-free. *)
+
+val spawn : t -> Proc.t -> (unit -> int) -> unit
+(** Queue a fresh fibre running [body] for an (already registered)
+    process. *)
+
+(* --- wait queues and timers --- *)
 
 val sleep_on : t -> wait_key -> int -> unit
 val wake_key : t -> wait_key -> unit
-(** Retry every parked process on the queue (liveness is re-checked). *)
+(** Queue a retry of the parked call of every process on the queue
+    whose wait condition the key matches. *)
 
 val add_timer : t -> at:int -> timer_event -> unit
 val cancel_timers_for : t -> int -> unit
 val cancel_select_timers : t -> int -> unit
 val has_select_timer : t -> int -> bool
-val next_timer : t -> (int * timer_event) option
-
-val pop_timer : t -> unit
-
 val uncontended : t -> Proc.t -> until:int -> bool
 (** Nothing for the scheduler to do for [p] up to virtual time
     [until]: no signal pending, an empty run queue and no timer due at

@@ -17,22 +17,22 @@ type cond =
     }
 
 type park = {
-  k : (Events.trap_reply, unit) Effect.Deep.continuation;
   env : Abi.Envelope.t;
   cond : cond;
-}
-
-type stopped = {
-  sk : (Events.trap_reply, unit) Effect.Deep.continuation;
-  reply : Events.trap_reply;
 }
 
 type state =
   | Runnable
   | Parked of park
-  | Stopped of stopped
+  | Stopped
   | Zombie
   | Reaped
+
+type resume =
+  | Idle
+  | Start of (unit -> int)
+  | Continue of (unit, unit) Effect.Deep.continuation
+  | Retry of Abi.Envelope.t * (unit, unit) Effect.Deep.continuation
 
 type sigstate = {
   mutable handlers : Abi.Value.handler array;
@@ -64,6 +64,12 @@ type t = {
   sigs : sigstate;
   mutable emul : emulation;
   mutable state : state;
+  me : t option;
+      (* [Some] of this process, built once: the run-queue entry and
+         the shard's [cur] while it runs *)
+  mutable resume : resume;
+  mutable res : Abi.Value.res;
+  mutable deliver : int list;
   mutable exit_status : int;
   mutable alarm_at : int option;
   mutable syscall_count : int;
@@ -86,18 +92,25 @@ let fresh_sigstate () =
     pending = 0 }
 
 let create ~pid ~ppid ~pgrp ~name ~cred ~cwd =
-  { pid; ppid; kids = Kids.empty; pgrp; name; cred; cwd;
-    umask = 0o022;
-    fds = Array.make fd_table_size None;
-    sigs = fresh_sigstate ();
-    emul = fresh_emulation ();
-    state = Runnable;
-    exit_status = 0;
-    alarm_at = None;
-    syscall_count = 0;
-    utime_us = 0;
-    stime_us = 0;
-    env_pool = Some (Abi.Envelope.Pool.create ()) }
+  let rec p =
+    { pid; ppid; kids = Kids.empty; pgrp; name; cred; cwd;
+      umask = 0o022;
+      fds = Array.make fd_table_size None;
+      sigs = fresh_sigstate ();
+      emul = fresh_emulation ();
+      state = Runnable;
+      me = Some p;
+      resume = Idle;
+      res = Abi.Value.ok;
+      deliver = [];
+      exit_status = 0;
+      alarm_at = None;
+      syscall_count = 0;
+      utime_us = 0;
+      stime_us = 0;
+      env_pool = Some (Abi.Envelope.Pool.create ()) }
+  in
+  p
 
 let fork_copy t ~pid ~name =
   let fds = Array.map
@@ -105,28 +118,35 @@ let fork_copy t ~pid ~name =
          { File.file = e.file; cloexec = e.cloexec }))
       t.fds
   in
-  { pid;
-    ppid = t.pid;
-    kids = Kids.empty;
-    pgrp = t.pgrp;
-    name;
-    cred = t.cred;
-    cwd = t.cwd;
-    umask = t.umask;
-    fds;
-    sigs = { handlers = Array.copy t.sigs.handlers;
-             mask = t.sigs.mask;
-             pending = 0 };
-    emul = { vector = Array.copy t.emul.vector; sig_emul = t.emul.sig_emul };
-    state = Runnable;
-    exit_status = 0;
-    alarm_at = None;
-    syscall_count = 0;
-    utime_us = 0;
-    stime_us = 0;
-    (* The pool is a cache, not address-space state: the child starts
-       with an empty one rather than stealing the parent's records. *)
-    env_pool = Some (Abi.Envelope.Pool.create ()) }
+  let rec p =
+    { pid;
+      ppid = t.pid;
+      kids = Kids.empty;
+      pgrp = t.pgrp;
+      name;
+      cred = t.cred;
+      cwd = t.cwd;
+      umask = t.umask;
+      fds;
+      sigs = { handlers = Array.copy t.sigs.handlers;
+               mask = t.sigs.mask;
+               pending = 0 };
+      emul = { vector = Array.copy t.emul.vector; sig_emul = t.emul.sig_emul };
+      state = Runnable;
+      me = Some p;
+      resume = Idle;
+      res = Abi.Value.ok;
+      deliver = [];
+      exit_status = 0;
+      alarm_at = None;
+      syscall_count = 0;
+      utime_us = 0;
+      stime_us = 0;
+      (* The pool is a cache, not address-space state: the child starts
+         with an empty one rather than stealing the parent's records. *)
+      env_pool = Some (Abi.Envelope.Pool.create ()) }
+  in
+  p
 
 let fd t n =
   if n >= 0 && n < Array.length t.fds then t.fds.(n) else None

@@ -22,23 +22,31 @@ type cond =
     }
 
 type park = {
-  k : (Events.trap_reply, unit) Effect.Deep.continuation;
   env : Abi.Envelope.t;         (** the in-flight call, typed view memoized
                                     across wakeup retries *)
   cond : cond;
 }
 
-type stopped = {
-  sk : (Events.trap_reply, unit) Effect.Deep.continuation;
-  reply : Events.trap_reply;
-}
-
 type state =
   | Runnable
-  | Parked of park
-  | Stopped of stopped
+  | Parked of park              (** the fibre waits in {!field-resume} *)
+  | Stopped                     (** likewise, its answer already set *)
   | Zombie
   | Reaped
+
+(** The resume slot: what the scheduler does at the process's next turn
+    in the run queue, and the one place a suspended fibre is kept.  A
+    fibre yields with a [unit] continuation and finds its answer in
+    {!field-res} and {!field-deliver} when it resumes. *)
+type resume =
+  | Idle                        (** running, or no fibre at all *)
+  | Start of (unit -> int)      (** enter a program: a fork child's, or
+                                    the image an exec loaded *)
+  | Continue of (unit, unit) Effect.Deep.continuation
+      (** resume a suspended fibre: queued after a yield, or parked or
+          stopped until something requeues it *)
+  | Retry of Abi.Envelope.t * (unit, unit) Effect.Deep.continuation
+      (** a woken parked call: dispatch it again, then settle it *)
 
 (** Per-process signal state. *)
 type sigstate = {
@@ -55,8 +63,8 @@ type emulation = {
   mutable vector : (Abi.Envelope.t -> Abi.Value.res) option array;
       (** the one handler table, indexed by system call number: slot
           [n] is the handler installed for [n], or [None] to send the
-          call straight to the kernel.  Written only by the kernel's
-          [Set_emulation] handler; {!fork_copy} copies it and exec
+          call straight to the kernel.  Written only by
+          [Uspace.task_set_emulation]; {!fork_copy} copies it and exec
           without [keep_emulation] replaces it. *)
   mutable sig_emul : (int -> unit) option;
 }
@@ -81,6 +89,16 @@ type t = {
   sigs : sigstate;
   mutable emul : emulation;
   mutable state : state;
+  me : t option;
+      (** [Some] of this very process, built with it: the scheduler's
+          run-queue entry and the shard's [cur] while it runs, so a
+          turn allocates neither *)
+  mutable resume : resume;
+  mutable res : Abi.Value.res;
+      (** the answer to a yielded trap: its result... *)
+  mutable deliver : int list;
+      (** ...and the signals to deliver to user handlers before it
+          returns (also the answer to a yielded CPU charge) *)
   mutable exit_status : int;    (** wait-status encoding, valid in Zombie *)
   mutable alarm_at : int option;
   mutable syscall_count : int;  (** total traps, for accounting *)

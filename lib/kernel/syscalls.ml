@@ -438,7 +438,7 @@ let do_fork t (p : Proc.t) body =
   (* causal hook: the parent's fork trap is the open span here; the
      edge completes at the child's first trap *)
   Obs.causal_fork ~parent:p.pid ~child:pid;
-  t.hooks.spawn child body;
+  spawn t child body;
   Done (Value.ret pid ~r1:1)
 
 (* A wait4 choice reads the caller's [kids] index, which is in pid
@@ -465,7 +465,7 @@ let do_wait4 t (p : Proc.t) pid options =
               if Option.is_none !first then first := Some c;
               match c.state with
               | Proc.Zombie -> raise_notrace (Wait_pick c)
-              | Proc.Stopped _ when wuntraced && Option.is_none !stopped ->
+              | Proc.Stopped when wuntraced && Option.is_none !stopped ->
                 stopped := Some c
               | _ -> ()
             end)
@@ -482,7 +482,7 @@ let do_wait4 t (p : Proc.t) pid options =
      | Proc.Zombie ->
        reap t c;
        Done (Value.ret c.pid ~r1:c.exit_status)
-     | Proc.Stopped _ when wuntraced ->
+     | Proc.Stopped when wuntraced ->
        Done (Value.ret c.pid ~r1:(Flags.Wait.stop_status Signal.sigstop))
      | _ ->
        if options land Flags.Wait.wnohang <> 0 then done_ret 0

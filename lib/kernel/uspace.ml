@@ -64,6 +64,17 @@ let serve_inline ?via (t : Kstate.t) (proc : Proc.t) env =
     t.cur <- cur;
     raise e
 
+(* Yield a trap to the scheduler.  A result rides in the process's
+   [res], so [Reply] carries nothing; the answer is in [res] and
+   [deliver] when the scheduler resumes us. *)
+let yield_trap (proc : Proc.t) env (outcome : Kstate.outcome) =
+  match outcome with
+  | Kstate.Done res ->
+    proc.res <- res;
+    Effect.perform Kstate.Reply
+  | Kstate.Block _ | Kstate.Exited | Kstate.Exec _ ->
+    Effect.perform (Kstate.Settle (env, outcome))
+
 (* Direct kernel entry (DESIGN.md §3.8).  The scheduler resumes a
    settled reply only after due timers, pending signals and the fibres
    queued ahead of it; with none of those, resuming is its very next
@@ -81,11 +92,13 @@ let enter_kernel ?via (proc : Proc.t) (env : Envelope.t) : Value.res =
     leave_layer fr;
     res
   | outcome ->
-    (match Effect.perform (Kstate.Settle (env, outcome)) with
-     | reply ->
+    (match yield_trap proc env outcome with
+     | () ->
        leave_layer fr;
-       deliver proc reply.deliver;
-       reply.res
+       (* read before any handler can trap again *)
+       let res = proc.res in
+       deliver proc proc.deliver;
+       res
      | exception e ->
        leave_layer fr;
        raise e)
@@ -97,34 +110,36 @@ let enter_kernel ?via (proc : Proc.t) (env : Envelope.t) : Value.res =
 let to_kernel proc env = enter_kernel ~via:Events.App proc env
 
 (* Charge [us] of virtual CPU time to [proc] and collect any signals
-   that became deliverable, preferably without performing an effect.
+   that became deliverable, preferably without yielding.
 
-   The [Events.Cpu] perform captures the whole fibre continuation and
-   round-trips through the run queue — by far the dominant *host* cost
-   of an interested trap (one perform per agent dispatch layer).  So we
-   replicate the scheduler's Cpu handler inline when, and only when,
-   doing so is observationally identical:
+   A charge is a scheduling point: the [Events.Cpu] yield, which costs
+   a continuation and a run-queue turn (one per agent dispatch layer).
+   The charge itself is made here either way; the yield is skipped
+   when, and only when, skipping it is observationally identical:
 
    - no signal is pending, so [collect_deliverable] would return []
      and [pending_terminal] would decide `None — nothing to deliver,
      nobody to kill or stop;
-   - the run queue is empty, so the perform would re-enqueue this
-     continuation and pop it right back — no other fibre's turn is
-     being stolen;
+   - the run queue is empty, so the yield would queue this process
+     and take it right back — no other fibre's turn is being stolen;
    - no timer is due at or before [now + us], so the scheduling point
-     the perform would create cannot fire one.
+     the yield would create cannot fire one.
 
    Every guard is a deterministic function of simulation state, so a
    run makes exactly the same scheduling decisions every time. *)
 let cpu_charge (proc : Proc.t) us : int list =
-  match !Kstate.Ambient.current with
-  | Some t
-    when Kstate.uncontended t proc
-           ~until:(Sim.Clock.now_us t.Kstate.clock + us) ->
-    proc.utime_us <- proc.utime_us + us;
-    Kstate.charge t us;
-    []
-  | _ -> Effect.perform (Events.Cpu us)
+  let t = Kstate.Ambient.get_exn () in
+  let contended =
+    not
+      (Kstate.uncontended t proc ~until:(Sim.Clock.now_us t.Kstate.clock + us))
+  in
+  proc.utime_us <- proc.utime_us + us;
+  Kstate.charge t us;
+  if contended then begin
+    Effect.perform Events.Cpu;
+    proc.deliver
+  end
+  else []
 
 (* One range-checked read of the process's handler table decides the
    trap: an empty slot (or a number outside the table) goes straight to
@@ -186,6 +201,11 @@ let instrumented (proc : Proc.t) ~sysno build arg =
     leave_layer fr;
     Obs.span_end span ~error:(Result.is_error res);
     res
+  | exception (Events.Process_killed as e) ->
+    (* the process exited or exec'd: a sampled span was aborted with
+       it, and an unsampled one counts no error either *)
+    leave_layer fr;
+    raise e
   | exception e ->
     leave_layer fr;
     Obs.span_end span ~error:true;
@@ -237,16 +257,29 @@ let cpu_work us =
     | sigs -> deliver proc sigs
   end
 
+(* The Mach emulation primitives act on the caller's own tables, which
+   no other process can reach, and then yield. *)
 let task_set_emulation ~numbers handler =
-  Effect.perform (Events.Set_emulation (numbers, handler))
+  let vector = (self ()).emul.vector in
+  List.iter
+    (fun n -> if n >= 0 && n < Array.length vector then vector.(n) <- handler)
+    numbers;
+  Effect.perform Events.Yield
 
-let task_get_emulation n = Effect.perform (Events.Get_emulation n)
+let task_get_emulation n =
+  let vector = (self ()).emul.vector in
+  let h = if n >= 0 && n < Array.length vector then vector.(n) else None in
+  Effect.perform Events.Yield;
+  h
 
 let task_set_emulation_signal h =
-  Effect.perform (Events.Set_emulation_signal h)
+  (self ()).emul.sig_emul <- h;
+  Effect.perform Events.Yield
 
 let task_get_emulation_signal () =
-  Effect.perform Events.Get_emulation_signal
+  let h = (self ()).emul.sig_emul in
+  Effect.perform Events.Yield;
+  h
 
 let exec_load spec =
   Effect.perform (Events.Exec_load spec);

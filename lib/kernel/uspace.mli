@@ -63,7 +63,11 @@ val deliver_via : (int -> unit) option -> int -> unit
     the calling process's own disposition for [s]: its [H_fn] handler,
     or nothing for default/ignore. *)
 
-(** {1 Mach-style task primitives} *)
+(** {1 Mach-style task primitives}
+
+    Each acts on the calling task's own tables and is then a
+    scheduling point (a yield to the run queue, with no signal
+    check). *)
 
 val task_set_emulation :
   numbers:int list -> (Abi.Envelope.t -> Abi.Value.res) option -> unit

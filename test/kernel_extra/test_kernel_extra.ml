@@ -1101,7 +1101,7 @@ let reference_wait4 (k : Kernel.t) (p : Proc.t) pid options =
     else c.pgrp = -pid
   in
   let stopped (c : Proc.t) =
-    match c.state with Proc.Stopped _ -> true | _ -> false
+    match c.state with Proc.Stopped -> true | _ -> false
   in
   match List.filter matches kids with
   | [] -> `Done (Error Errno.ECHILD)
@@ -1161,16 +1161,14 @@ let tree_steps =
     ~print:(fun l -> String.concat "; " (List.map tree_step_to_string l))
     (list_size (1 -- 40) step)
 
-type _ Effect.t += Stop_here : Kernel.Events.trap_reply Effect.t
+type _ Effect.t += Stop_here : unit Effect.t
 
 (* A suspended fibre, standing in for the trap a stopped process is
    held at. *)
 let stopped_fibre () =
-  let saved : (Kernel.Events.trap_reply, unit) Effect.Deep.continuation option ref =
-    ref None
-  in
+  let saved : (unit, unit) Effect.Deep.continuation option ref = ref None in
   Effect.Deep.match_with
-    (fun () -> ignore (Effect.perform Stop_here))
+    (fun () -> Effect.perform Stop_here)
     ()
     { retc = (fun () -> ());
       exnc = raise;
@@ -1236,7 +1234,7 @@ let test_wait4_matches_table_scan =
         match p.state with Proc.Runnable -> true | _ -> false
       in
       let live (p : Proc.t) =
-        match p.state with Proc.Runnable | Proc.Stopped _ -> true | _ -> false
+        match p.state with Proc.Runnable | Proc.Stopped -> true | _ -> false
       in
       let call p c = Kernel.Syscalls.dispatch k p c in
       List.iter
@@ -1255,10 +1253,8 @@ let test_wait4_matches_table_scan =
            | Stop i ->
              Option.iter
                (fun (p : Proc.t) ->
-                 p.state <-
-                   Proc.Stopped
-                     { sk = stopped_fibre ();
-                       reply = { Kernel.Events.res = Value.ret 0; deliver = [] } })
+                 p.resume <- Proc.Continue (stopped_fibre ());
+                 p.state <- Proc.Stopped)
                (pick runnable i)
            | Exit_init code ->
              if live init then ignore (call init (Call.Exit code))

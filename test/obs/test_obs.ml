@@ -749,16 +749,40 @@ let test_sampling_estimates_converge () =
   if abs (est_us - 8000) > 1200 then
     Alcotest.failf "time estimate %dus too far from 8000us" est_us
 
+(* Besides plain calls, children exit, exec and die of a signal while
+   obs is on: a trap that never returns to its caller is no error at
+   any rate, whether or not its span was sampled. *)
 let sampled_session_counts ~n =
   with_obs (fun () ->
-      let _, status =
-        boot (fun () ->
+      let k = fresh_kernel () in
+      Kernel.register_image k "probe" (fun ~argv:_ ~envp:_ () ->
+        ignore (Libc.Unistd.getpid ());
+        0);
+      Kernel.install_image k ~path:"/bin/probe" ~image:"probe";
+      let status =
+        boot_k k (fun () ->
             Obs.reset ();
             Obs.set_sampling ~seed:9 n;
             for _ = 1 to 25 do
               ignore (Libc.Unistd.getpid ())
             done;
             (match Libc.Unistd.close 99 with _ -> ());
+            for _ = 1 to 8 do
+              ignore (Libc.Unistd.fork ~child:(fun () -> 0));
+              ignore
+                (Libc.Unistd.fork ~child:(fun () ->
+                   match Libc.Unistd.execv "/bin/probe" [| "probe" |] with
+                   | Error _ -> 1
+                   | Ok _ -> assert false));
+              ignore
+                (Libc.Unistd.fork ~child:(fun () ->
+                   ignore
+                     (Libc.Unistd.kill (Libc.Unistd.getpid ()) Signal.sigterm);
+                   1))
+            done;
+            for _ = 1 to 24 do
+              ignore (Libc.Unistd.wait ())
+            done;
             Obs.disable ();
             0)
       in

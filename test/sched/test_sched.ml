@@ -1,0 +1,264 @@
+(* The scheduler's contract, pinned from outside: what it decides
+   (every trap's process, number and virtual time, and how many times
+   the run queue was consulted), that every fibre it starts is
+   finished, and what a contended yield costs the host in allocation. *)
+
+open Abi
+open Tharness
+
+let u what r = check_ok what r
+
+(* --- the schedule, as a digest ----------------------------------------- *)
+
+(* A whole session observed at 1-in-1, in log order: every trap as
+   (pid, sysno, virtual start µs) — its outermost segment — and every
+   trace-agent line with its pid and virtual time.  Any change to which
+   process runs when, or to what a trap costs in virtual time, changes
+   the digest. *)
+type pin = {
+  digest : string;      (* MD5 of the traps and trace lines, one a line *)
+  round_trips : int;    (* run-queue entries taken *)
+  traps : int;
+  elapsed_us : int;
+}
+
+let observed_session ?(agents = fun () -> []) setup body =
+  Obs.reset ();
+  Obs.configure ~ring_capacity:(1 lsl 20) ();
+  Obs.set_sampling 1;
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.configure ();
+      Obs.reset ())
+    (fun () ->
+      let k = fresh_kernel () in
+      setup k;
+      let status =
+        boot_k k (fun () ->
+            List.iter
+              (fun a -> Toolkit.Loader.install a ~argv:[||])
+              (agents ());
+            body ())
+      in
+      check_exit "session" 0 status;
+      let log = Kernel.drain_obs k in
+      Obs.with_engine (Kernel.obs_engine k) (fun () ->
+          Alcotest.(check int) "nothing dropped" 0 (Obs.dropped ()));
+      let line = function
+        | Obs.Span.Segment s when s.depth = 0 ->
+          Some (Printf.sprintf "%d %d %d" s.pid s.sysno s.start_us)
+        | Obs.Span.Call c ->
+          Some
+            (Printf.sprintf "%d %d %s" c.c_pid c.c_t_us (Obs.Span.call_line c))
+        | Obs.Span.Segment _ | Obs.Span.Mark _ | Obs.Span.Edge _ -> None
+      in
+      let text = String.concat "\n" (List.filter_map line log) in
+      { digest = Digest.to_hex (Digest.string text);
+        round_trips = k.Kernel.Kstate.round_trips;
+        traps = Kernel.total_syscalls k;
+        elapsed_us = Sim.Clock.elapsed_us (Kernel.clock k) })
+
+let check_pin what ~expect got =
+  Alcotest.(check string) (what ^ ": trap digest") expect.digest got.digest;
+  Alcotest.(check int) (what ^ ": round trips") expect.round_trips
+    got.round_trips;
+  Alcotest.(check int) (what ^ ": traps") expect.traps got.traps;
+  Alcotest.(check int) (what ^ ": virtual µs") expect.elapsed_us got.elapsed_us
+
+let kvd mode () =
+  let params = Workloads.Kvd.quick_params in
+  let stats = Workloads.Kvd.fresh_stats () in
+  let pin =
+    observed_session ~agents:Conformance.stacked.Conformance.sk_make
+      (fun k -> Workloads.Kvd.setup ~params k)
+      (fun () -> Workloads.Kvd.body ~params ~stats ~mode ())
+  in
+  Alcotest.(check int) "every client served" params.Workloads.Kvd.clients
+    stats.Workloads.Kvd.conns;
+  pin
+
+(* The expected values were computed on the scheduler whose run queue
+   held closures; the resume-slot scheduler must reproduce them
+   exactly. *)
+let test_kvd_fork_pinned () =
+  check_pin "kvd fork"
+    ~expect:
+      { digest = "181cb47474199dc857e6ea2093ad7607";
+        round_trips = 5384; traps = 624; elapsed_us = 1336169 }
+    (kvd Workloads.Kvd.Fork_per_conn ())
+
+let test_kvd_prefork_pinned () =
+  check_pin "kvd prefork"
+    ~expect:
+      { digest = "98e3d7cf74443a57548b1dca03e9ff5a";
+        round_trips = 4920; traps = 591; elapsed_us = 965836 }
+    (kvd Workloads.Kvd.Prefork ())
+
+let test_make_traced_pinned () =
+  check_pin "make under trace"
+    ~expect:
+      { digest = "df0bd263ad138482a34972878a0d53e9";
+        round_trips = 299; traps = 373; elapsed_us = 945581 }
+    (observed_session ~agents:Conformance.trace.Conformance.sk_make
+       (fun k ->
+         Workloads.Make_cc.setup ~params:Workloads.Make_cc.quick_params k)
+       (fun () -> Workloads.Make_cc.body ()))
+
+(* Every way a fibre leaves and re-enters the run queue other than a
+   plain reply: a stop at a trap boundary and its continue, a stop and
+   a kill of a stopped process, a handled signal interrupting a parked
+   read (EINTR), a timed sleep, a select timeout, an alarm ending a
+   sigsuspend, and a reader woken by a writer. *)
+let signals_program () =
+  let handled = ref 0 in
+  let on_signal = Value.H_fn (fun _ -> incr handled) in
+  ignore (u "signal usr1" (Libc.Unistd.signal Signal.sigusr1 on_signal));
+  ignore (u "signal alrm" (Libc.Unistd.signal Signal.sigalrm on_signal));
+  let spin n () =
+    for _ = 1 to n do
+      Libc.Unistd.cpu_work 3;
+      ignore (Libc.Unistd.getpid ())
+    done;
+    0
+  in
+  let spinner = u "fork spinner" (Libc.Unistd.fork ~child:(spin 200)) in
+  let victim = u "fork victim" (Libc.Unistd.fork ~child:(spin 100_000)) in
+  let r, w = u "pipe" (Libc.Unistd.pipe ()) in
+  let reader =
+    u "fork reader"
+      (Libc.Unistd.fork ~child:(fun () ->
+           ignore (Libc.Unistd.close w);
+           let buf = Bytes.create 8 in
+           let rec loop eintr =
+             match Libc.Unistd.read r buf 8 with
+             | Error Errno.EINTR -> loop (eintr + 1)
+             | Ok 0 -> eintr
+             | Ok _ -> loop eintr
+             | Error _ -> 99
+           in
+           loop 0))
+  in
+  ignore (u "close r" (Libc.Unistd.close r));
+  ignore (spin 5 ());
+  ignore (u "stop spinner" (Libc.Unistd.kill spinner Signal.sigstop));
+  ignore (u "stop victim" (Libc.Unistd.kill victim Signal.sigstop));
+  ignore (u "sleep" (Libc.Unistd.sleep_us 500));
+  ignore (u "usr1 reader" (Libc.Unistd.kill reader Signal.sigusr1));
+  ignore (u "select" (Libc.Unistd.select ~timeout_us:300 ()));
+  (match Libc.Unistd.waitpid victim Flags.Wait.wuntraced with
+   | Ok (_, st) when Flags.Wait.wifstopped st -> ()
+   | _ -> Alcotest.fail "victim not reported stopped");
+  ignore (u "kill victim" (Libc.Unistd.kill victim Signal.sigkill));
+  ignore (u "cont spinner" (Libc.Unistd.kill spinner Signal.sigcont));
+  ignore (u "alarm" (Libc.Unistd.alarm 1));
+  ignore (Libc.Unistd.sigsuspend 0);
+  ignore (u "write" (Libc.Unistd.write w "x"));
+  ignore (u "usr1 reader again" (Libc.Unistd.kill reader Signal.sigusr1));
+  ignore (u "close w" (Libc.Unistd.close w));
+  let status pid = snd (u "waitpid" (Libc.Unistd.waitpid pid 0)) in
+  Alcotest.(check int) "spinner finished" 0 (exit_code (status spinner));
+  Alcotest.(check bool) "victim killed" true
+    (Flags.Wait.wifsignaled (status victim));
+  let eintr = exit_code (status reader) in
+  Alcotest.(check bool) "reader interrupted" true (eintr >= 1 && eintr < 99);
+  Alcotest.(check bool) "alarm handled" true (!handled >= 1);
+  0
+
+let test_signals_pinned () =
+  check_pin "signals, stops and timers"
+    ~expect:
+      { digest = "e47c2fae1804a1c9168b281e994a15d6";
+        round_trips = 70; traps = 243; elapsed_us = 1034077 }
+    (observed_session (fun _ -> ()) signals_program)
+
+(* --- every fibre finishes ---------------------------------------------- *)
+
+(* A fibre that is abandoned without being resumed keeps its stack
+   until it is discontinued: exit, exec and kill must all unwind it. *)
+let check_no_live_fibres what k =
+  Alcotest.(check int) (what ^ ": fibres left") 0 k.Kernel.Kstate.fibres
+
+let test_kvd_fibres_finish () =
+  let k = fresh_kernel () in
+  let stats =
+    Workloads.Kvd.run ~params:Workloads.Kvd.quick_params
+      ~mode:Workloads.Kvd.Fork_per_conn k
+  in
+  Alcotest.(check int) "no request failed" 0 stats.Workloads.Kvd.errors;
+  check_no_live_fibres "kvd" k
+
+let test_make_fibres_finish () =
+  let k = fresh_kernel () in
+  Workloads.Make_cc.setup ~params:Workloads.Make_cc.quick_params k;
+  check_exit "make" 0 (boot_k k (fun () -> Workloads.Make_cc.body ()));
+  check_no_live_fibres "make" k
+
+let test_signals_fibres_finish () =
+  let k = fresh_kernel () in
+  check_exit "session" 0 (boot_k k signals_program);
+  check_no_live_fibres "signals" k
+
+(* --- what a contended yield allocates ---------------------------------- *)
+
+(* Two runnable processes, each looping getpid + one µs of compute: every
+   trap and every charge yields to the other process.  Words are counted
+   over both processes' iterations, after a warm-up. *)
+let words_per_contended_iteration ~iters =
+  let warm = 1_000 in
+  let k = fresh_kernel () in
+  let words = ref 0. in
+  let loop () =
+    for _ = 1 to iters do
+      ignore (Libc.Unistd.getpid ());
+      Libc.Unistd.cpu_work 1
+    done
+  in
+  let status =
+    boot_k k (fun () ->
+        let child =
+          u "fork"
+            (Libc.Unistd.fork ~child:(fun () ->
+                 for _ = 1 to warm do
+                   ignore (Libc.Unistd.getpid ());
+                   Libc.Unistd.cpu_work 1
+                 done;
+                 loop ();
+                 0))
+        in
+        for _ = 1 to warm do
+          ignore (Libc.Unistd.getpid ());
+          Libc.Unistd.cpu_work 1
+        done;
+        let w0 = Gc.minor_words () in
+        loop ();
+        words := Gc.minor_words () -. w0;
+        ignore (u "wait" (Libc.Unistd.waitpid child 0));
+        0)
+  in
+  check_exit "session" 0 status;
+  !words /. float_of_int (2 * iters)
+
+let test_contended_yield_words () =
+  let w = words_per_contended_iteration ~iters:100_000 in
+  if w > 45.0 then
+    Alcotest.failf "%.1f minor words per contended iteration (bound 45)" w
+
+let () =
+  Alcotest.run "sched"
+    [ ( "pinned",
+        [ Alcotest.test_case "kvd fork under stacked" `Quick
+            test_kvd_fork_pinned;
+          Alcotest.test_case "kvd prefork under stacked" `Quick
+            test_kvd_prefork_pinned;
+          Alcotest.test_case "make under trace" `Quick test_make_traced_pinned;
+          Alcotest.test_case "signals, stops and timers" `Quick
+            test_signals_pinned ] );
+      ( "fibres",
+        [ Alcotest.test_case "kvd" `Quick test_kvd_fibres_finish;
+          Alcotest.test_case "make" `Quick test_make_fibres_finish;
+          Alcotest.test_case "signals" `Quick test_signals_fibres_finish ] );
+      ( "alloc",
+        [ Alcotest.test_case "contended yield" `Quick
+            test_contended_yield_words ] ) ]

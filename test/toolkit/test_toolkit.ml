@@ -158,6 +158,36 @@ let test_symbolic_override () =
   in
   check_exit "fake pid" (4242 land 0xff) status
 
+(* An execve inside [run_under] abandons the old program, whose
+   unwinding runs [run_under]'s uninstall with no process to act on:
+   the new image must still run and exit normally, whether the kernel
+   (the agent ignores execve) or the agent (symbolic, which emulates
+   it) loads it. *)
+let test_exec_inside_run_under () =
+  let exec_under_agent agent =
+    let k = fresh_kernel () in
+    let ran = ref false in
+    Kernel.register_image k "probe" (fun ~argv:_ ~envp:_ () ->
+      ran := true;
+      0);
+    Kernel.install_image k ~path:"/bin/probe" ~image:"probe";
+    let status =
+      Kernel.boot k ~name:"init" (fun () ->
+        Toolkit.Loader.run_under agent (fun () ->
+          match Libc.Unistd.execv "/bin/probe" [| "probe" |] with
+          | Error _ -> 1
+          | Ok _ -> assert false))
+    in
+    Alcotest.(check bool) "new image ran" true !ran;
+    check_exit "new image exited" 0 status
+  in
+  exec_under_agent (new tag_agent "a" (ref []));
+  exec_under_agent
+    (object (self)
+       inherit Toolkit.symbolic_syscall
+       method! init _ = self#register_interest Sysno.sys_execve
+     end)
+
 let test_agent_survives_execve () =
   let k = fresh_kernel () in
   Kernel.register_image k "probe" (fun ~argv:_ ~envp:_ () ->
@@ -650,6 +680,8 @@ let () =
       [ Alcotest.test_case "override one call" `Quick test_symbolic_override;
         Alcotest.test_case "survives execve" `Quick
           test_agent_survives_execve;
+        Alcotest.test_case "execve inside run_under" `Quick
+          test_exec_inside_run_under;
         Alcotest.test_case "init_child on fork" `Quick
           test_init_child_runs_in_fork;
         Alcotest.test_case "unknown syscall" `Quick
