@@ -259,225 +259,183 @@ let encode c =
   encode_into w c;
   w
 
+(* Each argument slot is read once, a missing slot reading as [Nil],
+   and the slots are matched per call: the only allocation is the typed
+   call and its [Ok].  A slot of the wrong shape, [Nil] included, is
+   [EFAULT], except sigaction's two optional handler slots, where [Nil]
+   means [None]. *)
+let efault = Error Errno.EFAULT
+
 let decode (w : wire) : (t, Errno.t) result =
-  let module G = Get in
+  let a = w.args in
+  let len = Array.length a in
+  let a0 = if len > 0 then a.(0) else Nil in
+  let a1 = if len > 1 then a.(1) else Nil in
+  let a2 = if len > 2 then a.(2) else Nil in
   let n = w.num in
   if n = Sysno.sys_exit then
-    let* code = G.int w 0 in Ok (Exit code)
+    match a0 with Int code -> Ok (Exit code) | _ -> efault
   else if n = Sysno.sys_fork then
-    let* body = G.body w 0 in Ok (Fork body)
+    match a0 with Body body -> Ok (Fork body) | _ -> efault
   else if n = Sysno.sys_read then
-    let* fd = G.int w 0 in
-    let* buf = G.buf w 1 in
-    let* cnt = G.int w 2 in
-    Ok (Read (fd, buf, cnt))
+    match a0, a1, a2 with
+    | Int fd, Buf buf, Int cnt -> Ok (Read (fd, buf, cnt))
+    | _ -> efault
   else if n = Sysno.sys_write then
-    let* fd = G.int w 0 in
-    let* data = G.str w 1 in
-    Ok (Write (fd, data))
+    match a0, a1 with Int fd, Str data -> Ok (Write (fd, data)) | _ -> efault
   else if n = Sysno.sys_open then
-    let* p = G.str w 0 in
-    let* flags = G.int w 1 in
-    let* mode = G.int w 2 in
-    Ok (Open (p, flags, mode))
+    match a0, a1, a2 with
+    | Str p, Int flags, Int mode -> Ok (Open (p, flags, mode))
+    | _ -> efault
   else if n = Sysno.sys_close then
-    let* fd = G.int w 0 in Ok (Close fd)
+    match a0 with Int fd -> Ok (Close fd) | _ -> efault
   else if n = Sysno.sys_wait4 then
-    let* pid = G.int w 0 in
-    let* opts = G.int w 1 in
-    Ok (Wait4 (pid, opts))
+    match a0, a1 with Int pid, Int opts -> Ok (Wait4 (pid, opts)) | _ -> efault
   else if n = Sysno.sys_creat then
-    let* p = G.str w 0 in
-    let* mode = G.int w 1 in
-    Ok (Creat (p, mode))
+    match a0, a1 with Str p, Int mode -> Ok (Creat (p, mode)) | _ -> efault
   else if n = Sysno.sys_link then
-    let* p = G.str w 0 in
-    let* q = G.str w 1 in
-    Ok (Link (p, q))
+    match a0, a1 with Str p, Str q -> Ok (Link (p, q)) | _ -> efault
   else if n = Sysno.sys_unlink then
-    let* p = G.str w 0 in Ok (Unlink p)
+    match a0 with Str p -> Ok (Unlink p) | _ -> efault
   else if n = Sysno.sys_execve then
-    let* p = G.str w 0 in
-    let* argv = G.strs w 1 in
-    let* envp = G.strs w 2 in
-    Ok (Execve (p, argv, envp))
+    match a0, a1, a2 with
+    | Str p, Strs argv, Strs envp -> Ok (Execve (p, argv, envp))
+    | _ -> efault
   else if n = Sysno.sys_chdir then
-    let* p = G.str w 0 in Ok (Chdir p)
+    match a0 with Str p -> Ok (Chdir p) | _ -> efault
   else if n = Sysno.sys_fchdir then
-    let* fd = G.int w 0 in Ok (Fchdir fd)
+    match a0 with Int fd -> Ok (Fchdir fd) | _ -> efault
   else if n = Sysno.sys_mknod then
-    let* p = G.str w 0 in
-    let* mode = G.int w 1 in
-    let* dev = G.int w 2 in
-    Ok (Mknod (p, mode, dev))
+    match a0, a1, a2 with
+    | Str p, Int mode, Int dev -> Ok (Mknod (p, mode, dev))
+    | _ -> efault
   else if n = Sysno.sys_chmod then
-    let* p = G.str w 0 in
-    let* mode = G.int w 1 in
-    Ok (Chmod (p, mode))
+    match a0, a1 with Str p, Int mode -> Ok (Chmod (p, mode)) | _ -> efault
   else if n = Sysno.sys_chown then
-    let* p = G.str w 0 in
-    let* uid = G.int w 1 in
-    let* gid = G.int w 2 in
-    Ok (Chown (p, uid, gid))
+    match a0, a1, a2 with
+    | Str p, Int uid, Int gid -> Ok (Chown (p, uid, gid))
+    | _ -> efault
   else if n = Sysno.sys_sbrk then
-    let* d = G.int w 0 in Ok (Sbrk d)
+    match a0 with Int d -> Ok (Sbrk d) | _ -> efault
   else if n = Sysno.sys_lseek then
-    let* fd = G.int w 0 in
-    let* off = G.int w 1 in
-    let* whence = G.int w 2 in
-    Ok (Lseek (fd, off, whence))
+    match a0, a1, a2 with
+    | Int fd, Int off, Int whence -> Ok (Lseek (fd, off, whence))
+    | _ -> efault
   else if n = Sysno.sys_getpid then Ok Getpid
   else if n = Sysno.sys_setuid then
-    let* u = G.int w 0 in Ok (Setuid u)
+    match a0 with Int u -> Ok (Setuid u) | _ -> efault
   else if n = Sysno.sys_getuid then Ok Getuid
   else if n = Sysno.sys_geteuid then Ok Geteuid
   else if n = Sysno.sys_alarm then
-    let* s = G.int w 0 in Ok (Alarm s)
+    match a0 with Int s -> Ok (Alarm s) | _ -> efault
   else if n = Sysno.sys_access then
-    let* p = G.str w 0 in
-    let* m = G.int w 1 in
-    Ok (Access (p, m))
+    match a0, a1 with Str p, Int m -> Ok (Access (p, m)) | _ -> efault
   else if n = Sysno.sys_sync then Ok Sync
   else if n = Sysno.sys_kill then
-    let* pid = G.int w 0 in
-    let* s = G.int w 1 in
-    Ok (Kill (pid, s))
+    match a0, a1 with Int pid, Int s -> Ok (Kill (pid, s)) | _ -> efault
   else if n = Sysno.sys_stat then
-    let* p = G.str w 0 in
-    let* r = G.stat_ref w 1 in
-    Ok (Stat (p, r))
+    match a0, a1 with Str p, Stat_ref r -> Ok (Stat (p, r)) | _ -> efault
   else if n = Sysno.sys_getppid then Ok Getppid
   else if n = Sysno.sys_lstat then
-    let* p = G.str w 0 in
-    let* r = G.stat_ref w 1 in
-    Ok (Lstat (p, r))
+    match a0, a1 with Str p, Stat_ref r -> Ok (Lstat (p, r)) | _ -> efault
   else if n = Sysno.sys_dup then
-    let* fd = G.int w 0 in Ok (Dup fd)
+    match a0 with Int fd -> Ok (Dup fd) | _ -> efault
   else if n = Sysno.sys_pipe then Ok Pipe
   else if n = Sysno.sys_socketpair then Ok Socketpair
   else if n = Sysno.sys_getegid then Ok Getegid
   else if n = Sysno.sys_sigaction then
-    let* s = G.int w 0 in
-    let* h = G.handler_opt w 1 in
-    let* o = G.handler_ref_opt w 2 in
-    Ok (Sigaction (s, h, o))
+    match a0, a1, a2 with
+    | Int s, Handler h, Handler_ref o -> Ok (Sigaction (s, Some h, Some o))
+    | Int s, Handler h, Nil -> Ok (Sigaction (s, Some h, None))
+    | Int s, Nil, Handler_ref o -> Ok (Sigaction (s, None, Some o))
+    | Int s, Nil, Nil -> Ok (Sigaction (s, None, None))
+    | _ -> efault
   else if n = Sysno.sys_getgid then Ok Getgid
   else if n = Sysno.sys_sigprocmask then
-    let* how = G.int w 0 in
-    let* m = G.int w 1 in
-    Ok (Sigprocmask (how, m))
+    match a0, a1 with Int how, Int m -> Ok (Sigprocmask (how, m)) | _ -> efault
   else if n = Sysno.sys_sigpending then Ok Sigpending
   else if n = Sysno.sys_sigsuspend then
-    let* m = G.int w 0 in Ok (Sigsuspend m)
+    match a0 with Int m -> Ok (Sigsuspend m) | _ -> efault
   else if n = Sysno.sys_ioctl then
-    let* fd = G.int w 0 in
-    let* op = G.int w 1 in
-    let* b = G.buf w 2 in
-    Ok (Ioctl (fd, op, b))
+    match a0, a1, a2 with
+    | Int fd, Int op, Buf b -> Ok (Ioctl (fd, op, b))
+    | _ -> efault
   else if n = Sysno.sys_symlink then
-    let* tgt = G.str w 0 in
-    let* p = G.str w 1 in
-    Ok (Symlink (tgt, p))
+    match a0, a1 with Str tgt, Str p -> Ok (Symlink (tgt, p)) | _ -> efault
   else if n = Sysno.sys_readlink then
-    let* p = G.str w 0 in
-    let* b = G.buf w 1 in
-    Ok (Readlink (p, b))
+    match a0, a1 with Str p, Buf b -> Ok (Readlink (p, b)) | _ -> efault
   else if n = Sysno.sys_umask then
-    let* m = G.int w 0 in Ok (Umask m)
+    match a0 with Int m -> Ok (Umask m) | _ -> efault
   else if n = Sysno.sys_fstat then
-    let* fd = G.int w 0 in
-    let* r = G.stat_ref w 1 in
-    Ok (Fstat (fd, r))
+    match a0, a1 with Int fd, Stat_ref r -> Ok (Fstat (fd, r)) | _ -> efault
   else if n = Sysno.sys_getpagesize then Ok Getpagesize
   else if n = Sysno.sys_getpgrp then Ok Getpgrp
   else if n = Sysno.sys_setpgrp then
-    let* pid = G.int w 0 in
-    let* pgrp = G.int w 1 in
-    Ok (Setpgrp (pid, pgrp))
+    match a0, a1 with
+    | Int pid, Int pgrp -> Ok (Setpgrp (pid, pgrp))
+    | _ -> efault
   else if n = Sysno.sys_getdtablesize then Ok Getdtablesize
   else if n = Sysno.sys_dup2 then
-    let* o = G.int w 0 in
-    let* d = G.int w 1 in
-    Ok (Dup2 (o, d))
+    match a0, a1 with Int o, Int d -> Ok (Dup2 (o, d)) | _ -> efault
   else if n = Sysno.sys_fcntl then
-    let* fd = G.int w 0 in
-    let* cmd = G.int w 1 in
-    let* arg = G.int w 2 in
-    Ok (Fcntl (fd, cmd, arg))
+    match a0, a1, a2 with
+    | Int fd, Int cmd, Int arg -> Ok (Fcntl (fd, cmd, arg))
+    | _ -> efault
   else if n = Sysno.sys_fsync then
-    let* fd = G.int w 0 in Ok (Fsync fd)
+    match a0 with Int fd -> Ok (Fsync fd) | _ -> efault
   else if n = Sysno.sys_socket then Ok Socket
   else if n = Sysno.sys_bind then
-    let* fd = G.int w 0 in
-    let* addr = G.str w 1 in
-    Ok (Bind (fd, addr))
+    match a0, a1 with Int fd, Str addr -> Ok (Bind (fd, addr)) | _ -> efault
   else if n = Sysno.sys_listen then
-    let* fd = G.int w 0 in
-    let* backlog = G.int w 1 in
-    Ok (Listen (fd, backlog))
+    match a0, a1 with
+    | Int fd, Int backlog -> Ok (Listen (fd, backlog))
+    | _ -> efault
   else if n = Sysno.sys_accept then
-    let* fd = G.int w 0 in Ok (Accept fd)
+    match a0 with Int fd -> Ok (Accept fd) | _ -> efault
   else if n = Sysno.sys_connect then
-    let* fd = G.int w 0 in
-    let* addr = G.str w 1 in
-    Ok (Connect (fd, addr))
+    match a0, a1 with Int fd, Str addr -> Ok (Connect (fd, addr)) | _ -> efault
   else if n = Sysno.sys_send then
-    let* fd = G.int w 0 in
-    let* data = G.str w 1 in
-    Ok (Send (fd, data))
+    match a0, a1 with Int fd, Str data -> Ok (Send (fd, data)) | _ -> efault
   else if n = Sysno.sys_recv then
-    let* fd = G.int w 0 in
-    let* buf = G.buf w 1 in
-    let* cnt = G.int w 2 in
-    Ok (Recv (fd, buf, cnt))
+    match a0, a1, a2 with
+    | Int fd, Buf buf, Int cnt -> Ok (Recv (fd, buf, cnt))
+    | _ -> efault
   else if n = Sysno.sys_shutdown then
-    let* fd = G.int w 0 in
-    let* how = G.int w 1 in
-    Ok (Shutdown (fd, how))
+    match a0, a1 with Int fd, Int how -> Ok (Shutdown (fd, how)) | _ -> efault
   else if n = Sysno.sys_select then
-    let* rmask = G.int w 0 in
-    let* wmask = G.int w 1 in
-    let* tmo = G.int w 2 in
-    Ok (Select (rmask, wmask, tmo))
+    match a0, a1, a2 with
+    | Int rmask, Int wmask, Int tmo -> Ok (Select (rmask, wmask, tmo))
+    | _ -> efault
   else if n = Sysno.sys_gettimeofday then
-    let* r = G.tv_ref w 0 in Ok (Gettimeofday r)
+    match a0 with Tv_ref r -> Ok (Gettimeofday r) | _ -> efault
   else if n = Sysno.sys_getrusage then
-    let* r = G.tv_ref w 0 in Ok (Getrusage r)
+    match a0 with Tv_ref r -> Ok (Getrusage r) | _ -> efault
   else if n = Sysno.sys_settimeofday then
-    let* s = G.int w 0 in
-    let* us = G.int w 1 in
-    Ok (Settimeofday (s, us))
+    match a0, a1 with
+    | Int s, Int us -> Ok (Settimeofday (s, us))
+    | _ -> efault
   else if n = Sysno.sys_rename then
-    let* p = G.str w 0 in
-    let* q = G.str w 1 in
-    Ok (Rename (p, q))
+    match a0, a1 with Str p, Str q -> Ok (Rename (p, q)) | _ -> efault
   else if n = Sysno.sys_truncate then
-    let* p = G.str w 0 in
-    let* len = G.int w 1 in
-    Ok (Truncate (p, len))
+    match a0, a1 with Str p, Int len -> Ok (Truncate (p, len)) | _ -> efault
   else if n = Sysno.sys_ftruncate then
-    let* fd = G.int w 0 in
-    let* len = G.int w 1 in
-    Ok (Ftruncate (fd, len))
+    match a0, a1 with Int fd, Int len -> Ok (Ftruncate (fd, len)) | _ -> efault
   else if n = Sysno.sys_mkdir then
-    let* p = G.str w 0 in
-    let* mode = G.int w 1 in
-    Ok (Mkdir (p, mode))
+    match a0, a1 with Str p, Int mode -> Ok (Mkdir (p, mode)) | _ -> efault
   else if n = Sysno.sys_rmdir then
-    let* p = G.str w 0 in Ok (Rmdir p)
+    match a0 with Str p -> Ok (Rmdir p) | _ -> efault
   else if n = Sysno.sys_utimes then
-    let* p = G.str w 0 in
-    let* a = G.int w 1 in
-    let* m = G.int w 2 in
-    Ok (Utimes (p, a, m))
+    match a0, a1, a2 with
+    | Str p, Int at, Int mt -> Ok (Utimes (p, at, mt))
+    | _ -> efault
   else if n = Sysno.sys_getdirentries then
-    let* fd = G.int w 0 in
-    let* b = G.buf w 1 in
-    Ok (Getdirentries (fd, b))
+    match a0, a1 with
+    | Int fd, Buf b -> Ok (Getdirentries (fd, b))
+    | _ -> efault
   else if n = Sysno.sys_sleepus then
-    let* us = G.int w 0 in Ok (Sleepus us)
+    match a0 with Int us -> Ok (Sleepus us) | _ -> efault
   else if n = Sysno.sys_getcwd then
-    let* b = G.buf w 0 in Ok (Getcwd b)
+    match a0 with Buf b -> Ok (Getcwd b) | _ -> efault
   else Error Errno.ENOSYS
 
 let pathname_of = function

@@ -13,9 +13,19 @@ let io_chunk_us = 77
 
 let namei_component_us = 125
 
-let path_components p =
-  let parts = String.split_on_char '/' p in
-  List.length (List.filter (fun s -> s <> "" && s <> ".") parts)
+(* Counted in place: the segments between slashes, except empty ones
+   and ".".  A ".." counts, since namei walks it. *)
+let rec components_from p i start acc =
+  if i = String.length p || p.[i] = '/' then begin
+    let len = i - start in
+    let acc =
+      if len = 0 || (len = 1 && p.[start] = '.') then acc else acc + 1
+    in
+    if i = String.length p then acc else components_from p (i + 1) (i + 1) acc
+  end
+  else components_from p (i + 1) start acc
+
+let path_components p = components_from p 0 0 0
 
 let io_us bytes =
   if bytes <= 0 then 0

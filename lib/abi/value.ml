@@ -73,29 +73,9 @@ module Get = struct
   let buf w i =
     match arg w i with Some (Buf b) -> Ok b | _ -> Error Errno.EFAULT
 
-  let strs w i =
-    match arg w i with Some (Strs a) -> Ok a | _ -> Error Errno.EFAULT
-
-  let body w i =
-    match arg w i with Some (Body f) -> Ok f | _ -> Error Errno.EFAULT
-
   let stat_ref w i =
     match arg w i with Some (Stat_ref r) -> Ok r | _ -> Error Errno.EFAULT
 
   let tv_ref w i =
     match arg w i with Some (Tv_ref r) -> Ok r | _ -> Error Errno.EFAULT
-
-  let handler_opt w i =
-    match arg w i with
-    | Some (Handler h) -> Ok (Some h)
-    | Some Nil | None -> Ok None
-    | _ -> Error Errno.EFAULT
-
-  let handler_ref_opt w i =
-    match arg w i with
-    | Some (Handler_ref r) -> Ok (Some r)
-    | Some Nil | None -> Ok None
-    | _ -> Error Errno.EFAULT
 end
-
-let ( let* ) = Result.bind

@@ -58,22 +58,14 @@ val res_to_string : res -> string
 val pp_res : Format.formatter -> res -> unit
 (** {!res_to_string} as a printer. *)
 
-(** Argument extraction used by the kernel decoder and the
-    [bsd_numeric_syscall] toolkit layer.  Each returns [Error EFAULT]
-    on an argument of the wrong shape (the moral equivalent of a bad
-    pointer). *)
+(** Argument extraction for agents that read a wire without decoding
+    it ([Foreign_abi]'s renumbering, [Record_replay]'s out-pointers).
+    Each returns [Error EFAULT] on an argument of the wrong shape (the
+    moral equivalent of a bad pointer). *)
 module Get : sig
   val int : wire -> int -> (int, Errno.t) result
   val str : wire -> int -> (string, Errno.t) result
   val buf : wire -> int -> (Bytes.t, Errno.t) result
-  val strs : wire -> int -> (string array, Errno.t) result
-  val body : wire -> int -> (unit -> int, Errno.t) result
   val stat_ref : wire -> int -> (Stat.t option ref, Errno.t) result
   val tv_ref : wire -> int -> ((int * int) option ref, Errno.t) result
-  val handler_opt : wire -> int -> (handler option, Errno.t) result
-  val handler_ref_opt
-    : wire -> int -> (handler option ref option, Errno.t) result
 end
-
-val ( let* ) : ('a, 'e) result -> ('a -> ('b, 'e) result)
-  -> ('b, 'e) result

@@ -1,8 +1,6 @@
 open Abi
 open Kstate
 
-let ( let* ) = Result.bind
-
 let done_ret ?r1 v = Done (Value.ret ?r1 v)
 let fail e = Done (Error e)
 
@@ -17,9 +15,10 @@ let fd_entry (p : Proc.t) fd =
   | Some e -> Ok e
   | None -> Error Errno.EBADF
 
-let fd_file p fd =
-  let* e = fd_entry p fd in
-  Ok e.File.file
+let fd_file (p : Proc.t) fd =
+  match Proc.fd p fd with
+  | Some e -> Ok e.File.file
+  | None -> Error Errno.EBADF
 
 let driver t (inode : Vfs.Inode.t) =
   match inode.kind with
@@ -230,22 +229,22 @@ let do_lseek (p : Proc.t) fd off whence =
     | File.Pipe_read _ | File.Pipe_write _ | File.Sock _
     | File.Fifo_read _ | File.Fifo_write _ -> fail Errno.ESPIPE
     | File.Vnode inode ->
-      let size = Vfs.Inode.size inode in
-      let base =
-        if whence = Flags.Seek.set then Some 0
-        else if whence = Flags.Seek.cur then Some f.offset
-        else if whence = Flags.Seek.end_ then Some size
-        else None
-      in
-      match base with
-      | None -> fail Errno.EINVAL
-      | Some b ->
-        let pos = b + off in
+      if whence <> Flags.Seek.set && whence <> Flags.Seek.cur
+         && whence <> Flags.Seek.end_
+      then fail Errno.EINVAL
+      else begin
+        let base =
+          if whence = Flags.Seek.set then 0
+          else if whence = Flags.Seek.cur then f.offset
+          else Vfs.Inode.size inode
+        in
+        let pos = base + off in
         if pos < 0 then fail Errno.EINVAL
         else begin
           f.offset <- pos;
           done_ret pos
         end
+      end
 
 let do_dup t (p : Proc.t) fd ~from =
   match fd_entry p fd with

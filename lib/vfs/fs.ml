@@ -200,96 +200,124 @@ let may_delete t cred (dir : Inode.t) (victim : Inode.t) =
 
 (* --- resolution ------------------------------------------------------ *)
 
-let split_path path =
-  List.filter (fun s -> s <> "") (String.split_on_char '/' path)
+(* Namei walks the pathname in place.  A segment is a string, an offset
+   and an end; components are the runs between slashes, and each is
+   copied out only as the key of its directory lookup.  A followed
+   symlink pushes what is left of the current segment (when a component
+   remains in it) and continues with the link's target as a new
+   segment, so expansion never rebuilds or re-splits a path.  Every
+   pushed segment holds at least one component, so the final component
+   is the one that ends its segment with nothing pushed. *)
 
-let ( let* ) = Result.bind
+let rec skip_slashes s i lim =
+  if i < lim && s.[i] = '/' then skip_slashes s (i + 1) lim
+  else i
 
-(* Iterative resolution over a component work-list; symlink expansion
-   pushes the link target's components back onto the list. *)
-let resolve_gen t cred ~cwd ~follow_last path =
-  if path = "" then Error Errno.ENOENT
-  else if String.length path > max_path then Error Errno.ENAMETOOLONG
+let rec name_end s i lim =
+  if i < lim && s.[i] <> '/' then name_end s (i + 1) lim
+  else i
+
+(* [slash]: the path ends in '/', so every symlink is followed and the
+   result must be a directory. *)
+let rec walk t cred ~follow_last ~slash (dir : Inode.t) s i lim rest links =
+  let i = skip_slashes s i lim in
+  if i = lim then
+    match rest with
+    | (s, i, lim) :: rest ->
+      walk t cred ~follow_last ~slash dir s i lim rest links
+    | [] ->
+      if slash && not (Inode.is_dir dir) then Error Errno.ENOTDIR
+      else Ok dir
   else begin
-    let start = if path.[0] = '/' then root_ino t else cwd in
-    let trailing_dir = path.[String.length path - 1] = '/' in
-    let rec walk dir_ino comps links =
-      match get t dir_ino with
-      | None -> Error Errno.ENOENT
-      | Some dir ->
-        match comps with
-        | [] ->
-          if trailing_dir && not (Inode.is_dir dir) then Error Errno.ENOTDIR
-          else Ok dir
-        | name :: rest ->
-          if String.length name > max_name then Error Errno.ENAMETOOLONG
-          else
-            let* table = Inode.dir_table dir in
-            if not (searchable t cred dir) then Error Errno.EACCES
-            else begin
-              match Hashtbl.find_opt table name with
-              | None -> Error Errno.ENOENT
-              | Some ino ->
-                match get t ino with
-                | None -> Error Errno.ENOENT
-                | Some entry ->
-                  match entry.Inode.kind with
-                  | Inode.Symlink target
-                    when rest <> [] || follow_last || trailing_dir ->
-                    if links >= max_symlinks then Error Errno.ELOOP
-                    else begin
-                      let tcomps = split_path target in
-                      let base =
-                        if target <> "" && target.[0] = '/' then root_ino t
-                        else dir_ino
-                      in
-                      walk base (tcomps @ rest) (links + 1)
-                    end
-                  | _ ->
-                    if rest = [] then
-                      if trailing_dir && not (Inode.is_dir entry) then
-                        Error Errno.ENOTDIR
-                      else Ok entry
-                    else walk ino rest links
-            end
-    in
-    walk start (split_path path) 0
+    let j = name_end s i lim in
+    if j - i > max_name then Error Errno.ENAMETOOLONG
+    else
+      match dir.kind with
+      | Inode.Dir table ->
+        if not (searchable t cred dir) then Error Errno.EACCES
+        else begin
+          match Hashtbl.find table (String.sub s i (j - i)) with
+          | exception Not_found -> Error Errno.ENOENT
+          | ino ->
+            match Hashtbl.find t.inodes ino with
+            | exception Not_found -> Error Errno.ENOENT
+            | entry ->
+              let k = skip_slashes s j lim in
+              let last =
+                k = lim && (match rest with [] -> true | _ :: _ -> false)
+              in
+              match entry.Inode.kind with
+              | Inode.Symlink target when (not last) || follow_last || slash ->
+                if links >= max_symlinks then Error Errno.ELOOP
+                else begin
+                  let rest = if k = lim then rest else (s, k, lim) :: rest in
+                  let base =
+                    if target <> "" && target.[0] = '/' then
+                      get_exn t (root_ino t)
+                    else dir
+                  in
+                  walk t cred ~follow_last ~slash base target 0
+                    (String.length target) rest (links + 1)
+                end
+              | _ ->
+                if not last then
+                  walk t cred ~follow_last ~slash entry s k lim rest links
+                else if slash && not (Inode.is_dir entry) then
+                  Error Errno.ENOTDIR
+                else Ok entry
+        end
+      | Inode.Reg _ | Inode.Symlink _ | Inode.Chardev _ | Inode.Fifo _ ->
+        Error Errno.ENOTDIR
   end
 
-let resolve t cred ~cwd ?(follow_last = true) path =
-  resolve_gen t cred ~cwd ~follow_last path
+(* Walk [path] up to [lim] from the root or the working directory. *)
+let walk_path t cred ~cwd ~follow_last ~slash path lim =
+  if path.[0] = '/' then
+    walk t cred ~follow_last ~slash (get_exn t (root_ino t)) path 0 lim [] 0
+  else
+    match Hashtbl.find t.inodes cwd with
+    | exception Not_found -> Error Errno.ENOENT
+    | dir -> walk t cred ~follow_last ~slash dir path 0 lim [] 0
 
-(* Parent resolution: everything but the last component, following
-   symlinks along the way.  "mkdir a/b/" behaves like "mkdir a/b". *)
+let resolve t cred ~cwd ?(follow_last = true) path =
+  let n = String.length path in
+  if n = 0 then Error Errno.ENOENT
+  else if n > max_path then Error Errno.ENAMETOOLONG
+  else
+    walk_path t cred ~cwd ~follow_last ~slash:(path.[n - 1] = '/') path n
+
+let rec trim_slashes s e =
+  if e > 0 && s.[e - 1] = '/' then trim_slashes s (e - 1) else e
+
+let rec name_start s i =
+  if i > 0 && s.[i - 1] <> '/' then name_start s (i - 1) else i
+
+(* Parent resolution: every component but the last, on the same walker,
+   following symlinks along the way.  The last component comes back
+   with whether a slash followed it: "mkdir a/b/" behaves like
+   "mkdir a/b", and each creating or removing call applies its own
+   trailing-slash rule. *)
 let resolve_parent t cred ~cwd path =
-  if path = "" then Error Errno.ENOENT
-  else if String.length path > max_path then Error Errno.ENAMETOOLONG
+  let n = String.length path in
+  if n = 0 then Error Errno.ENOENT
+  else if n > max_path then Error Errno.ENAMETOOLONG
   else begin
-    let comps = split_path path in
-    match List.rev comps with
-    | [] -> Error Errno.EEXIST  (* "/" or "." style path *)
-    | last :: rev_prefix ->
-      if String.length last > max_name then Error Errno.ENAMETOOLONG
-      else begin
-        let prefix = List.rev rev_prefix in
-        let prefix_path =
-          (if path.[0] = '/' then "/" else "")
-          ^ String.concat "/" prefix
-        in
-        let* parent =
-          if prefix = [] then
-            if path.[0] = '/' then
-              Ok (get_exn t (root_ino t))
-            else
-              match get t cwd with
-              | Some d -> Ok d
-              | None -> Error Errno.ENOENT
-          else resolve t cred ~cwd prefix_path
-        in
-        if not (Inode.is_dir parent) then Error Errno.ENOTDIR
-        else if last = "." || last = ".." then Error Errno.EINVAL
-        else Ok (parent, last)
-      end
+    let e = trim_slashes path n in
+    if e = 0 then Error Errno.EEXIST  (* "/" *)
+    else begin
+      let b = name_start path e in
+      if e - b > max_name then Error Errno.ENAMETOOLONG
+      else
+        match walk_path t cred ~cwd ~follow_last:true ~slash:false path b with
+        | Error err -> Error err
+        | Ok parent ->
+          if not (Inode.is_dir parent) then Error Errno.ENOTDIR
+          else begin
+            let last = String.sub path b (e - b) in
+            if last = "." || last = ".." then Error Errno.EINVAL
+            else Ok (parent, last, e < n)
+          end
+    end
   end
 
 let path_of_ino t ino =
@@ -362,20 +390,20 @@ let lookup_in (parent : Inode.t) name =
 
 (* --- namespace operations --------------------------------------------- *)
 
-let open_lookup t cred ~cwd path ~flags ~perm =
+let ( let* ) = Result.bind
+
+(* The access-mode check and O_TRUNC of an open, once the inode is
+   known. *)
+let open_finish t cred ~flags ~created (inode : Inode.t) =
   let open Flags.Open in
-  let check_modes inode =
-    let need =
-      (if readable flags then Flags.Access.r_ok else 0)
-      lor (if writable flags then Flags.Access.w_ok else 0)
-    in
-    if Inode.is_dir inode && writable flags then Error Errno.EISDIR
-    else if not (access_ok t cred inode need) then Error Errno.EACCES
-    else Ok inode
+  let need =
+    (if readable flags then Flags.Access.r_ok else 0)
+    lor (if writable flags then Flags.Access.w_ok else 0)
   in
-  let finish ~created inode =
-    let* inode = check_modes inode in
-    (match inode.Inode.kind with
+  if Inode.is_dir inode && writable flags then Error Errno.EISDIR
+  else if not (access_ok t cred inode need) then Error Errno.EACCES
+  else begin
+    (match inode.kind with
      | Inode.Reg data when flags land o_trunc <> 0 && writable flags ->
        Filedata.truncate data 0;
        let now = t.now () in
@@ -383,37 +411,52 @@ let open_lookup t cred ~cwd path ~flags ~perm =
        inode.ctime <- now
      | _ -> ());
     Ok (inode, created)
-  in
+  end
+
+let open_lookup t cred ~cwd path ~flags ~perm =
+  let open Flags.Open in
   match resolve t cred ~cwd path with
   | Ok inode ->
     if flags land o_creat <> 0 && flags land o_excl <> 0 then
       Error Errno.EEXIST
-    else finish ~created:false inode
-  | Error Errno.ENOENT when flags land o_creat <> 0 ->
-    let* parent, name = resolve_parent t cred ~cwd path in
-    (* re-check: the final component may exist as a dangling symlink *)
-    (match lookup_in parent name with
-     | Ok _ -> Error Errno.ENOENT  (* dangling symlink in the way *)
-     | Error Errno.ENOENT ->
-       let* inode =
-         create_in t cred parent name (Inode.Reg (Filedata.create ())) ~perm
-       in
-       finish ~created:true inode
-     | Error e -> Error e)
+    else open_finish t cred ~flags ~created:false inode
+  | Error Errno.ENOENT when flags land o_creat <> 0 -> (
+    match resolve_parent t cred ~cwd path with
+    | Error e -> Error e
+    (* a new name with a trailing slash asks for a directory *)
+    | Ok (_, _, true) -> Error Errno.EISDIR
+    | Ok (parent, name, false) ->
+      (* re-check: the final component may exist as a dangling symlink *)
+      match lookup_in parent name with
+      | Ok _ -> Error Errno.ENOENT  (* dangling symlink in the way *)
+      | Error Errno.ENOENT ->
+        let* inode =
+          create_in t cred parent name (Inode.Reg (Filedata.create ())) ~perm
+        in
+        open_finish t cred ~flags ~created:true inode
+      | Error e -> Error e)
   | Error e -> Error e
 
+(* Create [kind] under a name that must not exist yet.  Only a
+   directory may be named with a trailing slash; any other kind gets
+   ENOENT for a new name, as Linux's filename_create does. *)
 let make_node t cred ~cwd path kind ~perm =
-  let* parent, name = resolve_parent t cred ~cwd path in
+  let* parent, name, slash = resolve_parent t cred ~cwd path in
   match lookup_in parent name with
   | Ok _ -> Error Errno.EEXIST
-  | Error Errno.ENOENT -> create_in t cred parent name kind ~perm
+  | Error Errno.ENOENT ->
+    (match kind with
+     | Inode.Reg _ | Inode.Symlink _ | Inode.Chardev _ | Inode.Fifo _
+       when slash -> Error Errno.ENOENT
+     | _ ->
+       let* inode = create_in t cred parent name kind ~perm in
+       Ok (parent, inode))
   | Error e -> Error e
 
 let mkdir t cred ~cwd path ~perm =
   let table = Hashtbl.create 8 in
-  let* inode = make_node t cred ~cwd path (Inode.Dir table) ~perm in
   (* fill in "." and ".." now that we know our parent *)
-  let* parent, _ = resolve_parent t cred ~cwd path in
+  let* parent, inode = make_node t cred ~cwd path (Inode.Dir table) ~perm in
   Hashtbl.replace table "." inode.Inode.ino;
   Hashtbl.replace table ".." parent.Inode.ino;
   inode.Inode.nlink <- 2;
@@ -421,10 +464,13 @@ let mkdir t cred ~cwd path ~perm =
   Ok inode
 
 let mkfifo t cred ~cwd path ~perm =
-  make_node t cred ~cwd path (Inode.Fifo (Pipebuf.create ())) ~perm
+  let kind = Inode.Fifo (Pipebuf.create ()) in
+  let* _, inode = make_node t cred ~cwd path kind ~perm in
+  Ok inode
 
 let mkchardev t cred ~cwd path ~perm ~rdev =
-  make_node t cred ~cwd path (Inode.Chardev rdev) ~perm
+  let* _, inode = make_node t cred ~cwd path (Inode.Chardev rdev) ~perm in
+  Ok inode
 
 let symlink t cred ~cwd ~target path =
   let* _ = make_node t cred ~cwd path (Inode.Symlink target) ~perm:0o777 in
@@ -440,11 +486,13 @@ let link t cred ~cwd ~existing path =
   let* src = resolve t cred ~cwd existing in
   if Inode.is_dir src then Error Errno.EPERM
   else begin
-    let* parent, name = resolve_parent t cred ~cwd path in
+    let* parent, name, slash = resolve_parent t cred ~cwd path in
     match lookup_in parent name with
     | Ok _ -> Error Errno.EEXIST
     | Error Errno.ENOENT ->
-      if not (writable_dir t cred parent) then Error Errno.EACCES
+      (* [src] is never a directory, so a trailing slash names nothing *)
+      if slash then Error Errno.ENOENT
+      else if not (writable_dir t cred parent) then Error Errno.EACCES
       else begin
         add_entry t parent name src.Inode.ino;
         src.Inode.nlink <- src.Inode.nlink + 1;
@@ -455,10 +503,11 @@ let link t cred ~cwd ~existing path =
   end
 
 let unlink t cred ~cwd path =
-  let* parent, name = resolve_parent t cred ~cwd path in
+  let* parent, name, slash = resolve_parent t cred ~cwd path in
   let* ino = lookup_in parent name in
   let victim = get_exn t ino in
   if Inode.is_dir victim then Error Errno.EISDIR
+  else if slash then Error Errno.ENOTDIR
   else if not (may_delete t cred parent victim) then Error Errno.EACCES
   else begin
     remove_entry t parent name;
@@ -474,7 +523,7 @@ let dir_is_empty (inode : Inode.t) =
     (Inode.dir_entries inode)
 
 let rmdir t cred ~cwd path =
-  let* parent, name = resolve_parent t cred ~cwd path in
+  let* parent, name, _ = resolve_parent t cred ~cwd path in
   let* ino = lookup_in parent name in
   let victim = get_exn t ino in
   if not (Inode.is_dir victim) then Error Errno.ENOTDIR
@@ -508,11 +557,13 @@ let is_ancestor t ~anc ino =
   up ino 0
 
 let rename t cred ~cwd ~src dst =
-  let* sparent, sname = resolve_parent t cred ~cwd src in
+  let* sparent, sname, sslash = resolve_parent t cred ~cwd src in
   let* sino = lookup_in sparent sname in
   let victim = get_exn t sino in
-  let* dparent, dname = resolve_parent t cred ~cwd dst in
-  if not (may_delete t cred sparent victim)
+  let* dparent, dname, dslash = resolve_parent t cred ~cwd dst in
+  (* only a directory may be named with a trailing slash, on either side *)
+  if (sslash || dslash) && not (Inode.is_dir victim) then Error Errno.ENOTDIR
+  else if not (may_delete t cred sparent victim)
      || not (writable_dir t cred dparent)
   then Error Errno.EACCES
   else if Inode.is_dir victim && is_ancestor t ~anc:sino dparent.Inode.ino
@@ -561,8 +612,9 @@ let rename t cred ~cwd ~src dst =
 let stat_inode t inode = Inode.to_stat ~dev:t.dev inode
 
 let stat_path t cred ~cwd ~follow path =
-  let* inode = resolve t cred ~cwd ~follow_last:follow path in
-  Ok (stat_inode t inode)
+  match resolve t cred ~cwd ~follow_last:follow path with
+  | Ok inode -> Ok (stat_inode t inode)
+  | Error e -> Error e
 
 let chmod t cred ~cwd path ~perm =
   let* inode = resolve t cred ~cwd path in

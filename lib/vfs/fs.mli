@@ -68,6 +68,16 @@ val resolve : t -> cred -> cwd:int -> ?follow_last:bool -> string
     expansions, [EACCES] on a missing search permission, [ENOTDIR],
     [ENOENT], [ENAMETOOLONG]. *)
 
+val resolve_parent : t -> cred -> cwd:int -> string
+  -> (Inode.t * string * bool, Abi.Errno.t) result
+(** [resolve_parent fs cred ~cwd path] resolves every component but
+    the last, following symlinks, and returns that directory, the last
+    component, and whether a slash followed it.  Fails with [EEXIST]
+    for a path of slashes only, [EINVAL] for a last component of ["."]
+    or [".."], [ENOTDIR] when the parent is not a directory, and
+    {!resolve}'s errors.  The creating and removing calls apply their
+    own trailing-slash rule to the flag. *)
+
 val path_of_ino : t -> int -> string option
 (** Reconstruct an absolute path by walking ".." upward; [None] if the
     inode is not reachable from the root (e.g. an unlinked

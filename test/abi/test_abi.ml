@@ -445,6 +445,64 @@ let test_call_roundtrip_exhaustive =
       | Ok c' -> call_equal c c'
       | Error _ -> false)
 
+(* --- decode against the reference decoder ------------------------------------- *)
+
+(* Every [Value.t] constructor, each handler kind included. *)
+let gen_value : Value.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  oneof
+    [ return Value.Nil;
+      map (fun n -> Value.Int n) small_signed_int;
+      map (fun n -> Value.Str (Printf.sprintf "/p/%d" n)) small_nat;
+      map (fun n -> Value.Buf (Bytes.create n)) (int_bound 8);
+      map (fun n -> Value.Strs (Array.make n "a")) (int_bound 2);
+      return (Value.Body (fun () -> 0));
+      return (Value.Stat_ref (ref None));
+      return (Value.Tv_ref (ref None));
+      map (fun h -> Value.Handler h)
+        (oneofl [ Value.H_default; Value.H_ignore; Value.H_fn ignore ]);
+      return (Value.Handler_ref (ref None)) ]
+
+(* Half the wires are random vectors of 0-4 slots under any number
+   from -1 to [max_sysno + 1]; the other half start from a well-formed
+   call, then may lose a slot, gain one, or have one overwritten, so
+   that every decoder arm is reached on both sides of its match. *)
+let gen_wire : Value.wire QCheck.Gen.t =
+  let open QCheck.Gen in
+  let random =
+    map2
+      (fun num args -> { Value.num; args = Array.of_list args })
+      (int_range (-1) (Sysno.max_sysno + 1))
+      (list_size (int_bound 4) gen_value)
+  in
+  let perturbed =
+    gen_call >>= fun c ->
+    let w = Call.encode c in
+    let n = Array.length w.Value.args in
+    oneof
+      [ return w;
+        return { w with Value.args = Array.sub w.Value.args 0 (max 0 (n - 1)) };
+        map (fun v -> { w with Value.args = Array.append w.Value.args [| v |] })
+          gen_value;
+        map2
+          (fun i v ->
+            let args = Array.copy w.Value.args in
+            if n > 0 then args.(i mod n) <- v;
+            { w with Value.args })
+          small_nat gen_value ]
+  in
+  oneof [ random; perturbed ]
+
+let test_decode_matches_reference =
+  QCheck.Test.make ~name:"decode = the let* reference decoder, any wire"
+    ~count:3000
+    (QCheck.make ~print:(Format.asprintf "%a" Value.pp_wire) gen_wire)
+    (fun w ->
+      match Call.decode w, Decode_ref.decode w with
+      | Ok c, Ok c' -> call_equal c c'
+      | Error e, Error e' -> e = e'
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
 (* --- envelopes -------------------------------------------------------------------- *)
 
 let codec_window f =
@@ -806,6 +864,17 @@ let test_cost_components () =
     (Cost_model.syscall_us
        (Call.Stat ("/usr/lib/pkg/deep/sub/leaf", ref None)))
 
+let test_cost_components_match_split =
+  QCheck.Test.make ~name:"path_components = the split-and-filter count"
+    ~count:500
+    QCheck.(
+      make ~print:(fun s -> s)
+        Gen.(string_size ~gen:(oneofl [ '/'; '.'; 'a' ]) (0 -- 12)))
+    (fun p ->
+      let parts = String.split_on_char '/' p in
+      Cost_model.path_components p
+      = List.length (List.filter (fun s -> s <> "" && s <> ".") parts))
+
 let test_cost_known_values () =
   Alcotest.(check int) "getpid 25" 25 (Cost_model.syscall_us Call.Getpid);
   Alcotest.(check int) "gettimeofday 47" 47
@@ -847,6 +916,7 @@ let () =
       [ Alcotest.test_case "roundtrip" `Quick test_call_roundtrip;
         Alcotest.test_case "coverage" `Quick test_builders_cover_interface;
         qtest test_call_roundtrip_exhaustive;
+        qtest test_decode_matches_reference;
         Alcotest.test_case "bad decode" `Quick test_call_decode_bad;
         Alcotest.test_case "classification" `Quick test_call_classification;
         Alcotest.test_case "pp" `Quick test_call_pp;
@@ -886,5 +956,6 @@ let () =
         qtest test_bitset_model ];
       "cost",
       [ Alcotest.test_case "components" `Quick test_cost_components;
+        qtest test_cost_components_match_split;
         Alcotest.test_case "known values" `Quick test_cost_known_values;
         qtest test_cost_read_monotonic ] ]

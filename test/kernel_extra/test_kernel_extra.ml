@@ -154,6 +154,66 @@ let test_umask_applies () =
   in
   check_exit "umask" 0 status
 
+(* Creating and removing calls whose last component is followed by a
+   slash, against the errnos Linux returns: the slash asks for a
+   directory, so only mkdir, rmdir and a directory's rename accept it.
+   Rows run in order; the last checks that no failed row left a name
+   behind. *)
+let test_trailing_slash_table () =
+  let module U = Libc.Unistd in
+  let rows = ref [] in
+  let _, status = boot (fun () ->
+    u "mkdir" (U.mkdir "/tmp/t" 0o755);
+    u "mkdir d" (U.mkdir "/tmp/t/d" 0o755);
+    List.iter
+      (fun f -> u "close" (U.close (u "creat" (U.creat f 0o644))))
+      [ "/tmp/t/file"; "/tmp/t/file2" ];
+    let r = function Ok _ -> "ok" | Error e -> Errno.name e in
+    let creat_flags = Flags.Open.(o_wronly lor o_creat) in
+    List.iter
+      (fun (what, want, f) -> rows := (what, want, f ()) :: !rows)
+      [ ("open new/ O_CREAT", "EISDIR",
+         fun () -> r (U.open_ "/tmp/t/new/" creat_flags 0o644));
+        ("creat c/", "EISDIR", fun () -> r (U.creat "/tmp/t/c/" 0o644));
+        ("unlink file/", "ENOTDIR", fun () -> r (U.unlink "/tmp/t/file/"));
+        ("unlink missing/", "ENOENT",
+         fun () -> r (U.unlink "/tmp/t/missing/"));
+        ("unlink d/", "EISDIR", fun () -> r (U.unlink "/tmp/t/d/"));
+        ("mkfifo f/", "ENOENT", fun () -> r (U.mkfifo "/tmp/t/f/" 0o644));
+        ("mkfifo file/", "EEXIST",
+         fun () -> r (U.mkfifo "/tmp/t/file/" 0o644));
+        ("symlink s/", "ENOENT",
+         fun () -> r (U.symlink ~target:"file" "/tmp/t/s/"));
+        ("symlink file2/", "EEXIST",
+         fun () -> r (U.symlink ~target:"file" "/tmp/t/file2/"));
+        ("link n/", "ENOENT",
+         fun () -> r (U.link ~existing:"/tmp/t/file" "/tmp/t/n/"));
+        ("link file2/", "EEXIST",
+         fun () -> r (U.link ~existing:"/tmp/t/file" "/tmp/t/file2/"));
+        ("rename file x/", "ENOTDIR",
+         fun () -> r (U.rename ~src:"/tmp/t/file" "/tmp/t/x/"));
+        ("rename file/ x", "ENOTDIR",
+         fun () -> r (U.rename ~src:"/tmp/t/file/" "/tmp/t/x"));
+        ("rename file file2/", "ENOTDIR",
+         fun () -> r (U.rename ~src:"/tmp/t/file" "/tmp/t/file2/"));
+        ("rename d dx/", "ok",
+         fun () -> r (U.rename ~src:"/tmp/t/d" "/tmp/t/dx/"));
+        ("mkdir m/", "ok", fun () -> r (U.mkdir "/tmp/t/m/" 0o755));
+        ("rmdir m/", "ok", fun () -> r (U.rmdir "/tmp/t/m/"));
+        ("nothing else created", "ok",
+         fun () ->
+           if List.for_all
+                (fun n -> U.lstat ("/tmp/t/" ^ n) = Error Errno.ENOENT)
+                [ "new"; "c"; "f"; "s"; "n"; "x"; "d"; "m" ]
+           then "ok"
+           else "created") ];
+    0)
+  in
+  check_exit "trailing-slash table" 0 status;
+  List.iter
+    (fun (what, want, got) -> Alcotest.(check string) what want got)
+    (List.rev !rows)
+
 let test_append_interleave () =
   let k, status = boot (fun () ->
     let open_append () =
@@ -1355,7 +1415,9 @@ let () =
         Alcotest.test_case "dir paging" `Quick
           test_getdirentries_small_buffer_pages;
         Alcotest.test_case "rewinddir" `Quick test_lseek_rewinds_directory;
-        Alcotest.test_case "FIONREAD" `Quick test_fionread ];
+        Alcotest.test_case "FIONREAD" `Quick test_fionread;
+        Alcotest.test_case "trailing slash table" `Quick
+          test_trailing_slash_table ];
       "timers",
       [ Alcotest.test_case "alarm replace/cancel" `Quick
           test_alarm_replaced_and_cancelled;

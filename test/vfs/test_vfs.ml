@@ -400,6 +400,120 @@ let test_random_tree =
              | None -> false)
            !dirs)
 
+(* --- namei against the list-walking reference ------------------------------------ *)
+
+let namei_names = [| "a"; "b"; "f"; "s"; "t" |]
+
+(* A small tree built as root from [rng]: directories with modes an
+   unprivileged caller may or may not search, files, and absolute,
+   relative, dangling and looping symlinks.  Returns the fs and its
+   directories' inos. *)
+let namei_tree rng =
+  let fs = Fs.create () in
+  let root = Fs.root_ino fs in
+  let dirs = ref [ "" ] and made = ref [ "/" ] in
+  for _ = 1 to 16 do
+    let parent = Sim.Rng.pick rng (Array.of_list !dirs) in
+    let path = parent ^ "/" ^ Sim.Rng.pick rng namei_names in
+    let ok = function Ok _ -> made := path :: !made | Error _ -> () in
+    let symlink target =
+      ok (Fs.symlink fs Fs.root_cred ~cwd:root ~target path)
+    in
+    match Sim.Rng.int rng 7 with
+    | 0 | 1 ->
+      let perm = Sim.Rng.pick rng [| 0o755; 0o755; 0o700; 0o711; 0o744 |] in
+      (match Fs.mkdir fs Fs.root_cred ~cwd:root path ~perm with
+       | Ok _ -> dirs := path :: !dirs; made := path :: !made
+       | Error _ -> ())
+    | 2 ->
+      ok (Fs.open_lookup fs Fs.root_cred ~cwd:root path
+            ~flags:Flags.Open.(o_wronly lor o_creat) ~perm:0o644)
+    | 3 -> symlink (Sim.Rng.pick rng (Array.of_list !made))
+    | 4 ->
+      symlink
+        (Sim.Rng.pick rng [| "."; ".."; "a"; "../f"; "a/b/"; ""; "/"; "s" |])
+    | 5 -> symlink (Sim.Rng.pick rng [| "/nowhere"; "missing/x"; "f/x" |])
+    | _ ->
+      (* a link to itself, or to a name that may link back *)
+      symlink (Sim.Rng.pick rng [| path; parent ^ "/s"; parent ^ "/t" |])
+  done;
+  let dir_inos =
+    List.filter_map
+      (fun d ->
+        match Fs.resolve fs Fs.root_cred ~cwd:root (if d = "" then "/" else d) with
+        | Ok i when Inode.is_dir i -> Some i.Inode.ino
+        | _ -> None)
+      !dirs
+  in
+  (fs, Array.of_list dir_inos)
+
+(* Paths over the tree's names, ".", ".." and a missing name, joined by
+   one or two slashes, absolute or relative, with or without a trailing
+   slash; now and then a name longer than [max_name], a path longer
+   than [max_path], or a path of slashes and dots only. *)
+let namei_path rng =
+  match Sim.Rng.int rng 16 with
+  | 0 -> "/a/" ^ String.make 256 'n'
+  | 1 -> String.concat "/" (List.init 520 (fun _ -> "a"))
+  | 2 -> Sim.Rng.pick rng [| ""; "/"; "//"; "."; ".."; "./"; "../"; "/." |]
+  | _ ->
+    let comps =
+      List.init (Sim.Rng.int rng 5) (fun _ ->
+          match Sim.Rng.int rng 8 with
+          | 0 -> "."
+          | 1 -> ".."
+          | 2 -> "missing"
+          | _ -> Sim.Rng.pick rng namei_names)
+    in
+    let sep () = if Sim.Rng.int rng 4 = 0 then "//" else "/" in
+    let body =
+      List.fold_left
+        (fun acc c -> if acc = "" then c else acc ^ sep () ^ c)
+        "" comps
+    in
+    (if Sim.Rng.bool rng then "/" else "")
+    ^ body
+    ^ (match Sim.Rng.int rng 4 with 0 -> "/" | 1 -> "//" | _ -> "")
+
+let test_namei_matches_reference =
+  QCheck.Test.make ~name:"resolve and resolve_parent = the list walker"
+    ~count:150
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Sim.Rng.create seed in
+      let fs, dirs = namei_tree rng in
+      let same what path got want =
+        if got <> want then
+          QCheck.Test.fail_reportf "%s %S: got %s, reference %s" what path
+            got want
+      in
+      let show = function
+        | Ok (i : Inode.t) -> Printf.sprintf "ino %d" i.ino
+        | Error e -> Errno.name e
+      in
+      let show_parent = function
+        | Ok ((i : Inode.t), name, slash) ->
+          Printf.sprintf "ino %d, %S, %b" i.ino name slash
+        | Error e -> Errno.name e
+      in
+      for _ = 1 to 40 do
+        let path = namei_path rng in
+        let cwd = Sim.Rng.pick rng dirs in
+        List.iter
+          (fun cred ->
+            List.iter
+              (fun follow_last ->
+                same "resolve" path
+                  (show (Fs.resolve fs cred ~cwd ~follow_last path))
+                  (show (Namei_ref.resolve fs cred ~cwd ~follow_last path)))
+              [ true; false ];
+            same "resolve_parent" path
+              (show_parent (Fs.resolve_parent fs cred ~cwd path))
+              (show_parent (Namei_ref.resolve_parent fs cred ~cwd path)))
+          [ Fs.root_cred; user ]
+      done;
+      true)
+
 (* --- fsck ---------------------------------------------------------------- *)
 
 let fsck_clean what fs =
@@ -507,7 +621,8 @@ let () =
           test_symlink_relative_target;
         Alcotest.test_case "symlink loop" `Quick test_symlink_loop;
         Alcotest.test_case "name too long" `Quick test_name_too_long;
-        Alcotest.test_case "trailing slash" `Quick test_trailing_slash ];
+        Alcotest.test_case "trailing slash" `Quick test_trailing_slash;
+        qtest test_namei_matches_reference ];
       "namespace",
       [ Alcotest.test_case "link/nlink" `Quick test_link_and_nlink;
         Alcotest.test_case "unlink with opens" `Quick

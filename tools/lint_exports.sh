@@ -23,13 +23,28 @@ cd "$(dirname "$0")/.."
 
 allow=tools/exports_allowlist.txt
 
-# The file with its OCaml comments blanked out.  Comments nest, and
-# string and character literals are skipped whole, inside comments as
-# well as outside, as the OCaml lexer does.
-strip_comments() {
+# One awk run over every file.  Each line has its OCaml comments
+# blanked out first: comments nest, and string and character literals
+# are skipped whole, inside comments as well as outside, as the OCaml
+# lexer does; the lexer state resets at each file's first line.  The
+# words of what is left are recorded per file (extension dropped, so
+# <m>.ml and <m>.mli are one module), and every `val` of an .mli under
+# lib/ is an export.  At the end an export is used when another file
+# has both its name and its module's name as words.
+set -- $(find lib bin bench perf examples \( -name '*.ml' -o -name '*.mli' \) \
+  -not -path '*/_build/*' | sort)
+found=$(
   awk '
+    FNR == 1 {
+      depth = 0; str = 0
+      f = FILENAME; sub(/\.mli?$/, "", f)
+      mli = FILENAME ~ /^lib\/.*\.mli$/
+    }
     {
       line = $0; out = ""; n = length(line); i = 1
+      # outside comments and strings, a line that opens no comment and
+      # has no quote is kept as it is
+      if (!depth && !str && line !~ /\(\*|["\047]/) { out = line; i = n + 1 }
       while (i <= n) {
         c = substr(line, i, 1); c2 = substr(line, i, 2); w = 1
         if (str) {
@@ -52,41 +67,33 @@ strip_comments() {
         else out = out " "
         i += w
       }
-      print out
-    }' "$1"
-}
-
-found=$(
-  {
-    find lib bin bench perf examples \( -name '*.ml' -o -name '*.mli' \) \
-      -not -path '*/_build/*' | sort | while IFS= read -r f; do
-      strip_comments "$f" | grep -oE "[A-Za-z_][A-Za-z0-9_']*" | sort -u \
-        | awk -v f="$f" '{ print "W", f, $1 }'
-    done
-    find lib -name '*.mli' | sort | while IFS= read -r f; do
-      strip_comments "$f" \
-        | grep -oE "^[[:space:]]*val[[:space:]]+[a-z_][A-Za-z0-9_']*" \
-        | awk -v f="$f" '{ print "V", f, $2 }'
-    done
-  } | awk '
-    # W <file> <word>: the file (extension dropped) contains the word
-    $1 == "W" {
-      f = $2; sub(/\.mli?$/, "", f)
-      has[f, $3] = 1
-      if (index(files[$3], "|" f "|") == 0) files[$3] = files[$3] "|" f "|"
-      next
+      if (mli &&
+          match(out, /^[[:space:]]*val[[:space:]]+[a-z_][A-Za-z0-9_\047]*/)) {
+        v = substr(out, RSTART, RLENGTH)
+        sub(/^[[:space:]]*val[[:space:]]+/, "", v)
+        nv++; vfile[nv] = f; vname[nv] = v
+      }
+      while (match(out, /[A-Za-z_][A-Za-z0-9_\047]*/)) {
+        word = substr(out, RSTART, RLENGTH)
+        out = substr(out, RSTART + RLENGTH)
+        if (!((f, word) in has)) {
+          has[f, word] = 1; files[word] = files[word] "|" f
+        }
+      }
     }
-    # V <mli> <name>: used if another file has both name and module
-    $1 == "V" {
-      own = $2; sub(/\.mli$/, "", own)
-      m = own; sub(/.*\//, "", m)
-      m = toupper(substr(m, 1, 1)) substr(m, 2)
-      n = split(files[$3], fs, "|")
-      used = 0
-      for (i = 1; i <= n; i++)
-        if (fs[i] != "" && fs[i] != own && has[fs[i], m]) { used = 1; break }
-      if (!used) print $2 ":" $3
-    }' | sort -u
+    END {
+      for (k = 1; k <= nv; k++) {
+        own = vfile[k]; m = own; sub(/.*\//, "", m)
+        m = toupper(substr(m, 1, 1)) substr(m, 2)
+        nf = split(files[vname[k]], fs, "|")
+        used = 0
+        for (i = 1; i <= nf; i++)
+          if (fs[i] != "" && fs[i] != own && ((fs[i], m) in has)) {
+            used = 1; break
+          }
+        if (!used) print own ".mli:" vname[k]
+      }
+    }' "$@" | sort -u
 )
 
 status=0
