@@ -489,8 +489,7 @@ let run agents setups stats feed record replay metrics trace_out trace_format
           exit 2
     in
     let observing =
-      metrics || trace_out <> "" || signature <> "" || flame <> ""
-      || follow || watch <> ""
+      metrics || trace_out <> "" || flame <> "" || follow || watch <> ""
     in
     if observing then begin
       Obs.reset ();
@@ -571,19 +570,25 @@ let run agents setups stats feed record replay metrics trace_out trace_format
     in
     let path = resolve_prog prog in
     let argv = Array.of_list prog_args in
+    let captured = ref Conformance.Signature.empty in
     let status =
       Kernel.boot k ~name:"agentrun" (fun () ->
         List.iter (fun (install, _) -> install ()) installers_reporters;
         (* the signature covers exactly the program's own calls: armed
            after agent installation, disarmed before agent reports *)
-        if signature <> "" then Obs.sig_capture true;
+        let spawn () = Libc.Spawn.run path argv in
+        let spawned =
+          if signature = "" then spawn ()
+          else begin
+            let r, s = Kernel.with_signature k spawn in
+            captured := s;
+            r
+          end
+        in
         let code =
-          match
-            Libc.Spawn.run path argv
-          with
+          match spawned with
           | Ok st when Flags.Wait.wifexited st -> Flags.Wait.wexitstatus st
           | Ok st when Flags.Wait.wifsignaled st ->
-            Obs.sig_capture false;
             ignore
               (Libc.Unistd.write 2
                  (Printf.sprintf "agentrun: program killed by %s\n"
@@ -591,14 +596,12 @@ let run agents setups stats feed record replay metrics trace_out trace_format
             128 + Flags.Wait.wtermsig st
           | Ok _ -> 126
           | Error e ->
-            Obs.sig_capture false;
             ignore
               (Libc.Unistd.write 2
                  (Printf.sprintf "agentrun: %s: %s\n" path
                     (Errno.message e)));
             127
         in
-        Obs.sig_capture false;
         (* reports must be emitted inside the session, before exit *)
         List.iter (fun (_, report) -> report ()) installers_reporters;
         code)
@@ -611,21 +614,19 @@ let run agents setups stats feed record replay metrics trace_out trace_format
          Printf.eprintf "[agentrun] recorded %d journal entries to %s\n"
            r#entries record
      | None -> ());
+    if signature <> "" then begin
+      let s = !captured in
+      (try
+         write_host_file signature (Conformance.Signature.to_string s ^ "\n")
+       with
+       | Sys_error msg -> log_err "agentrun: --signature: %s\n" msg);
+      if stats then
+        Printf.eprintf "[agentrun] wrote %d-call signature to %s\n"
+          (Conformance.Signature.length s)
+          signature
+    end;
     if observing then begin
       Obs.disable ();
-      if signature <> "" then begin
-        let s = Conformance.Signature.of_obs (Obs.sig_events ()) in
-        Obs.sig_clear ();
-        (try
-           write_host_file signature
-             (Conformance.Signature.to_string s ^ "\n")
-         with
-         | Sys_error msg -> log_err "agentrun: --signature: %s\n" msg);
-        if stats then
-          Printf.eprintf "[agentrun] wrote %d-call signature to %s\n"
-            (Conformance.Signature.length s)
-            signature
-      end;
       (* the hook only fires on retired syscalls, so records pushed
          after the last one still need a final flush — before the
          drain below empties the ring *)

@@ -1,5 +1,3 @@
-open Abi
-
 (* A syscall signature: the ordered stream of application-issued traps
    as observed at the user/kernel interface, each reduced to what
    transparency promises to preserve — which call, with what argument
@@ -19,7 +17,7 @@ type event = {
   x_pid : int;
   x_sysno : int;
   x_shape : string;
-  x_outcome : outcome;
+  mutable x_outcome : outcome;  (* Noreturn until its trap returns *)
 }
 
 type t = { sg_events : event list }
@@ -28,25 +26,31 @@ let empty = { sg_events = [] }
 let events t = t.sg_events
 let length t = List.length t.sg_events
 
-let outcome_of_errno errno =
-  if errno = Obs.sig_pending then Noreturn
-  else if errno = 0 then Ok_
-  else Err errno
+let of_events evs = { sg_events = evs }
 
-let of_obs evs =
-  {
-    sg_events =
-      List.map
-        (fun (e : Obs.sig_event) ->
-          {
-            x_seq = e.Obs.g_seq;
-            x_pid = e.Obs.g_pid;
-            x_sysno = e.Obs.g_sysno;
-            x_shape = e.Obs.g_shape;
-            x_outcome = outcome_of_errno e.Obs.g_errno;
-          })
-        evs;
-  }
+(* --- recording ------------------------------------------------------------ *)
+
+(* Newest first.  An event is created when its trap is issued and its
+   outcome is set when the trap returns, so the stream is in issue
+   order and a trap that never returns needs no sentinel. *)
+type recorder = { mutable r_rev : event list; mutable r_n : int }
+
+let recorder () = { r_rev = []; r_n = 0 }
+
+let issue r ~pid env =
+  r.r_n <- r.r_n + 1;
+  let ev =
+    { x_seq = r.r_n; x_pid = pid; x_sysno = Envelope.number env;
+      x_shape = Envelope.shape env; x_outcome = Noreturn }
+  in
+  r.r_rev <- ev :: r.r_rev;
+  ev
+
+let returned ev (res : Value.res) =
+  ev.x_outcome <-
+    (match res with Ok _ -> Ok_ | Error e -> Err (Errno.to_int e))
+
+let recorded r = { sg_events = List.rev r.r_rev }
 
 (* --- outcome rendering -------------------------------------------------- *)
 

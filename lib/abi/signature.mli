@@ -3,23 +3,24 @@
 
     Each application-issued trap contributes one {!event} — its
     position, issuing pid, syscall number, canonical argument shape
-    ({!Abi.Shape}), and errno-level outcome.  Everything value-level
+    ({!Shape}), and errno-level outcome.  Everything value-level
     (payload bytes, timestamps, returned identifiers) is absent by
     construction, so an agent that lawfully rewrites values produces a
     signature {e identical} to the bare run's, while a dropped rewrite,
     a swallowed call, an extra call, or a changed outcome is a visible
     divergence.
 
-    Signatures come from the obs engine's capture tap
-    ([Obs.sig_capture]), which records every instrumented uspace trap
-    exactly — independent of span sampling — so a signature is precise
-    even when the flight recorder keeps 1-in-N spans. *)
+    A signature is the shard's record of its application interface,
+    not observation state: a {!recorder} armed on the kernel
+    ([Kernel.with_signature]) is fed by the uspace trap path, whether
+    the obs engine is off or keeps 1 in N spans, so the same run gives
+    the same signature at any observation setting. *)
 
 (** What the application observed the call do. *)
 type outcome =
   | Ok_            (** succeeded *)
   | Err of int     (** failed with this errno (as an int, so imported
-                       traces can carry errnos outside {!Abi.Errno}) *)
+                       traces can carry errnos outside {!Errno}) *)
   | Noreturn       (** never returned: [exit], successful [execve] *)
   | Masked         (** neutralized by a declared [May_fail] clause
                        during {!normalize} — compares equal to any
@@ -29,8 +30,9 @@ type event = {
   x_seq : int;        (** 1-based position in the capture stream *)
   x_pid : int;
   x_sysno : int;
-  x_shape : string;   (** {!Abi.Shape.of_wire} of the argument vector *)
-  x_outcome : outcome;
+  x_shape : string;   (** {!Shape.of_wire} of the argument vector *)
+  mutable x_outcome : outcome;
+      (** set once, by {!returned}; {!Noreturn} until then *)
 }
 
 type t
@@ -39,9 +41,31 @@ val empty : t
 val events : t -> event list
 val length : t -> int
 
-val of_obs : Obs.sig_event list -> t
-(** Adopt the engine's captured stream ([Obs.sig_events ()]); a still-
-    pending errno (the trap never returned) becomes {!Noreturn}. *)
+val of_events : event list -> t
+(** The signature of these events, in the order given. *)
+
+(** {1 Recording}
+
+    One recorder per capture.  The trap path calls {!issue} when an
+    application trap is issued and {!returned} when it returns, so the
+    stream is in issue order: a call made by a signal handler inside an
+    interrupted call comes after that call.  A trap that never returns
+    ([exit], a successful [execve], a fibre unwound) keeps the
+    {!Noreturn} it was issued with. *)
+
+type recorder
+
+val recorder : unit -> recorder
+
+val issue : recorder -> pid:int -> Envelope.t -> event
+(** Append the next event for this trap, its shape read with
+    {!Envelope.shape} (no codec work), its outcome {!Noreturn}. *)
+
+val returned : event -> Value.res -> unit
+(** Set the event's outcome from the trap's result. *)
+
+val recorded : recorder -> t
+(** The events issued so far, in issue order. *)
 
 val counts : t -> ((int * string * outcome) * int) list
 (** Aggregated (sysno, shape, outcome) → occurrence counts, sorted —
@@ -69,7 +93,7 @@ val outcome_name : outcome -> string
     (renumbering domains are disjoint from their ranges — they map a
     foreign numbering onto the native one). *)
 
-val normalize : Abi.Delta.t -> t -> t
+val normalize : Delta.t -> t -> t
 
 val masked : t -> int
 (** Events carrying {!Masked} (i.e. neutralized during normalization). *)

@@ -1,6 +1,6 @@
 open Abi
 
-module Signature = Signature
+module Signature = Signature (* [Abi.Signature], kept here by name *)
 module Strace = Strace
 
 (* The differential transparency checker: run a workload bare, run it
@@ -11,7 +11,7 @@ module Strace = Strace
    diverging call.
 
    The workload plumbing (kernel construction, image registration,
-   setup, boot) deliberately reuses [Fault.Campaign.workload]: the
+   setup) deliberately reuses [Fault.Campaign.prepare]: the
    conformance matrix sweeps exactly the campaign workloads, and a
    CLI-supplied program is just a workload with a spawn body. *)
 
@@ -166,40 +166,23 @@ type capture = {
   cap_delta : Delta.t;
 }
 
-(* One instrumented run.  The engine switches (enabled, sig-capture)
-   must be on *before* [Kernel.create] so the kernel's private engine
-   copies them; the tap itself is armed only after the stack is
-   installed, so agent construction syscalls stay out of the
-   signature.  Ambient obs state is restored on the way out, exactly
-   as [Fault.Campaign.baseline] does. *)
+(* One run, observation untouched: the shard records the signature
+   itself.  The recorder is armed only once the stack is installed, so
+   agent construction syscalls stay out of the signature. *)
 let capture (w : workload) stack =
-  let was_enabled = Obs.enabled () in
-  Obs.reset ();
-  Obs.enable ();
-  let k = Kernel.create () in
-  Workloads.Scribe.register k;
-  Workloads.Make_cc.register k;
-  Workloads.Kvd.register k;
-  Kernel.populate_standard k;
-  w.Fault.Campaign.w_setup k;
+  let k = Fault.Campaign.prepare w in
   let delta = ref Delta.none in
+  let sg = ref Signature.empty in
   let status =
     Kernel.boot k ~name:(w.Fault.Campaign.w_name ^ "-conform") (fun () ->
       let agents = stack.sk_make () in
       List.iter (fun a -> Toolkit.Loader.install a ~argv:[||]) agents;
       delta := Delta.compose (List.map (fun a -> a#declared_delta) agents);
-      Obs.sig_capture true;
-      let rc = w.Fault.Campaign.w_body () in
-      Obs.sig_capture false;
+      let rc, s = Kernel.with_signature k w.Fault.Campaign.w_body in
+      sg := s;
       rc)
   in
-  let s = Signature.of_obs (Obs.sig_events ()) in
-  Obs.sig_clear ();
-  Obs.sig_capture false;
-  Obs.disable ();
-  Obs.reset ();
-  if was_enabled then Obs.enable ();
-  { cap_sig = s; cap_status = status; cap_delta = !delta }
+  { cap_sig = !sg; cap_status = status; cap_delta = !delta }
 
 (* --- the check ------------------------------------------------------------ *)
 

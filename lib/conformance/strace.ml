@@ -370,45 +370,24 @@ let parse text =
 (* --- trace -> signature --------------------------------------------------- *)
 
 let to_signature ?(pid = 1) tr =
-  let evs =
-    List.mapi
-      (fun i e ->
-        {
-          Signature.x_seq = i + 1;
-          x_pid = pid;
-          x_sysno = e.t_sysno;
-          x_shape = e.t_shape;
-          x_outcome =
-            (if e.t_linux = "execve" && e.t_ret = 0 then Signature.Noreturn
-             else if e.t_linux = "exit" || e.t_linux = "exit_group" then
-               Signature.Noreturn
-             else
-               match e.t_errno with
-               | Some er -> Signature.Err (Errno.to_int er)
-               | None -> Signature.Ok_);
-        })
-      tr.tr_entries
-  in
-  match Signature.of_string
-          (Obs.Json.to_string
-             (Obs.Json.Obj
-                [ ("version", Obs.Json.Int 1);
-                  ("events", Obs.Json.Int (List.length evs));
-                  ("stream",
-                   Obs.Json.Arr
-                     (List.map
-                        (fun (ev : Signature.event) ->
-                          Obs.Json.Arr
-                            [ Obs.Json.Int ev.Signature.x_seq;
-                              Obs.Json.Int ev.x_pid;
-                              Obs.Json.Int ev.x_sysno;
-                              Obs.Json.Str ev.x_shape;
-                              Obs.Json.Str
-                                (Signature.outcome_name ev.x_outcome) ])
-                        evs)) ]))
-  with
-  | Ok s -> s
-  | Error _ -> Signature.empty
+  Signature.of_events
+    (List.mapi
+       (fun i e ->
+         {
+           Signature.x_seq = i + 1;
+           x_pid = pid;
+           x_sysno = e.t_sysno;
+           x_shape = e.t_shape;
+           x_outcome =
+             (if e.t_linux = "execve" && e.t_ret = 0 then Signature.Noreturn
+              else if e.t_linux = "exit" || e.t_linux = "exit_group" then
+                Signature.Noreturn
+              else
+                match e.t_errno with
+                | Some er -> Signature.Err (Errno.to_int er)
+                | None -> Signature.Ok_);
+         })
+       tr.tr_entries)
 
 (* --- trace -> replayable scenario ----------------------------------------- *)
 

@@ -36,8 +36,8 @@ type trace = {
 
 val parse : string -> trace
 
-val to_signature : ?pid:int -> trace -> Signature.t
-(** The trace as a {!Signature.t} (default pid 1: strace of a single
+val to_signature : ?pid:int -> trace -> Abi.Signature.t
+(** The trace as an {!Abi.Signature.t} (default pid 1: strace of a single
     process). *)
 
 val scenario : trace -> unit -> int

@@ -79,7 +79,7 @@ type run = {
   r_desyncs : int;
 }
 
-let execute w ~mode ~sites =
+let prepare w =
   let k = Kernel.create () in
   (* image registration is per-kernel and idempotent; make sure the
      workloads' spawned tools resolve in this run's registry *)
@@ -88,6 +88,10 @@ let execute w ~mode ~sites =
   Workloads.Kvd.register k;
   Kernel.populate_standard k;
   w.w_setup k;
+  k
+
+let execute w ~mode ~sites =
+  let k = prepare w in
   let recorder =
     match mode with
     | Record -> Some (Agents.Record_replay.create_recorder ())

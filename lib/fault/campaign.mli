@@ -31,6 +31,13 @@ val kvd : workload
     oracle pins its deterministic [/kvd/summary] totals *)
 
 val workloads : workload list
+
+val prepare : workload -> Kernel.t
+(** A fresh kernel ready to boot the workload: the scribe, make_cc and
+    kvd images registered, the standard tree populated, then
+    [w_setup].  Every campaign run and every conformance capture starts
+    here. *)
+
 val of_name : string -> workload option
 
 (** How a run interacts with [record_replay]: [Record] journals the

@@ -451,12 +451,27 @@ let feed_console (t : t) s = Dev.Console.feed t.console s
 let echo_console_to (t : t) f = Dev.Console.set_echo t.console f
 
 let elapsed_seconds (t : t) = Sim.Clock.seconds t.clock
-let total_syscalls = Kstate.total_syscalls
+let total_syscalls (t : t) = (Obs.codec_of t.obs).Obs.Codec.traps
 let deadlock_kills (t : t) = t.deadlock_kills
 let shard_id (t : t) = t.shard_id
 
 let registry (t : t) = t.registry
 let register_image (t : t) name image = Registry.register t.registry name image
+
+(* Arm a fresh recorder for the extent of [f]; a recorder armed
+   outside is restored afterwards, and this one's events are lost when
+   [f] raises. *)
+let with_signature (t : t) f =
+  let prev = t.signature in
+  let r = Abi.Signature.recorder () in
+  t.signature <- Some r;
+  match f () with
+  | v ->
+    t.signature <- prev;
+    (v, Abi.Signature.recorded r)
+  | exception e ->
+    t.signature <- prev;
+    raise e
 
 let codec_stats (t : t) = Obs.codec_of t.obs
 let env_pool_stats (t : t) = Obs.env_pool_of t.obs

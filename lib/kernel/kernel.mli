@@ -88,6 +88,16 @@ val boot : t -> name:string -> (unit -> int) -> int
     drives the scheduler to quiescence.  Returns pid 1's wait status
     (see {!Abi.Flags.Wait}).  A kernel can be booted once. *)
 
+val with_signature : t -> (unit -> 'a) -> 'a * Abi.Signature.t
+(** [with_signature t f] runs [f] with a syscall-signature recorder
+    armed on [t] and returns [f]'s result with the signature of every
+    application trap issued on [t] meanwhile, by any process, in issue
+    order ({!Uspace.syscall}, {!Uspace.trap_wire}; never the htg entry
+    points).  Independent of [Obs]: the signature is the same with
+    observation off, sampled or full.  Usually called inside {!boot}'s
+    body, once the agents under test are installed, so their own set-up
+    calls stay out. *)
+
 (** {1 Host-side filesystem setup}
 
     These run outside any simulated process, with root credentials. *)
@@ -117,6 +127,9 @@ val clock : t -> Sim.Clock.t
 val fs : t -> Vfs.Fs.t
 val elapsed_seconds : t -> float
 val total_syscalls : t -> int
+(** Application traps issued on this shard so far: the [traps] field of
+    {!codec_stats}. *)
+
 val deadlock_kills : t -> int
 
 val registry : t -> Registry.t

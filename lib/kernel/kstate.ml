@@ -53,7 +53,7 @@ type t = {
   mutable send : dst:int -> pid:int -> signal:int -> unit;
   mutable trace_hook : (Proc.t -> Call.t -> Value.res -> unit) option;
   mutable trace_hook_cost_us : int;
-  mutable retired_syscalls : int;
+  mutable signature : Signature.recorder option;
   mutable deadlock_kills : int;
   mutable round_trips : int;
   mutable fibres : int;
@@ -92,7 +92,7 @@ let create ?(shard_id = 0) () =
         invalid_arg "Cluster.send: no cluster is running");
     trace_hook = None;
     trace_hook_cost_us = 0;
-    retired_syscalls = 0;
+    signature = None;
     deadlock_kills = 0;
     round_trips = 0;
     fibres = 0;
@@ -155,10 +155,6 @@ let live_procs t =
       | Proc.Runnable | Proc.Parked _ | Proc.Stopped -> p :: acc)
     t.procs []
   |> List.sort (fun (a : Proc.t) b -> compare a.pid b.pid)
-
-let total_syscalls t =
-  Hashtbl.fold (fun _ (p : Proc.t) acc -> acc + p.syscall_count)
-    t.procs t.retired_syscalls
 
 (* --- fibres and the run queue ------------------------------------------- *)
 
@@ -603,8 +599,6 @@ and do_exit t (p : Proc.t) status =
      cancel_timers_for t p.pid;
      p.state <- Proc.Zombie;
      p.exit_status <- status;
-     t.retired_syscalls <- t.retired_syscalls + p.syscall_count;
-     p.syscall_count <- 0;
      (* orphans go to init (pid 1), zombies among them reaped on the
         spot when init is dead or gone; init's own orphans keep it as
         their parent and self-reap when they exit *)

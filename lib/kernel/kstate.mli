@@ -75,7 +75,9 @@ type t = {
           installs it; a solo kernel's raises [Invalid_argument]) *)
   mutable trace_hook : (Proc.t -> Abi.Call.t -> Abi.Value.res -> unit) option;
   mutable trace_hook_cost_us : int;
-  mutable retired_syscalls : int;
+  mutable signature : Abi.Signature.recorder option;
+      (** the armed syscall-signature recorder ([Kernel.with_signature]):
+          every application trap on this shard is issued into it *)
   mutable deadlock_kills : int;
   mutable round_trips : int;
       (** run-queue entries the scheduler has taken: every trap or CPU
@@ -130,7 +132,6 @@ val reap : t -> Proc.t -> unit
     unreaped processes — zombies included, self-reaped exits not. *)
 
 val live_procs : t -> Proc.t list
-val total_syscalls : t -> int
 
 module Log : Logs.LOG
 (** The ["kernel"] log source. *)

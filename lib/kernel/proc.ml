@@ -72,7 +72,6 @@ type t = {
   mutable deliver : int list;
   mutable exit_status : int;
   mutable alarm_at : int option;
-  mutable syscall_count : int;
   mutable utime_us : int;
   mutable stime_us : int;
   env_pool : Abi.Envelope.Pool.t option;
@@ -105,7 +104,6 @@ let create ~pid ~ppid ~pgrp ~name ~cred ~cwd =
       deliver = [];
       exit_status = 0;
       alarm_at = None;
-      syscall_count = 0;
       utime_us = 0;
       stime_us = 0;
       env_pool = Some (Abi.Envelope.Pool.create ()) }
@@ -139,7 +137,6 @@ let fork_copy t ~pid ~name =
       deliver = [];
       exit_status = 0;
       alarm_at = None;
-      syscall_count = 0;
       utime_us = 0;
       stime_us = 0;
       (* The pool is a cache, not address-space state: the child starts

@@ -101,7 +101,6 @@ type t = {
           returns (also the answer to a yielded CPU charge) *)
   mutable exit_status : int;    (** wait-status encoding, valid in Zombie *)
   mutable alarm_at : int option;
-  mutable syscall_count : int;  (** total traps, for accounting *)
   mutable utime_us : int;       (** virtual user time (cpu_work, agent work) *)
   mutable stime_us : int;       (** virtual system time (in-kernel call cost) *)
   env_pool : Abi.Envelope.Pool.t option;

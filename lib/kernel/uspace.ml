@@ -145,9 +145,7 @@ let cpu_charge (proc : Proc.t) us : int list =
    trap: an empty slot (or a number outside the table) goes straight to
    the kernel, which answers unknown numbers with ENOSYS; an installed
    handler pays the interception charge and runs. *)
-let trap_raw (env : Envelope.t) : Value.res =
-  let proc = self () in
-  proc.syscall_count <- proc.syscall_count + 1;
+let vector_trap (proc : Proc.t) (env : Envelope.t) : Value.res =
   let num = Envelope.number env in
   let vector = proc.emul.vector in
   let handler =
@@ -164,27 +162,29 @@ let trap_raw (env : Envelope.t) : Value.res =
      | sigs -> deliver proc sigs);
     h env
 
-(* The trap proper, inside its span.  The signature tap piggybacks on
-   the span stream: one event per application-issued trap, shape
-   computed only while capture is on (and without marking the wire
-   exposed — [Envelope.shape]).  Independent of the sampler, so
-   signature counts stay exact at any 1-in-N rate.  A trap that never
-   returns here (exit, exec) keeps its pending outcome. *)
-let in_span (proc : Proc.t) ~sysno span (env : Envelope.t) =
+(* An application-issued trap, with observation on or off: the one
+   place the shard's signature recorder is fed (DESIGN.md §3.7).  The
+   event is issued before dispatch, so a call made by a signal handler
+   inside this one comes after it, and gets its outcome when the trap
+   returns; exit and a successful execve never return and stay
+   [Noreturn].  Agent-originated calls take the htg entry points and
+   never come here. *)
+let trap_raw (proc : Proc.t) (env : Envelope.t) : Value.res =
+  match (Kstate.Ambient.get_exn ()).signature with
+  | None -> vector_trap proc env
+  | Some r ->
+    let ev = Signature.issue r ~pid:proc.pid env in
+    let res = vector_trap proc env in
+    Signature.returned ev res;
+    res
+
+(* The trap proper, inside its span. *)
+let in_span (proc : Proc.t) span (env : Envelope.t) =
   Envelope.set_span env span;
-  let sev =
-    if Obs.sig_capturing () then
-      Some (Obs.sig_note ~pid:proc.pid ~sysno (Envelope.shape env))
-    else None
-  in
-  let res = trap_raw env in
+  let res = trap_raw proc env in
   (* Normal completion only: on an exception the wire may still be
      referenced by whoever threw, so it is left to the GC. *)
   Envelope.release env;
-  (match sev with
-   | Some ev ->
-     Obs.sig_done ev ~errno:(match res with Ok _ -> 0 | Error e -> Errno.to_int e)
-   | None -> ());
   res
 
 (* Open a span around one trap.  The envelope is built *inside* the
@@ -196,7 +196,7 @@ let in_span (proc : Proc.t) ~sysno span (env : Envelope.t) =
 let instrumented (proc : Proc.t) ~sysno build arg =
   let span = Obs.span_begin ~pid:proc.pid ~sysno in
   let fr = Obs.layer_enter ~span "uspace" in
-  match in_span proc ~sysno span (build proc arg) with
+  match in_span proc span (build proc arg) with
   | res ->
     leave_layer fr;
     Obs.span_end span ~error:(Result.is_error res);
@@ -211,16 +211,10 @@ let instrumented (proc : Proc.t) ~sysno build arg =
     Obs.span_end span ~error:true;
     raise e
 
-let trap (env : Envelope.t) : Value.res =
-  (* re-entrant traps (an envelope already inside a span) and the
-     tracing-off fast path skip straight to the raw trap *)
-  if (not (Obs.enabled ())) || Envelope.span env <> 0 then trap_raw env
-  else instrumented (self ()) ~sysno:(Envelope.number env) (fun _ env -> env) env
-
 let trap_wire w =
-  if not (Obs.enabled ()) then trap_raw (Envelope.of_wire w)
-  else
-    instrumented (self ()) ~sysno:w.Value.num (fun _ w -> Envelope.of_wire w) w
+  let proc = self () in
+  if not (Obs.enabled ()) then trap_raw proc (Envelope.of_wire w)
+  else instrumented proc ~sysno:w.Value.num (fun _ w -> Envelope.of_wire w) w
 
 (* the application/system boundary is untyped: encode here, and let the
    first interested layer below (agent or kernel) do the one decode;
@@ -229,13 +223,14 @@ let trap_wire w =
 let at_boundary (proc : Proc.t) c = Envelope.at_boundary ?pool:proc.env_pool c
 
 let syscall c =
+  let proc = self () in
   if not (Obs.enabled ()) then begin
-    let env = at_boundary (self ()) c in
-    let res = trap_raw env in
+    let env = at_boundary proc c in
+    let res = trap_raw proc env in
     Envelope.release env;
     res
   end
-  else instrumented (self ()) ~sysno:(Call.number c) at_boundary c
+  else instrumented proc ~sysno:(Call.number c) at_boundary c
 
 let htg_trap env = enter_kernel ~via:Events.Htg (self ()) env
 

@@ -18,17 +18,21 @@
     handler is interposed, a "kernel" frame around the raw trap), so
     per-layer latency and codec attribution work even at interposition
     depth 0.  With tracing off the instrumentation is a single flag
-    check — no virtual time is ever charged for observation. *)
+    check — no virtual time is ever charged for observation.
 
-val trap : Abi.Envelope.t -> Abi.Value.res
-(** Make a system call carried in a decode-once envelope.  Counts
-    toward the calling process's syscall statistics; pays the 30 µs
-    interception cost when an emulation handler is installed for the
-    number. *)
+    The two application entry points, {!trap_wire} and {!syscall}, are
+    also where the shard's syscall signature is recorded while one is
+    armed ([Kernel.with_signature]), with tracing on or off: one
+    [Abi.Signature] event per trap, issued as the trap is made and
+    given its outcome when it returns.  The htg entry points never
+    record, so a signature is exactly the interface the application
+    sees. *)
 
 val trap_wire : Abi.Value.wire -> Abi.Value.res
-(** Numeric-form convenience: wraps the vector in a fresh envelope and
-    {!trap}s it. *)
+(** Numeric-form application trap: wraps the vector in a fresh
+    envelope.  Counts toward the shard's trap statistics; pays the
+    30 µs interception cost when an emulation handler is installed for
+    the number. *)
 
 val syscall : Abi.Call.t -> Abi.Value.res
 (** Typed application-boundary call.  The call is encoded immediately

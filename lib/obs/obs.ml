@@ -150,25 +150,6 @@ type layer_agg = {
   la_hist : Hist.t; (* per-frame self time *)
 }
 
-(* ---------- signature capture ---------- *)
-
-(* One application-issued trap in the syscall-signature stream
-   (conformance).  The errno outcome is patched in place when the trap
-   completes; a trap that never returns to its instrumentation (exit,
-   exec, an exception unwinding the fibre) keeps the pending sentinel,
-   which serializes as a distinct "noreturn" outcome — deterministic,
-   so two runs of the same workload agree on it. *)
-
-type sig_event = {
-  g_seq : int;
-  g_pid : int;
-  g_sysno : int;
-  g_shape : string;
-  mutable g_errno : int; (* sig_pending until patched; 0 = success *)
-}
-
-let sig_pending = -1
-
 (* ---------- causal bookkeeping (DESIGN.md §3.9) ---------- *)
 
 (* Per-pipe byte-offset watermarks.  Writes append absolute byte
@@ -211,14 +192,6 @@ type engine = {
   mutable e_completed : int;
   mutable e_aborted : int;
   mutable e_injected : int;
-  (* signature capture: a configuration switch (copied by [engine_like]
-     so the configure-then-create order works) plus the captured event
-     stream, newest first.  Capture is independent of the sampler — a
-     signature is a record of what the application observed, not a
-     latency sample — so counts stay exact at any 1-in-N rate. *)
-  mutable e_sig_on : bool;
-  mutable e_sig_rev : sig_event list;
-  mutable e_sig_n : int;
   (* causal bookkeeping (DESIGN.md §3.9): which shard this engine
      belongs to (stamped into every edge it records) and the pending
      half-edges — forks waiting for the child's first span, pending
@@ -270,9 +243,6 @@ let engine ?(ring_capacity = default_ring_capacity) () =
     e_completed = 0;
     e_aborted = 0;
     e_injected = 0;
-    e_sig_on = false;
-    e_sig_rev = [];
-    e_sig_n = 0;
     e_shard = 0;
     e_pending_fork = Hashtbl.create 16;
     e_pending_sig = Hashtbl.create 16;
@@ -303,7 +273,6 @@ let engine_like src =
   e.e_sample_n <- src.e_sample_n;
   e.e_sample_seed <- src.e_sample_seed;
   e.e_sample_rng <- Sim.Rng.create src.e_sample_seed;
-  e.e_sig_on <- src.e_sig_on;
   e
 
 (* The installed (current-shard) engine: the single allowlisted piece
@@ -380,41 +349,6 @@ let note_injected () =
   let e = !cur in
   if e.e_on then e.e_injected <- e.e_injected + 1
 
-(* ---------- signature capture (conformance) ---------- *)
-
-let sig_capture on =
-  let e = !cur in
-  e.e_sig_on <- on
-
-let sig_capturing () =
-  let e = !cur in
-  e.e_on && e.e_sig_on
-
-(* Called by [Uspace.in_span] only — the application-issued trap
-   stream.  Agent-originated calls descend through the htg entry points
-   and never reach this, so the capture is exactly the interface the
-   application observes.  Like [note_injected], the sampler does not
-   apply: signature counts are exact at any rate. *)
-let sig_note ~pid ~sysno shape =
-  let e = !cur in
-  e.e_sig_n <- e.e_sig_n + 1;
-  let ev =
-    { g_seq = e.e_sig_n; g_pid = pid; g_sysno = sysno; g_shape = shape;
-      g_errno = sig_pending }
-  in
-  e.e_sig_rev <- ev :: e.e_sig_rev;
-  ev
-
-let sig_done ev ~errno = ev.g_errno <- errno
-
-let sig_events_of e = List.rev e.e_sig_rev
-let sig_events () = sig_events_of !cur
-
-let sig_clear () =
-  let e = !cur in
-  e.e_sig_rev <- [];
-  e.e_sig_n <- 0
-
 let reset () =
   let e = !cur in
   Hashtbl.reset e.e_spans;
@@ -425,8 +359,6 @@ let reset () =
   e.e_completed <- 0;
   e.e_aborted <- 0;
   e.e_injected <- 0;
-  e.e_sig_rev <- [];
-  e.e_sig_n <- 0;
   Hashtbl.reset e.e_pending_fork;
   Hashtbl.reset e.e_pending_sig;
   Hashtbl.reset e.e_pipes;

@@ -25,7 +25,12 @@
     stack exists only to answer {!current}.  Observation charges no
     virtual time: enabling tracing moves no published µs figure.  When
     disabled ({!enabled}[ = false]) every entry point is a cheap no-op
-    (span id 0). *)
+    (span id 0).
+
+    Syscall signatures (conformance) are not kept here: they are the
+    kernel shard's record of its application interface
+    ([Abi.Signature], armed by [Kernel.with_signature]), exact with
+    observation off or sampled. *)
 
 module Ring = Ring
 module Hist = Hist
@@ -256,59 +261,6 @@ val record_mark : ?span:int -> ?pid:int -> kind:string -> detail:string -> unit 
     defaults to the context hook's current process.  Used for signal
     deliveries and injected-fault instants; span aborts push their own
     mark. *)
-
-(** {1 Signature capture}
-
-    The syscall-signature tap behind [lib/conformance]: with capture on
-    (and the engine enabled), [Uspace.in_span] appends one
-    {!sig_event} per {e application-issued} trap — ordinal, pid, sysno,
-    the canonical arg shape ([Abi.Shape], passed in as an opaque string
-    since obs sits below [abi]) — and patches the errno outcome in when
-    the trap completes.  Agent-originated calls descend through the htg
-    entry points, which never open spans and never reach the tap, so
-    the stream is exactly the interface the application observes.
-
-    Like {!note_injected}, capture ignores the 1-in-N sampler: a
-    signature records events of record, not latency samples, so its
-    counts are exact at any sampling rate.  The capture switch is
-    engine {e configuration} (copied by {!engine_like}, so the usual
-    configure-then-[Kernel.create] order works); the captured stream is
-    data (cleared by {!reset}, never copied). *)
-
-type sig_event = {
-  g_seq : int;            (** 1-based issue ordinal, whole session *)
-  g_pid : int;
-  g_sysno : int;
-  g_shape : string;       (** canonical arg-shape classes *)
-  mutable g_errno : int;  (** 0 success, >0 errno code, {!sig_pending}
-                              for a trap that never returned (exit,
-                              exec, fibre unwound) *)
-}
-
-val sig_pending : int
-
-val sig_capture : bool -> unit
-(** Switch capture on the installed engine (effective only while the
-    engine is also {!enable}d, since the tap lives inside the span
-    instrumentation). *)
-
-val sig_capturing : unit -> bool
-(** Whether the installed engine is enabled with capture on — the
-    uspace tap's one-branch fast-path test, and the guard callers use
-    before paying for shape computation. *)
-
-val sig_note : pid:int -> sysno:int -> string -> sig_event
-(** Append an event with a pending outcome; returns it for {!sig_done}
-    to patch.  [Uspace.in_span] only. *)
-
-val sig_done : sig_event -> errno:int -> unit
-
-val sig_events : unit -> sig_event list
-(** The captured stream in issue order. *)
-
-val sig_clear : unit -> unit
-(** Drop captured events (the switch is untouched); {!reset} also
-    clears them. *)
 
 val note_injected : unit -> unit
 (** An agent deliberately injected a fault into the current trap.

@@ -17,8 +17,8 @@ let some_sysnos =
 
 let some_shapes = [ ""; "i3"; "i3,b2^9,i2^9"; "p2.mss,i0,i2^8"; "tv"; "st" ]
 
-(* raw obs events: errno −1 (pending) renders as a Noreturn outcome *)
-let gen_obs_events =
+(* raw event tuples: errno −1 is a Noreturn outcome, 0 success *)
+let gen_raw_events =
   QCheck.Gen.(
     list_size (int_range 0 40)
       (map
@@ -30,21 +30,21 @@ let gen_obs_events =
             (pair (int_range 0 7) (pair (int_range 0 5) (int_range (-1) 40))))))
 
 let signature_of_raw raw =
-  (* replay the raw tuples through the engine tap so x_seq is assigned
-     the way capture assigns it *)
-  let evs =
-    List.mapi
-      (fun i (pid, sysno, shape, errno) ->
-        { Obs.g_seq = i + 1; g_pid = pid; g_sysno = sysno; g_shape = shape;
-          g_errno = (if errno > 40 then 0 else errno) })
-      raw
-  in
-  Sig.of_obs evs
+  (* x_seq numbered the way the recorder numbers issued traps *)
+  Sig.of_events
+    (List.mapi
+       (fun i (pid, sysno, shape, errno) ->
+         { Sig.x_seq = i + 1; x_pid = pid; x_sysno = sysno; x_shape = shape;
+           x_outcome =
+             (if errno = -1 then Sig.Noreturn
+              else if errno = 0 then Sig.Ok_
+              else Sig.Err errno) })
+       raw)
 
 let arb_signature =
   QCheck.make
     ~print:(fun raw -> Sig.to_string (signature_of_raw raw))
-    gen_obs_events
+    gen_raw_events
 
 (* realistic deltas only: renumbering tables map a foreign range onto
    the native one (domains disjoint from ranges), which is the
@@ -77,7 +77,7 @@ let arb_sig_and_delta =
   QCheck.make
     ~print:(fun (raw, d) ->
       Sig.to_string (signature_of_raw raw) ^ " / " ^ Delta.to_string d)
-    QCheck.Gen.(pair gen_obs_events gen_delta)
+    QCheck.Gen.(pair gen_raw_events gen_delta)
 
 let events_equal a b = Sig.events a = Sig.events b
 
@@ -256,14 +256,90 @@ let test_mutant_flagged () =
          (ev.Sig.x_outcome = Sig.Err (Errno.to_int Errno.EIO))
      | None -> Alcotest.fail "no under-stack event in the divergence")
 
+(* A capture under one observation setting, on an engine of its own:
+   [None] leaves observation off, [Some n] keeps 1 in n spans.  Also
+   returns the traps the capture's engine opened spans for (exact at
+   any rate), so an observed capture is seen to have observed. *)
+let capture_observed sample w stack =
+  Obs.with_engine (Obs.engine ()) (fun () ->
+    (match sample with
+     | None -> ()
+     | Some n ->
+       Obs.set_sampling n;
+       Obs.enable ());
+    let c = Conformance.capture w stack in
+    let spans =
+      List.fold_left
+        (fun n (m : Obs.syscall_metrics) -> n + m.Obs.sm_calls)
+        0 (Obs.metrics ()).Obs.m_syscalls
+    in
+    (c, spans))
+
 let test_capture_exact_under_sampling () =
-  let full = Conformance.capture scribe Conformance.bare in
-  let was = Obs.sampling () in
-  Obs.set_sampling 16;
-  let sampled = Conformance.capture scribe Conformance.bare in
-  Obs.set_sampling was;
-  Alcotest.(check bool) "sampling does not thin the signature" true
-    (events_equal full.Conformance.cap_sig sampled.Conformance.cap_sig)
+  List.iter
+    (fun (w : Fault.Campaign.workload) ->
+      List.iter
+        (fun stack ->
+          let name =
+            Printf.sprintf "%s under %s" w.Fault.Campaign.w_name
+              stack.Conformance.sk_name
+          in
+          let off, off_spans = capture_observed None w stack in
+          Alcotest.(check int) (name ^ ": no spans with obs off") 0 off_spans;
+          Alcotest.(check bool) (name ^ ": calls captured") true
+            (Sig.length off.Conformance.cap_sig > 0);
+          List.iter
+            (fun n ->
+              let c, spans = capture_observed (Some n) w stack in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: spans at 1-in-%d" name n) true
+                (spans > 0);
+              Alcotest.(check string)
+                (Printf.sprintf "%s: same bytes at 1-in-%d" name n)
+                (Sig.to_string off.Conformance.cap_sig)
+                (Sig.to_string c.Conformance.cap_sig);
+              Alcotest.(check int)
+                (Printf.sprintf "%s: same status at 1-in-%d" name n)
+                off.Conformance.cap_status c.Conformance.cap_status)
+            [ 1; 256 ])
+        Conformance.all_stacks)
+    Fault.Campaign.workloads
+
+(* Issue order and outcomes the trap path alone decides: a getpid made
+   by the SIGALRM handler inside the interrupted sleep comes after the
+   sleep (whose EINTR is set only when it returns), a child's exit
+   after the wait4 already blocked on it, and exit and a successful
+   execve never return. *)
+let test_capture_pins () =
+  let w =
+    Conformance.workload_of_body ~name:"pins"
+      ~setup:Workloads.Progs.install_all (fun () ->
+        ignore
+          (Libc.Unistd.signal Signal.sigalrm
+             (Value.H_fn (fun _ -> ignore (Libc.Unistd.getpid ()))));
+        ignore (Libc.Unistd.alarm 1);
+        ignore (Libc.Unistd.sleep_us 10_000_000);
+        let wait_for child =
+          match Libc.Unistd.fork ~child with
+          | Ok pid -> ignore (Libc.Unistd.waitpid pid 0)
+          | Error _ -> ()
+        in
+        wait_for (fun () ->
+          ignore (Libc.Unistd.execv "/bin/true" [| "true" |]);
+          1);
+        wait_for (fun () -> Libc.Unistd._exit 3);
+        0)
+  in
+  let c = Conformance.capture w Conformance.bare in
+  let line (ev : Sig.event) =
+    Printf.sprintf "%d %s %s" ev.Sig.x_pid (Sysno.name ev.Sig.x_sysno)
+      (Sig.outcome_name ev.Sig.x_outcome)
+  in
+  Alcotest.(check (list string)) "issue order and outcomes"
+    [ "1 sigaction ok"; "1 alarm ok"; "1 sleepus EINTR"; "1 getpid ok";
+      "1 fork ok"; "2 execve noreturn"; "1 wait4 ok"; "2 exit noreturn";
+      "1 fork ok"; "3 exit noreturn"; "1 wait4 ok" ]
+    (List.map line (Sig.events c.Conformance.cap_sig))
 
 let test_of_spec () =
   (match Conformance.of_spec "trace,crypt" with
@@ -542,6 +618,8 @@ let () =
             test_agent_deltas_declared;
           Alcotest.test_case "trace text is the ring" `Quick
             test_trace_text_is_ring;
+          Alcotest.test_case "capture pins issue order and noreturn" `Quick
+            test_capture_pins;
         ] );
       ( "remap",
         [

@@ -803,7 +803,7 @@ let test_sampling_exact_counts_across_rates () =
 
 (* --- merge_metrics -------------------------------------------------------- *)
 
-let hist_of_observations obs =
+let hist_from_observations obs =
   let h = Obs.Hist.create () in
   List.iter (Obs.Hist.observe h) obs;
   h
@@ -822,7 +822,7 @@ let metrics_gen =
       let* obs = list_size (int_range 0 12) observation in
       return
         { Obs.sm_sysno = sysno; sm_calls = calls; sm_errors = min errors calls;
-          sm_hist = hist_of_observations obs }
+          sm_hist = hist_from_observations obs }
     in
     let lm_gen =
       let* depth = int_range 0 2 in
@@ -833,7 +833,7 @@ let metrics_gen =
       return
         { Obs.lm_depth = depth; lm_layer = layer; lm_traps = traps;
           lm_decodes = traps; lm_encodes = traps; lm_rewrites = 0;
-          lm_self_us = self; lm_total_us = self; lm_hist = hist_of_observations obs }
+          lm_self_us = self; lm_total_us = self; lm_hist = hist_from_observations obs }
     in
     let dedup key l =
       List.sort_uniq (fun a b -> compare (key a) (key b)) l
