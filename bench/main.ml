@@ -556,11 +556,12 @@ let uninterested_cost depth =
       0)
     (fun _ -> ignore (Libc.Unistd.getpid ()))
 
-(* Real-allocation probe over a hot loop under four uninterested
-   agents: minor words per trap (host-side, not virtual, but a pure
-   function of the code path), envelope-pool hit/recycle accounting and
-   the fast-path counter over the same window.  [prepare] builds the
-   loop's state and [iter] performs [tpi] traps; the pool is warmed
+(* Real-allocation probe over a hot loop under an agent stack: minor
+   words per trap (host-side, not virtual, but a pure function of the
+   code path), envelope-pool hit/recycle accounting and the fast-path
+   counter over the same window.  [prepare] builds the loop's state
+   before [install] stacks the agents, so a descriptor it opens is one
+   no agent tracks, and [iter] performs [tpi] traps; the pool is warmed
    first so the window sees the steady state. *)
 type alloc_report = {
   al_traps : int;
@@ -569,14 +570,14 @@ type alloc_report = {
   al_codec : Obs.Codec.t;    (* diff over the window *)
 }
 
-let alloc_probe ~tpi ~prepare ~iter =
+let alloc_probe ~install ~tpi ~prepare ~iter =
   let iters = 2000 in
   let k = fresh () in
   let report = ref None in
   let _ =
     Kernel.boot k ~name:"alloc" (fun () ->
-      install_uninterested 4;
       let st = prepare () in
+      install ();
       for _ = 1 to 64 do
         iter st
       done;
@@ -601,14 +602,14 @@ let alloc_probe ~tpi ~prepare ~iter =
   | None -> failwith "alloc probe session died"
 
 let alloc_getpid () =
-  alloc_probe ~tpi:1
+  alloc_probe ~install:(fun () -> install_uninterested 4) ~tpi:1
     ~prepare:(fun () -> ())
     ~iter:(fun () -> ignore (Libc.Unistd.getpid ()))
 
 (* rewind + 64-byte read: the descriptor-path counterpart (buffer
    argument on the wire, data copied back per trap) *)
 let alloc_read () =
-  alloc_probe ~tpi:2
+  alloc_probe ~install:(fun () -> install_uninterested 4) ~tpi:2
     ~prepare:(fun () ->
       (match
          Libc.Unistd.open_ "/tmp/alloc-read"
@@ -625,6 +626,29 @@ let alloc_read () =
     ~iter:(fun (fd, buf) ->
       ignore (Libc.Unistd.lseek fd 0 0);
       ignore (Libc.Unistd.read fd buf 64))
+
+(* The interested counterparts, under kvd's sandbox + crypt + trace
+   stack: every layer handles the call, and trace writes one line per
+   call to its sink, a descriptor sandbox and crypt do not track.  The
+   application's own write goes to /dev/null opened before the stack,
+   so it too crosses every descriptor layer untracked. *)
+let install_stacked () =
+  List.iter
+    (fun a -> Toolkit.Loader.install a ~argv:[||])
+    (Conformance.stacked.Conformance.sk_make ())
+
+let stacked_getpid_alloc () =
+  alloc_probe ~install:install_stacked ~tpi:1
+    ~prepare:(fun () -> ())
+    ~iter:(fun () -> ignore (Libc.Unistd.getpid ()))
+
+let stacked_write_alloc () =
+  alloc_probe ~install:install_stacked ~tpi:1
+    ~prepare:(fun () ->
+      match Libc.Unistd.open_ "/dev/null" Flags.Open.o_wronly 0 with
+      | Ok fd -> (fd, String.make 64 'w')
+      | Error e -> failwith ("alloc write open: " ^ Errno.name e))
+    ~iter:(fun (fd, data) -> ignore (Libc.Unistd.write fd data))
 
 let alloc_json (a : alloc_report) =
   let open Obs.Json in
@@ -772,31 +796,48 @@ let uninterested_baseline_us = 25.0
    per getpid, pool warm, tracing off).  Measured 13.0 words/trap once
    the kernel half of a trap ran on the calling fibre (DESIGN.md §3.8
    "Direct kernel entry"), and 11.0 once a pooled envelope stored the
-   option around its owned wire once per record; what remains is the
-   call's result and the dispatch outcome around it — the envelope
-   record and its wire are recycled.  Every trap through the scheduler's run queue cost 56.0,
-   so the ceiling sits at 18: a trap that performs an effect again, or
-   a pool that stops recycling (+7 words for the envelope record
-   alone), trips the gate, while 5 words of headroom absorb compiler
-   drift. *)
-let minor_words_ceiling = 18.0
+   option around its owned wire once per record, and 2.0 once the
+   kernel read the memoized call without boxing it and returned its
+   small results as shared outcomes; the envelope record and its wire
+   are recycled.  Every trap through the scheduler's run queue cost
+   56.0, so the ceiling sits at 7 (it was 18 before the last step): a
+   trap that performs an effect again, a pool that stops recycling (+7
+   words for the envelope record alone) or a result built per trap
+   again (+7) trips the gate, while 5 words of headroom absorb
+   compiler drift. *)
+let minor_words_ceiling = 7.0
 
 (* The lseek+read counterpart's ceiling, in minor words per trap at
    depth 4 with the pool warm.  Measured 111.0 with wires pooled but
    each envelope record still allocated, 59.0 once records were pooled,
    and 31.0 once decode matched each argument slot once instead of
    chaining a closure, an option and a result per argument (DESIGN.md
-   §3.3).  The ceiling sits at 40: a decoder that allocates per
-   argument again (+26 words for each of these 3-argument calls) trips
-   it, while 9 words of headroom absorb compiler drift. *)
-let read_words_ceiling = 40.0
+   §3.3), and 25.5 once the kernel read the memoized call unboxed and
+   lseek's zero offset came back as a shared outcome.  The ceiling sits
+   at 34 (it was 40): a decoder that allocates per argument again (+26
+   words for each of these 3-argument calls) trips it, while 8.5 words
+   of headroom absorb compiler drift. *)
+let read_words_ceiling = 34.0
+
+(* The interested crossings' ceilings, in minor words per trap under
+   sandbox + crypt + trace with the pool warm and obs off.  Measured
+   136.0 (getpid) and 197.0 (64-byte write to an untracked descriptor)
+   while each descriptor layer routed an untracked call through two
+   closures, each symbolic layer boxed the memoized call it read, and
+   every success built its result; 53.0 and 95.0 since none of them
+   does.  Each ceiling leaves 10 words of headroom for compiler drift,
+   one word short of the 11 that one layer's routing closures would
+   add back on a single descriptor crossing. *)
+let stacked_getpid_words_ceiling = 63.0
+let stacked_write_words_ceiling = 105.0
 
 (* Reaping gate: init reaps N exited children with wait4(-1) at two
    sizes.  Measured 101 minor words/wait at 500 children and 109 at
    2000 once wait4 read the caller's child index (DESIGN.md §3.6
    "Process tree"), 99 and 107 since the pooled boundary envelope stops
-   allocating an option per trap, and 83 and 91 since decode reads each
-   argument slot once; the table scan and sort it replaced
+   allocating an option per trap, 83 and 91 since decode reads each
+   argument slot once, and 81 and 89 since the kernel reads the
+   decoded call unboxed; the table scan and sort it replaced
    cost 8185 and 38441, 4.7x apart.  The ceiling leaves ~50% headroom for compiler
    drift, and the ratio bound catches any per-wait cost that grows with
    the number of children. *)
@@ -852,6 +893,8 @@ let ablations_schema =
                ("spans", Int); ("est_spans", Int); ("p50_us", Int);
                ("p90_us", Int); ("p99_us", Int) ]) );
       ("uninterested_read_alloc", alloc);
+      ("stacked_getpid_alloc", alloc);
+      ("stacked_write_alloc", alloc);
       ( "reap",
         Arr_nonempty (Obj [ ("children", Int); ("minor_words_per_wait", Num) ])
       );
@@ -1149,6 +1192,18 @@ let ablations fail =
   if ar.al_minor_words_per_trap > read_words_ceiling then
     fail "lseek+read: %.1f minor words/trap exceeds the %.0f ceiling"
       ar.al_minor_words_per_trap read_words_ceiling;
+  let sg = stacked_getpid_alloc () and sw = stacked_write_alloc () in
+  List.iter
+    (fun (what, (a : alloc_report), ceiling) ->
+      Printf.printf
+        "%s under sandbox+crypt+trace: %.1f minor words/trap (ceiling %.0f)\n"
+        what a.al_minor_words_per_trap ceiling;
+      if a.al_minor_words_per_trap > ceiling then
+        fail "%s under sandbox+crypt+trace: %.1f minor words/trap exceeds \
+              the %.0f ceiling"
+          what a.al_minor_words_per_trap ceiling)
+    [ ("getpid", sg, stacked_getpid_words_ceiling);
+      ("write to an untracked fd", sw, stacked_write_words_ceiling) ];
   let small, large = reap_children in
   let reap = List.map (fun n -> (n, reap_probe n)) [ small; large ] in
   List.iter
@@ -1321,6 +1376,8 @@ let ablations fail =
              [ ("none", base); ("null", null); ("syscount", counting);
                ("recorder", recording); ("dfs_trace", dfs) ]) );
       ("uninterested_read_alloc", alloc_json ar);
+      ("stacked_getpid_alloc", alloc_json sg);
+      ("stacked_write_alloc", alloc_json sw);
       ( "reap",
         Arr
           (List.map

@@ -4,7 +4,7 @@
 type view =
   | Undecoded
   | Typed of Call.t
-  | Undecodable of Errno.t
+  | Failed of Errno.t
 
 type t = {
   mutable num : int;
@@ -185,10 +185,15 @@ let set_span t s = t.span <- s
 
 let number t = t.num
 
-let call t =
+exception Undecodable of Errno.t
+
+(* The memoized view itself, not a result boxed around it: every layer
+   below the first decode reads the stored [Call.t] without allocating.
+   A failed decode is memoized too and re-raised on each read. *)
+let typed t =
   match t.view with
-  | Typed c -> Ok c
-  | Undecodable e -> Error e
+  | Typed c -> c
+  | Failed e -> raise_notrace (Undecodable e)
   | Undecoded -> (
     let w =
       match t.wire with
@@ -199,10 +204,12 @@ let call t =
     match Call.decode w with
     | Ok c ->
       t.view <- Typed c;
-      Ok c
+      c
     | Error e ->
-      t.view <- Undecodable e;
-      Error e)
+      t.view <- Failed e;
+      raise_notrace (Undecodable e))
+
+let call t = match typed t with c -> Ok c | exception Undecodable e -> Error e
 
 let wire t =
   t.exposed <- true;
@@ -219,7 +226,7 @@ let wire t =
       let w = Call.encode c in
       t.wire <- Some w;
       w
-    | Undecoded | Undecodable _ -> assert false (* no wire implies Typed *))
+    | Undecoded | Failed _ -> assert false (* no wire implies Typed *))
 
 let peek_wire t =
   (match t.wire with Some _ -> t.exposed <- true | None -> ());
@@ -236,16 +243,16 @@ let shape t =
   | None -> (
     match t.view with
     | Typed c -> Shape.of_call c
-    | Undecoded | Undecodable _ -> "?")
+    | Undecoded | Failed _ -> "?")
 
 let nargs t =
   match t.wire with
-  | Some w -> Some (Array.length w.Value.args)
-  | None -> None
+  | Some w -> Array.length w.Value.args
+  | None -> 0
 
 let decoded t =
   match t.view with
-  | Typed _ | Undecodable _ -> true
+  | Typed _ | Failed _ -> true
   | Undecoded -> false
 
 let dirty t = t.wire = None
@@ -253,7 +260,7 @@ let dirty t = t.wire = None
 let pp fmt t =
   match t.view with
   | Typed c -> Call.pp fmt c
-  | Undecodable e ->
+  | Failed e ->
     Format.fprintf fmt "<undecodable syscall %d: %s>" t.num (Errno.name e)
   | Undecoded -> (
     match t.wire with

@@ -117,14 +117,23 @@ val call : t -> (Call.t, Errno.t) result
     for an unknown number, [EFAULT] for malformed arguments; the
     failure itself is memoized. *)
 
+exception Undecodable of Errno.t
+
+val typed : t -> Call.t
+(** {!call} without the result box: the memoized [Call.t] itself
+    (physically the same value on every read), decoding once if
+    necessary.  Raises [Undecodable e] where {!call} returns [Error e].
+    The trap path reads through this, so a layer below the first
+    decode allocates nothing to see the call. *)
+
 val wire : t -> Value.wire
 (** The untyped view, encoding (once) if necessary. *)
 
 val peek_wire : t -> Value.wire option
 (** The wire form only if already materialized — never encodes. *)
 
-val nargs : t -> int option
-(** Arity of the wire form, if materialized. *)
+val nargs : t -> int
+(** Arity of the wire form; 0 when no wire is materialized. *)
 
 val shape : t -> string
 (** The {!Shape} classification of the argument vector, computed from
@@ -153,7 +162,7 @@ val pp : Format.formatter -> t -> unit
     (0 when tracing is off), stamped at construction from
     [Obs.current ()] and inherited by envelopes agents build mid-trap
     via {!of_call}.  Codec work on the envelope — the decode in
-    {!call}, the encodes in {!wire} and {!at_boundary} — is attributed
+    {!typed}, the encodes in {!wire} and {!at_boundary} — is attributed
     to whichever layer frame is innermost on that span when it
     happens, which is what gives bench its per-layer codec table. *)
 

@@ -39,17 +39,17 @@ class descriptor_set =
        | Error _ -> ());
       res
 
-    (* Routing: go through the descriptor object when the slot is
-       tracked; untouched pass-through otherwise. *)
-    method private route
-        : 'a. int -> (Objects.descriptor -> Value.res)
-          -> (unit -> Value.res) -> Value.res =
-      fun fd via fallback ->
-        match self#descriptor_of fd with
-        | Some d ->
-          Boilerplate.charge Cost_model.descriptor_layer_us;
-          via d
-        | None -> fallback ()
+    (* The tracked descriptor behind [fd], charging the descriptor
+       layer when there is one: a descriptor call goes through its
+       object then, and passes through untouched otherwise.  The slot
+       is read and returned as stored, so an untracked descriptor
+       crosses this layer without allocating. *)
+    method private tracked fd =
+      match self#descriptor_of fd with
+      | Some _ as slot ->
+        Boilerplate.charge Cost_model.descriptor_layer_us;
+        slot
+      | None -> None
 
     method! sys_open path flags mode =
       self#track_new_fd ~path:(Some path) ~flags
@@ -114,42 +114,44 @@ class descriptor_set =
       | None -> super#sys_close fd
 
     method! sys_read fd buf cnt =
-      self#route fd
-        (fun d -> d#read buf cnt)
-        (fun () -> super#sys_read fd buf cnt)
+      match self#tracked fd with
+      | Some d -> d#read buf cnt
+      | None -> super#sys_read fd buf cnt
 
     method! sys_write fd data =
-      self#route fd
-        (fun d -> d#write data)
-        (fun () -> super#sys_write fd data)
+      match self#tracked fd with
+      | Some d -> d#write data
+      | None -> super#sys_write fd data
 
     method! sys_lseek fd off whence =
-      self#route fd
-        (fun d -> d#lseek off whence)
-        (fun () -> super#sys_lseek fd off whence)
+      match self#tracked fd with
+      | Some d -> d#lseek off whence
+      | None -> super#sys_lseek fd off whence
 
     method! sys_fstat fd r =
-      self#route fd
-        (fun d -> d#fstat r)
-        (fun () -> super#sys_fstat fd r)
+      match self#tracked fd with
+      | Some d -> d#fstat r
+      | None -> super#sys_fstat fd r
 
     method! sys_getdirentries fd buf =
-      self#route fd
-        (fun d -> d#getdirentries buf)
-        (fun () -> super#sys_getdirentries fd buf)
+      match self#tracked fd with
+      | Some d -> d#getdirentries buf
+      | None -> super#sys_getdirentries fd buf
 
     method! sys_ftruncate fd len =
-      self#route fd
-        (fun d -> d#ftruncate len)
-        (fun () -> super#sys_ftruncate fd len)
+      match self#tracked fd with
+      | Some d -> d#ftruncate len
+      | None -> super#sys_ftruncate fd len
 
     method! sys_fsync fd =
-      self#route fd (fun d -> d#fsync) (fun () -> super#sys_fsync fd)
+      match self#tracked fd with
+      | Some d -> d#fsync
+      | None -> super#sys_fsync fd
 
     method! sys_ioctl fd op buf =
-      self#route fd
-        (fun d -> d#ioctl op buf)
-        (fun () -> super#sys_ioctl fd op buf)
+      match self#tracked fd with
+      | Some d -> d#ioctl op buf
+      | None -> super#sys_ioctl fd op buf
   end
 
 class pathname_set =

@@ -12,17 +12,15 @@ class symbolic_syscall =
        below rides the memoized view for free. *)
     method! syscall (env : Envelope.t) : Value.res =
       let fresh = not (Envelope.decoded env) in
-      match Envelope.call env with
-      | Error Errno.ENOSYS -> self#unknown_syscall env
-      | Error e -> Error e
-      | Ok call ->
+      match Envelope.typed env with
+      | exception Envelope.Undecodable Errno.ENOSYS -> self#unknown_syscall env
+      | exception Envelope.Undecodable e -> Error e
+      | call ->
         (* first symbolic layer pays the full decode; lower layers pay
            only the virtual-method dispatch on the memoized view *)
         Kernel.Uspace.cpu_work
           (if fresh then
-             Cost_model.symbolic_decode_us
-               ~nargs:
-                 (match Envelope.nargs env with Some n -> n | None -> 0)
+             Cost_model.symbolic_decode_us ~nargs:(Envelope.nargs env)
            else Cost_model.numeric_dispatch_us);
         self#dispatch_call call
 

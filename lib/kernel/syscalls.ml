@@ -1,7 +1,17 @@
 open Abi
 open Kstate
 
-let done_ret ?r1 v = Done (Value.ret ?r1 v)
+(* Built once and never written: the shared outcomes [done_ret] hands
+   out (see the interface for why sharing is safe). *)
+let shared_rets = Array.init Proc.fd_table_size (fun v -> Done (Value.ret v))
+
+let done_ret ?(r1 = 0) v =
+  if r1 = 0 && v >= 0 && v < Proc.fd_table_size then shared_rets.(v)
+  else
+    (* built in place: passing [~r1] on to [Value.ret]'s optional
+       argument would box it in a [Some] per call *)
+    Done (Ok { Value.r0 = v; r1 })
+
 let fail e = Done (Error e)
 
 let of_unit = function
@@ -1145,11 +1155,11 @@ let base_cost (via : Events.via) call =
 let serve ?via t (p : Proc.t) env =
   (* decode-once: if any agent above already materialized the typed
      view, this is a memoized read, not a second decode *)
-  match Envelope.call env with
-  | Error e ->
+  match Envelope.typed env with
+  | exception Envelope.Undecodable e ->
     if Option.is_some via then charge t Cost_model_base.trivial_us;
     Done (Error e)
-  | Ok call ->
+  | call ->
     (match via with
      | Some via ->
        let cost = base_cost via call in

@@ -8,6 +8,13 @@
 
 val dispatch : Kstate.t -> Proc.t -> Abi.Call.t -> Kstate.outcome
 
+val done_ret : ?r1:int -> int -> Kstate.outcome
+(** [Done (Value.ret ?r1 v)], the outcome of a success.  For [r1 = 0]
+    and [0 <= v < Proc.fd_table_size] (descriptor numbers, zero
+    statuses, short byte counts) it is a value built once and shared by
+    every trap, so such a success allocates nothing: kernel results are
+    immutable and never compared physically. *)
+
 val serve :
   ?via:Events.via -> Kstate.t -> Proc.t -> Abi.Envelope.t -> Kstate.outcome
 (** One trap's kernel work: decode the envelope (a memoized read when

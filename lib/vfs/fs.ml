@@ -413,18 +413,32 @@ let open_finish t cred ~flags ~created (inode : Inode.t) =
     Ok (inode, created)
   end
 
+(* With O_CREAT, Linux answers EISDIR for a name followed by a slash
+   once its parent resolves, whether or not the name exists, and for an
+   existing directory without O_EXCL; "/", "." and ".." are no names to
+   create, so they get the existing-directory answers. *)
 let open_lookup t cred ~cwd path ~flags ~perm =
   let open Flags.Open in
+  let creat = flags land o_creat <> 0 in
   match resolve t cred ~cwd path with
-  | Ok inode ->
-    if flags land o_creat <> 0 && flags land o_excl <> 0 then
-      Error Errno.EEXIST
+  | Ok inode when creat ->
+    let slash_name =
+      path.[String.length path - 1] = '/'
+      && (match resolve_parent t cred ~cwd path with
+          | Ok (_, _, slash) -> slash
+          | Error _ -> false)
+    in
+    if slash_name then Error Errno.EISDIR
+    else if flags land o_excl <> 0 then Error Errno.EEXIST
+    else if Inode.is_dir inode then Error Errno.EISDIR
     else open_finish t cred ~flags ~created:false inode
-  | Error Errno.ENOENT when flags land o_creat <> 0 -> (
+  | Ok inode -> open_finish t cred ~flags ~created:false inode
+  | Error ((Errno.ENOENT | Errno.ENOTDIR) as err) when creat -> (
     match resolve_parent t cred ~cwd path with
     | Error e -> Error e
-    (* a new name with a trailing slash asks for a directory *)
+    (* a name with a trailing slash asks for a directory *)
     | Ok (_, _, true) -> Error Errno.EISDIR
+    | Ok _ when err = Errno.ENOTDIR -> Error err
     | Ok (parent, name, false) ->
       (* re-check: the final component may exist as a dangling symlink *)
       match lookup_in parent name with

@@ -571,6 +571,65 @@ let test_envelope_undecodable_memoized () =
   in
   Alcotest.(check int) "failure decoded once" 1 d.Obs.Codec.decodes
 
+(* [typed] is [call] without the result box: one decode, then the
+   physically same [Call.t] on every read, and the errno [call]
+   returns raised as [Undecodable], whichever way the envelope was
+   born. *)
+let test_envelope_typed_read () =
+  List.iter
+    (fun c ->
+      List.iter
+        (fun (birth, env, decodes) ->
+          let what s =
+            Printf.sprintf "%s %s: %s" birth (Sysno.name (Call.number c)) s
+          in
+          let first, d =
+            codec_window (fun () ->
+              let a = Envelope.typed env in
+              let b = Envelope.typed env in
+              Alcotest.(check bool) (what "reads share the call") true (a == b);
+              Alcotest.(check bool) (what "call boxes the same call") true
+                (match Envelope.call env with
+                 | Ok x -> x == a
+                 | Error _ -> false);
+              a)
+          in
+          Alcotest.(check int) (what "decodes") decodes d.Obs.Codec.decodes;
+          Alcotest.(check bool) (what "the call") true (first = c))
+        [ ("wire-born", Envelope.of_wire (Call.encode c), 1);
+          ("call-born", Envelope.of_call c, 0);
+          ("boundary", Envelope.at_boundary c, 1) ])
+    [ Call.Getpid; Call.Close 3; Call.Write (1, "abc"); Call.Lseek (4, 0, 2) ];
+  List.iter
+    (fun (what, w, errno) ->
+      let env = Envelope.of_wire w in
+      let raised () =
+        match Envelope.typed env with
+        | _ -> Alcotest.failf "%s: decoded" what
+        | exception Envelope.Undecodable e -> e
+      in
+      let (), d =
+        codec_window (fun () ->
+          Alcotest.(check string) (what ^ " errno") (Errno.name errno)
+            (Errno.name (raised ()));
+          Alcotest.(check string) (what ^ " memoized errno") (Errno.name errno)
+            (Errno.name (raised ()));
+          Alcotest.(check bool) (what ^ " agrees with call") true
+            (Envelope.call env = Error errno))
+      in
+      Alcotest.(check int) (what ^ " decoded once") 1 d.Obs.Codec.decodes)
+    [ ("unknown number", { Value.num = 9999; args = [||] }, Errno.ENOSYS);
+      ( "string for a descriptor",
+        { Value.num = Sysno.sys_close; args = [| Value.Str "x" |] },
+        Errno.EFAULT );
+      ( "missing argument",
+        { Value.num = Sysno.sys_write; args = [| Value.Int 1 |] },
+        Errno.EFAULT ) ];
+  Alcotest.(check int) "nargs of a wire-less envelope" 0
+    (Envelope.nargs (Envelope.of_call (Call.Lseek (4, 0, 2))));
+  Alcotest.(check int) "nargs of a wire" 3
+    (Envelope.nargs (Envelope.of_wire (Call.encode (Call.Lseek (4, 0, 2)))))
+
 (* --- envelope pool: the boundary wire a pooled record owns ------------------- *)
 
 let pool_window f =
@@ -928,6 +987,7 @@ let () =
           test_envelope_of_call_lazy_encode;
         Alcotest.test_case "boundary" `Quick
           test_envelope_boundary_drops_view;
+        Alcotest.test_case "typed read" `Quick test_envelope_typed_read;
         Alcotest.test_case "undecodable memoized" `Quick
           test_envelope_undecodable_memoized ];
       "pool",

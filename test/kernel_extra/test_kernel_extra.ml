@@ -156,7 +156,8 @@ let test_umask_applies () =
 
 (* Creating and removing calls whose last component is followed by a
    slash, against the errnos Linux returns: the slash asks for a
-   directory, so only mkdir, rmdir and a directory's rename accept it.
+   directory, so only mkdir, rmdir and a directory's rename accept it,
+   and O_CREAT of a directory (or of any name with a slash) is EISDIR.
    Rows run in order; the last checks that no failed row left a name
    behind. *)
 let test_trailing_slash_table () =
@@ -170,11 +171,37 @@ let test_trailing_slash_table () =
       [ "/tmp/t/file"; "/tmp/t/file2" ];
     let r = function Ok _ -> "ok" | Error e -> Errno.name e in
     let creat_flags = Flags.Open.(o_wronly lor o_creat) in
+    let excl_flags = Flags.Open.(o_wronly lor o_creat lor o_excl) in
     List.iter
       (fun (what, want, f) -> rows := (what, want, f ()) :: !rows)
       [ ("open new/ O_CREAT", "EISDIR",
          fun () -> r (U.open_ "/tmp/t/new/" creat_flags 0o644));
         ("creat c/", "EISDIR", fun () -> r (U.creat "/tmp/t/c/" 0o644));
+        ("open d O_RDONLY|O_CREAT", "EISDIR",
+         fun () -> r (U.open_ "/tmp/t/d" Flags.Open.o_creat 0o644));
+        ("open d O_WRONLY|O_CREAT", "EISDIR",
+         fun () -> r (U.open_ "/tmp/t/d" creat_flags 0o644));
+        ("open d O_CREAT|O_EXCL", "EEXIST",
+         fun () -> r (U.open_ "/tmp/t/d" excl_flags 0o644));
+        ("open d/ O_CREAT|O_EXCL", "EISDIR",
+         fun () -> r (U.open_ "/tmp/t/d/" excl_flags 0o644));
+        ("open d/. O_RDONLY|O_CREAT", "EISDIR",
+         fun () -> r (U.open_ "/tmp/t/d/." Flags.Open.o_creat 0o644));
+        ("open d/./ O_CREAT|O_EXCL", "EEXIST",
+         fun () -> r (U.open_ "/tmp/t/d/./" excl_flags 0o644));
+        ("open file/ O_RDONLY|O_CREAT", "EISDIR",
+         fun () -> r (U.open_ "/tmp/t/file/" Flags.Open.o_creat 0o644));
+        ("open file/ O_WRONLY|O_CREAT", "EISDIR",
+         fun () -> r (U.open_ "/tmp/t/file/" creat_flags 0o644));
+        ("open file/ O_CREAT|O_EXCL", "EISDIR",
+         fun () -> r (U.open_ "/tmp/t/file/" excl_flags 0o644));
+        ("open file/x O_CREAT", "ENOTDIR",
+         fun () -> r (U.open_ "/tmp/t/file/x" creat_flags 0o644));
+        ("open file O_CREAT", "ok",
+         fun () ->
+           match U.open_ "/tmp/t/file" creat_flags 0o644 with
+           | Ok fd -> r (U.close fd)
+           | Error e -> Errno.name e);
         ("unlink file/", "ENOTDIR", fun () -> r (U.unlink "/tmp/t/file/"));
         ("unlink missing/", "ENOENT",
          fun () -> r (U.unlink "/tmp/t/missing/"));
@@ -1337,6 +1364,28 @@ let test_wait4_matches_table_scan =
         steps;
       true)
 
+(* --- shared kernel results ------------------------------------------------------------ *)
+
+(* [done_ret] hands the commonest successes out as shared outcomes;
+   each must equal the fresh [Done (Value.ret ?r1 v)] it replaces,
+   inside the shared range (r1 = 0, 0 <= v < fd_table_size) and outside
+   it, negatives included, and inside it two calls must return the one
+   shared value. *)
+let test_done_ret_shared =
+  let gen =
+    QCheck.(
+      pair
+        (option (int_range (-3) 3))
+        (oneof [ int_range (-70) 70; int ]))
+  in
+  QCheck.Test.make ~name:"done_ret equals a fresh Done" ~count:2000 gen
+    (fun (r1, v) ->
+      let got = Kernel.Syscalls.done_ret ?r1 v in
+      got = Kstate.Done (Value.ret ?r1 v)
+      && (not
+            ((r1 = None || r1 = Some 0) && v >= 0 && v < Proc.fd_table_size)
+          || got == Kernel.Syscalls.done_ret v))
+
 (* --- the process table holds only unreaped processes ------------------------------------- *)
 
 (* (entries, entries in state Reaped) *)
@@ -1487,4 +1536,6 @@ let () =
         Alcotest.test_case "parent exits unwaited" `Quick
           test_table_parent_exits_unwaited;
         Alcotest.test_case "orphans outlive init" `Quick
-          test_table_orphans_outlive_init ] ]
+          test_table_orphans_outlive_init ];
+      "results",
+      [ QCheck_alcotest.to_alcotest test_done_ret_shared ] ]

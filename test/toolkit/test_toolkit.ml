@@ -309,6 +309,77 @@ let test_directory_object_iteration () =
   Alcotest.(check (list string)) "iterated" [ "one"; "three"; "two" ]
     !listing
 
+(* The descriptor layer's virtual charges, pinned: under a plain
+   descriptor_set agent each descriptor call on a tracked fd pays
+   [descriptor_layer_us] once on top of what the same call costs on an
+   untracked fd (one opened before the agent), which pays nothing for
+   the layer.  The per-call virtual µs were taken before the layer's
+   routing was rewritten without closures, so a dropped or doubled
+   charge fails against them. *)
+let test_descriptor_layer_charges () =
+  let module U = Libc.Unistd in
+  let k = fresh_kernel () in
+  Kernel.write_file k ~path:"/tmp/data" (String.make 256 'd');
+  Kernel.mkdir_p k "/tmp/dir";
+  Kernel.write_file k ~path:"/tmp/dir/entry" "e";
+  let now () = Sim.Clock.elapsed_us (Kernel.clock k) in
+  let agent =
+    object (self)
+      inherit Toolkit.Sets.descriptor_set
+      method! init _ = self#register_interest_all
+    end
+  in
+  let rows = ref [] in
+  let status =
+    boot_k k (fun () ->
+      let open_pair () =
+        ( check_ok "open data" (U.open_ "/tmp/data" Flags.Open.o_rdwr 0),
+          check_ok "open dir" (U.open_ "/tmp/dir" Flags.Open.o_rdonly 0) )
+      in
+      let untracked = open_pair () in
+      Toolkit.Loader.install agent ~argv:[||];
+      let tracked = open_pair () in
+      let buf = Bytes.create 512 in
+      let cost (fd, dir) op =
+        let t0 = now () in
+        (match op with
+         | `Read -> ignore (check_ok "read" (U.read fd buf 64))
+         | `Write -> ignore (check_ok "write" (U.write fd "0123456789"))
+         | `Lseek -> ignore (check_ok "lseek" (U.lseek fd 0 0))
+         | `Fstat -> ignore (check_ok "fstat" (U.fstat fd))
+         | `Getdirentries ->
+           ignore (check_ok "getdirentries" (U.getdirentries dir buf)));
+        now () - t0
+      in
+      List.iter
+        (fun (name, op) ->
+          let u = cost untracked op in
+          let t = cost tracked op in
+          rows := (name, u, t) :: !rows)
+        [ ("read", `Read); ("write", `Write); ("lseek", `Lseek);
+          ("fstat", `Fstat); ("getdirentries", `Getdirentries) ];
+      List.iter
+        (fun (fd, dir) ->
+          ignore (check_ok "close" (U.close fd));
+          ignore (check_ok "close" (U.close dir)))
+        [ untracked; tracked ];
+      0)
+  in
+  check_exit "exit" 0 status;
+  (* (call, untracked µs, tracked µs) *)
+  let pinned =
+    [ ("read", 315, 327); ("write", 303, 315); ("lseek", 216, 228);
+      ("fstat", 284, 296); ("getdirentries", 382, 394) ]
+  in
+  List.iter2
+    (fun (name, u, t) (_, pu, pt) ->
+      Alcotest.(check int) (name ^ " untracked µs") pu u;
+      Alcotest.(check int) (name ^ " tracked µs") pt t;
+      Alcotest.(check int)
+        (name ^ " pays the layer once")
+        Cost_model.descriptor_layer_us (t - u))
+    (List.rev !rows) pinned
+
 let test_interests_registration () =
   let a = new Toolkit.numeric_syscall in
   a#register_interest Sysno.sys_read;
@@ -697,7 +768,9 @@ let () =
           test_descriptor_tracking_dup;
         Alcotest.test_case "pathname remap" `Quick test_pathname_remap;
         Alcotest.test_case "directory iteration" `Quick
-          test_directory_object_iteration ];
+          test_directory_object_iteration;
+        Alcotest.test_case "descriptor layer charges" `Quick
+          test_descriptor_layer_charges ];
       "fastpath",
       [ Alcotest.test_case "uninterested traps" `Quick
           test_fast_path_uninterested;
