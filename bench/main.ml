@@ -650,6 +650,38 @@ let stacked_write_alloc () =
       | Error e -> failwith ("alloc write open: " ^ Errno.name e))
     ~iter:(fun (fd, data) -> ignore (Libc.Unistd.write fd data))
 
+(* A warm rewind + getdirentries over a 64-entry directory at depth 0,
+   with a buffer that takes the whole listing in one call: the listing
+   is encoded from the directory's map straight into the buffer. *)
+let alloc_getdirentries () =
+  alloc_probe ~install:(fun () -> ()) ~tpi:2
+    ~prepare:(fun () ->
+      let dir = "/tmp/alloc-dir" in
+      (match Libc.Unistd.mkdir dir 0o755 with
+       | Ok () -> ()
+       | Error e -> failwith ("alloc dir mkdir: " ^ Errno.name e));
+      for i = 0 to 63 do
+        match Libc.Stdio.write_file (Printf.sprintf "%s/entry%02d" dir i) "" with
+        | Ok () -> ()
+        | Error e -> failwith ("alloc dir entry: " ^ Errno.name e)
+      done;
+      match Libc.Unistd.open_ dir 0 0 with
+      | Ok fd -> (fd, Bytes.create 2048)
+      | Error e -> failwith ("alloc dir open: " ^ Errno.name e))
+    ~iter:(fun (fd, buf) ->
+      ignore (Libc.Unistd.lseek fd 0 0);
+      ignore (Libc.Unistd.getdirentries fd buf))
+
+(* fork + the child's exit + wait4 under kvd's stack: the child shares
+   the parent's emulation vector and starts with an empty envelope
+   pool. *)
+let stacked_fork_alloc () =
+  alloc_probe ~install:install_stacked ~tpi:3
+    ~prepare:(fun () -> ())
+    ~iter:(fun () ->
+      ignore (Libc.Unistd.fork ~child:(fun () -> 0));
+      ignore (Libc.Unistd.wait ()))
+
 let alloc_json (a : alloc_report) =
   let open Obs.Json in
   Obj
@@ -831,6 +863,19 @@ let read_words_ceiling = 34.0
 let stacked_getpid_words_ceiling = 63.0
 let stacked_write_words_ceiling = 105.0
 
+(* Calls that pay only for what they return (DESIGN.md §3.8), in minor
+   words per trap with obs off.  A warm rewind + getdirentries over a
+   64-entry directory at depth 0 measured 1232.5 while each call folded
+   the directory into a sorted list, and 36.5 since it encodes from the
+   name map in place.  fork + exit + wait4 under sandbox + crypt +
+   trace measured 346.5 while each child copied the 182-slot emulation
+   vector and a 64-slot pool stack, and 267.5 since it shares the one
+   and grows the other.  Each ceiling leaves 10 words of headroom, as
+   the interested crossings' do; either copy back (61 and 18 words per
+   trap) trips the fork ceiling. *)
+let getdirentries_words_ceiling = 47.0
+let stacked_fork_words_ceiling = 278.0
+
 (* Reaping gate: init reaps N exited children with wait4(-1) at two
    sizes.  Measured 101 minor words/wait at 500 children and 109 at
    2000 once wait4 read the caller's child index (DESIGN.md §3.6
@@ -895,6 +940,8 @@ let ablations_schema =
       ("uninterested_read_alloc", alloc);
       ("stacked_getpid_alloc", alloc);
       ("stacked_write_alloc", alloc);
+      ("getdirentries_alloc", alloc);
+      ("stacked_fork_alloc", alloc);
       ( "reap",
         Arr_nonempty (Obj [ ("children", Int); ("minor_words_per_wait", Num) ])
       );
@@ -1192,7 +1239,16 @@ let ablations fail =
   if ar.al_minor_words_per_trap > read_words_ceiling then
     fail "lseek+read: %.1f minor words/trap exceeds the %.0f ceiling"
       ar.al_minor_words_per_trap read_words_ceiling;
-  let sg = stacked_getpid_alloc () and sw = stacked_write_alloc () in
+  let gd = alloc_getdirentries () in
+  Printf.printf
+    "rewind+getdirentries of 64 entries at depth 0: %.1f minor words/trap \
+     (ceiling %.0f)\n"
+    gd.al_minor_words_per_trap getdirentries_words_ceiling;
+  if gd.al_minor_words_per_trap > getdirentries_words_ceiling then
+    fail "rewind+getdirentries: %.1f minor words/trap exceeds the %.0f ceiling"
+      gd.al_minor_words_per_trap getdirentries_words_ceiling;
+  let sg = stacked_getpid_alloc () and sw = stacked_write_alloc ()
+  and sf = stacked_fork_alloc () in
   List.iter
     (fun (what, (a : alloc_report), ceiling) ->
       Printf.printf
@@ -1203,7 +1259,8 @@ let ablations fail =
               the %.0f ceiling"
           what a.al_minor_words_per_trap ceiling)
     [ ("getpid", sg, stacked_getpid_words_ceiling);
-      ("write to an untracked fd", sw, stacked_write_words_ceiling) ];
+      ("write to an untracked fd", sw, stacked_write_words_ceiling);
+      ("fork+exit+wait4", sf, stacked_fork_words_ceiling) ];
   let small, large = reap_children in
   let reap = List.map (fun n -> (n, reap_probe n)) [ small; large ] in
   List.iter
@@ -1378,6 +1435,8 @@ let ablations fail =
       ("uninterested_read_alloc", alloc_json ar);
       ("stacked_getpid_alloc", alloc_json sg);
       ("stacked_write_alloc", alloc_json sw);
+      ("getdirentries_alloc", alloc_json gd);
+      ("stacked_fork_alloc", alloc_json sf);
       ( "reap",
         Arr
           (List.map

@@ -4,24 +4,26 @@ let header_len = 8
 
 let align4 n = (n + 3) land lnot 3
 
-let reclen e = align4 (header_len + String.length e.d_name)
+let record_len name = align4 (header_len + String.length name)
 
-let fits buf ~pos e = pos + reclen e <= Bytes.length buf
+let fits buf ~pos e = pos + record_len e.d_name <= Bytes.length buf
 
-let encode buf ~pos e =
-  let rl = reclen e in
+let encode_name buf ~pos ~ino name =
+  let rl = record_len name in
   if pos + rl > Bytes.length buf then
     invalid_arg "Dirent.encode: buffer too small";
-  let nl = String.length e.d_name in
-  Bytes.set_int32_le buf pos (Int32.of_int e.d_ino);
+  let nl = String.length name in
+  Bytes.set_int32_le buf pos (Int32.of_int ino);
   Bytes.set_uint16_le buf (pos + 4) rl;
   Bytes.set_uint16_le buf (pos + 6) nl;
-  Bytes.blit_string e.d_name 0 buf (pos + header_len) nl;
+  Bytes.blit_string name 0 buf (pos + header_len) nl;
   (* zero the padding so encodings are deterministic *)
   for i = pos + header_len + nl to pos + rl - 1 do
     Bytes.set buf i '\000'
   done;
   pos + rl
+
+let encode buf ~pos e = encode_name buf ~pos ~ino:e.d_ino e.d_name
 
 let decode buf ~pos ~limit =
   if pos + header_len > limit then None
@@ -33,14 +35,6 @@ let decode buf ~pos ~limit =
     else
       let name = Bytes.sub_string buf (pos + header_len) nl in
       Some ({ d_ino = ino; d_name = name }, pos + rl)
-
-let encode_list buf entries =
-  let rec go pos = function
-    | [] -> pos, []
-    | e :: rest when fits buf ~pos e -> go (encode buf ~pos e) rest
-    | rest -> pos, rest
-  in
-  go 0 entries
 
 let decode_all buf ~len =
   let rec go pos acc =

@@ -18,12 +18,18 @@
 
 type t = { d_ino : int; d_name : string }
 
-val reclen : t -> int
-(** Encoded size of one entry, including padding. *)
+val record_len : string -> int
+(** [record_len name]: the encoded size ([d_reclen]) of an entry named
+    [name], including padding. *)
 
 val encode : Bytes.t -> pos:int -> t -> int
 (** [encode buf ~pos e] writes [e] at [pos] and returns the new
     position.  Raises [Invalid_argument] if it does not fit. *)
+
+val encode_name : Bytes.t -> pos:int -> ino:int -> string -> int
+(** [encode_name buf ~pos ~ino name] is [encode] of the entry
+    [{ d_ino = ino; d_name = name }] without building it: the kernel
+    encodes a directory straight from its name map. *)
 
 val fits : Bytes.t -> pos:int -> t -> bool
 
@@ -31,10 +37,6 @@ val decode : Bytes.t -> pos:int -> limit:int -> (t * int) option
 (** [decode buf ~pos ~limit] reads one entry, returning it and the
     position of the next; [None] at end of data or on a malformed
     record. *)
-
-val encode_list : Bytes.t -> t list -> int * t list
-(** [encode_list buf entries] packs as many entries as fit from the
-    front of [entries]; returns bytes written and the leftovers. *)
 
 val decode_all : Bytes.t -> len:int -> t list
 (** Decode every entry in the first [len] bytes. *)

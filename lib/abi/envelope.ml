@@ -61,10 +61,18 @@ module Pool = struct
   let dummy = blank ()
 
   (* Array-backed stack rather than a list: a warm take/recycle pair
-     must allocate nothing at all. *)
+     must allocate nothing at all.  It starts empty and doubles up to
+     [capacity] as records come back, so a process pays for the slots
+     it recycles into, not for the cap. *)
   let create ?(capacity = 64) () =
     if capacity < 0 then invalid_arg "Envelope.Pool.create";
-    { stack = Array.make capacity dummy; len = 0; capacity }
+    { stack = [||]; len = 0; capacity }
+
+  let grow p =
+    let n = min p.capacity (max 1 (2 * Array.length p.stack)) in
+    let stack = Array.make n dummy in
+    Array.blit p.stack 0 stack 0 p.len;
+    p.stack <- stack
 
   let size p = p.len
 
@@ -99,6 +107,7 @@ module Pool = struct
          w.Value.num <- 0;
          Array.fill w.Value.args 0 (Array.length w.Value.args) Value.Nil
        | None -> ());
+      if p.len = Array.length p.stack then grow p;
       p.stack.(p.len) <- e;
       p.len <- p.len + 1;
       Obs.note_pool_recycled ()

@@ -44,6 +44,9 @@ type emulation = {
   mutable vector : (Abi.Envelope.t -> Abi.Value.res) option array;
       (* The one handler table: the trap stub reads slot [n] once, and
          [None] sends the call straight to the kernel. *)
+  mutable shared : bool;
+      (* [vector] may be another process's too (fork shares it), so its
+         writer copies it first *)
   mutable sig_emul : (int -> unit) option;
 }
 
@@ -83,7 +86,8 @@ type t = {
 let fd_table_size = 64
 
 let fresh_emulation () =
-  { vector = Array.make (Abi.Sysno.max_sysno + 1) None; sig_emul = None }
+  { vector = Array.make (Abi.Sysno.max_sysno + 1) None; shared = false;
+    sig_emul = None }
 
 let fresh_sigstate () =
   { handlers = Array.make (Abi.Signal.max_signal + 1) Abi.Value.H_default;
@@ -111,6 +115,8 @@ let create ~pid ~ppid ~pgrp ~name ~cred ~cwd =
   p
 
 let fork_copy t ~pid ~name =
+  (* parent and child share the vector until one of them writes it *)
+  t.emul.shared <- true;
   let fds = Array.map
       (Option.map (fun (e : File.fd_entry) ->
          { File.file = e.file; cloexec = e.cloexec }))
@@ -129,7 +135,8 @@ let fork_copy t ~pid ~name =
       sigs = { handlers = Array.copy t.sigs.handlers;
                mask = t.sigs.mask;
                pending = 0 };
-      emul = { vector = Array.copy t.emul.vector; sig_emul = t.emul.sig_emul };
+      emul = { vector = t.emul.vector; shared = true;
+               sig_emul = t.emul.sig_emul };
       state = Runnable;
       me = Some p;
       resume = Idle;

@@ -56,7 +56,7 @@ type sigstate = {
 }
 
 (** The in-address-space interception state — what
-    [task_set_emulation] manipulates.  Copied on [fork] (the address
+    [task_set_emulation] manipulates.  Inherited on [fork] (the address
     space, and so the agent, goes with the child); cleared by a raw
     [execve]. *)
 type emulation = {
@@ -64,8 +64,12 @@ type emulation = {
       (** the one handler table, indexed by system call number: slot
           [n] is the handler installed for [n], or [None] to send the
           call straight to the kernel.  Written only by
-          [Uspace.task_set_emulation]; {!fork_copy} copies it and exec
+          [Uspace.task_set_emulation], which first copies a
+          {!field-shared} vector; {!fork_copy} shares it and exec
           without [keep_emulation] replaces it. *)
+  mutable shared : bool;
+      (** [vector] may also be another process's: set in parent and
+          child by {!fork_copy}, cleared by the copy before a write *)
   mutable sig_emul : (int -> unit) option;
 }
 
@@ -121,7 +125,8 @@ val create :
 
 val fork_copy : t -> pid:int -> name:string -> t
 (** Child copy: shares open files (references bumped by the caller),
-    copies cwd/umask/credentials/signal dispositions/emulation vector;
+    copies cwd/umask/credentials/signal dispositions, shares the
+    emulation vector until either process writes it;
     pending signals are not inherited. *)
 
 val fd : t -> int -> File.fd_entry option

@@ -306,28 +306,32 @@ let do_fcntl t (p : Proc.t) fd cmd arg =
 
 (* --- directories --------------------------------------------------------- *)
 
+(* Entries from index [f.offset] on, in name order, are encoded
+   straight from the directory's map into the caller's buffer until one
+   does not fit; the entries before the offset are only counted. *)
 let do_getdirentries t (p : Proc.t) fd buf =
   match fd_file p fd with
   | Error e -> fail e
   | Ok f ->
     match f.kind with
-    | File.Vnode inode when Vfs.Inode.is_dir inode ->
-      let entries = Vfs.Inode.dir_entries inode in
-      let total = List.length entries in
-      let index = min f.offset total in
-      let remaining = List.filteri (fun i _ -> i >= index) entries in
-      let dirents =
-        List.map
-          (fun (name, ino) -> { Dirent.d_ino = ino; d_name = name })
-          remaining
-      in
-      let written, leftover = Dirent.encode_list buf dirents in
-      if written = 0 && leftover <> [] then fail Errno.EINVAL
+    | File.Vnode ({ kind = Vfs.Inode.Dir d; _ } as inode) ->
+      let start = f.offset and len = Bytes.length buf in
+      let next = ref 0 and pos = ref 0 and full = ref false in
+      Vfs.Inode.Names.iter
+        (fun name ino ->
+          if not !full then
+            if !next < start then incr next
+            else if !pos + Dirent.record_len name > len then full := true
+            else begin
+              pos := Dirent.encode_name buf ~pos:!pos ~ino name;
+              incr next
+            end)
+        d.entries;
+      if !pos = 0 && !full then fail Errno.EINVAL
       else begin
-        let consumed = List.length dirents - List.length leftover in
-        f.offset <- index + consumed;
+        f.offset <- !next;
         Vfs.Fs.touch_atime t.fs inode;
-        Done (Value.ret written ~r1:f.offset)
+        done_ret !pos ~r1:f.offset
       end
     | File.Vnode _ | File.Pipe_read _ | File.Pipe_write _ | File.Sock _
     | File.Fifo_read _ | File.Fifo_write _ -> fail Errno.ENOTDIR
@@ -448,7 +452,7 @@ let do_fork t (p : Proc.t) body =
      edge completes at the child's first trap *)
   Obs.causal_fork ~parent:p.pid ~child:pid;
   spawn t child body;
-  Done (Value.ret pid ~r1:1)
+  done_ret pid ~r1:1
 
 (* A wait4 choice reads the caller's [kids] index, which is in pid
    order: the lowest-pid matching zombie, else under WUNTRACED the

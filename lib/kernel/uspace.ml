@@ -253,9 +253,16 @@ let cpu_work us =
   end
 
 (* The Mach emulation primitives act on the caller's own tables, which
-   no other process can reach, and then yield. *)
+   no other process can reach, and then yield.  A vector fork left
+   shared is copied before its first write, so the write stays the
+   caller's own. *)
 let task_set_emulation ~numbers handler =
-  let vector = (self ()).emul.vector in
+  let emul = (self ()).emul in
+  if emul.shared then begin
+    emul.vector <- Array.copy emul.vector;
+    emul.shared <- false
+  end;
+  let vector = emul.vector in
   List.iter
     (fun n -> if n >= 0 && n < Array.length vector then vector.(n) <- handler)
     numbers;

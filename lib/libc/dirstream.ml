@@ -12,22 +12,23 @@ let opendir path =
   | Error e -> Error e
   | Ok fd -> Ok { fd; buf = Bytes.create 512; pending = []; eof = false }
 
-let refill t =
-  match Unistd.getdirentries t.fd t.buf with
-  | Error _ | Ok (0, _) -> t.eof <- true
-  | Ok (n, _) -> t.pending <- Dirent.decode_all t.buf ~len:n
-
+(* A failing getdirentries is the caller's error, not the end of the
+   directory: a listing is whole or it is an errno. *)
 let rec readdir t =
   match t.pending with
   | e :: rest ->
     t.pending <- rest;
-    Some e
+    Ok (Some e)
+  | [] when t.eof -> Ok None
   | [] ->
-    if t.eof then None
-    else begin
-      refill t;
-      if t.eof then None else readdir t
-    end
+    match Unistd.getdirentries t.fd t.buf with
+    | Error e -> Error e
+    | Ok (0, _) ->
+      t.eof <- true;
+      Ok None
+    | Ok (n, _) ->
+      t.pending <- Dirent.decode_all t.buf ~len:n;
+      readdir t
 
 let closedir t = ignore (Unistd.close t.fd)
 
@@ -37,13 +38,15 @@ let entries path =
   | Ok d ->
     let rec all acc =
       match readdir d with
-      | Some e when e.Dirent.d_name = "." || e.Dirent.d_name = ".." -> all acc
-      | Some e -> all (e :: acc)
-      | None -> List.rev acc
+      | Ok (Some e) when e.Dirent.d_name = "." || e.Dirent.d_name = ".." ->
+        all acc
+      | Ok (Some e) -> all (e :: acc)
+      | Ok None -> Ok (List.rev acc)
+      | Error e -> Error e
     in
     let es = all [] in
     closedir d;
-    Ok es
+    es
 
 let names path =
   match entries path with

@@ -41,11 +41,9 @@ let create ?(now = fun () -> 0) () =
     now;
     dev = 1;
   } in
-  let table = Hashtbl.create 8 in
-  Hashtbl.replace table "." 2;
-  Hashtbl.replace table ".." 2;
+  let entries = Inode.Names.(add "." 2 (singleton ".." 2)) in
   let root =
-    new_inode t ~ino:2 (Inode.Dir table) ~perm:0o755 ~cred:root_cred
+    new_inode t ~ino:2 (Inode.Dir { entries }) ~perm:0o755 ~cred:root_cred
   in
   root.Inode.nlink <- 2;
   t
@@ -89,13 +87,13 @@ let fsck t =
       | None -> complain "%s: dangling inode %d" path ino
       | Some inode ->
         (match inode.Inode.kind with
-         | Inode.Dir table ->
+         | Inode.Dir { entries } ->
            (* "." and ".." *)
-           (match Hashtbl.find_opt table "." with
+           (match Inode.Names.find_opt "." entries with
             | Some self when self = ino -> ()
             | Some self -> complain "%s: '.' points to %d" path self
             | None -> complain "%s: missing '.'" path);
-           (match Hashtbl.find_opt table ".." with
+           (match Inode.Names.find_opt ".." entries with
             | Some up when up = parent_ino -> ()
             | Some up ->
               complain "%s: '..' points to %d, expected %d" path up
@@ -103,7 +101,7 @@ let fsck t =
             | None -> complain "%s: missing '..'" path);
            (* each entry links its target; '.' counts for self, '..'
               for the parent *)
-           Hashtbl.iter
+           Inode.Names.iter
              (fun name child ->
                if name <> "." && name <> ".." then begin
                  bump child;
@@ -118,7 +116,7 @@ let fsck t =
                    complain "%s: dangling entry (inode %d)" child_path
                      child
                end)
-             table
+             entries
          | Inode.Reg _ | Inode.Symlink _ | Inode.Chardev _ | Inode.Fifo _
            -> complain "%s: walked into a non-directory" path)
     end
@@ -130,10 +128,10 @@ let fsck t =
   Hashtbl.iter
     (fun ino () ->
       match Hashtbl.find_opt t.inodes ino with
-      | Some { Inode.kind = Inode.Dir table; _ } ->
+      | Some { Inode.kind = Inode.Dir { entries }; _ } ->
         bump ino;  (* "." *)
         (* ".." contributions: each subdirectory links its parent *)
-        Hashtbl.iter
+        Inode.Names.iter
           (fun name child ->
             if name <> "." && name <> ".." then
               match Hashtbl.find_opt t.inodes child with
@@ -141,7 +139,7 @@ let fsck t =
                 ignore name;
                 bump ino
               | _ -> ())
-          table
+          entries
       | _ -> ())
     visited;
   (* compare counts *)
@@ -233,10 +231,10 @@ let rec walk t cred ~follow_last ~slash (dir : Inode.t) s i lim rest links =
     if j - i > max_name then Error Errno.ENAMETOOLONG
     else
       match dir.kind with
-      | Inode.Dir table ->
+      | Inode.Dir { entries } ->
         if not (searchable t cred dir) then Error Errno.EACCES
         else begin
-          match Hashtbl.find table (String.sub s i (j - i)) with
+          match Inode.Names.find (String.sub s i (j - i)) entries with
           | exception Not_found -> Error Errno.ENOENT
           | ino ->
             match Hashtbl.find t.inodes ino with
@@ -329,23 +327,30 @@ let path_of_ino t ino =
       match get t ino with
       | None -> None
       | Some inode ->
-        match Inode.dir_table inode with
+        match Inode.dir inode with
         | Error _ -> None
-        | Ok table ->
-          match Hashtbl.find_opt table ".." with
+        | Ok d ->
+          match Inode.Names.find_opt ".." d.entries with
           | None -> None
           | Some parent_ino ->
             match get t parent_ino with
             | None -> None
             | Some parent ->
-              let name =
-                List.find_opt
-                  (fun (n, i) -> i = ino && n <> "." && n <> "..")
-                  (Inode.dir_entries parent)
-              in
-              match name with
-              | None -> None
-              | Some (n, _) -> up parent_ino (n :: acc) (depth + 1)
+              match Inode.dir parent with
+              | Error _ -> None
+              | Ok pd ->
+                (* the one entry naming [ino], "." and ".." aside *)
+                let name =
+                  Inode.Names.fold
+                    (fun n i found ->
+                      match found with
+                      | None when i = ino && n <> "." && n <> ".." -> Some n
+                      | _ -> found)
+                    pd.entries None
+                in
+                match name with
+                | None -> None
+                | Some n -> up parent_ino (n :: acc) (depth + 1)
   in
   match get t ino with
   | Some inode when Inode.is_dir inode -> up ino [] 0
@@ -354,19 +359,19 @@ let path_of_ino t ino =
 (* --- creation helpers ------------------------------------------------- *)
 
 let add_entry t (dir : Inode.t) name ino =
-  match Inode.dir_table dir with
+  match Inode.dir dir with
   | Error _ -> ()
-  | Ok table ->
-    Hashtbl.replace table name ino;
+  | Ok d ->
+    d.entries <- Inode.Names.add name ino d.entries;
     let now = t.now () in
     dir.mtime <- now;
     dir.ctime <- now
 
 let remove_entry t (dir : Inode.t) name =
-  match Inode.dir_table dir with
+  match Inode.dir dir with
   | Error _ -> ()
-  | Ok table ->
-    Hashtbl.remove table name;
+  | Ok d ->
+    d.entries <- Inode.Names.remove name d.entries;
     let now = t.now () in
     dir.mtime <- now;
     dir.ctime <- now
@@ -381,10 +386,10 @@ let create_in t cred (parent : Inode.t) name kind ~perm =
   end
 
 let lookup_in (parent : Inode.t) name =
-  match Inode.dir_table parent with
+  match Inode.dir parent with
   | Error e -> Error e
-  | Ok table ->
-    (match Hashtbl.find_opt table name with
+  | Ok d ->
+    (match Inode.Names.find_opt name d.entries with
      | Some ino -> Ok ino
      | None -> Error Errno.ENOENT)
 
@@ -468,11 +473,11 @@ let make_node t cred ~cwd path kind ~perm =
   | Error e -> Error e
 
 let mkdir t cred ~cwd path ~perm =
-  let table = Hashtbl.create 8 in
+  let d = { Inode.entries = Inode.Names.empty } in
   (* fill in "." and ".." now that we know our parent *)
-  let* parent, inode = make_node t cred ~cwd path (Inode.Dir table) ~perm in
-  Hashtbl.replace table "." inode.Inode.ino;
-  Hashtbl.replace table ".." parent.Inode.ino;
+  let* parent, inode = make_node t cred ~cwd path (Inode.Dir d) ~perm in
+  d.entries <-
+    Inode.Names.(add "." inode.Inode.ino (singleton ".." parent.Inode.ino));
   inode.Inode.nlink <- 2;
   parent.Inode.nlink <- parent.Inode.nlink + 1;
   Ok inode
@@ -532,9 +537,9 @@ let unlink t cred ~cwd path =
   end
 
 let dir_is_empty (inode : Inode.t) =
-  List.for_all
-    (fun (n, _) -> n = "." || n = "..")
-    (Inode.dir_entries inode)
+  match Inode.dir inode with
+  | Ok d -> Inode.Names.for_all (fun n _ -> n = "." || n = "..") d.entries
+  | Error _ -> true
 
 let rmdir t cred ~cwd path =
   let* parent, name, _ = resolve_parent t cred ~cwd path in
@@ -561,10 +566,10 @@ let is_ancestor t ~anc ino =
       match get t ino with
       | None -> false
       | Some inode ->
-        match Inode.dir_table inode with
+        match Inode.dir inode with
         | Error _ -> false
-        | Ok table ->
-          match Hashtbl.find_opt table ".." with
+        | Ok d ->
+          match Inode.Names.find_opt ".." d.entries with
           | Some parent when parent <> ino -> up parent (depth + 1)
           | _ -> false
   in
@@ -613,8 +618,8 @@ let rename t cred ~cwd ~src dst =
     (* a moved directory's ".." must follow it *)
     if Inode.is_dir victim && sparent.Inode.ino <> dparent.Inode.ino
     then begin
-      (match Inode.dir_table victim with
-       | Ok table -> Hashtbl.replace table ".." dparent.Inode.ino
+      (match Inode.dir victim with
+       | Ok d -> d.entries <- Inode.Names.add ".." dparent.Inode.ino d.entries
        | Error _ -> ());
       sparent.Inode.nlink <- sparent.Inode.nlink - 1;
       dparent.Inode.nlink <- dparent.Inode.nlink + 1

@@ -1,6 +1,10 @@
+module Names = Map.Make (String)
+
+type dir = { mutable entries : int Names.t }
+
 type kind =
   | Reg of Filedata.t
-  | Dir of (string, int) Hashtbl.t
+  | Dir of dir
   | Symlink of string
   | Chardev of int
   | Fifo of Pipebuf.t
@@ -30,21 +34,17 @@ let mode t = kind_bits t lor (t.perm land 0o7777)
 
 let dir_entries t =
   match t.kind with
-  | Dir h ->
-    let l = Hashtbl.fold (fun name ino acc -> (name, ino) :: acc) h [] in
-    List.sort compare l
+  | Dir d -> Names.bindings d.entries
   | Reg _ | Symlink _ | Chardev _ | Fifo _ -> []
 
-let dir_size t =
-  List.fold_left
-    (fun acc (name, ino) ->
-      acc + Abi.Dirent.reclen { d_ino = ino; d_name = name })
-    0 (dir_entries t)
+(* What a full listing would encode to, summed without building it. *)
+let dir_size d =
+  Names.fold (fun name _ acc -> acc + Abi.Dirent.record_len name) d.entries 0
 
 let size t =
   match t.kind with
   | Reg d -> Filedata.size d
-  | Dir _ -> dir_size t
+  | Dir d -> dir_size d
   | Symlink s -> String.length s
   | Chardev _ -> 0
   | Fifo p -> Pipebuf.available p
@@ -68,7 +68,7 @@ let to_stat ~dev t =
 
 let is_dir t = match t.kind with Dir _ -> true | _ -> false
 
-let dir_table t =
+let dir t =
   match t.kind with
-  | Dir h -> Ok h
+  | Dir d -> Ok d
   | Reg _ | Symlink _ | Chardev _ | Fifo _ -> Error Abi.Errno.ENOTDIR

@@ -159,7 +159,7 @@ let test_dirent_roundtrip =
       let e = { Dirent.d_ino = ino; d_name = name } in
       let buf = Bytes.create 256 in
       let next = Dirent.encode buf ~pos:0 e in
-      next = Dirent.reclen e
+      next = Dirent.record_len name
       &&
       match Dirent.decode buf ~pos:0 ~limit:next with
       | Some (e', pos) -> e' = e && pos = next
@@ -177,16 +177,22 @@ let test_dirent_list_roundtrip =
         raw
       in
       let buf = Bytes.create 512 in
-      let written, leftover = Dirent.encode_list buf entries in
+      (* pack from the front until an entry does not fit *)
+      let rec pack pos taken = function
+        | e :: rest when Dirent.fits buf ~pos e ->
+          pack (Dirent.encode buf ~pos e) (taken + 1) rest
+        | _ -> pos, taken
+      in
+      let written, taken = pack 0 0 entries in
       let decoded = Dirent.decode_all buf ~len:written in
-      let taken = List.length entries - List.length leftover in
       decoded = List.filteri (fun i _ -> i < taken) entries)
 
 let test_dirent_alignment =
   QCheck.Test.make ~name:"reclen 4-aligned" ~count:100 name_gen
     (fun name ->
       QCheck.assume (valid_name name);
-      Dirent.reclen { Dirent.d_ino = 1; d_name = name } mod 4 = 0)
+      let buf = Bytes.create 512 in
+      Dirent.encode buf ~pos:0 { Dirent.d_ino = 1; d_name = name } mod 4 = 0)
 
 let test_dirent_small_buffer () =
   let e = { Dirent.d_ino = 1; d_name = "filename" } in

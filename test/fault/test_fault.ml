@@ -87,6 +87,33 @@ let test_kth_read_exactly () =
   Alcotest.(check string) "only the 3rd read fails" "ooEIO;oo" !outcomes;
   Alcotest.(check int) "one injection" 1 agent#total_injected
 
+(* A listing that needs a second getdirentries buffer is whole or an
+   errno: when the second call fails, ls reports the errno and exits 1
+   instead of printing the first buffer's names as the directory. *)
+let test_ls_second_getdirentries_fails () =
+  let plan =
+    match Fault.Plan.of_spec "getdirentries#2=fail:EIO" with
+    | Ok plan -> plan
+    | Error msg -> Alcotest.failf "spec did not parse: %s" msg
+  in
+  let agent = F.create_planned plan in
+  let k = fresh_kernel () in
+  Workloads.Progs.install_all k;
+  (* 40 sixteen-byte records and "." and ".." overflow one 512-byte
+     buffer *)
+  for i = 0 to 39 do
+    Kernel.write_file k ~path:(Printf.sprintf "/tmp/big/file%02d" i) ""
+  done;
+  let status =
+    boot_k k (fun () ->
+      Toolkit.Loader.install agent ~argv:[||];
+      Libc.Spawn.run_exit_code "/bin/ls" [| "ls"; "/tmp/big" |])
+  in
+  check_exit "ls fails" 1 status;
+  Alcotest.(check string) "the errno, no partial listing"
+    "ls: /tmp/big: Input/output error\n" (Kernel.console_output k);
+  Alcotest.(check int) "one injection" 1 agent#total_injected
+
 let test_pid_scoped_site () =
   (* pid 2 (the child) sees the fault, pid 1 does not *)
   let agent = F.create_planned [ F.site ~pid:2 ~kth:1 Sysno.sys_read (F.Fail Errno.EIO) ] in
@@ -565,6 +592,8 @@ let () =
       "injector",
       [ Alcotest.test_case "k-th call exactly" `Quick test_kth_read_exactly;
         Alcotest.test_case "pid-scoped site" `Quick test_pid_scoped_site;
+        Alcotest.test_case "ls: failing getdirentries" `Quick
+          test_ls_second_getdirentries_fails;
         Alcotest.test_case "duplicated candidates" `Quick
           test_duplicated_candidates;
         Alcotest.test_case "EINTR restart pair" `Quick test_eintr_restart_pair;

@@ -409,11 +409,110 @@ let test_emulation_inherited_by_fork () =
     in
     let _ = check_ok "wait" (Libc.Unistd.waitpid pid 0) in
     (* parent's getpid + child's getpid, both intercepted (the vector
-       is copied with the address space; the handler state is shared) *)
+       goes with the address space; the handler state is shared) *)
     ignore (Libc.Unistd.getpid ());
     if !count >= 2 then 0 else 1)
   in
-  Alcotest.(check int) "vector copied on fork" 0 (exit_code status)
+  Alcotest.(check int) "vector inherited on fork" 0 (exit_code status)
+
+(* Fork shares the emulation vector until one side writes it.  Parent
+   and child then install different getpid handlers and each dispatches
+   only to its own, a grandchild inherits its parent's, and an exec
+   without keep_emulation clears only the process that execs. *)
+let test_emulation_copy_on_write () =
+  let k = Kernel.create () in
+  Kernel.populate_standard k;
+  Kernel.register_image k "emu-plain" (fun ~argv:_ ~envp:_ () ->
+    ignore (Libc.Unistd.getpid ());
+    0);
+  Kernel.install_image k ~path:"/bin/emu-plain" ~image:"emu-plain";
+  let hits = ref [] in
+  let tagged tag =
+    Some (fun w ->
+      hits := tag :: !hits;
+      Kernel.Uspace.htg_trap w)
+  in
+  let install tag =
+    Kernel.Uspace.task_set_emulation ~numbers:[ Sysno.sys_getpid ] (tagged tag)
+  in
+  let vector () = (Kernel.Uspace.self ()).Kernel.Proc.emul.vector in
+  let getpid () = ignore (Libc.Unistd.getpid ()) in
+  let exit_of pid =
+    let _, st = check_ok "wait" (Libc.Unistd.waitpid pid 0) in
+    Flags.Wait.wexitstatus st
+  in
+  let child_vector = ref [||] in
+  let status =
+    Kernel.boot k ~name:"init" (fun () ->
+      install "init";
+      let rd, wr = check_ok "pipe" (Libc.Unistd.pipe ()) in
+      let at_fork = vector () in
+      let child =
+        check_ok "fork"
+          (Libc.Unistd.fork ~child:(fun () ->
+             if vector () != at_fork then 10
+             else begin
+               install "child";
+               child_vector := vector ();
+               if !child_vector == at_fork then 11
+               else begin
+                 (* dispatch only once the parent has installed its own *)
+                 ignore (Libc.Unistd.read rd (Bytes.create 1) 1);
+                 getpid ();
+                 exit_of
+                   (check_ok "fork"
+                      (Libc.Unistd.fork ~child:(fun () -> getpid (); 0)))
+               end
+             end))
+      in
+      if vector () != at_fork then 20
+      else begin
+        install "parent";
+        if vector () == at_fork || vector () == !child_vector then 21
+        else begin
+          ignore (Libc.Unistd.write wr "x");
+          let child_status = exit_of child in
+          getpid ();
+          let exec_status =
+            exit_of
+              (check_ok "fork"
+                 (Libc.Unistd.fork ~child:(fun () ->
+                    match Libc.Unistd.execv "/bin/emu-plain" [| "emu-plain" |] with
+                    | Error _ -> 30
+                    | Ok _ -> assert false)))
+          in
+          getpid ();
+          if child_status <> 0 then child_status
+          else exec_status
+        end
+      end)
+  in
+  Alcotest.(check int) "exit" 0 (exit_code status);
+  Alcotest.(check (list string)) "each process dispatches to its own"
+    [ "child"; "child"; "parent"; "parent" ] (List.rev !hits)
+
+(* A pool starts empty and grows as records come back, up to its
+   capacity and never past it; past the cap a return is dropped. *)
+let test_pool_bounded_growth () =
+  for capacity = 0 to 9 do
+    let p = Envelope.Pool.create ~capacity () in
+    let held = ref 0 in
+    for n = 0 to (3 * capacity) + 2 do
+      (* take [n] records at once, then return them all *)
+      let envs = List.init n (fun _ -> Envelope.at_boundary ~pool:p Call.Getpid) in
+      List.iter
+        (fun e ->
+          Envelope.release e;
+          if Envelope.Pool.size p > capacity then
+            Alcotest.failf "capacity %d: %d records held" capacity
+              (Envelope.Pool.size p))
+        envs;
+      held := min capacity (max !held n);
+      Alcotest.(check int)
+        (Printf.sprintf "capacity %d after %d returns" capacity n)
+        !held (Envelope.Pool.size p)
+    done
+  done
 
 (* --- misc -------------------------------------------------------------------- *)
 
@@ -497,7 +596,11 @@ let () =
       "interception",
       [ Alcotest.test_case "intercept+htg" `Quick test_interception_and_htg;
         Alcotest.test_case "fork inherits vector" `Quick
-          test_emulation_inherited_by_fork ];
+          test_emulation_inherited_by_fork;
+        Alcotest.test_case "copy-on-write vector" `Quick
+          test_emulation_copy_on_write;
+        Alcotest.test_case "pool bounded growth" `Quick
+          test_pool_bounded_growth ];
       "misc",
       [ Alcotest.test_case "gettimeofday" `Quick test_gettimeofday_monotonic;
         Alcotest.test_case "deadlock" `Quick test_deadlock_detected;

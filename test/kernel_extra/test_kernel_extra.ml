@@ -378,6 +378,193 @@ let test_lseek_rewinds_directory () =
   in
   check_exit "rewinddir" 0 status
 
+(* --- getdirentries against a model directory ------------------------------------------ *)
+
+(* Random namespace steps in one directory, interleaved with reads at
+   random buffer sizes (too small for one record included) and seeks to
+   random entry indexes (past the end included).  The oracle is a
+   sorted assoc list of names, encoded with [Dirent.encode]: after every
+   getdirentries, r0, r1, the bytes written and the errno must be the
+   oracle's, and the directory's st_size the sum of its record
+   lengths. *)
+type dir_step =
+  | D_create of string
+  | D_unlink of string
+  | D_rename of string * string
+  | D_mkdir of string
+  | D_rmdir of string
+  | D_read of int
+  | D_seek of int
+
+let dir_step_to_string = function
+  | D_create n -> "create " ^ n
+  | D_unlink n -> "unlink " ^ n
+  | D_rename (a, b) -> Printf.sprintf "rename %s %s" a b
+  | D_mkdir n -> "mkdir " ^ n
+  | D_rmdir n -> "rmdir " ^ n
+  | D_read size -> Printf.sprintf "read %d" size
+  | D_seek off -> Printf.sprintf "seek %d" off
+
+(* short and long names, case and prefix neighbours *)
+let dir_names =
+  [ "a"; "ab"; "abc"; "B"; "b"; "z9"; "m.txt"; "0"; "dir_x";
+    "a_much_longer_entry_name"; "name_of_exactly_24_chars"; "_" ]
+
+let dir_steps =
+  let open QCheck.Gen in
+  let name = oneofl dir_names in
+  let step =
+    frequency
+      [ (4, map (fun n -> D_create n) name);
+        (2, map (fun n -> D_unlink n) name);
+        (2, map2 (fun a b -> D_rename (a, b)) name name);
+        (2, map (fun n -> D_mkdir n) name);
+        (1, map (fun n -> D_rmdir n) name);
+        (5, map (fun size -> D_read size) (8 -- 600));
+        (2, map (fun off -> D_seek off) (0 -- 20)) ]
+  in
+  QCheck.make
+    ~print:(fun l -> String.concat "; " (List.map dir_step_to_string l))
+    (list_size (1 -- 40) step)
+
+(* What the model predicts for a namespace step: the errno, or the new
+   assoc list.  Every subdirectory is empty, so rmdir and a rename onto
+   a directory only check kinds. *)
+let model_step entries ~ino step =
+  let kind n = List.assoc_opt n entries in
+  let without n = List.remove_assoc n entries in
+  let add n v l = List.sort compare ((n, v) :: List.remove_assoc n l) in
+  match step with
+  | D_create n ->
+    if kind n <> None then Error Errno.EEXIST else Ok (add n (`File, ino) entries)
+  | D_mkdir n ->
+    if kind n <> None then Error Errno.EEXIST else Ok (add n (`Dir, ino) entries)
+  | D_unlink n ->
+    (match kind n with
+     | None -> Error Errno.ENOENT
+     | Some (`Dir, _) -> Error Errno.EISDIR
+     | Some (`File, _) -> Ok (without n))
+  | D_rmdir n ->
+    (match kind n with
+     | None -> Error Errno.ENOENT
+     | Some (`File, _) -> Error Errno.ENOTDIR
+     | Some (`Dir, _) -> Ok (without n))
+  | D_rename (a, b) ->
+    (match kind a, kind b with
+     | None, _ -> Error Errno.ENOENT
+     | Some (`Dir, _), Some (`File, _) -> Error Errno.ENOTDIR
+     | Some (`File, _), Some (`Dir, _) -> Error Errno.EISDIR
+     | Some v, _ -> Ok (if a = b then entries else add b v (without a)))
+  | D_read _ | D_seek _ -> Ok entries
+
+(* The oracle's getdirentries: encode from index [offset] until an
+   entry does not fit. *)
+let model_read listing ~offset size =
+  let buf = Bytes.make size '\000' in
+  let rec go i pos = function
+    | [] -> (i, pos, false)
+    | (name, ino) :: rest ->
+      let e = { Dirent.d_ino = ino; d_name = name } in
+      if i < offset then go (i + 1) pos rest
+      else if Dirent.fits buf ~pos e then go (i + 1) (Dirent.encode buf ~pos e) rest
+      else (i, pos, true)
+  in
+  let next, written, full = go 0 0 listing in
+  if written = 0 && full then Error Errno.EINVAL
+  else Ok (written, next, Bytes.sub_string buf 0 written)
+
+let test_getdirentries_matches_model =
+  QCheck.Test.make ~name:"getdirentries matches a sorted-list model" ~count:300
+    dir_steps
+    (fun steps ->
+      let failure = ref None in
+      let fail fmt =
+        Printf.ksprintf
+          (fun m -> if !failure = None then failure := Some m)
+          fmt
+      in
+      let _, status =
+        boot (fun () ->
+          u "mkdir" (Libc.Unistd.mkdir "/tmp/d" 0o755);
+          let ino_of path = (u "lstat" (Libc.Unistd.lstat path)).Stat.st_ino in
+          let dots =
+            [ (".", ino_of "/tmp/d"); ("..", ino_of "/tmp") ]
+          in
+          let fd = u "open" (Libc.Unistd.open_ "/tmp/d" 0 0) in
+          let entries = ref [] and offset = ref 0 in
+          let listing () =
+            List.sort compare
+              (dots @ List.map (fun (n, (_, ino)) -> (n, ino)) !entries)
+          in
+          let path n = "/tmp/d/" ^ n in
+          let namespace step =
+            let got =
+              match step with
+              | D_create n ->
+                Result.map Libc.Unistd.close
+                  (Libc.Unistd.open_ (path n)
+                     Flags.Open.(o_wronly lor o_creat lor o_excl) 0o644)
+                |> Result.join
+              | D_unlink n -> Libc.Unistd.unlink (path n)
+              | D_rename (a, b) -> Libc.Unistd.rename ~src:(path a) (path b)
+              | D_mkdir n -> Libc.Unistd.mkdir (path n) 0o755
+              | D_rmdir n -> Libc.Unistd.rmdir (path n)
+              | D_read _ | D_seek _ -> Ok ()
+            in
+            let ino =
+              match step, got with
+              | (D_create n | D_mkdir n), Ok () -> ino_of (path n)
+              | _ -> 0
+            in
+            match got, model_step !entries ~ino step with
+            | Ok (), Ok next -> entries := next
+            | Error e, Error e' when e = e' -> ()
+            | _ ->
+              fail "%s: kernel and model disagree" (dir_step_to_string step)
+          in
+          List.iter
+            (fun step ->
+              match step with
+              | D_seek off ->
+                (match Libc.Unistd.lseek fd off Flags.Seek.set with
+                 | Ok pos when pos = off -> offset := off
+                 | _ -> fail "seek %d" off)
+              | D_read size ->
+                let buf = Bytes.make size '\000' in
+                let got = Libc.Unistd.getdirentries fd buf in
+                let want = model_read (listing ()) ~offset:!offset size in
+                (match got, want with
+                 | Ok (r0, r1), Ok (written, next, bytes) ->
+                   if r0 <> written || r1 <> next then
+                     fail "read %d: r0/r1 %d/%d, model %d/%d" size r0 r1
+                       written next
+                   else if Bytes.sub_string buf 0 r0 <> bytes then
+                     fail "read %d: bytes differ" size;
+                   offset := next
+                 | Error e, Error e' when e = e' -> ()
+                 | _ -> fail "read %d at %d: outcome differs" size !offset);
+                let size_of_listing =
+                  List.fold_left
+                    (fun acc (name, ino) ->
+                      acc
+                      + Dirent.encode (Bytes.create 512) ~pos:0
+                          { Dirent.d_ino = ino; d_name = name })
+                    0 (listing ())
+                in
+                let st = u "fstat" (Libc.Unistd.fstat fd) in
+                if st.Stat.st_size <> size_of_listing then
+                  fail "st_size %d, records sum to %d" st.Stat.st_size
+                    size_of_listing
+              | _ -> namespace step)
+            steps;
+          ignore (Libc.Unistd.close fd);
+          0)
+      in
+      ignore (exit_code status);
+      match !failure with
+      | None -> true
+      | Some m -> QCheck.Test.fail_report m)
+
 (* --- time ----------------------------------------------------------------------------------- *)
 
 let test_settimeofday_root_only () =
@@ -1464,6 +1651,7 @@ let () =
         Alcotest.test_case "dir paging" `Quick
           test_getdirentries_small_buffer_pages;
         Alcotest.test_case "rewinddir" `Quick test_lseek_rewinds_directory;
+        QCheck_alcotest.to_alcotest test_getdirentries_matches_model;
         Alcotest.test_case "FIONREAD" `Quick test_fionread;
         Alcotest.test_case "trailing slash table" `Quick
           test_trailing_slash_table ];

@@ -40,10 +40,10 @@ let resolve fs cred ~cwd ~follow_last path =
         | name :: rest ->
           if String.length name > max_name then Error Errno.ENAMETOOLONG
           else
-            let* table = Inode.dir_table dir in
+            let* d = Inode.dir dir in
             if not (searchable fs cred dir) then Error Errno.EACCES
             else begin
-              match Hashtbl.find_opt table name with
+              match Inode.Names.find_opt name d.entries with
               | None -> Error Errno.ENOENT
               | Some ino ->
                 match get fs ino with
