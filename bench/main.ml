@@ -857,11 +857,13 @@ let read_words_ceiling = 34.0
    while each descriptor layer routed an untracked call through two
    closures, each symbolic layer boxed the memoized call it read, and
    every success built its result; 53.0 and 95.0 since none of them
-   does.  Each ceiling leaves 10 words of headroom for compiler drift,
-   one word short of the 11 that one layer's routing closures would
-   add back on a single descriptor crossing. *)
-let stacked_getpid_words_ceiling = 63.0
-let stacked_write_words_ceiling = 105.0
+   does; 45.0 and 83.0 since a scheduling round trip allocates only its
+   continuation and a device write finds its driver without a box
+   (DESIGN.md §3.8).  Each ceiling leaves 10 words of headroom for
+   compiler drift, one word short of the 11 that one layer's routing
+   closures would add back on a single descriptor crossing. *)
+let stacked_getpid_words_ceiling = 55.0
+let stacked_write_words_ceiling = 93.0
 
 (* Calls that pay only for what they return (DESIGN.md §3.8), in minor
    words per trap with obs off.  A warm rewind + getdirentries over a
@@ -869,12 +871,13 @@ let stacked_write_words_ceiling = 105.0
    the directory into a sorted list, and 36.5 since it encodes from the
    name map in place.  fork + exit + wait4 under sandbox + crypt +
    trace measured 346.5 while each child copied the 182-slot emulation
-   vector and a 64-slot pool stack, and 267.5 since it shares the one
-   and grows the other.  Each ceiling leaves 10 words of headroom, as
+   vector and a 64-slot pool stack, 267.5 since it shares the one and
+   grows the other, and 237.2 since a scheduling round trip allocates
+   only its continuation.  Each ceiling leaves 10 words of headroom, as
    the interested crossings' do; either copy back (61 and 18 words per
    trap) trips the fork ceiling. *)
 let getdirentries_words_ceiling = 47.0
-let stacked_fork_words_ceiling = 278.0
+let stacked_fork_words_ceiling = 248.0
 
 (* Reaping gate: init reaps N exited children with wait4(-1) at two
    sizes.  Measured 101 minor words/wait at 500 children and 109 at

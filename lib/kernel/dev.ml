@@ -76,4 +76,7 @@ let standard_table console =
     rdev_console, cons;
     rdev_tty, cons ]
 
-let lookup table rdev = List.assoc_opt rdev table
+let rec find table rdev =
+  match table with
+  | (r, ops) :: rest -> if r = rdev then ops else find rest rdev
+  | [] -> raise Not_found

@@ -45,4 +45,6 @@ val standard_table : Console.t -> table
 (** null, zero, and the given console bound to both [rdev_console] and
     [rdev_tty]. *)
 
-val lookup : table -> int -> ops option
+val find : table -> int -> ops
+(** The driver bound to [rdev].  Raises [Not_found] when none is, so a
+    lookup allocates nothing. *)

@@ -4,11 +4,12 @@
     A simulated process is an OCaml fibre.  A system call runs its
     kernel half directly on the calling fibre ({!Uspace}) and performs
     an effect only when the scheduler has work to do
-    ({!Kstate.Reply}, {!Kstate.Settle}); the primitives here always go
-    through the scheduler in {!Kernel}.  Every yield but [Exec_load] is
-    answered through the process's resume slot ({!Proc.resume}), so
-    the effects carry no payload and the continuation's answer is
-    [unit]. *)
+    ({!Kstate.Reply}, {!Kstate.Park}, {!Kstate.Abandon}, or
+    [Exec_load] for an exec); the primitives here always go through the
+    scheduler in {!Kernel}.  Every yield but [Exec_load] is answered
+    through the process's resume slot ({!Proc.resume}) and [fibre]
+    field ({!Proc.t}), so the effects carry no payload and the
+    continuation's answer is [unit]. *)
 
 (** How a trap reached the kernel: directly from the application, or
     through [Uspace.htg_trap] (which bypasses the emulation vector and
@@ -38,7 +39,9 @@ type _ Effect.t +=
           ([task_set_emulation] and friends) act on the caller's own
           handler table and then yield, without a signal check. *)
   | Exec_load : exec_spec -> unit Effect.t
-      (** Never returns: the scheduler abandons the current fibre. *)
+      (** Never returns: the scheduler abandons the current fibre.
+          Performed by the exec-load primitive and by an [execve]
+          whose kernel half returned an exec outcome. *)
 
 exception Process_exit of int
 (** Raised inside a fibre to unwind it after [_exit]. *)

@@ -17,7 +17,7 @@ module Log = Kstate.Log
 
 (* Deliver a trap's result, already in the process's [res], at a trap
    boundary: collect the signals to deliver with it, and honour a
-   pending terminal signal or stop.  The fibre is in the resume slot. *)
+   pending terminal signal or stop.  The fibre is in its [fibre] field. *)
 let finish_reply (t : t) (proc : Proc.t) =
   proc.deliver <- Kstate.collect_deliverable t proc;
   match Kstate.pending_terminal proc with
@@ -34,24 +34,6 @@ let finish_reply (t : t) (proc : Proc.t) =
      | None -> ())
   | `None -> Kstate.enqueue t proc
 
-let keys_of_cond (cond : Proc.cond) : Kstate.wait_key list =
-  match cond with
-  | Proc.On_child -> []          (* keyed by the waiter itself *)
-  | Proc.On_pipe_read i -> [ Kstate.K_pipe_r i ]
-  | Proc.On_pipe_write i -> [ Kstate.K_pipe_w i ]
-  | Proc.On_fifo_read i -> [ Kstate.K_fifo_r i ]
-  | Proc.On_fifo_write i -> [ Kstate.K_fifo_w i ]
-  | Proc.On_accept i -> [ Kstate.K_accept i ]
-  | Proc.On_connq i -> [ Kstate.K_connq i ]
-  | Proc.On_time _ -> []         (* woken by the timer wheel *)
-  | Proc.On_signal _ -> []       (* woken by signal posting *)
-  | Proc.On_select s ->
-    List.map (fun i -> Kstate.K_pipe_r i) s.rpipes
-    @ List.map (fun i -> Kstate.K_pipe_w i) s.wpipes
-    @ List.map (fun i -> Kstate.K_fifo_r i) s.rfifos
-    @ List.map (fun i -> Kstate.K_fifo_w i) s.wfifos
-    @ List.map (fun i -> Kstate.K_accept i) s.rlisten
-
 let start_exec (t : t) (proc : Proc.t) (spec : Events.exec_spec) =
   (* the exec trap's span(s) can never be closed by the code that
      opened them — the old fibre is abandoned *)
@@ -59,36 +41,57 @@ let start_exec (t : t) (proc : Proc.t) (spec : Events.exec_spec) =
   if not spec.keep_emulation then proc.emul <- Proc.fresh_emulation ();
   Kstate.spawn t proc spec.exec_body
 
-(* The scheduler's half of a trap whose kernel work is done: resume,
-   park, abandon or replace the fibre as the outcome says.  An
-   abandoned fibre is unwound, after the exit or exec it made. *)
+(* The scheduler's half of a [Park]: file the sleep keys of the
+   condition the parked process's state holds, one [sleep_on] a key and
+   no list of them. *)
+let park (t : t) (proc : Proc.t) =
+  let pid = proc.pid in
+  match proc.state with
+  | Proc.Parked { cond; _ } ->
+    (match cond with
+     | Proc.On_child -> Kstate.sleep_on t (Kstate.K_child pid) pid
+     | Proc.On_pipe_read i -> Kstate.sleep_on t (Kstate.K_pipe_r i) pid
+     | Proc.On_pipe_write i -> Kstate.sleep_on t (Kstate.K_pipe_w i) pid
+     | Proc.On_fifo_read i -> Kstate.sleep_on t (Kstate.K_fifo_r i) pid
+     | Proc.On_fifo_write i -> Kstate.sleep_on t (Kstate.K_fifo_w i) pid
+     | Proc.On_accept i -> Kstate.sleep_on t (Kstate.K_accept i) pid
+     | Proc.On_connq i -> Kstate.sleep_on t (Kstate.K_connq i) pid
+     | Proc.On_time _ -> ()      (* woken by the timer wheel *)
+     | Proc.On_signal _ -> ()    (* woken by signal posting *)
+     | Proc.On_select s ->
+       List.iter (fun i -> Kstate.sleep_on t (Kstate.K_pipe_r i) pid) s.rpipes;
+       List.iter (fun i -> Kstate.sleep_on t (Kstate.K_pipe_w i) pid) s.wpipes;
+       List.iter (fun i -> Kstate.sleep_on t (Kstate.K_fifo_r i) pid) s.rfifos;
+       List.iter (fun i -> Kstate.sleep_on t (Kstate.K_fifo_w i) pid) s.wfifos;
+       List.iter (fun i -> Kstate.sleep_on t (Kstate.K_accept i) pid) s.rlisten)
+  | Proc.Runnable | Proc.Stopped | Proc.Zombie | Proc.Reaped -> ()
+
+(* The scheduler's half of a re-dispatched trap: resume, park, abandon
+   or replace the fibre [k] as the outcome says.  An abandoned fibre is
+   unwound, after the exit or exec it made. *)
 let settle (t : t) (proc : Proc.t) env k (outcome : Kstate.outcome) =
   match outcome with
   | Kstate.Done res ->
     proc.res <- res;
-    proc.resume <- Proc.Continue k;
+    proc.resume <- Proc.Continue;
+    proc.fibre <- k;
     finish_reply t proc
   | Kstate.Block cond ->
     proc.state <- Proc.Parked { env; cond };
-    proc.resume <- Proc.Continue k;
-    (match cond with
-     | Proc.On_child -> Kstate.sleep_on t (Kstate.K_child proc.pid) proc.pid
-     | _ ->
-       List.iter
-         (fun key -> Kstate.sleep_on t key proc.pid)
-         (keys_of_cond cond))
+    proc.resume <- Proc.Continue;
+    proc.fibre <- k;
+    park t proc
   | Kstate.Exited -> Kstate.discard t k
   | Kstate.Exec spec ->
     start_exec t proc spec;
     Kstate.discard t k
 
-(* The handlers of the three payload-free yields, each built once.  A
-   handler finds the shard through the ambient cell and the yielding
-   process through its [cur] (the fibre that performs is the one the
-   scheduler resumed), leaves the fibre in the process's resume slot
-   and then does [f], with no current process, as kernel code runs.
-   So a perform allocates only its continuation and the [Continue]
-   that holds it. *)
+(* The handlers of the payload-free yields, each built once.  A handler
+   finds the shard through the ambient cell and the yielding process
+   through its [cur] (the fibre that performs is the one the scheduler
+   resumed), leaves the fibre in the process's fibre slot and then does
+   [f], with no current process, as kernel code runs.  So a perform
+   allocates only its continuation. *)
 let yield_handler f =
   Some
     (fun k ->
@@ -96,13 +99,18 @@ let yield_handler f =
       match t.cur with
       | Some proc ->
         t.cur <- None;
-        proc.resume <- Proc.Continue k;
+        proc.resume <- Proc.Continue;
+        proc.fibre <- k;
         f t proc
       | None -> invalid_arg "yield outside a process")
 
 let on_reply = yield_handler finish_reply
 
 let on_yield = yield_handler Kstate.enqueue
+
+let on_park = yield_handler park
+
+let on_abandon = yield_handler Kstate.discard_fibre
 
 (* A CPU charge is a signal-check point; a stop there is deferred to
    the next trap. *)
@@ -162,10 +170,8 @@ let run_fiber (t : t) (proc : Proc.t) (body : unit -> int) =
           | Kstate.Reply -> on_reply
           | Events.Cpu -> on_cpu
           | Events.Yield -> on_yield
-          | Kstate.Settle (env, outcome) ->
-            Some (fun k ->
-              t.cur <- None;
-              settle t proc env k outcome)
+          | Kstate.Park -> on_park
+          | Kstate.Abandon -> on_abandon
           | Events.Exec_load spec ->
             Some (fun k ->
               t.cur <- None;
@@ -189,9 +195,11 @@ let process_trap (t : t) (proc : Proc.t) env k =
    otherwise discards the fibre. *)
 let run_turn (t : t) (proc : Proc.t) =
   let resume = proc.resume in
+  let k = proc.fibre in
   proc.resume <- Proc.Idle;
+  proc.fibre <- Proc.no_fibre;
   match proc.state, resume with
-  | Proc.Runnable, Proc.Continue k ->
+  | Proc.Runnable, Proc.Continue ->
     t.cur <- proc.me;
     Effect.Deep.continue k ();
     t.cur <- None
@@ -199,8 +207,8 @@ let run_turn (t : t) (proc : Proc.t) =
     t.cur <- proc.me;
     run_fiber t proc body;
     t.cur <- None
-  | Proc.Runnable, Proc.Retry (env, k) -> process_trap t proc env k
-  | _, (Proc.Continue k | Proc.Retry (_, k)) -> Kstate.discard t k
+  | Proc.Runnable, Proc.Retry env -> process_trap t proc env k
+  | _, (Proc.Continue | Proc.Retry _) -> Kstate.discard t k
   | _, (Proc.Start _ | Proc.Idle) -> ()
 
 (* --- the scheduler --------------------------------------------------------- *)

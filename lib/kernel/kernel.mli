@@ -17,16 +17,17 @@
     through the stubs in {!Uspace} (applications normally go through
     {!Libc} on top of those).  A system call runs its kernel half on
     the calling fibre and yields to the scheduler, through
-    {!Kstate.Reply} or {!Kstate.Settle}, only when the scheduler has
-    work to do; the other requests are the effects in {!Events}.
+    {!Kstate.Reply}, {!Kstate.Park} or {!Kstate.Abandon}, only when the
+    scheduler has work to do; the other requests are the effects in
+    {!Events}.
 
     The scheduler is a ring of processes ({!Kstate.enqueue}).  A
     process's turn does what its resume slot ({!Proc.resume}) says:
     enter a program, continue a suspended fibre, or re-dispatch a woken
-    parked call.  A fibre that yields leaves its continuation in that
-    slot and finds its answer in the process's [res] and [deliver], so
-    a contended trap or CPU charge allocates only the continuation and
-    the [Continue] that holds it.  A fibre the kernel abandons (exit,
+    parked call.  A fibre that yields leaves its continuation in the
+    process's [fibre] field and finds its answer in its [res] and
+    [deliver], so a contended trap, CPU charge or park allocates only
+    the continuation.  A fibre the kernel abandons (exit,
     exec, a kill, a deadlock) is discontinued, never dropped, so its
     stack is freed; its cleanup code runs with no current process and
     cannot act on the process, and [Kstate.t.fibres] counts the fibres
@@ -87,6 +88,13 @@ val boot : t -> name:string -> (unit -> int) -> int
     stdin/stdout/stderr connected to [/dev/tty] when it exists) and
     drives the scheduler to quiescence.  Returns pid 1's wait status
     (see {!Abi.Flags.Wait}).  A kernel can be booted once. *)
+
+val step : t -> until:int -> [ `Sleep_until of int | `Idle ]
+(** Bounded scheduling: run every runnable process and fire every timer
+    due at or before [until] (virtual µs), then report why the shard
+    stopped — at its next timer's deadline, or with nothing left to do.
+    {!boot} and {!Cluster.run} are built on it; a session stopped
+    between two steps has no fibre running. *)
 
 val with_signature : t -> (unit -> 'a) -> 'a * Abi.Signature.t
 (** [with_signature t f] runs [f] with a syscall-signature recorder

@@ -23,7 +23,8 @@ type outcome =
 
 type _ Effect.t +=
   | Reply : unit Effect.t
-  | Settle : Envelope.t * outcome -> unit Effect.t
+  | Park : unit Effect.t
+  | Abandon : unit Effect.t
 
 type runq = {
   mutable ring : Proc.t option array;
@@ -175,8 +176,10 @@ let discard t k =
     raise e
 
 let discard_fibre t (p : Proc.t) =
+  let k = p.fibre in
+  p.fibre <- Proc.no_fibre;
   match p.resume with
-  | Proc.Continue k | Proc.Retry (_, k) ->
+  | Proc.Continue | Proc.Retry _ ->
     p.resume <- Proc.Idle;
     discard t k
   | Proc.Start _ | Proc.Idle -> p.resume <- Proc.Idle
@@ -216,18 +219,20 @@ let spawn t (p : Proc.t) body =
    again at its turn (BSD restart). *)
 let retry t (p : Proc.t) (park : Proc.park) =
   match p.resume with
-  | Proc.Continue k ->
+  | Proc.Continue ->
     p.state <- Proc.Runnable;
-    p.resume <- Proc.Retry (park.env, k);
+    p.resume <- Proc.Retry park.env;
     enqueue t p
   | Proc.Start _ | Proc.Retry _ | Proc.Idle -> ()
 
 (* --- wait queues and timers -------------------------------------------- *)
 
+(* [Hashtbl.find] rather than [find_opt]: a park or a wake-up with
+   sleepers builds no [Some]. *)
 let waitq t key =
-  match Hashtbl.find_opt t.waitqs key with
-  | Some q -> q
-  | None ->
+  match Hashtbl.find t.waitqs key with
+  | q -> q
+  | exception Not_found ->
     let q = ref [] in
     Hashtbl.replace t.waitqs key q;
     q
@@ -254,9 +259,9 @@ let cond_matches (cond : Proc.cond) (key : wait_key) =
   | _ -> false
 
 let wake_key t key =
-  match Hashtbl.find_opt t.waitqs key with
-  | None -> ()
-  | Some q ->
+  match Hashtbl.find t.waitqs key with
+  | exception Not_found -> ()
+  | q ->
     let pids = !q in
     (* the entry goes with its sleepers: a re-park files a fresh one *)
     Hashtbl.remove t.waitqs key;

@@ -26,20 +26,24 @@ type outcome =
   | Exec of Events.exec_spec
       (** replace the caller's program text; abandon the fibre *)
 
-(** The two trap effects.  A system call's kernel half runs on the
-    calling fibre ([Uspace]); when its outcome needs the scheduler, the
-    fibre yields and the scheduler finishes the trap exactly as if it
-    had dispatched the call itself (DESIGN.md §3.8):
+(** The trap effects, each without payload.  A system call's kernel
+    half runs on the calling fibre ([Uspace]); when its outcome needs
+    the scheduler, the fibre yields and the scheduler finishes the trap
+    exactly as if it had dispatched the call itself (DESIGN.md §3.8):
     - [Reply], for a result while another fibre, a due timer or a
       pending signal is waiting.  The result rides in the caller's
-      [res], so the perform allocates no payload;
-    - [Settle], with the trap's envelope and outcome, for a block, an
-      exit or an exec.
-    Either way the fibre resumes with its answer in [res] and
-    [deliver] (or never, after an exit or exec). *)
+      [res];
+    - [Park], for a block.  The fibre has already set its state to
+      [Parked], which holds the envelope and the wait condition, and
+      the scheduler files the sleep keys;
+    - [Abandon], for an exit: the scheduler unwinds the fibre.
+    An exec performs [Events.Exec_load], as the exec-load primitive
+    does.  The fibre resumes with its answer in [res] and [deliver]
+    (or never, after an exit or exec). *)
 type _ Effect.t +=
   | Reply : unit Effect.t
-  | Settle : Abi.Envelope.t * outcome -> unit Effect.t
+  | Park : unit Effect.t
+  | Abandon : unit Effect.t
 
 (** The run queue: a growable ring of processes. *)
 type runq
@@ -147,7 +151,8 @@ val discard : t -> (unit, unit) Effect.Deep.continuation -> unit
     [Process_killed]. *)
 
 val discard_fibre : t -> Proc.t -> unit
-(** Empty the process's resume slot, discarding the fibre in it. *)
+(** Empty the process's resume slot, discarding the fibre it held:
+    the slot is [Idle] and {!Proc.no_fibre} before the fibre unwinds. *)
 
 val enqueue : t -> Proc.t -> unit
 (** Give the process a turn at the back of the run queue; its resume

@@ -31,8 +31,35 @@ type state =
 type resume =
   | Idle
   | Start of (unit -> int)
-  | Continue of (unit, unit) Effect.Deep.continuation
-  | Retry of Abi.Envelope.t * (unit, unit) Effect.Deep.continuation
+  | Continue
+  | Retry of Abi.Envelope.t
+
+type fibre = (unit, unit) Effect.Deep.continuation
+
+(* The empty fibre slot: a continuation already used up, so resuming it
+   raises [Effect.Continuation_already_resumed].  Built once, by
+   discontinuing a fibre at its one perform. *)
+type _ Effect.t += Spent : unit Effect.t
+
+let no_fibre : fibre =
+  let open Effect.Deep in
+  let slot : fibre option ref = ref None in
+  match_with
+    (fun () -> Effect.perform Spent)
+    ()
+    { retc = (fun () -> ());
+      exnc = (fun _ -> ());
+      effc =
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) continuation -> unit) option ->
+          match eff with
+          | Spent ->
+            Some
+              (fun (k : fibre) ->
+                slot := Some k;
+                discontinue k Exit)
+          | _ -> None) };
+  Option.get !slot
 
 type sigstate = {
   mutable handlers : Abi.Value.handler array;
@@ -71,6 +98,7 @@ type t = {
       (* [Some] of this process, built once: the run-queue entry and
          the shard's [cur] while it runs *)
   mutable resume : resume;
+  mutable fibre : fibre;
   mutable res : Abi.Value.res;
   mutable deliver : int list;
   mutable exit_status : int;
@@ -104,6 +132,7 @@ let create ~pid ~ppid ~pgrp ~name ~cred ~cwd =
       state = Runnable;
       me = Some p;
       resume = Idle;
+      fibre = no_fibre;
       res = Abi.Value.ok;
       deliver = [];
       exit_status = 0;
@@ -140,6 +169,7 @@ let fork_copy t ~pid ~name =
       state = Runnable;
       me = Some p;
       resume = Idle;
+      fibre = no_fibre;
       res = Abi.Value.ok;
       deliver = [];
       exit_status = 0;

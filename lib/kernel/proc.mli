@@ -29,24 +29,32 @@ type park = {
 
 type state =
   | Runnable
-  | Parked of park              (** the fibre waits in {!field-resume} *)
+  | Parked of park              (** the fibre waits in {!field-fibre} *)
   | Stopped                     (** likewise, its answer already set *)
   | Zombie
   | Reaped
 
 (** The resume slot: what the scheduler does at the process's next turn
-    in the run queue, and the one place a suspended fibre is kept.  A
-    fibre yields with a [unit] continuation and finds its answer in
-    {!field-res} and {!field-deliver} when it resumes. *)
+    in the run queue.  A fibre yields with a [unit] continuation, kept
+    in {!field-fibre}, and finds its answer in {!field-res} and
+    {!field-deliver} when it resumes. *)
 type resume =
   | Idle                        (** running, or no fibre at all *)
   | Start of (unit -> int)      (** enter a program: a fork child's, or
                                     the image an exec loaded *)
-  | Continue of (unit, unit) Effect.Deep.continuation
-      (** resume a suspended fibre: queued after a yield, or parked or
+  | Continue
+      (** resume the suspended fibre: queued after a yield, or parked or
           stopped until something requeues it *)
-  | Retry of Abi.Envelope.t * (unit, unit) Effect.Deep.continuation
+  | Retry of Abi.Envelope.t
       (** a woken parked call: dispatch it again, then settle it *)
+
+(** A suspended fibre, resumed with [unit]. *)
+type fibre = (unit, unit) Effect.Deep.continuation
+
+val no_fibre : fibre
+(** The empty fibre slot: a continuation already used up, built once,
+    so resuming it raises [Effect.Continuation_already_resumed] and a
+    stale resume fails loudly. *)
 
 (** Per-process signal state. *)
 type sigstate = {
@@ -98,6 +106,11 @@ type t = {
           run-queue entry and the shard's [cur] while it runs, so a
           turn allocates neither *)
   mutable resume : resume;
+  mutable fibre : fibre;
+      (** the one place a suspended fibre is kept: not {!no_fibre}
+          exactly when {!field-resume} is [Continue] or [Retry].  The
+          scheduler empties it before it resumes or discards the fibre,
+          so a process never holds a continuation it will not resume *)
   mutable res : Abi.Value.res;
       (** the answer to a yielded trap: its result... *)
   mutable deliver : int list;

@@ -30,14 +30,6 @@ let fd_file (p : Proc.t) fd =
   | Some e -> Ok e.File.file
   | None -> Error Errno.EBADF
 
-let driver t (inode : Vfs.Inode.t) =
-  match inode.kind with
-  | Vfs.Inode.Chardev rdev ->
-    (match Dev.lookup t.devs rdev with
-     | Some ops -> Ok ops
-     | None -> Error Errno.ENXIO)
-  | _ -> Error Errno.ENODEV
-
 (* --- read --------------------------------------------------------------- *)
 
 let nonblocking (f : File.t) = f.flags land Flags.Open.o_nonblock <> 0
@@ -97,10 +89,10 @@ let do_read t (p : Proc.t) fd buf cnt =
              Vfs.Fs.touch_atime t.fs inode;
              done_ret n
            | Vfs.Inode.Dir _ -> fail Errno.EISDIR
-           | Vfs.Inode.Chardev _ ->
-             (match driver t inode with
-              | Error e -> fail e
-              | Ok ops -> done_ret (ops.Dev.read buf ~off:0 ~len:cnt))
+           | Vfs.Inode.Chardev rdev ->
+             (match Dev.find t.devs rdev with
+              | ops -> done_ret (ops.Dev.read buf ~off:0 ~len:cnt)
+              | exception Not_found -> fail Errno.ENXIO)
            | Vfs.Inode.Symlink _ -> fail Errno.EINVAL
            | Vfs.Inode.Fifo _ -> fail Errno.EBADF)
         | File.Pipe_read pipe ->
@@ -175,10 +167,10 @@ let do_write t (p : Proc.t) fd data =
            f.offset <- pos + n;
            Vfs.Fs.touch_mtime t.fs inode;
            done_ret n
-         | Vfs.Inode.Chardev _ ->
-           (match driver t inode with
-            | Error e -> fail e
-            | Ok ops -> done_ret (ops.Dev.write data))
+         | Vfs.Inode.Chardev rdev ->
+           (match Dev.find t.devs rdev with
+            | ops -> done_ret (ops.Dev.write data)
+            | exception Not_found -> fail Errno.ENXIO)
          | Vfs.Inode.Dir _ -> fail Errno.EISDIR
          | Vfs.Inode.Symlink _ | Vfs.Inode.Fifo _ -> fail Errno.EBADF)
       | File.Pipe_write pipe ->
@@ -288,7 +280,9 @@ let do_fcntl t (p : Proc.t) fd cmd arg =
   match fd_entry p fd with
   | Error e -> fail e
   | Ok e ->
-    if cmd = Flags.Fcntl.f_dupfd then do_dup t p fd ~from:arg
+    if cmd = Flags.Fcntl.f_dupfd && (arg < 0 || arg >= Array.length p.fds)
+    then fail Errno.EINVAL (* 4.3BSD's [i < 0 || i >= NOFILE] *)
+    else if cmd = Flags.Fcntl.f_dupfd then do_dup t p fd ~from:arg
     else if cmd = Flags.Fcntl.f_getfd then
       done_ret (if e.File.cloexec then Flags.Fcntl.fd_cloexec else 0)
     else if cmd = Flags.Fcntl.f_setfd then begin
@@ -413,10 +407,10 @@ let do_ioctl t (p : Proc.t) fd op buf =
     else begin
       let tty_ops =
         match f.kind with
-        | File.Vnode inode ->
-          (match driver t inode with
-           | Ok ops when ops.Dev.isatty -> Some ops
-           | Ok _ | Error _ -> None)
+        | File.Vnode { kind = Vfs.Inode.Chardev rdev; _ } ->
+          (match Dev.find t.devs rdev with
+           | ops when ops.Dev.isatty -> Some ops
+           | _ | exception Not_found -> None)
         | _ -> None
       in
       if op = Flags.Ioctl.tiocisatty then

@@ -64,16 +64,20 @@ let serve_inline ?via (t : Kstate.t) (proc : Proc.t) env =
     t.cur <- cur;
     raise e
 
-(* Yield a trap to the scheduler.  A result rides in the process's
-   [res], so [Reply] carries nothing; the answer is in [res] and
-   [deliver] when the scheduler resumes us. *)
+(* Yield a trap to the scheduler.  Only an exec's effect carries a
+   payload (it is the exec-load primitive's): a result rides in the
+   process's [res], a block in its [Parked] state, and the answer is in
+   [res] and [deliver] when the scheduler resumes us. *)
 let yield_trap (proc : Proc.t) env (outcome : Kstate.outcome) =
   match outcome with
   | Kstate.Done res ->
     proc.res <- res;
     Effect.perform Kstate.Reply
-  | Kstate.Block _ | Kstate.Exited | Kstate.Exec _ ->
-    Effect.perform (Kstate.Settle (env, outcome))
+  | Kstate.Block cond ->
+    proc.state <- Proc.Parked { env; cond };
+    Effect.perform Kstate.Park
+  | Kstate.Exited -> Effect.perform Kstate.Abandon
+  | Kstate.Exec spec -> Effect.perform (Events.Exec_load spec)
 
 (* Direct kernel entry (DESIGN.md §3.8).  The scheduler resumes a
    settled reply only after due timers, pending signals and the fibres

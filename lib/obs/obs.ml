@@ -462,6 +462,37 @@ let chan_sock id = (id lsl 2) lor 2
 let chan_kind chan =
   match chan land 3 with 0 -> "pipe" | 1 -> "fifo" | _ -> "sock"
 
+let rec decimal_width n = if n < 10 then 1 else 1 + decimal_width (n / 10)
+
+(* [n >= 0] in decimal at [pos] of [b]; the position after it. *)
+let put_decimal b pos n =
+  let w = decimal_width n in
+  let rec go i n =
+    Bytes.set b i (Char.chr (Char.code '0' + n mod 10));
+    if n >= 10 then go (i - 1) (n / 10)
+  in
+  go (pos + w - 1) n;
+  pos + w
+
+(* A pipe edge's detail, "<kind>#<id> bytes <lo>..<hi>", rendered into
+   one string of computed length.  Channel ids and byte offsets count
+   up from 0. *)
+let pipe_edge_detail chan ~lo ~hi =
+  let kind = chan_kind chan and id = chan asr 2 in
+  let k = String.length kind in
+  let b =
+    Bytes.create
+      (k + 1 + decimal_width id + 7 + decimal_width lo + 2 + decimal_width hi)
+  in
+  Bytes.blit_string kind 0 b 0 k;
+  Bytes.set b k '#';
+  let pos = put_decimal b (k + 1) id in
+  Bytes.blit_string " bytes " 0 b pos 7;
+  let pos = put_decimal b (pos + 7) lo in
+  Bytes.blit_string ".." 0 b pos 2;
+  ignore (put_decimal b (pos + 2) hi);
+  Bytes.unsafe_to_string b
+
 let pipe_chan_for e chan =
   match Hashtbl.find e.e_pipes chan with
   | c -> c
@@ -511,10 +542,8 @@ let causal_pipe_read ~chan ~pid ~bytes =
               emit_edge e ~kind:Causal.Pipe ~src_shard:e.e_shard
                 ~src_span:w.w_span ~src_pid:w.w_pid ~dst_span ~dst_pid:pid
                 ~detail:
-                  (String.concat ""
-                     [ chan_kind chan; "#"; string_of_int (chan asr 2);
-                       " bytes "; string_of_int (max w.w_start lo); "..";
-                       string_of_int (min w.w_stop hi) ]);
+                  (pipe_edge_detail chan ~lo:(max w.w_start lo)
+                     ~hi:(min w.w_stop hi));
               w :: seen
             end
           in

@@ -582,6 +582,47 @@ let test_settimeofday_root_only () =
   in
   check_exit "settimeofday" 0 status
 
+(* fcntl(F_DUPFD): 4.3BSD rejects an [arg] outside the descriptor
+   table with EINVAL (it used to be clamped to 0, or EMFILE at 64),
+   a free [arg] is the descriptor returned, and a full table from
+   [arg] up is EMFILE.  No failure leaves the file's references moved. *)
+let test_fcntl_dupfd_range () =
+  let got = ref [] in
+  let _, status =
+    boot (fun () ->
+      let fd = u "open" (Libc.Unistd.open_ "/dev/null" Flags.Open.o_rdonly 0) in
+      let refs () =
+        match Kernel.Proc.fd (Kernel.Uspace.self ()) fd with
+        | Some e -> e.Kernel.File.file.refs
+        | None -> -1
+      in
+      let dupfd what arg =
+        let before = refs () in
+        let r = Libc.Unistd.fcntl fd Flags.Fcntl.f_dupfd arg in
+        let moved = refs () - before in
+        got := (what, r, moved) :: !got
+      in
+      dupfd "arg -1" (-1);
+      dupfd "arg 64" 64;
+      dupfd "arg 63 free" 63;
+      dupfd "arg 63 taken" 63;
+      0)
+  in
+  check_exit "F_DUPFD session" 0 status;
+  let result = Alcotest.(result int (of_pp (fun ppf e ->
+      Format.pp_print_string ppf (Errno.name e))))
+  in
+  List.iter2
+    (fun (what, want, want_moved) (what', r, moved) ->
+      Alcotest.(check string) "case" what what';
+      Alcotest.check result what want r;
+      Alcotest.(check int) (what ^ ": references moved") want_moved moved)
+    [ ("arg -1", Error Errno.EINVAL, 0);
+      ("arg 64", Error Errno.EINVAL, 0);
+      ("arg 63 free", Ok 63, 1);
+      ("arg 63 taken", Error Errno.EMFILE, 0) ]
+    (List.rev !got)
+
 let test_fionread () =
   let _, status = boot (fun () ->
     let r, w = u "pipe" (Libc.Unistd.pipe ()) in
@@ -1527,7 +1568,8 @@ let test_wait4_matches_table_scan =
            | Stop i ->
              Option.iter
                (fun (p : Proc.t) ->
-                 p.resume <- Proc.Continue (stopped_fibre ());
+                 p.resume <- Proc.Continue;
+                 p.fibre <- stopped_fibre ();
                  p.state <- Proc.Stopped)
                (pick runnable i)
            | Exit_init code ->
@@ -1653,6 +1695,7 @@ let () =
         Alcotest.test_case "rewinddir" `Quick test_lseek_rewinds_directory;
         QCheck_alcotest.to_alcotest test_getdirentries_matches_model;
         Alcotest.test_case "FIONREAD" `Quick test_fionread;
+        Alcotest.test_case "F_DUPFD range" `Quick test_fcntl_dupfd_range;
         Alcotest.test_case "trailing slash table" `Quick
           test_trailing_slash_table ];
       "timers",

@@ -200,6 +200,116 @@ let test_signals_fibres_finish () =
   check_exit "session" 0 (boot_k k signals_program);
   check_no_live_fibres "signals" k
 
+(* --- the resume slot ------------------------------------------------------ *)
+
+(* A process holds a suspended fibre exactly when its next turn resumes
+   or retries one. *)
+let slot_consistent (p : Kernel.Proc.t) =
+  let holds = p.fibre != Kernel.Proc.no_fibre in
+  match p.resume with
+  | Kernel.Proc.Continue | Kernel.Proc.Retry _ -> holds
+  | Kernel.Proc.Idle | Kernel.Proc.Start _ -> not holds
+
+(* Run [body] as pid 1 one [Kernel.step] at a time, to each next timer,
+   checking every process's slot between steps and at every dispatched
+   call (a trace hook of no cost, which leaves the schedule alone).
+   Every process ever seen must end with an empty slot: none keeps a
+   continuation it will not resume. *)
+let stepped_session what setup body =
+  let c = Kernel.Cluster.create ~shards:1 () in
+  let k = Kernel.Cluster.shard c 0 in
+  Kernel.populate_standard k;
+  setup k;
+  let seen = Hashtbl.create 64 and bad = ref [] and checks = ref 0 in
+  let check () =
+    incr checks;
+    Hashtbl.iter
+      (fun pid p ->
+        Hashtbl.replace seen pid p;
+        if not (slot_consistent p) then bad := pid :: !bad)
+      k.Kernel.Kstate.procs
+  in
+  Kernel.set_trace_hook k ~cost_us:0 (Some (fun _ _ _ -> check ()));
+  let init = Kernel.Cluster.boot_shard c 0 ~name:what body in
+  let steps = ref 0 in
+  Kernel.with_shard k (fun () ->
+      let rec go until =
+        incr steps;
+        match Kernel.step k ~until with
+        | `Sleep_until at ->
+          check ();
+          go at
+        | `Idle -> check ()
+      in
+      go 0);
+  check_exit what 0 init.Kernel.Proc.exit_status;
+  Alcotest.(check (list int)) (what ^ ": inconsistent slots") [] !bad;
+  Alcotest.(check bool) (what ^ ": checked at the calls") true
+    (!checks > !steps);
+  Hashtbl.iter
+    (fun pid (p : Kernel.Proc.t) ->
+      if p.resume <> Kernel.Proc.Idle || p.fibre != Kernel.Proc.no_fibre then
+        Alcotest.failf "%s: pid %d kept a fibre" what pid)
+    seen
+
+let test_kvd_slots () =
+  let params = Workloads.Kvd.quick_params in
+  let stats = Workloads.Kvd.fresh_stats () in
+  stepped_session "kvd fork"
+    (fun k -> Workloads.Kvd.setup ~params k)
+    (fun () ->
+      List.iter
+        (fun a -> Toolkit.Loader.install a ~argv:[||])
+        (Conformance.stacked.Conformance.sk_make ());
+      Workloads.Kvd.body ~params ~stats ~mode:Workloads.Kvd.Fork_per_conn ());
+  Alcotest.(check int) "every client served" params.Workloads.Kvd.clients
+    stats.Workloads.Kvd.conns
+
+let test_signals_slots () =
+  stepped_session "signals" (fun _ -> ()) signals_program
+
+let test_no_fibre_is_spent () =
+  match Effect.Deep.continue Kernel.Proc.no_fibre () with
+  | () -> Alcotest.fail "the empty slot resumed"
+  | exception Effect.Continuation_already_resumed -> ()
+
+type _ Effect.t += Hold : unit Effect.t
+
+(* A fibre suspended at [Hold], and whether it has been unwound. *)
+let held_fibre () =
+  let unwound = ref false and held = ref Kernel.Proc.no_fibre in
+  Effect.Deep.match_with
+    (fun () -> Effect.perform Hold)
+    ()
+    { retc = (fun () -> ());
+      exnc = (fun _ -> unwound := true);
+      effc =
+        (fun (type a) (e : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
+          match e with
+          | Hold -> Some (fun k -> held := k)
+          | _ -> None) };
+  (!held, unwound)
+
+let test_discard_empties_slot () =
+  let k = fresh_kernel () in
+  let p =
+    Kernel.Proc.create ~pid:(Kernel.Kstate.alloc_pid k) ~ppid:0 ~pgrp:1
+      ~name:"held" ~cred:Vfs.Fs.root_cred ~cwd:(Vfs.Fs.root_ino (Kernel.fs k))
+  in
+  List.iter
+    (fun (what, resume) ->
+      let fibre, unwound = held_fibre () in
+      p.resume <- resume;
+      p.fibre <- fibre;
+      Kernel.Kstate.discard_fibre k p;
+      Alcotest.(check bool) (what ^ ": unwound") true !unwound;
+      Alcotest.(check bool) (what ^ ": idle") true (p.resume = Kernel.Proc.Idle);
+      Alcotest.(check bool) (what ^ ": empty") true
+        (p.fibre == Kernel.Proc.no_fibre))
+    [ ("continue", Kernel.Proc.Continue);
+      ("retry", Kernel.Proc.Retry (Envelope.of_call Call.Getpid)) ]
+
 (* --- what a contended yield allocates ---------------------------------- *)
 
 (* Two runnable processes, each looping getpid + one µs of compute: every
@@ -240,10 +350,13 @@ let words_per_contended_iteration ~iters =
   check_exit "session" 0 status;
   !words /. float_of_int (2 * iters)
 
+(* Measured 11.0 since a yield allocates only its continuation, and
+   15.0 while a [Continue] box held it in the resume slot: the bound
+   leaves 2 words of headroom, and the box back trips it. *)
 let test_contended_yield_words () =
   let w = words_per_contended_iteration ~iters:100_000 in
-  if w > 45.0 then
-    Alcotest.failf "%.1f minor words per contended iteration (bound 45)" w
+  if w > 13.0 then
+    Alcotest.failf "%.1f minor words per contended iteration (bound 13)" w
 
 let () =
   Alcotest.run "sched"
@@ -259,6 +372,12 @@ let () =
         [ Alcotest.test_case "kvd" `Quick test_kvd_fibres_finish;
           Alcotest.test_case "make" `Quick test_make_fibres_finish;
           Alcotest.test_case "signals" `Quick test_signals_fibres_finish ] );
+      ( "resume slot",
+        [ Alcotest.test_case "kvd stepped" `Quick test_kvd_slots;
+          Alcotest.test_case "signals stepped" `Quick test_signals_slots;
+          Alcotest.test_case "no_fibre is spent" `Quick test_no_fibre_is_spent;
+          Alcotest.test_case "discard empties the slot" `Quick
+            test_discard_empties_slot ] );
       ( "alloc",
         [ Alcotest.test_case "contended yield" `Quick
             test_contended_yield_words ] ) ]
