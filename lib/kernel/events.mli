@@ -6,10 +6,10 @@
     an effect only when the scheduler has work to do
     ({!Kstate.Reply}, {!Kstate.Park}, {!Kstate.Abandon}, or
     [Exec_load] for an exec); the primitives here always go through the
-    scheduler in {!Kernel}.  Every yield but [Exec_load] is answered
-    through the process's resume slot ({!Proc.resume}) and [fibre]
-    field ({!Proc.t}), so the effects carry no payload and the
-    continuation's answer is [unit]. *)
+    scheduler in {!Kernel}.  Every yield but [Exec_load] leaves its
+    continuation in the process's [fibre] field and finds its answer in
+    its [res] and [deliver] ({!Proc.t}), so the effects carry no
+    payload and the continuation's answer is [unit]. *)
 
 (** How a trap reached the kernel: directly from the application, or
     through [Uspace.htg_trap] (which bypasses the emulation vector and

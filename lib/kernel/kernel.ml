@@ -47,7 +47,7 @@ let start_exec (t : t) (proc : Proc.t) (spec : Events.exec_spec) =
 let park (t : t) (proc : Proc.t) =
   let pid = proc.pid in
   match proc.state with
-  | Proc.Parked { cond; _ } ->
+  | Proc.Parked cond ->
     (match cond with
      | Proc.On_child -> Kstate.sleep_on t (Kstate.K_child pid) pid
      | Proc.On_pipe_read i -> Kstate.sleep_on t (Kstate.K_pipe_r i) pid
@@ -66,26 +66,6 @@ let park (t : t) (proc : Proc.t) =
        List.iter (fun i -> Kstate.sleep_on t (Kstate.K_accept i) pid) s.rlisten)
   | Proc.Runnable | Proc.Stopped | Proc.Zombie | Proc.Reaped -> ()
 
-(* The scheduler's half of a re-dispatched trap: resume, park, abandon
-   or replace the fibre [k] as the outcome says.  An abandoned fibre is
-   unwound, after the exit or exec it made. *)
-let settle (t : t) (proc : Proc.t) env k (outcome : Kstate.outcome) =
-  match outcome with
-  | Kstate.Done res ->
-    proc.res <- res;
-    proc.resume <- Proc.Continue;
-    proc.fibre <- k;
-    finish_reply t proc
-  | Kstate.Block cond ->
-    proc.state <- Proc.Parked { env; cond };
-    proc.resume <- Proc.Continue;
-    proc.fibre <- k;
-    park t proc
-  | Kstate.Exited -> Kstate.discard t k
-  | Kstate.Exec spec ->
-    start_exec t proc spec;
-    Kstate.discard t k
-
 (* The handlers of the payload-free yields, each built once.  A handler
    finds the shard through the ambient cell and the yielding process
    through its [cur] (the fibre that performs is the one the scheduler
@@ -99,7 +79,6 @@ let yield_handler f =
       match t.cur with
       | Some proc ->
         t.cur <- None;
-        proc.resume <- Proc.Continue;
         proc.fibre <- k;
         f t proc
       | None -> invalid_arg "yield outside a process")
@@ -179,37 +158,23 @@ let run_fiber (t : t) (proc : Proc.t) (body : unit -> int) =
               Kstate.discard t k)
           | _ -> None) }
 
-(* Re-attempt a parked trap (BSD restart: the same call, dispatched
-   again, its entry cost already paid).  A deferred fatal signal takes
-   effect first, before the call can park the process out of its reach
-   again. *)
-let process_trap (t : t) (proc : Proc.t) env k =
-  match Kstate.pending_terminal proc with
-  | `Kill (s, status) ->
-    Kstate.exit_by_signal t proc s status;
-    Kstate.discard t k
-  | `Stop _ | `None -> settle t proc env k (Syscalls.serve t proc env)
-
-(* The one way a fibre runs: a process's turn in the run queue does
-   what its resume slot says, if the process is still runnable, and
-   otherwise discards the fibre. *)
+(* The one way a fibre runs: a runnable process's turn in the run
+   queue resumes its fibre or enters its [start]; any other process has
+   its fibre discarded. *)
 let run_turn (t : t) (proc : Proc.t) =
-  let resume = proc.resume in
   let k = proc.fibre in
-  proc.resume <- Proc.Idle;
-  proc.fibre <- Proc.no_fibre;
-  match proc.state, resume with
-  | Proc.Runnable, Proc.Continue ->
+  match proc.state, proc.start with
+  | Proc.Runnable, _ when k != Proc.no_fibre ->
+    proc.fibre <- Proc.no_fibre;
     t.cur <- proc.me;
     Effect.Deep.continue k ();
     t.cur <- None
-  | Proc.Runnable, Proc.Start body ->
+  | Proc.Runnable, Some body ->
+    proc.start <- None;
     t.cur <- proc.me;
     run_fiber t proc body;
     t.cur <- None
-  | Proc.Runnable, Proc.Retry env -> process_trap t proc env k
-  | _, (Proc.Continue | Proc.Retry _) -> Kstate.discard t k
-  | _, (Proc.Start _ | Proc.Idle) -> ()
+  | _ -> Kstate.discard_fibre t proc
 
 (* --- the scheduler --------------------------------------------------------- *)
 
@@ -229,13 +194,13 @@ let fire_timer (t : t) (ev : Kstate.timer_event) =
      | None -> ())
   | Kstate.T_wake pid ->
     (match Kstate.proc t pid with
-     | Some ({ state = Proc.Parked { cond = Proc.On_time _; _ }; _ } as proc)
+     | Some ({ state = Proc.Parked (Proc.On_time _); _ } as proc)
        ->
        time_out t proc (Value.ret 0)
      | Some _ | None -> ())
   | Kstate.T_select pid ->
     (match Kstate.proc t pid with
-     | Some ({ state = Proc.Parked { cond = Proc.On_select _; _ }; _ } as proc)
+     | Some ({ state = Proc.Parked (Proc.On_select _); _ } as proc)
        ->
        (* timeout: no descriptors ready *)
        time_out t proc (Value.ret 0 ~r1:0)

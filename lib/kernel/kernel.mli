@@ -22,12 +22,13 @@
     {!Events}.
 
     The scheduler is a ring of processes ({!Kstate.enqueue}).  A
-    process's turn does what its resume slot ({!Proc.resume}) says:
-    enter a program, continue a suspended fibre, or re-dispatch a woken
-    parked call.  A fibre that yields leaves its continuation in the
+    process's turn continues its suspended fibre or enters the program
+    in its [start].  A fibre that yields leaves its continuation in the
     process's [fibre] field and finds its answer in its [res] and
     [deliver], so a contended trap, CPU charge or park allocates only
-    the continuation.  A fibre the kernel abandons (exit,
+    the continuation.  A woken parked call finds {!Proc.restart} there
+    and is served again on its own fibre: the fibre is the one place a
+    system call is served.  A fibre the kernel abandons (exit,
     exec, a kill, a deadlock) is discontinued, never dropped, so its
     stack is freed; its cleanup code runs with no current process and
     cannot act on the process, and [Kstate.t.fibres] counts the fibres

@@ -178,16 +178,14 @@ let discard t k =
 let discard_fibre t (p : Proc.t) =
   let k = p.fibre in
   p.fibre <- Proc.no_fibre;
-  match p.resume with
-  | Proc.Continue | Proc.Retry _ ->
-    p.resume <- Proc.Idle;
-    discard t k
-  | Proc.Start _ | Proc.Idle -> p.resume <- Proc.Idle
+  p.start <- None;
+  if k != Proc.no_fibre then discard t k
 
 (* The run queue is a ring of processes, each entry the process's own
    [me], so a turn allocates nothing.  A process is in it at most once:
    it is queued only when it is created, yields, or leaves the parked
-   or stopped state, and its resume slot says what its turn does. *)
+   or stopped state, and its turn resumes its fibre or enters its
+   [start]. *)
 let enqueue t (p : Proc.t) =
   let q = t.runq in
   let cap = Array.length q.ring in
@@ -212,18 +210,8 @@ let dequeue t =
   end
 
 let spawn t (p : Proc.t) body =
-  p.resume <- Proc.Start body;
+  p.start <- Some body;
   enqueue t p
-
-(* A woken parked call goes back to the run queue, to be dispatched
-   again at its turn (BSD restart). *)
-let retry t (p : Proc.t) (park : Proc.park) =
-  match p.resume with
-  | Proc.Continue ->
-    p.state <- Proc.Runnable;
-    p.resume <- Proc.Retry park.env;
-    enqueue t p
-  | Proc.Start _ | Proc.Retry _ | Proc.Idle -> ()
 
 (* --- wait queues and timers -------------------------------------------- *)
 
@@ -270,8 +258,11 @@ let wake_key t key =
         match proc t pid with
         | Some p ->
           (match p.Proc.state with
-           | Proc.Parked park when cond_matches park.cond key ->
-             retry t p park
+           | Proc.Parked cond when cond_matches cond key ->
+             (* BSD restart: the woken fibre serves its call again *)
+             p.state <- Proc.Runnable;
+             p.res <- Proc.restart;
+             enqueue t p
            | _ -> ())
         | None -> ())
       (List.rev pids)
@@ -289,10 +280,13 @@ let timer_pid = function T_wake pid | T_alarm pid | T_select pid -> pid
 let cancel_timers_for t pid =
   t.timers <- List.filter (fun (_, ev) -> timer_pid ev <> pid) t.timers
 
-let cancel_select_timers t pid =
+(* A process makes one call at a time, so its T_wake or T_select is
+   its call in progress's. *)
+let cancel_call_timers t pid =
   t.timers <-
     List.filter
-      (fun (_, ev) -> match ev with T_select p -> p <> pid | _ -> true)
+      (fun (_, ev) ->
+        match ev with T_wake p | T_select p -> p <> pid | T_alarm _ -> true)
       t.timers
 
 let has_select_timer t pid =
@@ -560,14 +554,14 @@ and act_on_pending t (p : Proc.t) s =
        | Proc.Zombie | Proc.Reaped -> ())
     | `Handler ->
       (match p.state with
-       | Proc.Parked park ->
-         (* interrupt the slow call: EINTR plus handler delivery.  If
-            the call was a select with a timeout armed, its T_select
-            timer must die with it — a stale one would later fire into
-            whatever call the process makes next *)
+       | Proc.Parked cond ->
+         (* interrupt the slow call: EINTR plus handler delivery.  A
+            sleep's T_wake or a select's T_select timer dies with it —
+            a stale one would later fire into whatever call the process
+            makes next *)
          take_pending p s;
-         cancel_select_timers t p.pid;
-         (match park.cond with
+         cancel_call_timers t p.pid;
+         (match cond with
           | Proc.On_signal saved -> p.sigs.mask <- saved
           | _ -> ());
          p.state <- Proc.Runnable;

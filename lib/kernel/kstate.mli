@@ -21,7 +21,7 @@ type timer_event =
 (** Result of dispatching one system call. *)
 type outcome =
   | Done of Abi.Value.res
-  | Block of Proc.cond    (** park the caller; retried on wake *)
+  | Block of Proc.cond    (** park the caller; restarted on wake *)
   | Exited                (** the caller is gone; abandon the fibre *)
   | Exec of Events.exec_spec
       (** replace the caller's program text; abandon the fibre *)
@@ -34,8 +34,9 @@ type outcome =
       pending signal is waiting.  The result rides in the caller's
       [res];
     - [Park], for a block.  The fibre has already set its state to
-      [Parked], which holds the envelope and the wait condition, and
-      the scheduler files the sleep keys;
+      [Parked], which holds the wait condition, and the scheduler files
+      the sleep keys.  A wake-up answers {!Proc.restart}, and the fibre
+      serves the same call again;
     - [Abandon], for an exit: the scheduler unwinds the fibre.
     An exec performs [Events.Exec_load], as the exec-load primitive
     does.  The fibre resumes with its answer in [res] and [deliver]
@@ -85,7 +86,7 @@ type t = {
   mutable deadlock_kills : int;
   mutable round_trips : int;
       (** run-queue entries the scheduler has taken: every trap or CPU
-          charge that yielded, every wake-up retry and fibre start *)
+          charge that yielded, every wake-up restart and fibre start *)
   mutable fibres : int;
       (** fibres started and not yet finished (returned or unwound);
           0 once a session is over, or a fibre's stack leaked *)
@@ -151,13 +152,13 @@ val discard : t -> (unit, unit) Effect.Deep.continuation -> unit
     [Process_killed]. *)
 
 val discard_fibre : t -> Proc.t -> unit
-(** Empty the process's resume slot, discarding the fibre it held:
-    the slot is [Idle] and {!Proc.no_fibre} before the fibre unwinds. *)
+(** Empty the process's [start] and [fibre], discarding the fibre it
+    held: both are empty before the fibre unwinds. *)
 
 val enqueue : t -> Proc.t -> unit
-(** Give the process a turn at the back of the run queue; its resume
-    slot says what the turn does.  Allocation-free while the ring has
-    room. *)
+(** Give the process a turn at the back of the run queue, which
+    resumes its fibre or enters its [start].  Allocation-free while the
+    ring has room. *)
 
 val dequeue : t -> Proc.t option
 (** The process whose turn is next, if any.  Allocation-free. *)
@@ -170,12 +171,16 @@ val spawn : t -> Proc.t -> (unit -> int) -> unit
 
 val sleep_on : t -> wait_key -> int -> unit
 val wake_key : t -> wait_key -> unit
-(** Queue a retry of the parked call of every process on the queue
-    whose wait condition the key matches. *)
+(** Make runnable every process on the queue whose wait condition the
+    key matches, with {!Proc.restart} as its answer, and queue it: its
+    fibre serves the parked call again (BSD restart). *)
 
 val add_timer : t -> at:int -> timer_event -> unit
 val cancel_timers_for : t -> int -> unit
-val cancel_select_timers : t -> int -> unit
+val cancel_call_timers : t -> int -> unit
+(** Disarm the timer of the process's call in progress: a sleep's
+    [T_wake] or a select's [T_select], never its alarm. *)
+
 val has_select_timer : t -> int -> bool
 val uncontended : t -> Proc.t -> until:int -> bool
 (** Nothing for the scheduler to do for [p] up to virtual time

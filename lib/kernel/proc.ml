@@ -16,23 +16,12 @@ type cond =
       rlisten : int list;  (* listener ids: readable = pending conn *)
     }
 
-type park = {
-  env : Abi.Envelope.t;
-  cond : cond;
-}
-
 type state =
   | Runnable
-  | Parked of park
+  | Parked of cond
   | Stopped
   | Zombie
   | Reaped
-
-type resume =
-  | Idle
-  | Start of (unit -> int)
-  | Continue
-  | Retry of Abi.Envelope.t
 
 type fibre = (unit, unit) Effect.Deep.continuation
 
@@ -60,6 +49,10 @@ let no_fibre : fibre =
                 discontinue k Exit)
           | _ -> None) };
   Option.get !slot
+
+(* BSD's ERESTART: a block built at run time, so no result a call
+   returns is physically equal to it. *)
+let restart : Abi.Value.res = Error (Sys.opaque_identity Abi.Errno.EINTR)
 
 type sigstate = {
   mutable handlers : Abi.Value.handler array;
@@ -97,7 +90,7 @@ type t = {
   me : t option;
       (* [Some] of this process, built once: the run-queue entry and
          the shard's [cur] while it runs *)
-  mutable resume : resume;
+  mutable start : (unit -> int) option;
   mutable fibre : fibre;
   mutable res : Abi.Value.res;
   mutable deliver : int list;
@@ -131,7 +124,7 @@ let create ~pid ~ppid ~pgrp ~name ~cred ~cwd =
       emul = fresh_emulation ();
       state = Runnable;
       me = Some p;
-      resume = Idle;
+      start = None;
       fibre = no_fibre;
       res = Abi.Value.ok;
       deliver = [];
@@ -168,7 +161,7 @@ let fork_copy t ~pid ~name =
                sig_emul = t.emul.sig_emul };
       state = Runnable;
       me = Some p;
-      resume = Idle;
+      start = None;
       fibre = no_fibre;
       res = Abi.Value.ok;
       deliver = [];

@@ -21,32 +21,12 @@ type cond =
       rlisten : int list;  (* listener ids: readable = pending conn *)
     }
 
-type park = {
-  env : Abi.Envelope.t;         (** the in-flight call, typed view memoized
-                                    across wakeup retries *)
-  cond : cond;
-}
-
 type state =
   | Runnable
-  | Parked of park              (** the fibre waits in {!field-fibre} *)
+  | Parked of cond              (** the fibre waits in {!field-fibre} *)
   | Stopped                     (** likewise, its answer already set *)
   | Zombie
   | Reaped
-
-(** The resume slot: what the scheduler does at the process's next turn
-    in the run queue.  A fibre yields with a [unit] continuation, kept
-    in {!field-fibre}, and finds its answer in {!field-res} and
-    {!field-deliver} when it resumes. *)
-type resume =
-  | Idle                        (** running, or no fibre at all *)
-  | Start of (unit -> int)      (** enter a program: a fork child's, or
-                                    the image an exec loaded *)
-  | Continue
-      (** resume the suspended fibre: queued after a yield, or parked or
-          stopped until something requeues it *)
-  | Retry of Abi.Envelope.t
-      (** a woken parked call: dispatch it again, then settle it *)
 
 (** A suspended fibre, resumed with [unit]. *)
 type fibre = (unit, unit) Effect.Deep.continuation
@@ -55,6 +35,12 @@ val no_fibre : fibre
 (** The empty fibre slot: a continuation already used up, built once,
     so resuming it raises [Effect.Continuation_already_resumed] and a
     stale resume fails loudly. *)
+
+val restart : Abi.Value.res
+(** The answer a wake-up leaves in [res] for a parked call
+    (BSD's ERESTART): built once, compared with [==], never returned
+    to the application.  The woken fibre finds it and serves the same
+    call again. *)
 
 (** Per-process signal state. *)
 type sigstate = {
@@ -105,14 +91,17 @@ type t = {
       (** [Some] of this very process, built with it: the scheduler's
           run-queue entry and the shard's [cur] while it runs, so a
           turn allocates neither *)
-  mutable resume : resume;
+  mutable start : (unit -> int) option;
+      (** the program a fresh fibre enters at the process's next turn:
+          a fork child's, or the image an exec loaded *)
   mutable fibre : fibre;
-      (** the one place a suspended fibre is kept: not {!no_fibre}
-          exactly when {!field-resume} is [Continue] or [Retry].  The
-          scheduler empties it before it resumes or discards the fibre,
-          so a process never holds a continuation it will not resume *)
+      (** the one place a suspended fibre is kept: queued after a
+          yield, parked or stopped.  Never set together with
+          {!field-start}.  The scheduler empties it before it resumes
+          or discards the fibre, so a process never holds a
+          continuation it will not resume *)
   mutable res : Abi.Value.res;
-      (** the answer to a yielded trap: its result... *)
+      (** the answer to a yielded trap: its result, or {!restart}... *)
   mutable deliver : int list;
       (** ...and the signals to deliver to user handlers before it
           returns (also the answer to a yielded CPU charge) *)

@@ -734,14 +734,14 @@ let do_select t (p : Proc.t) rmask wmask tmo =
   | exception Bad_fd -> fail Errno.EBADF
   | () ->
     if !ready_r <> 0 || !ready_w <> 0 then begin
-      cancel_select_timers t p.pid;
+      cancel_call_timers t p.pid;
       Done (Value.ret !ready_r ~r1:!ready_w)
     end
     else if tmo = 0 then begin
       (* a pure poll: never arms a timer, but a retried select that
          polled its way out must still drop the deadline its original
          blocking incarnation armed *)
-      cancel_select_timers t p.pid;
+      cancel_call_timers t p.pid;
       Done (Value.ret 0 ~r1:0)
     end
     else begin

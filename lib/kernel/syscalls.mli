@@ -1,8 +1,8 @@
 (** The system call dispatcher: one typed call in, one outcome out.
 
     Dispatch never blocks; when a call cannot complete it returns
-    [Block cond] and the scheduler parks the caller, re-dispatching the
-    same call when the condition is woken (BSD restart semantics; the
+    [Block cond], the caller parks, and its fibre serves the same call
+    again when the condition is woken (BSD restart semantics; the
     calls for which a blind restart would be wrong — [sleepus] — are
     resumed directly by the timer instead). *)
 
@@ -20,7 +20,7 @@ val serve :
 (** One trap's kernel work: decode the envelope (a memoized read when
     an agent above already decoded it), charge the call's base cost,
     {!dispatch}, and run the trace hook on completion.  [via] says how
-    a first arrival reached the kernel and selects its cost; a retry
+    a first arrival reached the kernel and selects its cost; a restart
     after a wake-up was paid for then and passes none.  An undecodable
     envelope completes with its error (trivial cost, no trace hook). *)
 

@@ -67,15 +67,19 @@ let serve_inline ?via (t : Kstate.t) (proc : Proc.t) env =
 (* Yield a trap to the scheduler.  Only an exec's effect carries a
    payload (it is the exec-load primitive's): a result rides in the
    process's [res], a block in its [Parked] state, and the answer is in
-   [res] and [deliver] when the scheduler resumes us. *)
-let yield_trap (proc : Proc.t) env (outcome : Kstate.outcome) =
+   [res] and [deliver] when the scheduler resumes us.  A parked call
+   woken with [Proc.restart] is served again, its entry cost already
+   paid, and its new outcome yields in turn (BSD restart). *)
+let rec yield_trap t (proc : Proc.t) env (outcome : Kstate.outcome) =
   match outcome with
   | Kstate.Done res ->
     proc.res <- res;
     Effect.perform Kstate.Reply
   | Kstate.Block cond ->
-    proc.state <- Proc.Parked { env; cond };
-    Effect.perform Kstate.Park
+    proc.state <- Proc.Parked cond;
+    Effect.perform Kstate.Park;
+    if proc.res == Proc.restart then
+      yield_trap t proc env (serve_inline t proc env)
   | Kstate.Exited -> Effect.perform Kstate.Abandon
   | Kstate.Exec spec -> Effect.perform (Events.Exec_load spec)
 
@@ -96,7 +100,7 @@ let enter_kernel ?via (proc : Proc.t) (env : Envelope.t) : Value.res =
     leave_layer fr;
     res
   | outcome ->
-    (match yield_trap proc env outcome with
+    (match yield_trap t proc env outcome with
      | () ->
        leave_layer fr;
        (* read before any handler can trap again *)

@@ -445,8 +445,10 @@ let open_lookup t cred ~cwd path ~flags ~perm =
     | Ok (_, _, true) -> Error Errno.EISDIR
     | Ok _ when err = Errno.ENOTDIR -> Error err
     | Ok (parent, name, false) ->
-      (* re-check: the final component may exist as a dangling symlink *)
+      (* re-check: the final component may exist as a dangling symlink,
+         which O_EXCL does not follow *)
       match lookup_in parent name with
+      | Ok _ when flags land o_excl <> 0 -> Error Errno.EEXIST
       | Ok _ -> Error Errno.ENOENT  (* dangling symlink in the way *)
       | Error Errno.ENOENT ->
         let* inode =

@@ -1568,7 +1568,6 @@ let test_wait4_matches_table_scan =
            | Stop i ->
              Option.iter
                (fun (p : Proc.t) ->
-                 p.resume <- Proc.Continue;
                  p.fibre <- stopped_fibre ();
                  p.state <- Proc.Stopped)
                (pick runnable i)

@@ -80,7 +80,7 @@ let kvd mode () =
   pin
 
 (* The expected values were computed on the scheduler whose run queue
-   held closures; the resume-slot scheduler must reproduce them
+   held closures; the fibre-slot scheduler must reproduce them
    exactly. *)
 let test_kvd_fork_pinned () =
   check_pin "kvd fork"
@@ -200,15 +200,17 @@ let test_signals_fibres_finish () =
   check_exit "session" 0 (boot_k k signals_program);
   check_no_live_fibres "signals" k
 
-(* --- the resume slot ------------------------------------------------------ *)
+(* --- the fibre slot ------------------------------------------------------ *)
 
-(* A process holds a suspended fibre exactly when its next turn resumes
-   or retries one. *)
+(* A process never holds both a program to enter and a suspended fibre,
+   and a parked or stopped process holds its fibre. *)
 let slot_consistent (p : Kernel.Proc.t) =
   let holds = p.fibre != Kernel.Proc.no_fibre in
-  match p.resume with
-  | Kernel.Proc.Continue | Kernel.Proc.Retry _ -> holds
-  | Kernel.Proc.Idle | Kernel.Proc.Start _ -> not holds
+  (not (holds && Option.is_some p.start))
+  &&
+  match p.state with
+  | Kernel.Proc.Parked _ | Kernel.Proc.Stopped -> holds
+  | Kernel.Proc.Runnable | Kernel.Proc.Zombie | Kernel.Proc.Reaped -> true
 
 (* Run [body] as pid 1 one [Kernel.step] at a time, to each next timer,
    checking every process's slot between steps and at every dispatched
@@ -248,7 +250,7 @@ let stepped_session what setup body =
     (!checks > !steps);
   Hashtbl.iter
     (fun pid (p : Kernel.Proc.t) ->
-      if p.resume <> Kernel.Proc.Idle || p.fibre != Kernel.Proc.no_fibre then
+      if Option.is_some p.start || p.fibre != Kernel.Proc.no_fibre then
         Alcotest.failf "%s: pid %d kept a fibre" what pid)
     seen
 
@@ -297,18 +299,102 @@ let test_discard_empties_slot () =
     Kernel.Proc.create ~pid:(Kernel.Kstate.alloc_pid k) ~ppid:0 ~pgrp:1
       ~name:"held" ~cred:Vfs.Fs.root_cred ~cwd:(Vfs.Fs.root_ino (Kernel.fs k))
   in
-  List.iter
-    (fun (what, resume) ->
-      let fibre, unwound = held_fibre () in
-      p.resume <- resume;
-      p.fibre <- fibre;
-      Kernel.Kstate.discard_fibre k p;
-      Alcotest.(check bool) (what ^ ": unwound") true !unwound;
-      Alcotest.(check bool) (what ^ ": idle") true (p.resume = Kernel.Proc.Idle);
-      Alcotest.(check bool) (what ^ ": empty") true
-        (p.fibre == Kernel.Proc.no_fibre))
-    [ ("continue", Kernel.Proc.Continue);
-      ("retry", Kernel.Proc.Retry (Envelope.of_call Call.Getpid)) ]
+  let fibre, unwound = held_fibre () in
+  p.fibre <- fibre;
+  Kernel.Kstate.discard_fibre k p;
+  Alcotest.(check bool) "fibre: unwound" true !unwound;
+  Alcotest.(check bool) "fibre: empty" true (p.fibre == Kernel.Proc.no_fibre);
+  p.start <- Some (fun () -> 0);
+  Kernel.Kstate.discard_fibre k p;
+  Alcotest.(check bool) "start: dropped" true (Option.is_none p.start)
+
+(* --- a woken call restarts on its own fibre ------------------------------ *)
+
+(* A pipe reader with a SIGUSR1 handler parks in read while init
+   sleeps.  Between two [Kernel.step]s, outside any fibre, a byte is
+   written on init's behalf and [signal] is posted to the reader:
+   before the write when [signal_first], else after it, once the
+   write's wake-up has queued the read for restart.  Then the run
+   finishes: init reads the pipe itself and reaps the reader.  Returns
+   whether the reader's answer was [Proc.restart] at its turn, its wait
+   status, and what init read. *)
+let woken_reader ~signal ~signal_first =
+  let c = Kernel.Cluster.create ~shards:1 () in
+  let k = Kernel.Cluster.shard c 0 in
+  Kernel.populate_standard k;
+  let reader = ref 0 and w_fd = ref (-1) in
+  let status = ref 0 and got = ref "" in
+  let init =
+    Kernel.Cluster.boot_shard c 0 ~name:"restart" (fun () ->
+        let r, w = u "pipe" (Libc.Unistd.pipe ()) in
+        w_fd := w;
+        reader :=
+          u "fork"
+            (Libc.Unistd.fork ~child:(fun () ->
+                 ignore
+                   (u "signal"
+                      (Libc.Unistd.signal Signal.sigusr1 (Value.H_fn ignore)));
+                 match Libc.Unistd.read r (Bytes.create 1) 1 with
+                 | Ok _ -> 0
+                 | Error Errno.EINTR -> 4
+                 | Error _ -> 99));
+        ignore (u "sleep" (Libc.Unistd.sleep_us 1_000));
+        let buf = Bytes.create 1 in
+        got := Bytes.sub_string buf 0 (u "read" (Libc.Unistd.read r buf 1));
+        status := snd (u "waitpid" (Libc.Unistd.waitpid !reader 0));
+        0)
+  in
+  let restart =
+    Kernel.with_shard k (fun () ->
+        (match Kernel.step k ~until:0 with
+         | `Sleep_until _ -> ()
+         | `Idle -> Alcotest.fail "init not asleep");
+        let p = Option.get (Kernel.Kstate.proc k !reader) in
+        Alcotest.(check bool) "reader parked" true
+          (match p.state with Kernel.Proc.Parked _ -> true | _ -> false);
+        let post () = Kernel.Kstate.post_signal k p signal in
+        if signal_first then post ();
+        (match Kernel.Syscalls.dispatch k init (Call.Write (!w_fd, "x")) with
+         | Kernel.Kstate.Done (Ok _) -> ()
+         | _ -> Alcotest.fail "host write");
+        if not signal_first then post ();
+        Alcotest.(check bool) "reader queued" true
+          (p.state = Kernel.Proc.Runnable);
+        let restart = p.res == Kernel.Proc.restart in
+        let rec go until =
+          match Kernel.step k ~until with
+          | `Sleep_until at -> go at
+          | `Idle -> ()
+        in
+        go 0;
+        restart)
+  in
+  check_exit "init" 0 init.Kernel.Proc.exit_status;
+  check_no_live_fibres "restart" k;
+  (restart, !status, !got)
+
+(* SIGKILL posted after the wake-up and before the turn: the restart
+   finds it pending and exits the reader without serving the read
+   again, so the byte stays in the pipe for init. *)
+let test_kill_between_wake_and_turn () =
+  let restart, status, got =
+    woken_reader ~signal:Signal.sigkill ~signal_first:false
+  in
+  Alcotest.(check bool) "woken for restart" true restart;
+  Alcotest.(check bool) "killed" true
+    (Flags.Wait.wifsignaled status
+     && Flags.Wait.wtermsig status = Signal.sigkill);
+  Alcotest.(check string) "byte left for init" "x" got
+
+(* A handler's wake-up answers EINTR; the write's wake-up that follows
+   finds the reader runnable and leaves that answer alone. *)
+let test_eintr_wake_not_restarted () =
+  let restart, status, got =
+    woken_reader ~signal:Signal.sigusr1 ~signal_first:true
+  in
+  Alcotest.(check bool) "not a restart" false restart;
+  Alcotest.(check int) "read returned EINTR" 4 (exit_code status);
+  Alcotest.(check string) "byte left for init" "x" got
 
 (* --- what a contended yield allocates ---------------------------------- *)
 
@@ -378,6 +464,11 @@ let () =
           Alcotest.test_case "no_fibre is spent" `Quick test_no_fibre_is_spent;
           Alcotest.test_case "discard empties the slot" `Quick
             test_discard_empties_slot ] );
+      ( "restart",
+        [ Alcotest.test_case "kill between wake and turn" `Quick
+            test_kill_between_wake_and_turn;
+          Alcotest.test_case "EINTR wake is not a restart" `Quick
+            test_eintr_wake_not_restarted ] );
       ( "alloc",
         [ Alcotest.test_case "contended yield" `Quick
             test_contended_yield_words ] ) ]

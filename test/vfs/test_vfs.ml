@@ -356,6 +356,25 @@ let test_open_lookup_semantics () =
     (Fs.open_lookup fs Fs.root_cred ~cwd:root "/tmp"
        ~flags:Flags.Open.o_wronly ~perm:0)
 
+(* O_CREAT|O_EXCL does not follow a final symlink, so a dangling one
+   is a name that exists (EEXIST, as on Linux); plain O_CREAT through
+   it still answers ENOENT, and nothing is created either way. *)
+let test_excl_dangling_symlink () =
+  let fs = make_fs () in
+  let root = Fs.root_ino fs in
+  ignore
+    (check_ok "symlink"
+       (Fs.symlink fs Fs.root_cred ~cwd:root ~target:"/tmp/absent"
+          "/tmp/dangling"));
+  check_err "excl" Errno.EEXIST
+    (Fs.open_lookup fs Fs.root_cred ~cwd:root "/tmp/dangling"
+       ~flags:Flags.Open.(o_wronly lor o_creat lor o_excl) ~perm:0o644);
+  check_err "creat" Errno.ENOENT
+    (Fs.open_lookup fs Fs.root_cred ~cwd:root "/tmp/dangling"
+       ~flags:Flags.Open.(o_wronly lor o_creat) ~perm:0o644);
+  check_err "target not created" Errno.ENOENT
+    (Fs.resolve fs Fs.root_cred ~cwd:root "/tmp/absent")
+
 (* A randomised workout: create a tree of files, then verify that every
    created path resolves and that directory listings agree. *)
 let test_random_tree =
@@ -635,6 +654,8 @@ let () =
           test_rename_dir_updates_dotdot;
         Alcotest.test_case "path_of_ino" `Quick test_path_of_ino;
         Alcotest.test_case "open_lookup" `Quick test_open_lookup_semantics;
+        Alcotest.test_case "excl through a dangling symlink" `Quick
+          test_excl_dangling_symlink;
         qtest test_random_tree ];
       "fsck",
       [ Alcotest.test_case "fresh + built" `Quick
