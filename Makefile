@@ -1,4 +1,4 @@
-.PHONY: all check test lint-globals lint-exports bench-gates bench-golden bench-causal bench-net clean
+.PHONY: all check test lint-globals lint-exports bench-gates bench-golden bench-causal bench-net perf-pairs clean
 
 all:
 	dune build @all
@@ -49,6 +49,15 @@ bench-net:
 # folds, stream completeness, watchdogs; writes BENCH_causal.json).
 bench-causal:
 	dune exec bench/main.exe -- causal
+
+# Host time of the working tree against commit REV, in alternating
+# pairs under perf's compare rule (tools/perf_pairs.sh, which holds the
+# defaults).  WORKLOADS needs PAIRS and SECS, as the script's
+# positional arguments do; ARGS go to both sides' `perf.exe run`:
+#   make perf-pairs REV=HEAD [PAIRS=n [SECS=s [WORKLOADS="w..."]]] [ARGS="--seed 5"]
+perf-pairs:
+	@test -n "$(REV)" || { echo "usage: make perf-pairs REV=<commit> [PAIRS=n [SECS=s [WORKLOADS=...]]] [ARGS=...]"; exit 2; }
+	tools/perf_pairs.sh $(REV) $(PAIRS) $(SECS) $(WORKLOADS) $(if $(ARGS),-- $(ARGS))
 
 clean:
 	dune clean

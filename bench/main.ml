@@ -782,12 +782,12 @@ let sampling_json rows =
              ("p99_us", Int (Obs.Hist.quantile g.Obs.sm_hist 0.99)) ])
        rows)
 
-(* Minor words per trap of Table 3-3's make build under [variant], with
-   obs off or on at 1-in-[n].  Observation is configured before
+(* Traps and minor words per trap of one session, with obs off
+   ([obs = None]) or on at 1-in-n.  Observation is configured before
    [Kernel.create], which copies it into the new shard's engine, and
    switched off again on that engine afterwards.  Like the other
    allocation probes, a pure function of the code path. *)
-let make_words ?obs variant =
+let session_words ~name ~setup ~obs body =
   (match obs with
    | Some n ->
      Obs.set_sampling ~seed:1 n;
@@ -796,20 +796,34 @@ let make_words ?obs variant =
      Obs.disable ();
      Obs.set_sampling 1);
   let k = fresh () in
-  Workloads.Make_cc.setup k;
+  setup k;
   let m0 = Gc.minor_words () in
-  let status =
-    Kernel.boot k ~name:"make-words" (fun () ->
-      install_variant variant ~mounts:[];
-      Workloads.Make_cc.body ())
-  in
+  let status = Kernel.boot k ~name body in
   let words = Gc.minor_words () -. m0 in
   Obs.disable ();
   Obs.set_sampling 1;
   let r = finish k status in
-  if r.status <> 0 then
-    failwith (Printf.sprintf "make-words (%s): exit %d" (variant_name variant) r.status);
+  if r.status <> 0 then failwith (Printf.sprintf "%s: exit %d" name r.status);
   (r.calls, words /. float_of_int r.calls)
+
+(* Table 3-3's make build under [variant]. *)
+let make_words variant ~obs =
+  session_words ~name:("make-words " ^ variant_name variant)
+    ~setup:Workloads.Make_cc.setup ~obs (fun () ->
+      install_variant variant ~mounts:[];
+      Workloads.Make_cc.body ())
+
+(* kvd fork-per-connection under [Conformance.stacked]: unlike the make
+   build, every request makes socket reads and writes, whose causal
+   bookkeeping runs on every trap, sampled or not, and every connection
+   a fork edge. *)
+let kvd_words_params = { Workloads.Kvd.default_params with clients = 200 }
+
+let kvd_words ~obs =
+  session_words ~name:"kvd-words" ~setup:Workloads.Kvd.setup ~obs (fun () ->
+    install_stacked ();
+    Workloads.Kvd.body ~params:kvd_words_params
+      ~mode:Workloads.Kvd.Fork_per_conn ())
 
 (* --- ablations: the paper-shape tables and the trap-path gates ----------------- *)
 
@@ -895,16 +909,23 @@ let reap_words_ceiling = 160.0
 let reap_max_ratio = 1.5
 
 (* What obs costs the traps its sampler skips (DESIGN.md §3.4): minor
-   words/trap of the make build at 1-in-256 over obs off, with no agent
-   and under trace.  The sampler draws without boxing, the exact
-   counters probe without an option, the uspace span wrapper builds no
-   closure, and trace builds no ring record for an unsampled trap, so
-   such a trap allocates nothing for obs; what remains is the sampled
-   traps' spans, frames, segments and records, amortised over 256.
-   Measured +0.60 (no agent) and +1.96 (trace) words/trap; before that
-   work, +20.6 and +52.9. *)
+   words/trap at 1-in-256 over obs off, for the make build with no agent
+   and under trace, and for kvd under sandbox+crypt+trace.  The sampler
+   draws without boxing, the exact counters index a table, the uspace
+   span wrapper builds no closure, and trace builds no ring record for
+   an unsampled trap, so such a trap allocates nothing for obs; what
+   remains is the sampled traps' spans, frames, segments and records,
+   amortised over 256, and on kvd the exact pipe and socket watermarks
+   and the edges they make.  Measured on make +0.58 (no agent) and
+   +1.86 (trace) words/trap; before that work, +20.6 and +52.9.  kvd
+   measures +12.56 (+13.05 while an unsampled trap still boxed ring
+   slots and hashed its sysno), and its ceiling leaves 10 words of
+   headroom, the allocation probes' rule. *)
 let obs_unsampled_rate = 256
-let obs_unsampled_max_words = [ (V_none, 1.0); (V_trace, 3.0) ]
+let obs_unsampled_max_words =
+  [ ("make", "none", make_words V_none, 1.0);
+    ("make", "trace", make_words V_trace, 3.0);
+    ("kvd", Conformance.stacked.Conformance.sk_name, kvd_words, 23.0) ]
 
 let ablations_schema =
   let open Report.Schema in
@@ -952,7 +973,8 @@ let ablations_schema =
       ( "obs_unsampled_words",
         Arr
           (Obj
-             [ ("agent", Str); ("traps", Int); ("sample_n", Int);
+             [ ("workload", Str); ("agent", Str); ("traps", Int);
+               ("sample_n", Int);
                ("off_words_per_trap", Num); ("sampled_words_per_trap", Num);
                ("added_words_per_trap", Num);
                ("max_added_words_per_trap", Num) ]) ) ]
@@ -1358,22 +1380,20 @@ let ablations fail =
        sample_iters);
   let unsampled =
     List.map
-      (fun (v, max_added) ->
-        let traps, off = make_words v in
-        let traps', on = make_words ~obs:obs_unsampled_rate v in
-        let name = variant_name v in
+      (fun (workload, name, words, max_added) ->
+        let traps, off = words ~obs:None in
+        let traps', on = words ~obs:(Some obs_unsampled_rate) in
         Printf.printf
-          "make build, %s (%d traps): %.1f minor words/trap with obs off, \
+          "%s, %s (%d traps): %.1f minor words/trap with obs off, \
            %.1f at 1-in-%d (+%.2f, max +%.1f)\n"
-          name traps off on obs_unsampled_rate (on -. off) max_added;
+          workload name traps off on obs_unsampled_rate (on -. off) max_added;
         if traps' <> traps then
-          fail "%s: obs at 1-in-%d changed the make build's trap count: %d, want %d"
-            name obs_unsampled_rate traps' traps;
+          fail "%s, %s: obs at 1-in-%d changed the trap count: %d, want %d"
+            workload name obs_unsampled_rate traps' traps;
         if on -. off > max_added then
-          fail "%s: obs at 1-in-%d adds %.2f minor words/trap to the make build \
-                (max %.1f)"
-            name obs_unsampled_rate (on -. off) max_added;
-        (name, traps, off, on, max_added))
+          fail "%s, %s: obs at 1-in-%d adds %.2f minor words/trap (max %.1f)"
+            workload name obs_unsampled_rate (on -. off) max_added;
+        (workload, name, traps, off, on, max_added))
       obs_unsampled_max_words
   in
   chrome_check (fail "%s");
@@ -1450,9 +1470,10 @@ let ablations fail =
       ( "obs_unsampled_words",
         Arr
           (List.map
-             (fun (name, traps, off, on, max_added) ->
+             (fun (workload, name, traps, off, on, max_added) ->
                Obj
-                 [ ("agent", Str name);
+                 [ ("workload", Str workload);
+                   ("agent", Str name);
                    ("traps", Int traps);
                    ("sample_n", Int obs_unsampled_rate);
                    ("off_words_per_trap", Float off);

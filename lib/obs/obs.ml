@@ -187,7 +187,7 @@ type engine = {
   mutable e_next_span : int;
   mutable e_ring_capacity : int;
   mutable e_ring : Span.record Ring.t;
-  e_by_sysno : (int, sys_agg) Hashtbl.t;
+  mutable e_by_sysno : sys_agg option array; (* indexed by sysno *)
   e_by_layer : (int * string, layer_agg) Hashtbl.t;
   mutable e_completed : int;
   mutable e_aborted : int;
@@ -238,7 +238,7 @@ let engine ?(ring_capacity = default_ring_capacity) () =
     e_next_span = 0;
     e_ring_capacity = ring_capacity;
     e_ring = Ring.create ~capacity:ring_capacity;
-    e_by_sysno = Hashtbl.create 64;
+    e_by_sysno = [||];
     e_by_layer = Hashtbl.create 32;
     e_completed = 0;
     e_aborted = 0;
@@ -320,14 +320,31 @@ let configure ?(ring_capacity = default_ring_capacity) () =
 
 (* ---------- aggregation ---------- *)
 
-(* [find] and its [Not_found] rather than [find_opt]: every trap
-   reaches this, and an unsampled one must not allocate the option *)
+(* Every trap reaches this, so the table is indexed by the sysno and
+   grown on demand: an unsampled trap pays one bounds-checked read, no
+   hash and no allocation.  The sysno is the application's raw number,
+   so the table is capped: every number outside [0, sysno_limit) shares
+   the one overflow slot [sysno_limit], and a hostile trap number can
+   neither grow the table nor index past it. *)
+let sysno_limit = 1024
+
+let sys_slot sysno = if sysno >= 0 && sysno < sysno_limit then sysno else sysno_limit
+
 let sys_agg_for e sysno =
-  match Hashtbl.find e.e_by_sysno sysno with
-  | a -> a
-  | exception Not_found ->
+  let i = sys_slot sysno in
+  let t = e.e_by_sysno in
+  match if i < Array.length t then t.(i) else None with
+  | Some a -> a
+  | None ->
     let a = { sa_calls = 0; sa_errors = 0; sa_hist = Hist.create () } in
-    Hashtbl.replace e.e_by_sysno sysno a;
+    if i >= Array.length t then begin
+      let t' =
+        Array.make (min (sysno_limit + 1) (max (i + 1) (2 * Array.length t))) None
+      in
+      Array.blit t 0 t' 0 (Array.length t);
+      e.e_by_sysno <- t'
+    end;
+    e.e_by_sysno.(i) <- Some a;
     a
 
 let layer_agg_for e key =
@@ -353,7 +370,7 @@ let reset () =
   let e = !cur in
   Hashtbl.reset e.e_spans;
   Hashtbl.reset e.e_open_by_pid;
-  Hashtbl.reset e.e_by_sysno;
+  Array.fill e.e_by_sysno 0 (Array.length e.e_by_sysno) None;
   Hashtbl.reset e.e_by_layer;
   e.e_next_span <- 0;
   e.e_completed <- 0;
@@ -376,9 +393,15 @@ let shard () = !cur.e_shard
    context: the causal hooks run inside the kernel dispatcher, where
    the current-process register is cleared, but they know the pid. *)
 let innermost e pid =
-  match Hashtbl.find e.e_open_by_pid pid with
-  | { contents = s :: _ } -> s
-  | { contents = [] } | (exception Not_found) -> 0
+  (* Exact, not a heuristic: [e_open_by_pid] holds a pid only while it
+     has an open sampled span ([finish_span] removes an emptied stack),
+     so when the table is empty the lookup below can only answer 0.  At
+     1-in-N nearly every trap finds it empty and pays no hash. *)
+  if Hashtbl.length e.e_open_by_pid = 0 then 0
+  else
+    match Hashtbl.find e.e_open_by_pid pid with
+    | { contents = s :: _ } -> s
+    | { contents = [] } | (exception Not_found) -> 0
 
 (* An edge is a record of the one log; its [seq] is its position there
    (the ring's [pushed] once it is in), monotone per engine. *)
@@ -580,7 +603,9 @@ let poll c = poll_of !cur c
 
 let current () =
   let e = !cur in
-  if not e.e_on then 0 else innermost e (e.e_context_fn ())
+  (* the [innermost] guard, taken before the context read *)
+  if (not e.e_on) || Hashtbl.length e.e_open_by_pid = 0 then 0
+  else innermost e (e.e_context_fn ())
 
 (* Unsampled traps are represented by a negative sentinel carrying the
    sysno, so their close can still count errors exactly without any
@@ -600,7 +625,10 @@ let span_begin ~pid ~sysno =
       e.e_sample_n <= 1 || Sim.Rng.int e.e_sample_rng e.e_sample_n = 0
     in
     let id =
-      if not sampled then unsampled_sentinel sysno
+      (* an out-of-range sysno carries its overflow slot instead, so a
+         negative one cannot yield a sentinel >= 0 that would collide
+         with a sampled span's id *)
+      if not sampled then unsampled_sentinel (sys_slot sysno)
       else begin
         e.e_next_span <- e.e_next_span + 1;
         let id = e.e_next_span in
@@ -912,15 +940,17 @@ type metrics = {
 }
 
 let metrics_of e =
-  let syscalls =
-    Hashtbl.fold
-      (fun sysno a acc ->
+  (* in sysno order, read off the table from the top down *)
+  let syscalls = ref [] in
+  for sysno = Array.length e.e_by_sysno - 1 downto 0 do
+    match e.e_by_sysno.(sysno) with
+    | Some a ->
+      syscalls :=
         { sm_sysno = sysno; sm_calls = a.sa_calls; sm_errors = a.sa_errors;
           sm_hist = Hist.copy a.sa_hist }
-        :: acc)
-      e.e_by_sysno []
-    |> List.sort (fun a b -> compare a.sm_sysno b.sm_sysno)
-  in
+        :: !syscalls
+    | None -> ()
+  done;
   let layers =
     Hashtbl.fold
       (fun (depth, layer) a acc ->
@@ -939,7 +969,7 @@ let metrics_of e =
     m_open = Hashtbl.length e.e_spans;
     m_dropped = Ring.dropped e.e_ring;
     m_sample_n = e.e_sample_n;
-    m_syscalls = syscalls;
+    m_syscalls = !syscalls;
     m_layers = layers;
     m_codec = codec_of e;
     m_env_pool = env_pool_of e;

@@ -386,6 +386,9 @@ val dropped : unit -> int
 
 (** {1 Metrics} *)
 
+(** Per-syscall figures are kept for sysnos in [\[0, 1024)].  Every trap
+    whose number lies outside that range (an application may trap with
+    any int) is counted in the one overflow row, sysno 1024. *)
 type syscall_metrics = {
   sm_sysno : int;
   sm_calls : int;   (** traps opened for this sysno — {e exact} at any

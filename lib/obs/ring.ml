@@ -1,11 +1,18 @@
 (* Fixed-size flight-recorder ring: wait-free single-writer append,
    oldest entry overwritten when full.  The simulator is single-domain,
    so "lock-free" here means no synchronisation is needed at all: a
-   push is two array stores and two integer updates, cheap enough to
-   sit on the trap path. *)
+   push is one array store and three integer updates, cheap enough to
+   sit on the trap path.
+
+   Slots hold records unboxed: [stored] and [next] alone say which
+   slots are live, so a slot needs no [None] to mark it empty.  The
+   array is made at the first push, from the record pushed, and let go
+   by [clear]: a ring that never records holds no slots, and a cleared
+   one keeps no dead record reachable. *)
 
 type 'a t = {
-  slots : 'a option array;
+  capacity : int;
+  mutable slots : 'a array; (* [||], or [capacity] slots *)
   mutable next : int;    (* next write position *)
   mutable stored : int;  (* live entries, <= capacity *)
   mutable dropped : int; (* overwritten-before-drained count *)
@@ -14,36 +21,34 @@ type 'a t = {
 }
 
 let create ~capacity =
-  let capacity = max 1 capacity in
-  { slots = Array.make capacity None; next = 0; stored = 0; dropped = 0;
-    pushed = 0 }
+  { capacity = max 1 capacity; slots = [||]; next = 0; stored = 0;
+    dropped = 0; pushed = 0 }
 
-let capacity t = Array.length t.slots
+let capacity t = t.capacity
 let length t = t.stored
 let dropped t = t.dropped
 let pushed t = t.pushed
 
 let push t x =
-  let cap = Array.length t.slots in
-  if t.stored = cap then t.dropped <- t.dropped + 1
+  if Array.length t.slots = 0 then
+    t.slots <- Array.make t.capacity x;
+  if t.stored = t.capacity then t.dropped <- t.dropped + 1
   else t.stored <- t.stored + 1;
-  t.slots.(t.next) <- Some x;
-  t.next <- (t.next + 1) mod cap;
+  t.slots.(t.next) <- x;
+  t.next <- (if t.next + 1 = t.capacity then 0 else t.next + 1);
   t.pushed <- t.pushed + 1
 
 let to_list t =
-  let cap = Array.length t.slots in
+  let cap = t.capacity in
   let start = (t.next - t.stored + cap) mod cap in
   let acc = ref [] in
   for i = t.stored - 1 downto 0 do
-    match t.slots.((start + i) mod cap) with
-    | Some x -> acc := x :: !acc
-    | None -> ()
+    acc := t.slots.((start + i) mod cap) :: !acc
   done;
   !acc
 
 let clear t =
-  Array.fill t.slots 0 (Array.length t.slots) None;
+  t.slots <- [||];
   t.next <- 0;
   t.stored <- 0;
   t.dropped <- 0

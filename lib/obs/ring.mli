@@ -1,6 +1,6 @@
 (** Fixed-size flight-recorder ring buffer.
 
-    Append is wait-free (two stores, two integer updates — the
+    Append is wait-free (one store, three integer updates — the
     simulator is single-domain, so no locking is ever needed) and the
     oldest entry is overwritten when the ring is full; overwrites are
     counted in {!dropped} so a drain can report how much history was
@@ -9,7 +9,9 @@
 type 'a t
 
 val create : capacity:int -> 'a t
-(** Capacities below 1 are clamped to 1. *)
+(** Capacities below 1 are clamped to 1.  The slots are made at the
+    first {!push} and let go by {!clear}, so a ring that records
+    nothing holds none. *)
 
 val capacity : 'a t -> int
 val length : 'a t -> int

@@ -294,7 +294,11 @@ let rec name_start s i =
    following symlinks along the way.  The last component comes back
    with whether a slash followed it: "mkdir a/b/" behaves like
    "mkdir a/b", and each creating or removing call applies its own
-   trailing-slash rule. *)
+   trailing-slash rule.  A last component of "." or ".." comes back
+   too, as Linux's LAST_DOT and LAST_DOTDOT do: the directory already
+   holds both names, so creating calls find them taken (EEXIST) and
+   unlink finds a directory (EISDIR), while rmdir and rename refuse
+   them outright ([is_dots]). *)
 let resolve_parent t cred ~cwd path =
   let n = String.length path in
   if n = 0 then Error Errno.ENOENT
@@ -310,13 +314,11 @@ let resolve_parent t cred ~cwd path =
         | Error err -> Error err
         | Ok parent ->
           if not (Inode.is_dir parent) then Error Errno.ENOTDIR
-          else begin
-            let last = String.sub path b (e - b) in
-            if last = "." || last = ".." then Error Errno.EINVAL
-            else Ok (parent, last, e < n)
-          end
+          else Ok (parent, String.sub path b (e - b), e < n)
     end
   end
+
+let is_dots name = name = "." || name = ".."
 
 let path_of_ino t ino =
   let rec up ino acc depth =
@@ -430,7 +432,7 @@ let open_lookup t cred ~cwd path ~flags ~perm =
     let slash_name =
       path.[String.length path - 1] = '/'
       && (match resolve_parent t cred ~cwd path with
-          | Ok (_, _, slash) -> slash
+          | Ok (_, name, slash) -> slash && not (is_dots name)
           | Error _ -> false)
     in
     if slash_name then Error Errno.EISDIR
@@ -493,9 +495,13 @@ let mkchardev t cred ~cwd path ~perm ~rdev =
   let* _, inode = make_node t cred ~cwd path (Inode.Chardev rdev) ~perm in
   Ok inode
 
+(* an empty target names nothing: Linux refuses it before it looks at
+   the new name *)
 let symlink t cred ~cwd ~target path =
-  let* _ = make_node t cred ~cwd path (Inode.Symlink target) ~perm:0o777 in
-  Ok ()
+  if target = "" then Error Errno.ENOENT
+  else
+    let* _ = make_node t cred ~cwd path (Inode.Symlink target) ~perm:0o777 in
+    Ok ()
 
 let readlink t cred ~cwd path =
   let* inode = resolve t cred ~cwd ~follow_last:false path in
@@ -545,6 +551,11 @@ let dir_is_empty (inode : Inode.t) =
 
 let rmdir t cred ~cwd path =
   let* parent, name, _ = resolve_parent t cred ~cwd path in
+  let* () =
+    if name = "." then Error Errno.EINVAL
+    else if name = ".." then Error Errno.ENOTEMPTY
+    else Ok ()
+  in
   let* ino = lookup_in parent name in
   let victim = get_exn t ino in
   if not (Inode.is_dir victim) then Error Errno.ENOTDIR
@@ -577,11 +588,17 @@ let is_ancestor t ~anc ino =
   in
   up ino 0
 
+(* Both parents resolve before either name is looked up, so "." or ".."
+   on either side is EBUSY whether or not the source exists, as in
+   Linux. *)
 let rename t cred ~cwd ~src dst =
   let* sparent, sname, sslash = resolve_parent t cred ~cwd src in
+  let* dparent, dname, dslash = resolve_parent t cred ~cwd dst in
+  let* () =
+    if is_dots sname || is_dots dname then Error Errno.EBUSY else Ok ()
+  in
   let* sino = lookup_in sparent sname in
   let victim = get_exn t sino in
-  let* dparent, dname, dslash = resolve_parent t cred ~cwd dst in
   (* only a directory may be named with a trailing slash, on either side *)
   if (sslash || dslash) && not (Inode.is_dir victim) then Error Errno.ENOTDIR
   else if not (may_delete t cred sparent victim)

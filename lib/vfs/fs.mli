@@ -73,10 +73,10 @@ val resolve_parent : t -> cred -> cwd:int -> string
 (** [resolve_parent fs cred ~cwd path] resolves every component but
     the last, following symlinks, and returns that directory, the last
     component, and whether a slash followed it.  Fails with [EEXIST]
-    for a path of slashes only, [EINVAL] for a last component of ["."]
-    or [".."], [ENOTDIR] when the parent is not a directory, and
-    {!resolve}'s errors.  The creating and removing calls apply their
-    own trailing-slash rule to the flag. *)
+    for a path of slashes only, [ENOTDIR] when the parent is not a
+    directory, and {!resolve}'s errors.  A last component of ["."] or
+    [".."] is returned like any other; the creating and removing calls
+    apply their own rules to it and to the flag. *)
 
 val path_of_ino : t -> int -> string option
 (** Reconstruct an absolute path by walking ".." upward; [None] if the

@@ -241,6 +241,42 @@ let test_trailing_slash_table () =
     (fun (what, want, got) -> Alcotest.(check string) what want got)
     (List.rev !rows)
 
+(* [Dots_table]'s rows (test/vfs), through the C library and the
+   kernel this time, in a fixture under /tmp/t. *)
+let test_dots_table () =
+  let module U = Libc.Unistd in
+  let rows = ref [] in
+  let at p = "/tmp/t/" ^ p in
+  let r = function Ok _ -> "ok" | Error e -> Errno.name e in
+  let _, status = boot (fun () ->
+    List.iter (fun d -> u "mkdir" (U.mkdir (at d) 0o755)) [ ""; "d"; "d/sub" ];
+    u "close" (U.close (u "creat" (U.creat (at "f") 0o644)));
+    List.iter
+      (fun (call, want) ->
+        let got =
+          match (call : Dots_table.call) with
+          | Rmdir p -> r (U.rmdir (at p))
+          | Rename (a, b) -> r (U.rename ~src:(at a) (at b))
+          | Unlink p -> r (U.unlink (at p))
+          | Mkdir p -> r (U.mkdir (at p) 0o755)
+          | Link (a, b) -> r (U.link ~existing:(at a) (at b))
+          | Symlink (target, p) -> r (U.symlink ~target (at p))
+        in
+        rows := (Dots_table.show call, Errno.name want, got) :: !rows)
+      Dots_table.rows;
+    List.iter
+      (fun p -> rows := ("kept " ^ p, "ok", r (U.lstat (at p))) :: !rows)
+      Dots_table.present;
+    List.iter
+      (fun p -> rows := ("no " ^ p, "ENOENT", r (U.lstat (at p))) :: !rows)
+      Dots_table.absent;
+    0)
+  in
+  check_exit "dots table" 0 status;
+  List.iter
+    (fun (what, want, got) -> Alcotest.(check string) what want got)
+    (List.rev !rows)
+
 let test_append_interleave () =
   let k, status = boot (fun () ->
     let open_append () =
@@ -1696,7 +1732,9 @@ let () =
         Alcotest.test_case "FIONREAD" `Quick test_fionread;
         Alcotest.test_case "F_DUPFD range" `Quick test_fcntl_dupfd_range;
         Alcotest.test_case "trailing slash table" `Quick
-          test_trailing_slash_table ];
+          test_trailing_slash_table;
+        Alcotest.test_case "dots and empty targets, as Linux" `Quick
+          test_dots_table ];
       "timers",
       [ Alcotest.test_case "alarm replace/cancel" `Quick
           test_alarm_replaced_and_cancelled;

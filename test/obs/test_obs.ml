@@ -71,6 +71,80 @@ let qcheck_ring_keeps_newest =
       Obs.Ring.to_list r = expect
       && Obs.Ring.dropped r = max 0 (n - cap))
 
+(* The ring against a model of push order.  The model keeps every
+   value ever pushed and the index of the oldest live one; the ring's
+   contents are the history from there on, and a stream cursor at push
+   position [p] is owed the history from [max p oldest] and has lost
+   [oldest - p] records when that is positive.  Sequences mix pushes
+   with reads, drains and clears at capacities 1..8, so slots wrap
+   many times, and two cursors poll across the wraps. *)
+type ring_op = Push of int | To_list | Drain | Clear | Poll of int
+
+let ring_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (6, map (fun x -> Push x) small_nat);
+        (1, return To_list);
+        (1, return Drain);
+        (1, return Clear);
+        (2, map (fun i -> Poll i) (int_bound 1)) ])
+
+let ring_op_print = function
+  | Push x -> Printf.sprintf "push %d" x
+  | To_list -> "to_list"
+  | Drain -> "drain"
+  | Clear -> "clear"
+  | Poll i -> Printf.sprintf "poll #%d" i
+
+let qcheck_ring_model =
+  QCheck.Test.make ~name:"ring and stream cursors follow the push-order model"
+    ~count:500
+    QCheck.(
+      pair (int_range 1 8)
+        (make ~print:(Print.list ring_op_print)
+           Gen.(list_size (int_bound 60) ring_op_gen)))
+    (fun (cap, ops) ->
+      let r = Obs.Ring.create ~capacity:cap in
+      let cursors = [| Obs.Stream.cursor (); Obs.Stream.cursor () |] in
+      let history = ref [||] and oldest = ref 0 and dropped = ref 0 in
+      let model_pos = [| 0; 0 |] in
+      let pushed () = Array.length !history in
+      let from i = Array.to_list (Array.sub !history i (pushed () - i)) in
+      let live () = from !oldest in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      List.iter
+        (fun op ->
+          (match op with
+           | Push x ->
+             Obs.Ring.push r x;
+             history := Array.append !history [| x |];
+             if pushed () - !oldest > cap then begin
+               incr oldest;
+               incr dropped
+             end
+           | To_list -> expect (Obs.Ring.to_list r = live ())
+           | Drain ->
+             expect (Obs.Ring.drain r = live ());
+             oldest := pushed ();
+             dropped := 0
+           | Clear ->
+             Obs.Ring.clear r;
+             oldest := pushed ();
+             dropped := 0
+           | Poll i ->
+             let p = model_pos.(i) in
+             let fresh, lost = Obs.Stream.poll cursors.(i) r in
+             expect (fresh = from (max p !oldest));
+             expect (lost = max 0 (!oldest - p));
+             model_pos.(i) <- pushed ());
+          expect (Obs.Ring.length r = pushed () - !oldest);
+          expect (Obs.Ring.dropped r = !dropped);
+          expect (Obs.Ring.pushed r = pushed ());
+          expect (Obs.Ring.capacity r = cap))
+        ops;
+      !ok && Obs.Ring.to_list r = live ())
+
 (* --- histogram ----------------------------------------------------------- *)
 
 let test_hist_bucket_edges () =
@@ -791,6 +865,142 @@ let sampled_session_counts ~n =
         (fun s -> (s.Obs.sm_sysno, s.Obs.sm_calls, s.Obs.sm_errors))
         (Obs.metrics ()).Obs.m_syscalls)
 
+(* Two pids at 1-in-8: [holder] keeps a sampled span open while
+   [other] sits in an unsampled one.  The engine's open-span answers
+   -- [current], [causal_origin], a pipe edge's endpoints each way --
+   must match a model that looks up every pid, for both and for a pid
+   that never trapped.  Then both spans close, so the engine answers
+   through its guard on an empty open-span table, and must still match
+   the model. *)
+let test_open_span_guard () =
+  Obs.with_engine (Obs.engine ()) (fun () ->
+    Obs.set_sampling ~seed:3 8;
+    Obs.enable ();
+    let holder = 11 and other = 12 and idle = 13 in
+    let ctx = ref 0 in
+    Obs.set_context (fun () -> !ctx);
+    (* traps until the sampler decides [want], closing the others *)
+    let rec open_span pid ~want =
+      let s = Obs.span_begin ~pid ~sysno:Sysno.sys_getpid in
+      if want s then s
+      else begin
+        Obs.span_end s ~error:false;
+        open_span pid ~want
+      end
+    in
+    let held = open_span holder ~want:(fun s -> s > 0) in
+    let skipped = open_span other ~want:(fun s -> s < 0) in
+    let model = ref [ (holder, held) ] in
+    let innermost pid = Option.value ~default:0 (List.assoc_opt pid !model) in
+    let chan = ref 0 in
+    let check phase =
+      List.iter
+        (fun pid ->
+          let what fmt = Printf.sprintf ("%s, pid %d: " ^^ fmt) phase pid in
+          ctx := pid;
+          Alcotest.(check int) (what "current") (innermost pid) (Obs.current ());
+          Alcotest.(check (triple int int int)) (what "causal_origin")
+            (0, innermost pid, pid) (Obs.causal_origin pid))
+        [ holder; other; idle ];
+      List.iter
+        (fun (w, r) ->
+          incr chan;
+          let c = Obs.chan_pipe !chan in
+          Obs.causal_pipe_write ~chan:c ~pid:w ~bytes:4;
+          Obs.causal_pipe_read ~chan:c ~pid:r ~bytes:4;
+          Obs.causal_chan_closed c;
+          let ends = Printf.sprintf "span %d pid %d -> span %d pid %d" in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s: pipe edge %d -> %d" phase w r)
+            [ ends (innermost w) w (innermost r) r ]
+            (List.map
+               (fun (e : Obs.Causal.edge) ->
+                 Obs.Causal.(ends e.ed_src_span e.ed_src_pid e.ed_dst_span e.ed_dst_pid))
+               (Obs.Span.edges (Obs.drain ()))))
+        [ (holder, other); (other, holder) ]
+    in
+    check "one sampled span open";
+    Obs.span_end skipped ~error:false;
+    Obs.span_end held ~error:false;
+    model := [];
+    check "no sampled span open";
+    Alcotest.(check int) "nothing pending" 0 (Obs.causal_pending ());
+    Obs.disable ())
+
+(* A wire number below 0 names no call (a raw trap can carry one): it
+   opens no span, counts nowhere, and must not reach the sysno-indexed
+   table. *)
+(* An application may trap with any int: every number outside the
+   per-syscall table shares its one overflow row (sysno 1024), sampled
+   or not, so a hostile number neither grows the table nor escapes as
+   an exception, and a negative one still completes a fork edge. *)
+let test_out_of_range_sysnos_share_overflow_row () =
+  let wild = [ -3; max_int; 1_000_000_000; min_int; 1024 ] in
+  List.iter
+    (fun n ->
+      Obs.with_engine (Obs.engine ()) (fun () ->
+        Obs.enable ();
+        Obs.set_sampling n;
+        let parent = Obs.span_begin ~pid:1 ~sysno:2 in
+        Obs.causal_fork ~parent:1 ~child:7;
+        List.iter
+          (fun sysno ->
+            let span = Obs.span_begin ~pid:7 ~sysno in
+            if n > 1 then
+              Alcotest.(check bool) "unsampled sentinel is negative" true
+                (span <= 0 || span > parent);
+            Obs.span_end span ~error:true)
+          wild;
+        Obs.span_end parent ~error:false;
+        let m = Obs.metrics () in
+        Alcotest.(check (list (triple int int int)))
+          (Printf.sprintf "rows at 1-in-%d" n)
+          [ (2, 1, 0); (1024, List.length wild, List.length wild) ]
+          (List.map
+             (fun s -> (s.Obs.sm_sysno, s.Obs.sm_calls, s.Obs.sm_errors))
+             m.Obs.m_syscalls);
+        let forks =
+          List.filter_map
+            (function
+              | Obs.Span.Edge ed when ed.Obs.Causal.ed_kind = Obs.Causal.Fork ->
+                Some (ed.Obs.Causal.ed_src_pid, ed.Obs.Causal.ed_dst_pid)
+              | _ -> None)
+            (Obs.records ())
+        in
+        Alcotest.(check (list (pair int int)))
+          "the child's first (negative) trap completes its fork edge"
+          [ (1, 7) ] forks;
+        Obs.disable ()))
+    [ 1; 256 ]
+
+(* The same numbers trapped raw by an application on an observed
+   kernel: the kernel answers each ENOSYS, and obs counts them in the
+   overflow row. *)
+let test_wild_trap_numbers_enosys_under_obs () =
+  with_obs (fun () ->
+      let wild = [ max_int; 1_000_000_000; -5 ] in
+      let results = ref [] in
+      let _, status =
+        boot (fun () ->
+            Obs.reset ();
+            results :=
+              List.map
+                (fun num -> Kernel.Uspace.trap_wire { Value.num; args = [||] })
+                wild;
+            Obs.disable ();
+            0)
+      in
+      check_exit "session" 0 status;
+      List.iter
+        (fun r -> Alcotest.(check bool) "ENOSYS" true (r = Error Errno.ENOSYS))
+        !results;
+      let m = Obs.metrics () in
+      let over = List.find (fun s -> s.Obs.sm_sysno = 1024) m.Obs.m_syscalls in
+      Alcotest.(check (pair int int)) "overflow row calls, errors" (3, 3)
+        (over.Obs.sm_calls, over.Obs.sm_errors);
+      Alcotest.(check bool) "no row past the overflow row" true
+        (List.for_all (fun s -> s.Obs.sm_sysno <= 1024) m.Obs.m_syscalls))
+
 let test_sampling_exact_counts_across_rates () =
   let base = sampled_session_counts ~n:1 in
   List.iter
@@ -1288,7 +1498,8 @@ let () =
           Alcotest.test_case "wraparound" `Quick test_ring_wraparound;
           Alcotest.test_case "drain" `Quick test_ring_drain;
           Alcotest.test_case "capacity clamp" `Quick test_ring_capacity_clamp;
-          qtest qcheck_ring_keeps_newest ] );
+          qtest qcheck_ring_keeps_newest;
+          qtest qcheck_ring_model ] );
       ( "hist",
         [ Alcotest.test_case "bucket edges" `Quick test_hist_bucket_edges;
           Alcotest.test_case "observe" `Quick test_hist_observe;
@@ -1317,7 +1528,13 @@ let () =
           Alcotest.test_case "estimates converge" `Quick
             test_sampling_estimates_converge;
           Alcotest.test_case "exact counts across rates" `Quick
-            test_sampling_exact_counts_across_rates ] );
+            test_sampling_exact_counts_across_rates;
+          Alcotest.test_case "open-span guard matches a per-pid model" `Quick
+            test_open_span_guard;
+          Alcotest.test_case "out-of-range sysnos share the overflow row"
+            `Quick test_out_of_range_sysnos_share_overflow_row;
+          Alcotest.test_case "wild trap numbers answer ENOSYS under obs"
+            `Quick test_wild_trap_numbers_enosys_under_obs ] );
       ( "merge",
         [ qtest qcheck_merge_counts_and_overflow;
           qtest qcheck_merge_identities;

@@ -96,7 +96,6 @@ let resolve_parent fs cred ~cwd path =
               ((if path.[0] = '/' then "/" else "") ^ String.concat "/" prefix)
         in
         if not (Inode.is_dir parent) then Error Errno.ENOTDIR
-        else if last = "." || last = ".." then Error Errno.EINVAL
         else Ok (parent, last, path.[String.length path - 1] = '/')
       end
   end

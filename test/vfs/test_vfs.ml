@@ -240,6 +240,35 @@ let test_rmdir_semantics () =
     (write_content fs "/tmp/f" "x";
      Fs.rmdir fs Fs.root_cred ~cwd:root "/tmp/f")
 
+(* [Dots_table]'s rows on the VFS, in a fixture under /tmp/t. *)
+let test_dots_table () =
+  let fs = make_fs () in
+  let cwd = Fs.root_ino fs and c = Fs.root_cred in
+  let at p = "/tmp/t/" ^ p in
+  List.iter
+    (fun d -> ignore (check_ok "mkdir" (Fs.mkdir fs c ~cwd (at d) ~perm:0o755)))
+    [ ""; "d"; "d/sub" ];
+  write_content fs (at "f") "x";
+  List.iter
+    (fun (call, want) ->
+      let got =
+        match (call : Dots_table.call) with
+        | Rmdir p -> Fs.rmdir fs c ~cwd (at p)
+        | Rename (a, b) -> Fs.rename fs c ~cwd ~src:(at a) (at b)
+        | Unlink p -> Fs.unlink fs c ~cwd (at p)
+        | Mkdir p -> Result.map ignore (Fs.mkdir fs c ~cwd (at p) ~perm:0o755)
+        | Link (a, b) -> Fs.link fs c ~cwd ~existing:(at a) (at b)
+        | Symlink (target, p) -> Fs.symlink fs c ~cwd ~target (at p)
+      in
+      check_err (Dots_table.show call) want got)
+    Dots_table.rows;
+  List.iter
+    (fun p -> ignore (check_ok ("kept " ^ p) (Fs.resolve fs c ~cwd (at p))))
+    Dots_table.present;
+  List.iter
+    (fun p -> check_err ("no " ^ p) Errno.ENOENT (Fs.resolve fs c ~cwd (at p)))
+    Dots_table.absent
+
 let test_rename_file () =
   let fs = make_fs () in
   let root = Fs.root_ino fs in
@@ -647,6 +676,8 @@ let () =
         Alcotest.test_case "unlink with opens" `Quick
           test_unlink_with_open_refs;
         Alcotest.test_case "rmdir" `Quick test_rmdir_semantics;
+        Alcotest.test_case "dots and empty targets, as Linux" `Quick
+          test_dots_table;
         Alcotest.test_case "rename file" `Quick test_rename_file;
         Alcotest.test_case "rename into subtree" `Quick
           test_rename_dir_into_subtree;
