@@ -1,4 +1,6 @@
-.PHONY: all check test lint-globals lint-exports bench-gates bench-golden bench-causal bench-net perf-pairs clean
+BENCH = $(CURDIR)/_build/default/bench/main.exe
+
+.PHONY: all check test lint-globals lint-exports bench-gates bench-golden perf-pairs clean FORCE
 
 all:
 	dune build @all
@@ -31,24 +33,26 @@ lint-exports:
 bench-gates:
 	dune build ./bench/main.exe
 	out=$$(mktemp -d) && \
-	  (cd $$out && $(CURDIR)/_build/default/bench/main.exe gates) && \
+	  (cd $$out && $(BENCH) gates) && \
 	  diff -r $$out bench/golden; \
 	  status=$$?; rm -rf $$out; exit $$status
 
 bench-golden:
 	dune build ./bench/main.exe
 	rm -f bench/golden/BENCH_*.json
-	cd bench/golden && $(CURDIR)/_build/default/bench/main.exe gates
+	cd bench/golden && $(BENCH) gates
 
-# The socket-workload gate alone (kvd under agent stacks, both server
-# modes; writes BENCH_net.json).
-bench-net:
-	dune exec bench/main.exe -- netbench
+# One bench section alone, named as `bench/main.exe --list` prints
+# them: `make bench-netbench` writes BENCH_net.json, `make bench-causal`
+# BENCH_causal.json, `make bench-table3.2` prints Table 3-2.  An
+# unknown name prints the list and fails.
+bench-%: FORCE
+	@dune build ./bench/main.exe
+	@if $(BENCH) --list | cut -f1 | grep -qxF '$*'; then $(BENCH) '$*'; \
+	else echo "no bench section '$*'; the sections:" >&2; \
+	  $(BENCH) --list >&2; exit 2; fi
 
-# The causal-observability gate alone (edge tables, slices, flame
-# folds, stream completeness, watchdogs; writes BENCH_causal.json).
-bench-causal:
-	dune exec bench/main.exe -- causal
+FORCE:
 
 # Host time of the working tree against commit REV, in alternating
 # pairs under perf's compare rule (tools/perf_pairs.sh, which holds the

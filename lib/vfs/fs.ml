@@ -298,14 +298,16 @@ let rec name_start s i =
    too, as Linux's LAST_DOT and LAST_DOTDOT do: the directory already
    holds both names, so creating calls find them taken (EEXIST) and
    unlink finds a directory (EISDIR), while rmdir and rename refuse
-   them outright ([is_dots]). *)
+   them outright ([is_dots]).  A path of slashes alone comes back as
+   the root and the name "/", Linux's LAST_ROOT, which [lookup_in]
+   finds as the root itself and which those calls treat alike. *)
 let resolve_parent t cred ~cwd path =
   let n = String.length path in
   if n = 0 then Error Errno.ENOENT
   else if n > max_path then Error Errno.ENAMETOOLONG
   else begin
     let e = trim_slashes path n in
-    if e = 0 then Error Errno.EEXIST  (* "/" *)
+    if e = 0 then Ok (get_exn t (root_ino t), "/", true)
     else begin
       let b = name_start path e in
       if e - b > max_name then Error Errno.ENAMETOOLONG
@@ -318,7 +320,7 @@ let resolve_parent t cred ~cwd path =
     end
   end
 
-let is_dots name = name = "." || name = ".."
+let is_dots name = name = "." || name = ".." || name = "/"
 
 let path_of_ino t ino =
   let rec up ino acc depth =
@@ -388,12 +390,14 @@ let create_in t cred (parent : Inode.t) name kind ~perm =
   end
 
 let lookup_in (parent : Inode.t) name =
-  match Inode.dir parent with
-  | Error e -> Error e
-  | Ok d ->
-    (match Inode.Names.find_opt name d.entries with
-     | Some ino -> Ok ino
-     | None -> Error Errno.ENOENT)
+  if name = "/" then Ok parent.Inode.ino
+  else
+    match Inode.dir parent with
+    | Error e -> Error e
+    | Ok d ->
+      (match Inode.Names.find_opt name d.entries with
+       | Some ino -> Ok ino
+       | None -> Error Errno.ENOENT)
 
 (* --- namespace operations --------------------------------------------- *)
 
@@ -419,6 +423,30 @@ let open_finish t cred ~flags ~created (inode : Inode.t) =
      | _ -> ());
     Ok (inode, created)
   end
+
+(* O_CREAT of a last component that is absent or a dangling symlink.
+   O_EXCL does not follow the link, so it is EEXIST; otherwise, as in
+   Linux, the link is followed and its target created, a relative
+   target against the link's directory, up to [max_symlinks] links. *)
+let rec create_last t cred ~flags ~perm parent name links =
+  match lookup_in parent name with
+  | Error Errno.ENOENT ->
+    let* inode =
+      create_in t cred parent name (Inode.Reg (Filedata.create ())) ~perm
+    in
+    open_finish t cred ~flags ~created:true inode
+  | Error e -> Error e
+  | Ok _ when flags land Flags.Open.o_excl <> 0 -> Error Errno.EEXIST
+  | Ok ino ->
+    match (get_exn t ino).Inode.kind with
+    | Inode.Symlink _ when links >= max_symlinks -> Error Errno.ELOOP
+    | Inode.Symlink target -> (
+      match resolve_parent t cred ~cwd:parent.Inode.ino target with
+      | Error e -> Error e
+      | Ok (_, _, true) -> Error Errno.EISDIR
+      | Ok (parent, name, false) ->
+        create_last t cred ~flags ~perm parent name (links + 1))
+    | _ -> Error Errno.EEXIST
 
 (* With O_CREAT, Linux answers EISDIR for a name followed by a slash
    once its parent resolves, whether or not the name exists, and for an
@@ -446,18 +474,7 @@ let open_lookup t cred ~cwd path ~flags ~perm =
     (* a name with a trailing slash asks for a directory *)
     | Ok (_, _, true) -> Error Errno.EISDIR
     | Ok _ when err = Errno.ENOTDIR -> Error err
-    | Ok (parent, name, false) ->
-      (* re-check: the final component may exist as a dangling symlink,
-         which O_EXCL does not follow *)
-      match lookup_in parent name with
-      | Ok _ when flags land o_excl <> 0 -> Error Errno.EEXIST
-      | Ok _ -> Error Errno.ENOENT  (* dangling symlink in the way *)
-      | Error Errno.ENOENT ->
-        let* inode =
-          create_in t cred parent name (Inode.Reg (Filedata.create ())) ~perm
-        in
-        open_finish t cred ~flags ~created:true inode
-      | Error e -> Error e)
+    | Ok (parent, name, false) -> create_last t cred ~flags ~perm parent name 0)
   | Error e -> Error e
 
 (* Create [kind] under a name that must not exist yet.  Only a
@@ -554,6 +571,7 @@ let rmdir t cred ~cwd path =
   let* () =
     if name = "." then Error Errno.EINVAL
     else if name = ".." then Error Errno.ENOTEMPTY
+    else if name = "/" then Error Errno.EBUSY
     else Ok ()
   in
   let* ino = lookup_in parent name in
@@ -588,9 +606,9 @@ let is_ancestor t ~anc ino =
   in
   up ino 0
 
-(* Both parents resolve before either name is looked up, so "." or ".."
-   on either side is EBUSY whether or not the source exists, as in
-   Linux. *)
+(* Both parents resolve before either name is looked up, so ".", ".."
+   or "/" on either side is EBUSY whether or not the source exists, as
+   in Linux. *)
 let rename t cred ~cwd ~src dst =
   let* sparent, sname, sslash = resolve_parent t cred ~cwd src in
   let* dparent, dname, dslash = resolve_parent t cred ~cwd dst in

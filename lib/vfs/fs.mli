@@ -72,11 +72,12 @@ val resolve_parent : t -> cred -> cwd:int -> string
   -> (Inode.t * string * bool, Abi.Errno.t) result
 (** [resolve_parent fs cred ~cwd path] resolves every component but
     the last, following symlinks, and returns that directory, the last
-    component, and whether a slash followed it.  Fails with [EEXIST]
-    for a path of slashes only, [ENOTDIR] when the parent is not a
-    directory, and {!resolve}'s errors.  A last component of ["."] or
-    [".."] is returned like any other; the creating and removing calls
-    apply their own rules to it and to the flag. *)
+    component, and whether a slash followed it.  Fails with [ENOTDIR]
+    when the parent is not a directory, and {!resolve}'s errors.  A
+    last component of ["."] or [".."] is returned like any other, and a
+    path of slashes only returns the root with the name ["/"]; the
+    creating and removing calls apply their own rules to these and to
+    the flag. *)
 
 val path_of_ino : t -> int -> string option
 (** Reconstruct an absolute path by walking ".." upward; [None] if the
@@ -93,7 +94,9 @@ val open_lookup : t -> cred -> cwd:int -> string -> flags:int -> perm:int
   -> (Inode.t * bool, Abi.Errno.t) result
 (** The namespace half of [open(2)]: resolves, optionally creates
     (O_CREAT/O_EXCL), checks the access mode, truncates (O_TRUNC).
-    Returns the inode and whether it was created. *)
+    Returns the inode and whether it was created.  O_CREAT through a
+    dangling symlink creates the link's target, as Linux does; with
+    O_EXCL it is [EEXIST]. *)
 
 val mkdir : t -> cred -> cwd:int -> string -> perm:int
   -> (Inode.t, Abi.Errno.t) result

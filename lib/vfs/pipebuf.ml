@@ -1,7 +1,14 @@
 let capacity = 4096
 
+(* The ring's storage is taken as unread bytes need it, the way 4.3BSD
+   took mbufs as data arrived: it starts empty, doubles from
+   [first_size] when a write needs the room, and stops at [capacity],
+   which stays the one limit.  It is never shrunk, so a channel that
+   drains and refills does not allocate again. *)
+let first_size = 64
+
 type t = {
-  data : Bytes.t;
+  mutable data : Bytes.t;
   mutable head : int;        (* next byte to read *)
   mutable used : int;
   mutable readers : int;
@@ -9,28 +16,51 @@ type t = {
 }
 
 let create () =
-  { data = Bytes.create capacity; head = 0; used = 0;
-    readers = 0; writers = 0 }
+  { data = Bytes.empty; head = 0; used = 0; readers = 0; writers = 0 }
 
 let available t = t.used
 let room t = capacity - t.used
 
+(* [i] taken round the end of the storage, for [i] below twice its
+   length *)
+let wrap t i = if i >= Bytes.length t.data then i - Bytes.length t.data else i
+
+(* Copy the [n] oldest unread bytes into [dst] at [off]: one blit up to
+   the storage's end, a second from its front when they wrap. *)
+let copy_out t dst off n =
+  let first = min n (Bytes.length t.data - t.head) in
+  Bytes.blit t.data t.head dst off first;
+  Bytes.blit t.data 0 dst (off + first) (n - first)
+
+(* Grow the storage to hold [need] bytes; the unread ones move to its
+   front. *)
+let grow t need =
+  let size = ref (max first_size (2 * Bytes.length t.data)) in
+  while !size < need do size := 2 * !size done;
+  let data = Bytes.create (min !size capacity) in
+  copy_out t data 0 t.used;
+  t.data <- data;
+  t.head <- 0
+
 let write t data ~pos =
   let n = min (String.length data - pos) (room t) in
-  for i = 0 to n - 1 do
-    let slot = (t.head + t.used + i) mod capacity in
-    Bytes.set t.data slot data.[pos + i]
-  done;
-  t.used <- t.used + n;
+  if n > 0 then begin
+    if t.used + n > Bytes.length t.data then grow t (t.used + n);
+    let tail = wrap t (t.head + t.used) in
+    let first = min n (Bytes.length t.data - tail) in
+    Bytes.blit_string data pos t.data tail first;
+    Bytes.blit_string data (pos + first) t.data 0 (n - first);
+    t.used <- t.used + n
+  end;
   n
 
 let read t buf ~off ~len =
   let n = min len t.used in
-  for i = 0 to n - 1 do
-    Bytes.set buf (off + i) (Bytes.get t.data ((t.head + i) mod capacity))
-  done;
-  t.head <- (t.head + n) mod capacity;
-  t.used <- t.used - n;
+  if n > 0 then begin
+    copy_out t buf off n;
+    t.head <- wrap t (t.head + n);
+    t.used <- t.used - n
+  end;
   n
 
 let add_reader t = t.readers <- t.readers + 1

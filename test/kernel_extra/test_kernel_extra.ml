@@ -246,7 +246,7 @@ let test_trailing_slash_table () =
 let test_dots_table () =
   let module U = Libc.Unistd in
   let rows = ref [] in
-  let at p = "/tmp/t/" ^ p in
+  let at = Dots_table.at "/tmp/t/" in
   let r = function Ok _ -> "ok" | Error e -> Errno.name e in
   let _, status = boot (fun () ->
     List.iter (fun d -> u "mkdir" (U.mkdir (at d) 0o755)) [ ""; "d"; "d/sub" ];
@@ -273,6 +273,55 @@ let test_dots_table () =
     0)
   in
   check_exit "dots table" 0 status;
+  List.iter
+    (fun (what, want, got) -> Alcotest.(check string) what want got)
+    (List.rev !rows)
+
+(* [Creat_table]'s rows (test/vfs), through the C library and the
+   kernel, in a fixture under /tmp/t. *)
+let test_creat_table () =
+  let module U = Libc.Unistd in
+  let rows = ref [] in
+  let at p = "/tmp/t/" ^ p in
+  let row what want got = rows := (what, want, got) :: !rows in
+  let _, status = boot (fun () ->
+    List.iter (fun d -> u "mkdir" (U.mkdir (at d) 0o755))
+      ("" :: Creat_table.dirs);
+    List.iter (fun f -> u "close" (U.close (u "creat" (U.creat (at f) 0o644))))
+      Creat_table.files;
+    List.iter (fun (target, p) -> u "symlink" (U.symlink ~target (at p)))
+      Creat_table.links;
+    List.iter
+      (fun (call, want) ->
+        let p = at (Creat_table.path call) in
+        let got =
+          match call with
+          | Creat_table.Creat _ -> U.creat p 0o644
+          | _ -> U.open_ p (Creat_table.flags call) 0o644
+        in
+        let got = Result.map (fun fd -> u "close" (U.close fd)) got in
+        row (Creat_table.show call) (Creat_table.outcome want)
+          (Creat_table.outcome got))
+      Creat_table.rows;
+    List.iter
+      (fun p ->
+        let kind =
+          match U.lstat (at p) with
+          | Ok st when st.Stat.st_mode land Flags.Mode.ifmt = Flags.Mode.ifreg
+            -> "regular"
+          | Ok _ -> "not regular"
+          | Error e -> Errno.name e
+        in
+        row ("created " ^ p) "regular" kind)
+      Creat_table.created;
+    List.iter
+      (fun p ->
+        row ("no " ^ p) "ENOENT"
+          (Creat_table.outcome (Result.map ignore (U.lstat (at p)))))
+      Creat_table.absent;
+    0)
+  in
+  check_exit "creat table" 0 status;
   List.iter
     (fun (what, want, got) -> Alcotest.(check string) what want got)
     (List.rev !rows)
@@ -700,6 +749,55 @@ let test_socketpair_bidirectional () =
     if reply = "re:ping" then 0 else 1)
   in
   check_exit "echo over socketpair" 0 status
+
+(* 100 idle pipes and 100 idle socketpairs, 300 ring buffers, held
+   open by 10 parked children (the descriptor table has 64 slots).  A
+   ring takes storage only for unread bytes, so an idle one costs the
+   kernel only its bookkeeping (32 words), far below the 513 words of
+   a preallocated 4 KB ring. *)
+let test_idle_channels_footprint () =
+  let module U = Libc.Unistd in
+  let k = fresh_kernel () in
+  let words () = Obj.reachable_words (Obj.repr k) in
+  let children = 10 and per_child = 10 in
+  let buffers = children * per_child * 3 in
+  let grown = ref 0 in
+  let status = boot_k k (fun () ->
+    let go_r, go_w = u "pipe go" (U.pipe ()) in
+    let ready_r, ready_w = u "pipe ready" (U.pipe ()) in
+    let hold_r, hold_w = u "pipe hold" (U.pipe ()) in
+    let byte = Bytes.create 1 in
+    let pids =
+      List.init children (fun _ ->
+        u "fork"
+          (U.fork ~child:(fun () ->
+             List.iter (fun fd -> u "close" (U.close fd))
+               [ go_w; ready_r; hold_w ];
+             ignore (u "go" (U.read go_r byte 1));
+             for _ = 1 to per_child do
+               ignore (u "pipe" (U.pipe ()));
+               ignore (u "socketpair" (U.socketpair ()))
+             done;
+             ignore (u "ready" (U.write ready_w "r"));
+             (* parked until the parent closes the hold pipe; exit
+                closes every channel *)
+             ignore (u "hold" (U.read hold_r byte 1));
+             0)))
+    in
+    let before = words () in
+    ignore (u "go" (U.write go_w (String.make children 'g')));
+    for _ = 1 to children do ignore (u "ready" (U.read ready_r byte 1)) done;
+    grown := words () - before;
+    List.iter (fun fd -> u "close" (U.close fd))
+      [ go_r; go_w; ready_r; ready_w; hold_r; hold_w ];
+    List.iter (fun pid -> ignore (u "wait" (U.waitpid pid 0))) pids;
+    0)
+  in
+  check_exit "idle channels" 0 status;
+  let per_buffer = !grown / buffers in
+  if per_buffer >= 64 then
+    Alcotest.failf "%d idle ring buffers cost %d words each (bound 64)"
+      buffers per_buffer
 
 let test_socketpair_eof_and_epipe () =
   let _, status = boot (fun () ->
@@ -1734,7 +1832,9 @@ let () =
         Alcotest.test_case "trailing slash table" `Quick
           test_trailing_slash_table;
         Alcotest.test_case "dots and empty targets, as Linux" `Quick
-          test_dots_table ];
+          test_dots_table;
+        Alcotest.test_case "O_CREAT through symlinks, as Linux" `Quick
+          test_creat_table ];
       "timers",
       [ Alcotest.test_case "alarm replace/cancel" `Quick
           test_alarm_replaced_and_cancelled;
@@ -1762,7 +1862,9 @@ let () =
       [ Alcotest.test_case "bidirectional" `Quick
           test_socketpair_bidirectional;
         Alcotest.test_case "EOF/EPIPE" `Quick test_socketpair_eof_and_epipe;
-        Alcotest.test_case "stat kind" `Quick test_socketpair_stat_kind ];
+        Alcotest.test_case "stat kind" `Quick test_socketpair_stat_kind;
+        Alcotest.test_case "idle channels footprint" `Quick
+          test_idle_channels_footprint ];
       "sockets",
       [ Alcotest.test_case "bind lifecycle" `Quick
           test_bind_address_lifecycle;

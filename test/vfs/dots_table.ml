@@ -1,10 +1,13 @@
-(* Calls whose last component is "." or "..", and a symlink with an
-   empty target, with the errnos Linux returns.  Each row was checked
-   on Linux 6.18 through Python's os calls, in a fresh directory
-   holding the same fixture: directories d and d/sub, and a file f.
+(* Calls whose last component is "." or "..", calls on "/" itself, and
+   a symlink with an empty target, with the errnos Linux returns.  Each
+   row was checked on Linux 6.18 through Python's os calls, in a fresh
+   directory holding the same fixture: directories d and d/sub, and a
+   file f.  The rows on "/" ran in a forked child chrooted into a fresh
+   temporary directory, so the host's own root was never their target.
    test/vfs runs the rows on [Vfs.Fs]; test/kernel_extra copies this
    file and runs them through [Libc.Unistd].  Paths are relative to
-   the fixture directory, rows run in order, and none may change it. *)
+   the fixture directory unless they start with "/", rows run in
+   order, and none may change the fixture. *)
 
 open Abi
 
@@ -40,7 +43,20 @@ let rows =
     (Mkdir "d/..", Errno.EEXIST);
     (Link ("f", "d/."), Errno.EEXIST);
     (Symlink ("x", "d/."), Errno.EEXIST);
-    (Symlink ("", "s"), Errno.ENOENT) ]
+    (Symlink ("", "s"), Errno.ENOENT);
+    (Rmdir "/", Errno.EBUSY);
+    (Rmdir "//", Errno.EBUSY);
+    (Unlink "/", Errno.EISDIR);
+    (Rename ("/", "e"), Errno.EBUSY);
+    (Rename ("f", "/"), Errno.EBUSY);
+    (Rename ("missing", "/"), Errno.EBUSY);
+    (Rename ("/", "missing/e"), Errno.ENOENT);
+    (Mkdir "/", Errno.EEXIST);
+    (Link ("f", "/"), Errno.EEXIST);
+    (Symlink ("x", "/"), Errno.EEXIST) ]
+
+(* a row's path: absolute as written, else under the fixture [dir] *)
+let at dir p = if String.starts_with ~prefix:"/" p then p else dir ^ p
 
 (* the fixture's names after every row: nothing renamed, removed or
    created *)

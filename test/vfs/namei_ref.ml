@@ -79,7 +79,7 @@ let resolve_parent fs cred ~cwd path =
   else if String.length path > max_path then Error Errno.ENAMETOOLONG
   else begin
     match List.rev (split_path path) with
-    | [] -> Error Errno.EEXIST
+    | [] -> Ok (Fs.get_exn fs (Fs.root_ino fs), "/", true)
     | last :: rev_prefix ->
       if String.length last > max_name then Error Errno.ENAMETOOLONG
       else begin

@@ -83,6 +83,93 @@ let test_pipebuf_capacity () =
   Alcotest.(check int) "no room" 0 (Pipebuf.room p);
   Alcotest.(check int) "refuses more" 0 (Pipebuf.write p "y" ~pos:0)
 
+(* The ring against a reference: a string queue capped at
+   [Pipebuf.capacity].  A write carries [pos] bytes of prefix that must
+   not be taken; a read lands at [off] in a buffer whose other bytes
+   must stay untouched. *)
+type pipe_op =
+  | Write of string * int  (** data, pos *)
+  | Read of int * int  (** len, off *)
+
+let show_pipe_op = function
+  | Write (s, pos) -> Printf.sprintf "write %d@%d" (String.length s - pos) pos
+  | Read (len, off) -> Printf.sprintf "read %d@%d" len off
+
+(* After every step: the count accepted or read, the bytes read,
+   [available] and [room] all agree with the reference. *)
+let pipebuf_agrees ops =
+  let p = Pipebuf.create () in
+  let q = ref "" in
+  List.for_all
+    (fun op ->
+      let agrees =
+        match op with
+        | Write (data, pos) ->
+          let n =
+            min (String.length data - pos)
+              (Pipebuf.capacity - String.length !q)
+          in
+          q := !q ^ String.sub data pos n;
+          Pipebuf.write p data ~pos = n
+        | Read (len, off) ->
+          let n = min len (String.length !q) in
+          let buf = Bytes.make (off + len + 1) '#' in
+          let got = Pipebuf.read p buf ~off ~len in
+          let want =
+            String.make off '#' ^ String.sub !q 0 n
+            ^ String.make (len + 1 - n) '#'
+          in
+          q := String.sub !q n (String.length !q - n);
+          got = n && Bytes.to_string buf = want
+      in
+      agrees
+      && Pipebuf.available p = String.length !q
+      && Pipebuf.room p = Pipebuf.capacity - String.length !q)
+    ops
+
+(* Lengths that take the ring through every storage size s = 64, 128,
+   .., 4096 and wrap it at each: with 3s/8 unread bytes lying across
+   the end of the s/2 storage, fill to 3s/4 (a grow that copies a
+   wrapped ring), read s/2, write s/2 (split at the end), read 5s/8
+   (split too), write 3s/4, read 5s/8, write s/8, which leaves 3s/8
+   across the end again.  Then fill to capacity and drain. *)
+let staircase =
+  let rec steps s carry =
+    if s > Pipebuf.capacity then [ `W 5000; `R 5000 ]
+    else
+      [ `W (3 * s / 4 - carry); `R (s / 2); `W (s / 2); `R (5 * s / 8);
+        `W (3 * s / 4); `R (5 * s / 8); `W (s / 8) ]
+      @ steps (2 * s) (3 * s / 8)
+  in
+  steps 64 0
+
+let gen_pipe_ops =
+  let open QCheck.Gen in
+  let len = frequency [ (3, 0 -- 100); (2, 0 -- 1000); (1, 0 -- 5000) ] in
+  let write n pos = map (fun s -> Write (s, pos)) (string_size (return n)) in
+  let read n = map (fun off -> Read (n, off)) (int_bound 16) in
+  let random =
+    list_size (0 -- 60)
+      (oneof
+         [ (len >>= fun n -> int_bound n >>= fun pos -> write n pos);
+           (len >>= read) ])
+  in
+  let fixed =
+    flatten_l
+      (List.map
+         (function
+           | `W n -> int_bound 16 >>= fun pos -> write (pos + n) pos
+           | `R n -> read n)
+         staircase)
+  in
+  oneof [ random; map2 ( @ ) fixed random ]
+
+let test_pipebuf_model =
+  QCheck.Test.make ~name:"pipebuf matches a capped string queue" ~count:300
+    (QCheck.make gen_pipe_ops
+       ~print:(fun ops -> String.concat "; " (List.map show_pipe_op ops)))
+    pipebuf_agrees
+
 let test_pipebuf_endpoints () =
   let p = Pipebuf.create () in
   Pipebuf.add_reader p;
@@ -244,7 +331,7 @@ let test_rmdir_semantics () =
 let test_dots_table () =
   let fs = make_fs () in
   let cwd = Fs.root_ino fs and c = Fs.root_cred in
-  let at p = "/tmp/t/" ^ p in
+  let at = Dots_table.at "/tmp/t/" in
   List.iter
     (fun d -> ignore (check_ok "mkdir" (Fs.mkdir fs c ~cwd (at d) ~perm:0o755)))
     [ ""; "d"; "d/sub" ];
@@ -268,6 +355,38 @@ let test_dots_table () =
   List.iter
     (fun p -> check_err ("no " ^ p) Errno.ENOENT (Fs.resolve fs c ~cwd (at p)))
     Dots_table.absent
+
+(* [Creat_table]'s rows on the VFS, in a fixture under /tmp/t. *)
+let test_creat_table () =
+  let fs = make_fs () in
+  let cwd = Fs.root_ino fs and c = Fs.root_cred in
+  let at p = "/tmp/t/" ^ p in
+  List.iter
+    (fun d -> ignore (check_ok "mkdir" (Fs.mkdir fs c ~cwd (at d) ~perm:0o755)))
+    ("" :: Creat_table.dirs);
+  List.iter (fun f -> write_content fs (at f) "x") Creat_table.files;
+  List.iter
+    (fun (target, p) -> ignore (check_ok "symlink" (Fs.symlink fs c ~cwd ~target (at p))))
+    Creat_table.links;
+  List.iter
+    (fun (call, want) ->
+      let got =
+        Fs.open_lookup fs c ~cwd (at (Creat_table.path call))
+          ~flags:(Creat_table.flags call) ~perm:0o644
+      in
+      Alcotest.(check string) (Creat_table.show call)
+        (Creat_table.outcome want)
+        (Creat_table.outcome (Result.map ignore got)))
+    Creat_table.rows;
+  List.iter
+    (fun p ->
+      let st = check_ok ("created " ^ p) (Fs.stat_path fs c ~cwd ~follow:false (at p)) in
+      Alcotest.(check int) ("regular " ^ p) Flags.Mode.ifreg
+        (st.Stat.st_mode land Flags.Mode.ifmt))
+    Creat_table.created;
+  List.iter
+    (fun p -> check_err ("no " ^ p) Errno.ENOENT (Fs.resolve fs c ~cwd (at p)))
+    Creat_table.absent
 
 let test_rename_file () =
   let fs = make_fs () in
@@ -386,8 +505,8 @@ let test_open_lookup_semantics () =
        ~flags:Flags.Open.o_wronly ~perm:0)
 
 (* O_CREAT|O_EXCL does not follow a final symlink, so a dangling one
-   is a name that exists (EEXIST, as on Linux); plain O_CREAT through
-   it still answers ENOENT, and nothing is created either way. *)
+   is a name that exists (EEXIST, as on Linux) and nothing is created;
+   plain O_CREAT follows it and creates the target. *)
 let test_excl_dangling_symlink () =
   let fs = make_fs () in
   let root = Fs.root_ino fs in
@@ -398,11 +517,16 @@ let test_excl_dangling_symlink () =
   check_err "excl" Errno.EEXIST
     (Fs.open_lookup fs Fs.root_cred ~cwd:root "/tmp/dangling"
        ~flags:Flags.Open.(o_wronly lor o_creat lor o_excl) ~perm:0o644);
-  check_err "creat" Errno.ENOENT
-    (Fs.open_lookup fs Fs.root_cred ~cwd:root "/tmp/dangling"
-       ~flags:Flags.Open.(o_wronly lor o_creat) ~perm:0o644);
   check_err "target not created" Errno.ENOENT
-    (Fs.resolve fs Fs.root_cred ~cwd:root "/tmp/absent")
+    (Fs.resolve fs Fs.root_cred ~cwd:root "/tmp/absent");
+  let inode, created =
+    check_ok "creat"
+      (Fs.open_lookup fs Fs.root_cred ~cwd:root "/tmp/dangling"
+         ~flags:Flags.Open.(o_wronly lor o_creat) ~perm:0o644)
+  in
+  Alcotest.(check bool) "created" true created;
+  let target = check_ok "target" (Fs.resolve fs Fs.root_cred ~cwd:root "/tmp/absent") in
+  Alcotest.(check int) "the target" target.Inode.ino inode.Inode.ino
 
 (* A randomised workout: create a tree of files, then verify that every
    created path resolves and that directory listings agree. *)
@@ -659,7 +783,8 @@ let () =
       "pipebuf",
       [ qtest test_pipebuf_fifo;
         Alcotest.test_case "capacity" `Quick test_pipebuf_capacity;
-        Alcotest.test_case "endpoints" `Quick test_pipebuf_endpoints ];
+        Alcotest.test_case "endpoints" `Quick test_pipebuf_endpoints;
+        qtest test_pipebuf_model ];
       "resolve",
       [ Alcotest.test_case "basic" `Quick test_resolve_basic;
         Alcotest.test_case "relative + dots" `Quick
@@ -678,6 +803,8 @@ let () =
         Alcotest.test_case "rmdir" `Quick test_rmdir_semantics;
         Alcotest.test_case "dots and empty targets, as Linux" `Quick
           test_dots_table;
+        Alcotest.test_case "O_CREAT through symlinks, as Linux" `Quick
+          test_creat_table;
         Alcotest.test_case "rename file" `Quick test_rename_file;
         Alcotest.test_case "rename into subtree" `Quick
           test_rename_dir_into_subtree;
