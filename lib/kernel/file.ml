@@ -1,26 +1,28 @@
-type pipe = {
-  pipe_id : int;
+(* The byte queue behind a pipe, a FIFO open or one direction of a
+   connection, with its causal channel, computed once. *)
+type ring = {
+  chan : int;
   buf : Vfs.Pipebuf.t;
 }
 
 (* One direction-pair of a stream connection.  The two endpoints hold
-   the same pipes crossed: this side reads [rx] and writes [tx], the
+   the same rings crossed: this side reads [rx] and writes [tx], the
    peer reads [tx] and writes [rx].  The shut flags remember which of
-   this endpoint's pipe references [shutdown] already dropped, so the
+   this endpoint's ring references [shutdown] already dropped, so the
    final close releases each side exactly once. *)
 type conn = {
-  rx : pipe;
-  tx : pipe;
+  rx : ring;
+  tx : ring;
   mutable shut_rd : bool;
   mutable shut_wr : bool;
 }
 
 (* A listening socket's accept queue: connections [connect] has
-   established (their pipes already referenced for the server side)
+   established (their rings already referenced for the server side)
    that no [accept] has adopted yet. *)
 type listener = {
-  lid : int;                     (* wait-queue / select identity *)
-  backlog : int;                 (* accept-queue bound, ≥ 1 *)
+  lid : int;                     (* names its wait channels *)
+  backlog : int;                 (* accept-queue bound, >= 1 *)
   pending : conn Queue.t;
   mutable lclosed : bool;
 }
@@ -36,10 +38,10 @@ type sock = { mutable sock : sock_state }
 
 type kind =
   | Vnode of Vfs.Inode.t
-  | Pipe_read of pipe
-  | Pipe_write of pipe
-  | Fifo_read of Vfs.Inode.t * Vfs.Pipebuf.t
-  | Fifo_write of Vfs.Inode.t * Vfs.Pipebuf.t
+  | Pipe_read of ring
+  | Pipe_write of ring
+  | Fifo_read of Vfs.Inode.t * ring
+  | Fifo_write of Vfs.Inode.t * ring
   | Sock of sock
 
 type t = {
@@ -68,6 +70,19 @@ let inode t =
   match t.kind with
   | Vnode i | Fifo_read (i, _) | Fifo_write (i, _) -> Some i
   | Pipe_read _ | Pipe_write _ | Sock _ -> None
+
+(* The kind of a wait channel sits in its low three bits, above them
+   the ring's causal channel (itself unique across rings), a pid or a
+   listener id. *)
+module Wchan = struct
+  type t = int
+
+  let readable r = r.chan lsl 3
+  let writable r = (r.chan lsl 3) lor 1
+  let children pid = (pid lsl 3) lor 2
+  let accept l = (l.lid lsl 3) lor 3
+  let connq l = (l.lid lsl 3) lor 4
+end
 
 type fd_entry = {
   file : t;

@@ -4,27 +4,30 @@
     processes may share an entry (after [fork] or [dup]), in which case
     they share the seek offset, exactly as in BSD. *)
 
-(** An anonymous pipe with its two wait queues' identity. *)
-type pipe = {
-  pipe_id : int;
+(** A ring: the byte queue behind a pipe, a FIFO open or one direction
+    of a stream connection.  [chan] is its causal channel
+    ({!Obs.chan_pipe}, {!Obs.chan_fifo} or {!Obs.chan_sock}), computed
+    once when the ring is made or the FIFO opened; it is unique across
+    rings, and so are the ring's two wait channels ({!Wchan}). *)
+type ring = {
+  chan : int;
   buf : Vfs.Pipebuf.t;
 }
 
 (** One endpoint of a stream connection: reads drain [rx], writes fill
-    [tx]; the peer holds the same pipes crossed.  The shut flags record
-    which pipe references [shutdown] already dropped so the final close
+    [tx]; the peer holds the same rings crossed.  The shut flags record
+    which ring references [shutdown] already dropped so the final close
     releases each side exactly once. *)
 type conn = {
-  rx : pipe;
-  tx : pipe;
+  rx : ring;
+  tx : ring;
   mutable shut_rd : bool;
   mutable shut_wr : bool;
 }
 
-(** A listening socket's bounded accept queue.  [lid] is its identity
-    on the wait queues (accept blocks on it like a pipe read; a full
-    queue blocks connectors on the same id); [pending] holds
-    established connections no [accept] has adopted yet — their pipes
+(** A listening socket's bounded accept queue.  [lid] names its two
+    wait channels ({!Wchan.accept}, {!Wchan.connq}); [pending] holds
+    established connections no [accept] has adopted yet — their rings
     already carry the server side's references, so a listener closed
     with pending connections resets them (peer reads EOF, peer writes
     EPIPE). *)
@@ -48,10 +51,10 @@ type sock = { mutable sock : sock_state }
 
 type kind =
   | Vnode of Vfs.Inode.t             (** regular file, directory, device *)
-  | Pipe_read of pipe
-  | Pipe_write of pipe
-  | Fifo_read of Vfs.Inode.t * Vfs.Pipebuf.t
-  | Fifo_write of Vfs.Inode.t * Vfs.Pipebuf.t
+  | Pipe_read of ring
+  | Pipe_write of ring
+  | Fifo_read of Vfs.Inode.t * ring
+  | Fifo_write of Vfs.Inode.t * ring
   | Sock of sock
 
 type t = {
@@ -69,6 +72,29 @@ val is_readable : t -> bool
 val is_writable : t -> bool
 
 val inode : t -> Vfs.Inode.t option
+
+(** Wait channels, as 4.3BSD's [sleep(chan)] and [wakeup(chan)] take
+    them: what a parked process waits for ({!Proc.cond}), and the key
+    of its queue in [Kstate.waitqs].  Each is an immediate int, and
+    this module builds every one of them, so two kinds never collide. *)
+module Wchan : sig
+  type t = private int
+
+  val readable : ring -> t
+  (** the ring has bytes to read, or has lost its last writer *)
+
+  val writable : ring -> t
+  (** the ring has room, or has lost its last reader *)
+
+  val children : int -> t
+  (** a child of this pid changed state *)
+
+  val accept : listener -> t
+  (** a connection is pending, or the listener closed *)
+
+  val connq : listener -> t
+  (** the accept queue has room, or the listener closed *)
+end
 
 (** A slot in a process descriptor table. *)
 type fd_entry = {

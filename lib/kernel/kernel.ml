@@ -30,7 +30,7 @@ let finish_reply (t : t) (proc : Proc.t) =
     (match Kstate.proc t proc.ppid with
      | Some parent ->
        Kstate.post_signal t parent Signal.sigchld;
-       Kstate.wake_key t (Kstate.K_child parent.pid)
+       Kstate.wakeup t (File.Wchan.children parent.pid)
      | None -> ())
   | `None -> Kstate.enqueue t proc
 
@@ -41,29 +41,15 @@ let start_exec (t : t) (proc : Proc.t) (spec : Events.exec_spec) =
   if not spec.keep_emulation then proc.emul <- Proc.fresh_emulation ();
   Kstate.spawn t proc spec.exec_body
 
-(* The scheduler's half of a [Park]: file the sleep keys of the
-   condition the parked process's state holds, one [sleep_on] a key and
-   no list of them. *)
+(* The scheduler's half of a [Park]: sleep the process on each wait
+   channel its condition names.  A sleep or a sigsuspend names none: the
+   timer wheel or a signal wakes it. *)
 let park (t : t) (proc : Proc.t) =
-  let pid = proc.pid in
   match proc.state with
-  | Proc.Parked cond ->
-    (match cond with
-     | Proc.On_child -> Kstate.sleep_on t (Kstate.K_child pid) pid
-     | Proc.On_pipe_read i -> Kstate.sleep_on t (Kstate.K_pipe_r i) pid
-     | Proc.On_pipe_write i -> Kstate.sleep_on t (Kstate.K_pipe_w i) pid
-     | Proc.On_fifo_read i -> Kstate.sleep_on t (Kstate.K_fifo_r i) pid
-     | Proc.On_fifo_write i -> Kstate.sleep_on t (Kstate.K_fifo_w i) pid
-     | Proc.On_accept i -> Kstate.sleep_on t (Kstate.K_accept i) pid
-     | Proc.On_connq i -> Kstate.sleep_on t (Kstate.K_connq i) pid
-     | Proc.On_time _ -> ()      (* woken by the timer wheel *)
-     | Proc.On_signal _ -> ()    (* woken by signal posting *)
-     | Proc.On_select s ->
-       List.iter (fun i -> Kstate.sleep_on t (Kstate.K_pipe_r i) pid) s.rpipes;
-       List.iter (fun i -> Kstate.sleep_on t (Kstate.K_pipe_w i) pid) s.wpipes;
-       List.iter (fun i -> Kstate.sleep_on t (Kstate.K_fifo_r i) pid) s.rfifos;
-       List.iter (fun i -> Kstate.sleep_on t (Kstate.K_fifo_w i) pid) s.wfifos;
-       List.iter (fun i -> Kstate.sleep_on t (Kstate.K_accept i) pid) s.rlisten)
+  | Proc.Parked (Proc.On_chan chan) -> Kstate.sleep_on t chan proc
+  | Proc.Parked (Proc.On_chans chans) ->
+    List.iter (fun chan -> Kstate.sleep_on t chan proc) chans
+  | Proc.Parked (Proc.On_time _ | Proc.On_signal _)
   | Proc.Runnable | Proc.Stopped | Proc.Zombie | Proc.Reaped -> ()
 
 (* The handlers of the payload-free yields, each built once.  A handler
@@ -180,6 +166,7 @@ let run_turn (t : t) (proc : Proc.t) =
 
 (* A timed wait ends with [res] as its result. *)
 let time_out (t : t) (proc : Proc.t) res =
+  Kstate.unsleep t proc;
   proc.state <- Proc.Runnable;
   proc.res <- res;
   finish_reply t proc
@@ -200,7 +187,7 @@ let fire_timer (t : t) (ev : Kstate.timer_event) =
      | Some _ | None -> ())
   | Kstate.T_select pid ->
     (match Kstate.proc t pid with
-     | Some ({ state = Proc.Parked (Proc.On_select _); _ } as proc)
+     | Some ({ state = Proc.Parked (Proc.On_chans _); _ } as proc)
        ->
        (* timeout: no descriptors ready *)
        time_out t proc (Value.ret 0 ~r1:0)

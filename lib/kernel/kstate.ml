@@ -1,15 +1,5 @@
 open Abi
 
-type wait_key =
-  | K_child of int
-  | K_pipe_r of int
-  | K_pipe_w of int
-  | K_fifo_r of int
-  | K_fifo_w of int
-  | K_accept of int
-  | K_connq of int
-  | K_signal of int
-
 type timer_event =
   | T_wake of int
   | T_alarm of int
@@ -40,7 +30,7 @@ type t = {
   devs : Dev.table;
   procs : (int, Proc.t) Hashtbl.t;
   runq : runq;
-  waitqs : (wait_key, int list ref) Hashtbl.t;
+  waitqs : (File.Wchan.t, Proc.t list ref) Hashtbl.t;
   bindings : (string, File.sock) Hashtbl.t;
   registry : Registry.t;
   obs : Obs.engine;
@@ -48,7 +38,7 @@ type t = {
   mutable timers : (int * timer_event) list;
   mutable next_pid : int;
   mutable next_file_id : int;
-  mutable next_pipe_id : int;
+  mutable next_ring_id : int;
   mutable next_listener_id : int;
   mutable tod_offset_us : int;
   mutable send : dst:int -> pid:int -> signal:int -> unit;
@@ -85,7 +75,7 @@ let create ?(shard_id = 0) () =
     timers = [];
     next_pid = 1;
     next_file_id = 1;
-    next_pipe_id = 1;
+    next_ring_id = 1;
     next_listener_id = 1;
     tod_offset_us = 0;
     send =
@@ -215,57 +205,47 @@ let spawn t (p : Proc.t) body =
 
 (* --- wait queues and timers -------------------------------------------- *)
 
-(* [Hashtbl.find] rather than [find_opt]: a park or a wake-up with
-   sleepers builds no [Some]. *)
-let waitq t key =
-  match Hashtbl.find t.waitqs key with
-  | q -> q
-  | exception Not_found ->
-    let q = ref [] in
-    Hashtbl.replace t.waitqs key q;
-    q
+(* 4.3BSD's sleep queues, kept exact: a process is in a channel's
+   queue exactly while it is [Parked] on a condition that names the
+   channel.  [sleep_on] files it when it parks, [wakeup] empties the
+   channel's queue, and [unsleep] takes a process off every queue it is
+   in, wherever it leaves [Parked]: a wake-up on another channel, a
+   timeout, an EINTR or an exit.  An emptied queue goes, so [waitqs]
+   holds entries only while someone sleeps.  [Hashtbl.find] rather than
+   [find_opt]: a park or a wake-up with sleepers builds no [Some]. *)
+let sleep_on t chan (p : Proc.t) =
+  match Hashtbl.find t.waitqs chan with
+  | q -> if not (List.memq p !q) then q := p :: !q
+  | exception Not_found -> Hashtbl.replace t.waitqs chan (ref [ p ])
 
-let sleep_on t key pid =
-  let q = waitq t key in
-  if not (List.mem pid !q) then q := pid :: !q
-
-let cond_matches (cond : Proc.cond) (key : wait_key) =
-  match cond, key with
-  | Proc.On_child, K_child _ -> true
-  | Proc.On_pipe_read i, K_pipe_r j -> i = j
-  | Proc.On_pipe_write i, K_pipe_w j -> i = j
-  | Proc.On_fifo_read i, K_fifo_r j -> i = j
-  | Proc.On_fifo_write i, K_fifo_w j -> i = j
-  | Proc.On_accept i, K_accept j -> i = j
-  | Proc.On_connq i, K_connq j -> i = j
-  | Proc.On_signal _, K_signal _ -> true
-  | Proc.On_select s, K_pipe_r j -> List.mem j s.rpipes
-  | Proc.On_select s, K_pipe_w j -> List.mem j s.wpipes
-  | Proc.On_select s, K_fifo_r j -> List.mem j s.rfifos
-  | Proc.On_select s, K_fifo_w j -> List.mem j s.wfifos
-  | Proc.On_select s, K_accept j -> List.mem j s.rlisten
-  | _ -> false
-
-let wake_key t key =
-  match Hashtbl.find t.waitqs key with
+let leave t chan (p : Proc.t) =
+  match Hashtbl.find t.waitqs chan with
   | exception Not_found -> ()
   | q ->
-    let pids = !q in
-    (* the entry goes with its sleepers: a re-park files a fresh one *)
-    Hashtbl.remove t.waitqs key;
+    (match List.filter (fun q -> q != p) !q with
+     | [] -> Hashtbl.remove t.waitqs chan
+     | rest -> q := rest)
+
+let unsleep t (p : Proc.t) =
+  match p.state with
+  | Proc.Parked (Proc.On_chan chan) -> leave t chan p
+  | Proc.Parked (Proc.On_chans chans) -> List.iter (fun c -> leave t c p) chans
+  | Proc.Parked (Proc.On_time _ | Proc.On_signal _)
+  | Proc.Runnable | Proc.Stopped | Proc.Zombie | Proc.Reaped -> ()
+
+let wakeup t chan =
+  match Hashtbl.find t.waitqs chan with
+  | exception Not_found -> ()
+  | q ->
+    Hashtbl.remove t.waitqs chan;
     List.iter
-      (fun pid ->
-        match proc t pid with
-        | Some p ->
-          (match p.Proc.state with
-           | Proc.Parked cond when cond_matches cond key ->
-             (* BSD restart: the woken fibre serves its call again *)
-             p.state <- Proc.Runnable;
-             p.res <- Proc.restart;
-             enqueue t p
-           | _ -> ())
-        | None -> ())
-      (List.rev pids)
+      (fun (p : Proc.t) ->
+        unsleep t p;
+        (* BSD restart: the woken fibre serves its call again *)
+        p.state <- Proc.Runnable;
+        p.res <- Proc.restart;
+        enqueue t p)
+      (List.rev !q)
 
 let add_timer t ~at ev =
   let rec insert = function
@@ -311,12 +291,10 @@ let new_file t kind ~flags =
      -> Vfs.Fs.incr_opens t.fs inode.Vfs.Inode.ino
    | File.Pipe_read _ | File.Pipe_write _ | File.Sock _ -> ());
   (match kind with
-   | File.Pipe_read p -> Vfs.Pipebuf.add_reader p.buf
-   | File.Pipe_write p -> Vfs.Pipebuf.add_writer p.buf
-   | File.Fifo_read (_, b) -> Vfs.Pipebuf.add_reader b
-   | File.Fifo_write (_, b) -> Vfs.Pipebuf.add_writer b
+   | File.Pipe_read r | File.Fifo_read (_, r) -> Vfs.Pipebuf.add_reader r.buf
+   | File.Pipe_write r | File.Fifo_write (_, r) -> Vfs.Pipebuf.add_writer r.buf
    | File.Sock _ ->
-     (* a connection's pipe references belong to the conn from the
+     (* a connection's ring references belong to the conn from the
         moment it is established ([new_conn_pair]), not to the file
         wrapping it — accept adopts a pending conn whose references
         connect already took, so taking them again here would double
@@ -325,31 +303,30 @@ let new_file t kind ~flags =
    | File.Vnode _ -> ());
   File.make ~id kind ~flags
 
+(* A fresh ring, its causal channel built from a new ring id. *)
+let new_ring t chan_of_id =
+  let id = t.next_ring_id in
+  t.next_ring_id <- id + 1;
+  { File.chan = chan_of_id id; buf = Vfs.Pipebuf.create () }
+
 let new_pipe t =
-  let pipe_id = t.next_pipe_id in
-  t.next_pipe_id <- pipe_id + 1;
-  let pipe = { File.pipe_id; buf = Vfs.Pipebuf.create () } in
-  let r = new_file t (File.Pipe_read pipe) ~flags:Flags.Open.o_rdonly in
-  let w = new_file t (File.Pipe_write pipe) ~flags:Flags.Open.o_wronly in
+  let ring = new_ring t Obs.chan_pipe in
+  let r = new_file t (File.Pipe_read ring) ~flags:Flags.Open.o_rdonly in
+  let w = new_file t (File.Pipe_write ring) ~flags:Flags.Open.o_wronly in
   r, w
 
-(* A crossed pair of fresh pipes forming both endpoints of a stream
+(* A crossed pair of fresh rings forming both endpoints of a stream
    connection, references for both sides already taken: the first conn
-   reads p1 / writes p2, the second the reverse. *)
+   reads r1 / writes r2, the second the reverse. *)
 let new_conn_pair t =
-  let mk () =
-    let pipe_id = t.next_pipe_id in
-    t.next_pipe_id <- pipe_id + 1;
-    { File.pipe_id; buf = Vfs.Pipebuf.create () }
-  in
-  let p1 = mk () in
-  let p2 = mk () in
-  Vfs.Pipebuf.add_reader p1.buf;
-  Vfs.Pipebuf.add_writer p1.buf;
-  Vfs.Pipebuf.add_reader p2.buf;
-  Vfs.Pipebuf.add_writer p2.buf;
-  { File.rx = p1; tx = p2; shut_rd = false; shut_wr = false },
-  { File.rx = p2; tx = p1; shut_rd = false; shut_wr = false }
+  let r1 = new_ring t Obs.chan_sock in
+  let r2 = new_ring t Obs.chan_sock in
+  Vfs.Pipebuf.add_reader r1.buf;
+  Vfs.Pipebuf.add_writer r1.buf;
+  Vfs.Pipebuf.add_reader r2.buf;
+  Vfs.Pipebuf.add_writer r2.buf;
+  { File.rx = r1; tx = r2; shut_rd = false; shut_wr = false },
+  { File.rx = r2; tx = r1; shut_rd = false; shut_wr = false }
 
 let new_listener t ~backlog =
   let lid = t.next_listener_id in
@@ -379,38 +356,42 @@ let install_fd t p ?(cloexec = false) ?(from = 0) file =
 
 let retain_file (f : File.t) = f.refs <- f.refs + 1
 
-(* Once a buffer has lost its last reader and writer, nothing can
-   move bytes through it again, and its causal watermarks go
-   (DESIGN.md §3.9).  A FIFO's buffer belongs to its inode: a later
-   open may still read what is left, so its channel stays while bytes
-   remain. *)
-let chan_released buf chan =
-  if Vfs.Pipebuf.readers buf = 0 && Vfs.Pipebuf.writers buf = 0 then
-    Obs.causal_chan_closed chan
+(* Drop one reader or writer of a ring and wake the sleepers on its
+   other side: every pipe, FIFO and connection release goes through
+   these two.  Once a ring has lost its last reader and writer, nothing
+   can move bytes through it again, and its causal watermarks go
+   (DESIGN.md §3.9).  A FIFO's ring belongs to its inode: a later open
+   may still read what is left, so with [~fifo] its channel stays while
+   bytes remain. *)
+let released ~fifo (r : File.ring) =
+  if Vfs.Pipebuf.readers r.buf = 0 && Vfs.Pipebuf.writers r.buf = 0
+     && not (fifo && Vfs.Pipebuf.available r.buf > 0)
+  then Obs.causal_chan_closed r.chan
 
-let fifo_released buf ino =
-  if Vfs.Pipebuf.available buf = 0 then chan_released buf (Obs.chan_fifo ino)
+let drop_reader t ~fifo (r : File.ring) =
+  Vfs.Pipebuf.drop_reader r.buf;
+  released ~fifo r;
+  wakeup t (File.Wchan.writable r)
+
+let drop_writer t ~fifo (r : File.ring) =
+  Vfs.Pipebuf.drop_writer r.buf;
+  released ~fifo r;
+  wakeup t (File.Wchan.readable r)
 
 (* Release one direction of a connection endpoint.  The shut flags make
    these idempotent: [shutdown] drops a direction early, and the final
-   close must then skip it — each pipe reference is dropped exactly
+   close must then skip it — each ring reference is dropped exactly
    once over the endpoint's lifetime. *)
 let shut_conn_rd t (c : File.conn) =
   if not c.File.shut_rd then begin
     c.File.shut_rd <- true;
-    Vfs.Pipebuf.drop_reader c.File.rx.buf;
-    chan_released c.File.rx.buf (Obs.chan_sock c.File.rx.pipe_id);
-    (* the peer may be blocked writing into our receive pipe *)
-    wake_key t (K_pipe_w c.File.rx.pipe_id)
+    drop_reader t ~fifo:false c.File.rx
   end
 
 let shut_conn_wr t (c : File.conn) =
   if not c.File.shut_wr then begin
     c.File.shut_wr <- true;
-    Vfs.Pipebuf.drop_writer c.File.tx.buf;
-    chan_released c.File.tx.buf (Obs.chan_sock c.File.tx.pipe_id);
-    (* the peer may be blocked reading from our send pipe *)
-    wake_key t (K_pipe_r c.File.tx.pipe_id)
+    drop_writer t ~fifo:false c.File.tx
   end
 
 let release_conn t (c : File.conn) =
@@ -429,24 +410,14 @@ let release_file t (f : File.t) =
     match f.kind with
     | File.Vnode inode ->
       Vfs.Fs.decr_opens t.fs inode.Vfs.Inode.ino
-    | File.Pipe_read p ->
-      Vfs.Pipebuf.drop_reader p.buf;
-      chan_released p.buf (Obs.chan_pipe p.pipe_id);
-      wake_key t (K_pipe_w p.pipe_id)
-    | File.Pipe_write p ->
-      Vfs.Pipebuf.drop_writer p.buf;
-      chan_released p.buf (Obs.chan_pipe p.pipe_id);
-      wake_key t (K_pipe_r p.pipe_id)
-    | File.Fifo_read (inode, b) ->
-      Vfs.Pipebuf.drop_reader b;
-      fifo_released b inode.Vfs.Inode.ino;
-      Vfs.Fs.decr_opens t.fs inode.Vfs.Inode.ino;
-      wake_key t (K_fifo_w inode.Vfs.Inode.ino)
-    | File.Fifo_write (inode, b) ->
-      Vfs.Pipebuf.drop_writer b;
-      fifo_released b inode.Vfs.Inode.ino;
-      Vfs.Fs.decr_opens t.fs inode.Vfs.Inode.ino;
-      wake_key t (K_fifo_r inode.Vfs.Inode.ino)
+    | File.Pipe_read r -> drop_reader t ~fifo:false r
+    | File.Pipe_write r -> drop_writer t ~fifo:false r
+    | File.Fifo_read (inode, r) ->
+      drop_reader t ~fifo:true r;
+      Vfs.Fs.decr_opens t.fs inode.Vfs.Inode.ino
+    | File.Fifo_write (inode, r) ->
+      drop_writer t ~fifo:true r;
+      Vfs.Fs.decr_opens t.fs inode.Vfs.Inode.ino
     | File.Sock s ->
       (match s.File.sock with
        | File.S_fresh -> ()
@@ -462,8 +433,8 @@ let release_file t (f : File.t) =
          Queue.clear l.File.pending;
          (* blocked accepters must fail with EINVAL, blocked connectors
             with ECONNRESET — both re-check on retry *)
-         wake_key t (K_accept l.File.lid);
-         wake_key t (K_connq l.File.lid))
+         wakeup t (File.Wchan.accept l);
+         wakeup t (File.Wchan.connq l))
   end
 
 let close_fd t p fd =
@@ -561,6 +532,7 @@ and act_on_pending t (p : Proc.t) s =
             makes next *)
          take_pending p s;
          cancel_call_timers t p.pid;
+         unsleep t p;
          (match cond with
           | Proc.On_signal saved -> p.sigs.mask <- saved
           | _ -> ());
@@ -586,6 +558,7 @@ and do_exit t (p : Proc.t) status =
      (* the exit trap's span never returns to its opener; force-close *)
      Obs.abort_pid p.pid;
      Obs.causal_exit p.pid;
+     unsleep t p;
      (* close every descriptor *)
      Array.iteri
        (fun i entry ->
@@ -623,7 +596,7 @@ and do_exit t (p : Proc.t) status =
      (match proc t p.ppid with
       | Some parent when parent.state <> Proc.Zombie ->
         post_signal t parent Signal.sigchld;
-        wake_key t (K_child parent.pid)
+        wakeup t (File.Wchan.children parent.pid)
       | _ ->
         (* no live parent: nobody will wait for us *)
         reap t p))

@@ -3,16 +3,6 @@
     posting and process exit.  The scheduler and syscall dispatcher sit
     on top ({!Kernel}, {!Syscalls}). *)
 
-type wait_key =
-  | K_child of int        (** parent pid *)
-  | K_pipe_r of int
-  | K_pipe_w of int
-  | K_fifo_r of int       (** fifo ino *)
-  | K_fifo_w of int
-  | K_accept of int       (** listener id: a connection arrived *)
-  | K_connq of int        (** listener id: the accept queue drained *)
-  | K_signal of int       (** pid in sigsuspend *)
-
 type timer_event =
   | T_wake of int         (** pid sleeping *)
   | T_alarm of int        (** pid to receive SIGALRM *)
@@ -34,8 +24,9 @@ type outcome =
       pending signal is waiting.  The result rides in the caller's
       [res];
     - [Park], for a block.  The fibre has already set its state to
-      [Parked], which holds the wait condition, and the scheduler files
-      the sleep keys.  A wake-up answers {!Proc.restart}, and the fibre
+      [Parked], which holds the wait condition, and the scheduler
+      sleeps it on each wait channel the condition names
+      ({!sleep_on}).  A wake-up answers {!Proc.restart}, and the fibre
       serves the same call again;
     - [Abandon], for an exit: the scheduler unwinds the fibre.
     An exec performs [Events.Exec_load], as the exec-load primitive
@@ -57,7 +48,11 @@ type t = {
   devs : Dev.table;
   procs : (int, Proc.t) Hashtbl.t;
   runq : runq;
-  waitqs : (wait_key, int list ref) Hashtbl.t;
+  waitqs : (File.Wchan.t, Proc.t list ref) Hashtbl.t;
+      (** the sleepers on each wait channel, latest first.  Exact: a
+          process is in a channel's queue exactly while it is [Parked]
+          on a condition that names the channel, and a channel nobody
+          sleeps on has no entry *)
   bindings : (string, File.sock) Hashtbl.t;
       (** socket address namespace: [bind] claims a name (EADDRINUSE on
           conflict), [connect] resolves one, closing the bound or
@@ -72,7 +67,7 @@ type t = {
   mutable timers : (int * timer_event) list;  (** sorted by time *)
   mutable next_pid : int;
   mutable next_file_id : int;
-  mutable next_pipe_id : int;
+  mutable next_ring_id : int;
   mutable next_listener_id : int;
   mutable tod_offset_us : int;   (** settimeofday adjustment *)
   mutable send : dst:int -> pid:int -> signal:int -> unit;
@@ -169,11 +164,21 @@ val spawn : t -> Proc.t -> (unit -> int) -> unit
 
 (* --- wait queues and timers --- *)
 
-val sleep_on : t -> wait_key -> int -> unit
-val wake_key : t -> wait_key -> unit
-(** Make runnable every process on the queue whose wait condition the
-    key matches, with {!Proc.restart} as its answer, and queue it: its
-    fibre serves the parked call again (BSD restart). *)
+val sleep_on : t -> File.Wchan.t -> Proc.t -> unit
+(** 4.3BSD's [sleep(chan)]: file a process that has just parked on a
+    condition naming the channel at the back of its queue (once). *)
+
+val unsleep : t -> Proc.t -> unit
+(** 4.3BSD's [unsleep(p)]: take a [Parked] process off the queue of
+    every channel its condition names, dropping emptied queues.  Called
+    wherever a process leaves [Parked]: a wake-up, a timeout, an EINTR
+    and an exit. *)
+
+val wakeup : t -> File.Wchan.t -> unit
+(** 4.3BSD's [wakeup(chan)]: make every process on the channel's queue
+    runnable, in the order they slept, with {!Proc.restart} as its
+    answer, and queue it: its fibre serves the parked call again (BSD
+    restart). *)
 
 val add_timer : t -> at:int -> timer_event -> unit
 val cancel_timers_for : t -> int -> unit
@@ -199,8 +204,8 @@ val new_socketpair : t -> File.t * File.t
 (** Two connected bidirectional endpoints. *)
 
 val new_conn_pair : t -> File.conn * File.conn
-(** Both endpoints of a fresh stream connection — two new pipes held
-    crossed, the pipe references for both sides already taken.  The
+(** Both endpoints of a fresh stream connection — two new rings held
+    crossed, the ring references for both sides already taken.  The
     caller owns releasing them (via {!release_file} on a wrapping
     socket, or {!release_conn} directly). *)
 
@@ -211,7 +216,7 @@ val shut_conn_rd : t -> File.conn -> unit
 val shut_conn_wr : t -> File.conn -> unit
 (** Release one direction of a connection endpoint and wake the peer;
     idempotent via the conn's shut flags, so [shutdown] followed by
-    [close] drops each pipe reference exactly once. *)
+    [close] drops each ring reference exactly once. *)
 
 val release_conn : t -> File.conn -> unit
 (** Release both directions. *)
@@ -226,7 +231,7 @@ val install_fd : t -> Proc.t -> ?cloexec:bool -> ?from:int -> File.t
 
 val retain_file : File.t -> unit
 val release_file : t -> File.t -> unit
-(** Drop one reference; at zero, release inode / pipe endpoints and
+(** Drop one reference; at zero, release inode / ring endpoints and
     wake the peer end. *)
 
 val close_fd : t -> Proc.t -> int -> (unit, Abi.Errno.t) result

@@ -1,20 +1,8 @@
 type cond =
-  | On_child
-  | On_pipe_read of int
-  | On_pipe_write of int
-  | On_fifo_read of int
-  | On_fifo_write of int
-  | On_accept of int       (* listener id: until a connection is pending *)
-  | On_connq of int        (* listener id: until the accept queue drains *)
+  | On_chan of File.Wchan.t
+  | On_chans of File.Wchan.t list  (* select: any of these *)
   | On_time of int
   | On_signal of int       (* sigsuspend: the mask to restore *)
-  | On_select of {
-      rpipes : int list;   (* pipe/sock ids awaited for readability *)
-      wpipes : int list;   (* pipe/sock ids awaited for writability *)
-      rfifos : int list;   (* fifo inos awaited for readability *)
-      wfifos : int list;   (* fifo inos awaited for writability *)
-      rlisten : int list;  (* listener ids: readable = pending conn *)
-    }
 
 type state =
   | Runnable

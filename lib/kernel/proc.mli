@@ -1,25 +1,16 @@
 (** Process table entries. *)
 
-(** Why a parked process is asleep. *)
+(** Why a parked process is asleep.  While it is [Parked] on a
+    condition, the process is in the queue of every wait channel the
+    condition names, and in no other ([Kstate.sleep_on],
+    [Kstate.unsleep]). *)
 type cond =
-  | On_child                    (** wait4: any child state change *)
-  | On_pipe_read of int         (** pipe id *)
-  | On_pipe_write of int
-  | On_fifo_read of int         (** fifo inode number *)
-  | On_fifo_write of int
-  | On_accept of int            (** listener id: until a connection is
-                                    pending in the accept queue *)
-  | On_connq of int             (** listener id: until the accept queue
-                                    has room for another connection *)
+  | On_chan of File.Wchan.t     (** one wait channel *)
+  | On_chans of File.Wchan.t list
+      (** select: any of these (none when no descriptor can become
+          ready) *)
   | On_time of int              (** absolute virtual deadline, µs *)
   | On_signal of int            (** sigsuspend: the mask to restore *)
-  | On_select of {
-      rpipes : int list;   (* pipe/sock ids awaited for readability *)
-      wpipes : int list;   (* pipe/sock ids awaited for writability *)
-      rfifos : int list;   (* fifo inos awaited for readability *)
-      wfifos : int list;   (* fifo inos awaited for writability *)
-      rlisten : int list;  (* listener ids: readable = pending conn *)
-    }
 
 type state =
   | Runnable

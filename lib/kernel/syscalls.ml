@@ -34,42 +34,36 @@ let fd_file (p : Proc.t) fd =
 
 let nonblocking (f : File.t) = f.flags land Flags.Open.o_nonblock <> 0
 
-let pipe_read t (p : Proc.t) (f : File.t) buf cnt ~(buffer : Vfs.Pipebuf.t)
-    ~chan ~wake ~cond =
+let pipe_read t (p : Proc.t) (f : File.t) buf cnt (r : File.ring) =
   (* a zero-length read is complete by definition — without this early
      return it would fall through the n = 0 branches below and block a
      blocking reader forever while writers are still alive *)
   if cnt = 0 then done_ret 0
   else
-    let n = Vfs.Pipebuf.read buffer buf ~off:0 ~len:cnt in
+    let n = Vfs.Pipebuf.read r.buf buf ~off:0 ~len:cnt in
     if n > 0 then begin
       (* causal hook (DESIGN.md §3.9): advance the channel's consume
          watermark — links this read's span to the writes that produced
          these bytes.  Pure bookkeeping, charges no virtual time. *)
-      Obs.causal_pipe_read ~chan ~pid:p.pid ~bytes:n;
-      wake_key t wake;
+      Obs.causal_pipe_read ~chan:r.chan ~pid:p.pid ~bytes:n;
+      wakeup t (File.Wchan.writable r);
       done_ret n
     end
     (* n = 0 with cnt > 0 means the buffer is drained, so this is EOF
        exactly when no writer remains: buffered bytes always win over
        the EOF check, a reader never loses data to a racing close *)
-    else if Vfs.Pipebuf.writers buffer = 0 then done_ret 0 (* EOF *)
+    else if Vfs.Pipebuf.writers r.buf = 0 then done_ret 0 (* EOF *)
     else if nonblocking f then fail Errno.EWOULDBLOCK
-    else Block cond
+    else Block (Proc.On_chan (File.Wchan.readable r))
 
-(* A connection endpoint reads its receive pipe.  After [shutdown]
+(* A connection endpoint reads its receive ring.  After [shutdown]
    of the read half our reader reference is gone, so anything still
-   buffered is unreachable: the read side is simply at EOF.  The
-   causal channel is per connection direction ([Obs.chan_sock] of the
-   pipe id) so request and reply bytes form distinct lanes in the
-   event graph. *)
+   buffered is unreachable: the read side is simply at EOF.  Each
+   direction is its own ring, with its own causal channel, so request
+   and reply bytes form distinct lanes in the event graph. *)
 let conn_read t (p : Proc.t) (f : File.t) (c : File.conn) buf cnt =
   if c.File.shut_rd then done_ret 0
-  else
-    pipe_read t p f buf cnt ~buffer:c.File.rx.buf
-      ~chan:(Obs.chan_sock c.File.rx.pipe_id)
-      ~wake:(K_pipe_w c.File.rx.pipe_id)
-      ~cond:(Proc.On_pipe_read c.File.rx.pipe_id)
+  else pipe_read t p f buf cnt c.File.rx
 
 let do_read t (p : Proc.t) fd buf cnt =
   if cnt < 0 then fail Errno.EINVAL
@@ -95,16 +89,7 @@ let do_read t (p : Proc.t) fd buf cnt =
               | exception Not_found -> fail Errno.ENXIO)
            | Vfs.Inode.Symlink _ -> fail Errno.EINVAL
            | Vfs.Inode.Fifo _ -> fail Errno.EBADF)
-        | File.Pipe_read pipe ->
-          pipe_read t p f buf cnt ~buffer:pipe.buf
-            ~chan:(Obs.chan_pipe pipe.pipe_id)
-            ~wake:(K_pipe_w pipe.pipe_id)
-            ~cond:(Proc.On_pipe_read pipe.pipe_id)
-        | File.Fifo_read (inode, buffer) ->
-          pipe_read t p f buf cnt ~buffer
-            ~chan:(Obs.chan_fifo inode.ino)
-            ~wake:(K_fifo_w inode.ino)
-            ~cond:(Proc.On_fifo_read inode.ino)
+        | File.Pipe_read r | File.Fifo_read (_, r) -> pipe_read t p f buf cnt r
         | File.Sock s ->
           (match s.File.sock with
            | File.S_conn c -> conn_read t p f c buf cnt
@@ -115,26 +100,25 @@ let do_read t (p : Proc.t) fd buf cnt =
 
 (* --- write -------------------------------------------------------------- *)
 
-let pipe_write t (p : Proc.t) (f : File.t) data ~(buffer : Vfs.Pipebuf.t)
-    ~chan ~wake ~cond =
-  if Vfs.Pipebuf.readers buffer = 0 then begin
+let pipe_write t (p : Proc.t) (f : File.t) data (r : File.ring) =
+  if Vfs.Pipebuf.readers r.buf = 0 then begin
     post_signal t p Signal.sigpipe;
     fail Errno.EPIPE
   end
   else begin
-    let n = Vfs.Pipebuf.write buffer data ~pos:0 in
+    let n = Vfs.Pipebuf.write r.buf data ~pos:0 in
     if n > 0 then begin
       (* causal hook: stamp the accepted byte interval with this
          write's span so the consuming read can link back to it *)
-      Obs.causal_pipe_write ~chan ~pid:p.pid ~bytes:n;
-      wake_key t wake;
+      Obs.causal_pipe_write ~chan:r.chan ~pid:p.pid ~bytes:n;
+      wakeup t (File.Wchan.readable r);
       done_ret n
     end
     else if nonblocking f then fail Errno.EWOULDBLOCK
-    else Block cond
+    else Block (Proc.On_chan (File.Wchan.writable r))
   end
 
-(* A connection endpoint writes its send pipe.  A locally shut write
+(* A connection endpoint writes its send ring.  A locally shut write
    half is a broken pipe regardless of the peer's state — the reference
    that would let these bytes be delivered is already gone. *)
 let conn_write t (p : Proc.t) (f : File.t) (c : File.conn) data =
@@ -142,11 +126,7 @@ let conn_write t (p : Proc.t) (f : File.t) (c : File.conn) data =
     post_signal t p Signal.sigpipe;
     fail Errno.EPIPE
   end
-  else
-    pipe_write t p f data ~buffer:c.File.tx.buf
-      ~chan:(Obs.chan_sock c.File.tx.pipe_id)
-      ~wake:(K_pipe_r c.File.tx.pipe_id)
-      ~cond:(Proc.On_pipe_write c.File.tx.pipe_id)
+  else pipe_write t p f data c.File.tx
 
 let do_write t (p : Proc.t) fd data =
   match fd_file p fd with
@@ -173,16 +153,7 @@ let do_write t (p : Proc.t) fd data =
             | exception Not_found -> fail Errno.ENXIO)
          | Vfs.Inode.Dir _ -> fail Errno.EISDIR
          | Vfs.Inode.Symlink _ | Vfs.Inode.Fifo _ -> fail Errno.EBADF)
-      | File.Pipe_write pipe ->
-        pipe_write t p f data ~buffer:pipe.buf
-          ~chan:(Obs.chan_pipe pipe.pipe_id)
-          ~wake:(K_pipe_r pipe.pipe_id)
-          ~cond:(Proc.On_pipe_write pipe.pipe_id)
-      | File.Fifo_write (inode, buffer) ->
-        pipe_write t p f data ~buffer
-          ~chan:(Obs.chan_fifo inode.ino)
-          ~wake:(K_fifo_r inode.ino)
-          ~cond:(Proc.On_fifo_write inode.ino)
+      | File.Pipe_write r | File.Fifo_write (_, r) -> pipe_write t p f data r
       | File.Sock s ->
         (match s.File.sock with
          | File.S_conn c -> conn_write t p f c data
@@ -202,10 +173,11 @@ let do_open t (p : Proc.t) path flags mode =
   | Ok (inode, _created) ->
     let kind_result =
       match inode.Vfs.Inode.kind with
-      | Vfs.Inode.Fifo buffer ->
+      | Vfs.Inode.Fifo buf ->
+        let ring = { File.chan = Obs.chan_fifo inode.ino; buf } in
         (match Flags.Open.accmode flags with
-         | 0 -> Ok (File.Fifo_read (inode, buffer))
-         | 1 -> Ok (File.Fifo_write (inode, buffer))
+         | 0 -> Ok (File.Fifo_read (inode, ring))
+         | 1 -> Ok (File.Fifo_write (inode, ring))
          | _ -> Error Errno.EINVAL)  (* no O_RDWR fifos here *)
       | Vfs.Inode.Reg _ | Vfs.Inode.Dir _ | Vfs.Inode.Chardev _ ->
         Ok (File.Vnode inode)
@@ -334,6 +306,10 @@ let do_getdirentries t (p : Proc.t) fd buf =
 
 let fill_stat r st = r := Some st
 
+(* A pipe's or connection's number in [fstat]: its ring id, which the
+   causal channel keeps above two kind bits ([Obs.chan_pipe]). *)
+let ring_number (r : File.ring) = r.chan lsr 2
+
 let do_fstat t (p : Proc.t) fd r =
   match fd_file p fd with
   | Error e -> fail e
@@ -343,14 +319,14 @@ let do_fstat t (p : Proc.t) fd r =
     | File.Fifo_write (inode, _) ->
       fill_stat r (Vfs.Fs.stat_inode t.fs inode);
       done_ret 0
-    | File.Pipe_read pipe | File.Pipe_write pipe ->
+    | File.Pipe_read ring | File.Pipe_write ring ->
       let st =
         { Stat.zero with
           st_dev = 0;
-          st_ino = 0x10000 + pipe.pipe_id;
+          st_ino = 0x10000 + ring_number ring;
           st_mode = Flags.Mode.ififo lor 0o600;
           st_nlink = 1;
-          st_size = Vfs.Pipebuf.available pipe.buf }
+          st_size = Vfs.Pipebuf.available ring.buf }
       in
       fill_stat r st;
       done_ret 0
@@ -358,7 +334,7 @@ let do_fstat t (p : Proc.t) fd r =
       let ino, size =
         match s.File.sock with
         | File.S_conn c ->
-          0x20000 + c.File.rx.pipe_id, Vfs.Pipebuf.available c.File.rx.buf
+          0x20000 + ring_number c.File.rx, Vfs.Pipebuf.available c.File.rx.buf
         | File.S_fresh | File.S_bound _ | File.S_listening _ ->
           0x20000 + f.id, 0
       in
@@ -388,8 +364,8 @@ let do_ioctl t (p : Proc.t) fd op buf =
     in
     if op = Flags.Ioctl.fionread then
       match f.kind with
-      | File.Pipe_read pipe -> set_int32 (Vfs.Pipebuf.available pipe.buf)
-      | File.Fifo_read (_, buffer) -> set_int32 (Vfs.Pipebuf.available buffer)
+      | File.Pipe_read r | File.Fifo_read (_, r) ->
+        set_int32 (Vfs.Pipebuf.available r.buf)
       | File.Sock s ->
         (match s.File.sock with
          | File.S_conn c -> set_int32 (Vfs.Pipebuf.available c.File.rx.buf)
@@ -493,7 +469,7 @@ let do_wait4 t (p : Proc.t) pid options =
        Done (Value.ret c.pid ~r1:(Flags.Wait.stop_status Signal.sigstop))
      | _ ->
        if options land Flags.Wait.wnohang <> 0 then done_ret 0
-       else Block Proc.On_child)
+       else Block (Proc.On_chan (File.Wchan.children p.pid)))
 
 let may_signal (p : Proc.t) (q : Proc.t) =
   p.cred.uid = 0 || p.cred.uid = q.cred.uid
@@ -659,83 +635,62 @@ let rec mask_fds mask fd acc =
 
 let fds_of_mask mask = mask_fds mask 0 []
 
+(* A ring side is ready when a read or write would not block. *)
+let read_ready (r : File.ring) =
+  Vfs.Pipebuf.available r.buf > 0 || Vfs.Pipebuf.writers r.buf = 0
+
+let write_ready (r : File.ring) =
+  Vfs.Pipebuf.room r.buf > 0 || Vfs.Pipebuf.readers r.buf = 0
+
 let do_select t (p : Proc.t) rmask wmask tmo =
   let exception Bad_fd in
-  let ready_r = ref 0 in
-  let ready_w = ref 0 in
-  let rpipes = ref [] in
-  let wpipes = ref [] in
-  let rfifos = ref [] in
-  let wfifos = ref [] in
-  let rlisten = ref [] in
-  let buf_read_ready (b : Vfs.Pipebuf.t) =
-    Vfs.Pipebuf.available b > 0 || Vfs.Pipebuf.writers b = 0
+  (* the channels to sleep on, one for each descriptor not yet ready *)
+  let chans = ref [] in
+  let ready_or_wait ready chan =
+    ready || (chans := chan :: !chans; false)
   in
-  let buf_write_ready (b : Vfs.Pipebuf.t) =
-    Vfs.Pipebuf.room b > 0 || Vfs.Pipebuf.readers b = 0
+  let readable : File.kind -> bool = function
+    | File.Vnode _ -> true
+    | File.Pipe_read r | File.Fifo_read (_, r) ->
+      ready_or_wait (read_ready r) (File.Wchan.readable r)
+    | File.Sock { sock = File.S_conn c } ->
+      ready_or_wait (c.File.shut_rd || read_ready c.File.rx)
+        (File.Wchan.readable c.File.rx)
+    | File.Sock { sock = File.S_listening (_, l) } ->
+      (* readable = accept would not block *)
+      ready_or_wait (not (Queue.is_empty l.File.pending) || l.File.lclosed)
+        (File.Wchan.accept l)
+    | File.Sock { sock = File.S_fresh | File.S_bound _ }
+    | File.Pipe_write _ | File.Fifo_write _ ->
+      false (* never readable: permanently not ready *)
+  in
+  let writable : File.kind -> bool = function
+    | File.Vnode _ -> true
+    | File.Pipe_write r | File.Fifo_write (_, r) ->
+      ready_or_wait (write_ready r) (File.Wchan.writable r)
+    | File.Sock { sock = File.S_conn c } ->
+      ready_or_wait (c.File.shut_wr || write_ready c.File.tx)
+        (File.Wchan.writable c.File.tx)
+    | File.Sock { sock = File.S_fresh | File.S_bound _ | File.S_listening _ }
+    | File.Pipe_read _ | File.Fifo_read _ -> false
+  in
+  let scan mask ready =
+    List.fold_left
+      (fun mask fd ->
+        match Proc.fd p fd with
+        | None -> raise Bad_fd
+        | Some e -> if ready e.File.file.kind then mask lor (1 lsl fd) else mask)
+      0 (fds_of_mask mask)
   in
   match
-    List.iter
-      (fun fd ->
-        match Proc.fd p fd with
-        | None -> raise Bad_fd
-        | Some e ->
-          (match e.File.file.kind with
-           | File.Vnode _ -> ready_r := !ready_r lor (1 lsl fd)
-           | File.Pipe_read pipe ->
-             if buf_read_ready pipe.buf then
-               ready_r := !ready_r lor (1 lsl fd)
-             else rpipes := pipe.pipe_id :: !rpipes
-           | File.Fifo_read (inode, b) ->
-             if buf_read_ready b then ready_r := !ready_r lor (1 lsl fd)
-             else rfifos := inode.ino :: !rfifos
-           | File.Sock s ->
-             (match s.File.sock with
-              | File.S_conn c ->
-                if c.File.shut_rd || buf_read_ready c.File.rx.buf then
-                  ready_r := !ready_r lor (1 lsl fd)
-                else rpipes := c.File.rx.pipe_id :: !rpipes
-              | File.S_listening (_, l) ->
-                (* readable = accept would not block *)
-                if not (Queue.is_empty l.File.pending) || l.File.lclosed
-                then ready_r := !ready_r lor (1 lsl fd)
-                else rlisten := l.File.lid :: !rlisten
-              | File.S_fresh | File.S_bound _ ->
-                (* never readable: permanently not ready *)
-                ())
-           | File.Pipe_write _ | File.Fifo_write _ ->
-             (* never readable: permanently not ready *)
-             ()))
-      (fds_of_mask rmask);
-    List.iter
-      (fun fd ->
-        match Proc.fd p fd with
-        | None -> raise Bad_fd
-        | Some e ->
-          (match e.File.file.kind with
-           | File.Vnode _ -> ready_w := !ready_w lor (1 lsl fd)
-           | File.Pipe_write pipe ->
-             if buf_write_ready pipe.buf then
-               ready_w := !ready_w lor (1 lsl fd)
-             else wpipes := pipe.pipe_id :: !wpipes
-           | File.Fifo_write (inode, b) ->
-             if buf_write_ready b then ready_w := !ready_w lor (1 lsl fd)
-             else wfifos := inode.ino :: !wfifos
-           | File.Sock s ->
-             (match s.File.sock with
-              | File.S_conn c ->
-                if c.File.shut_wr || buf_write_ready c.File.tx.buf then
-                  ready_w := !ready_w lor (1 lsl fd)
-                else wpipes := c.File.tx.pipe_id :: !wpipes
-              | File.S_fresh | File.S_bound _ | File.S_listening _ -> ())
-           | File.Pipe_read _ | File.Fifo_read _ -> ()))
-      (fds_of_mask wmask)
+    let ready_r = scan rmask readable in
+    ready_r, scan wmask writable
   with
   | exception Bad_fd -> fail Errno.EBADF
-  | () ->
-    if !ready_r <> 0 || !ready_w <> 0 then begin
+  | ready_r, ready_w ->
+    if ready_r <> 0 || ready_w <> 0 then begin
       cancel_call_timers t p.pid;
-      Done (Value.ret !ready_r ~r1:!ready_w)
+      Done (Value.ret ready_r ~r1:ready_w)
     end
     else if tmo = 0 then begin
       (* a pure poll: never arms a timer, but a retried select that
@@ -750,16 +705,13 @@ let do_select t (p : Proc.t) rmask wmask tmo =
         add_timer t
           ~at:(Sim.Clock.now_us t.clock + tmo)
           (T_select p.pid);
-      Block
-        (Proc.On_select
-           { rpipes = !rpipes; wpipes = !wpipes; rfifos = !rfifos;
-             wfifos = !wfifos; rlisten = !rlisten })
+      Block (Proc.On_chans !chans)
     end
 
 (* --- sockets ---------------------------------------------------------------- *)
 
 (* Stream sockets over the same machinery as pipes (DESIGN.md §3.10): a
-   connection is a crossed pair of pipe buffers, a listening socket a
+   connection is a crossed pair of rings, a listening socket a
    bounded queue of established-but-unaccepted connections.  Addresses
    are flat names in a shard-wide namespace ([Kstate.bindings]); they
    are not filesystem paths, deliberately, so pathname-guarding agents
@@ -829,17 +781,17 @@ let do_accept t (p : Proc.t) fd =
           match install_fd t p file with
           | Ok nfd ->
             (* the queue has room again: blocked connectors retry *)
-            wake_key t (K_connq l.File.lid);
+            wakeup t (File.Wchan.connq l);
             done_ret nfd
           | Error e ->
             (* no descriptor for it — the adopted connection is reset *)
             release_file t file;
-            wake_key t (K_connq l.File.lid);
+            wakeup t (File.Wchan.connq l);
             fail e
         end
         else if l.File.lclosed then fail Errno.EINVAL
         else if nonblocking f then fail Errno.EWOULDBLOCK
-        else Block (Proc.On_accept l.File.lid)
+        else Block (Proc.On_chan (File.Wchan.accept l))
       | File.S_fresh | File.S_bound _ -> fail Errno.EINVAL
       | File.S_conn _ -> fail Errno.EISCONN
 
@@ -865,7 +817,7 @@ let do_connect t (p : Proc.t) fd addr =
                 (* woken when an accept drains the queue (or the
                    listener dies — the retry then lands in
                    ECONNREFUSED above) *)
-                Block (Proc.On_connq l.File.lid)
+                Block (Proc.On_chan (File.Wchan.connq l))
             end
             else begin
               let cli, srv_end = new_conn_pair t in
@@ -877,38 +829,33 @@ let do_connect t (p : Proc.t) fd addr =
                | _ -> ());
               s.File.sock <- File.S_conn cli;
               Queue.push srv_end l.File.pending;
-              wake_key t (K_accept l.File.lid);
+              wakeup t (File.Wchan.accept l);
               done_ret 0
             end
           | _ ->
             (* bound but never listened, or already torn down *)
             fail Errno.ECONNREFUSED
 
+(* [send] and [recv] are a connection's data path, one call a message:
+   they match the descriptor's entry in place, so the lookup builds no
+   [result] the way [fd_file] and [sock_of] do. *)
 let do_send t (p : Proc.t) fd data =
-  match fd_file p fd with
-  | Error e -> fail e
-  | Ok f ->
-    match sock_of f with
-    | Error e -> fail e
-    | Ok s ->
-      match s.File.sock with
-      | File.S_conn c -> conn_write t p f c data
-      | File.S_fresh | File.S_bound _ | File.S_listening _ ->
-        fail Errno.ENOTCONN
+  match Proc.fd p fd with
+  | None -> fail Errno.EBADF
+  | Some { file = { kind = File.Sock { sock = File.S_conn c }; _ } as f; _ } ->
+    conn_write t p f c data
+  | Some { file = { kind = File.Sock _; _ }; _ } -> fail Errno.ENOTCONN
+  | Some _ -> fail Errno.ENOTSOCK
 
 let do_recv t (p : Proc.t) fd buf cnt =
   if cnt < 0 then fail Errno.EINVAL
   else
-    match fd_file p fd with
-    | Error e -> fail e
-    | Ok f ->
-      match sock_of f with
-      | Error e -> fail e
-      | Ok s ->
-        match s.File.sock with
-        | File.S_conn c -> conn_read t p f c buf (min cnt (Bytes.length buf))
-        | File.S_fresh | File.S_bound _ | File.S_listening _ ->
-          fail Errno.ENOTCONN
+    match Proc.fd p fd with
+    | None -> fail Errno.EBADF
+    | Some { file = { kind = File.Sock { sock = File.S_conn c }; _ } as f; _ } ->
+      conn_read t p f c buf (min cnt (Bytes.length buf))
+    | Some { file = { kind = File.Sock _; _ }; _ } -> fail Errno.ENOTCONN
+    | Some _ -> fail Errno.ENOTSOCK
 
 let do_shutdown t (p : Proc.t) fd how =
   match Result.bind (fd_file p fd) sock_of with

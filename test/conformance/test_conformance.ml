@@ -576,6 +576,33 @@ let test_trace_text_is_ring () =
     (List.map (fun l -> l ^ "\n") lines) ring;
   Alcotest.(check string) "byte for byte" text (String.concat "" ring)
 
+(* --- the kernel's end state ------------------------------------------------ *)
+
+(* Every registered workload, bare and under the full stack, ends with
+   no wait queue (a process sleeps on a channel only while it is
+   parked, and nobody is parked once the run is over) and no live
+   fibre. *)
+let test_workloads_end_clean () =
+  List.iter
+    (fun (w : Fault.Campaign.workload) ->
+      List.iter
+        (fun (stack : Conformance.stack) ->
+          let what = w.Fault.Campaign.w_name ^ " " ^ stack.Conformance.sk_name in
+          let k = Fault.Campaign.prepare w in
+          let status =
+            Kernel.boot k ~name:what (fun () ->
+              List.iter
+                (fun a -> Toolkit.Loader.install a ~argv:[||])
+                (stack.Conformance.sk_make ());
+              w.Fault.Campaign.w_body ())
+          in
+          Alcotest.(check int) (what ^ ": exit status") 0 status;
+          Alcotest.(check int) (what ^ ": wait queues") 0
+            (Hashtbl.length k.Kernel.Kstate.waitqs);
+          Alcotest.(check int) (what ^ ": fibres") 0 k.Kernel.Kstate.fibres)
+        [ Conformance.bare; Conformance.stacked ])
+    Fault.Campaign.workloads
+
 let () =
   Alcotest.run "conformance"
     [
@@ -627,6 +654,11 @@ let () =
             test_remap_twin_conforms;
           Alcotest.test_case "dropped rewrite flagged" `Quick
             test_buggy_remap_flagged;
+        ] );
+      ( "end-state",
+        [
+          Alcotest.test_case "workloads end with no sleeper and no fibre"
+            `Quick test_workloads_end_clean;
         ] );
       ( "strace",
         [

@@ -1806,6 +1806,264 @@ let test_table_orphans_outlive_init () =
   Alcotest.(check (pair int int)) "table (entries, reaped)" (0, 0)
     (table_census k)
 
+(* --- wait channels ------------------------------------------------------------------------ *)
+
+(* A process is in a wait channel's queue exactly while it sleeps on
+   it (4.3BSD's unsleep): a sleeper that is killed or interrupted
+   leaves no entry behind, so a run ends with no wait queue at all. *)
+let no_wait_queues what (k : Kernel.t) =
+  Alcotest.(check int) (what ^ ": wait queues") 0
+    (Hashtbl.length k.Kstate.waitqs)
+
+let test_killed_in_wait4 () =
+  let module U = Libc.Unistd in
+  let k = fresh_kernel () in
+  let status = boot_k k (fun () ->
+    let pid =
+      u "fork"
+        (U.fork ~child:(fun () ->
+           (* parked in wait4 until its own child kills it *)
+           ignore
+             (u "fork"
+                (U.fork ~child:(fun () ->
+                   ignore (U.sleep_us 1000);
+                   u "kill" (U.kill (U.getppid ()) Signal.sigkill);
+                   0)));
+           ignore (U.wait ());
+           1))
+    in
+    let _, st = u "wait" (U.waitpid pid 0) in
+    (* the orphan, now init's *)
+    ignore (u "wait orphan" (U.wait ()));
+    if Flags.Wait.wifsignaled st && Flags.Wait.wtermsig st = Signal.sigkill
+    then 0
+    else 1)
+  in
+  check_exit "killed in wait4" 0 status;
+  no_wait_queues "after the run" k
+
+let test_killed_reading_pipe () =
+  let module U = Libc.Unistd in
+  let k = fresh_kernel () in
+  let status = boot_k k (fun () ->
+    let r, w = u "pipe" (U.pipe ()) in
+    let pid =
+      u "fork"
+        (U.fork ~child:(fun () ->
+           u "close" (U.close w);
+           (* parked reading until killed *)
+           ignore (U.read r (Bytes.create 1) 1);
+           1))
+    in
+    u "close" (U.close r);
+    ignore (U.sleep_us 1000);
+    u "kill" (U.kill pid Signal.sigkill);
+    ignore (u "wait" (U.waitpid pid 0));
+    (* the writer lives on here, and nobody sleeps *)
+    let queues = Hashtbl.length k.Kstate.waitqs in
+    u "close" (U.close w);
+    queues)
+  in
+  check_exit "wait queues while the writer lives" 0 status;
+  no_wait_queues "after the run" k
+
+let test_wait4_interrupted () =
+  let module U = Libc.Unistd in
+  let k = fresh_kernel () in
+  let status = boot_k k (fun () ->
+    let pid =
+      u "fork"
+        (U.fork ~child:(fun () ->
+           ignore
+             (u "signal" (U.signal Signal.sigusr1 (Value.H_fn (fun _ -> ()))));
+           ignore
+             (u "fork"
+                (U.fork ~child:(fun () ->
+                   ignore (U.sleep_us 1000);
+                   u "kill" (U.kill (U.getppid ()) Signal.sigusr1);
+                   ignore (U.sleep_us 1000);
+                   0)));
+           (* interrupted, and gone without waiting again *)
+           match U.wait () with
+           | Error Errno.EINTR -> 0
+           | Ok _ | Error _ -> 1))
+    in
+    let _, st = u "wait" (U.waitpid pid 0) in
+    ignore (u "wait orphan" (U.wait ()));
+    exit_code st)
+  in
+  check_exit "wait4 interrupted" 0 status;
+  no_wait_queues "after the run" k
+
+(* A select woken through one of its channels, or by its deadline,
+   leaves the queues of all the others while their rings live on. *)
+let test_select_leaves_other_channels () =
+  let module U = Libc.Unistd in
+  let k = fresh_kernel () in
+  let status = boot_k k (fun () ->
+    let r1, w1 = u "pipe" (U.pipe ()) in
+    let r2, w2 = u "pipe" (U.pipe ()) in
+    let pid =
+      u "fork"
+        (U.fork ~child:(fun () ->
+           ignore (U.sleep_us 1000);
+           ignore (u "write" (U.write w1 "x"));
+           0))
+    in
+    let woken = u "select" (U.select ~read:[ r1; r2 ] ()) in
+    let after_wake = Hashtbl.length k.Kstate.waitqs in
+    let timed_out = u "select" (U.select ~read:[ r2 ] ~timeout_us:1000 ()) in
+    let after_timeout = Hashtbl.length k.Kstate.waitqs in
+    ignore (u "wait" (U.waitpid pid 0));
+    List.iter (fun fd -> u "close" (U.close fd)) [ r1; w1; r2; w2 ];
+    if woken <> ([ r1 ], []) || timed_out <> ([], []) then 1
+    else if after_wake <> 0 then 2
+    else if after_timeout <> 0 then 3
+    else 0)
+  in
+  check_exit "select's other channels" 0 status;
+  no_wait_queues "after the run" k
+
+(* The pids in the run queue, in order, left in place. *)
+let run_queue (k : Kernel.t) =
+  let rec drain acc =
+    match Kstate.dequeue k with
+    | Some p -> drain (p :: acc)
+    | None -> List.rev acc
+  in
+  let queued = drain [] in
+  List.iter (Kstate.enqueue k) queued;
+  List.map (fun (p : Proc.t) -> p.pid) queued
+
+(* One row of the select wake table: [setup] runs in init and returns
+   the descriptors to select on, the masks select must return, the
+   helper's program and init's clean-up.  The helper's program makes
+   its preparations and returns the one call that makes the
+   descriptors ready. *)
+type select_row = {
+  row : string;
+  setup :
+    unit -> (int list * int list) * (int list * int list)
+    * (unit -> unit -> unit) * (unit -> unit);
+}
+
+(* Init selects with no timeout; a forked helper waits until init is
+   parked, makes the row's channel ready, and checks that this woke
+   init, queued once.  Init then parks once more in a sleep: a second,
+   stale wake-up would resume its fibre there out of turn. *)
+let run_select_row { row; setup } () =
+  let module U = Libc.Unistd in
+  let k = fresh_kernel () in
+  let status = boot_k k (fun () ->
+    let me = U.getpid () in
+    let (read, write), want, act, finish = setup () in
+    let parked () =
+      match Kstate.proc k me with
+      | Some { Proc.state = Proc.Parked _; _ } -> true
+      | Some _ | None -> false
+    in
+    let helper =
+      u "fork"
+        (U.fork ~child:(fun () ->
+           let wake = act () in
+           ignore (U.sleep_us 1000);
+           if not (parked ()) then 10
+           else begin
+             wake ();
+             if parked () then 11
+             else if run_queue k <> [ me ] then 12
+             else 0
+           end))
+    in
+    let got = u "select" (U.select ~read ~write ()) in
+    ignore (U.sleep_us 1000);
+    finish ();
+    let _, st = u "wait" (U.waitpid helper 0) in
+    if got <> want then 20 else exit_code st)
+  in
+  check_exit row 0 status;
+  Alcotest.(check int) (row ^ ": deadlock kills") 0 (Kernel.deadlock_kills k);
+  no_wait_queues row k
+
+let select_rows =
+  let module U = Libc.Unistd in
+  let fill fd =
+    Alcotest.(check int) "filled" 4096
+      (u "fill" (U.write fd (String.make 4096 'f')))
+  in
+  let take fd = ignore (u "take" (U.read fd (Bytes.create 1) 1)) in
+  let put fd = ignore (u "put" (U.write fd "x")) in
+  let close_all fds () = List.iter (fun fd -> u "close" (U.close fd)) fds in
+  let fifo () =
+    u "mkfifo" (U.mkfifo "/tmp/fifo" 0o644);
+    let fr = u "open r" (U.open_ "/tmp/fifo" Flags.Open.o_rdonly 0) in
+    let fw = u "open w" (U.open_ "/tmp/fifo" Flags.Open.o_wronly 0) in
+    fr, fw
+  in
+  (* the helper's own open of the FIFO, closed when it exits *)
+  let in_fifo flags f () =
+    let fd = u "open" (U.open_ "/tmp/fifo" flags 0) in
+    fun () -> f fd
+  in
+  [ { row = "pipe read";
+      setup =
+        (fun () ->
+          let r, w = u "pipe" (U.pipe ()) in
+          ([ r ], []), ([ r ], []), (fun () () -> put w), close_all [ r; w ]) };
+    { row = "pipe write, full";
+      setup =
+        (fun () ->
+          let r, w = u "pipe" (U.pipe ()) in
+          fill w;
+          ([], [ w ]), ([], [ w ]), (fun () () -> take r), close_all [ r; w ]) };
+    { row = "fifo read";
+      setup =
+        (fun () ->
+          let fr, fw = fifo () in
+          ( ([ fr ], []), ([ fr ], []),
+            in_fifo Flags.Open.o_wronly put,
+            close_all [ fr; fw ] )) };
+    { row = "fifo write, full";
+      setup =
+        (fun () ->
+          let fr, fw = fifo () in
+          fill fw;
+          ( ([], [ fw ]), ([], [ fw ]),
+            in_fifo Flags.Open.o_rdonly take,
+            close_all [ fr; fw ] )) };
+    { row = "socket read";
+      setup =
+        (fun () ->
+          let a, b = u "socketpair" (U.socketpair ()) in
+          ([ a ], []), ([ a ], []), (fun () () -> put b), close_all [ a; b ]) };
+    { row = "socket write, full";
+      setup =
+        (fun () ->
+          let a, b = u "socketpair" (U.socketpair ()) in
+          fill a;
+          ([], [ a ]), ([], [ a ]), (fun () () -> take b), close_all [ a; b ]) };
+    { row = "listener";
+      setup =
+        (fun () ->
+          let s = u "socket" (U.socket ()) in
+          u "bind" (U.bind s "select-svc");
+          u "listen" (U.listen s 1);
+          ( ([ s ], []), ([ s ], []),
+            (fun () ->
+              let c = u "socket" (U.socket ()) in
+              fun () -> u "connect" (U.connect c "select-svc")),
+            fun () ->
+              let conn = u "accept" (U.accept s) in
+              close_all [ conn; s ] () )) };
+    { row = "one ring twice";
+      setup =
+        (fun () ->
+          let r, w = u "pipe" (U.pipe ()) in
+          let r2 = u "dup" (U.dup r) in
+          ( ([ r; r2 ], []), ([ r; r2 ], []),
+            (fun () () -> put w),
+            close_all [ r; r2; w ] )) } ]
+
 let () =
   Alcotest.run "kernel-extra"
     [ "process-groups",
@@ -1908,4 +2166,15 @@ let () =
         Alcotest.test_case "orphans outlive init" `Quick
           test_table_orphans_outlive_init ];
       "results",
-      [ QCheck_alcotest.to_alcotest test_done_ret_shared ] ]
+      [ QCheck_alcotest.to_alcotest test_done_ret_shared ];
+      "wait-channels",
+      [ Alcotest.test_case "killed in wait4" `Quick test_killed_in_wait4;
+        Alcotest.test_case "killed reading a pipe" `Quick
+          test_killed_reading_pipe;
+        Alcotest.test_case "wait4 interrupted" `Quick test_wait4_interrupted;
+        Alcotest.test_case "select leaves its other channels" `Quick
+          test_select_leaves_other_channels ];
+      "select-wake",
+      List.map
+        (fun r -> Alcotest.test_case r.row `Quick (run_select_row r))
+        select_rows ]
