@@ -175,9 +175,7 @@ let fire_timer (t : t) (ev : Kstate.timer_event) =
   match ev with
   | Kstate.T_alarm pid ->
     (match Kstate.proc t pid with
-     | Some proc ->
-       proc.alarm_at <- None;
-       Kstate.post_signal t proc Signal.sigalrm
+     | Some proc -> Kstate.post_signal t proc Signal.sigalrm
      | None -> ())
   | Kstate.T_wake pid ->
     (match Kstate.proc t pid with

@@ -260,6 +260,16 @@ let timer_pid = function T_wake pid | T_alarm pid | T_select pid -> pid
 let cancel_timers_for t pid =
   t.timers <- List.filter (fun (_, ev) -> timer_pid ev <> pid) t.timers
 
+(* A process's one alarm, taken off the timer list: its deadline, if
+   one was armed. *)
+let take_alarm t pid =
+  let mine = function _, T_alarm p -> p = pid | _, (T_wake _ | T_select _) -> false in
+  match List.find_opt mine t.timers with
+  | None -> None
+  | Some (at, _) ->
+    t.timers <- List.filter (fun e -> not (mine e)) t.timers;
+    Some at
+
 (* A process makes one call at a time, so its T_wake or T_select is
    its call in progress's. *)
 let cancel_call_timers t pid =
@@ -358,24 +368,13 @@ let retain_file (f : File.t) = f.refs <- f.refs + 1
 
 (* Drop one reader or writer of a ring and wake the sleepers on its
    other side: every pipe, FIFO and connection release goes through
-   these two.  Once a ring has lost its last reader and writer, nothing
-   can move bytes through it again, and its causal watermarks go
-   (DESIGN.md §3.9).  A FIFO's ring belongs to its inode: a later open
-   may still read what is left, so with [~fifo] its channel stays while
-   bytes remain. *)
-let released ~fifo (r : File.ring) =
-  if Vfs.Pipebuf.readers r.buf = 0 && Vfs.Pipebuf.writers r.buf = 0
-     && not (fifo && Vfs.Pipebuf.available r.buf > 0)
-  then Obs.causal_chan_closed r.chan
-
-let drop_reader t ~fifo (r : File.ring) =
+   these two. *)
+let drop_reader t (r : File.ring) =
   Vfs.Pipebuf.drop_reader r.buf;
-  released ~fifo r;
   wakeup t (File.Wchan.writable r)
 
-let drop_writer t ~fifo (r : File.ring) =
+let drop_writer t (r : File.ring) =
   Vfs.Pipebuf.drop_writer r.buf;
-  released ~fifo r;
   wakeup t (File.Wchan.readable r)
 
 (* Release one direction of a connection endpoint.  The shut flags make
@@ -385,13 +384,13 @@ let drop_writer t ~fifo (r : File.ring) =
 let shut_conn_rd t (c : File.conn) =
   if not c.File.shut_rd then begin
     c.File.shut_rd <- true;
-    drop_reader t ~fifo:false c.File.rx
+    drop_reader t c.File.rx
   end
 
 let shut_conn_wr t (c : File.conn) =
   if not c.File.shut_wr then begin
     c.File.shut_wr <- true;
-    drop_writer t ~fifo:false c.File.tx
+    drop_writer t c.File.tx
   end
 
 let release_conn t (c : File.conn) =
@@ -410,13 +409,13 @@ let release_file t (f : File.t) =
     match f.kind with
     | File.Vnode inode ->
       Vfs.Fs.decr_opens t.fs inode.Vfs.Inode.ino
-    | File.Pipe_read r -> drop_reader t ~fifo:false r
-    | File.Pipe_write r -> drop_writer t ~fifo:false r
+    | File.Pipe_read r -> drop_reader t r
+    | File.Pipe_write r -> drop_writer t r
     | File.Fifo_read (inode, r) ->
-      drop_reader t ~fifo:true r;
+      drop_reader t r;
       Vfs.Fs.decr_opens t.fs inode.Vfs.Inode.ino
     | File.Fifo_write (inode, r) ->
-      drop_writer t ~fifo:true r;
+      drop_writer t r;
       Vfs.Fs.decr_opens t.fs inode.Vfs.Inode.ino
     | File.Sock s ->
       (match s.File.sock with
@@ -465,16 +464,16 @@ let disposition (p : Proc.t) s =
        | Signal.Stop -> `Stop
        | Signal.Continue -> `Continue)
 
-(* A pending signal's causal half-edge (DESIGN.md §3.9) lives exactly
-   as long as its pending bit: [post_signal] files it, [take_pending]
-   leaves it for the delivery to complete, [clear_pending] discards it
-   with the signal. *)
+(* A pending signal's sender (DESIGN.md §3.9) sits beside its pending
+   bit: [post_signal] sets it with the bit, [take_pending] leaves it
+   for the delivery to consume, [clear_pending] discards it with the
+   signal. *)
 let take_pending (p : Proc.t) s =
   p.sigs.pending <- Signal.Mask.remove p.sigs.pending s
 
 let clear_pending (p : Proc.t) s =
   take_pending p s;
-  Obs.causal_signal_discard ~pid:p.pid ~signal:s
+  Proc.set_sender p s None
 
 let blocked (p : Proc.t) s =
   Signal.Mask.mem p.sigs.mask s
@@ -493,9 +492,7 @@ let rec post_signal ?origin t (p : Proc.t) s =
     end;
     if is_stop_signal s then clear_pending p Signal.sigcont;
     if not (Signal.Mask.mem p.sigs.pending s) then begin
-      (match origin with
-       | Some origin -> Obs.causal_signal_send ~origin ~pid:p.pid ~signal:s
-       | None -> Obs.causal_signal_discard ~pid:p.pid ~signal:s);
+      Proc.set_sender p s (if Obs.enabled () then origin else None);
       p.sigs.pending <- Signal.Mask.add p.sigs.pending s
     end;
     act_on_pending t p s
@@ -557,7 +554,6 @@ and do_exit t (p : Proc.t) status =
    | Proc.Runnable | Proc.Parked _ | Proc.Stopped ->
      (* the exit trap's span never returns to its opener; force-close *)
      Obs.abort_pid p.pid;
-     Obs.causal_exit p.pid;
      unsleep t p;
      (* close every descriptor *)
      Array.iteri

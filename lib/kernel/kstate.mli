@@ -181,7 +181,9 @@ val wakeup : t -> File.Wchan.t -> unit
     restart). *)
 
 val add_timer : t -> at:int -> timer_event -> unit
-val cancel_timers_for : t -> int -> unit
+val take_alarm : t -> int -> int option
+(** Disarm the process's alarm; its deadline, if one was armed. *)
+
 val cancel_call_timers : t -> int -> unit
 (** Disarm the timer of the process's call in progress: a sleep's
     [T_wake] or a select's [T_select], never its alarm. *)
@@ -242,10 +244,11 @@ val post_signal : ?origin:int * int * int -> t -> Proc.t -> int -> unit
 (** Make a signal pending and act on it as far as the target's state
     allows (terminate, stop, continue, or interrupt a sleep).  When
     this post sets the pending bit, a kill's [origin] ({!Obs.causal_origin})
-    becomes the signal's causal half-edge (DESIGN.md §3.9). *)
+    becomes the signal's sender, its causal half-edge (DESIGN.md §3.9),
+    if obs is on. *)
 
 val clear_pending : Proc.t -> int -> unit
-(** Discard a pending signal, and its causal half-edge with it. *)
+(** Discard a pending signal, and its sender with it. *)
 
 val collect_deliverable : t -> Proc.t -> int list
 (** Drain pending, unmasked, user-handled signals (clearing their

@@ -46,6 +46,8 @@ type sigstate = {
   mutable handlers : Abi.Value.handler array;
   mutable mask : int;
   mutable pending : int;
+  mutable senders : (int * Obs.origin) list;
+      (* signal -> the kill that made it pending, at most one each *)
 }
 
 type emulation = {
@@ -83,7 +85,7 @@ type t = {
   mutable res : Abi.Value.res;
   mutable deliver : int list;
   mutable exit_status : int;
-  mutable alarm_at : int option;
+  mutable forked_by : Obs.origin option;
   mutable utime_us : int;
   mutable stime_us : int;
   env_pool : Abi.Envelope.Pool.t option;
@@ -101,7 +103,8 @@ let fresh_emulation () =
 let fresh_sigstate () =
   { handlers = Array.make (Abi.Signal.max_signal + 1) Abi.Value.H_default;
     mask = 0;
-    pending = 0 }
+    pending = 0;
+    senders = [] }
 
 let create ~pid ~ppid ~pgrp ~name ~cred ~cwd =
   let rec p =
@@ -117,7 +120,7 @@ let create ~pid ~ppid ~pgrp ~name ~cred ~cwd =
       res = Abi.Value.ok;
       deliver = [];
       exit_status = 0;
-      alarm_at = None;
+      forked_by = None;
       utime_us = 0;
       stime_us = 0;
       env_pool = Some (Abi.Envelope.Pool.create ()) }
@@ -144,7 +147,8 @@ let fork_copy t ~pid ~name =
       fds;
       sigs = { handlers = Array.copy t.sigs.handlers;
                mask = t.sigs.mask;
-               pending = 0 };
+               pending = 0;
+               senders = [] };
       emul = { vector = t.emul.vector; shared = true;
                sig_emul = t.emul.sig_emul };
       state = Runnable;
@@ -154,7 +158,7 @@ let fork_copy t ~pid ~name =
       res = Abi.Value.ok;
       deliver = [];
       exit_status = 0;
-      alarm_at = None;
+      forked_by = None;
       utime_us = 0;
       stime_us = 0;
       (* The pool is a cache, not address-space state: the child starts
@@ -179,3 +183,15 @@ let handler t s =
 
 let set_handler t s h =
   if Abi.Signal.is_valid s then t.sigs.handlers.(s) <- h
+
+let set_sender t s origin =
+  let rest = List.remove_assoc s t.sigs.senders in
+  t.sigs.senders <-
+    (match origin with Some o -> (s, o) :: rest | None -> rest)
+
+let take_sender t s =
+  match List.assoc_opt s t.sigs.senders with
+  | None -> None
+  | Some _ as sender ->
+    t.sigs.senders <- List.remove_assoc s t.sigs.senders;
+    sender

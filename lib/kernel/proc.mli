@@ -38,6 +38,10 @@ type sigstate = {
   mutable handlers : Abi.Value.handler array;  (** index 1..31 *)
   mutable mask : int;
   mutable pending : int;
+  mutable senders : (int * Obs.origin) list;
+      (** the causal origin of each pending signal a kill made pending
+          (DESIGN.md §3.9), at most one per signal: set with the
+          pending bit, consumed by its delivery *)
 }
 
 (** The in-address-space interception state — what
@@ -97,7 +101,10 @@ type t = {
       (** ...and the signals to deliver to user handlers before it
           returns (also the answer to a yielded CPU charge) *)
   mutable exit_status : int;    (** wait-status encoding, valid in Zombie *)
-  mutable alarm_at : int option;
+  mutable forked_by : Obs.origin option;
+      (** a fork child's causal origin, the parent's fork trap, until
+          its first instrumented trap completes the edge (DESIGN.md
+          §3.9) *)
   mutable utime_us : int;       (** virtual user time (cpu_work, agent work) *)
   mutable stime_us : int;       (** virtual system time (in-kernel call cost) *)
   env_pool : Abi.Envelope.Pool.t option;
@@ -131,3 +138,9 @@ val alloc_fd : ?from:int -> t -> int option
 val handler : t -> int -> Abi.Value.handler
 
 val set_handler : t -> int -> Abi.Value.handler -> unit
+
+val set_sender : t -> int -> Obs.origin option -> unit
+(** Set (or with [None] clear) the sender of signal [s]. *)
+
+val take_sender : t -> int -> Obs.origin option
+(** Consume the sender of signal [s], if it has one. *)

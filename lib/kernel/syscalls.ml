@@ -42,10 +42,11 @@ let pipe_read t (p : Proc.t) (f : File.t) buf cnt (r : File.ring) =
   else
     let n = Vfs.Pipebuf.read r.buf buf ~off:0 ~len:cnt in
     if n > 0 then begin
-      (* causal hook (DESIGN.md §3.9): advance the channel's consume
-         watermark — links this read's span to the writes that produced
-         these bytes.  Pure bookkeeping, charges no virtual time. *)
-      Obs.causal_pipe_read ~chan:r.chan ~pid:p.pid ~bytes:n;
+      (* causal hook (DESIGN.md §3.9): links this read's span to the
+         writes that produced these bytes.  Pure bookkeeping, charges
+         no virtual time. *)
+      Obs.causal_pipe_read (Vfs.Pipebuf.stamps r.buf) ~chan:r.chan
+        ~at:(Vfs.Pipebuf.consumed r.buf - n) ~pid:p.pid ~bytes:n;
       wakeup t (File.Wchan.writable r);
       done_ret n
     end
@@ -110,7 +111,8 @@ let pipe_write t (p : Proc.t) (f : File.t) data (r : File.ring) =
     if n > 0 then begin
       (* causal hook: stamp the accepted byte interval with this
          write's span so the consuming read can link back to it *)
-      Obs.causal_pipe_write ~chan:r.chan ~pid:p.pid ~bytes:n;
+      Obs.causal_pipe_write (Vfs.Pipebuf.stamps r.buf)
+        ~at:(Vfs.Pipebuf.written r.buf - n) ~pid:p.pid ~bytes:n;
       wakeup t (File.Wchan.readable r);
       done_ret n
     end
@@ -418,9 +420,9 @@ let do_fork t (p : Proc.t) body =
       | None -> ())
     child.fds;
   add_proc t child;
-  (* causal hook: the parent's fork trap is the open span here; the
-     edge completes at the child's first trap *)
-  Obs.causal_fork ~parent:p.pid ~child:pid;
+  (* the parent's fork trap is the open span here; the child carries
+     the edge's origin to its first instrumented trap (DESIGN.md §3.9) *)
+  if Obs.enabled () then child.forked_by <- Some (Obs.causal_origin p.pid);
   spawn t child body;
   done_ret pid ~r1:1
 
@@ -554,8 +556,8 @@ let do_execve t (p : Proc.t) path argv envp =
               | Value.H_fn _ -> p.sigs.handlers.(s) <- Value.H_default
               | Value.H_default | Value.H_ignore -> ()
             done;
-            p.alarm_at <- None;
-            cancel_timers_for t p.pid;
+            (* a pending alarm survives the exec, as in 4.3BSD; no
+               call of this process has a timer armed *)
             let exec_name =
               if Array.length argv > 0 then argv.(0) else image_name
             in
@@ -598,23 +600,11 @@ let do_sigprocmask (p : Proc.t) how m =
 let do_alarm t (p : Proc.t) sec =
   let now = Sim.Clock.now_us t.clock in
   let remaining =
-    match p.alarm_at with
+    match take_alarm t p.pid with
     | Some at when at > now -> (at - now + 999_999) / 1_000_000
     | Some _ | None -> 0
   in
-  t.timers <-
-    List.filter
-      (fun (_, ev) ->
-        match ev with
-        | T_alarm pid -> pid <> p.pid
-        | T_wake _ | T_select _ -> true)
-      t.timers;
-  if sec > 0 then begin
-    let at = now + (sec * 1_000_000) in
-    p.alarm_at <- Some at;
-    add_timer t ~at (T_alarm p.pid)
-  end
-  else p.alarm_at <- None;
+  if sec > 0 then add_timer t ~at:(now + (sec * 1_000_000)) (T_alarm p.pid);
   done_ret remaining
 
 let do_sleepus t (p : Proc.t) us =

@@ -13,16 +13,20 @@ let self () =
 (* One definition of signal dispatch, shared by the trap exit path here
    and by the toolkit's [Downlink.down_signal] chain. *)
 let deliver_app (proc : Proc.t) s =
+  let sender = Proc.take_sender proc s in
   (* one instant mark per signal that reaches the application, whatever
      its disposition — chrome export renders these as instants *)
   if Obs.enabled () then begin
     let span = Obs.current () in
     Obs.record_mark ~span ~pid:proc.Proc.pid ~kind:"signal"
       ~detail:(Signal.name s) ();
-    (* completes the sender's pending half-edge when this delivery was
-       kill-originated (DESIGN.md §3.9); no-op otherwise *)
-    Obs.causal_signal_delivered ~pid:proc.Proc.pid ~signal:s ~span
-      ~detail:(Signal.name s)
+    (* a kill-originated delivery completes its signal edge (DESIGN.md
+       §3.9) *)
+    match sender with
+    | Some origin ->
+      Obs.causal_edge Obs.Causal.Signal ~origin ~span ~pid:proc.Proc.pid
+        ~detail:(Signal.name s)
+    | None -> ()
   end;
   match Proc.handler proc s with
   | Value.H_fn f -> f s
@@ -203,6 +207,14 @@ let in_span (proc : Proc.t) span (env : Envelope.t) =
    Observation itself charges no virtual time. *)
 let instrumented (proc : Proc.t) ~sysno build arg =
   let span = Obs.span_begin ~pid:proc.pid ~sysno in
+  (* a fork child's first trap completes its fork edge, sampled or
+     not: an unsampled one is a sentinel endpoint, which slice and flow
+     views skip *)
+  (match proc.forked_by with
+   | Some origin ->
+     proc.forked_by <- None;
+     Obs.causal_edge Obs.Causal.Fork ~origin ~span ~pid:proc.pid ~detail:""
+   | None -> ());
   let fr = Obs.layer_enter ~span "uspace" in
   match in_span proc span (build proc arg) with
   | res ->

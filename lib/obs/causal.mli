@@ -3,8 +3,8 @@
     One edge per observable cross-process cause: a fork trap caused
     the child's first trap ({!Fork}), a kill trap caused a delivery
     inside the receiver's current trap ({!Signal}), a pipe write trap
-    produced the bytes a read trap consumed ({!Pipe}, matched by
-    per-pipe byte-offset watermarks).  The engine in {!Obs} records
+    produced the bytes a read trap consumed ({!Pipe}, matched by the
+    ring's writer stamps at its own byte offsets).  The engine in {!Obs} records
     edges; this module owns the representation, the deterministic
     merge order, the JSONL codec and the transitive {!slice} query.
 

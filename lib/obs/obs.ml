@@ -150,27 +150,6 @@ type layer_agg = {
   la_hist : Hist.t; (* per-frame self time *)
 }
 
-(* ---------- causal bookkeeping (DESIGN.md §3.9) ---------- *)
-
-(* Per-pipe byte-offset watermarks.  Writes append absolute byte
-   intervals stamped with the writing span; reads advance a consume
-   watermark and emit one Pipe edge per distinct writer span whose
-   interval the read overlapped.  Bounded by the pipe's unread bytes:
-   fully consumed intervals are discarded as the watermark passes, and
-   the whole channel when the kernel reports it closed. *)
-type pipe_write = {
-  w_start : int;
-  w_stop : int;
-  w_span : int;
-  w_pid : int;
-}
-
-type pipe_chan = {
-  mutable pc_wrote : int; (* absolute bytes ever written *)
-  mutable pc_read : int;  (* absolute bytes ever consumed *)
-  pc_writes : pipe_write Queue.t; (* oldest first *)
-}
-
 (* ---------- the engine ---------- *)
 
 let default_ring_capacity = 4096
@@ -192,21 +171,12 @@ type engine = {
   mutable e_completed : int;
   mutable e_aborted : int;
   mutable e_injected : int;
-  (* causal bookkeeping (DESIGN.md §3.9): which shard this engine
-     belongs to (stamped into every edge it records) and the pending
-     half-edges — forks waiting for the child's first span, pending
-     kill-originated signals waiting for delivery, pipe byte watermarks
-     waiting for a read.  The edges themselves are [Span.Edge] records
-     of the ring: kept at any sampling rate, but raw records, so the
-     oldest go first when the ring wraps, counted in [dropped]. *)
+  (* which shard this engine belongs to, stamped into every causal
+     edge it records (DESIGN.md §3.9).  The edges are [Span.Edge]
+     records of the ring: kept at any sampling rate, but raw records,
+     so the oldest go first when the ring wraps, counted in [dropped].
+     Their pending halves live on the kernel objects they describe. *)
   mutable e_shard : int;
-  e_pending_fork : (int, int * int) Hashtbl.t;
-      (* child pid -> (src span, src pid) *)
-  e_pending_sig : (int, int * int * int) Hashtbl.t;
-      (* [sig_key] dst pid, signal -> (src shard, src span, src pid)
-         of the kill that made the signal pending *)
-  e_pipes : (int, pipe_chan) Hashtbl.t;
-      (* channel ([chan_pipe] and friends) -> watermarks *)
   e_rewrites : (int, int) Hashtbl.t;
       (* pid -> rewrites noted while it ran, exact like the counters
          below; a process's entry goes with it ([abort_pid]) *)
@@ -244,9 +214,6 @@ let engine ?(ring_capacity = default_ring_capacity) () =
     e_aborted = 0;
     e_injected = 0;
     e_shard = 0;
-    e_pending_fork = Hashtbl.create 16;
-    e_pending_sig = Hashtbl.create 16;
-    e_pipes = Hashtbl.create 16;
     e_rewrites = Hashtbl.create 16;
     e_traps = 0;
     e_intercepted = 0;
@@ -376,9 +343,6 @@ let reset () =
   e.e_completed <- 0;
   e.e_aborted <- 0;
   e.e_injected <- 0;
-  Hashtbl.reset e.e_pending_fork;
-  Hashtbl.reset e.e_pending_sig;
-  Hashtbl.reset e.e_pipes;
   (* keep the configured rate but restart the decision stream, so a
      reset window replays the same sampling choices *)
   e.e_sample_rng <- Sim.Rng.create e.e_sample_seed;
@@ -421,59 +385,22 @@ let emit_edge e ~kind ~src_shard ~src_span ~src_pid ~dst_span ~dst_pid ~detail =
          ed_detail = detail;
        })
 
-(* Fork: the parent's fork trap is still open when the kernel clones
-   the process; the edge completes at the child's first span_begin. *)
-let causal_fork ~parent ~child =
-  let e = !cur in
-  if e.e_on then
-    Hashtbl.replace e.e_pending_fork child (innermost e parent, parent)
+(* Where an edge starts: the shard, the innermost open span of [pid]
+   there (0 with obs off), and [pid].  The kernel keeps each pending
+   half of a fork or signal edge on the object it describes — the
+   child process, the signal's pending bit — and completes it here. *)
+type origin = int * int * int
 
-(* Signals: only kill-originated signals make edges (an alarm or a
-   kernel-raised SIGPIPE has no sender span).  A half-edge lives
-   exactly as long as the kernel's pending bit: the kernel files one
-   for the kill that makes a signal pending (a second kill of a
-   pending signal changes nothing: one pending bit per signal), delivery into
-   the receiver's current trap completes it, and a discard (ignored,
-   terminated, exited) drops it.  So the table holds at most one
-   half-edge per pending signal. *)
 let causal_origin pid =
   let e = !cur in
   (e.e_shard, (if e.e_on then innermost e pid else 0), pid)
 
-(* an immediate key: signal numbers are below 64 *)
-let sig_key pid signal = (pid lsl 6) lor signal
-
-let causal_signal_send ~origin ~pid ~signal =
-  let e = !cur in
-  if e.e_on then Hashtbl.replace e.e_pending_sig (sig_key pid signal) origin
-
-(* Unconditional on [e_on], like [causal_chan_closed]: a half-edge
-   filed before obs was switched off still goes with its signal. *)
-let causal_signal_discard ~pid ~signal =
-  let e = !cur in
-  if Hashtbl.length e.e_pending_sig > 0 then
-    Hashtbl.remove e.e_pending_sig (sig_key pid signal)
-
-let causal_signal_delivered ~pid ~signal ~span ~detail =
+let causal_edge kind ~origin:(src_shard, src_span, src_pid) ~span ~pid
+    ~detail =
   let e = !cur in
   if e.e_on then
-    match Hashtbl.find e.e_pending_sig (sig_key pid signal) with
-    | src_shard, src_span, src_pid ->
-      Hashtbl.remove e.e_pending_sig (sig_key pid signal);
-      emit_edge e ~kind:Causal.Signal ~src_shard ~src_span ~src_pid
-        ~dst_span:span ~dst_pid:pid ~detail
-    | exception Not_found -> ()
-
-(* An exited process takes its half-edges with it: its pending
-   signals (the table holds only pending ones, so the scan is short),
-   and its fork edge if it never trapped with obs on. *)
-let causal_exit pid =
-  let e = !cur in
-  if Hashtbl.length e.e_pending_sig > 0 then
-    Hashtbl.filter_map_inplace
-      (fun k origin -> if k lsr 6 = pid then None else Some origin)
-      e.e_pending_sig;
-  if Hashtbl.length e.e_pending_fork > 0 then Hashtbl.remove e.e_pending_fork pid
+    emit_edge e ~kind ~src_shard ~src_span ~src_pid ~dst_span:span
+      ~dst_pid:pid ~detail
 
 (* A channel is an immediate int — the buffer's id with its kind in
    the low two bits — so the kernel's read and write paths build no
@@ -487,14 +414,16 @@ let chan_kind chan =
 
 let rec decimal_width n = if n < 10 then 1 else 1 + decimal_width (n / 10)
 
+(* The digits of [n >= 0] into [b], the last at [i]; top level, so a
+   call allocates no closure. *)
+let rec put_digits b i n =
+  Bytes.set b i (Char.chr (Char.code '0' + n mod 10));
+  if n >= 10 then put_digits b (i - 1) (n / 10)
+
 (* [n >= 0] in decimal at [pos] of [b]; the position after it. *)
 let put_decimal b pos n =
   let w = decimal_width n in
-  let rec go i n =
-    Bytes.set b i (Char.chr (Char.code '0' + n mod 10));
-    if n >= 10 then go (i - 1) (n / 10)
-  in
-  go (pos + w - 1) n;
+  put_digits b (pos + w - 1) n;
   pos + w
 
 (* A pipe edge's detail, "<kind>#<id> bytes <lo>..<hi>", rendered into
@@ -516,45 +445,46 @@ let pipe_edge_detail chan ~lo ~hi =
   ignore (put_decimal b (pos + 2) hi);
   Bytes.unsafe_to_string b
 
-let pipe_chan_for e chan =
-  match Hashtbl.find e.e_pipes chan with
-  | c -> c
-  | exception Not_found ->
-    let c = { pc_wrote = 0; pc_read = 0; pc_writes = Queue.create () } in
-    Hashtbl.replace e.e_pipes chan c;
-    c
+(* A ring's writer stamps: the absolute byte interval each write put
+   in, with its span, oldest first.  The ring owns them and counts the
+   offsets itself, with obs on or off; a read consumes from the front,
+   so they are bounded by the bytes written with obs on and not yet
+   read. *)
+type stamp = {
+  w_start : int;
+  w_stop : int;
+  w_span : int;
+  w_pid : int;
+}
 
-let causal_pipe_write ~chan ~pid ~bytes =
+type stamps = stamp Queue.t
+
+let stamps () = Queue.create ()
+
+let causal_pipe_write q ~at ~pid ~bytes =
   let e = !cur in
-  if e.e_on && bytes > 0 then begin
-    let c = pipe_chan_for e chan in
+  if e.e_on && bytes > 0 then
     Queue.push
-      { w_start = c.pc_wrote; w_stop = c.pc_wrote + bytes;
-        w_span = innermost e pid; w_pid = pid }
-      c.pc_writes;
-    c.pc_wrote <- c.pc_wrote + bytes
-  end
+      { w_start = at; w_stop = at + bytes; w_span = innermost e pid;
+        w_pid = pid }
+      q
 
 let rec seen_writer span pid = function
   | [] -> false
   | w :: tl -> (w.w_span = span && w.w_pid = pid) || seen_writer span pid tl
 
-let causal_pipe_read ~chan ~pid ~bytes =
+let causal_pipe_read q ~chan ~at:lo ~pid ~bytes =
   let e = !cur in
   if e.e_on && bytes > 0 then begin
-    let c = pipe_chan_for e chan in
-    let lo = c.pc_read in
     let hi = lo + bytes in
-    c.pc_read <- hi;
     let dst_span = innermost e pid in
-    let q = c.pc_writes in
     (* one edge per distinct writer span this read consumed from;
        [seen] holds the writes that already made one *)
     let rec consume seen =
       if not (Queue.is_empty q) then begin
         let w = Queue.peek q in
         if w.w_stop <= lo then begin
-          (* fully consumed by earlier reads *)
+          (* consumed before: by an earlier read, or with obs off *)
           ignore (Queue.take q);
           consume seen
         end
@@ -580,19 +510,6 @@ let causal_pipe_read ~chan ~pid ~bytes =
     in
     consume []
   end
-
-(* The kernel calls this once no process can read or write [chan]
-   again; its watermarks go with it, so the table holds live channels
-   only.  Unconditional on [e_on]: a channel filed before obs was
-   switched off is still forgotten. *)
-let causal_chan_closed chan =
-  let e = !cur in
-  if Hashtbl.length e.e_pipes > 0 then Hashtbl.remove e.e_pipes chan
-
-let causal_pending () =
-  let e = !cur in
-  Hashtbl.length e.e_pipes + Hashtbl.length e.e_pending_fork
-  + Hashtbl.length e.e_pending_sig
 
 (* ---------- streaming ---------- *)
 
@@ -624,34 +541,21 @@ let span_begin ~pid ~sysno =
     let sampled =
       e.e_sample_n <= 1 || Sim.Rng.int e.e_sample_rng e.e_sample_n = 0
     in
-    let id =
-      (* an out-of-range sysno carries its overflow slot instead, so a
-         negative one cannot yield a sentinel >= 0 that would collide
-         with a sampled span's id *)
-      if not sampled then unsampled_sentinel (sys_slot sysno)
-      else begin
-        e.e_next_span <- e.e_next_span + 1;
-        let id = e.e_next_span in
-        Hashtbl.replace e.e_spans id
-          { s_id = id; s_pid = pid; s_sysno = sysno;
-            s_begin_us = e.e_clock_fn (); s_frames = [] };
-        (match Hashtbl.find_opt e.e_open_by_pid pid with
-         | Some stack -> stack := id :: !stack
-         | None -> Hashtbl.replace e.e_open_by_pid pid (ref [ id ]));
-        id
-      end
-    in
-    (* a pending fork half-edge completes at the child's first trap,
-       sampled or not — an unsampled first trap yields a sentinel
-       endpoint, which slice/flow views skip *)
-    (if Hashtbl.length e.e_pending_fork > 0 then
-       match Hashtbl.find e.e_pending_fork pid with
-       | src_span, src_pid ->
-         Hashtbl.remove e.e_pending_fork pid;
-         emit_edge e ~kind:Causal.Fork ~src_shard:e.e_shard ~src_span
-           ~src_pid ~dst_span:id ~dst_pid:pid ~detail:""
-       | exception Not_found -> ());
-    id
+    (* an out-of-range sysno carries its overflow slot instead, so a
+       negative one cannot yield a sentinel >= 0 that would collide
+       with a sampled span's id *)
+    if not sampled then unsampled_sentinel (sys_slot sysno)
+    else begin
+      e.e_next_span <- e.e_next_span + 1;
+      let id = e.e_next_span in
+      Hashtbl.replace e.e_spans id
+        { s_id = id; s_pid = pid; s_sysno = sysno;
+          s_begin_us = e.e_clock_fn (); s_frames = [] };
+      (match Hashtbl.find_opt e.e_open_by_pid pid with
+       | Some stack -> stack := id :: !stack
+       | None -> Hashtbl.replace e.e_open_by_pid pid (ref [ id ]));
+      id
+    end
   end
 
 (* Pop the top frame, fold its duration into the parent's child time,

@@ -283,15 +283,16 @@ val note_injected : unit -> unit
     installed engine: edges charge zero virtual time, so no published
     µs figure moves.
 
-    Fork and signal edges resolve in two halves — the source files a
-    pending half-edge (the fork trap, the kill that makes a signal
-    pending), the destination completes it (the child's first
-    {!span_begin}, the delivery into the receiver's current trap).  A
-    signal's half-edge lives exactly as long as the kernel's pending
-    bit.  Pipe edges resolve through per-pipe byte-offset watermarks:
-    writes append byte intervals stamped with the writing span, reads
-    consume them.  Cross-shard signal edges ship their origin with the
-    cluster mail and complete on the destination shard. *)
+    Fork and signal edges resolve in two halves, and the pending half
+    lives on the kernel object it describes: a fork's origin on the
+    child process until its first instrumented trap, a kill's origin
+    beside the signal's pending bit until delivery.  Pipe edges
+    resolve through the ring's writer {!stamps}: writes stamp the
+    absolute byte intervals they put in with the writing span, reads
+    consume them, and the ring counts the offsets whether obs is on or
+    off.  The engine itself keeps no half-edge.  Cross-shard signal
+    edges ship their origin with the cluster mail and complete on the
+    destination shard. *)
 
 val set_shard : int -> unit
 (** Stamp the installed engine with its owning shard id
@@ -300,35 +301,19 @@ val set_shard : int -> unit
 
 val shard : unit -> int
 
-val causal_fork : parent:int -> child:int -> unit
-(** The kernel cloned [child] inside [parent]'s (still open) fork
-    trap; the edge completes at the child's first span. *)
+type origin = int * int * int
+(** Where a causal edge starts: [(shard, span, pid)]. *)
 
-val causal_origin : int -> int * int * int
+val causal_origin : int -> origin
 (** [(shard, innermost open span, pid)] of process [pid] on the
-    installed engine: a kill's sender, and what [Cluster.send] stamps
-    into cross-shard mail. *)
+    installed engine (span 0 with obs off): a fork's or a kill's
+    source, and what [Cluster.send] stamps into cross-shard mail. *)
 
-val causal_signal_send :
-  origin:int * int * int -> pid:int -> signal:int -> unit
-(** A kill from [origin] (a {!causal_origin}, possibly another
-    shard's) made [signal] pending on [pid]: file its half-edge,
-    replacing any stale one.  The kernel calls this only for the post
-    that sets the pending bit. *)
-
-val causal_signal_discard : pid:int -> signal:int -> unit
-(** The kernel discarded pending [signal] without delivering it
-    (ignored, terminated, continued, stopped): drop its half-edge. *)
-
-val causal_signal_delivered :
-  pid:int -> signal:int -> span:int -> detail:string -> unit
-(** A signal reached [pid]'s application handler inside span [span];
-    completes its pending half-edge, if any (signals without a sender
-    span — alarms, kernel-raised SIGPIPE — have none). *)
-
-val causal_exit : int -> unit
-(** Process [pid] exited: drop its pending half-edges (signals, and a
-    fork edge its first trap never completed). *)
+val causal_edge :
+  Causal.kind -> origin:origin -> span:int -> pid:int -> detail:string
+  -> unit
+(** Complete a fork or signal edge from [origin] to span [span] of
+    [pid] on the installed engine; a no-op with obs off. *)
 
 val chan_pipe : int -> int
 (** The causal channel of an anonymous pipe, by pipe id: an immediate
@@ -342,23 +327,24 @@ val chan_sock : int -> int
 (** One direction of a stream connection, by the id of the pipe that
     carries it. *)
 
-val causal_pipe_write : chan:int -> pid:int -> bytes:int -> unit
-(** [pid]'s current trap wrote [bytes] accepted bytes to channel
-    [chan]. *)
+type stamps
+(** One ring's writer stamps, oldest first: held by the ring's byte
+    queue, shared by every open of it. *)
 
-val causal_pipe_read : chan:int -> pid:int -> bytes:int -> unit
-(** [pid]'s current trap consumed [bytes] from [chan]; emits one Pipe
-    edge per distinct writer span those bytes came from. *)
+val stamps : unit -> stamps
 
-val causal_chan_closed : int -> unit
-(** No process can read or write the channel any more: forget its
-    watermarks.  The kernel calls this when a buffer loses its last
-    reader and writer (and, for a FIFO, holds no unread bytes). *)
+val causal_pipe_write : stamps -> at:int -> pid:int -> bytes:int -> unit
+(** [pid]'s current trap wrote the ring's bytes [\[at, at + bytes)]
+    ([at] counts every byte the ring ever took): stamp them with its
+    span.  A no-op with obs off. *)
 
-val causal_pending : unit -> int
-(** Pending causal bookkeeping on the installed engine: channels with
-    live watermarks, uncompleted fork half-edges and pending signal
-    half-edges. *)
+val causal_pipe_read :
+  stamps -> chan:int -> at:int -> pid:int -> bytes:int -> unit
+(** [pid]'s current trap read the ring's bytes [\[at, at + bytes)]:
+    emit one Pipe edge per distinct writer span those bytes came from,
+    detail ["<kind>#<id> bytes <lo>..<hi>"] for channel [chan], and
+    drop the stamps this read used up or passed.  A no-op with obs
+    off. *)
 
 (** {1 Streaming} *)
 

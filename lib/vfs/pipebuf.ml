@@ -11,14 +11,20 @@ type t = {
   mutable data : Bytes.t;
   mutable head : int;        (* next byte to read *)
   mutable used : int;
+  mutable written : int;     (* bytes ever written *)
   mutable readers : int;
   mutable writers : int;
+  stamps : Obs.stamps;
 }
 
 let create () =
-  { data = Bytes.empty; head = 0; used = 0; readers = 0; writers = 0 }
+  { data = Bytes.empty; head = 0; used = 0; written = 0; readers = 0;
+    writers = 0; stamps = Obs.stamps () }
 
 let available t = t.used
+let written t = t.written
+let consumed t = t.written - t.used
+let stamps t = t.stamps
 let room t = capacity - t.used
 
 (* [i] taken round the end of the storage, for [i] below twice its
@@ -50,7 +56,8 @@ let write t data ~pos =
     let first = min n (Bytes.length t.data - tail) in
     Bytes.blit_string data pos t.data tail first;
     Bytes.blit_string data (pos + first) t.data 0 (n - first);
-    t.used <- t.used + n
+    t.used <- t.used + n;
+    t.written <- t.written + n
   end;
   n
 

@@ -17,6 +17,16 @@ val available : t -> int
 val room : t -> int
 (** Bytes that can be written without filling the buffer. *)
 
+val written : t -> int
+(** Bytes ever written: the absolute offset of the next byte in. *)
+
+val consumed : t -> int
+(** Bytes ever read: the absolute offset of the next byte out. *)
+
+val stamps : t -> Obs.stamps
+(** The writer stamps of the bytes in flight (DESIGN.md §3.9), kept
+    here so that every open of a FIFO shares them. *)
+
 val write : t -> string -> pos:int -> int
 (** [write t data ~pos] appends bytes of [data] from offset [pos]
     until the buffer fills; returns bytes accepted (possibly 0). *)

@@ -387,6 +387,38 @@ let test_alarm_replaced_and_cancelled () =
   in
   check_exit "alarm bookkeeping" 0 status
 
+(* A pending alarm survives execve, as in POSIX, Linux and 4.3BSD: a
+   child arms alarm(1) and execs an image that sleeps 3 s, and dies of
+   SIGALRM 1 s in, not at the image's exit 3 s in. *)
+let test_alarm_kept_across_exec () =
+  let k = fresh_kernel () in
+  Kernel.register_image k "sleeper" (fun ~argv:_ ~envp:_ () ->
+      ignore (Libc.Unistd.sleep_us 3_000_000);
+      7);
+  Kernel.install_image k ~path:"/bin/sleeper" ~image:"sleeper";
+  let now () = Sim.Clock.now_us (Kernel.clock k) in
+  let lived = ref 0 in
+  let status =
+    boot_k k (fun () ->
+        let t0 = now () in
+        let pid =
+          u "fork"
+            (Libc.Unistd.fork ~child:(fun () ->
+                 ignore (u "alarm" (Libc.Unistd.alarm 1));
+                 ignore (Libc.Unistd.execv "/bin/sleeper" [| "sleeper" |]);
+                 1))
+        in
+        let _, st = u "wait" (Libc.Unistd.waitpid pid 0) in
+        lived := now () - t0;
+        if Flags.Wait.wifsignaled st then Flags.Wait.wtermsig st
+        else 100 + Flags.Wait.wexitstatus st)
+  in
+  check_exit "the exec'd image dies of SIGALRM" Signal.sigalrm status;
+  Alcotest.(check bool)
+    (Printf.sprintf "dies 1 s in (reaped %d us in)" !lived)
+    true
+    (!lived >= 1_000_000 && !lived < 1_100_000)
+
 (* --- crash handling ------------------------------------------------------------------ *)
 
 let test_uncaught_exception_is_abort () =
@@ -2096,6 +2128,8 @@ let () =
       "timers",
       [ Alcotest.test_case "alarm replace/cancel" `Quick
           test_alarm_replaced_and_cancelled;
+        Alcotest.test_case "alarm kept across exec" `Quick
+          test_alarm_kept_across_exec;
         Alcotest.test_case "settimeofday" `Quick test_settimeofday_root_only ];
       "direct-entry",
       [ Alcotest.test_case "getpid loops interleave" `Quick

@@ -142,39 +142,23 @@ let test_edge_jsonl_roundtrip () =
 
 (* --- pipe bookkeeping ----------------------------------------------------- *)
 
-(* The watermark algorithm as it stood when channels were
-   [(kind, id)] pairs: a tuple list appended at its tail, a [Hashtbl]
-   of seen writers per read and a [Printf] detail.  The engine's queue
-   and immediate-int channels must reproduce its edges exactly. *)
+(* The stamp algorithm as it stood when channels were [(kind, id)]
+   pairs: a tuple list appended at its tail, a [Hashtbl] of seen
+   writers per read and a [Printf] detail.  It takes the ring's own
+   byte offsets, as the engine does, and stamps and links only while
+   obs is on.  The engine's queue and immediate-int channels must
+   reproduce its edges exactly. *)
 module Ref_pipes = struct
-  type chan = {
-    mutable wrote : int;
-    mutable read : int;
-    mutable writes : (int * int * int * int) list;
-  }
+  let writes tbl key = Option.value ~default:[] (Hashtbl.find_opt tbl key)
 
-  let chan tbl key =
-    match Hashtbl.find_opt tbl key with
-    | Some c -> c
-    | None ->
-      let c = { wrote = 0; read = 0; writes = [] } in
-      Hashtbl.replace tbl key c;
-      c
-
-  let write tbl key ~span ~pid ~bytes =
-    if bytes > 0 then begin
-      let c = chan tbl key in
-      c.writes <- c.writes @ [ (c.wrote, c.wrote + bytes, span, pid) ];
-      c.wrote <- c.wrote + bytes
-    end
+  let write tbl key ~at ~span ~pid ~bytes =
+    if bytes > 0 then
+      Hashtbl.replace tbl key (writes tbl key @ [ (at, at + bytes, span, pid) ])
 
   (* edges as (src span, src pid, dst span, dst pid, detail) *)
-  let read tbl key ~span ~pid ~bytes emit =
+  let read tbl key ~at:lo ~span ~pid ~bytes emit =
     if bytes > 0 then begin
-      let c = chan tbl key in
-      let lo = c.read in
       let hi = lo + bytes in
-      c.read <- hi;
       let seen = Hashtbl.create 4 in
       let rec consume = function
         | [] -> []
@@ -192,7 +176,7 @@ module Ref_pipes = struct
             if t <= hi then consume tl else iv :: tl
           end
       in
-      c.writes <- consume c.writes
+      Hashtbl.replace tbl key (consume (writes tbl key))
     end
 end
 
@@ -201,12 +185,14 @@ type pipe_op =
   | Close_span of int
   | Write of int * int * int * int (* kind, id, pid, bytes *)
   | Read of int * int * int * int
+  | Switch (* obs on <-> off *)
 
 let show_pipe_op = function
   | Open_span p -> Printf.sprintf "open %d" p
   | Close_span p -> Printf.sprintf "close %d" p
   | Write (k, i, p, n) -> Printf.sprintf "write k%d#%d pid %d %dB" k i p n
   | Read (k, i, p, n) -> Printf.sprintf "read k%d#%d pid %d %dB" k i p n
+  | Switch -> "switch"
 
 let gen_pipe_op =
   let open QCheck.Gen in
@@ -217,11 +203,17 @@ let gen_pipe_op =
       (4, map (fun (k, i, p, n) -> Write (k, i, p, n))
            (quad kind id pid (int_range 0 24)));
       (4, map (fun (k, i, p, n) -> Read (k, i, p, n))
-           (quad kind id pid (int_range 0 40))) ]
+           (quad kind id pid (int_range 0 40)));
+      (1, return Switch) ]
+
+(* A ring as the engine sees it: the byte counts the ring keeps with
+   obs on or off, and the stamps it holds. *)
+type ring = { mutable wrote : int; mutable taken : int; stamps : Obs.stamps }
 
 (* Random span nesting (sampled and not), writes and reads over six
-   channels, reads free to outrun the writes: the engine's pipe edges
-   equal the reference's, detail text included. *)
+   rings, reads taking at most what is buffered, and obs switched on
+   and off between them: the engine's pipe edges equal the
+   reference's, detail text included. *)
 let test_pipe_edges_match_reference =
   QCheck.Test.make ~name:"pipe edges match the list algorithm" ~count:300
     QCheck.(
@@ -237,6 +229,15 @@ let test_pipe_edges_match_reference =
       (* the engine's innermost open span: sampled spans only *)
       let innermost pid =
         match List.filter (fun s -> s > 0) (stack pid) with s :: _ -> s | [] -> 0
+      in
+      let rings = Hashtbl.create 8 in
+      let ring k i =
+        match Hashtbl.find_opt rings (k, i) with
+        | Some r -> r
+        | None ->
+          let r = { wrote = 0; taken = 0; stamps = Obs.stamps () } in
+          Hashtbl.replace rings (k, i) r;
+          r
       in
       let ref_tbl = Hashtbl.create 8 in
       let want = ref [] in
@@ -254,13 +255,24 @@ let test_pipe_edges_match_reference =
                    Obs.span_end s ~error:false;
                    Hashtbl.replace stacks pid rest
                  | [] -> ())
+              | Switch -> if Obs.enabled () then Obs.disable () else Obs.enable ()
               | Write (k, i, pid, bytes) ->
-                Ref_pipes.write ref_tbl (kinds.(k), i) ~span:(innermost pid) ~pid ~bytes;
-                Obs.causal_pipe_write ~chan:(obs_chan k i) ~pid ~bytes
+                let r = ring k i in
+                if Obs.enabled () then
+                  Ref_pipes.write ref_tbl (kinds.(k), i) ~at:r.wrote
+                    ~span:(innermost pid) ~pid ~bytes;
+                Obs.causal_pipe_write r.stamps ~at:r.wrote ~pid ~bytes;
+                r.wrote <- r.wrote + bytes
               | Read (k, i, pid, bytes) ->
-                Ref_pipes.read ref_tbl (kinds.(k), i) ~span:(innermost pid) ~pid ~bytes
-                  (fun e -> want := e :: !want);
-                Obs.causal_pipe_read ~chan:(obs_chan k i) ~pid ~bytes)
+                let r = ring k i in
+                let bytes = min bytes (r.wrote - r.taken) in
+                if Obs.enabled () then
+                  Ref_pipes.read ref_tbl (kinds.(k), i) ~at:r.taken
+                    ~span:(innermost pid) ~pid ~bytes
+                    (fun e -> want := e :: !want);
+                Obs.causal_pipe_read r.stamps ~chan:(obs_chan k i) ~at:r.taken
+                  ~pid ~bytes;
+                r.taken <- r.taken + bytes)
             ops;
           Obs.Span.edges (Obs.drain ()))
       in
@@ -274,19 +286,141 @@ let test_pipe_edges_match_reference =
       in
       got = List.rev !want)
 
-(* A channel's watermarks go when its buffer loses its last reader and
-   writer: after every connection of a fork-per-connection kvd run has
-   closed, and after the pipe session, no channel is left, though both
-   made pipe edges.  Nor is any other half-edge or wait-queue entry. *)
-let test_pipe_chans_forgotten () =
-  let pending k = Obs.with_engine (Kernel.obs_engine k) Obs.causal_pending in
+(* One process, one pipe, obs at 1-in-1, switched on and off between
+   the steps: the pipe edges as (write span, read span, detail), the
+   n-th write and read span standing for the n-th such trap observed. *)
+type pipe_step = On | Off | Put of string | Take of int
+
+let pipe_steps steps =
+  Obs.reset ();
+  let k = fresh_kernel () in
+  let status =
+    boot_k k (fun () ->
+        let r, w = Libc.Unistd.ok_exn "pipe" (Libc.Unistd.pipe ()) in
+        let buf = Bytes.create 64 in
+        List.iter
+          (function
+            | On -> Obs.enable ()
+            | Off -> Obs.disable ()
+            | Put s -> ignore (Libc.Unistd.ok_exn "write" (Libc.Unistd.write w s))
+            | Take n -> ignore (Libc.Unistd.ok_exn "read" (Libc.Unistd.read r buf n)))
+          steps;
+        Obs.disable ();
+        ignore (Libc.Unistd.close r);
+        ignore (Libc.Unistd.close w);
+        0)
+  in
+  check_exit "pipe steps" 0 status;
+  let records = Kernel.drain_obs k in
+  let spans sysno =
+    List.sort_uniq compare
+      (List.filter_map
+         (function
+           | Obs.Span.Segment s when s.Obs.Span.sysno = sysno -> Some s.Obs.Span.span
+           | _ -> None)
+         records)
+  in
+  let index what l x =
+    match List.find_index (( = ) x) l with
+    | Some i -> Printf.sprintf "%s %d" what i
+    | None -> Printf.sprintf "%s span %d (not observed)" what x
+  in
+  let writes = spans Sysno.sys_write and reads = spans Sysno.sys_read in
+  List.filter_map
+    (fun (e : Obs.Causal.edge) ->
+      if e.Obs.Causal.ed_kind <> Obs.Causal.Pipe then None
+      else
+        Some
+          ( index "write" writes e.Obs.Causal.ed_src_span,
+            index "read" reads e.Obs.Causal.ed_dst_span,
+            e.Obs.Causal.ed_detail ))
+    (Obs.Span.edges records)
+
+let check_pipe_edges what want got =
+  Alcotest.(check (list (triple string string string))) what want got
+
+(* The stamps count the ring's own offsets, so switching obs while
+   bytes sit in the pipe neither loses an edge nor links a read to the
+   wrong writer. *)
+let test_pipe_obs_on_throughout () =
+  check_pipe_edges "two edges at the ring's offsets"
+    [ ("write 0", "read 0", "pipe#1 bytes 0..10");
+      ("write 1", "read 1", "pipe#1 bytes 10..15") ]
+    (pipe_steps [ On; Put "0123456789"; Take 10; Put "abcde"; Take 5 ])
+
+let test_pipe_obs_switched_on_mid_pipe () =
+  check_pipe_edges "the abcde edge is kept"
+    [ ("write 0", "read 1", "pipe#1 bytes 10..15") ]
+    (pipe_steps [ Put "0123456789"; On; Take 10; Put "abcde"; Take 5 ])
+
+let test_pipe_obs_off_for_one_read () =
+  check_pipe_edges "the abcde read names the abcde write"
+    [ ("write 1", "read 0", "pipe#1 bytes 10..15") ]
+    (pipe_steps [ On; Put "0123456789"; Off; Take 10; On; Put "abcde"; Take 5 ])
+
+(* A FIFO's writer and reader open it separately, in two processes,
+   and still get an edge: the stamps hang off the FIFO's one byte
+   queue, not off either open.  The queue is the inode's, so a drained
+   FIFO opened again counts on from where it stopped. *)
+let test_fifo_separate_opens () =
+  Obs.reset ();
+  let k = fresh_kernel () in
+  let ino = ref 0 in
+  let status =
+    boot_k k (fun () ->
+        Libc.Unistd.ok_exn "mkfifo" (Libc.Unistd.mkfifo "/tmp/f" 0o644);
+        ino := (Libc.Unistd.ok_exn "stat" (Libc.Unistd.stat "/tmp/f")).Stat.st_ino;
+        Obs.enable ();
+        let session msg =
+          let r =
+            Libc.Unistd.ok_exn "open r"
+              (Libc.Unistd.open_ "/tmp/f" Flags.Open.o_rdonly 0)
+          in
+          let child =
+            Libc.Unistd.ok_exn "fork"
+              (Libc.Unistd.fork ~child:(fun () ->
+                   let w =
+                     Libc.Unistd.ok_exn "open w"
+                       (Libc.Unistd.open_ "/tmp/f" Flags.Open.o_wronly 0)
+                   in
+                   ignore (Libc.Unistd.write w msg);
+                   ignore (Libc.Unistd.close w);
+                   0))
+          in
+          ignore (Libc.Unistd.waitpid child 0);
+          let buf = Bytes.create 16 in
+          ignore (Libc.Unistd.read r buf 16);
+          ignore (Libc.Unistd.close r)
+        in
+        session "hello";
+        session "world";
+        Obs.disable ();
+        0)
+  in
+  check_exit "fifo session" 0 status;
+  let pipe_edges =
+    List.filter_map
+      (fun (e : Obs.Causal.edge) ->
+        if e.Obs.Causal.ed_kind <> Obs.Causal.Pipe then None
+        else Some (e.Obs.Causal.ed_src_pid, e.Obs.Causal.ed_dst_pid, e.Obs.Causal.ed_detail))
+      (drain_edges k)
+  in
+  let detail range = Printf.sprintf "fifo#%d bytes %s" !ino range in
+  Alcotest.(check (list (triple int int string)))
+    "each child's write reaches the parent's read"
+    [ (2, 1, detail "0..5"); (3, 1, detail "5..10") ]
+    pipe_edges
+
+(* A fork-per-connection kvd run links each request and reply across
+   its socket rings, and once every connection has closed no process
+   is left asleep on a ring. *)
+let test_kvd_socket_edges () =
   let edges k =
     Obs.Span.edges (Obs.with_engine (Kernel.obs_engine k) Obs.records)
   in
   let k = causal_session () in
   Alcotest.(check bool) "pipe session made pipe edges" true
     (count Obs.Causal.Pipe (edges k) > 0);
-  Alcotest.(check int) "pipe session leaves nothing pending" 0 (pending k);
   (* [Kernel.create] copies the switch and installs the new engine *)
   Obs.enable ();
   let k = fresh_kernel () in
@@ -300,19 +434,17 @@ let test_pipe_chans_forgotten () =
          e.Obs.Causal.ed_kind = Obs.Causal.Pipe
          && String.starts_with ~prefix:"sock#" e.Obs.Causal.ed_detail)
        (edges k));
-  Alcotest.(check int) "40 closed connections leave nothing pending" 0
-    (pending k);
   Alcotest.(check int) "no wait-queue entry outlives its sleepers" 0
     (Hashtbl.length k.Kernel.Kstate.waitqs);
   Obs.disable ()
 
 (* --- signal half-edges ------------------------------------------------------ *)
 
-(* A signal's half-edge lives exactly as long as the kernel's pending
-   bit: the kill that makes the signal pending is its sender, a second
-   kill of a pending signal changes nothing, and a discarded signal
-   takes its half-edge with it.  Pid 1 signals itself, so each kill's
-   span is the session's [kill] segments, in order. *)
+(* A signal's sender sits beside the kernel's pending bit: the kill
+   that makes the signal pending is its sender, a second kill of a
+   pending signal changes nothing, and a discarded signal takes its
+   sender with it.  Pid 1 signals itself, so each kill's span is the
+   session's [kill] segments, in order. *)
 let self_signal_session body =
   Obs.reset ();
   let k = fresh_kernel () in
@@ -340,9 +472,7 @@ let self_signal_session body =
       (fun (e : Obs.Causal.edge) -> e.Obs.Causal.ed_kind = Obs.Causal.Signal)
       (Obs.Span.edges records)
   in
-  ( kill_spans,
-    signal_edges,
-    Obs.with_engine (Kernel.obs_engine k) Obs.causal_pending )
+  (kill_spans, signal_edges)
 
 let handle_usr1 () =
   ignore
@@ -351,7 +481,7 @@ let handle_usr1 () =
 
 let test_signal_first_kill_is_sender () =
   let usr1 = Signal.Mask.add 0 Signal.sigusr1 in
-  let kills, edges, pending =
+  let kills, edges =
     self_signal_session (fun kill ->
         handle_usr1 ();
         ignore (Libc.Unistd.sigprocmask Flags.Sighow.sig_block usr1);
@@ -367,14 +497,13 @@ let test_signal_first_kill_is_sender () =
       "each delivery names the kill that made it pending" [ a; c ]
       [ first.Obs.Causal.ed_src_span; second.Obs.Causal.ed_src_span ];
     Alcotest.(check int) "an unblocked kill is delivered in its own span" c
-      second.Obs.Causal.ed_dst_span;
-    Alcotest.(check int) "nothing left pending" 0 pending
+      second.Obs.Causal.ed_dst_span
   | _ ->
     Alcotest.failf "want 3 kills and 2 signal edges, got %d and %d"
       (List.length kills) (List.length edges)
 
 let test_signal_ignored_discards () =
-  let kills, edges, pending =
+  let kills, edges =
     self_signal_session (fun kill ->
         ignore
           (Libc.Unistd.ok_exn "signal"
@@ -387,15 +516,17 @@ let test_signal_ignored_discards () =
   | [ _ignored; handled ], [ e ] ->
     Alcotest.(check (pair int int)) "the handled kill is the edge's both ends"
       (handled, handled)
-      (e.Obs.Causal.ed_src_span, e.Obs.Causal.ed_dst_span);
-    Alcotest.(check int) "nothing left pending" 0 pending
+      (e.Obs.Causal.ed_src_span, e.Obs.Causal.ed_dst_span)
   | _ ->
     Alcotest.failf "want 2 kills and 1 signal edge, got %d and %d"
       (List.length kills) (List.length edges)
 
-(* Fork 50 children parked in sigsuspend, signal each and reap it: no
-   half-edge outlives its child, whether the signal kills it, is
-   ignored before a SIGKILL, or runs its handler. *)
+(* Fork 50 children parked in sigsuspend, signal each and reap it,
+   whether the signal kills it, is ignored before a SIGKILL, or runs
+   its handler.  Only a handled signal is delivered, so only it makes
+   an edge; each child's fork edge completes at its first trap; and
+   the reaped children, with the senders they held, are gone from the
+   process table. *)
 let test_signal_reaped_children_leave_nothing () =
   let run ~setup signals =
     Obs.reset ();
@@ -422,7 +553,12 @@ let test_signal_reaped_children_leave_nothing () =
           0)
     in
     check_exit "fork-and-signal session" 0 status;
-    Obs.with_engine (Kernel.obs_engine k) Obs.causal_pending
+    let edges = drain_edges k in
+    ( count Obs.Causal.Fork edges,
+      count Obs.Causal.Signal edges,
+      Hashtbl.fold
+        (fun pid _ n -> if pid = 1 then n else n + 1)
+        k.Kernel.Kstate.procs 0 )
   in
   let ignore_usr1 () =
     ignore
@@ -430,12 +566,14 @@ let test_signal_reaped_children_leave_nothing () =
          (Libc.Unistd.signal Signal.sigusr1 Value.H_ignore))
   in
   List.iter
-    (fun (what, setup, signals) ->
-      Alcotest.(check int) what 0 (run ~setup signals))
-    [ ("SIGKILL", ignore, [ Signal.sigkill ]);
-      ("SIGTERM", ignore, [ Signal.sigterm ]);
-      ("ignored, then SIGKILL", ignore_usr1, [ Signal.sigusr1; Signal.sigkill ]);
-      ("handled", handle_usr1, [ Signal.sigusr1 ]) ]
+    (fun (what, setup, signals, signal_edges) ->
+      Alcotest.(check (triple int int int))
+        (what ^ ": fork edges, signal edges, processes left")
+        (50, signal_edges, 0) (run ~setup signals))
+    [ ("SIGKILL", ignore, [ Signal.sigkill ], 0);
+      ("SIGTERM", ignore, [ Signal.sigterm ], 0);
+      ("ignored, then SIGKILL", ignore_usr1, [ Signal.sigusr1; Signal.sigkill ], 0);
+      ("handled", handle_usr1, [ Signal.sigusr1 ], 50) ]
 
 (* --- slices -------------------------------------------------------------- *)
 
@@ -629,9 +767,9 @@ let test_stream_session_complete () =
 (* Fork-per-connection kvd under the stacked agents at 1-in-256, at N
    and 3N clients, with a ring small enough that both runs wrap it.
    Every per-shard structure is bounded — the log by its capacity
-   (edges included), pending half-edges and channels by what is live —
-   so the kernel's reachable words after 3N clients stay within 10% of
-   the N run's. *)
+   (edges included), pending half-edges and pipe stamps by the live
+   processes and rings that hold them — so the kernel's reachable
+   words after 3N clients stay within 10% of the N run's. *)
 let soak_ring = 512
 
 let kvd_soak_words clients =
@@ -653,8 +791,7 @@ let kvd_soak_words clients =
   check_exit "kvd soak" 0 status;
   Alcotest.(check int) "every client served" clients stats.Workloads.Kvd.conns;
   Obs.with_engine (Kernel.obs_engine k) (fun () ->
-      Alcotest.(check bool) "the log wrapped" true (Obs.dropped () > 0);
-      Alcotest.(check int) "nothing left pending" 0 (Obs.causal_pending ()));
+      Alcotest.(check bool) "the log wrapped" true (Obs.dropped () > 0));
   Obj.reachable_words (Obj.repr k)
 
 let test_soak_words_flat () =
@@ -871,8 +1008,15 @@ let () =
           Alcotest.test_case "JSONL round-trip" `Quick test_edge_jsonl_roundtrip ] );
       ( "pipes",
         [ QCheck_alcotest.to_alcotest test_pipe_edges_match_reference;
-          Alcotest.test_case "closed channels are forgotten" `Quick
-            test_pipe_chans_forgotten ] );
+          Alcotest.test_case "obs on throughout" `Quick test_pipe_obs_on_throughout;
+          Alcotest.test_case "obs switched on with bytes in the pipe" `Quick
+            test_pipe_obs_switched_on_mid_pipe;
+          Alcotest.test_case "obs off for one read" `Quick
+            test_pipe_obs_off_for_one_read;
+          Alcotest.test_case "FIFO opened apart and reopened" `Quick
+            test_fifo_separate_opens;
+          Alcotest.test_case "kvd sockets make edges, leave no sleeper" `Quick
+            test_kvd_socket_edges ] );
       ( "signals",
         [ Alcotest.test_case "the first kill of a pending signal is its sender"
             `Quick test_signal_first_kill_is_sender;

@@ -905,10 +905,10 @@ let test_open_span_guard () =
       List.iter
         (fun (w, r) ->
           incr chan;
-          let c = Obs.chan_pipe !chan in
-          Obs.causal_pipe_write ~chan:c ~pid:w ~bytes:4;
-          Obs.causal_pipe_read ~chan:c ~pid:r ~bytes:4;
-          Obs.causal_chan_closed c;
+          let q = Obs.stamps () in
+          Obs.causal_pipe_write q ~at:0 ~pid:w ~bytes:4;
+          Obs.causal_pipe_read q ~chan:(Obs.chan_pipe !chan) ~at:0 ~pid:r
+            ~bytes:4;
           let ends = Printf.sprintf "span %d pid %d -> span %d pid %d" in
           Alcotest.(check (list string))
             (Printf.sprintf "%s: pipe edge %d -> %d" phase w r)
@@ -924,7 +924,6 @@ let test_open_span_guard () =
     Obs.span_end held ~error:false;
     model := [];
     check "no sampled span open";
-    Alcotest.(check int) "nothing pending" 0 (Obs.causal_pending ());
     Obs.disable ())
 
 (* A wire number below 0 names no call (a raw trap can carry one): it
@@ -933,7 +932,8 @@ let test_open_span_guard () =
 (* An application may trap with any int: every number outside the
    per-syscall table shares its one overflow row (sysno 1024), sampled
    or not, so a hostile number neither grows the table nor escapes as
-   an exception, and a negative one still completes a fork edge. *)
+   an exception, and a negative one's span, sampled or a sentinel, is
+   still a fork edge's endpoint. *)
 let test_out_of_range_sysnos_share_overflow_row () =
   let wild = [ -3; max_int; 1_000_000_000; min_int; 1024 ] in
   List.iter
@@ -942,10 +942,17 @@ let test_out_of_range_sysnos_share_overflow_row () =
         Obs.enable ();
         Obs.set_sampling n;
         let parent = Obs.span_begin ~pid:1 ~sysno:2 in
-        Obs.causal_fork ~parent:1 ~child:7;
+        (* the kernel's fork: the child carries the origin to its first
+           trap, which completes the edge *)
+        let forked_by = ref (Some (Obs.causal_origin 1)) in
         List.iter
           (fun sysno ->
             let span = Obs.span_begin ~pid:7 ~sysno in
+            Option.iter
+              (fun origin ->
+                forked_by := None;
+                Obs.causal_edge Obs.Causal.Fork ~origin ~span ~pid:7 ~detail:"")
+              !forked_by;
             if n > 1 then
               Alcotest.(check bool) "unsampled sentinel is negative" true
                 (span <= 0 || span > parent);
