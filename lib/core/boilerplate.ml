@@ -21,14 +21,17 @@ let read_program dl path : (string, Errno.t) result =
   match down_int dl (Call.Open (path, Flags.Open.o_rdonly, 0)) with
   | Error e -> Error e
   | Ok fd ->
-    let buf = Bytes.create 4096 in
+    (* the shard's chunk, borrowed as [Libc.Unistd.read_all] does *)
+    let buf = Kernel.Uspace.take_chunk () in
     let collected = Buffer.create 256 in
     let rec slurp () =
       match down_int dl (Call.Read (fd, buf, Bytes.length buf)) with
       | Error e ->
+        Kernel.Uspace.give_chunk buf;
         ignore (down_int dl (Call.Close fd));
         Error e
       | Ok 0 ->
+        Kernel.Uspace.give_chunk buf;
         ignore (down_int dl (Call.Close fd));
         Ok (Buffer.contents collected)
       | Ok n ->

@@ -243,7 +243,12 @@ let rec step (t : t) ~until =
 let rec sched_loop (t : t) =
   match step t ~until:max_int with
   | `Sleep_until _ -> assert false (* an unbounded step consumes every timer *)
-  | `Idle -> if kill_stragglers t then sched_loop t
+  | `Idle ->
+    if kill_stragglers t then sched_loop t
+    else
+      (* idle: no call holds a chunk any more, and none outlives the
+         run *)
+      Kstate.release_chunks t
 
 (* --- entering a shard --------------------------------------------------------- *)
 

@@ -50,7 +50,13 @@ type t = {
   mutable fibres : int;
   mutable unwinding : bool;
   mutable watch : Obs.Watch.rule list;
+  mutable chunks : Bytes.t array;
+  mutable chunks_free : int;
+  mutable chunk_drops : int;
 }
+
+let chunk_size = 4096
+let chunk_capacity = 8
 
 let log_src = Logs.Src.create "kernel" ~doc:"simulated kernel"
 module Log = (val Logs.src_log log_src : Logs.LOG)
@@ -88,7 +94,10 @@ let create ?(shard_id = 0) () =
     round_trips = 0;
     fibres = 0;
     unwinding = false;
-    watch = [] }
+    watch = [];
+    chunks = [||];
+    chunks_free = 0;
+    chunk_drops = 0 }
 
 (* --- the ambient current shard ----------------------------------------- *)
 
@@ -106,6 +115,36 @@ module Ambient = struct
     | Some t -> t
     | None -> failwith "no current kernel shard (called outside a simulation?)"
 end
+
+(* --- the read-chunk pool ------------------------------------------------- *)
+
+(* The free chunks sit at the front of [chunks], and a taken one's slot
+   is cleared, so the pool holds each chunk at most once and none it
+   handed out: a chunk belongs to one call from take to give.  The slots
+   are made at the first give and dropped when the shard goes idle, so
+   an idle shard holds nothing of the pool. *)
+let take_chunk t =
+  if t.chunks_free = 0 then Bytes.create chunk_size
+  else begin
+    let i = t.chunks_free - 1 in
+    let b = t.chunks.(i) in
+    t.chunks.(i) <- Bytes.empty;
+    t.chunks_free <- i;
+    b
+  end
+
+let give_chunk t b =
+  if Array.length t.chunks = 0 then
+    t.chunks <- Array.make chunk_capacity Bytes.empty;
+  if t.chunks_free < chunk_capacity then begin
+    t.chunks.(t.chunks_free) <- b;
+    t.chunks_free <- t.chunks_free + 1
+  end
+  else t.chunk_drops <- t.chunk_drops + 1
+
+let release_chunks t =
+  t.chunks <- [||];
+  t.chunks_free <- 0
 
 let charge t us = Sim.Clock.charge t.clock us
 let now_us t = Sim.Clock.now_us t.clock + t.tod_offset_us

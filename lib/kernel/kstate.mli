@@ -91,6 +91,13 @@ type t = {
       (** watchdog rules evaluated over this shard's metrics; stored on
           the shard handle, not the obs engine, so rules survive
           [Obs.reset] and stay per-shard in a cluster *)
+  mutable chunks : Bytes.t array;
+      (** the free list of 4 KB read chunks ({!take_chunk}): 8 slots,
+          the free chunks first, then empty ones; made at the first
+          give, and empty ([[||]]) while the shard is idle *)
+  mutable chunks_free : int;  (** chunks in the free list *)
+  mutable chunk_drops : int;
+      (** chunks given back while the free list was full, and dropped *)
 }
 
 val create : ?shard_id:int -> unit -> t
@@ -99,6 +106,27 @@ val create : ?shard_id:int -> unit -> t
     ring capacity — never the data) of the currently installed engine,
     preserving the "configure observation, then create the kernel"
     call order. *)
+
+(** {1 The read-chunk pool}
+
+    The buffer a whole-file read ([Libc.Unistd.read_all], the agent
+    exec loader) passes to each [read(fd, buf, 4096)], borrowed for one
+    call and given back when it returns.  A chunk belongs to exactly
+    one call from take to give, so a read that parks, restarts or
+    yields never shares it; a caller killed mid-call never gives its
+    chunk back (DESIGN.md §3.8). *)
+
+val take_chunk : t -> Bytes.t
+(** A free 4,096-byte chunk, or a fresh one when the free list is
+    empty.  A warm take allocates nothing. *)
+
+val give_chunk : t -> Bytes.t -> unit
+(** Return a chunk taken with {!take_chunk}; the caller must not touch
+    it again. *)
+
+val release_chunks : t -> unit
+(** Drop the free list, once the shard is idle ([Kernel.boot]
+    returning), so no chunk outlives the run. *)
 
 (** The ambient current shard: which kernel's state — and, through its
     [cur], which running process — in-fibre code that holds no handle

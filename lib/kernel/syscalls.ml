@@ -111,8 +111,9 @@ let pipe_write t (p : Proc.t) (f : File.t) data (r : File.ring) =
     if n > 0 then begin
       (* causal hook: stamp the accepted byte interval with this
          write's span so the consuming read can link back to it *)
-      Obs.causal_pipe_write (Vfs.Pipebuf.stamps r.buf)
-        ~at:(Vfs.Pipebuf.written r.buf - n) ~pid:p.pid ~bytes:n;
+      Vfs.Pipebuf.set_stamps r.buf
+        (Obs.causal_pipe_write (Vfs.Pipebuf.stamps r.buf)
+           ~at:(Vfs.Pipebuf.written r.buf - n) ~pid:p.pid ~bytes:n);
       wakeup t (File.Wchan.readable r);
       done_ret n
     end

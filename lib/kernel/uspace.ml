@@ -264,6 +264,11 @@ let htg_syscall c =
   Envelope.release env;
   res
 
+(* A whole-file read's 4 KB chunk, borrowed from the current shard's
+   pool for one call (DESIGN.md §3.8). *)
+let take_chunk () = Kstate.take_chunk (Kstate.Ambient.get_exn ())
+let give_chunk b = Kstate.give_chunk (Kstate.Ambient.get_exn ()) b
+
 let cpu_work us =
   if us > 0 then begin
     let proc = self () in

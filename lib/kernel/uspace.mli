@@ -52,6 +52,16 @@ val htg_syscall : Abi.Call.t -> Abi.Value.res
 (** Typed convenience over {!htg_trap}; the typed view rides the
     envelope down with no codec work at all. *)
 
+val take_chunk : unit -> Bytes.t
+(** Borrow a 4,096-byte read chunk from the current shard's pool
+    ({!Kstate.take_chunk}): the buffer of a whole-file read loop's
+    [read(fd, buf, 4096)].  Allocation-free while the pool holds one. *)
+
+val give_chunk : Bytes.t -> unit
+(** Give back a chunk from {!take_chunk} on the call's way out, after
+    its last use.  A call that unwinds instead (killed, exec'd) keeps
+    its chunk, which the GC collects. *)
+
 val cpu_work : int -> unit
 (** Charge local computation to the virtual clock.  Also a signal
     delivery point, like any trap. *)

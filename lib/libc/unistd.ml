@@ -36,13 +36,19 @@ let rec write_all fd data =
       if n >= String.length data then Ok ()
       else write_all fd (String.sub data n (String.length data - n))
 
+(* The chunk is the shard's, borrowed for this call and given back on
+   each return. *)
 let read_all fd =
-  let chunk = Bytes.create 4096 in
+  let chunk = Kernel.Uspace.take_chunk () in
   let buf = Buffer.create 256 in
   let rec go () =
     match read fd chunk (Bytes.length chunk) with
-    | Error e -> Error e
-    | Ok 0 -> Ok (Buffer.contents buf)
+    | Error e ->
+      Kernel.Uspace.give_chunk chunk;
+      Error e
+    | Ok 0 ->
+      Kernel.Uspace.give_chunk chunk;
+      Ok (Buffer.contents buf)
     | Ok n ->
       Buffer.add_subbytes buf chunk 0 n;
       go ()

@@ -25,7 +25,8 @@ val write_all : int -> string -> unit r
 (** Loop until the whole string is written (pipes may short-write). *)
 
 val read_all : int -> string r
-(** Read to end of file. *)
+(** Read to end of file, 4,096 bytes a trap, into a chunk borrowed from
+    the shard's pool for this call ({!Kernel.Uspace.take_chunk}). *)
 
 val lseek : int -> int -> int -> int r
 val ftruncate : int -> int -> unit r

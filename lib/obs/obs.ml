@@ -449,7 +449,10 @@ let pipe_edge_detail chan ~lo ~hi =
    in, with its span, oldest first.  The ring owns them and counts the
    offsets itself, with obs on or off; a read consumes from the front,
    so they are bounded by the bytes written with obs on and not yet
-   read. *)
+   read.  A ring never stamped holds [No_stamps], an immediate every
+   such ring shares; its first stamped write makes its queue, a FIFO of
+   its own rather than a [Queue.t] behind a constructor, whose box
+   would cost every stamped ring 2 more words. *)
 type stamp = {
   w_start : int;
   w_stop : int;
@@ -457,21 +460,38 @@ type stamp = {
   w_pid : int;
 }
 
-type stamps = stamp Queue.t
+type cell = Nil | Cell of { w : stamp; mutable newer : cell }
+type stamps = No_stamps | Stamps of { mutable first : cell; mutable last : cell }
 
-let stamps () = Queue.create ()
+let no_stamps = No_stamps
 
 let causal_pipe_write q ~at ~pid ~bytes =
   let e = !cur in
-  if e.e_on && bytes > 0 then
-    Queue.push
-      { w_start = at; w_stop = at + bytes; w_span = innermost e pid;
-        w_pid = pid }
+  if e.e_on && bytes > 0 then begin
+    let c =
+      Cell
+        { w = { w_start = at; w_stop = at + bytes; w_span = innermost e pid;
+                w_pid = pid };
+          newer = Nil }
+    in
+    match q with
+    | No_stamps -> Stamps { first = c; last = c }
+    | Stamps s ->
+      (match s.last with Cell l -> l.newer <- c | Nil -> s.first <- c);
+      s.last <- c;
       q
+  end
+  else q
 
 let rec seen_writer span pid = function
   | [] -> false
   | w :: tl -> (w.w_span = span && w.w_pid = pid) || seen_writer span pid tl
+
+let drop_oldest = function
+  | Stamps ({ first = Cell { newer; _ }; _ } as s) ->
+    s.first <- newer;
+    if newer == Nil then s.last <- Nil
+  | Stamps { first = Nil; _ } | No_stamps -> ()
 
 let causal_pipe_read q ~chan ~at:lo ~pid ~bytes =
   let e = !cur in
@@ -481,11 +501,11 @@ let causal_pipe_read q ~chan ~at:lo ~pid ~bytes =
     (* one edge per distinct writer span this read consumed from;
        [seen] holds the writes that already made one *)
     let rec consume seen =
-      if not (Queue.is_empty q) then begin
-        let w = Queue.peek q in
+      match q with
+      | Stamps { first = Cell { w; _ }; _ } ->
         if w.w_stop <= lo then begin
           (* consumed before: by an earlier read, or with obs off *)
-          ignore (Queue.take q);
+          drop_oldest q;
           consume seen
         end
         else if w.w_start < hi then begin
@@ -502,11 +522,11 @@ let causal_pipe_read q ~chan ~at:lo ~pid ~bytes =
           in
           (* a write reaching past this read's window stays queued *)
           if w.w_stop <= hi then begin
-            ignore (Queue.take q);
+            drop_oldest q;
             consume seen
           end
         end
-      end
+      | Stamps { first = Nil; _ } | No_stamps -> ()
     in
     consume []
   end

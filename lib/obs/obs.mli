@@ -331,12 +331,17 @@ type stamps
 (** One ring's writer stamps, oldest first: held by the ring's byte
     queue, shared by every open of it. *)
 
-val stamps : unit -> stamps
+val no_stamps : stamps
+(** The stamps of a ring never stamped: an immediate, shared by every
+    such ring, so a ring pays for its queue only on its first stamped
+    write. *)
 
-val causal_pipe_write : stamps -> at:int -> pid:int -> bytes:int -> unit
+val causal_pipe_write :
+  stamps -> at:int -> pid:int -> bytes:int -> stamps
 (** [pid]'s current trap wrote the ring's bytes [\[at, at + bytes)]
     ([at] counts every byte the ring ever took): stamp them with its
-    span.  A no-op with obs off. *)
+    span, and return the ring's stamps from now on ([no_stamps] is
+    replaced by a fresh queue).  A no-op with obs off. *)
 
 val causal_pipe_read :
   stamps -> chan:int -> at:int -> pid:int -> bytes:int -> unit

@@ -14,17 +14,18 @@ type t = {
   mutable written : int;     (* bytes ever written *)
   mutable readers : int;
   mutable writers : int;
-  stamps : Obs.stamps;
+  mutable stamps : Obs.stamps;
 }
 
 let create () =
   { data = Bytes.empty; head = 0; used = 0; written = 0; readers = 0;
-    writers = 0; stamps = Obs.stamps () }
+    writers = 0; stamps = Obs.no_stamps }
 
 let available t = t.used
 let written t = t.written
 let consumed t = t.written - t.used
 let stamps t = t.stamps
+let set_stamps t s = t.stamps <- s
 let room t = capacity - t.used
 
 (* [i] taken round the end of the storage, for [i] below twice its

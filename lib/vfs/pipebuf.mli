@@ -25,7 +25,11 @@ val consumed : t -> int
 
 val stamps : t -> Obs.stamps
 (** The writer stamps of the bytes in flight (DESIGN.md §3.9), kept
-    here so that every open of a FIFO shares them. *)
+    here so that every open of a FIFO shares them.  [Obs.no_stamps]
+    until the ring's first stamped write. *)
+
+val set_stamps : t -> Obs.stamps -> unit
+(** Keep what [Obs.causal_pipe_write] returned. *)
 
 val write : t -> string -> pos:int -> int
 (** [write t data ~pos] appends bytes of [data] from offset [pos]

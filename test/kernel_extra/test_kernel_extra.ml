@@ -2096,6 +2096,267 @@ let select_rows =
             (fun () () -> put w),
             close_all [ r; r2; w ] )) } ]
 
+(* --- the read-chunk pool ----------------------------------------------- *)
+
+(* A whole-file read borrows its 4 KB chunk from the shard's pool for
+   one call (DESIGN.md §3.8).  Each text below spans several chunks and
+   differs from every other, so a reader that saw another call's bytes
+   in its chunk reads the wrong text. *)
+let chunk_text i =
+  String.init (9000 + (517 * i)) (fun j ->
+    Char.chr (97 + (((i * 7) + (j / 61)) mod 26)))
+
+let chunk_path i = Printf.sprintf "/tmp/chunk%d" i
+
+let read_all_path path =
+  let module U = Libc.Unistd in
+  let fd = u "open" (U.open_ path Flags.Open.o_rdonly 0) in
+  let text = u "read_all" (U.read_all fd) in
+  u "close" (U.close fd);
+  text
+
+let write_texts n =
+  for i = 0 to n - 1 do
+    u "write_file" (Libc.Stdio.write_file (chunk_path i) (chunk_text i))
+  done
+
+let wait_failures pids =
+  List.fold_left
+    (fun bad pid ->
+      let _, st = u "wait" (Libc.Unistd.waitpid pid 0) in
+      if Flags.Wait.wifexited st && Flags.Wait.wexitstatus st = 0 then bad
+      else bad + 1)
+    0 pids
+
+(* Five children read five files at once: every read yields to the
+   others, so each chunk is filled, then read back after other
+   processes' reads.  The pool is warm first, so every take is a
+   reuse. *)
+let test_read_all_interleaved () =
+  let n = 5 in
+  let _, status = boot (fun () ->
+    write_texts n;
+    ignore (read_all_path (chunk_path 0));
+    wait_failures
+      (List.init n (fun i ->
+         u "fork"
+           (Libc.Unistd.fork ~child:(fun () ->
+              if read_all_path (chunk_path i) = chunk_text i then 0 else 1)))))
+  in
+  check_exit "every reader got its own bytes" 0 status
+
+(* A reader parks in [read_all] on an empty pipe holding its chunk;
+   another process reads a file with [read_all] while the pipe is fed
+   in pieces, so the parked read restarts, fills its chunk and yields
+   in between the other's reads. *)
+let test_read_all_parked_pipe () =
+  let module U = Libc.Unistd in
+  let _, status = boot (fun () ->
+    write_texts 3;
+    ignore (read_all_path (chunk_path 0));
+    let piped = chunk_text 1 in
+    let r, w = u "pipe" (U.pipe ()) in
+    let reader =
+      u "fork"
+        (U.fork ~child:(fun () ->
+           u "close" (U.close w);
+           if u "read_all" (U.read_all r) = piped then 0 else 1))
+    in
+    u "close" (U.close r);
+    ignore (U.sleep_us 1000);
+    let other =
+      u "fork"
+        (U.fork ~child:(fun () ->
+           u "close" (U.close w);
+           if read_all_path (chunk_path 2) = chunk_text 2 then 0 else 1))
+    in
+    let rec feed pos =
+      if pos < String.length piped then begin
+        let n = min 1000 (String.length piped - pos) in
+        u "write" (U.write_all w (String.sub piped pos n));
+        ignore (U.getpid ());
+        feed (pos + n)
+      end
+    in
+    feed 0;
+    u "close" (U.close w);
+    wait_failures [ reader; other ])
+  in
+  check_exit "the restarted read and the other both got their bytes" 0 status
+
+(* A reader killed while parked inside [read_all] never gives its chunk
+   back; the pool is simply one chunk short, and later calls, alone and
+   at once, read their own bytes. *)
+let test_read_all_killed_reader () =
+  let module U = Libc.Unistd in
+  let k = fresh_kernel () in
+  let free_after_kill = ref (-1) in
+  let status = boot_k k (fun () ->
+    write_texts 3;
+    ignore (read_all_path (chunk_path 0));
+    let r, w = u "pipe" (U.pipe ()) in
+    let pid =
+      u "fork"
+        (U.fork ~child:(fun () ->
+           u "close" (U.close w);
+           ignore (U.read_all r);
+           1))
+    in
+    u "close" (U.close r);
+    ignore (U.sleep_us 1000);
+    u "kill" (U.kill pid Signal.sigkill);
+    ignore (u "wait" (U.waitpid pid 0));
+    free_after_kill := k.Kstate.chunks_free;
+    u "close" (U.close w);
+    if read_all_path (chunk_path 1) <> chunk_text 1 then 1
+    else
+      wait_failures
+        (List.init 3 (fun i ->
+           u "fork"
+             (U.fork ~child:(fun () ->
+                if read_all_path (chunk_path i) = chunk_text i then 0 else 1)))))
+  in
+  check_exit "later reads got their own bytes" 0 status;
+  Alcotest.(check int) "the killed reader's chunk never came back" 0
+    !free_after_kill
+
+(* Ten readers parked in [read_all] at once hold ten chunks; when they
+   finish, the pool keeps its 8 and drops and counts the other 2.  The
+   pool is empty once the session is over. *)
+let test_chunk_pool_capacity () =
+  let module U = Libc.Unistd in
+  let k = fresh_kernel () in
+  let readers = 10 in
+  let held = ref (-1, -1, -1) in
+  let status = boot_k k (fun () ->
+    let started =
+      List.fold_left
+        (fun started i ->
+          let r, w = u "pipe" (U.pipe ()) in
+          let earlier = List.map (fun (_, _, w) -> w) started in
+          let pid =
+            u "fork"
+              (U.fork ~child:(fun () ->
+                 List.iter (fun fd -> u "close" (U.close fd)) (w :: earlier);
+                 match U.read_all r with
+                 | Ok text when text = Printf.sprintf "reader %d" i -> 0
+                 | Ok _ | Error _ -> 1))
+          in
+          u "close" (U.close r);
+          (i, pid, w) :: started)
+        []
+        (List.init readers Fun.id)
+    in
+    ignore (U.sleep_us 100_000);
+    let parked =
+      List.length
+        (List.filter
+           (fun (p : Proc.t) ->
+             match p.state with Proc.Parked _ -> true | _ -> false)
+           (Kstate.live_procs k))
+    in
+    if parked <> readers then Alcotest.failf "%d readers parked" parked;
+    List.iter
+      (fun (i, _, w) ->
+        u "write" (U.write_all w (Printf.sprintf "reader %d" i));
+        u "close" (U.close w))
+      started;
+    let bad = wait_failures (List.map (fun (_, pid, _) -> pid) started) in
+    held := (Array.length k.Kstate.chunks, k.Kstate.chunks_free,
+             k.Kstate.chunk_drops);
+    bad)
+  in
+  check_exit "every reader got its own bytes" 0 status;
+  Alcotest.(check (triple int int int)) "8 slots, 8 kept, 2 dropped"
+    (8, 8, 2) !held;
+  Alcotest.(check (pair int int)) "released once idle" (0, 0)
+    (Array.length k.Kstate.chunks, k.Kstate.chunks_free)
+
+(* --- lseek, sigprocmask and the umask at their edges ------------------ *)
+
+let seek_fixture () =
+  let module U = Libc.Unistd in
+  u "write_file" (Libc.Stdio.write_file "/tmp/seek" (String.make 100 's'));
+  let fd = u "open" (U.open_ "/tmp/seek" Flags.Open.o_rdonly 0) in
+  ignore (u "read" (U.read fd (Bytes.create 10) 10));
+  fd
+
+(* SEEK_END counts from the file's size, not from the current offset *)
+let test_lseek_end_from_size () =
+  let module U = Libc.Unistd in
+  let got = ref [] in
+  let _, status = boot (fun () ->
+    let fd = seek_fixture () in
+    got :=
+      List.map
+        (fun off -> u "lseek" (U.lseek fd off Flags.Seek.end_))
+        [ -5; 0; 7 ];
+    u "close" (U.close fd);
+    0)
+  in
+  check_exit "session" 0 status;
+  Alcotest.(check (list int)) "offsets" [ 95; 100; 107 ] !got
+
+(* A result of -1, from any base, is EINVAL, and the offset stays *)
+let test_lseek_minus_one_einval () =
+  let module U = Libc.Unistd in
+  let got = ref [] in
+  let _, status = boot (fun () ->
+    let fd = seek_fixture () in
+    got :=
+      List.map
+        (fun (off, whence) ->
+          let r = U.lseek fd off whence in
+          (r, u "where" (U.lseek fd 0 Flags.Seek.cur)))
+        [ (-1, Flags.Seek.set); (-11, Flags.Seek.cur); (-101, Flags.Seek.end_) ];
+    u "close" (U.close fd);
+    0)
+  in
+  check_exit "session" 0 status;
+  Alcotest.(check (list (pair (result int errno) int)))
+    "EINVAL, offset unchanged"
+    (List.init 3 (fun _ -> (Error Errno.EINVAL, 10)))
+    !got
+
+(* [how] outside block/unblock/setmask is EINVAL and leaves the mask *)
+let test_sigprocmask_bad_how () =
+  let module U = Libc.Unistd in
+  let usr1 = Signal.Mask.mask_bit Signal.sigusr1 in
+  let usr2 = Signal.Mask.mask_bit Signal.sigusr2 in
+  let got = ref [] in
+  let _, status = boot (fun () ->
+    ignore (u "block" (U.sigprocmask Flags.Sighow.sig_block usr1));
+    got :=
+      List.map
+        (fun how ->
+          let r = U.sigprocmask how usr2 in
+          (r, u "mask" (U.sigprocmask Flags.Sighow.sig_block 0)))
+        [ 4; 0 ];
+    0)
+  in
+  check_exit "session" 0 status;
+  Alcotest.(check (list (pair (result int errno) int)))
+    "EINVAL, mask unchanged"
+    [ (Error Errno.EINVAL, usr1); (Error Errno.EINVAL, usr1) ]
+    !got
+
+(* mkdir and mknod (a FIFO) take the umask off the mode, as creat does *)
+let test_umask_mkdir_mknod () =
+  let module U = Libc.Unistd in
+  let perms = ref [] in
+  let _, status = boot (fun () ->
+    ignore (u "umask" (U.umask 0o027));
+    u "mkdir" (U.mkdir "/tmp/masked-dir" 0o777);
+    u "mkfifo" (U.mkfifo "/tmp/masked-fifo" 0o666);
+    perms :=
+      List.map
+        (fun path -> Flags.Mode.perm_bits (u "stat" (U.stat path)).Stat.st_mode)
+        [ "/tmp/masked-dir"; "/tmp/masked-fifo" ];
+    0)
+  in
+  check_exit "session" 0 status;
+  Alcotest.(check (list int)) "modes" [ 0o750; 0o640 ] !perms
+
 let () =
   Alcotest.run "kernel-extra"
     [ "process-groups",
@@ -2208,6 +2469,22 @@ let () =
         Alcotest.test_case "wait4 interrupted" `Quick test_wait4_interrupted;
         Alcotest.test_case "select leaves its other channels" `Quick
           test_select_leaves_other_channels ];
+      "read-chunks",
+      [ Alcotest.test_case "interleaved readers" `Quick
+          test_read_all_interleaved;
+        Alcotest.test_case "parked pipe reader" `Quick
+          test_read_all_parked_pipe;
+        Alcotest.test_case "killed reader" `Quick test_read_all_killed_reader;
+        Alcotest.test_case "capacity and drops" `Quick
+          test_chunk_pool_capacity ];
+      "edges",
+      [ Alcotest.test_case "lseek SEEK_END from size" `Quick
+          test_lseek_end_from_size;
+        Alcotest.test_case "lseek to -1" `Quick test_lseek_minus_one_einval;
+        Alcotest.test_case "sigprocmask bad how" `Quick
+          test_sigprocmask_bad_how;
+        Alcotest.test_case "umask on mkdir and mknod" `Quick
+          test_umask_mkdir_mknod ];
       "select-wake",
       List.map
         (fun r -> Alcotest.test_case r.row `Quick (run_select_row r))

@@ -208,7 +208,7 @@ let gen_pipe_op =
 
 (* A ring as the engine sees it: the byte counts the ring keeps with
    obs on or off, and the stamps it holds. *)
-type ring = { mutable wrote : int; mutable taken : int; stamps : Obs.stamps }
+type ring = { mutable wrote : int; mutable taken : int; mutable stamps : Obs.stamps }
 
 (* Random span nesting (sampled and not), writes and reads over six
    rings, reads taking at most what is buffered, and obs switched on
@@ -235,7 +235,7 @@ let test_pipe_edges_match_reference =
         match Hashtbl.find_opt rings (k, i) with
         | Some r -> r
         | None ->
-          let r = { wrote = 0; taken = 0; stamps = Obs.stamps () } in
+          let r = { wrote = 0; taken = 0; stamps = Obs.no_stamps } in
           Hashtbl.replace rings (k, i) r;
           r
       in
@@ -261,7 +261,7 @@ let test_pipe_edges_match_reference =
                 if Obs.enabled () then
                   Ref_pipes.write ref_tbl (kinds.(k), i) ~at:r.wrote
                     ~span:(innermost pid) ~pid ~bytes;
-                Obs.causal_pipe_write r.stamps ~at:r.wrote ~pid ~bytes;
+                r.stamps <- Obs.causal_pipe_write r.stamps ~at:r.wrote ~pid ~bytes;
                 r.wrote <- r.wrote + bytes
               | Read (k, i, pid, bytes) ->
                 let r = ring k i in

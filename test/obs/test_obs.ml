@@ -905,8 +905,7 @@ let test_open_span_guard () =
       List.iter
         (fun (w, r) ->
           incr chan;
-          let q = Obs.stamps () in
-          Obs.causal_pipe_write q ~at:0 ~pid:w ~bytes:4;
+          let q = Obs.causal_pipe_write Obs.no_stamps ~at:0 ~pid:w ~bytes:4 in
           Obs.causal_pipe_read q ~chan:(Obs.chan_pipe !chan) ~at:0 ~pid:r
             ~bytes:4;
           let ends = Printf.sprintf "span %d pid %d -> span %d pid %d" in

@@ -500,6 +500,83 @@ let test_kvd_under_trace_equivalent () =
            a#set_output 2;
            (a :> Toolkit.Numeric.numeric_syscall))))
 
+(* --- direct major allocation ------------------------------------------------ *)
+
+(* What a session allocates straight into the major heap: [Gc.counters]'s
+   major words less those promoted from the minor heap, with the
+   session's trap count and its 4,096-byte reads (a trace hook counts
+   them, so a gate fails if the session never reaches the code it
+   guards).  A block over 256 words skips the minor heap, so a fresh
+   4 KB read chunk (513 words) per whole-file read cost kvd about 12
+   words a trap; a chunk borrowed from the shard's pool costs nothing
+   once the pool is warm.  [Gc.counters] counts such blocks as they are
+   made, where [Gc.quick_stat] may read 0. *)
+type major = { chunk_reads : int; direct_words : float; traps : int }
+
+let direct_major (stack : Conformance.stack) setup body =
+  let k = fresh_kernel () in
+  setup k;
+  let chunk_reads = ref 0 in
+  Kernel.set_trace_hook k
+    (Some
+       (fun _ c _ ->
+         match c with
+         | Abi.Call.Read (_, _, 4096) -> incr chunk_reads
+         | _ -> ()));
+  let _, promoted0, major0 = Gc.counters () in
+  let status =
+    Kernel.boot k ~name:"major" (fun () ->
+        List.iter
+          (fun a -> Toolkit.Loader.install a ~argv:[||])
+          (stack.Conformance.sk_make ());
+        body ())
+  in
+  let _, promoted1, major1 = Gc.counters () in
+  check_exit (stack.Conformance.sk_name ^ " session") 0 status;
+  { chunk_reads = !chunk_reads;
+    direct_words = major1 -. major0 -. (promoted1 -. promoted0);
+    traps = Kernel.total_syscalls k }
+
+let check_under_one what ~reads ~words ~traps =
+  if reads <= 0 then Alcotest.failf "%s: no 4,096-byte read to guard" what;
+  let per_trap = words /. float_of_int traps in
+  if per_trap >= 1.0 then
+    Alcotest.failf "%s: %.2f direct-major words/trap (%d chunk reads)" what
+      per_trap reads
+
+(* kvd serves every GET with [read_all] (Kvd.do_get): 64 clients make
+   enough traps that the shard's fixed tables weigh little *)
+let test_kvd_direct_major () =
+  let params = { Workloads.Kvd.quick_params with clients = 64 } in
+  List.iter
+    (fun (stack : Conformance.stack) ->
+      let m =
+        direct_major stack
+          (fun k -> Workloads.Kvd.setup ~params k)
+          (fun () ->
+            Workloads.Kvd.body ~params ~mode:Workloads.Kvd.Fork_per_conn ())
+      in
+      check_under_one ("kvd " ^ stack.sk_name) ~reads:m.chunk_reads
+        ~words:m.direct_words ~traps:m.traps)
+    [ Conformance.bare; Conformance.stacked ]
+
+(* Under trace every execve is the toolkit's, which loads the program
+   file with [Boilerplate.read_program] in 4,096-byte reads; bare, the
+   kernel loads it.  The build's own tools make 4 KB buffers of their
+   own, the same in both sessions, so the loader's part is what the
+   trace session allocates over the bare one. *)
+let test_make_direct_major () =
+  let make stack =
+    direct_major stack
+      (fun k ->
+        Workloads.Make_cc.setup ~params:Workloads.Make_cc.quick_params k)
+      Workloads.Make_cc.body
+  in
+  let bare = make Conformance.bare and traced = make Conformance.trace in
+  check_under_one "make, the trace agent's exec loader"
+    ~reads:(traced.chunk_reads - bare.chunk_reads)
+    ~words:(traced.direct_words -. bare.direct_words) ~traps:traced.traps
+
 let () =
   Alcotest.run "workloads"
     [ "utilities",
@@ -541,6 +618,10 @@ let () =
             test_kvd_causal_deterministic;
           Alcotest.test_case "under trace equivalent" `Quick
             test_kvd_under_trace_equivalent ] );
+      "direct-major",
+      [ Alcotest.test_case "kvd, bare and stacked" `Quick
+          test_kvd_direct_major;
+        Alcotest.test_case "make under trace" `Quick test_make_direct_major ];
       "under-agents",
       [ Alcotest.test_case "make under trace" `Quick
           test_make_under_trace_is_equivalent;
