@@ -918,18 +918,20 @@ let reap_max_ratio = 1.5
    amortised over 256, and on kvd the exact pipe and socket stamps and
    the edges they make.  Measured on make +0.58 (no agent) and +1.86
    (trace) words/trap; before that work, +20.6 and +52.9.  kvd measures
-   +9.81 (+9.70 while every ring made its stamps queue at creation, obs
-   on or off: the 4-word queue left the off column, 151.40 -> 151.25,
-   and a 3-word one joined the sampled column, 161.10 -> 161.06; +12.56
-   while the edge detail's digit writer allocated a closure per number,
-   +13.05 while an unsampled trap still boxed ring slots and hashed its
-   sysno; DESIGN.md §3.4 splits it).  Its ceiling stays at 19.7, set
-   by the allocation probes' rule of 10 words of headroom over +9.70. *)
+   +7.78 (+9.81 while a pipe read built a closure to walk the stamps and
+   consed each writer it linked onto a list; +9.70 while every ring made
+   its stamps queue at creation, obs on or off: the 4-word queue left
+   the off column, 151.40 -> 151.25, and a 3-word one joined the sampled
+   column, 161.10 -> 161.06; +12.56 while the edge detail's digit writer
+   allocated a closure per number, +13.05 while an unsampled trap still
+   boxed ring slots and hashed its sysno; DESIGN.md §3.4 splits it).  Its
+   ceiling sits at 17.8 (it was 19.7), set by the allocation probes' rule
+   of 10 words of headroom over +7.78. *)
 let obs_unsampled_rate = 256
 let obs_unsampled_max_words =
   [ ("make", "none", make_words V_none, 1.0);
     ("make", "trace", make_words V_trace, 3.0);
-    ("kvd", Conformance.stacked.Conformance.sk_name, kvd_words, 19.7) ]
+    ("kvd", Conformance.stacked.Conformance.sk_name, kvd_words, 17.8) ]
 
 let ablations_schema =
   let open Report.Schema in

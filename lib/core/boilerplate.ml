@@ -15,6 +15,16 @@ let down_int dl c =
   | Ok { Value.r0; _ } -> Ok r0
   | Error e -> Error e
 
+(* The reads of [read_program] until EOF, the chunks newest first.  An
+   image is one short chunk, returned as the one string it was copied
+   into; top level, so a load builds no closure. *)
+let rec slurp dl fd buf chunks =
+  match down_int dl (Call.Read (fd, buf, Bytes.length buf)) with
+  | Error e -> Error e
+  | Ok 0 ->
+    Ok (match chunks with [ c ] -> c | _ -> String.concat "" (List.rev chunks))
+  | Ok n -> slurp dl fd buf (Bytes.sub_string buf 0 n :: chunks)
+
 (* Read the whole program file through the down path, so that stacked
    agents (a filesystem-view agent under us, say) see the load. *)
 let read_program dl path : (string, Errno.t) result =
@@ -23,22 +33,10 @@ let read_program dl path : (string, Errno.t) result =
   | Ok fd ->
     (* the shard's chunk, borrowed as [Libc.Unistd.read_all] does *)
     let buf = Kernel.Uspace.take_chunk () in
-    let collected = Buffer.create 256 in
-    let rec slurp () =
-      match down_int dl (Call.Read (fd, buf, Bytes.length buf)) with
-      | Error e ->
-        Kernel.Uspace.give_chunk buf;
-        ignore (down_int dl (Call.Close fd));
-        Error e
-      | Ok 0 ->
-        Kernel.Uspace.give_chunk buf;
-        ignore (down_int dl (Call.Close fd));
-        Ok (Buffer.contents collected)
-      | Ok n ->
-        Buffer.add_subbytes collected buf 0 n;
-        slurp ()
-    in
-    slurp ()
+    let r = slurp dl fd buf [] in
+    Kernel.Uspace.give_chunk buf;
+    ignore (down_int dl (Call.Close fd));
+    r
 
 (* The steps a single kernel execve would have performed, done by hand
    (§3.5.2): check, load, close descriptors, reset handlers, transfer

@@ -18,11 +18,18 @@ let magic = "#!IMAGE "
 
 let file_content name = magic ^ name ^ "\n"
 
+(* Every exec parses a header, so only the image name is copied out:
+   the magic is compared in place, by a top-level function that builds
+   no closure. *)
+let rec has_magic s i =
+  i = String.length magic || (s.[i] = magic.[i] && has_magic s (i + 1))
+
 let image_of_content content =
   let ml = String.length magic in
-  if String.length content > ml && String.sub content 0 ml = magic then begin
-    match String.index_opt content '\n' with
-    | Some nl -> Some (String.sub content ml (nl - ml))
-    | None -> Some (String.sub content ml (String.length content - ml))
+  if String.length content > ml && has_magic content 0 then begin
+    match String.index_from content ml '\n' with
+    | nl -> Some (String.sub content ml (nl - ml))
+    | exception Not_found ->
+      Some (String.sub content ml (String.length content - ml))
   end
   else None

@@ -536,7 +536,14 @@ let do_execve t (p : Proc.t) path argv envp =
       | Vfs.Inode.Symlink _ | Vfs.Inode.Chardev _ | Vfs.Inode.Fifo _ ->
         fail Errno.EACCES
       | Vfs.Inode.Reg data ->
-        match Registry.image_of_content (Vfs.Filedata.to_string data) with
+        (* the image header lies in the first block: read no more *)
+        let header =
+          Bytes.create (min (Vfs.Filedata.size data) Vfs.Filedata.block)
+        in
+        ignore
+          (Vfs.Filedata.read data ~pos:0 header ~off:0
+             ~len:(Bytes.length header));
+        match Registry.image_of_content (Bytes.unsafe_to_string header) with
         | None -> fail Errno.ENOEXEC
         | Some image_name ->
           match Registry.lookup t.registry image_name with

@@ -493,43 +493,52 @@ let drop_oldest = function
     if newer == Nil then s.last <- Nil
   | Stamps { first = Nil; _ } | No_stamps -> ()
 
+(* One read's pass over a ring's stamps: one edge per distinct writer
+   span the bytes [\[lo, hi)] came from.  The first writer linked is
+   held as the ints [span1] and [pid1] ([pid1] is -1 until then), so a
+   read that links one writer, as nearly every read does, conses
+   nothing; [seen] holds the later distinct ones.  Top level, so a
+   read allocates no closure. *)
+let rec consume e q ~chan ~lo ~hi ~dst_span ~pid ~span1 ~pid1 seen =
+  match q with
+  | Stamps { first = Cell { w; _ }; _ } ->
+    if w.w_stop <= lo then begin
+      (* consumed before: by an earlier read, or with obs off *)
+      drop_oldest q;
+      consume e q ~chan ~lo ~hi ~dst_span ~pid ~span1 ~pid1 seen
+    end
+    else if w.w_start < hi then begin
+      let first = pid1 < 0 in
+      let fresh =
+        first
+        || not
+             ((w.w_span = span1 && w.w_pid = pid1)
+              || seen_writer w.w_span w.w_pid seen)
+      in
+      if fresh then
+        emit_edge e ~kind:Causal.Pipe ~src_shard:e.e_shard ~src_span:w.w_span
+          ~src_pid:w.w_pid ~dst_span ~dst_pid:pid
+          ~detail:
+            (pipe_edge_detail chan ~lo:(max w.w_start lo)
+               ~hi:(min w.w_stop hi));
+      (* a write reaching past this read's window stays queued *)
+      if w.w_stop <= hi then begin
+        drop_oldest q;
+        if first then
+          consume e q ~chan ~lo ~hi ~dst_span ~pid ~span1:w.w_span
+            ~pid1:w.w_pid seen
+        else
+          consume e q ~chan ~lo ~hi ~dst_span ~pid ~span1 ~pid1
+            (if fresh then w :: seen else seen)
+      end
+    end
+  | Stamps { first = Nil; _ } | No_stamps -> ()
+
 let causal_pipe_read q ~chan ~at:lo ~pid ~bytes =
   let e = !cur in
-  if e.e_on && bytes > 0 then begin
-    let hi = lo + bytes in
-    let dst_span = innermost e pid in
-    (* one edge per distinct writer span this read consumed from;
-       [seen] holds the writes that already made one *)
-    let rec consume seen =
-      match q with
-      | Stamps { first = Cell { w; _ }; _ } ->
-        if w.w_stop <= lo then begin
-          (* consumed before: by an earlier read, or with obs off *)
-          drop_oldest q;
-          consume seen
-        end
-        else if w.w_start < hi then begin
-          let seen =
-            if seen_writer w.w_span w.w_pid seen then seen
-            else begin
-              emit_edge e ~kind:Causal.Pipe ~src_shard:e.e_shard
-                ~src_span:w.w_span ~src_pid:w.w_pid ~dst_span ~dst_pid:pid
-                ~detail:
-                  (pipe_edge_detail chan ~lo:(max w.w_start lo)
-                     ~hi:(min w.w_stop hi));
-              w :: seen
-            end
-          in
-          (* a write reaching past this read's window stays queued *)
-          if w.w_stop <= hi then begin
-            drop_oldest q;
-            consume seen
-          end
-        end
-      | Stamps { first = Nil; _ } | No_stamps -> ()
-    in
-    consume []
-  end
+  if e.e_on && bytes > 0 then
+    consume e q ~chan ~lo ~hi:(lo + bytes) ~dst_span:(innermost e pid) ~pid
+      ~span1:0 ~pid1:(-1) []
 
 (* ---------- streaming ---------- *)
 

@@ -17,6 +17,8 @@ let root_ino _ = 2  (* the historical UFS root inode number *)
 
 let max_symlinks = 8
 let max_name = 255
+(* MAXPATHLEN, which counts the terminating NUL: the longest path is
+   1,023 bytes, as Linux refuses 4,096 of its PATH_MAX *)
 let max_path = 1024
 
 let alloc_ino t =
@@ -280,7 +282,7 @@ let walk_path t cred ~cwd ~follow_last ~slash path lim =
 let resolve t cred ~cwd ?(follow_last = true) path =
   let n = String.length path in
   if n = 0 then Error Errno.ENOENT
-  else if n > max_path then Error Errno.ENAMETOOLONG
+  else if n >= max_path then Error Errno.ENAMETOOLONG
   else
     walk_path t cred ~cwd ~follow_last ~slash:(path.[n - 1] = '/') path n
 
@@ -304,7 +306,7 @@ let rec name_start s i =
 let resolve_parent t cred ~cwd path =
   let n = String.length path in
   if n = 0 then Error Errno.ENOENT
-  else if n > max_path then Error Errno.ENAMETOOLONG
+  else if n >= max_path then Error Errno.ENAMETOOLONG
   else begin
     let e = trim_slashes path n in
     if e = 0 then Ok (get_exn t (root_ino t), "/", true)

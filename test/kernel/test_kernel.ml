@@ -355,6 +355,40 @@ let test_execve_enoexec () =
   in
   Alcotest.(check int) "ENOEXEC" 0 (exit_code status)
 
+(* execve reads at most the file's first block: a 1 MB non-image file
+   is ENOEXEC without a whole-file copy (the parent copied it, 131k
+   words), and an image header followed by more than a block still
+   runs. *)
+let test_execve_reads_header_only () =
+  let k = Kernel.create () in
+  Kernel.populate_standard k;
+  register_test_child k;
+  Kernel.write_file k ~path:"/bin/big" ~perm:0o755 (String.make (1 lsl 20) 'x');
+  Kernel.write_file k ~path:"/bin/padded" ~perm:0o755
+    (Kernel.Registry.file_content "test-child" ^ String.make 10_000 '#');
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let words = ref 0. in
+  let status =
+    Kernel.boot k ~name:"init" (fun () ->
+      let before = allocated () in
+      let r = Libc.Unistd.execv "/bin/big" [| "big" |] in
+      words := allocated () -. before;
+      match r with
+      | Error Errno.ENOEXEC ->
+        let st =
+          check_ok "run" (Libc.Spawn.run "/bin/padded" [| "test-child"; "pad" |])
+        in
+        Flags.Wait.wexitstatus st
+      | Error _ | Ok _ -> 1)
+  in
+  Alcotest.(check int) "padded image ran" 11 (exit_code status);
+  Alcotest.(check string) "child output" "child:pad\n" (Kernel.console_output k);
+  if !words > 8192. then
+    Alcotest.failf "exec of a 1 MB non-image allocated %.0f words" !words
+
 let test_execve_clears_emulation () =
   (* a raw execve must clear the interception vector *)
   let k = Kernel.create () in
@@ -597,6 +631,7 @@ let () =
       "execve",
       [ Alcotest.test_case "exec image" `Quick test_execve;
         Alcotest.test_case "ENOEXEC" `Quick test_execve_enoexec;
+        Alcotest.test_case "header only" `Quick test_execve_reads_header_only;
         Alcotest.test_case "clears emulation" `Quick
           test_execve_clears_emulation ];
       "interception",

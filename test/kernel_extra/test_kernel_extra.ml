@@ -2357,6 +2357,103 @@ let test_umask_mkdir_mknod () =
   check_exit "session" 0 status;
   Alcotest.(check (list int)) "modes" [ 0o750; 0o640 ] !perms
 
+(* ftruncate to 64 MB leaves a hole: a read at its end gives zeros,
+   and the file holds under 1 MB, with or without one byte written at
+   the end (its block and the block table) *)
+let test_ftruncate_hole () =
+  let module U = Libc.Unistd in
+  let size = 64 lsl 20 in
+  let tail = ref "" in
+  let k, status = boot (fun () ->
+    let fd =
+      u "open" (U.open_ "/tmp/sparse" Flags.Open.(o_rdwr lor o_creat) 0o644)
+    in
+    ignore (u "write" (U.write fd "head"));
+    u "ftruncate" (U.ftruncate fd size);
+    ignore (u "lseek" (U.lseek fd (size - 100) Flags.Seek.set));
+    let buf = Bytes.make 100 'x' in
+    tail := Bytes.sub_string buf 0 (u "read" (U.read fd buf 100));
+    u "close" (U.close fd);
+    0)
+  in
+  check_exit "session" 0 status;
+  Alcotest.(check string) "zeros at the end" (String.make 100 '\000') !tail;
+  let fs = Kernel.fs k in
+  match Vfs.Fs.resolve fs Vfs.Fs.root_cred ~cwd:(Vfs.Fs.root_ino fs) "/tmp/sparse" with
+  | Ok { Vfs.Inode.kind = Vfs.Inode.Reg d; _ } ->
+    Alcotest.(check int) "size" size (Vfs.Filedata.size d);
+    let held () = Obj.reachable_words (Obj.repr d) * (Sys.word_size / 8) in
+    if held () >= 1 lsl 20 then
+      Alcotest.failf "a 64 MB hole holds %d bytes" (held ());
+    ignore (Vfs.Filedata.write d ~pos:(size - 1) "z");
+    if held () >= 1 lsl 20 then
+      Alcotest.failf "a 64 MB hole with its last byte written holds %d bytes"
+        (held ())
+  | Ok _ | Error _ -> Alcotest.fail "/tmp/sparse is not a regular file"
+
+(* link into a directory the caller cannot write is EACCES, even with
+   the source its own, and names nothing *)
+let test_link_unwritable_dir () =
+  let module U = Libc.Unistd in
+  let got = ref (Ok ()) and listed = ref true in
+  let _, status = boot (fun () ->
+    u "mkdir" (U.mkdir "/tmp/ro" 0o755);
+    u "write_file" (Libc.Stdio.write_file "/tmp/mine" "m");
+    u "chown" (U.chown "/tmp/mine" ~uid:100 ~gid:100);
+    u "setuid" (U.setuid 100);
+    got := U.link ~existing:"/tmp/mine" "/tmp/ro/alias";
+    listed := Result.is_ok (U.stat "/tmp/ro/alias");
+    0)
+  in
+  check_exit "session" 0 status;
+  Alcotest.(check (result unit errno)) "link" (Error Errno.EACCES) !got;
+  Alcotest.(check bool) "no alias" false !listed
+
+(* link changes the source's link count, so it advances its ctime *)
+let test_link_advances_ctime () =
+  let module U = Libc.Unistd in
+  let times = ref (0, 0) in
+  let _, status = boot (fun () ->
+    u "write_file" (Libc.Stdio.write_file "/tmp/src" "s");
+    let before = (u "stat" (U.stat "/tmp/src")).Stat.st_ctime in
+    u "sleep" (U.sleep_us 2_000_000);
+    u "link" (U.link ~existing:"/tmp/src" "/tmp/alias");
+    times := (before, (u "stat" (U.stat "/tmp/src")).Stat.st_ctime);
+    0)
+  in
+  check_exit "session" 0 status;
+  let before, after = !times in
+  if after < before + 2 then
+    Alcotest.failf "ctime %d -> %d across a link 2 s later" before after
+
+(* MAXPATHLEN counts the NUL: a 1,023-byte path resolves and a 1,024-byte
+   one is ENAMETOOLONG, for lookups and for the parent walk of a create *)
+let test_path_length_boundary () =
+  let module U = Libc.Unistd in
+  (* "/", then "./" or "/" padding, then [tail]: [n] bytes in all *)
+  let path n tail =
+    let pad = n - 1 - String.length tail in
+    "/" ^ String.concat "" (List.init (pad / 2) (fun _ -> "./"))
+    ^ (if pad mod 2 = 1 then "/" else "") ^ tail
+  in
+  let got = ref [] in
+  let _, status = boot (fun () ->
+    u "write_file" (Libc.Stdio.write_file "/tmp/f" "f");
+    got :=
+      List.map
+        (fun n ->
+          ( Result.map ignore (U.stat (path n "tmp/f")),
+            U.mkdir (path n (Printf.sprintf "tmp/d%d" n)) 0o755 ))
+        [ 1023; 1024 ];
+    0)
+  in
+  check_exit "session" 0 status;
+  Alcotest.(check (list (pair (result unit errno) (result unit errno))))
+    "1,023 resolve, 1,024 do not"
+    [ (Ok (), Ok ());
+      (Error Errno.ENAMETOOLONG, Error Errno.ENAMETOOLONG) ]
+    !got
+
 let () =
   Alcotest.run "kernel-extra"
     [ "process-groups",
@@ -2484,7 +2581,14 @@ let () =
         Alcotest.test_case "sigprocmask bad how" `Quick
           test_sigprocmask_bad_how;
         Alcotest.test_case "umask on mkdir and mknod" `Quick
-          test_umask_mkdir_mknod ];
+          test_umask_mkdir_mknod;
+        Alcotest.test_case "ftruncate 64 MB hole" `Quick test_ftruncate_hole;
+        Alcotest.test_case "link into an unwritable directory" `Quick
+          test_link_unwritable_dir;
+        Alcotest.test_case "link advances ctime" `Quick
+          test_link_advances_ctime;
+        Alcotest.test_case "path length boundary" `Quick
+          test_path_length_boundary ];
       "select-wake",
       List.map
         (fun r -> Alcotest.test_case r.row `Quick (run_select_row r))

@@ -25,7 +25,7 @@ let ( let* ) = Result.bind
 
 let resolve fs cred ~cwd ~follow_last path =
   if path = "" then Error Errno.ENOENT
-  else if String.length path > max_path then Error Errno.ENAMETOOLONG
+  else if String.length path >= max_path then Error Errno.ENAMETOOLONG
   else begin
     let start = if path.[0] = '/' then Fs.root_ino fs else cwd in
     let trailing_dir = path.[String.length path - 1] = '/' in
@@ -76,7 +76,7 @@ let resolve fs cred ~cwd ~follow_last path =
    is whether the path's last character is a slash. *)
 let resolve_parent fs cred ~cwd path =
   if path = "" then Error Errno.ENOENT
-  else if String.length path > max_path then Error Errno.ENAMETOOLONG
+  else if String.length path >= max_path then Error Errno.ENAMETOOLONG
   else begin
     match List.rev (split_path path) with
     | [] -> Ok (Fs.get_exn fs (Fs.root_ino fs), "/", true)

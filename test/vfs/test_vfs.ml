@@ -46,6 +46,108 @@ let test_filedata_truncate () =
     ("0123" ^ String.make 4 '\000')
     (Filedata.to_string d)
 
+(* The block layout against a flat [Bytes] model of the same calls: a
+   write past EOF leaves zeros, a truncate shrinks or zero-extends.
+   Offsets and lengths cluster at multiples of a block, plus or minus
+   one, so writes, reads and truncates land on every kind of block
+   edge, leave holes, and shrink a file then grow it again. *)
+type fop = W of int * int | R of int * int | T of int
+
+module Flat = struct
+  type t = { mutable b : Bytes.t; mutable len : int }
+
+  let of_string s = { b = Bytes.of_string s; len = String.length s }
+
+  let reserve t n =
+    if n > Bytes.length t.b then begin
+      let b = Bytes.make (max n (2 * Bytes.length t.b)) '\000' in
+      Bytes.blit t.b 0 b 0 t.len;
+      t.b <- b
+    end
+
+  let write t ~pos s =
+    let n = String.length s in
+    reserve t (pos + n);
+    if pos > t.len then Bytes.fill t.b t.len (pos - t.len) '\000';
+    Bytes.blit_string s 0 t.b pos n;
+    t.len <- max t.len (pos + n)
+
+  let read t ~pos n =
+    if pos >= t.len || n <= 0 then "" else Bytes.sub_string t.b pos (min n (t.len - pos))
+
+  let truncate t n =
+    reserve t n;
+    if n > t.len then Bytes.fill t.b t.len (n - t.len) '\000';
+    t.len <- n
+
+  let contents t = Bytes.sub_string t.b 0 t.len
+end
+
+let text ~seed n = String.init n (fun i -> Char.chr (97 + ((seed + i) mod 26)))
+
+let gen_near_block =
+  QCheck.Gen.(
+    map2
+      (fun k d -> max 0 ((k * Filedata.block) + d))
+      (0 -- 5) (oneofl [ -1; 0; 1 ]))
+
+let gen_offset =
+  QCheck.Gen.(frequency [ (3, gen_near_block); (1, 0 -- (6 * Filedata.block)) ])
+
+let gen_length =
+  QCheck.Gen.(
+    frequency [ (3, gen_near_block); (2, 0 -- 100); (1, 0 -- (3 * Filedata.block)) ])
+
+let gen_fop =
+  QCheck.Gen.(
+    frequency
+      [ (4, map2 (fun p n -> W (p, n)) gen_offset gen_length);
+        (3, map2 (fun p n -> R (p, n)) gen_offset gen_length);
+        (2, map (fun n -> T n) gen_offset) ])
+
+let show_fop = function
+  | W (p, n) -> Printf.sprintf "write %d@%d" n p
+  | R (p, n) -> Printf.sprintf "read %d@%d" n p
+  | T n -> Printf.sprintf "truncate %d" n
+
+let test_filedata_matches_flat =
+  QCheck.Test.make ~name:"filedata = a flat byte array" ~count:300
+    (QCheck.make
+       ~print:(fun (init, ops) ->
+         Printf.sprintf "%s; %s"
+           (match init with None -> "create" | Some n -> Printf.sprintf "of_string %d" n)
+           (String.concat "; " (List.map show_fop ops)))
+       QCheck.Gen.(pair (opt gen_length) (list_size (1 -- 24) gen_fop)))
+    (fun (init, ops) ->
+      let d, m =
+        match init with
+        | None -> (Filedata.create (), Flat.of_string "")
+        | Some n ->
+          let s = text ~seed:7 n in
+          (Filedata.of_string s, Flat.of_string s)
+      in
+      List.iteri
+        (fun step op ->
+          (match op with
+           | W (pos, n) ->
+             let s = text ~seed:step n in
+             ignore (Filedata.write d ~pos s);
+             Flat.write m ~pos s
+           | R (pos, n) ->
+             let buf = Bytes.make n '?' in
+             let got = Filedata.read d ~pos buf ~off:0 ~len:n in
+             if Bytes.sub_string buf 0 got <> Flat.read m ~pos n then
+               QCheck.Test.fail_reportf "step %d: %s read differs" step
+                 (show_fop op)
+           | T n ->
+             Filedata.truncate d n;
+             Flat.truncate m n);
+          if Filedata.to_string d <> Flat.contents m then
+            QCheck.Test.fail_reportf "step %d: %s: contents differ (size %d, model %d)"
+              step (show_fop op) (Filedata.size d) m.Flat.len)
+        ops;
+      true)
+
 (* --- Pipebuf ------------------------------------------------------------ *)
 
 let test_pipebuf_fifo =
@@ -779,7 +881,8 @@ let () =
     [ "filedata",
       [ qtest test_filedata_roundtrip;
         Alcotest.test_case "sparse" `Quick test_filedata_sparse;
-        Alcotest.test_case "truncate" `Quick test_filedata_truncate ];
+        Alcotest.test_case "truncate" `Quick test_filedata_truncate;
+        qtest test_filedata_matches_flat ];
       "pipebuf",
       [ qtest test_pipebuf_fifo;
         Alcotest.test_case "capacity" `Quick test_pipebuf_capacity;

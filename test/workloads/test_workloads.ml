@@ -577,6 +577,42 @@ let test_make_direct_major () =
     ~reads:(traced.chunk_reads - bare.chunk_reads)
     ~words:(traced.direct_words -. bare.direct_words) ~traps:traced.traps
 
+(* --- file storage ------------------------------------------------------------- *)
+
+(* After a default make build, every regular file holds at most its
+   size, one block and a few words: later blocks are whole 4 KB blocks,
+   only block 0 is a fragment, and no file sits in an array doubled
+   past its size (the .s files filled 32 KB arrays while one was). *)
+let test_make_file_storage () =
+  let k = fresh_kernel () in
+  Workloads.Make_cc.setup k;
+  check_exit "make" 0 (boot_k k (fun () -> Workloads.Make_cc.body ()));
+  let fs = Kernel.fs k in
+  let seen = Hashtbl.create 64 and multi_block = ref 0 in
+  let rec walk path ino =
+    if not (Hashtbl.mem seen ino) then begin
+      Hashtbl.add seen ino ();
+      let inode = Vfs.Fs.get_exn fs ino in
+      match inode.Vfs.Inode.kind with
+      | Vfs.Inode.Reg d ->
+        let size = Vfs.Filedata.size d in
+        if size > Vfs.Filedata.block then incr multi_block;
+        let words = Obj.reachable_words (Obj.repr d) in
+        let limit = ((size + Vfs.Filedata.block) / (Sys.word_size / 8)) + 16 in
+        if words > limit then
+          Alcotest.failf "%s: %d bytes held in %d words (at most %d)" path
+            size words limit
+      | Vfs.Inode.Dir _ ->
+        List.iter
+          (fun (name, ino) ->
+            if name <> "." && name <> ".." then walk (path ^ "/" ^ name) ino)
+          (Vfs.Inode.dir_entries inode)
+      | Vfs.Inode.Symlink _ | Vfs.Inode.Chardev _ | Vfs.Inode.Fifo _ -> ()
+    end
+  in
+  walk "" (Vfs.Fs.root_ino fs);
+  if !multi_block = 0 then Alcotest.fail "no file of more than one block"
+
 let () =
   Alcotest.run "workloads"
     [ "utilities",
@@ -622,6 +658,8 @@ let () =
       [ Alcotest.test_case "kvd, bare and stacked" `Quick
           test_kvd_direct_major;
         Alcotest.test_case "make under trace" `Quick test_make_direct_major ];
+      "file-storage",
+      [ Alcotest.test_case "make build's files" `Quick test_make_file_storage ];
       "under-agents",
       [ Alcotest.test_case "make under trace" `Quick
           test_make_under_trace_is_equivalent;
