@@ -1007,7 +1007,7 @@ let chrome_check fail =
     Obs.records ()
   in
   let open Obs.Json in
-  match of_string (Obs.Chrome.to_string ~name:Sysno.name records) with
+  match of_string (Obs.Chrome.to_string ~name:Call.name records) with
   | Error e -> fail "chrome export: not parseable JSON: %s" e
   | Ok (Arr events) ->
     let malformed = ref 0 and completes = ref 0 in
@@ -2307,7 +2307,7 @@ let causal fail =
   Printf.printf "slice from fork roots: %d reachable node(s), reproducible: %b\n"
     (List.length a.cz_slice) slice_repro;
   (* 3. chrome export binds flow events for the recorded edges *)
-  let chrome = Obs.Chrome.to_string ~name:Sysno.name a.cz_records in
+  let chrome = Obs.Chrome.to_string ~name:Call.name a.cz_records in
   let occurrences needle hay =
     let nl = String.length needle and hl = String.length hay in
     let n = ref 0 in

@@ -254,7 +254,7 @@ let print_metrics k h0 =
       (fun (s : Obs.syscall_metrics) ->
         Printf.eprintf
           "                    %-14s %8d %7d %10.1f %7d %7d %7d %8d\n"
-          (Sysno.name s.Obs.sm_sysno) s.Obs.sm_calls s.Obs.sm_errors
+          (Call.name s.Obs.sm_sysno) s.Obs.sm_calls s.Obs.sm_errors
           (Obs.Hist.mean_us s.Obs.sm_hist)
           (Obs.Hist.quantile s.Obs.sm_hist 0.50)
           (Obs.Hist.quantile s.Obs.sm_hist 0.90)
@@ -482,7 +482,7 @@ let run agents setups stats feed record replay metrics trace_out trace_format
             log_err "agentrun: --watch: %s\n" msg;
             exit 2
         in
-        match Obs.Watch.of_spec ~sysno:Sysno.of_name text with
+        match Obs.Watch.of_spec ~sysno:Call.of_name text with
         | Ok rules -> rules
         | Error msg ->
           log_err "agentrun: --watch: %s\n" msg;
@@ -641,7 +641,7 @@ let run agents setups stats feed record replay metrics trace_out trace_format
                  chrome://tracing and Perfetto; causal fork/signal/pipe
                  edge records render as flow arrows between span
                  slices *)
-              Obs.Chrome.to_string ~name:Sysno.name ~pid_label records
+              Obs.Chrome.to_string ~name:Call.name ~pid_label records
               ^ "\n"
             | _ ->
               String.concat ""
@@ -672,7 +672,7 @@ let run agents setups stats feed record replay metrics trace_out trace_format
           in
           (try
              write_host_file flame
-               (Obs.Flame.to_string ~name:Sysno.name ~scale folds)
+               (Obs.Flame.to_string ~name:Call.name ~scale folds)
            with
            | Sys_error msg -> log_err "agentrun: --flame: %s\n" msg);
           if stats then

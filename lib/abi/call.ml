@@ -146,8 +146,6 @@ let number = function
   | Sleepus _ -> Sysno.sys_sleepus
   | Getcwd _ -> Sysno.sys_getcwd
 
-let name c = Sysno.name (number c)
-
 (* The encoder writes argument slots into an existing wire so the pool
    fast path ([Envelope.at_boundary]) can refill the wire a recycled
    envelope owns in place; the args array is reused whenever the arity
@@ -259,205 +257,302 @@ let encode c =
   encode_into w c;
   w
 
+(* --- the system-call table --------------------------------------------- *)
+
+(* Every call is one row: its number, its name, how its wire decodes,
+   the Linux names strace(1) reports it under, and whether the
+   toolkit's [descriptor_set] starts tracking the descriptor it
+   returns.  Decoding, the name lookups, the pathname and descriptor
+   families and strace's name map are all read off these rows. *)
+
+(* The kind of one argument slot, typed by what it decodes to.  [Fd]
+   decodes as [Int] does and [Path] as [Str] does; they mark the
+   arguments that put a call in the descriptor and pathname
+   families. *)
+module Slot = struct
+  type _ t =
+    | Int : int t
+    | Fd : int t
+    | Str : string t
+    | Path : string t
+    | Buf : Bytes.t t
+    | Strs : string array t
+    | Body : (unit -> int) t
+    | Stat_ref : Stat.t option ref t
+    | Tv_ref : (int * int) option ref t
+    | Handler : handler option t          (* [Nil] is [None] *)
+    | Handler_ref : handler option ref option t  (* [Nil] is [None] *)
+end
+
+(* A row's slots and the constructor that takes them, applied whole.
+   A nullary row holds its [Ok] built once, so decoding it allocates
+   nothing. *)
+type spec =
+  | A0 : (t, Errno.t) result -> spec
+  | A1 : 'a Slot.t * ('a -> t) -> spec
+  | A2 : 'a Slot.t * 'b Slot.t * ('a -> 'b -> t) -> spec
+  | A3 : 'a Slot.t * 'b Slot.t * 'c Slot.t * ('a -> 'b -> 'c -> t) -> spec
+
+type row = {
+  num : int;
+  name : string;
+  linux : string list;  (* the strace names mapped to this call *)
+  tracks : bool;        (* descriptor_set tracks the returned fd *)
+  spec : spec;
+}
+
+let row ?(tracks = false) num name linux spec =
+  { num; name; linux; tracks; spec }
+
+(* in ascending order of number *)
+let rows =
+  let open Sysno in
+  Slot.
+    [ row sys_exit "exit" [ "exit"; "exit_group"; "_exit" ]
+        (A1 (Int, fun code -> Exit code));
+      row sys_fork "fork" [ "fork"; "vfork"; "clone"; "clone3" ]
+        (A1 (Body, fun body -> Fork body));
+      row sys_read "read" [ "read" ]
+        (A3 (Fd, Buf, Int, fun fd buf n -> Read (fd, buf, n)));
+      row sys_write "write" [ "write" ]
+        (A2 (Fd, Str, fun fd data -> Write (fd, data)));
+      row ~tracks:true sys_open "open" [ "open"; "openat" ]
+        (A3 (Path, Int, Int, fun p flags mode -> Open (p, flags, mode)));
+      row sys_close "close" [ "close" ] (A1 (Fd, fun fd -> Close fd));
+      row sys_wait4 "wait4" [ "wait4"; "waitpid" ]
+        (A2 (Int, Int, fun pid opts -> Wait4 (pid, opts)));
+      row ~tracks:true sys_creat "creat" [ "creat" ]
+        (A2 (Path, Int, fun p mode -> Creat (p, mode)));
+      row sys_link "link" [ "link"; "linkat" ]
+        (A2 (Path, Path, fun p q -> Link (p, q)));
+      row sys_unlink "unlink" [ "unlink"; "unlinkat" ]
+        (A1 (Path, fun p -> Unlink p));
+      row sys_execve "execve" [ "execve" ]
+        (A3 (Path, Strs, Strs, fun p argv envp -> Execve (p, argv, envp)));
+      row sys_chdir "chdir" [ "chdir" ] (A1 (Path, fun p -> Chdir p));
+      row sys_fchdir "fchdir" [ "fchdir" ] (A1 (Fd, fun fd -> Fchdir fd));
+      row sys_mknod "mknod" [ "mknod"; "mknodat" ]
+        (A3 (Path, Int, Int, fun p mode dev -> Mknod (p, mode, dev)));
+      row sys_chmod "chmod" [ "chmod"; "fchmodat" ]
+        (A2 (Path, Int, fun p mode -> Chmod (p, mode)));
+      row sys_chown "chown" [ "chown"; "fchownat"; "lchown" ]
+        (A3 (Path, Int, Int, fun p uid gid -> Chown (p, uid, gid)));
+      row sys_sbrk "sbrk" [ "brk"; "sbrk" ] (A1 (Int, fun d -> Sbrk d));
+      row sys_lseek "lseek" [ "lseek"; "_llseek" ]
+        (A3 (Fd, Int, Int, fun fd off whence -> Lseek (fd, off, whence)));
+      row sys_getpid "getpid" [ "getpid" ] (A0 (Ok Getpid));
+      row sys_setuid "setuid" [ "setuid"; "setuid32" ]
+        (A1 (Int, fun u -> Setuid u));
+      row sys_getuid "getuid" [ "getuid"; "getuid32" ] (A0 (Ok Getuid));
+      row sys_geteuid "geteuid" [ "geteuid"; "geteuid32" ] (A0 (Ok Geteuid));
+      row sys_alarm "alarm" [ "alarm" ] (A1 (Int, fun s -> Alarm s));
+      row sys_access "access" [ "access"; "faccessat"; "faccessat2" ]
+        (A2 (Path, Int, fun p m -> Access (p, m)));
+      row sys_sync "sync" [ "sync" ] (A0 (Ok Sync));
+      row sys_kill "kill" [ "kill" ]
+        (A2 (Int, Int, fun pid s -> Kill (pid, s)));
+      row sys_stat "stat"
+        [ "stat"; "stat64"; "newfstatat"; "fstatat64"; "statx" ]
+        (A2 (Path, Stat_ref, fun p r -> Stat (p, r)));
+      row sys_getppid "getppid" [ "getppid" ] (A0 (Ok Getppid));
+      row sys_lstat "lstat" [ "lstat"; "lstat64" ]
+        (A2 (Path, Stat_ref, fun p r -> Lstat (p, r)));
+      row sys_dup "dup" [ "dup" ] (A1 (Fd, fun fd -> Dup fd));
+      row ~tracks:true sys_pipe "pipe" [ "pipe"; "pipe2" ] (A0 (Ok Pipe));
+      row sys_getegid "getegid" [ "getegid"; "getegid32" ] (A0 (Ok Getegid));
+      row sys_sigaction "sigaction" [ "rt_sigaction"; "sigaction" ]
+        (A3 (Int, Handler, Handler_ref, fun s h o -> Sigaction (s, h, o)));
+      row sys_getgid "getgid" [ "getgid"; "getgid32" ] (A0 (Ok Getgid));
+      row sys_sigprocmask "sigprocmask" [ "rt_sigprocmask"; "sigprocmask" ]
+        (A2 (Int, Int, fun how m -> Sigprocmask (how, m)));
+      row sys_sigpending "sigpending" [ "rt_sigpending"; "sigpending" ]
+        (A0 (Ok Sigpending));
+      row sys_sigsuspend "sigsuspend" [ "rt_sigsuspend"; "sigsuspend" ]
+        (A1 (Int, fun m -> Sigsuspend m));
+      row sys_ioctl "ioctl" [ "ioctl" ]
+        (A3 (Fd, Int, Buf, fun fd op b -> Ioctl (fd, op, b)));
+      (* the target is stored as the link's text, not resolved *)
+      row sys_symlink "symlink" [ "symlink"; "symlinkat" ]
+        (A2 (Str, Path, fun tgt p -> Symlink (tgt, p)));
+      row sys_readlink "readlink" [ "readlink"; "readlinkat" ]
+        (A2 (Path, Buf, fun p b -> Readlink (p, b)));
+      row sys_umask "umask" [ "umask" ] (A1 (Int, fun m -> Umask m));
+      row sys_fstat "fstat" [ "fstat"; "fstat64" ]
+        (A2 (Fd, Stat_ref, fun fd r -> Fstat (fd, r)));
+      row sys_getpagesize "getpagesize" [] (A0 (Ok Getpagesize));
+      row sys_getpgrp "getpgrp" [ "getpgrp" ] (A0 (Ok Getpgrp));
+      row sys_setpgrp "setpgrp" [ "setpgid" ]
+        (A2 (Int, Int, fun pid pgrp -> Setpgrp (pid, pgrp)));
+      row sys_getdtablesize "getdtablesize" [] (A0 (Ok Getdtablesize));
+      row sys_dup2 "dup2" [ "dup2"; "dup3" ]
+        (A2 (Fd, Fd, fun o n -> Dup2 (o, n)));
+      row sys_fcntl "fcntl" [ "fcntl"; "fcntl64" ]
+        (A3 (Fd, Int, Int, fun fd cmd arg -> Fcntl (fd, cmd, arg)));
+      (* descriptor bitmasks, not descriptors *)
+      row sys_select "select" [ "select"; "pselect6"; "_newselect" ]
+        (A3 (Int, Int, Int, fun r w tmo -> Select (r, w, tmo)));
+      row sys_fsync "fsync" [ "fsync"; "fdatasync" ]
+        (A1 (Fd, fun fd -> Fsync fd));
+      (* socket, accept and socketpair return descriptors that
+         descriptor_set leaves untracked: its open objects are files
+         and pipes, and a socket's traffic reaches the descriptor layer
+         through send, recv and the other calls on its fd *)
+      row sys_socket "socket" [] (A0 (Ok Socket));
+      (* an address is a flat name, deliberately not a path *)
+      row sys_connect "connect" []
+        (A2 (Fd, Str, fun fd addr -> Connect (fd, addr)));
+      row sys_accept "accept" [] (A1 (Fd, fun fd -> Accept fd));
+      row sys_send "send" [] (A2 (Fd, Str, fun fd data -> Send (fd, data)));
+      row sys_recv "recv" []
+        (A3 (Fd, Buf, Int, fun fd buf n -> Recv (fd, buf, n)));
+      row sys_bind "bind" [] (A2 (Fd, Str, fun fd addr -> Bind (fd, addr)));
+      row sys_listen "listen" []
+        (A2 (Fd, Int, fun fd backlog -> Listen (fd, backlog)));
+      row sys_gettimeofday "gettimeofday"
+        [ "gettimeofday"; "clock_gettime"; "time" ]
+        (A1 (Tv_ref, fun r -> Gettimeofday r));
+      row sys_getrusage "getrusage" [ "getrusage" ]
+        (A1 (Tv_ref, fun r -> Getrusage r));
+      row sys_settimeofday "settimeofday" [ "settimeofday" ]
+        (A2 (Int, Int, fun s us -> Settimeofday (s, us)));
+      row sys_rename "rename" [ "rename"; "renameat"; "renameat2" ]
+        (A2 (Path, Path, fun p q -> Rename (p, q)));
+      row sys_truncate "truncate" [ "truncate" ]
+        (A2 (Path, Int, fun p len -> Truncate (p, len)));
+      row sys_ftruncate "ftruncate" [ "ftruncate" ]
+        (A2 (Fd, Int, fun fd len -> Ftruncate (fd, len)));
+      row sys_shutdown "shutdown" []
+        (A2 (Fd, Int, fun fd how -> Shutdown (fd, how)));
+      row sys_socketpair "socketpair" [ "socketpair" ] (A0 (Ok Socketpair));
+      row sys_mkdir "mkdir" [ "mkdir"; "mkdirat" ]
+        (A2 (Path, Int, fun p mode -> Mkdir (p, mode)));
+      row sys_rmdir "rmdir" [ "rmdir" ] (A1 (Path, fun p -> Rmdir p));
+      row sys_utimes "utimes" [ "utimes"; "utimensat"; "utime" ]
+        (A3 (Path, Int, Int, fun p at mt -> Utimes (p, at, mt)));
+      row sys_getdirentries "getdirentries" [ "getdents"; "getdents64" ]
+        (A2 (Fd, Buf, fun fd b -> Getdirentries (fd, b)));
+      row sys_sleepus "sleepus" [ "nanosleep"; "clock_nanosleep"; "usleep" ]
+        (A1 (Int, fun us -> Sleepus us));
+      row sys_getcwd "getcwd" [ "getcwd" ] (A1 (Buf, fun b -> Getcwd b)) ]
+
+let max_sysno = List.fold_left (fun m r -> max m r.num) 0 rows
+
+(* Built once, when the module initialises, and never written after:
+   every domain may read it. *)
+let by_number =
+  let a = Array.make (max_sysno + 1) None in
+  List.iter (fun r -> a.(r.num) <- Some r) rows;
+  a
+
+let row_of n = if n >= 0 && n <= max_sysno then by_number.(n) else None
+
+let name n =
+  match row_of n with
+  | Some r -> r.name
+  | None -> Printf.sprintf "syscall#%d" n
+
+let of_name s =
+  List.find_map (fun r -> if r.name = s then Some r.num else None) rows
+
+let all = List.map (fun r -> r.num) rows
+
+let of_linux s =
+  List.find_map (fun r -> if List.mem s r.linux then Some r.num else None) rows
+
+(* --- the families, read off the slots ----------------------------------- *)
+
+(* A test of a slot's kind, whatever the slot decodes to. *)
+type slot_test = { test : 'a. 'a Slot.t -> bool }
+
+let is_path =
+  { test =
+      (fun (type a) (s : a Slot.t) ->
+        match s with Slot.Path -> true | _ -> false) }
+
+let is_fd =
+  { test =
+      (fun (type a) (s : a Slot.t) ->
+        match s with Slot.Fd -> true | _ -> false) }
+
+let any_slot { test } = function
+  | A0 _ -> false
+  | A1 (a, _) -> test a
+  | A2 (a, b, _) -> test a || test b
+  | A3 (a, b, c, _) -> test a || test b || test c
+
+let first_slot { test } = function
+  | A0 _ -> false
+  | A1 (a, _) -> test a
+  | A2 (a, _, _) -> test a
+  | A3 (a, _, _, _) -> test a
+
+(* ascending, as the rows are *)
+let numbers_where p =
+  List.filter_map (fun r -> if p r then Some r.num else None) rows
+
+let pathname_calls = numbers_where (fun r -> any_slot is_path r.spec)
+
+let descriptor_calls =
+  numbers_where (fun r -> r.tracks || any_slot is_fd r.spec)
+
+let file_calls = List.sort_uniq compare (pathname_calls @ descriptor_calls)
+
+let fd_first n =
+  match row_of n with Some r -> first_slot is_fd r.spec | None -> false
+
+(* --- decoding ------------------------------------------------------------ *)
+
 (* Each argument slot is read once, a missing slot reading as [Nil],
-   and the slots are matched per call: the only allocation is the typed
-   call and its [Ok].  A slot of the wrong shape, [Nil] included, is
+   and the row's constructor is applied to all of them at once: the
+   only allocation is the typed call and its [Ok] (a nullary row's
+   [Ok] is prebuilt).  A slot of the wrong shape, [Nil] included, is
    [EFAULT], except sigaction's two optional handler slots, where [Nil]
-   means [None]. *)
+   means [None].  [get] is inlined into each arm: called out of line,
+   once a slot, it made a decode about a third slower. *)
+exception Fault
+
+let[@inline] get : type a. a Slot.t -> Value.t -> a =
+ fun s v ->
+  match s, v with
+  | Slot.Int, Int n -> n
+  | Slot.Fd, Int n -> n
+  | Slot.Str, Str x -> x
+  | Slot.Path, Str x -> x
+  | Slot.Buf, Buf b -> b
+  | Slot.Strs, Strs v -> v
+  | Slot.Body, Body f -> f
+  | Slot.Stat_ref, Stat_ref r -> r
+  | Slot.Tv_ref, Tv_ref r -> r
+  | Slot.Handler, Handler h -> Some h
+  | Slot.Handler, Nil -> None
+  | Slot.Handler_ref, Handler_ref r -> Some r
+  | Slot.Handler_ref, Nil -> None
+  | _ -> raise_notrace Fault
+
+let arg a i = if i < Array.length a then Array.unsafe_get a i else Nil
 let efault = Error Errno.EFAULT
 
 let decode (w : wire) : (t, Errno.t) result =
-  let a = w.args in
-  let len = Array.length a in
-  let a0 = if len > 0 then a.(0) else Nil in
-  let a1 = if len > 1 then a.(1) else Nil in
-  let a2 = if len > 2 then a.(2) else Nil in
-  let n = w.num in
-  if n = Sysno.sys_exit then
-    match a0 with Int code -> Ok (Exit code) | _ -> efault
-  else if n = Sysno.sys_fork then
-    match a0 with Body body -> Ok (Fork body) | _ -> efault
-  else if n = Sysno.sys_read then
-    match a0, a1, a2 with
-    | Int fd, Buf buf, Int cnt -> Ok (Read (fd, buf, cnt))
-    | _ -> efault
-  else if n = Sysno.sys_write then
-    match a0, a1 with Int fd, Str data -> Ok (Write (fd, data)) | _ -> efault
-  else if n = Sysno.sys_open then
-    match a0, a1, a2 with
-    | Str p, Int flags, Int mode -> Ok (Open (p, flags, mode))
-    | _ -> efault
-  else if n = Sysno.sys_close then
-    match a0 with Int fd -> Ok (Close fd) | _ -> efault
-  else if n = Sysno.sys_wait4 then
-    match a0, a1 with Int pid, Int opts -> Ok (Wait4 (pid, opts)) | _ -> efault
-  else if n = Sysno.sys_creat then
-    match a0, a1 with Str p, Int mode -> Ok (Creat (p, mode)) | _ -> efault
-  else if n = Sysno.sys_link then
-    match a0, a1 with Str p, Str q -> Ok (Link (p, q)) | _ -> efault
-  else if n = Sysno.sys_unlink then
-    match a0 with Str p -> Ok (Unlink p) | _ -> efault
-  else if n = Sysno.sys_execve then
-    match a0, a1, a2 with
-    | Str p, Strs argv, Strs envp -> Ok (Execve (p, argv, envp))
-    | _ -> efault
-  else if n = Sysno.sys_chdir then
-    match a0 with Str p -> Ok (Chdir p) | _ -> efault
-  else if n = Sysno.sys_fchdir then
-    match a0 with Int fd -> Ok (Fchdir fd) | _ -> efault
-  else if n = Sysno.sys_mknod then
-    match a0, a1, a2 with
-    | Str p, Int mode, Int dev -> Ok (Mknod (p, mode, dev))
-    | _ -> efault
-  else if n = Sysno.sys_chmod then
-    match a0, a1 with Str p, Int mode -> Ok (Chmod (p, mode)) | _ -> efault
-  else if n = Sysno.sys_chown then
-    match a0, a1, a2 with
-    | Str p, Int uid, Int gid -> Ok (Chown (p, uid, gid))
-    | _ -> efault
-  else if n = Sysno.sys_sbrk then
-    match a0 with Int d -> Ok (Sbrk d) | _ -> efault
-  else if n = Sysno.sys_lseek then
-    match a0, a1, a2 with
-    | Int fd, Int off, Int whence -> Ok (Lseek (fd, off, whence))
-    | _ -> efault
-  else if n = Sysno.sys_getpid then Ok Getpid
-  else if n = Sysno.sys_setuid then
-    match a0 with Int u -> Ok (Setuid u) | _ -> efault
-  else if n = Sysno.sys_getuid then Ok Getuid
-  else if n = Sysno.sys_geteuid then Ok Geteuid
-  else if n = Sysno.sys_alarm then
-    match a0 with Int s -> Ok (Alarm s) | _ -> efault
-  else if n = Sysno.sys_access then
-    match a0, a1 with Str p, Int m -> Ok (Access (p, m)) | _ -> efault
-  else if n = Sysno.sys_sync then Ok Sync
-  else if n = Sysno.sys_kill then
-    match a0, a1 with Int pid, Int s -> Ok (Kill (pid, s)) | _ -> efault
-  else if n = Sysno.sys_stat then
-    match a0, a1 with Str p, Stat_ref r -> Ok (Stat (p, r)) | _ -> efault
-  else if n = Sysno.sys_getppid then Ok Getppid
-  else if n = Sysno.sys_lstat then
-    match a0, a1 with Str p, Stat_ref r -> Ok (Lstat (p, r)) | _ -> efault
-  else if n = Sysno.sys_dup then
-    match a0 with Int fd -> Ok (Dup fd) | _ -> efault
-  else if n = Sysno.sys_pipe then Ok Pipe
-  else if n = Sysno.sys_socketpair then Ok Socketpair
-  else if n = Sysno.sys_getegid then Ok Getegid
-  else if n = Sysno.sys_sigaction then
-    match a0, a1, a2 with
-    | Int s, Handler h, Handler_ref o -> Ok (Sigaction (s, Some h, Some o))
-    | Int s, Handler h, Nil -> Ok (Sigaction (s, Some h, None))
-    | Int s, Nil, Handler_ref o -> Ok (Sigaction (s, None, Some o))
-    | Int s, Nil, Nil -> Ok (Sigaction (s, None, None))
-    | _ -> efault
-  else if n = Sysno.sys_getgid then Ok Getgid
-  else if n = Sysno.sys_sigprocmask then
-    match a0, a1 with Int how, Int m -> Ok (Sigprocmask (how, m)) | _ -> efault
-  else if n = Sysno.sys_sigpending then Ok Sigpending
-  else if n = Sysno.sys_sigsuspend then
-    match a0 with Int m -> Ok (Sigsuspend m) | _ -> efault
-  else if n = Sysno.sys_ioctl then
-    match a0, a1, a2 with
-    | Int fd, Int op, Buf b -> Ok (Ioctl (fd, op, b))
-    | _ -> efault
-  else if n = Sysno.sys_symlink then
-    match a0, a1 with Str tgt, Str p -> Ok (Symlink (tgt, p)) | _ -> efault
-  else if n = Sysno.sys_readlink then
-    match a0, a1 with Str p, Buf b -> Ok (Readlink (p, b)) | _ -> efault
-  else if n = Sysno.sys_umask then
-    match a0 with Int m -> Ok (Umask m) | _ -> efault
-  else if n = Sysno.sys_fstat then
-    match a0, a1 with Int fd, Stat_ref r -> Ok (Fstat (fd, r)) | _ -> efault
-  else if n = Sysno.sys_getpagesize then Ok Getpagesize
-  else if n = Sysno.sys_getpgrp then Ok Getpgrp
-  else if n = Sysno.sys_setpgrp then
-    match a0, a1 with
-    | Int pid, Int pgrp -> Ok (Setpgrp (pid, pgrp))
-    | _ -> efault
-  else if n = Sysno.sys_getdtablesize then Ok Getdtablesize
-  else if n = Sysno.sys_dup2 then
-    match a0, a1 with Int o, Int d -> Ok (Dup2 (o, d)) | _ -> efault
-  else if n = Sysno.sys_fcntl then
-    match a0, a1, a2 with
-    | Int fd, Int cmd, Int arg -> Ok (Fcntl (fd, cmd, arg))
-    | _ -> efault
-  else if n = Sysno.sys_fsync then
-    match a0 with Int fd -> Ok (Fsync fd) | _ -> efault
-  else if n = Sysno.sys_socket then Ok Socket
-  else if n = Sysno.sys_bind then
-    match a0, a1 with Int fd, Str addr -> Ok (Bind (fd, addr)) | _ -> efault
-  else if n = Sysno.sys_listen then
-    match a0, a1 with
-    | Int fd, Int backlog -> Ok (Listen (fd, backlog))
-    | _ -> efault
-  else if n = Sysno.sys_accept then
-    match a0 with Int fd -> Ok (Accept fd) | _ -> efault
-  else if n = Sysno.sys_connect then
-    match a0, a1 with Int fd, Str addr -> Ok (Connect (fd, addr)) | _ -> efault
-  else if n = Sysno.sys_send then
-    match a0, a1 with Int fd, Str data -> Ok (Send (fd, data)) | _ -> efault
-  else if n = Sysno.sys_recv then
-    match a0, a1, a2 with
-    | Int fd, Buf buf, Int cnt -> Ok (Recv (fd, buf, cnt))
-    | _ -> efault
-  else if n = Sysno.sys_shutdown then
-    match a0, a1 with Int fd, Int how -> Ok (Shutdown (fd, how)) | _ -> efault
-  else if n = Sysno.sys_select then
-    match a0, a1, a2 with
-    | Int rmask, Int wmask, Int tmo -> Ok (Select (rmask, wmask, tmo))
-    | _ -> efault
-  else if n = Sysno.sys_gettimeofday then
-    match a0 with Tv_ref r -> Ok (Gettimeofday r) | _ -> efault
-  else if n = Sysno.sys_getrusage then
-    match a0 with Tv_ref r -> Ok (Getrusage r) | _ -> efault
-  else if n = Sysno.sys_settimeofday then
-    match a0, a1 with
-    | Int s, Int us -> Ok (Settimeofday (s, us))
-    | _ -> efault
-  else if n = Sysno.sys_rename then
-    match a0, a1 with Str p, Str q -> Ok (Rename (p, q)) | _ -> efault
-  else if n = Sysno.sys_truncate then
-    match a0, a1 with Str p, Int len -> Ok (Truncate (p, len)) | _ -> efault
-  else if n = Sysno.sys_ftruncate then
-    match a0, a1 with Int fd, Int len -> Ok (Ftruncate (fd, len)) | _ -> efault
-  else if n = Sysno.sys_mkdir then
-    match a0, a1 with Str p, Int mode -> Ok (Mkdir (p, mode)) | _ -> efault
-  else if n = Sysno.sys_rmdir then
-    match a0 with Str p -> Ok (Rmdir p) | _ -> efault
-  else if n = Sysno.sys_utimes then
-    match a0, a1, a2 with
-    | Str p, Int at, Int mt -> Ok (Utimes (p, at, mt))
-    | _ -> efault
-  else if n = Sysno.sys_getdirentries then
-    match a0, a1 with
-    | Int fd, Buf b -> Ok (Getdirentries (fd, b))
-    | _ -> efault
-  else if n = Sysno.sys_sleepus then
-    match a0 with Int us -> Ok (Sleepus us) | _ -> efault
-  else if n = Sysno.sys_getcwd then
-    match a0 with Buf b -> Ok (Getcwd b) | _ -> efault
-  else Error Errno.ENOSYS
-
-let pathname_of = function
-  | Open (p, _, _) | Creat (p, _) | Link (p, _) | Unlink p
-  | Execve (p, _, _) | Chdir p | Mknod (p, _, _) | Chmod (p, _)
-  | Chown (p, _, _) | Access (p, _) | Stat (p, _) | Lstat (p, _)
-  | Symlink (_, p) | Readlink (p, _) | Rename (p, _) | Truncate (p, _)
-  | Mkdir (p, _) | Rmdir p | Utimes (p, _, _) -> Some p
-  | _ -> None
-
-let descriptor_of = function
-  | Read (fd, _, _) | Write (fd, _) | Close fd | Fchdir fd
-  | Lseek (fd, _, _) | Dup fd | Dup2 (fd, _) | Ioctl (fd, _, _)
-  | Fstat (fd, _) | Fcntl (fd, _, _) | Fsync fd | Ftruncate (fd, _)
-  | Getdirentries (fd, _)
-  | Bind (fd, _) | Listen (fd, _) | Accept fd | Connect (fd, _)
-  | Send (fd, _) | Recv (fd, _, _) | Shutdown (fd, _) -> Some fd
-  | _ -> None
+  match row_of w.num with
+  | None -> Error Errno.ENOSYS
+  | Some r ->
+    let a = w.args in
+    (try
+       match r.spec with
+       | A0 ok -> ok
+       | A1 (s0, f) -> Ok (f (get s0 (arg a 0)))
+       | A2 (s0, s1, f) ->
+         let x0 = get s0 (arg a 0) in
+         Ok (f x0 (get s1 (arg a 1)))
+       | A3 (s0, s1, s2, f) ->
+         let x0 = get s0 (arg a 0) in
+         let x1 = get s1 (arg a 1) in
+         Ok (f x0 x1 (get s2 (arg a 2)))
+     with Fault -> efault)
 
 let pp ppf c =
   let w = encode c in
-  Format.fprintf ppf "%s(" (name c);
+  Format.fprintf ppf "%s(" (name (number c));
   (match c with
    | Open (p, flags, mode) ->
      Format.fprintf ppf "%S, %a, 0%o" p Flags.Open.pp flags mode

@@ -94,7 +94,6 @@ type t =
   | Getcwd of Bytes.t
 
 val number : t -> int
-val name : t -> string
 
 val encode : t -> Value.wire
 
@@ -104,15 +103,54 @@ val encode_into : Value.wire -> t -> unit
     the pooled-envelope refill path ([Envelope.at_boundary]); [encode] is
     [encode_into] onto a fresh record. *)
 
+(** {1 The system-call table}
+
+    Each call is one row of a table in this module: its number, its
+    name, the kinds of its argument slots with the constructor that
+    takes them, the Linux names strace(1) reports it under, and
+    whether the toolkit's [descriptor_set] tracks the descriptor it
+    returns.  Everything below is read off that table. *)
+
 val decode : Value.wire -> (t, Errno.t) result
 (** [decode w] fails with [ENOSYS] for an unknown number and [EFAULT]
     for arguments of the wrong shape. *)
 
-val pathname_of : t -> string option
-(** The (first) pathname argument, if the call takes one. *)
+val max_sysno : int
+(** Largest number in the table; interception vectors are sized
+    [max_sysno + 1]. *)
 
-val descriptor_of : t -> int option
-(** The descriptor argument, if the call takes one. *)
+val name : int -> string
+(** ["read"], ["open"], ...; ["syscall#<n>"] for numbers not in the
+    table. *)
+
+val of_name : string -> int option
+
+val all : int list
+(** Every valid syscall number, ascending. *)
+
+val of_linux : string -> int option
+(** The native call strace(1)'s name for a Linux call maps to
+    (["openat"] is [open], ["clone"] is [fork]); [None] for a name with
+    no native counterpart. *)
+
+(** The two families the toolkit's layers carve out, ascending (see
+    {!Sysno} for their sizes against the paper's).  A call is in the
+    pathname family when one of its slots is a path, and in the
+    descriptor family when one of its slots is a descriptor or
+    [descriptor_set] tracks the descriptor it returns (open, creat,
+    pipe). *)
+
+val pathname_calls : int list
+val descriptor_calls : int list
+
+val file_calls : int list
+(** Union of the pathname and descriptor families, sorted ascending —
+    the interest set for agents that care about files and nothing
+    else, so [register_interest] stays the cheap path rather than a
+    blanket [register_interest_all]. *)
+
+val fd_first : int -> bool
+(** The call's first argument is a descriptor. *)
 
 val pp : Format.formatter -> t -> unit
 (** trace(1)-style rendering: [open("/etc/motd", O_RDONLY, 0)]. *)

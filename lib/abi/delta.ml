@@ -20,20 +20,20 @@ let compose deltas = List.concat deltas
 
 let clause_to_string = function
   | Shifts_results ns ->
-    "shifts-results(" ^ String.concat "," (List.map Sysno.name ns) ^ ")"
+    "shifts-results(" ^ String.concat "," (List.map Call.name ns) ^ ")"
   | Rewrites_results ns ->
-    "rewrites-results(" ^ String.concat "," (List.map Sysno.name ns) ^ ")"
+    "rewrites-results(" ^ String.concat "," (List.map Call.name ns) ^ ")"
   | Renumbers pairs ->
     "renumbers("
     ^ String.concat ","
-        (List.map (fun (f, n) -> Printf.sprintf "%d>%s" f (Sysno.name n)) pairs)
+        (List.map (fun (f, n) -> Printf.sprintf "%d>%s" f (Call.name n)) pairs)
     ^ ")"
   | May_fail { sysnos; errnos } ->
     Printf.sprintf "may-fail(%s:%s)"
-      (String.concat "," (List.map Sysno.name sysnos))
+      (String.concat "," (List.map Call.name sysnos))
       (String.concat "," (List.map Errno.name errnos))
   | May_delay ns ->
-    "may-delay(" ^ String.concat "," (List.map Sysno.name ns) ^ ")"
+    "may-delay(" ^ String.concat "," (List.map Call.name ns) ^ ")"
 
 let to_string = function
   | [] -> "none"

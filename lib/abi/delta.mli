@@ -50,4 +50,4 @@ val compose : t list -> t
 
 val to_string : t -> string
 (** ["none"] or ["; "]-joined clauses, syscall numbers rendered via
-    [Sysno.name]. *)
+    [Call.name]. *)

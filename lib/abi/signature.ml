@@ -78,7 +78,7 @@ let outcome_of_name = function
 
 let event_to_string ev =
   Printf.sprintf "#%d pid %d %s(%s) -> %s" ev.x_seq ev.x_pid
-    (Sysno.name ev.x_sysno) ev.x_shape (outcome_name ev.x_outcome)
+    (Call.name ev.x_sysno) ev.x_shape (outcome_name ev.x_outcome)
 
 (* --- aggregate view ------------------------------------------------------ *)
 
@@ -211,15 +211,15 @@ let event_key ev = (ev.x_pid, ev.x_sysno, ev.x_shape, ev.x_outcome)
 
 let explain a b =
   if a.x_sysno <> b.x_sysno then
-    Printf.sprintf "syscall differs: %s vs %s" (Sysno.name a.x_sysno)
-      (Sysno.name b.x_sysno)
+    Printf.sprintf "syscall differs: %s vs %s" (Call.name a.x_sysno)
+      (Call.name b.x_sysno)
   else if a.x_pid <> b.x_pid then
     Printf.sprintf "issuing pid differs: %d vs %d" a.x_pid b.x_pid
   else if a.x_shape <> b.x_shape then
     Printf.sprintf "arg shape of %s differs: (%s) vs (%s)"
-      (Sysno.name a.x_sysno) a.x_shape b.x_shape
+      (Call.name a.x_sysno) a.x_shape b.x_shape
   else
-    Printf.sprintf "outcome of %s differs: %s vs %s" (Sysno.name a.x_sysno)
+    Printf.sprintf "outcome of %s differs: %s vs %s" (Call.name a.x_sysno)
       (outcome_name a.x_outcome) (outcome_name b.x_outcome)
 
 let diff ~bare ~under =
@@ -327,7 +327,7 @@ let divergence_to_json d =
         [
           ("seq", Int ev.x_seq); ("pid", Int ev.x_pid);
           ("sysno", Int ev.x_sysno);
-          ("name", Str (Sysno.name ev.x_sysno));
+          ("name", Str (Call.name ev.x_sysno));
           ("shape", Str ev.x_shape);
           ("outcome", Str (outcome_name ev.x_outcome));
         ]

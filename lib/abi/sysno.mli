@@ -4,7 +4,15 @@
     fork=2, read=3, ...); the handful of simulator-specific calls
     ([sleepus], [getcwd]) live above 179.  Numeric-layer agents
     register interest by these numbers, exactly as with the Mach 2.5
-    interception vector. *)
+    interception vector.
+
+    This module holds the numbers only.  Everything else about a call
+    (its name, how its arguments decode, its family, its strace names)
+    is one row of the table in {!Call}.  The families read off that
+    table are smaller than the paper's: 19 calls take a pathname
+    against [pathname_set]'s 30, and 23 take or make a tracked
+    descriptor against [descriptor_set]'s 48, because this interface
+    has 71 calls where 4.3BSD has about 100. *)
 
 val sys_exit : int
 val sys_fork : int
@@ -78,32 +86,3 @@ val sys_getdirentries : int
 val sys_sleepus : int
 val sys_getcwd : int
 
-val max_sysno : int
-(** Largest number in the table; interception vectors are sized
-    [max_sysno + 1]. *)
-
-val name : int -> string
-(** ["read"], ["open"], ...; ["syscall#<n>"] for numbers not in the
-    table. *)
-
-val of_name : string -> int option
-
-val all : int list
-(** Every valid syscall number, ascending. *)
-
-val is_valid : int -> bool
-
-(** The calls that take a pathname argument and the calls that take a
-    descriptor argument — the two families the paper's [pathname_set]
-    (30 calls) and [descriptor_set] (48 calls) layers carve out. *)
-
-val uses_pathname : int -> bool
-val uses_descriptor : int -> bool
-
-val descriptor_calls : int list
-
-val file_calls : int list
-(** Union of the pathname and descriptor families, sorted ascending —
-    the interest set for agents that care about files and nothing
-    else, so [register_interest] stays the cheap path rather than a
-    blanket [register_interest_all]. *)

@@ -148,7 +148,7 @@ class agent ~(subtrees : string list) =
     method files_handled = handled
     (* a descriptor_set layer: descriptor calls (incl. open/creat) only *)
     method! init _argv =
-      List.iter self#register_interest Sysno.descriptor_calls
+      List.iter self#register_interest Call.descriptor_calls
 
     method! make_open_object ~fd ~path ~flags =
       match path with

@@ -118,7 +118,7 @@ class agent ~(key : int) ~(subtrees : string list) =
     method files_protected = protected_opens
     (* a descriptor_set layer: descriptor calls (incl. open/creat) only *)
     method! init _argv =
-      List.iter self#register_interest Sysno.descriptor_calls
+      List.iter self#register_interest Call.descriptor_calls
 
     method! make_open_object ~fd ~path ~flags =
       match path with

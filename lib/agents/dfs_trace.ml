@@ -79,7 +79,7 @@ class agent =
 
     method! init argv =
       (* only file references are logged — no reason to see the rest *)
-      List.iter self#register_interest Sysno.file_calls;
+      List.iter self#register_interest Call.file_calls;
       Array.iter
         (fun arg ->
           match String.index_opt arg '=' with

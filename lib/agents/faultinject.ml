@@ -35,7 +35,7 @@ let default_config = {
 (* --- shared injection machinery ---------------------------------------- *)
 
 let candidate_set nums =
-  let b = Bitset.create (Sysno.max_sysno + 1) in
+  let b = Bitset.create (Call.max_sysno + 1) in
   List.iter (Bitset.set b) nums;
   b
 
@@ -43,7 +43,7 @@ let note_obs env num what =
   if Obs.enabled () then begin
     Obs.note_injected ();
     Obs.record_mark ~span:(Envelope.span env) ~kind:"inject"
-      ~detail:(Printf.sprintf "%s:%s" (Sysno.name num) what) ()
+      ~detail:(Printf.sprintf "%s:%s" (Call.name num) what) ()
   end
 
 (* Deliver an injected error.  Two invariants live here:

@@ -31,13 +31,7 @@ let native_pairs =
 let ( let* ) = Result.bind
 
 let to_native (w : Value.wire) : (Value.wire, Errno.t) result =
-  let n = w.num in
-  let renumber num = Ok { w with Value.num } in
-  if n = v_exit then renumber Sysno.sys_exit
-  else if n = v_fork then renumber Sysno.sys_fork
-  else if n = v_read then renumber Sysno.sys_read
-  else if n = v_write then renumber Sysno.sys_write
-  else if n = v_open then begin
+  if w.num = v_open then begin
     (* VOS passes (mode, flags, path); native wants (path, flags, mode) *)
     let* mode = Value.Get.int w 0 in
     let* flags = Value.Get.int w 1 in
@@ -45,12 +39,10 @@ let to_native (w : Value.wire) : (Value.wire, Errno.t) result =
     Ok { Value.num = Sysno.sys_open;
          args = [| Value.Str path; Value.Int flags; Value.Int mode |] }
   end
-  else if n = v_close then renumber Sysno.sys_close
-  else if n = v_getpid then renumber Sysno.sys_getpid
-  else if n = v_gettimeofday then renumber Sysno.sys_gettimeofday
-  else if n = v_wait then renumber Sysno.sys_wait4
-  else if n = v_stat then renumber Sysno.sys_stat
-  else Error Errno.ENOSYS
+  else
+    match List.assoc w.num native_pairs with
+    | num -> Ok { w with Value.num }
+    | exception Not_found -> Error Errno.ENOSYS
 
 module Stub = struct
   let trap num args = Kernel.Uspace.trap_wire { Value.num; args }

@@ -71,7 +71,7 @@ class agent (policy : policy) =
     method! declared_delta =
       [ Delta.May_fail
           { sysnos =
-              Sysno.sys_kill :: Sysno.sys_settimeofday :: Sysno.file_calls;
+              Sysno.sys_kill :: Sysno.sys_settimeofday :: Call.file_calls;
             errnos = [ Errno.ENOENT; Errno.EPERM; Errno.ENOSPC; Errno.EAGAIN ] } ]
     method violations = List.rev violations
     method bytes_written = written
@@ -82,7 +82,7 @@ class agent (policy : policy) =
        uninterested fast path. *)
     method! init _argv =
       List.iter self#register_interest
-        (Sysno.sys_kill :: Sysno.sys_settimeofday :: Sysno.file_calls)
+        (Sysno.sys_kill :: Sysno.sys_settimeofday :: Call.file_calls)
 
     method private violate what =
       violations <- what :: violations

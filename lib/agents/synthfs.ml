@@ -68,7 +68,7 @@ class agent ?(mount = "/proc") () =
        flips to success under the agent), and reads there serve
        generated bytes *)
     method! declared_delta =
-      [ Delta.May_fail { sysnos = Sysno.file_calls; errnos = [ Errno.ENOENT ] };
+      [ Delta.May_fail { sysnos = Call.file_calls; errnos = [ Errno.ENOENT ] };
         Delta.Rewrites_results
           [ Sysno.sys_read; Sysno.sys_stat; Sysno.sys_getdirentries ] ]
     method mount = mount
@@ -83,7 +83,7 @@ class agent ?(mount = "/proc") () =
         (Hashtbl.fold (fun name _ acc -> name :: acc) files [])
 
     (* serves synthetic files: file calls only *)
-    method! init _argv = List.iter self#register_interest Sysno.file_calls
+    method! init _argv = List.iter self#register_interest Call.file_calls
 
     method private entry path =
       if path = mount then Some `Dir

@@ -4,7 +4,7 @@ class agent =
   object (self)
     inherit Toolkit.numeric_syscall as super
 
-    val counts = Array.make (Sysno.max_sysno + 1) 0
+    val counts = Array.make (Call.max_sysno + 1) 0
     val sig_counts = Array.make (Signal.max_signal + 1) 0
 
     method! agent_name = "syscount"
@@ -27,7 +27,7 @@ class agent =
     method counts =
       List.filter_map
         (fun n -> if counts.(n) > 0 then Some (n, counts.(n)) else None)
-        Sysno.all
+        Call.all
 
     method signal_counts =
       let rec go s acc =
@@ -44,7 +44,7 @@ class agent =
       Buffer.add_string b "syscall counts:\n";
       List.iter
         (fun (n, c) ->
-          Buffer.add_string b (Printf.sprintf "  %-16s %6d\n" (Sysno.name n) c))
+          Buffer.add_string b (Printf.sprintf "  %-16s %6d\n" (Call.name n) c))
         self#counts;
       (match self#signal_counts with
        | [] -> ()

@@ -250,7 +250,7 @@ class agent ?(decide : (unit -> decision) = fun () -> `Commit) () =
     method! init argv =
       (* buffers file mutations; the sys_exit commit hook is part of
          the loader's boilerplate minimum, so file calls suffice *)
-      List.iter self#register_interest Sysno.file_calls;
+      List.iter self#register_interest Call.file_calls;
       ignore argv;
       (match self#down Call.Getpid with
        | Ok { Value.r0; _ } -> session_pid <- r0

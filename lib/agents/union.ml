@@ -53,7 +53,7 @@ class agent =
 
     method! init argv =
       (* path translation touches file calls only *)
-      List.iter self#register_interest Sysno.file_calls;
+      List.iter self#register_interest Call.file_calls;
       Array.iter
         (fun arg ->
           match parse_mount_arg arg with

@@ -12,7 +12,7 @@ type entry = {
   t_linux : string;          (* the call name as written in the trace *)
   t_sysno : int;             (* mapped native syscall number *)
   t_shape : string;          (* canonical arg shape (Abi.Shape tokens) *)
-  t_path : string option;    (* first quoted absolute path argument *)
+  t_path : string option;    (* a pathname call's first absolute path *)
   t_fd : int option;         (* leading descriptor argument *)
   t_size : int option;       (* trailing byte-count argument *)
   t_wflags : int;            (* open intent: Flags.Open bits *)
@@ -25,73 +25,6 @@ type trace = {
   tr_skipped : int;          (* calls with no native mapping *)
   tr_lines : int;            (* input lines that looked like syscalls *)
 }
-
-(* --- the linux-name -> native-sysno table -------------------------------- *)
-
-let native_of_linux = function
-  | "read" -> Some Sysno.sys_read
-  | "write" -> Some Sysno.sys_write
-  | "open" | "openat" -> Some Sysno.sys_open
-  | "creat" -> Some Sysno.sys_creat
-  | "close" -> Some Sysno.sys_close
-  | "stat" | "stat64" | "newfstatat" | "fstatat64" | "statx" ->
-    Some Sysno.sys_stat
-  | "lstat" | "lstat64" -> Some Sysno.sys_lstat
-  | "fstat" | "fstat64" -> Some Sysno.sys_fstat
-  | "access" | "faccessat" | "faccessat2" -> Some Sysno.sys_access
-  | "unlink" | "unlinkat" -> Some Sysno.sys_unlink
-  | "mkdir" | "mkdirat" -> Some Sysno.sys_mkdir
-  | "rmdir" -> Some Sysno.sys_rmdir
-  | "rename" | "renameat" | "renameat2" -> Some Sysno.sys_rename
-  | "link" | "linkat" -> Some Sysno.sys_link
-  | "symlink" | "symlinkat" -> Some Sysno.sys_symlink
-  | "readlink" | "readlinkat" -> Some Sysno.sys_readlink
-  | "chdir" -> Some Sysno.sys_chdir
-  | "fchdir" -> Some Sysno.sys_fchdir
-  | "getcwd" -> Some Sysno.sys_getcwd
-  | "chmod" | "fchmodat" -> Some Sysno.sys_chmod
-  | "chown" | "fchownat" | "lchown" -> Some Sysno.sys_chown
-  | "truncate" -> Some Sysno.sys_truncate
-  | "ftruncate" -> Some Sysno.sys_ftruncate
-  | "lseek" | "_llseek" -> Some Sysno.sys_lseek
-  | "dup" -> Some Sysno.sys_dup
-  | "dup2" | "dup3" -> Some Sysno.sys_dup2
-  | "pipe" | "pipe2" -> Some Sysno.sys_pipe
-  | "fcntl" | "fcntl64" -> Some Sysno.sys_fcntl
-  | "select" | "pselect6" | "_newselect" -> Some Sysno.sys_select
-  | "fsync" | "fdatasync" -> Some Sysno.sys_fsync
-  | "sync" -> Some Sysno.sys_sync
-  | "ioctl" -> Some Sysno.sys_ioctl
-  | "mknod" | "mknodat" -> Some Sysno.sys_mknod
-  | "umask" -> Some Sysno.sys_umask
-  | "utimes" | "utimensat" | "utime" -> Some Sysno.sys_utimes
-  | "getdents" | "getdents64" -> Some Sysno.sys_getdirentries
-  | "getpid" -> Some Sysno.sys_getpid
-  | "getppid" -> Some Sysno.sys_getppid
-  | "getuid" | "getuid32" -> Some Sysno.sys_getuid
-  | "geteuid" | "geteuid32" -> Some Sysno.sys_geteuid
-  | "getgid" | "getgid32" -> Some Sysno.sys_getgid
-  | "getegid" | "getegid32" -> Some Sysno.sys_getegid
-  | "setuid" | "setuid32" -> Some Sysno.sys_setuid
-  | "getpgrp" -> Some Sysno.sys_getpgrp
-  | "setpgid" -> Some Sysno.sys_setpgrp
-  | "fork" | "vfork" | "clone" | "clone3" -> Some Sysno.sys_fork
-  | "execve" -> Some Sysno.sys_execve
-  | "wait4" | "waitpid" -> Some Sysno.sys_wait4
-  | "kill" -> Some Sysno.sys_kill
-  | "exit" | "exit_group" | "_exit" -> Some Sysno.sys_exit
-  | "gettimeofday" | "clock_gettime" | "time" -> Some Sysno.sys_gettimeofday
-  | "settimeofday" -> Some Sysno.sys_settimeofday
-  | "getrusage" -> Some Sysno.sys_getrusage
-  | "alarm" -> Some Sysno.sys_alarm
-  | "brk" | "sbrk" -> Some Sysno.sys_sbrk
-  | "nanosleep" | "clock_nanosleep" | "usleep" -> Some Sysno.sys_sleepus
-  | "rt_sigaction" | "sigaction" -> Some Sysno.sys_sigaction
-  | "rt_sigprocmask" | "sigprocmask" -> Some Sysno.sys_sigprocmask
-  | "rt_sigpending" | "sigpending" -> Some Sysno.sys_sigpending
-  | "rt_sigsuspend" | "sigsuspend" -> Some Sysno.sys_sigsuspend
-  | "socketpair" -> Some Sysno.sys_socketpair
-  | _ -> None
 
 (* --- lexing one line ------------------------------------------------------ *)
 
@@ -202,14 +135,9 @@ let first_path args =
       | _ -> None)
     args
 
-let leading_fd ~name args =
-  (* calls whose first argument is a descriptor *)
-  let fd_first =
-    [ "read"; "write"; "close"; "fstat"; "fstat64"; "lseek"; "_llseek";
-      "fchdir"; "ftruncate"; "fsync"; "fdatasync"; "dup"; "dup2"; "dup3";
-      "fcntl"; "fcntl64"; "ioctl"; "getdents"; "getdents64" ]
-  in
-  if List.mem name fd_first then
+(* the leading descriptor of a call whose first argument is one *)
+let leading_fd sysno args =
+  if Call.fd_first sysno then
     match args with
     | a :: _ when is_int_token a -> Some (int_of_string a)
     | a :: _ -> (
@@ -333,7 +261,7 @@ let parse text =
       | `Noise | `Unfinished -> ()
       | `Call (name, args, ret, errno) -> (
         incr lines;
-        match native_of_linux name with
+        match Call.of_linux name with
         | None -> incr skipped
         | Some sysno ->
           (* openat's AT_FDCWD and *at dirfds are calling-convention
@@ -356,8 +284,10 @@ let parse text =
               t_linux = name;
               t_sysno = sysno;
               t_shape = shape;
-              t_path = first_path args;
-              t_fd = leading_fd ~name args;
+              t_path =
+                (if List.mem sysno Call.pathname_calls then first_path args
+                 else None);
+              t_fd = leading_fd sysno args;
               t_size = trailing_size args;
               t_wflags = (if sysno = Sysno.sys_open then open_flags args else 0);
               t_ret = ret;

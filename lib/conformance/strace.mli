@@ -20,7 +20,7 @@ type entry = {
   t_linux : string;          (** the call name as written in the trace *)
   t_sysno : int;             (** mapped native syscall number *)
   t_shape : string;          (** canonical {!Abi.Shape} token string *)
-  t_path : string option;    (** first quoted absolute path argument *)
+  t_path : string option;    (** a pathname call's first absolute path *)
   t_fd : int option;         (** leading descriptor argument *)
   t_size : int option;       (** trailing byte-count argument *)
   t_wflags : int;            (** for open: reconstructed [Flags.Open] bits *)

@@ -8,7 +8,7 @@ type t = {
 }
 
 let create () =
-  { prev = Array.make (Sysno.max_sysno + 1) None; prev_sig = None }
+  { prev = Array.make (Call.max_sysno + 1) None; prev_sig = None }
 
 let capture t ~numbers =
   List.iter

@@ -9,7 +9,7 @@ let effective_interests (agent : #Numeric.numeric_syscall) =
 let install (agent : #Numeric.numeric_syscall) ~argv =
   (* capture the whole current vector: the agent may route any call
      down, not only the ones it intercepts *)
-  Downlink.capture agent#downlink ~numbers:Sysno.all;
+  Downlink.capture agent#downlink ~numbers:Call.all;
   (* initialise first: init both declares the agent's interests and may
      make system calls of its own, which must reach the level below *)
   agent#init argv;

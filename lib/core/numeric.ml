@@ -8,7 +8,7 @@ class numeric_syscall =
        numbers are already registered (the old list representation made
        register-everything quadratic in the table size) and duplicates
        are absorbed for free. *)
-    val interests = Bitset.create (Sysno.max_sysno + 1)
+    val interests = Bitset.create (Call.max_sysno + 1)
 
     method downlink = dl
     method down c = Downlink.down_call dl c
@@ -34,7 +34,7 @@ class numeric_syscall =
       done
 
     method register_interest_all =
-      List.iter self#register_interest Sysno.all
+      List.iter self#register_interest Call.all
 
     method interests = Bitset.to_list interests
 

@@ -80,7 +80,7 @@ let site_of_spec spec =
           int_of_string_opt (String.sub lhs (j + 1) (String.length lhs - j - 1)) )
       | None -> lhs, Some 0
     in
-    (match Sysno.of_name name, kth, action_of_string action with
+    (match Call.of_name name, kth, action_of_string action with
      | Some num, Some kth, Some act when kth >= 0 ->
        Some { s_pid = pid; s_num = num; s_kth = kth; s_action = act }
      | _ -> None)
@@ -101,8 +101,8 @@ let of_spec spec =
 
 let describe_site s =
   let where =
-    if s.s_pid = 0 then Sysno.name s.s_num
-    else Printf.sprintf "pid %d %s" s.s_pid (Sysno.name s.s_num)
+    if s.s_pid = 0 then Call.name s.s_num
+    else Printf.sprintf "pid %d %s" s.s_pid (Call.name s.s_num)
   in
   let which =
     if s.s_kth = 0 then "every call" else Printf.sprintf "call #%d" s.s_kth

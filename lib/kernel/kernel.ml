@@ -470,7 +470,7 @@ let watch_verdicts (t : t) = eval_watch t.watch (Obs.metrics_of t.obs)
    over [m]. *)
 let json_with ~rules m extra =
   let watchdogs = Obs.Watch.verdicts_to_json (eval_watch rules m) in
-  match Obs.metrics_to_json ~name:Abi.Sysno.name m with
+  match Obs.metrics_to_json ~name:Abi.Call.name m with
   | Obs.Json.Obj fields ->
     Obs.Json.Obj (fields @ extra @ [ ("watchdogs", watchdogs) ])
   | other -> other

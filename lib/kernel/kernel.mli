@@ -179,7 +179,7 @@ val watch_verdicts : t -> Obs.Watch.verdict list
 
 val metrics_json : t -> Obs.Json.t
 (** {!metrics} rendered with syscall names resolved via
-    [Abi.Sysno.name] — its ["codec"] ({!codec_stats}, incl.
+    [Abi.Call.name] — its ["codec"] ({!codec_stats}, incl.
     [fast_path] and [intercepted]) and ["env_pool"] ({!env_pool_stats})
     blocks included — plus a ["watchdogs"] ({!watch_verdicts}) block:
     every runtime statistic of one shard in one document.  The

@@ -97,7 +97,7 @@ type t = {
 let fd_table_size = 64
 
 let fresh_emulation () =
-  { vector = Array.make (Abi.Sysno.max_sysno + 1) None; shared = false;
+  { vector = Array.make (Abi.Call.max_sysno + 1) None; shared = false;
     sig_emul = None }
 
 let fresh_sigstate () =

@@ -140,6 +140,10 @@ let do_write t (p : Proc.t) fd data =
       match f.kind with
       | File.Vnode inode ->
         (match inode.kind with
+         | Vfs.Inode.Reg _ when data = "" ->
+           (* a zero-length write changes nothing: not the size, even
+              at an offset past EOF, nor the mtime, nor the offset *)
+           done_ret 0
          | Vfs.Inode.Reg filedata ->
            let pos =
              if f.flags land Flags.Open.o_append <> 0

@@ -16,7 +16,7 @@ val to_json :
   ?pid_label:(int -> string) ->
   Span.record list ->
   Json.t
-(** [name] renders syscall numbers (callers pass [Abi.Sysno.name]; obs
+(** [name] renders syscall numbers (callers pass [Abi.Call.name]; obs
     itself sits below [abi] and cannot).  [pid_label] names the trace
     process for a pid (default ["pid <n>"]; agentrun passes the
     image/workload name from the kernel's process table).

@@ -26,7 +26,7 @@ val total : fold list -> int
 
 val to_string : ?name:(int -> string) -> ?scale:float -> fold list -> string
 (** Collapsed-stack lines: [name(sysno);layer;...;layer weight].
-    [name] renders syscall numbers (callers pass [Abi.Sysno.name]).
+    [name] renders syscall numbers (callers pass [Abi.Call.name]).
     [scale] multiplies weights — 1.0 keeps virtual µs; passing
     measured ns per virtual µs (from the §3.8 host counters) yields
     the host-ns weighted variant. *)

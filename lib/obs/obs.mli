@@ -430,7 +430,7 @@ val merge_metrics : metrics list -> metrics
 val drain_of : engine -> Span.record list
 
 val metrics_to_json : ?name:(int -> string) -> metrics -> Json.t
-(** [name] renders syscall numbers (callers pass [Abi.Sysno.name]; obs
+(** [name] renders syscall numbers (callers pass [Abi.Call.name]; obs
     itself stays below [abi] in the library stack and cannot).
     Histograms carry [p50_us]/[p90_us]/[p99_us] upper-bucket-bound
     estimates ({!Hist.quantile}); when [sample_n > 1], sampled figures

@@ -125,7 +125,7 @@ let rec write_blocks t pos data doff n =
 let write t ~pos data =
   let n = String.length data in
   write_blocks t pos data 0 n;
-  if pos + n > t.len then t.len <- pos + n;
+  if n > 0 && pos + n > t.len then t.len <- pos + n;
   n
 
 let of_string s =

@@ -24,7 +24,9 @@ val read : t -> pos:int -> Bytes.t -> off:int -> len:int -> int
 val write : t -> pos:int -> string -> int
 (** [write t ~pos data] writes all of [data] at [pos], growing the file
     (a gap before [pos] reads as zeros, as a sparse write's would);
-    returns the number of bytes written (always [String.length data]). *)
+    returns the number of bytes written (always [String.length data]).
+    An empty [data] changes nothing, wherever [pos] is: the file does
+    not grow to [pos]. *)
 
 val truncate : t -> int -> unit
 (** Shrink, freeing every block past the new size, or extend with a

@@ -204,6 +204,8 @@ let test_dirent_small_buffer () =
 
 (* --- typed calls ------------------------------------------------------------------ *)
 
+let call_name c = Call.name (Call.number c)
+
 let call_cases : Call.t list =
   [ Call.Exit 3;
     Call.Read (4, Bytes.create 8, 8);
@@ -255,10 +257,10 @@ let test_call_roundtrip () =
     (fun c ->
       match Call.decode (Call.encode c) with
       | Ok c' ->
-        Alcotest.(check string) (Call.name c) (Call.name c) (Call.name c');
+        Alcotest.(check string) (call_name c) (call_name c) (call_name c');
         Alcotest.(check int) "number" (Call.number c) (Call.number c')
       | Error e ->
-        Alcotest.failf "decode %s failed: %s" (Call.name c) (Errno.name e))
+        Alcotest.failf "decode %s failed: %s" (call_name c) (Errno.name e))
     call_cases
 
 let test_call_decode_bad () =
@@ -273,29 +275,11 @@ let test_call_decode_bad () =
   | Error e -> Alcotest.failf "expected EFAULT, got %s" (Errno.name e)
   | Ok _ -> Alcotest.fail "decoded malformed read"
 
-let test_call_classification () =
-  List.iter
-    (fun c ->
-      let n = Call.number c in
-      (match Call.pathname_of c with
-       | Some _ ->
-         Alcotest.(check bool)
-           (Call.name c ^ " is a pathname call")
-           true (Sysno.uses_pathname n)
-       | None -> ());
-      match Call.descriptor_of c with
-      | Some _ ->
-        Alcotest.(check bool)
-          (Call.name c ^ " is a descriptor call")
-          true (Sysno.uses_descriptor n)
-      | None -> ())
-    call_cases
-
 let test_call_pp () =
   List.iter
     (fun c ->
       let s = Format.asprintf "%a" Call.pp c in
-      Alcotest.(check bool) (Call.name c) true (String.length s > 0))
+      Alcotest.(check bool) (call_name c) true (String.length s > 0))
     call_cases
 
 (* The trace agent's three result shapes, pinned byte for byte, and
@@ -429,12 +413,12 @@ let call_builders : (int * Call.t QCheck.Gen.t) list =
 let test_builders_cover_interface () =
   (* the generator table IS the interface: every syscall number, once *)
   Alcotest.(check (list int))
-    "one builder per syscall" Sysno.all
+    "one builder per syscall" Call.all
     (List.sort compare (List.map fst call_builders));
   List.iter
     (fun (num, gen) ->
       let c = QCheck.Gen.generate1 gen in
-      Alcotest.(check int) (Sysno.name num) num (Call.number c))
+      Alcotest.(check int) (Call.name num) num (Call.number c))
     call_builders
 
 let gen_call =
@@ -478,7 +462,7 @@ let gen_wire : Value.wire QCheck.Gen.t =
   let random =
     map2
       (fun num args -> { Value.num; args = Array.of_list args })
-      (int_range (-1) (Sysno.max_sysno + 1))
+      (int_range (-1) (Call.max_sysno + 1))
       (list_size (int_bound 4) gen_value)
   in
   let perturbed =
@@ -587,7 +571,7 @@ let test_envelope_typed_read () =
       List.iter
         (fun (birth, env, decodes) ->
           let what s =
-            Printf.sprintf "%s %s: %s" birth (Sysno.name (Call.number c)) s
+            Printf.sprintf "%s %s: %s" birth (call_name c) s
           in
           let first, d =
             codec_window (fun () ->
@@ -910,13 +894,154 @@ let test_bitset_model =
 let test_sysno_table () =
   List.iter
     (fun n ->
-      Alcotest.(check (option int)) (Sysno.name n) (Some n)
-        (Sysno.of_name (Sysno.name n)))
-    Sysno.all;
+      Alcotest.(check (option int)) (Call.name n) (Some n)
+        (Call.of_name (Call.name n)))
+    Call.all;
   Alcotest.(check bool) "all sorted" true
-    (List.sort compare Sysno.all = Sysno.all);
-  Alcotest.(check int) "count" (List.length Sysno.all)
-    (List.length (List.sort_uniq compare Sysno.all))
+    (List.sort compare Call.all = Call.all);
+  Alcotest.(check int) "count" (List.length Call.all)
+    (List.length (List.sort_uniq compare Call.all))
+
+(* --- the system-call table ---------------------------------------------------- *)
+
+(* The families, pinned as literal lists: a row that moves a call into
+   or out of a family shows here. *)
+let test_table_families () =
+  let sorted l = List.sort compare l in
+  Alcotest.(check (list int)) "pathname family"
+    (sorted
+       Sysno.
+         [ sys_open; sys_creat; sys_link; sys_unlink; sys_execve; sys_chdir;
+           sys_mknod; sys_chmod; sys_chown; sys_access; sys_stat; sys_lstat;
+           sys_symlink; sys_readlink; sys_rename; sys_truncate; sys_mkdir;
+           sys_rmdir; sys_utimes ])
+    Call.pathname_calls;
+  Alcotest.(check (list int)) "descriptor family"
+    (sorted
+       Sysno.
+         [ sys_read; sys_write; sys_close; sys_fchdir; sys_lseek; sys_dup;
+           sys_dup2; sys_pipe; sys_ioctl; sys_fstat; sys_fcntl; sys_fsync;
+           sys_ftruncate; sys_getdirentries; sys_open; sys_creat; sys_bind;
+           sys_listen; sys_accept; sys_connect; sys_send; sys_recv;
+           sys_shutdown ])
+    Call.descriptor_calls;
+  Alcotest.(check (list int)) "file calls, ascending"
+    Sysno.
+      [ sys_read; sys_write; sys_open; sys_close; sys_creat; sys_link;
+        sys_unlink; sys_execve; sys_chdir; sys_fchdir; sys_mknod; sys_chmod;
+        sys_chown; sys_lseek; sys_access; sys_stat; sys_lstat; sys_dup;
+        sys_pipe; sys_ioctl; sys_symlink; sys_readlink; sys_fstat; sys_dup2;
+        sys_fcntl; sys_fsync; sys_connect; sys_accept; sys_send; sys_recv;
+        sys_bind; sys_listen; sys_rename; sys_truncate; sys_ftruncate;
+        sys_shutdown; sys_mkdir; sys_rmdir; sys_utimes; sys_getdirentries ]
+    Call.file_calls;
+  Alcotest.(check (list int)) "sizes" [ 19; 23; 40; 71 ]
+    (List.map List.length
+       [ Call.pathname_calls; Call.descriptor_calls; Call.file_calls; Call.all ])
+
+(* Every Linux name strace(1) reports that maps onto a native call, and
+   the native calls no Linux name maps onto. *)
+let strace_pairs =
+  Sysno.
+      [ ("read", sys_read); ("write", sys_write); ("open", sys_open);
+        ("openat", sys_open); ("creat", sys_creat); ("close", sys_close);
+        ("stat", sys_stat); ("stat64", sys_stat); ("newfstatat", sys_stat);
+        ("fstatat64", sys_stat); ("statx", sys_stat); ("lstat", sys_lstat);
+        ("lstat64", sys_lstat); ("fstat", sys_fstat); ("fstat64", sys_fstat);
+        ("access", sys_access); ("faccessat", sys_access);
+        ("faccessat2", sys_access); ("unlink", sys_unlink);
+        ("unlinkat", sys_unlink); ("mkdir", sys_mkdir); ("mkdirat", sys_mkdir);
+        ("rmdir", sys_rmdir); ("rename", sys_rename); ("renameat", sys_rename);
+        ("renameat2", sys_rename); ("link", sys_link); ("linkat", sys_link);
+        ("symlink", sys_symlink); ("symlinkat", sys_symlink);
+        ("readlink", sys_readlink); ("readlinkat", sys_readlink);
+        ("chdir", sys_chdir); ("fchdir", sys_fchdir); ("getcwd", sys_getcwd);
+        ("chmod", sys_chmod); ("fchmodat", sys_chmod); ("chown", sys_chown);
+        ("fchownat", sys_chown); ("lchown", sys_chown);
+        ("truncate", sys_truncate); ("ftruncate", sys_ftruncate);
+        ("lseek", sys_lseek); ("_llseek", sys_lseek); ("dup", sys_dup);
+        ("dup2", sys_dup2); ("dup3", sys_dup2); ("pipe", sys_pipe);
+        ("pipe2", sys_pipe); ("fcntl", sys_fcntl); ("fcntl64", sys_fcntl);
+        ("select", sys_select); ("pselect6", sys_select);
+        ("_newselect", sys_select); ("fsync", sys_fsync);
+        ("fdatasync", sys_fsync); ("sync", sys_sync); ("ioctl", sys_ioctl);
+        ("mknod", sys_mknod); ("mknodat", sys_mknod); ("umask", sys_umask);
+        ("utimes", sys_utimes); ("utimensat", sys_utimes);
+        ("utime", sys_utimes); ("getdents", sys_getdirentries);
+        ("getdents64", sys_getdirentries); ("getpid", sys_getpid);
+        ("getppid", sys_getppid); ("getuid", sys_getuid);
+        ("getuid32", sys_getuid); ("geteuid", sys_geteuid);
+        ("geteuid32", sys_geteuid); ("getgid", sys_getgid);
+        ("getgid32", sys_getgid); ("getegid", sys_getegid);
+        ("getegid32", sys_getegid); ("setuid", sys_setuid);
+        ("setuid32", sys_setuid); ("getpgrp", sys_getpgrp);
+        ("setpgid", sys_setpgrp); ("fork", sys_fork); ("vfork", sys_fork);
+        ("clone", sys_fork); ("clone3", sys_fork); ("execve", sys_execve);
+        ("wait4", sys_wait4); ("waitpid", sys_wait4); ("kill", sys_kill);
+        ("exit", sys_exit); ("exit_group", sys_exit); ("_exit", sys_exit);
+        ("gettimeofday", sys_gettimeofday);
+        ("clock_gettime", sys_gettimeofday); ("time", sys_gettimeofday);
+        ("settimeofday", sys_settimeofday); ("getrusage", sys_getrusage);
+        ("alarm", sys_alarm); ("brk", sys_sbrk); ("sbrk", sys_sbrk);
+        ("nanosleep", sys_sleepus); ("clock_nanosleep", sys_sleepus);
+        ("usleep", sys_sleepus); ("rt_sigaction", sys_sigaction);
+        ("sigaction", sys_sigaction); ("rt_sigprocmask", sys_sigprocmask);
+        ("sigprocmask", sys_sigprocmask); ("rt_sigpending", sys_sigpending);
+        ("sigpending", sys_sigpending); ("rt_sigsuspend", sys_sigsuspend);
+        ("sigsuspend", sys_sigsuspend); ("socketpair", sys_socketpair) ]
+
+let test_table_strace_names () =
+  List.iter
+    (fun (linux, n) ->
+      Alcotest.(check (option int)) linux (Some n) (Call.of_linux linux))
+    strace_pairs;
+  let mapped = List.sort_uniq compare (List.map snd strace_pairs) in
+  Alcotest.(check (list int)) "unmapped natives"
+    (List.sort compare
+       Sysno.
+         [ sys_socket; sys_bind; sys_connect; sys_accept; sys_send; sys_recv;
+           sys_listen; sys_shutdown; sys_getpagesize; sys_getdtablesize ])
+    (List.filter (fun n -> not (List.mem n mapped)) Call.all);
+  List.iter
+    (fun linux ->
+      Alcotest.(check (option int)) linux None (Call.of_linux linux))
+    [ "socket"; "bind"; "connect"; "accept"; "send"; "recv"; "listen";
+      "shutdown"; "getpagesize"; "getdtablesize"; "epoll_create1" ]
+
+(* Decoding a well-formed wire allocates the typed call and its [Ok],
+   and nothing else; a nullary call's [Ok] is built once with the
+   table, so decoding one allocates nothing at all. *)
+let test_decode_words () =
+  let rand = Random.State.make [| 33 |] in
+  List.iter
+    (fun (num, gen) ->
+      let c =
+        if num = Sysno.sys_sigaction then
+          Call.Sigaction (Signal.sigusr1, None, None)
+        else QCheck.Gen.generate1 ~rand gen
+      in
+      let w = Call.encode c in
+      let block = Obj.repr c in
+      let expect = if Obj.is_int block then 0 else 1 + Obj.size block + 2 in
+      let n = 1000 in
+      ignore (Sys.opaque_identity (Call.decode w));
+      let m0 = Gc.minor_words () in
+      for _ = 1 to n do
+        ignore (Sys.opaque_identity (Call.decode w))
+      done;
+      let words = (Gc.minor_words () -. m0) /. float_of_int n in
+      Alcotest.(check (float 0.)) (Call.name num) (float_of_int expect) words)
+    call_builders
+
+let test_fd_first () =
+  Alcotest.(check (list int)) "calls whose first argument is a descriptor"
+    (List.sort compare
+       Sysno.
+         [ sys_read; sys_write; sys_close; sys_fchdir; sys_lseek; sys_dup;
+           sys_dup2; sys_ioctl; sys_fstat; sys_fcntl; sys_fsync;
+           sys_ftruncate; sys_getdirentries; sys_bind; sys_listen;
+           sys_accept; sys_connect; sys_send; sys_recv; sys_shutdown ])
+    (List.filter Call.fd_first Call.all)
 
 (* --- cost model -------------------------------------------------------------------- *)
 
@@ -983,10 +1108,13 @@ let () =
         qtest test_call_roundtrip_exhaustive;
         qtest test_decode_matches_reference;
         Alcotest.test_case "bad decode" `Quick test_call_decode_bad;
-        Alcotest.test_case "classification" `Quick test_call_classification;
         Alcotest.test_case "pp" `Quick test_call_pp;
         Alcotest.test_case "result shapes" `Quick test_res_shapes;
-        Alcotest.test_case "sysno" `Quick test_sysno_table ];
+        Alcotest.test_case "sysno" `Quick test_sysno_table;
+        Alcotest.test_case "table families" `Quick test_table_families;
+        Alcotest.test_case "table strace names" `Quick test_table_strace_names;
+        Alcotest.test_case "table fd first" `Quick test_fd_first;
+        Alcotest.test_case "decode words" `Quick test_decode_words ];
       "envelope",
       [ Alcotest.test_case "decode once" `Quick test_envelope_decode_once;
         Alcotest.test_case "lazy encode" `Quick

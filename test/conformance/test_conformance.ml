@@ -332,7 +332,7 @@ let test_capture_pins () =
   in
   let c = Conformance.capture w Conformance.bare in
   let line (ev : Sig.event) =
-    Printf.sprintf "%d %s %s" ev.Sig.x_pid (Sysno.name ev.Sig.x_sysno)
+    Printf.sprintf "%d %s %s" ev.Sig.x_pid (Call.name ev.Sig.x_sysno)
       (Sig.outcome_name ev.Sig.x_outcome)
   in
   Alcotest.(check (list string)) "issue order and outcomes"

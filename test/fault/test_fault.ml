@@ -41,7 +41,7 @@ let test_plan_rejects_garbage () =
 
 let site_gen =
   QCheck.Gen.(
-    let* num = oneofl Sysno.all in
+    let* num = oneofl Call.all in
     let* pid = int_range 0 5 in
     let* kth = int_range 0 9 in
     let* action =

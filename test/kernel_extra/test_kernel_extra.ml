@@ -2426,6 +2426,39 @@ let test_link_advances_ctime () =
   if after < before + 2 then
     Alcotest.failf "ctime %d -> %d across a link 2 s later" before after
 
+(* A zero-length write to a regular file changes nothing: at offset 100
+   of a 3-byte file it returns 0, and the size, the mtime and the offset
+   stay, with and without O_APPEND (as on Linux's ext4) *)
+let test_empty_write_changes_nothing () =
+  let module U = Libc.Unistd in
+  let got = ref [] in
+  let _, status = boot (fun () ->
+    u "write_file" (Libc.Stdio.write_file "/tmp/empty" "abc");
+    let before = (u "stat" (U.stat "/tmp/empty")).Stat.st_mtime in
+    u "sleep" (U.sleep_us 2_000_000);
+    got :=
+      List.map
+        (fun extra ->
+          let fd =
+            u "open" (U.open_ "/tmp/empty" (Flags.Open.o_wronly lor extra) 0)
+          in
+          ignore (u "lseek" (U.lseek fd 100 Flags.Seek.set));
+          let n = u "write" (U.write fd "") in
+          let st = u "fstat" (U.fstat fd) in
+          let off = u "where" (U.lseek fd 0 Flags.Seek.cur) in
+          u "close" (U.close fd);
+          (n, st.Stat.st_size, st.Stat.st_mtime - before, off))
+        [ 0; Flags.Open.o_append ];
+    0)
+  in
+  check_exit "session" 0 status;
+  List.iter2
+    (fun what (n, size, dmtime, off) ->
+      Alcotest.(check (list int)) what [ 0; 3; 0; 100 ] [ n; size; dmtime; off ])
+    [ "plain: returned, size, mtime moved by, offset";
+      "O_APPEND: returned, size, mtime moved by, offset" ]
+    !got
+
 (* MAXPATHLEN counts the NUL: a 1,023-byte path resolves and a 1,024-byte
    one is ENAMETOOLONG, for lookups and for the parent walk of a create *)
 let test_path_length_boundary () =
@@ -2588,7 +2621,9 @@ let () =
         Alcotest.test_case "link advances ctime" `Quick
           test_link_advances_ctime;
         Alcotest.test_case "path length boundary" `Quick
-          test_path_length_boundary ];
+          test_path_length_boundary;
+        Alcotest.test_case "empty write changes nothing" `Quick
+          test_empty_write_changes_nothing ];
       "select-wake",
       List.map
         (fun r -> Alcotest.test_case r.row `Quick (run_select_row r))

@@ -604,14 +604,14 @@ let test_slice_reachability () =
 
 let test_chrome_flow_events () =
   let records = Kernel.drain_obs (causal_session ()) in
-  let trace = Obs.Chrome.to_string ~name:Sysno.name records in
+  let trace = Obs.Chrome.to_string ~name:Call.name records in
   let starts = occurrences "\"ph\":\"s\"" trace in
   let finishes = occurrences "\"ph\":\"f\"" trace in
   Alcotest.(check bool) "flow events present" true (starts > 0);
   Alcotest.(check int) "every start binds a finish" starts finishes;
   (* without its edge records the same log renders no flow events *)
   let bare =
-    Obs.Chrome.to_string ~name:Sysno.name
+    Obs.Chrome.to_string ~name:Call.name
       (List.filter (function Obs.Span.Edge _ -> false | _ -> true) records)
   in
   Alcotest.(check int) "no edges, no flows" 0 (occurrences "\"ph\":\"s\"" bare)
@@ -690,7 +690,7 @@ let test_flame_conservation () =
     (2 * span_self)
     (Obs.Flame.total (Obs.Flame.combine [ folds; folds ]));
   let lines =
-    String.split_on_char '\n' (String.trim (Obs.Flame.to_string ~name:Sysno.name folds))
+    String.split_on_char '\n' (String.trim (Obs.Flame.to_string ~name:Call.name folds))
   in
   Alcotest.(check int) "one collapsed-stack line per fold"
     (List.length folds) (List.length lines);
@@ -844,7 +844,7 @@ let test_watch_parse () =
      no-aborts = aborts <= 0\n\
      pool = env_pool_misses <= 100\n"
   in
-  match Obs.Watch.of_spec ~sysno:Sysno.of_name text with
+  match Obs.Watch.of_spec ~sysno:Call.of_name text with
   | Error e -> Alcotest.failf "spec did not parse: %s" e
   | Ok rules ->
     Alcotest.(check (list string)) "names in file order"
@@ -858,7 +858,7 @@ let test_watch_parse () =
 let test_watch_rejects_garbage () =
   List.iter
     (fun spec ->
-      match Obs.Watch.of_spec ~sysno:Sysno.of_name spec with
+      match Obs.Watch.of_spec ~sysno:Call.of_name spec with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "spec %S should not parse" spec)
     [ "just words"; "r = error_rate(nosuchcall) <= 0.1"; "r = p99_us(*) <= x";
@@ -867,7 +867,7 @@ let test_watch_rejects_garbage () =
 let test_watch_eval () =
   let rules =
     match
-      Obs.Watch.of_spec ~sysno:Sysno.of_name
+      Obs.Watch.of_spec ~sysno:Call.of_name
         "reads = error_rate(read) <= 0.5\n\
          tail = p99_us(*) <= 100\n\
          aborts = aborts <= 2\n"
@@ -958,7 +958,7 @@ let load_example_rules () =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  match Obs.Watch.of_spec ~sysno:Sysno.of_name text with
+  match Obs.Watch.of_spec ~sysno:Call.of_name text with
   | Ok rules -> rules
   | Error e -> Alcotest.failf "examples/watchdog_eio.rules: %s" e
 

@@ -1316,7 +1316,7 @@ let test_chrome_from_session () =
       check_exit "session" 0 status;
       let events =
         check_chrome_events
-          (Obs.Chrome.to_json ~name:Sysno.name (Obs.records ()))
+          (Obs.Chrome.to_json ~name:Call.name (Obs.records ()))
       in
       check_chrome_self_sums events)
 

@@ -421,7 +421,7 @@ let test_cluster_chrome_lanes () =
     (fun (_, records) ->
       Alcotest.(check bool) "each shard drained records" true (records <> []))
     shards;
-  let trace = Obs.Chrome.to_string_sharded ~name:Sysno.name shards in
+  let trace = Obs.Chrome.to_string_sharded ~name:Call.name shards in
   Alcotest.(check bool)
     "shard 0 lane labelled" true
     (contains trace "s0 pid 1");

@@ -594,7 +594,7 @@ let test_counter_identity () =
 
 let passthrough env = Kernel.Uspace.htg_trap env
 
-let all_numbers = List.init (Sysno.max_sysno + 1) Fun.id
+let all_numbers = List.init (Call.max_sysno + 1) Fun.id
 
 let test_out_of_range_numbers () =
   (* numbers outside the handler table fail the range check: they go
@@ -610,7 +610,7 @@ let test_out_of_range_numbers () =
         results :=
           List.map
             (fun num -> Kernel.Uspace.trap_wire { Value.num; args = [||] })
-            [ -1; Sysno.max_sysno + 1 ])
+            [ -1; Call.max_sysno + 1 ])
   in
   List.iter
     (fun r ->
@@ -636,18 +636,18 @@ let same got expect =
   | Some f, Some i -> f == handlers.(i)
   | Some _, None | None, Some _ -> false
 
-let in_table n = n >= 0 && n <= Sysno.max_sysno
+let in_table n = n >= 0 && n <= Call.max_sysno
 
 let table_matches model =
   List.for_all
     (fun n -> same (Kernel.Uspace.task_get_emulation n) (Model.find_opt n model))
-    (List.init (Sysno.max_sysno + 5) (fun i -> i - 2))
+    (List.init (Call.max_sysno + 5) (fun i -> i - 2))
 
 let downlink_matches dl model =
   List.for_all
     (fun n ->
       same (Toolkit.Downlink.captured_handler dl n) (Model.find_opt n model))
-    (List.init (Sysno.max_sysno + 5) (fun i -> i - 2))
+    (List.init (Call.max_sysno + 5) (fun i -> i - 2))
 
 let set_in model numbers v =
   List.fold_left
@@ -727,7 +727,7 @@ let test_table_model =
     QCheck.(
       small_list
         (triple (int_bound 4) (int_bound 2)
-           (small_list (int_range (-2) (Sysno.max_sysno + 2)))))
+           (small_list (int_range (-2) (Call.max_sysno + 2)))))
     table_follows_model
 
 let () =

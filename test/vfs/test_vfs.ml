@@ -65,12 +65,15 @@ module Flat = struct
       t.b <- b
     end
 
+  (* an empty write changes nothing, even past EOF *)
   let write t ~pos s =
     let n = String.length s in
-    reserve t (pos + n);
-    if pos > t.len then Bytes.fill t.b t.len (pos - t.len) '\000';
-    Bytes.blit_string s 0 t.b pos n;
-    t.len <- max t.len (pos + n)
+    if n > 0 then begin
+      reserve t (pos + n);
+      if pos > t.len then Bytes.fill t.b t.len (pos - t.len) '\000';
+      Bytes.blit_string s 0 t.b pos n;
+      t.len <- max t.len (pos + n)
+    end
 
   let read t ~pos n =
     if pos >= t.len || n <= 0 then "" else Bytes.sub_string t.b pos (min n (t.len - pos))
