@@ -146,116 +146,85 @@ let number = function
   | Sleepus _ -> Sysno.sys_sleepus
   | Getcwd _ -> Sysno.sys_getcwd
 
-(* The encoder writes argument slots into an existing wire so the pool
-   fast path ([Envelope.at_boundary]) can refill the wire a recycled
-   envelope owns in place; the args array is reused whenever the arity
-   matches (for a pooled wire in a syscall loop, always). *)
-
-let slots (w : Value.wire) n =
-  let a = w.args in
-  if Array.length a = n then a
-  else begin
-    let a = Array.make n Value.Nil in
-    w.args <- a;
-    a
-  end
-
-let fill0 w = ignore (slots w 0)
-let fill1 w x = (slots w 1).(0) <- x
-
-let fill2 w x y =
-  let a = slots w 2 in
-  a.(0) <- x;
-  a.(1) <- y
-
-let fill3 w x y z =
-  let a = slots w 3 in
-  a.(0) <- x;
-  a.(1) <- y;
-  a.(2) <- z
-
-let encode_into (w : Value.wire) c =
-  w.num <- number c;
-  match c with
-  | Exit code -> fill1 w (Int code)
-  | Fork body -> fill1 w (Body body)
-  | Read (fd, buf, n) -> fill3 w (Int fd) (Buf buf) (Int n)
-  | Write (fd, data) -> fill2 w (Int fd) (Str data)
-  | Open (p, flags, mode) -> fill3 w (Str p) (Int flags) (Int mode)
-  | Close fd -> fill1 w (Int fd)
-  | Wait4 (pid, opts) -> fill2 w (Int pid) (Int opts)
-  | Creat (p, mode) -> fill2 w (Str p) (Int mode)
-  | Link (p, q) -> fill2 w (Str p) (Str q)
-  | Unlink p -> fill1 w (Str p)
-  | Execve (p, argv, envp) -> fill3 w (Str p) (Strs argv) (Strs envp)
-  | Chdir p -> fill1 w (Str p)
-  | Fchdir fd -> fill1 w (Int fd)
-  | Mknod (p, mode, dev) -> fill3 w (Str p) (Int mode) (Int dev)
-  | Chmod (p, mode) -> fill2 w (Str p) (Int mode)
-  | Chown (p, uid, gid) -> fill3 w (Str p) (Int uid) (Int gid)
-  | Sbrk n -> fill1 w (Int n)
-  | Lseek (fd, off, whence) -> fill3 w (Int fd) (Int off) (Int whence)
-  | Getpid -> fill0 w
-  | Setuid u -> fill1 w (Int u)
-  | Getuid -> fill0 w
-  | Geteuid -> fill0 w
-  | Alarm s -> fill1 w (Int s)
-  | Access (p, m) -> fill2 w (Str p) (Int m)
-  | Sync -> fill0 w
-  | Kill (pid, s) -> fill2 w (Int pid) (Int s)
-  | Stat (p, r) -> fill2 w (Str p) (Stat_ref r)
-  | Getppid -> fill0 w
-  | Lstat (p, r) -> fill2 w (Str p) (Stat_ref r)
-  | Dup fd -> fill1 w (Int fd)
-  | Pipe -> fill0 w
-  | Socketpair -> fill0 w
-  | Getegid -> fill0 w
-  | Sigaction (s, h, o) ->
-    fill3 w (Int s)
-      (match h with Some h -> Handler h | None -> Nil)
-      (match o with Some r -> Handler_ref r | None -> Nil)
-  | Getgid -> fill0 w
-  | Sigprocmask (how, m) -> fill2 w (Int how) (Int m)
-  | Sigpending -> fill0 w
-  | Sigsuspend m -> fill1 w (Int m)
-  | Ioctl (fd, op, b) -> fill3 w (Int fd) (Int op) (Buf b)
-  | Symlink (tgt, p) -> fill2 w (Str tgt) (Str p)
-  | Readlink (p, b) -> fill2 w (Str p) (Buf b)
-  | Umask m -> fill1 w (Int m)
-  | Fstat (fd, r) -> fill2 w (Int fd) (Stat_ref r)
-  | Getpagesize -> fill0 w
-  | Getpgrp -> fill0 w
-  | Setpgrp (pid, pgrp) -> fill2 w (Int pid) (Int pgrp)
-  | Getdtablesize -> fill0 w
-  | Dup2 (o, n) -> fill2 w (Int o) (Int n)
-  | Fcntl (fd, cmd, arg) -> fill3 w (Int fd) (Int cmd) (Int arg)
-  | Fsync fd -> fill1 w (Int fd)
-  | Socket -> fill0 w
-  | Bind (fd, addr) -> fill2 w (Int fd) (Str addr)
-  | Listen (fd, backlog) -> fill2 w (Int fd) (Int backlog)
-  | Accept fd -> fill1 w (Int fd)
-  | Connect (fd, addr) -> fill2 w (Int fd) (Str addr)
-  | Send (fd, data) -> fill2 w (Int fd) (Str data)
-  | Recv (fd, buf, n) -> fill3 w (Int fd) (Buf buf) (Int n)
-  | Shutdown (fd, how) -> fill2 w (Int fd) (Int how)
-  | Select (r, w', tmo) -> fill3 w (Int r) (Int w') (Int tmo)
-  | Gettimeofday r -> fill1 w (Tv_ref r)
-  | Getrusage r -> fill1 w (Tv_ref r)
-  | Settimeofday (s, us) -> fill2 w (Int s) (Int us)
-  | Rename (p, q) -> fill2 w (Str p) (Str q)
-  | Truncate (p, len) -> fill2 w (Str p) (Int len)
-  | Ftruncate (fd, len) -> fill2 w (Int fd) (Int len)
-  | Mkdir (p, mode) -> fill2 w (Str p) (Int mode)
-  | Rmdir p -> fill1 w (Str p)
-  | Utimes (p, a, m) -> fill3 w (Str p) (Int a) (Int m)
-  | Getdirentries (fd, b) -> fill2 w (Int fd) (Buf b)
-  | Sleepus us -> fill1 w (Int us)
-  | Getcwd b -> fill1 w (Buf b)
-
 let encode c =
-  let w = { Value.num = 0; args = [||] } in
-  encode_into w c;
-  w
+  let args =
+    match c with
+    | Exit code -> [| Int code |]
+    | Fork body -> [| Body body |]
+    | Read (fd, buf, n) -> [| Int fd; Buf buf; Int n |]
+    | Write (fd, data) -> [| Int fd; Str data |]
+    | Open (p, flags, mode) -> [| Str p; Int flags; Int mode |]
+    | Close fd -> [| Int fd |]
+    | Wait4 (pid, opts) -> [| Int pid; Int opts |]
+    | Creat (p, mode) -> [| Str p; Int mode |]
+    | Link (p, q) -> [| Str p; Str q |]
+    | Unlink p -> [| Str p |]
+    | Execve (p, argv, envp) -> [| Str p; Strs argv; Strs envp |]
+    | Chdir p -> [| Str p |]
+    | Fchdir fd -> [| Int fd |]
+    | Mknod (p, mode, dev) -> [| Str p; Int mode; Int dev |]
+    | Chmod (p, mode) -> [| Str p; Int mode |]
+    | Chown (p, uid, gid) -> [| Str p; Int uid; Int gid |]
+    | Sbrk n -> [| Int n |]
+    | Lseek (fd, off, whence) -> [| Int fd; Int off; Int whence |]
+    | Getpid -> [||]
+    | Setuid u -> [| Int u |]
+    | Getuid -> [||]
+    | Geteuid -> [||]
+    | Alarm s -> [| Int s |]
+    | Access (p, m) -> [| Str p; Int m |]
+    | Sync -> [||]
+    | Kill (pid, s) -> [| Int pid; Int s |]
+    | Stat (p, r) -> [| Str p; Stat_ref r |]
+    | Getppid -> [||]
+    | Lstat (p, r) -> [| Str p; Stat_ref r |]
+    | Dup fd -> [| Int fd |]
+    | Pipe -> [||]
+    | Socketpair -> [||]
+    | Getegid -> [||]
+    | Sigaction (s, h, o) ->
+      [| Int s;
+         (match h with Some h -> Handler h | None -> Nil);
+         (match o with Some r -> Handler_ref r | None -> Nil) |]
+    | Getgid -> [||]
+    | Sigprocmask (how, m) -> [| Int how; Int m |]
+    | Sigpending -> [||]
+    | Sigsuspend m -> [| Int m |]
+    | Ioctl (fd, op, b) -> [| Int fd; Int op; Buf b |]
+    | Symlink (tgt, p) -> [| Str tgt; Str p |]
+    | Readlink (p, b) -> [| Str p; Buf b |]
+    | Umask m -> [| Int m |]
+    | Fstat (fd, r) -> [| Int fd; Stat_ref r |]
+    | Getpagesize -> [||]
+    | Getpgrp -> [||]
+    | Setpgrp (pid, pgrp) -> [| Int pid; Int pgrp |]
+    | Getdtablesize -> [||]
+    | Dup2 (o, n) -> [| Int o; Int n |]
+    | Fcntl (fd, cmd, arg) -> [| Int fd; Int cmd; Int arg |]
+    | Fsync fd -> [| Int fd |]
+    | Socket -> [||]
+    | Bind (fd, addr) -> [| Int fd; Str addr |]
+    | Listen (fd, backlog) -> [| Int fd; Int backlog |]
+    | Accept fd -> [| Int fd |]
+    | Connect (fd, addr) -> [| Int fd; Str addr |]
+    | Send (fd, data) -> [| Int fd; Str data |]
+    | Recv (fd, buf, n) -> [| Int fd; Buf buf; Int n |]
+    | Shutdown (fd, how) -> [| Int fd; Int how |]
+    | Select (r, w, tmo) -> [| Int r; Int w; Int tmo |]
+    | Gettimeofday r -> [| Tv_ref r |]
+    | Getrusage r -> [| Tv_ref r |]
+    | Settimeofday (s, us) -> [| Int s; Int us |]
+    | Rename (p, q) -> [| Str p; Str q |]
+    | Truncate (p, len) -> [| Str p; Int len |]
+    | Ftruncate (fd, len) -> [| Int fd; Int len |]
+    | Mkdir (p, mode) -> [| Str p; Int mode |]
+    | Rmdir p -> [| Str p |]
+    | Utimes (p, a, m) -> [| Str p; Int a; Int m |]
+    | Getdirentries (fd, b) -> [| Int fd; Buf b |]
+    | Sleepus us -> [| Int us |]
+    | Getcwd b -> [| Buf b |]
+  in
+  { Value.num = number c; args }
 
 (* --- the system-call table --------------------------------------------- *)
 
@@ -499,6 +468,15 @@ let file_calls = List.sort_uniq compare (pathname_calls @ descriptor_calls)
 
 let fd_first n =
   match row_of n with Some r -> first_slot is_fd r.spec | None -> false
+
+(* The arity [encode] gives the call, read off its row's spec. *)
+let nargs c =
+  match row_of (number c) with
+  | Some { spec = A0 _; _ } -> 0
+  | Some { spec = A1 _; _ } -> 1
+  | Some { spec = A2 _; _ } -> 2
+  | Some { spec = A3 _; _ } -> 3
+  | None -> assert false (* every constructor has a row *)
 
 (* --- decoding ------------------------------------------------------------ *)
 

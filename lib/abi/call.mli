@@ -96,12 +96,8 @@ type t =
 val number : t -> int
 
 val encode : t -> Value.wire
-
-val encode_into : Value.wire -> t -> unit
-(** [encode_into w c] overwrites [w] in place with the wire form of
-    [c], reusing [w]'s argument array when the arity matches.  This is
-    the pooled-envelope refill path ([Envelope.at_boundary]); [encode] is
-    [encode_into] onto a fresh record. *)
+(** A fresh wire: [decode (encode c)] equals [c], its out-parameter
+    refs, buffers and closures physically shared. *)
 
 (** {1 The system-call table}
 
@@ -151,6 +147,10 @@ val file_calls : int list
 
 val fd_first : int -> bool
 (** The call's first argument is a descriptor. *)
+
+val nargs : t -> int
+(** The length of [encode c]'s argument vector, read off the call's
+    row without encoding. *)
 
 val pp : Format.formatter -> t -> unit
 (** trace(1)-style rendering: [open("/etc/motd", O_RDONLY, 0)]. *)

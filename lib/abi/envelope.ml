@@ -11,16 +11,24 @@ type t = {
       (* Mutable only so a pooled record can be refilled in place; no
          code path changes the number of a live envelope. *)
   mutable wire : Value.wire option;
-      (* [None] while the [Typed] view is authoritative but not yet
-         (re-)encoded — i.e. the dirty state. *)
+      (* [None] until a wire is built: on a [Typed] view that is the
+         dirty state, unless [implied] says the wire is the
+         boundary's, counted and not yet needed. *)
   mutable view : view;
+  mutable implied : bool;
+      (* A boundary envelope: its wire is [Call.encode] of the [Typed]
+         view, already counted at the boundary, so building it on
+         demand counts nothing. *)
+  mutable pending : bool;
+      (* A boundary envelope whose decode is not counted yet: the view
+         holds the application's call, but no layer has read it. *)
   mutable span : int;
       (* Obs span this envelope's codec work attributes to; 0 when
          tracing is off or the envelope is born outside any trap. *)
   mutable exposed : bool;
       (* Set once the raw wire has been handed out ([wire]/[peek_wire]):
-         an agent may have kept the reference, so the record and its
-         wire can no longer be recycled. *)
+         an agent may have kept the reference, so the record can no
+         longer be recycled. *)
   mutable retained : bool;
       (* The escape hatch of the pooling contract: an agent that stashes
          the envelope past the trap boundary calls [retain], and
@@ -29,12 +37,6 @@ type t = {
       (* The pool the record came from, when [at_boundary]/[of_call]
          took it from one; cleared by [release] so a record recycles at
          most once. *)
-  mutable own : Value.wire option;
-      (* The wire a pooled record owns for life: built, together with
-         this [Some], on the record's first boundary trap and refilled
-         in place by every later one, so a warm boundary trap allocates
-         neither.  [None] on unpooled records and on pooled records no
-         boundary trap has used yet. *)
 }
 
 (* The free list lives in the same recursive knot as [t] (a record
@@ -45,18 +47,18 @@ and pool = {
   capacity : int;
 }
 
-(* Per-process free lists of envelope records, each record with the
-   wire it owns.  The free list only ever receives records whose trap
-   owned them exclusively ([release] enforces the exposed/retained
-   rules), and every recycled record is scrubbed, its owned wire
-   included, so a stale view, wire, argument or span can neither leak
+(* Per-process free lists of envelope records.  The free list only
+   ever receives records whose trap owned them exclusively ([release]
+   enforces the exposed/retained rules), and every recycled record is
+   scrubbed, so a stale view, wire, argument or span can neither leak
    into the next trap nor pin dead objects against the GC. *)
 module Pool = struct
   type nonrec t = pool
 
   let blank () =
-    { num = 0; wire = None; view = Undecoded; span = 0; exposed = false;
-      retained = false; home = None; own = None }
+    { num = 0; wire = None; view = Undecoded; implied = false;
+      pending = false; span = 0; exposed = false; retained = false;
+      home = None }
 
   let dummy = blank ()
 
@@ -77,8 +79,8 @@ module Pool = struct
   let size p = p.len
 
   (* Invariant: every record on the free list is scrubbed (the state
-     [blank] builds, apart from the owned wire it keeps), so [take] only
-     refills the fields the new trap needs. *)
+     [blank] builds), so [take] only refills the fields the new trap
+     needs. *)
   let take p =
     if p.len = 0 then begin
       Obs.note_pool_miss ();
@@ -98,15 +100,12 @@ module Pool = struct
       e.num <- 0;
       e.wire <- None;
       e.view <- Undecoded;
+      e.implied <- false;
+      e.pending <- false;
       e.span <- 0;
       e.exposed <- false;
       e.retained <- false;
       e.home <- None;
-      (match e.own with
-       | Some w ->
-         w.Value.num <- 0;
-         Array.fill w.Value.args 0 (Array.length w.Value.args) Value.Nil
-       | None -> ());
       if p.len = Array.length p.stack then grow p;
       p.stack.(p.len) <- e;
       p.len <- p.len + 1;
@@ -115,57 +114,39 @@ module Pool = struct
 end
 
 let of_wire w =
-  { num = w.Value.num; wire = Some w; view = Undecoded; span = Obs.current ();
-    exposed = true; retained = false; home = None; own = None }
+  { num = w.Value.num; wire = Some w; view = Undecoded; implied = false;
+    pending = false; span = Obs.current (); exposed = true; retained = false;
+    home = None }
 
-let of_call ?pool c =
-  match pool with
-  | None ->
-    { num = Call.number c; wire = None; view = Typed c;
-      span = Obs.current (); exposed = false; retained = false; home = None;
-      own = None }
-  | Some p ->
-    let t = Pool.take p in
-    (* the record off the free list is scrubbed; fill only what this
-       trap needs.  [home = pool] shares the caller's option — a fresh
-       [Some] per trap would undo part of what the pool saves. *)
-    t.num <- Call.number c;
-    t.view <- Typed c;
-    t.span <- Obs.current ();
-    t.home <- pool;
-    t
+(* A record for a typed call: off the free list with [pool], which it
+   then goes back to on [release], and fresh without.  The record off
+   the free list is scrubbed, so only what this trap needs is filled;
+   [home = pool] shares the caller's option — a fresh [Some] per trap
+   would undo part of what the pool saves. *)
+let typed_record pool c span =
+  let t = match pool with Some p -> Pool.take p | None -> Pool.blank () in
+  t.num <- Call.number c;
+  t.view <- Typed c;
+  t.span <- span;
+  t.home <- pool;
+  t
+
+let of_call ?pool c = typed_record pool c (Obs.current ())
 
 let at_boundary ?pool c =
-  (* The application/system boundary is the untyped numeric form: encode
-     now and deliberately forget the typed view, so agents below see
-     exactly what an application would have trapped with.  With [pool],
-     the record comes off the caller's free list when one is available
-     and its owned wire is refilled in place; [release] sends both back
-     after the trap. *)
+  (* The application/system boundary is the untyped numeric form, and
+     its encode is counted here, at the boundary.  The record keeps the
+     application's call instead of the vector: [typed] counts the
+     decode the first layer to read it would do and hands the call
+     back, and [wire] builds the vector only if some layer reads it.
+     [decode (encode c)] is [c] with its refs and buffers shared, so
+     no layer can tell the two apart. *)
   let span = Obs.current () in
   Obs.note_encode span;
-  match pool with
-  | None ->
-    { num = Call.number c; wire = Some (Call.encode c); view = Undecoded;
-      span; exposed = false; retained = false; home = None; own = None }
-  | Some p ->
-    let t = Pool.take p in
-    let w =
-      match t.own with
-      | Some w -> w
-      | None ->
-        let w = { Value.num = 0; args = [||] } in
-        t.own <- Some w;
-        w
-    in
-    Call.encode_into w c;
-    t.num <- w.Value.num;
-    (* [wire = own] and [home = pool] share existing options: a warm
-       boundary trap allocates no [Some] *)
-    t.wire <- t.own;
-    t.span <- span;
-    t.home <- pool;
-    t
+  let t = typed_record pool c span in
+  t.implied <- true;
+  t.pending <- true;
+  t
 
 let retain t = t.retained <- true
 let retained t = t.retained
@@ -175,19 +156,17 @@ let release t =
      [retain]ed envelope was stashed past the trap boundary by some
      layer (trace sink, journal): leave record and wire alone — the
      stash must stay readable — and let the GC have them eventually.
-     Otherwise the record, with the wire it owns, recycles when it came
-     from a pool and its raw wire was never handed out (which covers
-     every rewrite: a dirty envelope's wire is built only when some
-     layer forces it).  The recycle scrub drops the record's view and
-     wire, so a released envelope fails loudly (assert in [call])
-     rather than silently reading the next trap's arguments. *)
+     Otherwise the record recycles when it came from a pool and its
+     raw wire was never handed out (which covers every rewrite: a
+     dirty envelope's wire is built only when some layer forces it).
+     The recycle scrub drops the record's view and wire, so a released
+     envelope fails loudly (assert in [call]) rather than silently
+     reading the next trap's arguments. *)
   match t.home with
   | Some p when not t.retained ->
     t.home <- None;
     if not t.exposed then Pool.recycle p t
   | Some _ | None -> ()
-
-let owned_wire t = t.own
 
 let span t = t.span
 let set_span t s = t.span <- s
@@ -201,7 +180,13 @@ exception Undecodable of Errno.t
    A failed decode is memoized too and re-raised on each read. *)
 let typed t =
   match t.view with
-  | Typed c -> c
+  | Typed c ->
+    if t.pending then begin
+      (* a boundary envelope's first read: the decode it stands for *)
+      t.pending <- false;
+      Obs.note_decode t.span
+    end;
+    c
   | Failed e -> raise_notrace (Undecodable e)
   | Undecoded -> (
     let w =
@@ -227,18 +212,21 @@ let wire t =
   | None -> (
     match t.view with
     | Typed c ->
-      Obs.note_encode t.span;
-      (* a dirty envelope forced back to wire form is the PR 1
-         definition of a genuine rewrite: some layer wants the raw
-         vector of a call that no longer matches any prior encoding *)
-      Obs.note_rewrite t.span;
+      if not t.implied then begin
+        Obs.note_encode t.span;
+        (* a dirty envelope forced back to wire form is a genuine
+           rewrite: some layer wants the raw vector of a call that no
+           longer matches any prior encoding *)
+        Obs.note_rewrite t.span
+      end;
       let w = Call.encode c in
       t.wire <- Some w;
       w
     | Undecoded | Failed _ -> assert false (* no wire implies Typed *))
 
 let peek_wire t =
-  (match t.wire with Some _ -> t.exposed <- true | None -> ());
+  if t.implied then ignore (wire t)
+  else (match t.wire with Some _ -> t.exposed <- true | None -> ());
   t.wire
 
 (* The canonical arg shape, from whichever view is already
@@ -255,19 +243,24 @@ let shape t =
     | Undecoded | Failed _ -> "?")
 
 let nargs t =
-  match t.wire with
-  | Some w -> Array.length w.Value.args
-  | None -> 0
+  match t.wire, t.view with
+  | Some w, _ -> Array.length w.Value.args
+  | None, Typed c when t.implied -> Call.nargs c
+  | None, _ -> 0
 
 let decoded t =
   match t.view with
-  | Typed _ | Failed _ -> true
+  | Typed _ -> not t.pending
+  | Failed _ -> true
   | Undecoded -> false
 
-let dirty t = t.wire = None
+let dirty t = t.wire = None && not t.implied
 
 let pp fmt t =
   match t.view with
+  | Typed c when t.pending ->
+    (* the vector the application trapped with, as [of_wire] prints it *)
+    Value.pp_wire fmt (match t.wire with Some w -> w | None -> Call.encode c)
   | Typed c -> Call.pp fmt c
   | Failed e ->
     Format.fprintf fmt "<undecodable syscall %d: %s>" t.num (Errno.name e)

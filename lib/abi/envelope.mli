@@ -8,7 +8,7 @@
 
     Origins and their invariants:
 
-    - {!of_wire}: an untyped vector (the application trap boundary, a
+    - {!of_wire}: an untyped vector (a foreign-ABI stub's trap, a
       foreign-ABI agent's output).  The typed view materializes on the
       first {!call} and is memoized; every layer below rides it free.
     - {!of_call}: a typed call built by agent or toolkit code on the
@@ -17,9 +17,13 @@
       happens when a layer actually inspects the raw vector.
     - {!at_boundary}: a typed call crossing the application/system
       boundary.  Per the paper, that boundary is the untyped numeric
-      form, so the call is encoded immediately and the typed view is
-      deliberately dropped — interposed agents see exactly the wire
-      form the application emitted.
+      form, and the envelope behaves as an {!of_wire} one of
+      [Call.encode c]: undecoded, its first {!typed} read counting the
+      one decode, its {!nargs}, {!shape} and {!pp} those of the wire.
+      The encode is counted at the boundary and performed only if a
+      layer reads the wire, the way virtual time is charged for work
+      the host never does; the decode returns the application's own
+      call.
 
     So: at any stacking depth a trap pays at most one decode (at the
     first symbolic layer, or in the kernel when nothing intercepts)
@@ -29,15 +33,14 @@
     measured (bench ablation 3, test suite) rather than asserted.
 
     {b Lifetime and pooling} (DESIGN.md §3.8): an envelope record can
-    come from a per-process free list ({!Pool}), and a pooled record
-    owns one wire for life, which every boundary trap that takes the
-    record refills in place.  Record and wire recycle together on
-    {!release}, and only while the trap still owns them exclusively —
+    come from a per-process free list ({!Pool}), which both
+    {!at_boundary} and {!of_call} draw from.  A record recycles on
+    {!release}, and only while the trap still owns it exclusively —
     never once the raw wire was handed out ({!wire}/{!peek_wire} mark
     the envelope {e exposed}, which also covers rewritten envelopes,
     since forcing the wire of a dirty envelope is the rewrite), and
     never once an agent declared a stash with {!retain}.  Recycled
-    records are scrubbed before reuse, owned wire included. *)
+    records are scrubbed before reuse. *)
 
 type t
 
@@ -46,9 +49,10 @@ type t
     Free lists of envelope records, one per process, feeding both
     {!of_call} and {!at_boundary}: an array-backed stack so a warm
     take/recycle pair allocates nothing, scrub-on-recycle so a stale
-    view, wire or argument can neither leak into the next trap nor pin
-    dead objects against the GC, and hit/miss counters on the installed
-    obs engine ([Obs.Env_pool], the [env_pool] metrics block). *)
+    view, wire, flag or span can neither leak into the next trap nor
+    pin dead objects against the GC, and hit/miss counters on the
+    installed obs engine ([Obs.Env_pool], the [env_pool] metrics
+    block). *)
 module Pool : sig
   type t
 
@@ -72,15 +76,23 @@ val of_call : ?pool:Pool.t -> Call.t -> t
     comes off the free list and {!release} returns it. *)
 
 val at_boundary : ?pool:Pool.t -> Call.t -> t
-(** Encode a typed call for the application trap boundary: the wire
-    form is materialized now (and counted), the typed view dropped.
-    Used by the C-library stubs, where the ABI contract is untyped.
+(** A typed call crossing the application trap boundary, where the ABI
+    contract is untyped.  Used by the C-library stubs.  One encode is
+    counted now; the envelope then reads as [of_wire (Call.encode c)]
+    would: not {!decoded}, not {!dirty}, the first {!typed} counting
+    one decode.  The wire is built only when {!wire} or {!peek_wire}
+    asks, counting no encode and no rewrite, and that marks the
+    envelope exposed.
+
+    This is sound because [Call.decode (Call.encode c)] equals [c] with
+    out-parameter refs, buffers and closures physically shared, and no
+    code writes a wire's slots: a layer that wants a different call
+    builds a new envelope ({!of_call}, {!of_wire}), as [remap] does.
 
     With [pool] (the calling process's), the record is taken from the
-    free list when one is available and the call is encoded into the
-    wire that record owns ([Call.encode_into]), so a warm boundary trap
-    allocates neither; {!release} returns both after the trap.  Without
-    a pool the envelope never recycles. *)
+    free list when one is available, so a warm boundary trap allocates
+    only its typed view; {!release} returns the record after the trap.
+    Without a pool the envelope never recycles. *)
 
 val retain : t -> unit
 (** Declare that this envelope escapes the trap that carried it: a
@@ -93,19 +105,15 @@ val retained : t -> bool
 
 val release : t -> unit
 (** Declare the trap that carried this envelope complete and recycle
-    it: the record, with the wire it owns, goes back to the {!Pool} it
-    came from — but only when the envelope was never handed out raw
-    ({!wire} / {!peek_wire} mark it {e exposed}; that includes every
-    rewritten envelope) and never {!retain}ed.  In every other case
+    it: the record goes back to the {!Pool} it came from — but only
+    when the envelope was never handed out raw ({!wire} /
+    {!peek_wire} mark it {e exposed}; that includes every rewritten
+    envelope and every boundary envelope whose wire a layer read) and
+    never {!retain}ed.  In every other case
     this is a no-op and the GC takes over — correctness over reuse.
     Idempotent; after a successful release the record is scrubbed and
     must not be touched again (a stale reference reads the {e next}
     trap's call, which is exactly what {!retain} exists to prevent). *)
-
-val owned_wire : t -> Value.wire option
-(** The wire a pooled record owns ({!at_boundary}), read without
-    marking the envelope exposed.  For checking the recycle scrub only:
-    layers on the trap path use {!wire} / {!peek_wire}. *)
 
 (** {1 The two views} *)
 
@@ -127,13 +135,17 @@ val typed : t -> Call.t
     decode allocates nothing to see the call. *)
 
 val wire : t -> Value.wire
-(** The untyped view, encoding (once) if necessary. *)
+(** The untyped view, encoding (once) if necessary.  A dirty envelope's
+    encode is a rewrite and counted as one; a boundary envelope's was
+    counted at the boundary. *)
 
 val peek_wire : t -> Value.wire option
-(** The wire form only if already materialized — never encodes. *)
+(** The wire form only if it exists — never encodes a dirty envelope.
+    A boundary envelope's wire always exists, so this builds it. *)
 
 val nargs : t -> int
-(** Arity of the wire form; 0 when no wire is materialized. *)
+(** Arity of the wire form, a boundary envelope's read off its call's
+    row ([Call.nargs]); 0 when no wire exists. *)
 
 val shape : t -> string
 (** The {!Shape} classification of the argument vector, computed from
@@ -146,7 +158,8 @@ val shape : t -> string
 
 val decoded : t -> bool
 (** Whether the typed view has been materialized (true from birth for
-    {!of_call} envelopes).  A layer about to pay virtual decode cost
+    {!of_call} envelopes, from the first {!typed} read for
+    {!at_boundary} ones).  A layer about to pay virtual decode cost
     checks this first: memoized views are free. *)
 
 val dirty : t -> bool

@@ -80,18 +80,6 @@ let event_to_string ev =
   Printf.sprintf "#%d pid %d %s(%s) -> %s" ev.x_seq ev.x_pid
     (Call.name ev.x_sysno) ev.x_shape (outcome_name ev.x_outcome)
 
-(* --- aggregate view ------------------------------------------------------ *)
-
-let counts t =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun ev ->
-      let key = (ev.x_sysno, ev.x_shape, ev.x_outcome) in
-      Hashtbl.replace tbl key
-        (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key)))
-    t.sg_events;
-  Hashtbl.fold (fun k n acc -> (k, n) :: acc) tbl [] |> List.sort compare
-
 (* --- serialization ------------------------------------------------------- *)
 
 (* One event is a flat 5-array; the envelope records the version and

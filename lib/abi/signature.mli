@@ -67,10 +67,6 @@ val returned : event -> Value.res -> unit
 val recorded : recorder -> t
 (** The events issued so far, in issue order. *)
 
-val counts : t -> ((int * string * outcome) * int) list
-(** Aggregated (sysno, shape, outcome) → occurrence counts, sorted —
-    the order-insensitive projection, for reporting. *)
-
 (** {1 Serialization}
 
     Canonical single-line JSON: [{"version":1,"events":N,"stream":

@@ -22,7 +22,7 @@ let ok = ret 0
 
 type res = (ret, Errno.t) result
 
-type wire = { mutable num : int; mutable args : t array }
+type wire = { num : int; args : t array }
 
 let truncate_str s =
   if String.length s <= 32 then s else String.sub s 0 29 ^ "..."

@@ -39,12 +39,11 @@ val ok : (ret, Errno.t) result
 
 type res = (ret, Errno.t) result
 
-(** A trapped system call: number plus untyped argument vector.  The
-    fields are mutable only so the wire a pooled envelope owns can be
-    refilled in place ([Envelope.at_boundary], [Call.encode_into]);
-    every other consumer treats a wire as immutable for its
-    lifetime. *)
-type wire = { mutable num : int; mutable args : t array }
+(** A trapped system call: number plus untyped argument vector.  No
+    code writes a wire's slots once it is built: a layer that wants a
+    different call builds a new envelope ([Envelope.of_call],
+    [Envelope.of_wire]). *)
+type wire = { num : int; args : t array }
 
 val pp : Format.formatter -> t -> unit
 (** Numeric-layer rendering: ints in decimal, strings quoted and

@@ -236,10 +236,10 @@ let trap_wire w =
   if not (Obs.enabled ()) then trap_raw proc (Envelope.of_wire w)
   else instrumented proc ~sysno:w.Value.num (fun _ w -> Envelope.of_wire w) w
 
-(* the application/system boundary is untyped: encode here, and let the
-   first interested layer below (agent or kernel) do the one decode;
-   the envelope record and the wire it owns come from (and, when still
-   exclusively owned, return to) the calling process's pool *)
+(* the application/system boundary is untyped: the encode is counted
+   here, and the first interested layer below (agent or kernel) counts
+   the one decode; the envelope record comes from (and, when still
+   exclusively owned, returns to) the calling process's pool *)
 let at_boundary (proc : Proc.t) c = Envelope.at_boundary ?pool:proc.env_pool c
 
 let syscall c =

@@ -36,24 +36,21 @@ let rec write_all fd data =
       if n >= String.length data then Ok ()
       else write_all fd (String.sub data n (String.length data - n))
 
-(* The chunk is the shard's, borrowed for this call and given back on
-   each return. *)
+(* One string per chunk read, newest first; a one-chunk read returns
+   its string as it is.  Top level, so a read builds no closure. *)
+let rec read_chunks fd chunk chunks =
+  match read fd chunk (Bytes.length chunk) with
+  | Error e -> Error e
+  | Ok 0 ->
+    Ok (match chunks with [ c ] -> c | _ -> String.concat "" (List.rev chunks))
+  | Ok n -> read_chunks fd chunk (Bytes.sub_string chunk 0 n :: chunks)
+
+(* The chunk is the shard's, borrowed for this call. *)
 let read_all fd =
   let chunk = Kernel.Uspace.take_chunk () in
-  let buf = Buffer.create 256 in
-  let rec go () =
-    match read fd chunk (Bytes.length chunk) with
-    | Error e ->
-      Kernel.Uspace.give_chunk chunk;
-      Error e
-    | Ok 0 ->
-      Kernel.Uspace.give_chunk chunk;
-      Ok (Buffer.contents buf)
-    | Ok n ->
-      Buffer.add_subbytes buf chunk 0 n;
-      go ()
-  in
-  go ()
+  let r = read_chunks fd chunk [] in
+  Kernel.Uspace.give_chunk chunk;
+  r
 
 let lseek fd off whence = int_of (call (Call.Lseek (fd, off, whence)))
 let ftruncate fd len = unit_of (call (Call.Ftruncate (fd, len)))

@@ -543,8 +543,8 @@ let test_envelope_boundary_drops_view () =
   let (env, d) =
     codec_window (fun () -> Envelope.at_boundary (Call.Getpid))
   in
-  Alcotest.(check int) "boundary encodes eagerly" 1 d.Obs.Codec.encodes;
-  Alcotest.(check bool) "typed view dropped" false (Envelope.decoded env);
+  Alcotest.(check int) "boundary counts one encode" 1 d.Obs.Codec.encodes;
+  Alcotest.(check bool) "not decoded until read" false (Envelope.decoded env);
   Alcotest.(check int) "number still free" Sysno.sys_getpid
     (Envelope.number env)
 
@@ -620,12 +620,118 @@ let test_envelope_typed_read () =
   Alcotest.(check int) "nargs of a wire" 3
     (Envelope.nargs (Envelope.of_wire (Call.encode (Call.Lseek (4, 0, 2)))))
 
-(* --- envelope pool: the boundary wire a pooled record owns ------------------- *)
+(* --- boundary envelopes: the call, with its wire implied ------------------------ *)
+
+let pp_text env = Format.asprintf "%a" Envelope.pp env
+
+(* Rewrites count per process: run [f] as simulated pid 1. *)
+let rewrite_window f =
+  Obs.set_context (fun () -> 1);
+  Fun.protect
+    ~finally:(fun () -> Obs.set_context (fun () -> 0))
+    (fun () ->
+      let before = Obs.rewrites () in
+      let r = f () in
+      (r, Obs.rewrites () - before))
+
+let wire_equal (a : Value.wire) (b : Value.wire) =
+  a.Value.num = b.Value.num
+  && Array.length a.Value.args = Array.length b.Value.args
+  && Array.for_all2 value_equal a.Value.args b.Value.args
+
+(* A boundary envelope keeps the application's call and builds its
+   wire only when asked; it must read, at every step, as the
+   [of_wire (encode c)] envelope it stands for, codec counts
+   included. *)
+let test_boundary_matches_wire =
+  QCheck.Test.make ~name:"at_boundary c reads as of_wire (encode c)"
+    ~count:1000 arb_call
+    (fun c ->
+      let p = Envelope.Pool.create () in
+      let ((b, w), d) =
+        codec_window (fun () ->
+            let b = Envelope.at_boundary ~pool:p c in
+            (b, Envelope.of_wire (Call.encode c)))
+      in
+      let same what x y =
+        if x <> y then QCheck.Test.fail_reportf "%s: %s <> %s" what x y
+      in
+      let same_bool what x y = same what (string_of_bool x) (string_of_bool y) in
+      let same_int what x y = same what (string_of_int x) (string_of_int y) in
+      same_int "encodes at the boundary" 1 d.Obs.Codec.encodes;
+      same_int "arity off the table" (Array.length (Call.encode c).Value.args)
+        (Call.nargs c);
+      same_int "number" (Envelope.number w) (Envelope.number b);
+      same_int "nargs" (Envelope.nargs w) (Envelope.nargs b);
+      same "shape" (Envelope.shape w) (Envelope.shape b);
+      same "pp" (pp_text w) (pp_text b);
+      same_bool "decoded" false (Envelope.decoded b);
+      same_bool "decoded, of_wire" false (Envelope.decoded w);
+      same_bool "dirty" false (Envelope.dirty b);
+      same_bool "dirty, of_wire" false (Envelope.dirty w);
+      let ((tb, tw), d) =
+        codec_window (fun () -> (Envelope.typed b, Envelope.typed w))
+      in
+      same_int "one decode each" 2 d.Obs.Codec.decodes;
+      same_bool "typed" true (call_equal tb tw && call_equal tb c);
+      same_bool "decoded after typed" true (Envelope.decoded b);
+      same "pp after typed" (pp_text w) (pp_text b);
+      let ((wb, rewrites), d) =
+        codec_window (fun () -> rewrite_window (fun () -> Envelope.wire b))
+      in
+      same_int "wire encodes" 0 d.Obs.Codec.encodes;
+      same_int "wire rewrites" 0 rewrites;
+      same_bool "wire" true (wire_equal wb (Envelope.wire w));
+      same_bool "wire memoized" true (Envelope.wire b == wb);
+      let (_, d) = codec_window (fun () -> Envelope.typed b) in
+      same_int "typed read again decodes" 0 d.Obs.Codec.decodes;
+      true)
+
+(* A warm pooled boundary trap, with its first typed read and its
+   release, allocates the typed view's 2 words and nothing else: no
+   wire, no argument box, no decoded copy of the call. *)
+let test_boundary_words () =
+  let rand = Random.State.make [| 34 |] in
+  (* the option built once, as [Proc.env_pool] is: [~pool:p] would
+     box a fresh [Some] per trap *)
+  let pool = Some (Envelope.Pool.create ()) in
+  List.iter
+    (fun (num, gen) ->
+      let c = QCheck.Gen.generate1 ~rand gen in
+      let trap () =
+        let env = Envelope.at_boundary ?pool c in
+        ignore (Sys.opaque_identity (Envelope.typed env));
+        Envelope.release env
+      in
+      trap ();
+      let n = 1000 in
+      let m0 = Gc.minor_words () in
+      for _ = 1 to n do
+        trap ()
+      done;
+      let words = (Gc.minor_words () -. m0) /. float_of_int n in
+      Alcotest.(check (float 0.)) (Call.name num) 2. words)
+    call_builders
+
+(* --- envelope pool: boundary records -------------------------------------------- *)
 
 let pool_window f =
   let before = Obs.env_pool_of (Obs.installed ()) in
   let r = f () in
   (r, Obs.Env_pool.diff before (Obs.env_pool_of (Obs.installed ())))
+
+(* What a scrubbed record reads as: no view, no wire, no span, no
+   flag. *)
+let check_scrubbed what env =
+  Alcotest.(check int) (what ^ ": number") 0 (Envelope.number env);
+  Alcotest.(check bool) (what ^ ": no view") false (Envelope.decoded env);
+  Alcotest.(check string) (what ^ ": no view or wire to shape") "?"
+    (Envelope.shape env);
+  Alcotest.(check int) (what ^ ": no arity") 0 (Envelope.nargs env);
+  Alcotest.(check bool) (what ^ ": no implied wire") true (Envelope.dirty env);
+  Alcotest.(check int) (what ^ ": span") 0 (Envelope.span env);
+  Alcotest.(check bool) (what ^ ": not retained") false
+    (Envelope.retained env)
 
 let test_pool_scrub_on_recycle () =
   let p = Envelope.Pool.create ~capacity:4 () in
@@ -634,31 +740,36 @@ let test_pool_scrub_on_recycle () =
         Envelope.at_boundary ~pool:p (Call.Open ("secret", 0, 0o644)))
   in
   Alcotest.(check int) "dry take is a miss" 1 d.Obs.Env_pool.misses;
-  let w = Option.get (Envelope.owned_wire env) in
-  Alcotest.(check int) "owned wire carries the call" Sysno.sys_open
-    w.Value.num;
+  Envelope.set_span env 7;
+  (* released with its decode still pending: no layer read the call *)
   Envelope.release env;
   Alcotest.(check int) "one record parked" 1 (Envelope.Pool.size p);
-  Alcotest.(check int) "number scrubbed" 0 w.Value.num;
-  Alcotest.(check bool) "every argument scrubbed to Nil" true
-    (Array.for_all (fun v -> v = Value.Nil) w.Value.args);
+  check_scrubbed "parked record" env;
   let (env', d) =
-    pool_window (fun () -> Envelope.at_boundary ~pool:p Call.Getpid)
+    pool_window (fun () -> Envelope.of_call ~pool:p Call.Getpid)
   in
   Alcotest.(check int) "warm take is a hit" 1 d.Obs.Env_pool.hits;
   Alcotest.(check int) "warm take never allocates" 0
     d.Obs.Env_pool.misses;
   Alcotest.(check bool) "same record reused" true (env == env');
-  Alcotest.(check bool) "same wire reused" true
-    (Envelope.owned_wire env' == Envelope.owned_wire env)
+  (* none of the boundary trap's state survives into the typed one *)
+  let (c, d) = codec_window (fun () -> Envelope.typed env') in
+  Alcotest.(check bool) "the new call" true (c == Call.Getpid);
+  Alcotest.(check int) "no pending decode carried over" 0
+    d.Obs.Codec.decodes;
+  Alcotest.(check bool) "dirty: no implied wire carried over" true
+    (Envelope.dirty env');
+  let (_, rewrites) = rewrite_window (fun () -> Envelope.wire env') in
+  Alcotest.(check int) "forcing its wire is a rewrite" 1 rewrites
 
 let test_pool_boundary_reuse_no_stale () =
-  (* a pooled wire refilled by a later trap carries only the later
-     call: arity resets and nothing of the old arguments survives *)
+  (* a record reused by a later boundary trap carries only the later
+     call, with its own pending decode *)
   let p = Envelope.Pool.create () in
   let env1 =
     Envelope.at_boundary ~pool:p (Call.Open ("/tmp/secret", 3, 0o600))
   in
+  ignore (Envelope.typed env1);
   Envelope.release env1;
   Alcotest.(check int) "un-rewritten trap parks its record" 1
     (Envelope.Pool.size p);
@@ -668,11 +779,27 @@ let test_pool_boundary_reuse_no_stale () =
   in
   Alcotest.(check int) "refill reused the parked record" 1
     d.Obs.Env_pool.hits;
+  Alcotest.(check bool) "same record" true (env1 == env2);
+  Alcotest.(check bool) "undecoded again" false (Envelope.decoded env2);
+  Alcotest.(check int) "arity is the new call's" 1 (Envelope.nargs env2);
+  let (c, d) = codec_window (fun () -> Envelope.typed env2) in
+  Alcotest.(check int) "its own decode" 1 d.Obs.Codec.decodes;
+  Alcotest.(check bool) "the new call" true (c = Call.Unlink "/tmp/other");
+  (* a remap-style agent reads the raw vector, then sends a new
+     envelope down: the record it read must never recycle *)
   let w2 = Envelope.wire env2 in
   Alcotest.(check int) "number is the new call's" Sysno.sys_unlink
     w2.Value.num;
   Alcotest.(check bool) "args are exactly the new call's" true
-    (w2.Value.args = [| Value.Str "/tmp/other" |])
+    (w2.Value.args = [| Value.Str "/tmp/other" |]);
+  let ((), d) = pool_window (fun () -> Envelope.release env2) in
+  Alcotest.(check int) "a read wire keeps its record off the free list" 0
+    d.Obs.Env_pool.recycled;
+  Alcotest.(check int) "pool stays empty" 0 (Envelope.Pool.size p);
+  ignore (Envelope.at_boundary ~pool:p Call.Getpid);
+  Alcotest.(check bool) "the wire read still holds its call" true
+    (w2.Value.num = Sysno.sys_unlink
+     && w2.Value.args = [| Value.Str "/tmp/other" |])
 
 let test_pool_release_ownership () =
   (* release recycles only while the envelope still owns the wire
@@ -783,27 +910,34 @@ let test_epool_never_recycles_exposed () =
   Alcotest.(check int) "peeked record not recycled" 0
     d.Obs.Env_pool.recycled
 
-let test_epool_record_owns_wire () =
+let test_epool_boundary_record_keeps_no_wire () =
   (* one free list for both constructors: a record parked by a boundary
-     trap keeps its wire when [of_call] takes it, and leaves it unused *)
+     trap whose layer decoded it carries neither its call nor an
+     implied wire into the [of_call] trap that takes it *)
   let p = Envelope.Pool.create () in
   let env = Envelope.at_boundary ~pool:p (Call.Close 1) in
-  let w = Envelope.owned_wire env in
+  ignore (Envelope.typed env);
   Envelope.release env;
   Alcotest.(check int) "record parked" 1 (Envelope.Pool.size p);
+  check_scrubbed "parked record" env;
   let env' = Envelope.of_call ~pool:p Call.Sync in
   Alcotest.(check bool) "of_call takes the same record" true (env == env');
-  Alcotest.(check bool) "the wire stays with the record" true
-    (Envelope.owned_wire env' == w);
-  Alcotest.(check bool) "of_call leaves it unused" true (Envelope.dirty env')
+  Alcotest.(check bool) "of_call's record is dirty" true (Envelope.dirty env');
+  Alcotest.(check (option int)) "no wire to peek" None
+    (Option.map (fun (w : Value.wire) -> w.Value.num)
+       (Envelope.peek_wire env'));
+  Alcotest.(check int) "no boundary arity" 0 (Envelope.nargs env')
 
 (* Model property: drive a small pool through random
    take/action/release cycles, drawing records with [at_boundary] or
    [of_call] from the one free list, and mirror the free list with an
    integer.  Actions: 0 = clean trap, 1 = retained stash, 2 = raw wire
    handed out (for [of_call], the rewrite: wire forced on a dirty
-   envelope).  Only clean traps may recycle; the pool never exceeds
-   capacity; counters match the model exactly. *)
+   envelope; for [at_boundary], a remap-style read).  Only clean traps
+   may recycle; the pool never exceeds capacity; counters match the
+   model exactly; and every record, fresh or recycled, starts in its
+   constructor's state, decoding as many times as that constructor
+   says and no more. *)
 let test_epool_model =
   QCheck.Test.make ~name:"envelope pool matches free-list model" ~count:100
     QCheck.(small_list (pair bool (int_bound 2)))
@@ -827,10 +961,16 @@ let test_epool_model =
                   decr model_len
                 end
                 else if dt.Obs.Env_pool.misses <> 1 then ok := false;
-                (* scrub check: the record carries only this trap's call *)
-                (match Envelope.call env with
+                (* scrub check: the record starts as its constructor
+                   builds it and carries only this trap's call *)
+                if Envelope.decoded env = boundary then ok := false;
+                if Envelope.dirty env = boundary then ok := false;
+                let (c, dc) = codec_window (fun () -> Envelope.call env) in
+                (match c with
                  | Ok (Call.Close j) when j = i -> ()
                  | _ -> ok := false);
+                if dc.Obs.Codec.decodes <> Bool.to_int boundary then
+                  ok := false;
                 (match action with
                  | 0 -> ()
                  | 1 -> Envelope.retain env
@@ -1123,7 +1263,9 @@ let () =
           test_envelope_boundary_drops_view;
         Alcotest.test_case "typed read" `Quick test_envelope_typed_read;
         Alcotest.test_case "undecodable memoized" `Quick
-          test_envelope_undecodable_memoized ];
+          test_envelope_undecodable_memoized;
+        qtest test_boundary_matches_wire;
+        Alcotest.test_case "boundary words" `Quick test_boundary_words ];
       "pool",
       [ Alcotest.test_case "scrub on recycle" `Quick
           test_pool_scrub_on_recycle;
@@ -1141,8 +1283,8 @@ let () =
           test_epool_never_recycles_retained;
         Alcotest.test_case "exposed never recycles" `Quick
           test_epool_never_recycles_exposed;
-        Alcotest.test_case "boundary record owns its wire" `Quick
-          test_epool_record_owns_wire;
+        Alcotest.test_case "boundary record keeps no wire" `Quick
+          test_epool_boundary_record_keeps_no_wire;
         qtest test_epool_model ];
       "bitset",
       [ Alcotest.test_case "bounds" `Quick test_bitset_bounds;

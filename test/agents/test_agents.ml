@@ -1074,6 +1074,50 @@ let test_record_replay_fork_desync () =
     (contains console "c1:err=EIO");
   Alcotest.(check bool) "desyncs counted" true (replayer#desyncs > 0)
 
+(* No layer writes a wire's slots.  An outermost agent reads each
+   boundary trap's raw vector, as remap does, and after the recorder
+   below (which reads the same wire) and the kernel have served the
+   trap, finds every slot as it left it: results reach the program
+   through the refs and buffers the slots point at, never by a slot
+   being replaced. *)
+class wire_watch =
+  object (self)
+    inherit Toolkit.numeric_syscall as super
+
+    val mutable traps = 0
+    val mutable written = 0
+
+    method! agent_name = "wire-watch"
+    method! init _argv = self#register_interest_all
+
+    method! syscall env =
+      let w = Envelope.wire env in
+      let before = Array.copy w.Value.args in
+      let res = super#syscall env in
+      traps <- traps + 1;
+      if not (Array.for_all2 ( == ) before w.Value.args) then
+        written <- written + 1;
+      res
+
+    method traps = traps
+    method written = written
+  end
+
+let test_wire_slots_never_written () =
+  let recorder = Agents.Record_replay.create_recorder () in
+  let watch = new wire_watch in
+  let k = fresh_kernel () in
+  write_file k ~path:"/tmp/input" "AAAA\n";
+  let _ =
+    boot_k k (fun () ->
+      Toolkit.Loader.install recorder ~argv:[||];
+      Toolkit.Loader.install watch ~argv:[||];
+      observing_program ())
+  in
+  Alcotest.(check bool) "journal nonempty" true (recorder#entries > 0);
+  Alcotest.(check bool) "traps watched" true (watch#traps > 0);
+  Alcotest.(check int) "traps whose wire a layer wrote" 0 watch#written
+
 (* --- fault injection --------------------------------------------------------------- *)
 
 let test_faultinject_zero_rate_transparent () =
@@ -1306,7 +1350,9 @@ let () =
         Alcotest.test_case "multi-process" `Quick
           test_record_replay_multiprocess;
         Alcotest.test_case "fork-count desync" `Quick
-          test_record_replay_fork_desync ];
+          test_record_replay_fork_desync;
+        Alcotest.test_case "wire slots never written" `Quick
+          test_wire_slots_never_written ];
       "synthfs",
       [ Alcotest.test_case "generated content" `Quick
           test_synthfs_reads_generated;

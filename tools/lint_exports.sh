@@ -7,8 +7,8 @@
 # other than the module's own <m>.ml and <m>.mli, contains both the
 # value's name and the module's name as words (a qualified reference,
 # an `open`, or a local alias all leave the module name in the file).
-# Words inside comments do not count: a comment naming an export is
-# not a caller.
+# Words inside comments and string literals do not count: a comment
+# or a string naming an export is not a caller.
 # Tests do not count as callers: an export only tests reach is either
 # a test hook, which the allowlist says, or dead code.
 #
@@ -23,10 +23,11 @@ cd "$(dirname "$0")/.."
 
 allow=tools/exports_allowlist.txt
 
-# One awk run over every file.  Each line has its OCaml comments
-# blanked out first: comments nest, and string and character literals
-# are skipped whole, inside comments as well as outside, as the OCaml
-# lexer does; the lexer state resets at each file's first line.  The
+# One awk run over every file.  Each line has its OCaml comments and
+# the contents of its string literals blanked out first: comments
+# nest, and string and character literals are skipped whole, inside
+# comments as well as outside, as the OCaml lexer does; the lexer
+# state resets at each file's first line.  The
 # words of what is left are recorded per file (extension dropped, so
 # <m>.ml and <m>.mli are one module), and every `val` of an .mli under
 # lib/ is an export.  At the end an export is used when another file
@@ -47,6 +48,7 @@ found=$(
       if (!depth && !str && line !~ /\(\*|["\047]/) { out = line; i = n + 1 }
       while (i <= n) {
         c = substr(line, i, 1); c2 = substr(line, i, 2); w = 1
+        lit = str
         if (str) {
           if (c == "\\") w = 2
           else if (c == "\"") str = 0
@@ -63,7 +65,7 @@ found=$(
         } else if (c == "\047" && substr(line, i + 2, 1) == "\047") {
           w = 3
         }
-        if (!depth && c != " ") out = out substr(line, i, w)
+        if (!depth && !lit && !str && c != " ") out = out substr(line, i, w)
         else out = out " "
         i += w
       }
