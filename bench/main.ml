@@ -16,10 +16,7 @@ open Abi
 
 (* --- common helpers ------------------------------------------------------- *)
 
-let fresh () =
-  let k = Kernel.create () in
-  Kernel.populate_standard k;
-  k
+module Table = Workloads.Table
 
 let host_rename k src dst =
   let fs = Kernel.fs k in
@@ -67,6 +64,19 @@ let install_variant variant ~mounts =
      | Error _ -> Toolkit.Loader.install (Agents.Trace.create ()) ~argv:[||])
   | V_union ->
     Toolkit.Loader.install (Agents.Union.create ~mounts ()) ~argv:[||]
+
+(* dfs_trace names its log in its init argv *)
+let install_dfs_trace () =
+  Toolkit.Loader.install (Agents.Dfs_trace.create ()) ~argv:[| "log=/dfs.log" |]
+
+(* One session of the workload row [w], [install] making its agent
+   stack. *)
+let run_row (w : Table.workload) ~session install =
+  let k = Table.prepare w.w_setup in
+  finish k
+    (Kernel.boot k ~name:session (fun () ->
+       install ();
+       w.w_body ()))
 
 (* --- Table 3-1: sizes of agents ------------------------------------------- *)
 
@@ -138,8 +148,7 @@ let table3_1 () =
 (* --- Table 3-2: formatting a document -------------------------------------- *)
 
 let run_scribe variant =
-  let k = fresh () in
-  Workloads.Scribe.setup k;
+  let k = Table.prepare Table.Paper.scribe.w_setup in
   let mounts =
     [ { Agents.Union.point = "/doc"; members = [ "/doc.main"; "/doc.inc" ] } ]
   in
@@ -158,7 +167,7 @@ let run_scribe variant =
   let status =
     Kernel.boot k ~name:"scribe-session" (fun () ->
       install_variant variant ~mounts;
-      Workloads.Scribe.body ())
+      Table.Paper.scribe.w_body ())
   in
   finish k status
 
@@ -189,21 +198,12 @@ let table3_2 () =
 (* --- Table 3-3: make 8 programs --------------------------------------------- *)
 
 let run_make variant =
-  let k = fresh () in
-  Workloads.Make_cc.setup k;
   let mounts =
     [ { Agents.Union.point = "/proj"; members = [ "/objdir"; "/srcdir" ] } ]
   in
-  if variant = V_union then begin
-    Kernel.mkdir_p k "/objdir";
-    host_rename k "/proj" "/srcdir"
-  end;
-  let status =
-    Kernel.boot k ~name:"make-session" (fun () ->
-      install_variant variant ~mounts;
-      Workloads.Make_cc.body ())
-  in
-  finish k status
+  run_row
+    (if variant = V_union then Table.Paper.make_split else Table.Paper.make)
+    ~session:"make-session" (fun () -> install_variant variant ~mounts)
 
 let table3_3 () =
   Report.print_title "Table 3-3: time to make 8 programs";
@@ -238,7 +238,7 @@ let table3_3 () =
    difference divided by [iters] isolates the call. *)
 let measure_virtual ?(iters = 200) ~with_agent ~prepare op =
   let session n =
-    let k = fresh () in
+    let k = Table.prepare ignore in
     Kernel.write_file k ~path:"/m/big" (String.make ((iters + 2) * 1024) 'd');
     Kernel.mkdir_p k "/usr/lib/pkg/deep/sub";
     Kernel.write_file k ~path:"/usr/lib/pkg/deep/sub/leaf" "x";
@@ -410,19 +410,14 @@ let table3_4 () =
 (* --- DFSTrace comparison (§3.5.3) ----------------------------------------------- *)
 
 let run_afs mode =
-  let k = fresh () in
-  Workloads.Afs_bench.setup k;
+  let k = Table.prepare Table.Paper.afs.w_setup in
   (match mode with
    | `Kernel_hook -> ignore (Agents.Dfs_kernel.install k)
    | `Base | `Agent -> ());
   let status =
     Kernel.boot k ~name:"afs" (fun () ->
-      (match mode with
-       | `Agent ->
-         let agent = Agents.Dfs_trace.create () in
-         Toolkit.Loader.install agent ~argv:[| "log=/dfs.log" |]
-       | `Base | `Kernel_hook -> ());
-      Workloads.Afs_bench.body ())
+      if mode = `Agent then install_dfs_trace ();
+      Table.Paper.afs.w_body ())
   in
   finish k status
 
@@ -465,7 +460,7 @@ let stack_cost depth =
    decode-once invariant, measured rather than asserted *)
 let stack_codec depth =
   let iters = 50 in
-  let k = fresh () in
+  let k = Table.prepare ignore in
   let before = ref (Kernel.codec_stats k) in
   let after = ref !before in
   let _ =
@@ -494,7 +489,7 @@ type attrib = {
 
 let stack_attrib depth =
   let iters = 50 in
-  let k = fresh () in
+  let k = Table.prepare ignore in
   let before = ref (Kernel.codec_stats k) in
   let after = ref !before in
   Obs.reset ();
@@ -572,7 +567,7 @@ type alloc_report = {
 
 let alloc_probe ~install ~tpi ~prepare ~iter =
   let iters = 2000 in
-  let k = fresh () in
+  let k = Table.prepare ignore in
   let report = ref None in
   let _ =
     Kernel.boot k ~name:"alloc" (fun () ->
@@ -701,7 +696,7 @@ let alloc_json (a : alloc_report) =
    that scans or sorts the process table allocates in proportion to
    [n]; one that reads the caller's child index does not. *)
 let reap_probe n =
-  let k = fresh () in
+  let k = Table.prepare ignore in
   let reaped = ref 0 and words = ref 0.0 in
   let _ =
     Kernel.boot k ~name:"reap" (fun () ->
@@ -728,7 +723,7 @@ let reap_probe n =
    1-in-1 afterwards so the rest of the run is unaffected. *)
 let sampled_run ~n ~iters depth =
   let session count capture =
-    let k = fresh () in
+    let k = Table.prepare ignore in
     let _ =
       Kernel.boot k ~name:"sampled" (fun () ->
         for _ = 1 to depth do
@@ -784,9 +779,9 @@ let sampling_json rows =
 
 (* Traps and minor words per trap of one session, with obs off
    ([obs = None]) or on at 1-in-n.  Observation is configured before
-   [Kernel.create], which copies it into the new shard's engine, and
-   switched off again on that engine afterwards.  Like the other
-   allocation probes, a pure function of the code path. *)
+   [Table.prepare] creates the kernel, which copies it into the new
+   shard's engine, and switched off again on that engine afterwards.
+   Like the other allocation probes, a pure function of the code path. *)
 let session_words ~name ~setup ~obs body =
   (match obs with
    | Some n ->
@@ -795,8 +790,7 @@ let session_words ~name ~setup ~obs body =
    | None ->
      Obs.disable ();
      Obs.set_sampling 1);
-  let k = fresh () in
-  setup k;
+  let k = Table.prepare setup in
   let m0 = Gc.minor_words () in
   let status = Kernel.boot k ~name body in
   let words = Gc.minor_words () -. m0 in
@@ -809,9 +803,9 @@ let session_words ~name ~setup ~obs body =
 (* Table 3-3's make build under [variant]. *)
 let make_words variant ~obs =
   session_words ~name:("make-words " ^ variant_name variant)
-    ~setup:Workloads.Make_cc.setup ~obs (fun () ->
+    ~setup:Table.Paper.make.w_setup ~obs (fun () ->
       install_variant variant ~mounts:[];
-      Workloads.Make_cc.body ())
+      Table.Paper.make.w_body ())
 
 (* kvd fork-per-connection under [Conformance.stacked]: unlike the make
    build, every request makes socket reads and writes, whose causal
@@ -997,7 +991,7 @@ let ablations_schema =
 let chrome_check fail =
   let fail fmt = Printf.ksprintf fail fmt in
   let records =
-    let k = fresh () in
+    let k = Table.prepare ignore in
     Obs.reset ();
     let _ =
       Kernel.boot k ~name:"chrome" (fun () ->
@@ -1041,16 +1035,10 @@ let ablations fail =
   Report.print_title "Ablation 1: selective vs full-vector interception (make)";
   let selective = run_make V_timex in
   let full =
-    let k = fresh () in
-    Workloads.Make_cc.setup k;
-    let status =
-      Kernel.boot k ~name:"make-full" (fun () ->
-        let a = Agents.Timex.create ~offset_seconds:3600 () in
-        a#register_interest_all;
-        Toolkit.Loader.install a ~argv:[||];
-        Workloads.Make_cc.body ())
-    in
-    finish k status
+    run_row Table.Paper.make ~session:"make-full" (fun () ->
+      let a = Agents.Timex.create ~offset_seconds:3600 () in
+      a#register_interest_all;
+      Toolkit.Loader.install a ~argv:[||])
   in
   let base = run_make V_none in
   Report.print_table
@@ -1182,34 +1170,22 @@ let ablations fail =
 
   Report.print_title
     "Ablation 5: what observation costs (make under observation agents)";
-  let observed ?(argv = [||]) mk =
-    let k = fresh () in
-    Workloads.Make_cc.setup k;
-    let status =
-      Kernel.boot k ~name:"make-obs" (fun () ->
-        Toolkit.Loader.install (mk ()) ~argv;
-        Workloads.Make_cc.body ())
-    in
-    finish k status
-  in
+  let observed = run_row Table.Paper.make ~session:"make-obs" in
   let base = run_make V_none in
   let null =
     observed (fun () ->
-      (Agents.Time_symbolic.create () :> Toolkit.Numeric.numeric_syscall))
+      Toolkit.Loader.install (Agents.Time_symbolic.create ()) ~argv:[||])
   in
   let counting =
     observed (fun () ->
-      (Agents.Syscount.create () :> Toolkit.Numeric.numeric_syscall))
+      Toolkit.Loader.install (Agents.Syscount.create ()) ~argv:[||])
   in
   let recording =
     observed (fun () ->
-      (Agents.Record_replay.create_recorder ()
-        :> Toolkit.Numeric.numeric_syscall))
+      Toolkit.Loader.install (Agents.Record_replay.create_recorder ())
+        ~argv:[||])
   in
-  let dfs =
-    observed ~argv:[| "log=/dfs.log" |] (fun () ->
-      (Agents.Dfs_trace.create () :> Toolkit.Numeric.numeric_syscall))
-  in
+  let dfs = observed install_dfs_trace in
   Report.print_table
     ~headers:[ "observation agent"; "virtual s"; "slowdown" ]
     [ [ "none"; Report.secs base.seconds; "-" ];
@@ -1506,7 +1482,7 @@ let injected_cost_probe () =
         [ Agents.Faultinject.site ~kth:1 Sysno.sys_read
             (Agents.Faultinject.Fail Errno.EIO) ]
     in
-    let k = fresh () in
+    let k = Table.prepare ignore in
     Kernel.write_file k ~path:"/tmp/f" "data";
     let _ =
       Kernel.boot k ~name:"fault-cost" (fun () ->
@@ -1569,32 +1545,32 @@ let faults fail =
   let results =
     List.map
       (fun w -> (w, Fault.Campaign.sweep ~errnos w))
-      [ Fault.Campaign.scribe; Fault.Campaign.make ]
+      [ Table.Quick.scribe; Table.Quick.make ]
   in
   Report.print_table
     ~headers:
       [ "workload"; "runs"; "tolerated"; "wrong-result"; "hang"; "crash" ]
     (List.map
-       (fun ((w : Fault.Campaign.workload), (_, cases)) ->
+       (fun ((w : Table.workload), (_, cases)) ->
          let n = List.length cases in
          let t = outcome_count cases Fault.Oracle.Tolerated in
          let wr = outcome_count cases Fault.Oracle.Wrong_result in
          let h = outcome_count cases Fault.Oracle.Hang in
          let c = outcome_count cases Fault.Oracle.Crash in
          if t + wr + h + c <> n then
-           fail "%s: %d of %d runs unclassified" w.Fault.Campaign.w_name
+           fail "%s: %d of %d runs unclassified" w.Table.w_name
              (n - t - wr - h - c) n;
          if n < List.length errnos then
-           fail "%s: sweep found only %d runs" w.Fault.Campaign.w_name n;
-         [ w.Fault.Campaign.w_name; string_of_int n; string_of_int t;
+           fail "%s: sweep found only %d runs" w.Table.w_name n;
+         [ w.Table.w_name; string_of_int n; string_of_int t;
            string_of_int wr; string_of_int h; string_of_int c ])
        results);
   List.iter
-    (fun ((w : Fault.Campaign.workload), (_, cases)) ->
+    (fun ((w : Table.workload), (_, cases)) ->
       List.iter
         (fun (c : Fault.Campaign.case) ->
           if c.c_run.Fault.Campaign.r_outcome <> Fault.Oracle.Tolerated then
-            Printf.printf "  %s: %-30s %s (%s)\n" w.Fault.Campaign.w_name
+            Printf.printf "  %s: %-30s %s (%s)\n" w.Table.w_name
               (Fault.Plan.describe_site c.c_site)
               (Fault.Oracle.outcome_name c.c_run.Fault.Campaign.r_outcome)
               c.c_run.Fault.Campaign.r_detail)
@@ -1614,7 +1590,7 @@ let faults fail =
       fail "scribe sweep produced no failing case to bundle";
       Obs.Json.Null
     | Some c ->
-      let w = Fault.Campaign.scribe in
+      let w = Table.Quick.scribe in
       let clean =
         (Fault.Campaign.clean_run w).Fault.Campaign.r_report
       in
@@ -1671,9 +1647,9 @@ let faults fail =
       ( "workloads",
         Arr
           (List.map
-             (fun ((w : Fault.Campaign.workload), (_, cases)) ->
+             (fun ((w : Table.workload), (_, cases)) ->
                Obj
-                 [ ("workload", Str w.Fault.Campaign.w_name);
+                 [ ("workload", Str w.Table.w_name);
                    ("runs", Int (List.length cases));
                    ( "tolerated",
                      Int (outcome_count cases Fault.Oracle.Tolerated) );
@@ -1769,7 +1745,7 @@ let scale_once n =
   let per = scale_total_procs / n in
   let c = Kernel.Cluster.create ~shards:n () in
   for i = 0 to n - 1 do
-    Kernel.populate_standard (Kernel.Cluster.shard c i)
+    Table.populate (Kernel.Cluster.shard c i) ignore
   done;
   let inits =
     List.init n (fun i ->
@@ -1884,23 +1860,19 @@ let conformance fail =
   let fail fmt = Printf.ksprintf fail fmt in
   (* 1. the matrix: every declared stack must leave every workload's
         signature unchanged modulo its declared delta *)
-  let workloads =
-    [ Fault.Campaign.scribe; Fault.Campaign.make; Fault.Campaign.afs;
-      Fault.Campaign.kvd ]
-  in
   let stacks = Conformance.bare :: Conformance.stacks in
   let verdicts =
     List.concat_map
-      (fun (w : Fault.Campaign.workload) ->
+      (fun (w : Table.workload) ->
         (* bare is captured once per workload and shared as the baseline *)
         let baseline = Conformance.capture w Conformance.bare in
         if Conformance.Signature.length baseline.Conformance.cap_sig = 0 then
           fail "%s: bare run produced an empty signature"
-            w.Fault.Campaign.w_name;
+            w.Table.w_name;
         (* kvd is concurrent: its global interleaving is scheduler
            state, so its cell compares per-process streams instead *)
         let scope =
-          if w.Fault.Campaign.w_name = "kvd" then `Per_process else `Global
+          if w.Table.w_name = "kvd" then `Per_process else `Global
         in
         List.map
           (fun s ->
@@ -1918,7 +1890,7 @@ let conformance fail =
                 v.Conformance.c_bare_status v.Conformance.c_under_status;
             v)
           stacks)
-      workloads
+      Table.quick
   in
   Report.print_table
     ~headers:[ "workload"; "stack"; "calls"; "masked"; "verdict" ]
@@ -1931,7 +1903,7 @@ let conformance fail =
        verdicts);
   (* 2. the seeded mutation: an undeclared injection must be flagged,
         naming the first diverging call *)
-  let mv = Conformance.check Fault.Campaign.scribe Conformance.mutant in
+  let mv = Conformance.check Table.Quick.scribe Conformance.mutant in
   (match mv.Conformance.c_violation with
    | None -> fail "undeclared mutant conformed: the checker is blind"
    | Some d ->
@@ -1990,8 +1962,7 @@ let netbench fail =
       Conformance.sandbox; Conformance.faultinject; Conformance.stacked ]
   in
   let cell (stack : Conformance.stack) mode =
-    let k = Kernel.create () in
-    Workloads.Kvd.setup k;
+    let k = Table.prepare Workloads.Kvd.setup in
     let stats = Workloads.Kvd.fresh_stats () in
     let depth = ref 0 in
     let dur_us = ref 0 in
@@ -2133,7 +2104,7 @@ let causal_msg i = Printf.sprintf "child %d reporting in\n" i
 
 let causal_once () =
   Obs.reset ();
-  let k = fresh () in
+  let k = Table.prepare ignore in
   (* two rules: one that cannot trip, one that must (p99 of any
      running workload exceeds 0µs) — proving the block both passes
      and fails honestly *)
@@ -2232,7 +2203,7 @@ let causal_cluster_once () =
   Obs.reset ();
   let c = Kernel.Cluster.create ~shards:2 () in
   for i = 0 to 1 do
-    Kernel.populate_standard (Kernel.Cluster.shard c i)
+    Table.populate (Kernel.Cluster.shard c i) ignore
   done;
   let _inits =
     List.init 2 (fun i ->

@@ -167,25 +167,30 @@ let known_agents =
 
 (* --- filesystem setups -------------------------------------------------- *)
 
-let apply_setup k = function
-  | "scribe" -> Workloads.Scribe.setup k
-  | "make" -> Workloads.Make_cc.setup k
-  | "make-split" ->
-    (* sources in /srcdir, build products in /objdir: the layout for
-       union:/proj=/objdir:/srcdir *)
-    Workloads.Make_cc.setup k;
-    Kernel.mkdir_p k "/objdir";
-    let fs = Kernel.fs k in
-    let root = Vfs.Fs.root_ino fs in
-    ignore (Vfs.Fs.rename fs Vfs.Fs.root_cred ~cwd:root ~src:"/proj" "/srcdir")
-  | "afs" -> Workloads.Afs_bench.setup k
-  | "kvd" -> Workloads.Kvd.setup k
-  | "demo" ->
-    Kernel.mkdir_p k "/home/user";
-    Kernel.write_file k ~path:"/home/user/hello.txt" "hello from the inside\n";
-    Kernel.mkdir_p k "/vault";
-    Kernel.mkdir_p k "/arch"
-  | other -> invalid_arg (Printf.sprintf "unknown setup %S" other)
+let demo k =
+  Kernel.mkdir_p k "/home/user";
+  Kernel.write_file k ~path:"/home/user/hello.txt" "hello from the inside\n";
+  Kernel.mkdir_p k "/vault";
+  Kernel.mkdir_p k "/arch"
+
+(* The session's tree: the utilities, the demo files, then each named
+   workload's paper-size setup, in order.  Names are checked before any
+   kernel exists. *)
+let session_setup names =
+  let setups =
+    List.map
+      (fun name ->
+        match Workloads.Table.(find paper) name with
+        | Some w -> w.Workloads.Table.w_setup
+        | None ->
+          log_err "agentrun: unknown setup %S\n" name;
+          exit 2)
+      names
+  in
+  fun k ->
+    Workloads.Progs.install_all k;
+    demo k;
+    List.iter (fun setup -> setup k) setups
 
 (* --- the run ---------------------------------------------------------------- *)
 
@@ -308,13 +313,11 @@ let bundle_path dir workload i (o : Fault.Oracle.outcome) =
        (Fault.Oracle.outcome_name o))
 
 let run_campaign wname out_dir =
-  match Fault.Campaign.of_name wname with
+  match Workloads.Table.(find quick) wname with
   | None ->
     log_err "agentrun: --campaign: unknown workload %S (known: %s)\n" wname
       (String.concat ", "
-         (List.map
-            (fun (w : Fault.Campaign.workload) -> w.Fault.Campaign.w_name)
-            Fault.Campaign.workloads));
+         (List.map (fun w -> w.Workloads.Table.w_name) Workloads.Table.quick));
     2
   | Some w ->
     let baseline, cases = Fault.Campaign.sweep w in
@@ -437,16 +440,11 @@ let run_conform spec setups prog_args =
      | Ok stack ->
        let path = resolve_prog prog in
        let argv = Array.of_list prog_args in
-       let setup k =
-         Workloads.Progs.install_all k;
-         try List.iter (apply_setup k) ("demo" :: setups) with
-         | Invalid_argument msg ->
-           log_err "agentrun: %s\n" msg;
-           exit 2
-       in
        let w =
-         Conformance.workload_of_body ~name:prog ~setup (fun () ->
-           spawn_exit_code path argv)
+         { Workloads.Table.w_name = prog;
+           w_setup = session_setup setups;
+           w_body = (fun () -> spawn_exit_code path argv);
+           w_output = "" }
        in
        let v = Conformance.check w stack in
        print_endline (Conformance.verdict_to_string v);
@@ -496,16 +494,9 @@ let run agents setups stats feed record replay metrics trace_out trace_format
       Obs.set_sampling ~seed:sample_seed sample;
       Obs.enable ()
     end;
-    let k = Kernel.create () in
+    let setup = session_setup setups in
     let h0 = host_start () in
-    Kernel.populate_standard k;
-    Workloads.Progs.install_all k;
-    Workloads.Scribe.register k;
-    Workloads.Make_cc.register k;
-    (try List.iter (apply_setup k) ("demo" :: setups) with
-     | Invalid_argument msg ->
-       log_err "agentrun: %s\n" msg;
-       exit 2);
+    let k = Workloads.Table.prepare setup in
     if feed <> "" then Kernel.feed_console k (feed ^ "\n");
     Kernel.echo_console_to k print_string;
     if watch_rules <> [] then Kernel.set_watch k watch_rules;
@@ -730,8 +721,11 @@ let agents_arg =
 
 let setup_arg =
   let doc =
-    "Populate the filesystem for a workload before running \
-     (scribe, make, make-split, afs, kvd; repeatable)."
+    Printf.sprintf
+      "Populate the filesystem for a workload before running (%s; \
+       repeatable)."
+      (String.concat ", "
+         (List.map (fun w -> w.Workloads.Table.w_name) Workloads.Table.paper))
   in
   Arg.(value & opt_all string [] & info [ "setup" ] ~docv:"WORKLOAD" ~doc)
 

@@ -1,4 +1,7 @@
 let intercept_us = 30
+let trivial_us = 25      (* getpid-class calls (Table 3-5 prose) *)
+let rw_base_us = 62      (* read/write fixed cost before data movement *)
+let namei_base_us = 70   (* pathname translation fixed cost *)
 let htg_overhead_us = 37
 let numeric_dispatch_us = 3
 let symbolic_decode_us ~nargs = 73 + (12 * nargs)
@@ -31,11 +34,9 @@ let io_us bytes =
   if bytes <= 0 then 0
   else (bytes + io_chunk_bytes - 1) / io_chunk_bytes * io_chunk_us
 
-let namei_us p = Cost_model_base.namei_base_us
-                 + (path_components p * namei_component_us)
+let namei_us p = namei_base_us + (path_components p * namei_component_us)
 
 let syscall_us (c : Call.t) =
-  let open Cost_model_base in
   match c with
   | Getpid | Getppid | Getuid | Geteuid | Getgid | Getegid | Umask _
   | Getpagesize | Getpgrp | Getdtablesize | Sbrk _ -> trivial_us

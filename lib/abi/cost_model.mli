@@ -19,6 +19,10 @@ val intercept_us : int
 (** Trap, save registers, dispatch to the emulation handler, restore,
     return: 30 µs (Table 3-4). *)
 
+val trivial_us : int
+(** A getpid-class call: 25 µs (Table 3-5 prose).  Also what the kernel
+    charges an agent's call it cannot decode. *)
+
 val htg_overhead_us : int
 (** Extra cost of [htg_unix_syscall] over a direct trap: 37 µs. *)
 

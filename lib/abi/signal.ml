@@ -67,7 +67,6 @@ let default_action s =
 module Mask = struct
   type t = int
 
-  let empty = 0
   let full = (1 lsl max_signal) - 1
   let mask_bit s = 1 lsl (s - 1)
   let add m s = m lor mask_bit s

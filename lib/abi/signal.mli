@@ -58,7 +58,6 @@ val default_action : int -> default_action
 module Mask : sig
   type t = int
 
-  val empty : t
   val full : t
   val mask_bit : int -> t
   (** [mask_bit sig] = [1 lsl (sig - 1)]. *)

@@ -20,8 +20,3 @@ let zero = {
   st_ctime = 0; st_blksize = 512; st_blocks = 0;
 }
 
-let pp ppf t =
-  Format.fprintf ppf
-    "{ino=%d mode=%s nlink=%d uid=%d gid=%d size=%d mtime=%d}"
-    t.st_ino (Flags.Mode.to_ls_string t.st_mode) t.st_nlink t.st_uid
-    t.st_gid t.st_size t.st_mtime

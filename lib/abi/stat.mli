@@ -18,4 +18,3 @@ type t = {
 
 val zero : t
 
-val pp : Format.formatter -> t -> unit

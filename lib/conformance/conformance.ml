@@ -10,12 +10,10 @@ module Strace = Strace
    machine-checked transparency violation, pinned to the first
    diverging call.
 
-   The workload plumbing (kernel construction, image registration,
-   setup) deliberately reuses [Fault.Campaign.prepare]: the
-   conformance matrix sweeps exactly the campaign workloads, and a
-   CLI-supplied program is just a workload with a spawn body. *)
-
-type workload = Fault.Campaign.workload
+   Kernel preparation and boot are [Workloads.Table]'s: the
+   conformance matrix sweeps the table's quick rows, the fault
+   campaign's workloads, and a CLI-supplied program is just a row with
+   a spawn body. *)
 
 (* --- stacks -------------------------------------------------------------- *)
 
@@ -38,17 +36,20 @@ let agent a = (a :> Toolkit.Numeric.numeric_syscall)
    of the descriptor table — an agent descriptor parked at 3 would
    shift every fd the client subsequently receives, and the checker
    (correctly) flags that as a transparency violation; real tracers
-   relocate their descriptors for exactly this reason. *)
+   relocate their descriptors for exactly this reason.  A kernel
+   without [/dev/null] aborts the session: falling back to some other
+   descriptor would trace into one the agent does not own. *)
 let trace_fd () =
-  match Libc.Unistd.open_ "/dev/null" Flags.Open.o_wronly 0 with
-  | Error _ -> 2
-  | Ok fd -> (
-    let high = Libc.Unistd.getdtablesize () - 1 in
-    match Libc.Unistd.dup2 fd high with
-    | Ok _ ->
-      ignore (Libc.Unistd.close fd);
-      high
-    | Error _ -> fd)
+  let fd =
+    Libc.Unistd.ok_exn "trace sink /dev/null"
+      (Libc.Unistd.open_ "/dev/null" Flags.Open.o_wronly 0)
+  in
+  let high = Libc.Unistd.getdtablesize () - 1 in
+  match Libc.Unistd.dup2 fd high with
+  | Ok _ ->
+    ignore (Libc.Unistd.close fd);
+    high
+  | Error _ -> fd
 
 let trace = {
   sk_name = "trace";
@@ -169,16 +170,16 @@ type capture = {
 (* One run, observation untouched: the shard records the signature
    itself.  The recorder is armed only once the stack is installed, so
    agent construction syscalls stay out of the signature. *)
-let capture (w : workload) stack =
-  let k = Fault.Campaign.prepare w in
+let capture (w : Workloads.Table.workload) stack =
+  let k = Workloads.Table.prepare w.w_setup in
   let delta = ref Delta.none in
   let sg = ref Signature.empty in
   let status =
-    Kernel.boot k ~name:(w.Fault.Campaign.w_name ^ "-conform") (fun () ->
+    Kernel.boot k ~name:(w.w_name ^ "-conform") (fun () ->
       let agents = stack.sk_make () in
       List.iter (fun a -> Toolkit.Loader.install a ~argv:[||]) agents;
       delta := Delta.compose (List.map (fun a -> a#declared_delta) agents);
-      let rc, s = Kernel.with_signature k w.Fault.Campaign.w_body in
+      let rc, s = Kernel.with_signature k w.w_body in
       sg := s;
       rc)
   in
@@ -205,7 +206,7 @@ let conforms v = v.c_violation = None
    [`Per_process] compares each pid's stream in isolation — required
    for concurrent workloads like kvd, where an agent charging virtual
    time lawfully reshuffles the cross-process interleaving. *)
-let check ?baseline ?(scope = `Global) (w : workload) stack =
+let check ?baseline ?(scope = `Global) (w : Workloads.Table.workload) stack =
   let b =
     match baseline with Some b -> b | None -> capture w bare
   in
@@ -216,7 +217,7 @@ let check ?baseline ?(scope = `Global) (w : workload) stack =
   let nb = Signature.normalize u.cap_delta b.cap_sig in
   let nu = Signature.normalize u.cap_delta u.cap_sig in
   {
-    c_workload = w.Fault.Campaign.w_name;
+    c_workload = w.w_name;
     c_stack = stack.sk_name;
     c_delta = u.cap_delta;
     c_bare_events = Signature.length b.cap_sig;
@@ -258,17 +259,3 @@ let verdict_to_json v =
         | None -> Null
         | Some d -> Signature.divergence_to_json d );
     ]
-
-(* --- workload helpers ----------------------------------------------------- *)
-
-let workloads = Fault.Campaign.workloads
-let workload_of_name = Fault.Campaign.of_name
-
-let workload_of_body ~name ?(setup = fun (_ : Kernel.t) -> ()) body =
-  {
-    Fault.Campaign.w_name = name;
-    w_seed = 1;
-    w_setup = setup;
-    w_body = body;
-    w_output = "";
-  }

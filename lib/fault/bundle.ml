@@ -132,7 +132,7 @@ let of_string text =
      | _ -> Error "incomplete bundle (need W, O, E and both H lines)")
 
 let replay b =
-  match Campaign.of_name b.b_workload with
+  match Workloads.Table.(find quick) b.b_workload with
   | None -> Error (Printf.sprintf "unknown workload %S" b.b_workload)
   | Some w ->
     let clean = (Campaign.clean_run w).Campaign.r_report in

@@ -1,68 +1,6 @@
 open Abi
 open Agents.Faultinject
 
-(* --- workloads -------------------------------------------------------------- *)
-
-type workload = {
-  w_name : string;
-  w_seed : int;
-  w_setup : Kernel.t -> unit;
-  w_body : unit -> int;
-  w_output : string;
-}
-
-let scribe =
-  let params = Workloads.Scribe.quick_params in
-  {
-    w_name = "scribe";
-    w_seed = 1;
-    w_setup = (fun k -> Workloads.Scribe.setup ~params ~seed:1 k);
-    w_body = (fun () -> Workloads.Scribe.body ~params ());
-    w_output = Workloads.Scribe.output_path;
-  }
-
-let make =
-  let params = Workloads.Make_cc.quick_params in
-  {
-    w_name = "make";
-    w_seed = 1;
-    w_setup = (fun k -> Workloads.Make_cc.setup ~params ~seed:1 k);
-    w_body = (fun () -> Workloads.Make_cc.body ());
-    (* make's product of record is its build transcript on the console;
-       there is no single output file to pin *)
-    w_output = "";
-  }
-
-let afs =
-  let params = Workloads.Afs_bench.quick_params in
-  {
-    w_name = "afs";
-    w_seed = 1;
-    w_setup = (fun k -> Workloads.Afs_bench.setup ~params ~seed:1 k);
-    w_body = (fun () -> Workloads.Afs_bench.body ~params ());
-    w_output = "";
-  }
-
-let kvd =
-  (* batch = 1 serializes the client waves, making fork order — hence
-     pid assignment — deterministic; the conformance checker's
-     per-process comparison depends on that *)
-  let params = { Workloads.Kvd.quick_params with Workloads.Kvd.batch = 1 } in
-  {
-    w_name = "kvd";
-    w_seed = 1;
-    w_setup = (fun k -> Workloads.Kvd.setup k);
-    w_body =
-      (fun () ->
-        Workloads.Kvd.body ~params ~mode:Workloads.Kvd.Fork_per_conn ());
-    w_output = Workloads.Kvd.summary_path;
-  }
-
-let workloads = [ scribe; make; afs; kvd ]
-
-let of_name name =
-  List.find_opt (fun w -> w.w_name = name) workloads
-
 (* --- one run under a plan ---------------------------------------------------- *)
 
 type mode = Bare | Record | Replay of string
@@ -79,19 +17,8 @@ type run = {
   r_desyncs : int;
 }
 
-let prepare w =
-  let k = Kernel.create () in
-  (* image registration is per-kernel and idempotent; make sure the
-     workloads' spawned tools resolve in this run's registry *)
-  Workloads.Scribe.register k;
-  Workloads.Make_cc.register k;
-  Workloads.Kvd.register k;
-  Kernel.populate_standard k;
-  w.w_setup k;
-  k
-
-let execute w ~mode ~sites =
-  let k = prepare w in
+let execute (w : Workloads.Table.workload) ~mode ~sites =
+  let k = Workloads.Table.prepare w.w_setup in
   let recorder =
     match mode with
     | Record -> Some (Agents.Record_replay.create_recorder ())
@@ -103,18 +30,13 @@ let execute w ~mode ~sites =
     | Bare | Record -> None
   in
   let agent = create_planned sites in
+  (* recorder/replayer sit below the injector: the journal holds what
+     the kernel answered, and injected faults replay from the
+     injector's own deterministic bookkeeping, not from the journal *)
   let status =
     Kernel.boot k ~name:(w.w_name ^ "-campaign") (fun () ->
-      (* recorder/replayer sit below the injector: the journal holds
-         what the kernel answered, and injected faults replay from the
-         injector's own deterministic bookkeeping, not from the
-         journal *)
-      (match replayer with
-       | Some r -> Toolkit.Loader.install r ~argv:[||]
-       | None -> ());
-      (match recorder with
-       | Some r -> Toolkit.Loader.install r ~argv:[||]
-       | None -> ());
+      Option.iter (fun r -> Toolkit.Loader.install r ~argv:[||]) replayer;
+      Option.iter (fun r -> Toolkit.Loader.install r ~argv:[||]) recorder;
       Toolkit.Loader.install agent ~argv:[||];
       w.w_body ())
   in
@@ -235,7 +157,8 @@ type case = {
   c_run : run;
 }
 
-let sweep ?candidates ?per_sysno ?(errnos = default_errnos) w =
+let sweep ?candidates ?per_sysno ?(errnos = default_errnos)
+    (w : Workloads.Table.workload) =
   let b = baseline ?candidates w in
   let sites = sites_from_profile ?per_sysno b.b_profile ~errnos in
   let cases =
@@ -254,7 +177,7 @@ let sweep ?candidates ?per_sysno ?(errnos = default_errnos) w =
    preserves the failure class, to a fixpoint.  The result is
    1-minimal — removing any single remaining site loses the failure —
    which is what a repro bundle should carry. *)
-let shrink w ~clean ~outcome sites =
+let shrink (w : Workloads.Table.workload) ~clean ~outcome sites =
   let reproduces sites =
     sites <> [] && (run_plan ~mode:Bare ~clean w sites).r_outcome = outcome
   in

@@ -6,39 +6,8 @@
     Everything here is deterministic: workload generation is seeded,
     the plan-driven injector makes no random choices, and virtual time
     is simulated — the same sweep produces the same classification
-    table on every run. *)
-
-type workload = {
-  w_name : string;
-  w_seed : int;
-  w_setup : Kernel.t -> unit;
-  w_body : unit -> int;
-  w_output : string;  (** output artifact path compared by the oracle
-                          ("" when the console is the product) *)
-}
-
-val scribe : workload
-(** quick-params scribe formatter *)
-
-val make : workload
-(** quick-params make + cc pipeline *)
-
-val afs : workload
-(** quick-params Andrew-benchmark phases *)
-
-val kvd : workload
-(** quick-params key-value daemon (fork-per-connection mode); the
-    oracle pins its deterministic [/kvd/summary] totals *)
-
-val workloads : workload list
-
-val prepare : workload -> Kernel.t
-(** A fresh kernel ready to boot the workload: the scribe, make_cc and
-    kvd images registered, the standard tree populated, then
-    [w_setup].  Every campaign run and every conformance capture starts
-    here. *)
-
-val of_name : string -> workload option
+    table on every run.  The workloads are {!Workloads.Table}'s
+    [quick] rows; every run's kernel comes from its [prepare]. *)
 
 (** How a run interacts with [record_replay]: [Record] journals the
     run's inputs (so failures can ship a repro bundle), [Replay] feeds
@@ -59,12 +28,12 @@ type run = {
 }
 
 val run_plan :
-  ?mode:mode -> clean:Oracle.report -> workload
+  ?mode:mode -> clean:Oracle.report -> Workloads.Table.workload
   -> Agents.Faultinject.site list -> run
 (** One session of [workload] under the plan, classified against the
     fault-free [clean] report.  Default mode [Record]. *)
 
-val clean_run : ?mode:mode -> workload -> run
+val clean_run : ?mode:mode -> Workloads.Table.workload -> run
 (** The fault-free run (classified against itself: always
     [Tolerated]).  Default mode [Bare]. *)
 
@@ -82,7 +51,7 @@ type baseline = {
         issued — measured by the [Obs] engine *)
 }
 
-val baseline : ?candidates:int list -> workload -> baseline
+val baseline : ?candidates:int list -> Workloads.Table.workload -> baseline
 (** Run the workload fault-free with the observability engine enabled
     and read the per-syscall call counts back as the injection-site
     profile.  Resets the [Obs] engine (state restored to enabled if it
@@ -103,12 +72,12 @@ type case = {
 
 val sweep :
   ?candidates:int list -> ?per_sysno:int -> ?errnos:Abi.Errno.t list
-  -> workload -> baseline * case list
+  -> Workloads.Table.workload -> baseline * case list
 (** The whole campaign for one workload: baseline, site discovery,
     one classified run per site × errno. *)
 
 val shrink :
-  workload -> clean:Oracle.report -> outcome:Oracle.outcome
+  Workloads.Table.workload -> clean:Oracle.report -> outcome:Oracle.outcome
   -> Agents.Faultinject.site list -> Agents.Faultinject.site list
 (** Greedy delta reduction of a failing plan: drop sites while the
     failure class [outcome] still reproduces, to a 1-minimal set. *)

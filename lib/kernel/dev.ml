@@ -46,7 +46,6 @@ module Console = struct
     t.input <- t.input ^ s
 
   let contents t = Buffer.contents t.out
-  let clear t = Buffer.clear t.out
   let set_echo t f = t.echo <- Some f
 
   let ops t = {

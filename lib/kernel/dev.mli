@@ -24,15 +24,11 @@ module Console : sig
   type t
 
   val create : unit -> t
-  val ops : t -> ops
-
   val feed : t -> string -> unit
   (** Append input for subsequent reads. *)
 
   val contents : t -> string
   (** Everything written so far. *)
-
-  val clear : t -> unit
 
   val set_echo : t -> (string -> unit) -> unit
   (** Also deliver every write to the given host function (used by the

@@ -66,11 +66,6 @@ let is_writable t =
   | Pipe_read _ | Fifo_read _ -> false
   | Vnode _ -> Abi.Flags.Open.writable t.flags
 
-let inode t =
-  match t.kind with
-  | Vnode i | Fifo_read (i, _) | Fifo_write (i, _) -> Some i
-  | Pipe_read _ | Pipe_write _ | Sock _ -> None
-
 (* The kind of a wait channel sits in its low three bits, above them
    the ring's causal channel (itself unique across rings), a pid or a
    listener id. *)

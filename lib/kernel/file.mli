@@ -71,8 +71,6 @@ val make : id:int -> kind -> flags:int -> t
 val is_readable : t -> bool
 val is_writable : t -> bool
 
-val inode : t -> Vfs.Inode.t option
-
 (** Wait channels, as 4.3BSD's [sleep(chan)] and [wakeup(chan)] take
     them: what a parked process waits for ({!Proc.cond}), and the key
     of its queue in [Kstate.waitqs].  Each is an immediate int, and

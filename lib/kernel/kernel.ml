@@ -449,7 +449,6 @@ let metrics (t : t) = Obs.metrics_of t.obs
    snapshot into the plain rows [Obs.Watch.eval] consumes — obs stays
    below the kernel and below abi. *)
 let set_watch (t : t) rules = t.watch <- rules
-let watch_rules (t : t) = t.watch
 
 let eval_watch rules (m : Obs.metrics) =
   Obs.Watch.eval rules
@@ -558,7 +557,6 @@ module Cluster = struct
       c.shards;
     c
 
-  let shards c = Array.length c.shards
   let shard c i = c.shards.(i)
 
   let boot_shard c i ~name body =

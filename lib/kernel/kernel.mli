@@ -55,7 +55,7 @@ val create : ?shard_id:int -> unit -> t
     (inheriting the installed engine's {e configuration} — enablement,
     sampling, ring capacity — so observation set up before [create]
     applies to the new kernel) and counters.  The new kernel is
-    {!enter}ed, becoming the current shard.  [shard_id] (default 0) is
+    installed as the current shard.  [shard_id] (default 0) is
     its position in a {!Cluster}. *)
 
 (** {1 The current shard}
@@ -65,12 +65,7 @@ val create : ?shard_id:int -> unit -> t
     installed cells, one per layer: the shard's obs engine for obs and
     abi code, which sit below the kernel, and the ambient current shard
     (and through it the running process) for the kernel and everything
-    above.  {!enter} installs both. *)
-
-val enter : t -> unit
-(** Make [t] the current shard.  {!create} and {!boot} call this;
-    host code only needs it when juggling several live kernels by
-    hand. *)
+    above.  {!create} and {!with_shard} install both. *)
 
 val with_shard : t -> (unit -> 'a) -> 'a
 (** Run [f] with [t] entered, restoring the previously current shard
@@ -170,8 +165,6 @@ val set_watch : t -> Obs.Watch.rule list -> unit
     Rules live on the shard handle, so they survive [Obs.reset]
     between workload phases. *)
 
-val watch_rules : t -> Obs.Watch.rule list
-
 val watch_verdicts : t -> Obs.Watch.verdict list
 (** Evaluate the installed rules against this shard's current metrics
     and envelope-pool counters — one verdict per rule, in rule
@@ -237,7 +230,6 @@ module Cluster : sig
       [quantum_us] (default 50 000 virtual µs) is the round horizon.
       Raises [Invalid_argument] on a non-positive argument. *)
 
-  val shards : t -> int
   val shard : t -> int -> kernel
   (** The [i]th member kernel — use the ordinary handle API on it
       (populate, install images, read metrics) before and after

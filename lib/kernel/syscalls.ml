@@ -1104,7 +1104,7 @@ let serve ?via t (p : Proc.t) env =
      view, this is a memoized read, not a second decode *)
   match Envelope.typed env with
   | exception Envelope.Undecodable e ->
-    if Option.is_some via then charge t Cost_model_base.trivial_us;
+    if Option.is_some via then charge t Cost_model.trivial_us;
     Done (Error e)
   | call ->
     (match via with

@@ -2,8 +2,6 @@
     reading for the simulated programs. *)
 
 val stdin : int
-val stdout : int
-val stderr : int
 
 val print : string -> unit
 (** Write to fd 1, ignoring errors (like printf(3) in careless C). *)

@@ -351,7 +351,6 @@ let reset () =
 (* ---------- causal edges (DESIGN.md §3.9) ---------- *)
 
 let set_shard i = !cur.e_shard <- i
-let shard () = !cur.e_shard
 
 (* Innermost open span of [pid] — [current ()] without the ambient
    context: the causal hooks run inside the kernel dispatcher, where

@@ -189,8 +189,6 @@ module Codec : sig
 
   val pp : Format.formatter -> t -> unit
 
-  val to_json : t -> Json.t
-  (** The ["codec"] block of {!metrics_to_json}. *)
 end
 
 (** Hit/miss counters over every envelope pool of one shard (records
@@ -204,8 +202,6 @@ module Env_pool : sig
   }
 
   val diff : t -> t -> t
-  val to_json : t -> Json.t
-  (** The ["env_pool"] block of {!metrics_to_json}. *)
 end
 
 val codec_of : engine -> Codec.t
@@ -298,8 +294,6 @@ val set_shard : int -> unit
 (** Stamp the installed engine with its owning shard id
     ([Kernel.create] does this); edge endpoints carry it because span
     ids are unique only per engine. *)
-
-val shard : unit -> int
 
 type origin = int * int * int
 (** Where a causal edge starts: [(shard, span, pid)]. *)

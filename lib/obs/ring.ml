@@ -57,5 +57,3 @@ let drain t =
   let xs = to_list t in
   clear t;
   xs
-
-let iter f t = List.iter f (to_list t)

@@ -36,4 +36,3 @@ val drain : 'a t -> 'a list
     [agentrun --trace-out] and the [/obs/spans] synthetic file. *)
 
 val clear : 'a t -> unit
-val iter : ('a -> unit) -> 'a t -> unit

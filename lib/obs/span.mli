@@ -53,8 +53,6 @@ val call_line : call -> string
     [agentrun --agent trace] output and consumers of [--trace-out]
     JSONL render through this one function. *)
 
-val to_json : record -> Json.t
-
 val to_line : record -> string
 (** One compact JSON object (no trailing newline), with a
     ["type": "segment"|"call"|"mark"|"edge"] discriminator; an edge's

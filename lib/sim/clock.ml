@@ -24,5 +24,4 @@ let charge c us =
 
 let advance_to c t = if t > c.now_us then c.now_us <- t
 let set_scale c f = c.scale <- (if f < 0.0 then 0.0 else f)
-let scale c = c.scale
 let seconds c = float_of_int (elapsed_us c) /. 1e6

@@ -32,7 +32,5 @@ val set_scale : t -> float -> unit
     Used by ablation benchmarks to model faster or slower interception
     mechanisms; default scale is [1.0].  [advance_to] is unaffected. *)
 
-val scale : t -> float
-
 val seconds : t -> float
 (** [seconds c] is {!elapsed_us} expressed in seconds. *)

@@ -12,7 +12,6 @@ type t = {
   dev : int;
 }
 
-let dev t = t.dev
 let root_ino _ = 2  (* the historical UFS root inode number *)
 
 let max_symlinks = 8

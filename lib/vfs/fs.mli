@@ -17,9 +17,6 @@ val create : ?now:(unit -> int) -> unit -> t
 (** [now] supplies timestamps in seconds (default: constant 0; the
     kernel passes its virtual clock). *)
 
-val dev : t -> int
-(** The device number reported in [st_dev]. *)
-
 val root_ino : t -> int
 
 val get_exn : t -> int -> Inode.t

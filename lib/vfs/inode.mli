@@ -28,9 +28,6 @@ type t = {
   mutable ctime : int;
 }
 
-val mode : t -> int
-(** Kind bits combined with permission bits, as found in [st_mode]. *)
-
 val size : t -> int
 
 val to_stat : dev:int -> t -> Abi.Stat.t

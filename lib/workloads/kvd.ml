@@ -366,18 +366,7 @@ let register k =
     in
     body ~params ~mode ())
 
-let setup ?params:_ k =
+let setup k =
   register k;
   Kernel.mkdir_p k data_dir;
   Kernel.install_image k ~path:"/bin/kvd" ~image:"kvd"
-
-let run ?(params = default_params) ~mode k =
-  setup k;
-  let stats = fresh_stats () in
-  let status =
-    Kernel.boot k
-      ~name:("kvd-" ^ mode_name mode)
-      (fun () -> body ~params ~stats ~mode ())
-  in
-  ignore status;
-  stats

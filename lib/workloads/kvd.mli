@@ -53,7 +53,7 @@ type stats = {
 
 val fresh_stats : unit -> stats
 
-val setup : ?params:params -> Kernel.t -> unit
+val setup : Kernel.t -> unit
 (** Create {!data_dir} and install [/bin/kvd]. *)
 
 val register : Kernel.t -> unit
@@ -63,6 +63,3 @@ val register : Kernel.t -> unit
 val body : ?params:params -> ?stats:stats -> mode:mode -> unit -> int
 (** The whole workload (server + clients) as one process body; 0 when
     every client connected and no request failed. *)
-
-val run : ?params:params -> mode:mode -> Kernel.t -> stats
-(** [setup] + boot [body] on a fresh stats record, returned. *)

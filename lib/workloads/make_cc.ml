@@ -391,22 +391,3 @@ let setup ?(params = default_params) ?(seed = 7) k =
     (String.concat "\n" (List.rev !rules) ^ "\n")
 
 let body () = make ~argv:[| "make"; makefile |] ~envp:[||] ()
-
-let clean k =
-  let fs = Kernel.fs k in
-  let root = Vfs.Fs.root_ino fs in
-  match Vfs.Fs.resolve fs Vfs.Fs.root_cred ~cwd:root project_dir with
-  | Error _ -> ()
-  | Ok dir ->
-    List.iter
-      (fun (name, _) ->
-        let keep =
-          name = "." || name = ".." || name = "Makefile"
-          || name = "include" || name = ".ccrc"
-          || Filename.check_suffix name ".c"
-        in
-        if not keep then
-          ignore
-            (Vfs.Fs.unlink fs Vfs.Fs.root_cred ~cwd:root
-               (project_dir ^ "/" ^ name)))
-      (Vfs.Inode.dir_entries dir)

@@ -35,6 +35,3 @@ val register : Kernel.t -> unit
 val body : unit -> int
 (** Run [make] on {!project_dir} as a direct process body (equivalent
     to exec'ing [/bin/make /proj/Makefile]). *)
-
-val clean : Kernel.t -> unit
-(** Remove build products so the next run rebuilds everything. *)

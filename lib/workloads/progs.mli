@@ -3,8 +3,9 @@
     binaries.  All of them speak the simulated system interface only
     (via {!Libc}), so they run unmodified under any agent. *)
 
-val register : Kernel.t -> unit
-(** Register every utility image (idempotent):
+val install_all : Kernel.t -> unit
+(** Register every utility image and write each into [/bin]
+    (idempotent):
 
     - [cat file...] — concatenate to stdout ([-] unsupported)
     - [echo words...]
@@ -20,9 +21,6 @@ val register : Kernel.t -> unit
       reading commands from standard input
     - [true], [false]
     - [sh -c "cmd args | cmd args | ..."] — a minimal pipeline shell *)
-
-val install_all : Kernel.t -> unit
-(** {!register} plus writing each image into [/bin]. *)
 
 val sh_split : string -> string list list
 (** Plain pipeline splitting: stages as word lists (exposed for

@@ -228,7 +228,13 @@ let test_shape_classes () =
 
 (* --- the differential checker over real stacks ---------------------------- *)
 
-let scribe = Fault.Campaign.scribe
+module Table = Workloads.Table
+
+let scribe = Table.Quick.scribe
+
+(* a workload whose body is [body], for the checks below *)
+let workload_of_body ~name ~setup body =
+  { Table.w_name = name; w_setup = setup; w_body = body; w_output = "" }
 
 let test_matrix_scribe () =
   let baseline = Conformance.capture scribe Conformance.bare in
@@ -277,11 +283,11 @@ let capture_observed sample w stack =
 
 let test_capture_exact_under_sampling () =
   List.iter
-    (fun (w : Fault.Campaign.workload) ->
+    (fun (w : Table.workload) ->
       List.iter
         (fun stack ->
           let name =
-            Printf.sprintf "%s under %s" w.Fault.Campaign.w_name
+            Printf.sprintf "%s under %s" w.Table.w_name
               stack.Conformance.sk_name
           in
           let off, off_spans = capture_observed None w stack in
@@ -303,7 +309,7 @@ let test_capture_exact_under_sampling () =
                 off.Conformance.cap_status c.Conformance.cap_status)
             [ 1; 256 ])
         Conformance.all_stacks)
-    Fault.Campaign.workloads
+    Table.quick
 
 (* Issue order and outcomes the trap path alone decides: a getpid made
    by the SIGALRM handler inside the interrupted sleep comes after the
@@ -312,7 +318,7 @@ let test_capture_exact_under_sampling () =
    execve never return. *)
 let test_capture_pins () =
   let w =
-    Conformance.workload_of_body ~name:"pins"
+    workload_of_body ~name:"pins"
       ~setup:Workloads.Progs.install_all (fun () ->
         ignore
           (Libc.Unistd.signal Signal.sigalrm
@@ -388,11 +394,11 @@ let native_body () =
 
 let check_vos_against_native stack =
   let native_w =
-    Conformance.workload_of_body ~name:"twin-native" ~setup:vos_setup
+    workload_of_body ~name:"twin-native" ~setup:vos_setup
       native_body
   in
   let vos_w =
-    Conformance.workload_of_body ~name:"twin-vos" ~setup:vos_setup vos_body
+    workload_of_body ~name:"twin-vos" ~setup:vos_setup vos_body
   in
   let b = Conformance.capture native_w Conformance.bare in
   let u = Conformance.capture vos_w stack in
@@ -584,24 +590,24 @@ let test_trace_text_is_ring () =
    fibre. *)
 let test_workloads_end_clean () =
   List.iter
-    (fun (w : Fault.Campaign.workload) ->
+    (fun (w : Table.workload) ->
       List.iter
         (fun (stack : Conformance.stack) ->
-          let what = w.Fault.Campaign.w_name ^ " " ^ stack.Conformance.sk_name in
-          let k = Fault.Campaign.prepare w in
+          let what = w.Table.w_name ^ " " ^ stack.Conformance.sk_name in
+          let k = Table.prepare w.Table.w_setup in
           let status =
             Kernel.boot k ~name:what (fun () ->
               List.iter
                 (fun a -> Toolkit.Loader.install a ~argv:[||])
                 (stack.Conformance.sk_make ());
-              w.Fault.Campaign.w_body ())
+              w.Table.w_body ())
           in
           Alcotest.(check int) (what ^ ": exit status") 0 status;
           Alcotest.(check int) (what ^ ": wait queues") 0
             (Hashtbl.length k.Kernel.Kstate.waitqs);
           Alcotest.(check int) (what ^ ": fibres") 0 k.Kernel.Kstate.fibres)
         [ Conformance.bare; Conformance.stacked ])
-    Fault.Campaign.workloads
+    Table.quick
 
 let () =
   Alcotest.run "conformance"

@@ -301,8 +301,7 @@ let test_planned_deterministic () =
 (* --- oracles and classification ----------------------------------------- *)
 
 let wl name ?(output = "") body =
-  { Fault.Campaign.w_name = name;
-    w_seed = 1;
+  { Workloads.Table.w_name = name;
     w_setup = (fun k -> Kernel.write_file k ~path:"/tmp/in" "payload");
     w_body = body;
     w_output = output }
@@ -420,7 +419,7 @@ let test_classify_unreaped () =
 (* --- discovery, sweep, shrink -------------------------------------------- *)
 
 let test_baseline_profile () =
-  let b = Fault.Campaign.baseline Fault.Campaign.scribe in
+  let b = Fault.Campaign.baseline Workloads.Table.Quick.scribe in
   Alcotest.check outcome_t "fault-free run tolerated"
     Fault.Oracle.Tolerated b.Fault.Campaign.b_run.Fault.Campaign.r_outcome;
   let calls n =
@@ -434,7 +433,7 @@ let test_baseline_profile () =
 let test_sweep_classifies_everything () =
   let _, cases =
     Fault.Campaign.sweep ~errnos:[ Errno.EIO; Errno.ENOENT; Errno.EINTR ]
-      Fault.Campaign.scribe
+      Workloads.Table.Quick.scribe
   in
   Alcotest.(check bool) "swept a real site grid" true
     (List.length cases >= 9);
@@ -465,7 +464,7 @@ let test_kvd_conn_sweep () =
   let baseline, cases =
     Fault.Campaign.sweep ~candidates:Fault.Campaign.conn_candidates
       ~per_sysno:2 ~errnos:[ Errno.ECONNRESET; Errno.EINTR ]
-      Fault.Campaign.kvd
+      Workloads.Table.Quick.kvd
   in
   let calls n =
     Option.value ~default:0
@@ -522,7 +521,7 @@ let first_failing cases =
     cases
 
 let test_bundle_roundtrip_and_replay () =
-  let _, cases = Fault.Campaign.sweep Fault.Campaign.scribe in
+  let _, cases = Fault.Campaign.sweep Workloads.Table.Quick.scribe in
   match first_failing cases with
   | None -> Alcotest.fail "sweep produced no failing case to bundle"
   | Some c ->

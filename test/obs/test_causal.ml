@@ -423,9 +423,12 @@ let test_kvd_socket_edges () =
     (count Obs.Causal.Pipe (edges k) > 0);
   (* [Kernel.create] copies the switch and installs the new engine *)
   Obs.enable ();
-  let k = fresh_kernel () in
+  let k = Workloads.Table.prepare Workloads.Kvd.setup in
   let params = { Workloads.Kvd.quick_params with Workloads.Kvd.clients = 40 } in
-  let stats = Workloads.Kvd.run ~params ~mode:Workloads.Kvd.Fork_per_conn k in
+  let stats = Workloads.Kvd.fresh_stats () in
+  ignore
+    (Kernel.boot k ~name:"kvd-fork" (fun () ->
+       Workloads.Kvd.body ~params ~stats ~mode:Workloads.Kvd.Fork_per_conn ()));
   Alcotest.(check int) "every client connected" 40 stats.Workloads.Kvd.conns;
   Alcotest.(check int) "no request failed" 0 stats.Workloads.Kvd.errors;
   Alcotest.(check bool) "kvd made socket edges" true

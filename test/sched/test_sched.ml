@@ -72,7 +72,7 @@ let kvd mode () =
   let stats = Workloads.Kvd.fresh_stats () in
   let pin =
     observed_session ~agents:Conformance.stacked.Conformance.sk_make
-      (fun k -> Workloads.Kvd.setup ~params k)
+      Workloads.Kvd.setup
       (fun () -> Workloads.Kvd.body ~params ~stats ~mode ())
   in
   Alcotest.(check int) "every client served" params.Workloads.Kvd.clients
@@ -186,11 +186,12 @@ let check_no_live_fibres what k =
   Alcotest.(check int) (what ^ ": fibres left") 0 k.Kernel.Kstate.fibres
 
 let test_kvd_fibres_finish () =
-  let k = fresh_kernel () in
-  let stats =
-    Workloads.Kvd.run ~params:Workloads.Kvd.quick_params
-      ~mode:Workloads.Kvd.Fork_per_conn k
-  in
+  let k = Workloads.Table.prepare Workloads.Kvd.setup in
+  let stats = Workloads.Kvd.fresh_stats () in
+  check_exit "kvd" 0
+    (Kernel.boot k ~name:"kvd-fork" (fun () ->
+       Workloads.Kvd.body ~params:Workloads.Kvd.quick_params ~stats
+         ~mode:Workloads.Kvd.Fork_per_conn ()));
   Alcotest.(check int) "no request failed" 0 stats.Workloads.Kvd.errors;
   check_no_live_fibres "kvd" k
 
@@ -263,7 +264,7 @@ let test_kvd_slots () =
   let params = Workloads.Kvd.quick_params in
   let stats = Workloads.Kvd.fresh_stats () in
   stepped_session "kvd fork"
-    (fun k -> Workloads.Kvd.setup ~params k)
+    Workloads.Kvd.setup
     (fun () ->
       List.iter
         (fun a -> Toolkit.Loader.install a ~argv:[||])

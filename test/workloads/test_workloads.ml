@@ -293,16 +293,12 @@ let test_make_calibration () =
 
 let test_make_under_union_split_tree () =
   (* the paper's union motivation: sources in /src, objects in /obj,
-     make sees one merged tree *)
-  let k = fresh_kernel () in
-  Workloads.Make_cc.setup ~params:Workloads.Make_cc.quick_params k;
-  (* split: move the generated /proj sources into /srcdir, objects
-     will land in /objdir (first member) *)
-  Kernel.mkdir_p k "/objdir";
-  let fs = Kernel.fs k in
-  let root = Vfs.Fs.root_ino fs in
-  check_ok "rename proj"
-    (Vfs.Fs.rename fs Vfs.Fs.root_cred ~cwd:root ~src:"/proj" "/srcdir");
+     make sees one merged tree.  The table's make-split row moves the
+     generated /proj sources into /srcdir; objects land in /objdir
+     (first member) *)
+  let w = Workloads.Table.Paper.make_split in
+  let k = Workloads.Table.prepare w.w_setup in
+  Alcotest.(check bool) "/proj moved away" false (Kernel.exists k "/proj");
   (* /proj becomes a union of /objdir (creations) over /srcdir *)
   let agent =
     Agents.Union.create
@@ -313,7 +309,7 @@ let test_make_under_union_split_tree () =
   let status =
     boot_k k (fun () ->
       Toolkit.Loader.install agent ~argv:[||];
-      Workloads.Make_cc.body ())
+      w.w_body ())
   in
   check_exit "make over union ok" 0 status;
   Alcotest.(check bool) "objects in /objdir" true
@@ -410,6 +406,17 @@ let test_scribe_under_timex_identical_output () =
 
 (* --- kvd: the multi-client socket server -------------------------------------- *)
 
+(* kvd under [params] and [mode] on a kernel the workload table
+   prepared; the kernel and the run's stats *)
+let kvd_run ~params ~mode =
+  let k = Workloads.Table.prepare Workloads.Kvd.setup in
+  let stats = Workloads.Kvd.fresh_stats () in
+  ignore
+    (Kernel.boot k
+       ~name:("kvd-" ^ Workloads.Kvd.mode_name mode)
+       (fun () -> Workloads.Kvd.body ~params ~stats ~mode ()));
+  (k, stats)
+
 let check_kvd_clean ~mode p (stats : Workloads.Kvd.stats) k =
   let open Workloads.Kvd in
   Alcotest.(check int) "every client connected" p.clients stats.conns;
@@ -426,28 +433,24 @@ let check_kvd_clean ~mode p (stats : Workloads.Kvd.stats) k =
     (read_file_exn k summary_path)
 
 let test_kvd_fork_quick () =
-  let k = fresh_kernel () in
   let p = Workloads.Kvd.quick_params in
-  let stats = Workloads.Kvd.run ~params:p ~mode:Workloads.Kvd.Fork_per_conn k in
+  let k, stats = kvd_run ~params:p ~mode:Workloads.Kvd.Fork_per_conn in
   check_kvd_clean ~mode:Workloads.Kvd.Fork_per_conn p stats k
 
 let test_kvd_prefork_quick () =
-  let k = fresh_kernel () in
   let p = Workloads.Kvd.quick_params in
-  let stats = Workloads.Kvd.run ~params:p ~mode:Workloads.Kvd.Prefork k in
+  let k, stats = kvd_run ~params:p ~mode:Workloads.Kvd.Prefork in
   check_kvd_clean ~mode:Workloads.Kvd.Prefork p stats k
 
 let test_kvd_fork_1000 () =
-  let k = fresh_kernel () in
   let p = Workloads.Kvd.default_params in
-  let stats = Workloads.Kvd.run ~params:p ~mode:Workloads.Kvd.Fork_per_conn k in
+  let _, stats = kvd_run ~params:p ~mode:Workloads.Kvd.Fork_per_conn in
   Alcotest.(check int) "1000 clients served" 1000 stats.Workloads.Kvd.conns;
   Alcotest.(check int) "no errors" 0 stats.Workloads.Kvd.errors
 
 let test_kvd_prefork_1000 () =
-  let k = fresh_kernel () in
   let p = Workloads.Kvd.default_params in
-  let stats = Workloads.Kvd.run ~params:p ~mode:Workloads.Kvd.Prefork k in
+  let _, stats = kvd_run ~params:p ~mode:Workloads.Kvd.Prefork in
   Alcotest.(check int) "1000 clients served" 1000 stats.Workloads.Kvd.conns;
   Alcotest.(check int) "no errors" 0 stats.Workloads.Kvd.errors
 
@@ -499,6 +502,63 @@ let test_kvd_under_trace_equivalent () =
            a#init [||];
            a#set_output 2;
            (a :> Toolkit.Numeric.numeric_syscall))))
+
+(* --- the workload table ------------------------------------------------------ *)
+
+(* Every row's kernel holds the standard tree: init starts with
+   descriptors 0-2 open on the terminal and finds /dev/null, the sink
+   the trace stacks write to. *)
+let test_table_rows_standard () =
+  List.iter
+    (fun (w : Workloads.Table.workload) ->
+      let k = Workloads.Table.prepare w.w_setup in
+      let fds = ref [] and null = ref false in
+      let status =
+        Kernel.boot k ~name:w.w_name (fun () ->
+          fds :=
+            List.filter
+              (fun fd -> Result.is_ok (Libc.Unistd.fstat fd))
+              [ 0; 1; 2 ];
+          null := Result.is_ok (Libc.Unistd.stat "/dev/null");
+          0)
+      in
+      check_exit (w.w_name ^ ": boots") 0 status;
+      Alcotest.(check (list int)) (w.w_name ^ ": init's fds 0-2 open")
+        [ 0; 1; 2 ] !fds;
+      Alcotest.(check bool) (w.w_name ^ ": /dev/null present") true !null)
+    (Workloads.Table.quick @ Workloads.Table.paper)
+
+(* kvd under the trace stack, both server shapes: every write, the
+   trace agent's lines and kvd's own replies, goes to a descriptor its
+   writer holds.  A trace sink other than /dev/null at the top of the
+   table would be a descriptor some kvd process lacks (EBADF) or holds
+   as a client's connection. *)
+let test_table_kvd_trace_owns_its_fds () =
+  List.iter
+    (fun mode ->
+      let what = "kvd " ^ Workloads.Kvd.mode_name mode in
+      let k = Workloads.Table.(prepare Quick.kvd.w_setup) in
+      let writes = ref 0 and ebadf = ref 0 in
+      Kernel.set_trace_hook k ~cost_us:0
+        (Some
+           (fun _ call res ->
+             match (call, res) with
+             | Abi.Call.Write _, Error Abi.Errno.EBADF ->
+               incr writes;
+               incr ebadf
+             | Abi.Call.Write _, _ -> incr writes
+             | _ -> ()));
+      let status =
+        Kernel.boot k ~name:what (fun () ->
+          List.iter
+            (fun a -> Toolkit.Loader.install a ~argv:[||])
+            (Conformance.trace.sk_make ());
+          Workloads.Kvd.body ~params:Workloads.Kvd.quick_params ~mode ())
+      in
+      check_exit (what ^ ": every client served") 0 status;
+      Alcotest.(check bool) (what ^ ": writes seen") true (!writes > 0);
+      Alcotest.(check int) (what ^ ": writes failing EBADF") 0 !ebadf)
+    [ Workloads.Kvd.Fork_per_conn; Workloads.Kvd.Prefork ]
 
 (* --- direct major allocation ------------------------------------------------ *)
 
@@ -552,7 +612,7 @@ let test_kvd_direct_major () =
     (fun (stack : Conformance.stack) ->
       let m =
         direct_major stack
-          (fun k -> Workloads.Kvd.setup ~params k)
+          Workloads.Kvd.setup
           (fun () ->
             Workloads.Kvd.body ~params ~mode:Workloads.Kvd.Fork_per_conn ())
       in
@@ -654,6 +714,11 @@ let () =
             test_kvd_causal_deterministic;
           Alcotest.test_case "under trace equivalent" `Quick
             test_kvd_under_trace_equivalent ] );
+      "table",
+      [ Alcotest.test_case "every row boots on the standard tree" `Quick
+          test_table_rows_standard;
+        Alcotest.test_case "kvd under trace owns its descriptors" `Quick
+          test_table_kvd_trace_owns_its_fds ];
       "direct-major",
       [ Alcotest.test_case "kvd, bare and stacked" `Quick
           test_kvd_direct_major;

@@ -4,9 +4,12 @@
 #
 # Every `val` in lib/**/*.mli is an export.  It counts as used when
 # some .ml/.mli file under lib/, bin/, bench/, perf/ or examples/,
-# other than the module's own <m>.ml and <m>.mli, contains both the
-# value's name and the module's name as words (a qualified reference,
-# an `open`, or a local alias all leave the module name in the file).
+# other than the module's own <m>.ml and <m>.mli, names it through its
+# module: qualified (`Sysno.is_valid`, also at the end of a longer
+# path such as `Abi.Sysno.is_valid`, or through a local alias
+# `module S = Abi.Sysno` then `S.is_valid`), or by its bare name in a
+# file that opens the module (`open M`, `let open M`, `include M`,
+# `M.(`...`)`).  A same-named value of another module is not a caller.
 # Words inside comments and string literals do not count: a comment
 # or a string naming an export is not a caller.
 # Tests do not count as callers: an export only tests reach is either
@@ -14,9 +17,9 @@
 #
 # Survivors must appear in tools/exports_allowlist.txt as
 # `<mli path>:<name>`, and every allowlist line must name a current
-# survivor (stale lines fail).  The check is a grep heuristic: a name
-# that is also a word in an unrelated file mentioning the module can
-# hide a dead export, never invent one.
+# survivor (stale lines fail).  The check is a lexical heuristic: a
+# bare name in a file that opens the module, or a module of the same
+# name elsewhere, can hide a dead export, never invent one.
 
 set -eu
 cd "$(dirname "$0")/.."
@@ -27,18 +30,20 @@ allow=tools/exports_allowlist.txt
 # the contents of its string literals blanked out first: comments
 # nest, and string and character literals are skipped whole, inside
 # comments as well as outside, as the OCaml lexer does; the lexer
-# state resets at each file's first line.  The
-# words of what is left are recorded per file (extension dropped, so
-# <m>.ml and <m>.mli are one module), and every `val` of an .mli under
-# lib/ is an export.  At the end an export is used when another file
-# has both its name and its module's name as words.
+# state resets at each file's first line.  Of what is left, per file
+# (extension dropped, so <m>.ml and <m>.mli are one module), the
+# words, the qualified names `M.v`, the opened modules and the local
+# module aliases are recorded, and every `val` of an .mli under lib/
+# is an export.  At the end an export is used when another file names
+# it through its module.
 set -- $(find lib bin bench perf examples \( -name '*.ml' -o -name '*.mli' \) \
   -not -path '*/_build/*' | sort)
 found=$(
   awk '
     FNR == 1 {
-      depth = 0; str = 0
+      depth = 0; str = 0; sp = 0; pend = ""; next_is = ""
       f = FILENAME; sub(/\.mli?$/, "", f)
+      fm = f; sub(/.*\//, "", fm); fm = toupper(substr(fm, 1, 1)) substr(fm, 2)
       mli = FILENAME ~ /^lib\/.*\.mli$/
     }
     {
@@ -69,15 +74,54 @@ found=$(
         else out = out " "
         i += w
       }
-      if (mli &&
-          match(out, /^[[:space:]]*val[[:space:]]+[a-z_][A-Za-z0-9_\047]*/)) {
-        v = substr(out, RSTART, RLENGTH)
-        sub(/^[[:space:]]*val[[:space:]]+/, "", v)
-        nv++; vfile[nv] = f; vname[nv] = v
+      # opens: `open M`, `open! M`, `let open A.M in`, `include M`
+      # (the path'"'"'s last module), and local opens `M.(`, `M.[`, `M.{`
+      rest = out
+      while (match(rest, /(^|[^A-Za-z0-9_\047.])(open!?|include)[ \t]+[A-Z][A-Za-z0-9_\047.]*/)) {
+        m = substr(rest, RSTART, RLENGTH)
+        rest = substr(rest, RSTART + RLENGTH)
+        sub(/.*[ \t]/, "", m); sub(/.*\./, "", m)
+        opened[f, m] = 1
+      }
+      rest = out
+      while (match(rest, /[A-Z][A-Za-z0-9_\047]*\.[([{]/)) {
+        opened[f, substr(rest, RSTART, RLENGTH - 2)] = 1
+        rest = substr(rest, RSTART + RLENGTH)
+      }
+      # aliases: `module X = A.M` makes `X.v` name `M.v`
+      if (match(out, /module[ \t]+[A-Z][A-Za-z0-9_\047]*[ \t]*=[ \t]*[A-Z][A-Za-z0-9_\047.]*/)) {
+        m = substr(out, RSTART, RLENGTH)
+        x = m; sub(/^module[ \t]+/, "", x); sub(/[ \t]*=.*/, "", x)
+        sub(/.*[ \t=]/, "", m); sub(/.*\./, "", m)
+        if (x != m) alias[f] = alias[f] " " x "=" m
+      }
+      # qualified names, the module the one right before the value
+      rest = out; off = 0
+      while (match(rest, /[A-Z][A-Za-z0-9_\047]*\.[a-z_][A-Za-z0-9_\047]*/)) {
+        pre = off + RSTART > 1 ? substr(out, off + RSTART - 1, 1) : ""
+        if (pre !~ /[A-Za-z0-9_\047]/) qual[f, substr(rest, RSTART, RLENGTH)] = 1
+        off += RSTART + RLENGTH - 1
+        rest = substr(rest, RSTART + RLENGTH)
       }
       while (match(out, /[A-Za-z_][A-Za-z0-9_\047]*/)) {
         word = substr(out, RSTART, RLENGTH)
         out = substr(out, RSTART + RLENGTH)
+        # an .mli'"'"'s vals, each under the innermost `module X : sig`
+        # (the file'"'"'s module at top level); vals of module types and
+        # class types are not exports
+        if (mli) {
+          if (next_is == "val") {
+            named = fm; skip = 0
+            for (j = 1; j <= sp; j++)
+              if (stk[j] == "-") skip = 1; else named = stk[j]
+            if (!skip) { nv++; vfile[nv] = f; vname[nv] = word; vmod[nv] = named }
+          } else if (next_is == "module") pend = word == "type" ? "-" : word
+          next_is = ""
+          if (word == "val" || word == "module") next_is = word
+          else if (word == "sig") { stk[++sp] = pend == "" ? "-" : pend; pend = "" }
+          else if (word == "object") stk[++sp] = "-"
+          else if (word == "end" && sp > 0) sp--
+        }
         if (!((f, word) in has)) {
           has[f, word] = 1; files[word] = files[word] "|" f
         }
@@ -85,15 +129,23 @@ found=$(
     }
     END {
       for (k = 1; k <= nv; k++) {
-        own = vfile[k]; m = own; sub(/.*\//, "", m)
-        m = toupper(substr(m, 1, 1)) substr(m, 2)
+        own = vfile[k]; m = vmod[k]
         nf = split(files[vname[k]], fs, "|")
         used = 0
-        for (i = 1; i <= nf; i++)
-          if (fs[i] != "" && fs[i] != own && ((fs[i], m) in has)) {
-            used = 1; break
-          }
-        if (!used) print own ".mli:" vname[k]
+        for (i = 1; i <= nf && !used; i++) {
+          g = fs[i]
+          if (g == "" || g == own) continue
+          if (((g, m "." vname[k]) in qual) || ((g, m) in opened)) used = 1
+          na = split(alias[g], as, " ")
+          for (j = 1; j <= na && !used; j++)
+            if (as[j] ~ ("=" m "$")) {
+              x = as[j]; sub(/=.*/, "", x)
+              if ((g, x "." vname[k]) in qual) used = 1
+            }
+        }
+        # a val of a nested module is named with its module
+        fm = own; sub(/.*\//, "", fm); fm = toupper(substr(fm, 1, 1)) substr(fm, 2)
+        if (!used) print own ".mli:" (m == fm ? "" : m ".") vname[k]
       }
     }' "$@" | sort -u
 )
