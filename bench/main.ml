@@ -839,13 +839,15 @@ let uninterested_baseline_us = 25.0
    option around its owned wire once per record, and 2.0 once the
    kernel read the memoized call without boxing it and returned its
    small results as shared outcomes; the envelope record is recycled,
-   and a boundary trap builds no wire.  Every trap through the
-   scheduler's run queue cost 56.0, so the ceiling sits at 7 (it was
-   18 before the last step): a trap that performs an effect again, a
-   pool that stops recycling (+10 words for the envelope record
-   alone) or a result built per trap again (+7) trips the gate, while
-   5 words of headroom absorb compiler drift. *)
-let minor_words_ceiling = 7.0
+   and a boundary trap builds no wire.  It measures 0.0 since the
+   envelope holds its call in a field instead of a 2-word box
+   (DESIGN.md §3.1).  Every trap through the scheduler's run queue
+   cost 56.0, so the ceiling sits at 5 (it was 7): a trap that
+   performs an effect again, a pool that stops recycling (+12 words
+   for the envelope record alone) or a result built per trap again
+   (+7) trips the gate, while 5 words of headroom absorb compiler
+   drift. *)
+let minor_words_ceiling = 5.0
 
 (* The lseek+read counterpart's ceiling, in minor words per trap at
    depth 4 with the pool warm.  Measured 111.0 with wires pooled but
@@ -855,12 +857,13 @@ let minor_words_ceiling = 7.0
    §3.3), 25.5 once the kernel read the memoized call unboxed and
    lseek's zero offset came back as a shared outcome, and 13.5 once a
    boundary trap kept the application's call instead of encoding a
-   wire and decoding a copy back (DESIGN.md §3.1).  The ceiling sits
-   at 22 (it was 34): a decoder that allocates per argument again (+26
-   words for each of these 3-argument calls), or a boundary that
-   builds its wire again (+12), trips it, while 8.5 words of headroom
-   absorb compiler drift. *)
-let read_words_ceiling = 22.0
+   wire and decoding a copy back (DESIGN.md §3.1), and 9.5 once the
+   envelope held its call in a field and a descriptor lookup stopped
+   building a [result].  The ceiling sits at 18 (it was 22): a decoder
+   that allocates per argument again (+26 words for each of these
+   3-argument calls), or a boundary that builds its wire again (+12),
+   trips it, while 8.5 words of headroom absorb compiler drift. *)
+let read_words_ceiling = 18.0
 
 (* The interested crossings' ceilings, in minor words per trap under
    sandbox + crypt + trace with the pool warm and obs off.  Measured
@@ -871,28 +874,33 @@ let read_words_ceiling = 22.0
    does; 45.0 and 83.0 since a scheduling round trip allocates only its
    continuation and a device write finds its driver without a box
    (DESIGN.md §3.8); 45.0 and 74.0 since a boundary trap builds no
-   wire (DESIGN.md §3.1).  Each ceiling leaves 10 words of headroom for
-   compiler drift, one word short of the 11 that one layer's routing
-   closures would add back on a single descriptor crossing. *)
-let stacked_getpid_words_ceiling = 55.0
-let stacked_write_words_ceiling = 84.0
+   wire (DESIGN.md §3.1); 25.0 and 48.0 since no envelope boxes its
+   call and no descriptor lookup builds a [result].  Each ceiling
+   leaves 10 words of headroom for compiler drift, one word short of
+   the 11 that one layer's routing closures would add back on a single
+   descriptor crossing. *)
+let stacked_getpid_words_ceiling = 35.0
+let stacked_write_words_ceiling = 58.0
 
 (* Calls that pay only for what they return (DESIGN.md §3.8), in minor
    words per trap with obs off.  A warm rewind + getdirentries over a
    64-entry directory at depth 0 measured 1232.5 while each call folded
    the directory into a sorted list, 36.5 since it encodes from the
-   name map in place, and 22.5 since a boundary trap builds no wire.
+   name map in place, 22.5 since a boundary trap builds no wire, and
+   18.5 since the envelope holds its call in a field and the lookup
+   builds no [result].
    fork + exit + wait4 under sandbox + crypt + trace measured 346.5
    while each child copied the 182-slot emulation vector and a 64-slot
    pool stack, 267.5 since it shares the one and grows the other,
    237.2 since a scheduling round trip allocates only its
    continuation, 236.2 since a woken call restarts on its own fibre,
-   and 225.8 since a boundary trap builds no wire.  Each ceiling
-   leaves 10 words of headroom, as the interested crossings' do;
+   225.8 since a boundary trap builds no wire, and 205.8 since no
+   envelope boxes its call.  Each ceiling leaves 10 words of headroom
+   (rounded up to a whole word), as the interested crossings' do;
    either copy back (61 and 18 words per trap) trips the fork
    ceiling. *)
-let getdirentries_words_ceiling = 33.0
-let stacked_fork_words_ceiling = 236.0
+let getdirentries_words_ceiling = 29.0
+let stacked_fork_words_ceiling = 216.0
 
 (* Reaping gate: init reaps N exited children with wait4(-1) at two
    sizes.  Measured 101 minor words/wait at 500 children and 109 at
@@ -900,12 +908,14 @@ let stacked_fork_words_ceiling = 236.0
    "Process tree"), 99 and 107 since the pooled boundary envelope stops
    allocating an option per trap, 83 and 91 since decode reads each
    argument slot once, 81 and 89 since the kernel reads the
-   decoded call unboxed, and 72 and 80 since a boundary trap builds no
-   wire; the table scan and sort it replaced cost 8185 and 38441, 4.7x
-   apart.  The ceiling leaves ~50% headroom for compiler drift, and the ratio bound catches any per-wait cost that grows with
-   the number of children. *)
+   decoded call unboxed, 72 and 80 since a boundary trap builds no
+   wire, and 70 and 78 since no envelope boxes its call; the table
+   scan and sort it replaced cost 8185 and 38441, 4.7x apart.  The
+   ceiling leaves ~50% headroom over the larger for compiler drift,
+   and the ratio bound catches any per-wait cost that grows with the
+   number of children. *)
 let reap_children = (500, 2000)
-let reap_words_ceiling = 120.0
+let reap_words_ceiling = 117.0
 let reap_max_ratio = 1.5
 
 (* What obs costs the traps its sampler skips (DESIGN.md §3.4): minor

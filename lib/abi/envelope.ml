@@ -1,10 +1,12 @@
 (* Decode-once call envelopes: the wire vector and its typed decoding
    travel the stack together, each materialized at most once. *)
 
+(* Which view the record holds.  Every constructor is constant, so the
+   state is an immediate and storing it costs no write barrier. *)
 type view =
   | Undecoded
-  | Typed of Call.t
-  | Failed of Errno.t
+  | Typed
+  | Failed
 
 type t = {
   mutable num : int;
@@ -15,6 +17,13 @@ type t = {
          dirty state, unless [implied] says the wire is the
          boundary's, counted and not yet needed. *)
   mutable view : view;
+  mutable call : Call.t;
+      (* The typed view when [view = Typed]; [no_call] otherwise.  The
+         call sits in the record itself, not in a box around it, so
+         filling a record is one pointer store and scrubbing it one
+         more, and neither allocates. *)
+  mutable errno : Errno.t;
+      (* The memoized decode failure when [view = Failed]. *)
   mutable implied : bool;
       (* A boundary envelope: its wire is [Call.encode] of the [Typed]
          view, already counted at the boundary, so building it on
@@ -47,6 +56,10 @@ and pool = {
   capacity : int;
 }
 
+(* What the [call] field holds while the view is not [Typed]: never
+   read, and a constant, so it pins nothing. *)
+let no_call = Call.Sync
+
 (* Per-process free lists of envelope records.  The free list only
    ever receives records whose trap owned them exclusively ([release]
    enforces the exposed/retained rules), and every recycled record is
@@ -56,9 +69,9 @@ module Pool = struct
   type nonrec t = pool
 
   let blank () =
-    { num = 0; wire = None; view = Undecoded; implied = false;
-      pending = false; span = 0; exposed = false; retained = false;
-      home = None }
+    { num = 0; wire = None; view = Undecoded; call = no_call;
+      errno = Errno.ENOSYS; implied = false; pending = false; span = 0;
+      exposed = false; retained = false; home = None }
 
   let dummy = blank ()
 
@@ -100,6 +113,7 @@ module Pool = struct
       e.num <- 0;
       e.wire <- None;
       e.view <- Undecoded;
+      e.call <- no_call;
       e.implied <- false;
       e.pending <- false;
       e.span <- 0;
@@ -114,9 +128,9 @@ module Pool = struct
 end
 
 let of_wire w =
-  { num = w.Value.num; wire = Some w; view = Undecoded; implied = false;
-    pending = false; span = Obs.current (); exposed = true; retained = false;
-    home = None }
+  { num = w.Value.num; wire = Some w; view = Undecoded; call = no_call;
+    errno = Errno.ENOSYS; implied = false; pending = false;
+    span = Obs.current (); exposed = true; retained = false; home = None }
 
 (* A record for a typed call: off the free list with [pool], which it
    then goes back to on [release], and fresh without.  The record off
@@ -126,7 +140,8 @@ let of_wire w =
 let typed_record pool c span =
   let t = match pool with Some p -> Pool.take p | None -> Pool.blank () in
   t.num <- Call.number c;
-  t.view <- Typed c;
+  t.view <- Typed;
+  t.call <- c;
   t.span <- span;
   t.home <- pool;
   t
@@ -180,14 +195,14 @@ exception Undecodable of Errno.t
    A failed decode is memoized too and re-raised on each read. *)
 let typed t =
   match t.view with
-  | Typed c ->
+  | Typed ->
     if t.pending then begin
       (* a boundary envelope's first read: the decode it stands for *)
       t.pending <- false;
       Obs.note_decode t.span
     end;
-    c
-  | Failed e -> raise_notrace (Undecodable e)
+    t.call
+  | Failed -> raise_notrace (Undecodable t.errno)
   | Undecoded -> (
     let w =
       match t.wire with
@@ -197,10 +212,12 @@ let typed t =
     Obs.note_decode t.span;
     match Call.decode w with
     | Ok c ->
-      t.view <- Typed c;
+      t.view <- Typed;
+      t.call <- c;
       c
     | Error e ->
-      t.view <- Failed e;
+      t.view <- Failed;
+      t.errno <- e;
       raise_notrace (Undecodable e))
 
 let call t = match typed t with c -> Ok c | exception Undecodable e -> Error e
@@ -211,7 +228,7 @@ let wire t =
   | Some w -> w
   | None -> (
     match t.view with
-    | Typed c ->
+    | Typed ->
       if not t.implied then begin
         Obs.note_encode t.span;
         (* a dirty envelope forced back to wire form is a genuine
@@ -219,10 +236,10 @@ let wire t =
            longer matches any prior encoding *)
         Obs.note_rewrite t.span
       end;
-      let w = Call.encode c in
+      let w = Call.encode t.call in
       t.wire <- Some w;
       w
-    | Undecoded | Failed _ -> assert false (* no wire implies Typed *))
+    | Undecoded | Failed -> assert false (* no wire implies Typed *))
 
 let peek_wire t =
   if t.implied then ignore (wire t)
@@ -239,31 +256,33 @@ let shape t =
   | Some w -> Shape.of_wire w
   | None -> (
     match t.view with
-    | Typed c -> Shape.of_call c
-    | Undecoded | Failed _ -> "?")
+    | Typed -> Shape.of_call t.call
+    | Undecoded | Failed -> "?")
 
 let nargs t =
   match t.wire, t.view with
   | Some w, _ -> Array.length w.Value.args
-  | None, Typed c when t.implied -> Call.nargs c
+  | None, Typed when t.implied -> Call.nargs t.call
   | None, _ -> 0
 
 let decoded t =
   match t.view with
-  | Typed _ -> not t.pending
-  | Failed _ -> true
+  | Typed -> not t.pending
+  | Failed -> true
   | Undecoded -> false
 
 let dirty t = t.wire = None && not t.implied
 
 let pp fmt t =
   match t.view with
-  | Typed c when t.pending ->
+  | Typed when t.pending ->
     (* the vector the application trapped with, as [of_wire] prints it *)
-    Value.pp_wire fmt (match t.wire with Some w -> w | None -> Call.encode c)
-  | Typed c -> Call.pp fmt c
-  | Failed e ->
-    Format.fprintf fmt "<undecodable syscall %d: %s>" t.num (Errno.name e)
+    Value.pp_wire fmt
+      (match t.wire with Some w -> w | None -> Call.encode t.call)
+  | Typed -> Call.pp fmt t.call
+  | Failed ->
+    Format.fprintf fmt "<undecodable syscall %d: %s>" t.num
+      (Errno.name t.errno)
   | Undecoded -> (
     match t.wire with
     | Some w -> Value.pp_wire fmt w

@@ -91,8 +91,9 @@ val at_boundary : ?pool:Pool.t -> Call.t -> t
 
     With [pool] (the calling process's), the record is taken from the
     free list when one is available, so a warm boundary trap allocates
-    only its typed view; {!release} returns the record after the trap.
-    Without a pool the envelope never recycles. *)
+    nothing: the record holds the call in a field of its own;
+    {!release} returns the record after the trap.  Without a pool the
+    envelope never recycles. *)
 
 val retain : t -> unit
 (** Declare that this envelope escapes the trap that carried it: a

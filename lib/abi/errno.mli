@@ -49,7 +49,15 @@ type t =
   | ENOSYS
 
 val to_int : t -> int
+(** The 4.3BSD number, in O(1). *)
+
 val of_int : int -> t option
+
+val tabulate : (t -> 'a) -> t -> 'a
+(** [tabulate f] applies [f] to every error once, now, and returns a
+    function that hands those results back: an array read, which
+    allocates nothing and never calls [f] again. *)
+
 val name : t -> string
 (** Symbolic name, e.g. ["ENOENT"]. *)
 

@@ -11,6 +11,10 @@ type outcome =
   | Exited
   | Exec of Events.exec_spec
 
+(* One failed outcome per errno, built once and never written (see the
+   interface for why sharing is safe). *)
+let fail = Errno.tabulate (fun e -> Done (Error e))
+
 type _ Effect.t +=
   | Reply : unit Effect.t
   | Park : unit Effect.t

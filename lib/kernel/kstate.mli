@@ -16,6 +16,13 @@ type outcome =
   | Exec of Events.exec_spec
       (** replace the caller's program text; abandon the fibre *)
 
+val fail : Abi.Errno.t -> outcome
+(** [Done (Error e)], the outcome of a failure: one value per errno,
+    built once and shared by every trap, so a failure allocates
+    nothing.  Kernel results are immutable and never compared
+    physically, which is what makes sharing them safe;
+    [Syscalls.done_ret] shares the commonest successes the same way. *)
+
 (** The trap effects, each without payload.  A system call's kernel
     half runs on the calling fibre ([Uspace]); when its outcome needs
     the scheduler, the fibre yields and the scheduler finishes the trap

@@ -12,23 +12,9 @@ let done_ret ?(r1 = 0) v =
        argument would box it in a [Some] per call *)
     Done (Ok { Value.r0 = v; r1 })
 
-let fail e = Done (Error e)
-
 let of_unit = function
   | Ok () -> done_ret 0
   | Error e -> fail e
-
-(* --- descriptor helpers ------------------------------------------------- *)
-
-let fd_entry (p : Proc.t) fd =
-  match Proc.fd p fd with
-  | Some e -> Ok e
-  | None -> Error Errno.EBADF
-
-let fd_file (p : Proc.t) fd =
-  match Proc.fd p fd with
-  | Some e -> Ok e.File.file
-  | None -> Error Errno.EBADF
 
 (* --- read --------------------------------------------------------------- *)
 
@@ -69,9 +55,9 @@ let conn_read t (p : Proc.t) (f : File.t) (c : File.conn) buf cnt =
 let do_read t (p : Proc.t) fd buf cnt =
   if cnt < 0 then fail Errno.EINVAL
   else
-    match fd_file p fd with
-    | Error e -> fail e
-    | Ok f ->
+    match Proc.fd p fd with
+    | None -> fail Errno.EBADF
+    | Some { file = f; _ } ->
       if not (File.is_readable f) then fail Errno.EBADF
       else begin
         let cnt = min cnt (Bytes.length buf) in
@@ -132,9 +118,9 @@ let conn_write t (p : Proc.t) (f : File.t) (c : File.conn) data =
   else pipe_write t p f data c.File.tx
 
 let do_write t (p : Proc.t) fd data =
-  match fd_file p fd with
-  | Error e -> fail e
-  | Ok f ->
+  match Proc.fd p fd with
+  | None -> fail Errno.EBADF
+  | Some { file = f; _ } ->
     if not (File.is_writable f) then fail Errno.EBADF
     else begin
       match f.kind with
@@ -203,9 +189,9 @@ let do_open t (p : Proc.t) path flags mode =
 (* --- seek, dup, fcntl ---------------------------------------------------- *)
 
 let do_lseek (p : Proc.t) fd off whence =
-  match fd_file p fd with
-  | Error e -> fail e
-  | Ok f ->
+  match Proc.fd p fd with
+  | None -> fail Errno.EBADF
+  | Some { file = f; _ } ->
     match f.kind with
     | File.Pipe_read _ | File.Pipe_write _ | File.Sock _
     | File.Fifo_read _ | File.Fifo_write _ -> fail Errno.ESPIPE
@@ -228,9 +214,9 @@ let do_lseek (p : Proc.t) fd off whence =
       end
 
 let do_dup t (p : Proc.t) fd ~from =
-  match fd_entry p fd with
-  | Error e -> fail e
-  | Ok e ->
+  match Proc.fd p fd with
+  | None -> fail Errno.EBADF
+  | Some e ->
     retain_file e.File.file;
     (match install_fd t p ~from e.File.file with
      | Ok nfd -> done_ret nfd
@@ -239,9 +225,9 @@ let do_dup t (p : Proc.t) fd ~from =
        fail err)
 
 let do_dup2 t (p : Proc.t) ofd nfd =
-  match fd_entry p ofd with
-  | Error e -> fail e
-  | Ok e ->
+  match Proc.fd p ofd with
+  | None -> fail Errno.EBADF
+  | Some e ->
     if nfd < 0 || nfd >= Array.length p.fds then fail Errno.EBADF
     else if ofd = nfd then done_ret nfd
     else begin
@@ -256,9 +242,9 @@ let do_dup2 t (p : Proc.t) ofd nfd =
     end
 
 let do_fcntl t (p : Proc.t) fd cmd arg =
-  match fd_entry p fd with
-  | Error e -> fail e
-  | Ok e ->
+  match Proc.fd p fd with
+  | None -> fail Errno.EBADF
+  | Some e ->
     if cmd = Flags.Fcntl.f_dupfd && (arg < 0 || arg >= Array.length p.fds)
     then fail Errno.EINVAL (* 4.3BSD's [i < 0 || i >= NOFILE] *)
     else if cmd = Flags.Fcntl.f_dupfd then do_dup t p fd ~from:arg
@@ -283,9 +269,9 @@ let do_fcntl t (p : Proc.t) fd cmd arg =
    straight from the directory's map into the caller's buffer until one
    does not fit; the entries before the offset are only counted. *)
 let do_getdirentries t (p : Proc.t) fd buf =
-  match fd_file p fd with
-  | Error e -> fail e
-  | Ok f ->
+  match Proc.fd p fd with
+  | None -> fail Errno.EBADF
+  | Some { file = f; _ } ->
     match f.kind with
     | File.Vnode ({ kind = Vfs.Inode.Dir d; _ } as inode) ->
       let start = f.offset and len = Bytes.length buf in
@@ -318,9 +304,9 @@ let fill_stat r st = r := Some st
 let ring_number (r : File.ring) = r.chan lsr 2
 
 let do_fstat t (p : Proc.t) fd r =
-  match fd_file p fd with
-  | Error e -> fail e
-  | Ok f ->
+  match Proc.fd p fd with
+  | None -> fail Errno.EBADF
+  | Some { file = f; _ } ->
     match f.kind with
     | File.Vnode inode | File.Fifo_read (inode, _)
     | File.Fifo_write (inode, _) ->
@@ -359,9 +345,9 @@ let do_fstat t (p : Proc.t) fd r =
 (* --- ioctl ----------------------------------------------------------------- *)
 
 let do_ioctl t (p : Proc.t) fd op buf =
-  match fd_file p fd with
-  | Error e -> fail e
-  | Ok f ->
+  match Proc.fd p fd with
+  | None -> fail Errno.EBADF
+  | Some { file = f; _ } ->
     let set_int32 v =
       if Bytes.length buf >= 4 then begin
         Bytes.set_int32_le buf 0 (Int32.of_int v);
@@ -719,12 +705,6 @@ let do_select t (p : Proc.t) rmask wmask tmo =
    are not filesystem paths, deliberately, so pathname-guarding agents
    leave them alone. *)
 
-let sock_of (f : File.t) =
-  match f.kind with
-  | File.Sock s -> Ok s
-  | File.Vnode _ | File.Pipe_read _ | File.Pipe_write _
-  | File.Fifo_read _ | File.Fifo_write _ -> Error Errno.ENOTSOCK
-
 let do_socket t (p : Proc.t) =
   let file =
     new_file t (File.Sock { File.sock = File.S_fresh })
@@ -737,110 +717,108 @@ let do_socket t (p : Proc.t) =
     fail e
 
 let do_bind t (p : Proc.t) fd addr =
-  match Result.bind (fd_file p fd) sock_of with
-  | Error e -> fail e
-  | Ok s ->
-    match s.File.sock with
-    | File.S_fresh ->
-      if addr = "" then fail Errno.EINVAL
-      else if Hashtbl.mem t.bindings addr then fail Errno.EADDRINUSE
-      else begin
-        Hashtbl.replace t.bindings addr s;
-        s.File.sock <- File.S_bound addr;
-        done_ret 0
-      end
-    | File.S_bound _ | File.S_listening _ -> fail Errno.EINVAL
-    | File.S_conn _ -> fail Errno.EISCONN
+  match Proc.fd p fd with
+  | None -> fail Errno.EBADF
+  | Some { file = { kind = File.Sock s; _ }; _ } ->
+    (match s.File.sock with
+     | File.S_fresh ->
+       if addr = "" then fail Errno.EINVAL
+       else if Hashtbl.mem t.bindings addr then fail Errno.EADDRINUSE
+       else begin
+         Hashtbl.replace t.bindings addr s;
+         s.File.sock <- File.S_bound addr;
+         done_ret 0
+       end
+     | File.S_bound _ | File.S_listening _ -> fail Errno.EINVAL
+     | File.S_conn _ -> fail Errno.EISCONN)
+  | Some _ -> fail Errno.ENOTSOCK
 
 let do_listen t (p : Proc.t) fd backlog =
-  match Result.bind (fd_file p fd) sock_of with
-  | Error e -> fail e
-  | Ok s ->
-    match s.File.sock with
-    | File.S_bound addr ->
-      let l = new_listener t ~backlog in
-      s.File.sock <- File.S_listening (addr, l);
-      done_ret 0
-    | File.S_listening _ -> done_ret 0  (* re-listen keeps the queue *)
-    | File.S_fresh -> fail Errno.EINVAL (* must bind first *)
-    | File.S_conn _ -> fail Errno.EISCONN
+  match Proc.fd p fd with
+  | None -> fail Errno.EBADF
+  | Some { file = { kind = File.Sock s; _ }; _ } ->
+    (match s.File.sock with
+     | File.S_bound addr ->
+       let l = new_listener t ~backlog in
+       s.File.sock <- File.S_listening (addr, l);
+       done_ret 0
+     | File.S_listening _ -> done_ret 0  (* re-listen keeps the queue *)
+     | File.S_fresh -> fail Errno.EINVAL (* must bind first *)
+     | File.S_conn _ -> fail Errno.EISCONN)
+  | Some _ -> fail Errno.ENOTSOCK
 
 let do_accept t (p : Proc.t) fd =
-  match fd_file p fd with
-  | Error e -> fail e
-  | Ok f ->
-    match sock_of f with
-    | Error e -> fail e
-    | Ok s ->
-      match s.File.sock with
-      | File.S_listening (_, l) ->
-        if not (Queue.is_empty l.File.pending) then begin
-          let c = Queue.pop l.File.pending in
-          let file =
-            new_file t (File.Sock { File.sock = File.S_conn c })
-              ~flags:Flags.Open.o_rdwr
-          in
-          match install_fd t p file with
-          | Ok nfd ->
-            (* the queue has room again: blocked connectors retry *)
-            wakeup t (File.Wchan.connq l);
-            done_ret nfd
-          | Error e ->
-            (* no descriptor for it — the adopted connection is reset *)
-            release_file t file;
-            wakeup t (File.Wchan.connq l);
-            fail e
-        end
-        else if l.File.lclosed then fail Errno.EINVAL
-        else if nonblocking f then fail Errno.EWOULDBLOCK
-        else Block (Proc.On_chan (File.Wchan.accept l))
-      | File.S_fresh | File.S_bound _ -> fail Errno.EINVAL
-      | File.S_conn _ -> fail Errno.EISCONN
+  match Proc.fd p fd with
+  | None -> fail Errno.EBADF
+  | Some { file = { kind = File.Sock s; _ } as f; _ } ->
+    (match s.File.sock with
+     | File.S_listening (_, l) ->
+       if not (Queue.is_empty l.File.pending) then begin
+         let c = Queue.pop l.File.pending in
+         let file =
+           new_file t (File.Sock { File.sock = File.S_conn c })
+             ~flags:Flags.Open.o_rdwr
+         in
+         match install_fd t p file with
+         | Ok nfd ->
+           (* the queue has room again: blocked connectors retry *)
+           wakeup t (File.Wchan.connq l);
+           done_ret nfd
+         | Error e ->
+           (* no descriptor for it — the adopted connection is reset *)
+           release_file t file;
+           wakeup t (File.Wchan.connq l);
+           fail e
+       end
+       else if l.File.lclosed then fail Errno.EINVAL
+       else if nonblocking f then fail Errno.EWOULDBLOCK
+       else Block (Proc.On_chan (File.Wchan.accept l))
+     | File.S_fresh | File.S_bound _ -> fail Errno.EINVAL
+     | File.S_conn _ -> fail Errno.EISCONN)
+  | Some _ -> fail Errno.ENOTSOCK
 
 let do_connect t (p : Proc.t) fd addr =
-  match fd_file p fd with
-  | Error e -> fail e
-  | Ok f ->
-    match sock_of f with
-    | Error e -> fail e
-    | Ok s ->
-      match s.File.sock with
-      | File.S_conn _ -> fail Errno.EISCONN
-      | File.S_listening _ -> fail Errno.EINVAL
-      | File.S_fresh | File.S_bound _ ->
-        match Hashtbl.find_opt t.bindings addr with
-        | None -> fail Errno.ECONNREFUSED
-        | Some srv ->
-          match srv.File.sock with
-          | File.S_listening (_, l) when not l.File.lclosed ->
-            if Queue.length l.File.pending >= l.File.backlog then begin
-              if nonblocking f then fail Errno.EWOULDBLOCK
-              else
-                (* woken when an accept drains the queue (or the
-                   listener dies — the retry then lands in
-                   ECONNREFUSED above) *)
-                Block (Proc.On_chan (File.Wchan.connq l))
-            end
-            else begin
-              let cli, srv_end = new_conn_pair t in
-              (* a client that bound a name gives it up on connecting:
-                 the S_conn state no longer carries the address the
-                 final close would need to release *)
-              (match s.File.sock with
-               | File.S_bound a -> unbind t a s
-               | _ -> ());
-              s.File.sock <- File.S_conn cli;
-              Queue.push srv_end l.File.pending;
-              wakeup t (File.Wchan.accept l);
-              done_ret 0
-            end
-          | _ ->
-            (* bound but never listened, or already torn down *)
-            fail Errno.ECONNREFUSED
+  match Proc.fd p fd with
+  | None -> fail Errno.EBADF
+  | Some { file = { kind = File.Sock s; _ } as f; _ } ->
+    (match s.File.sock with
+     | File.S_conn _ -> fail Errno.EISCONN
+     | File.S_listening _ -> fail Errno.EINVAL
+     | File.S_fresh | File.S_bound _ ->
+       match Hashtbl.find_opt t.bindings addr with
+       | None -> fail Errno.ECONNREFUSED
+       | Some srv ->
+         match srv.File.sock with
+         | File.S_listening (_, l) when not l.File.lclosed ->
+           if Queue.length l.File.pending >= l.File.backlog then begin
+             if nonblocking f then fail Errno.EWOULDBLOCK
+             else
+               (* woken when an accept drains the queue (or the
+                  listener dies — the retry then lands in
+                  ECONNREFUSED above) *)
+               Block (Proc.On_chan (File.Wchan.connq l))
+           end
+           else begin
+             let cli, srv_end = new_conn_pair t in
+             (* a client that bound a name gives it up on connecting:
+                the S_conn state no longer carries the address the
+                final close would need to release *)
+             (match s.File.sock with
+              | File.S_bound a -> unbind t a s
+              | _ -> ());
+             s.File.sock <- File.S_conn cli;
+             Queue.push srv_end l.File.pending;
+             wakeup t (File.Wchan.accept l);
+             done_ret 0
+           end
+         | _ ->
+           (* bound but never listened, or already torn down *)
+           fail Errno.ECONNREFUSED)
+  | Some _ -> fail Errno.ENOTSOCK
 
 (* [send] and [recv] are a connection's data path, one call a message:
-   they match the descriptor's entry in place, so the lookup builds no
-   [result] the way [fd_file] and [sock_of] do. *)
+   they also want the connection itself, so they match it in the same
+   pattern. *)
 let do_send t (p : Proc.t) fd data =
   match Proc.fd p fd with
   | None -> fail Errno.EBADF
@@ -860,26 +838,27 @@ let do_recv t (p : Proc.t) fd buf cnt =
     | Some _ -> fail Errno.ENOTSOCK
 
 let do_shutdown t (p : Proc.t) fd how =
-  match Result.bind (fd_file p fd) sock_of with
-  | Error e -> fail e
-  | Ok s ->
-    match s.File.sock with
-    | File.S_conn c ->
-      if how = Flags.Shut.rd then begin
-        shut_conn_rd t c;
-        done_ret 0
-      end
-      else if how = Flags.Shut.wr then begin
-        shut_conn_wr t c;
-        done_ret 0
-      end
-      else if how = Flags.Shut.rdwr then begin
-        release_conn t c;
-        done_ret 0
-      end
-      else fail Errno.EINVAL
-    | File.S_fresh | File.S_bound _ | File.S_listening _ ->
-      fail Errno.ENOTCONN
+  match Proc.fd p fd with
+  | None -> fail Errno.EBADF
+  | Some { file = { kind = File.Sock s; _ }; _ } ->
+    (match s.File.sock with
+     | File.S_conn c ->
+       if how = Flags.Shut.rd then begin
+         shut_conn_rd t c;
+         done_ret 0
+       end
+       else if how = Flags.Shut.wr then begin
+         shut_conn_wr t c;
+         done_ret 0
+       end
+       else if how = Flags.Shut.rdwr then begin
+         release_conn t c;
+         done_ret 0
+       end
+       else fail Errno.EINVAL
+     | File.S_fresh | File.S_bound _ | File.S_listening _ ->
+       fail Errno.ENOTCONN)
+  | Some _ -> fail Errno.ENOTSOCK
 
 (* --- the dispatcher -------------------------------------------------------------- *)
 
@@ -912,14 +891,13 @@ let dispatch t (p : Proc.t) (call : Call.t) : outcome =
        done_ret 0
      | Error e -> fail e)
   | Call.Fchdir fd ->
-    (match fd_file p fd with
-     | Error e -> fail e
-     | Ok f ->
-       (match f.kind with
-        | File.Vnode inode when Vfs.Inode.is_dir inode ->
-          p.cwd <- inode.ino;
-          done_ret 0
-        | _ -> fail Errno.ENOTDIR))
+    (match Proc.fd p fd with
+     | None -> fail Errno.EBADF
+     | Some { file = { kind = File.Vnode inode; _ }; _ }
+       when Vfs.Inode.is_dir inode ->
+       p.cwd <- inode.ino;
+       done_ret 0
+     | Some _ -> fail Errno.ENOTDIR)
   | Call.Mknod (path, mode, rdev) ->
     if p.cred.uid <> 0 && Flags.Mode.is_chr mode then fail Errno.EPERM
     else begin
@@ -1018,7 +996,7 @@ let dispatch t (p : Proc.t) (call : Call.t) : outcome =
   | Call.Fcntl (fd, cmd, arg) -> do_fcntl t p fd cmd arg
   | Call.Select (rmask, wmask, tmo) -> do_select t p rmask wmask tmo
   | Call.Fsync fd ->
-    (match fd_file p fd with Ok _ -> done_ret 0 | Error e -> fail e)
+    (match Proc.fd p fd with Some _ -> done_ret 0 | None -> fail Errno.EBADF)
   | Call.Getrusage r ->
     r := Some (p.utime_us, p.stime_us);
     done_ret 0
@@ -1059,9 +1037,9 @@ let dispatch t (p : Proc.t) (call : Call.t) : outcome =
   | Call.Truncate (path, len) ->
     of_unit (Vfs.Fs.truncate fs c ~cwd path len)
   | Call.Ftruncate (fd, len) ->
-    (match fd_file p fd with
-     | Error e -> fail e
-     | Ok f ->
+    (match Proc.fd p fd with
+     | None -> fail Errno.EBADF
+     | Some { file = f; _ } ->
        if not (File.is_writable f) then fail Errno.EBADF
        else if len < 0 then fail Errno.EINVAL
        else
@@ -1105,7 +1083,7 @@ let serve ?via t (p : Proc.t) env =
   match Envelope.typed env with
   | exception Envelope.Undecodable e ->
     if Option.is_some via then charge t Cost_model.trivial_us;
-    Done (Error e)
+    fail e
   | call ->
     (match via with
      | Some via ->

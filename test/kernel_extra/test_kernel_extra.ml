@@ -1764,21 +1764,70 @@ let test_wait4_matches_table_scan =
    each must equal the fresh [Done (Value.ret ?r1 v)] it replaces,
    inside the shared range (r1 = 0, 0 <= v < fd_table_size) and outside
    it, negatives included, and inside it two calls must return the one
-   shared value. *)
+   shared value.  [Kstate.fail] shares every failure the same way:
+   each errno (2000 draws from 42 reach them all) has one value, equal
+   to a fresh [Done (Error e)]. *)
+let all_errnos = List.filter_map Errno.of_int (List.init 128 Fun.id)
+
 let test_done_ret_shared =
   let gen =
     QCheck.(
-      pair
+      triple
         (option (int_range (-3) 3))
-        (oneof [ int_range (-70) 70; int ]))
+        (oneof [ int_range (-70) 70; int ])
+        (oneofl all_errnos))
   in
   QCheck.Test.make ~name:"done_ret equals a fresh Done" ~count:2000 gen
-    (fun (r1, v) ->
+    (fun (r1, v, e) ->
       let got = Kernel.Syscalls.done_ret ?r1 v in
       got = Kstate.Done (Value.ret ?r1 v)
       && (not
             ((r1 = None || r1 = Some 0) && v >= 0 && v < Proc.fd_table_size)
-          || got == Kernel.Syscalls.done_ret v))
+          || got == Kernel.Syscalls.done_ret v)
+      && Kstate.fail e = Kstate.Done (Error e)
+      && Kstate.fail e == Kstate.fail e)
+
+(* A crossing is one agent-style call ([htg_syscall]) from the
+   envelope pool to the kernel and back.  With obs off and the pool
+   warm, none of these allocates: the envelope holds its call in a
+   field, a descriptor lookup matches the table's own entry, and the
+   outcome (a small success or a failure) is shared. *)
+let test_crossing_words () =
+  let words = ref [] in
+  let _, status =
+    boot (fun () ->
+      let htg = Kernel.Uspace.htg_syscall in
+      let fd =
+        match htg (Call.Open ("/dev/null", Flags.Open.o_rdwr, 0)) with
+        | Ok r -> r.Value.r0
+        | Error e -> Alcotest.failf "open /dev/null: %s" (Errno.name e)
+      in
+      let closed = 40 in
+      let measure name c =
+        for _ = 1 to 10 do ignore (Sys.opaque_identity (htg c)) done;
+        let n = 1000 in
+        let m0 = Gc.minor_words () in
+        for _ = 1 to n do
+          ignore (Sys.opaque_identity (htg c))
+        done;
+        words := (name, (Gc.minor_words () -. m0) /. float_of_int n) :: !words
+      in
+      measure "getpid" Call.Getpid;
+      measure "write 20 bytes to /dev/null"
+        (Call.Write (fd, String.make 20 'x'));
+      measure "lseek to 0" (Call.Lseek (fd, 0, Flags.Seek.set));
+      measure "fcntl F_GETFD, open" (Call.Fcntl (fd, Flags.Fcntl.f_getfd, 0));
+      measure "fcntl F_GETFD, closed"
+        (Call.Fcntl (closed, Flags.Fcntl.f_getfd, 0));
+      measure "close, bad descriptor" (Call.Close closed);
+      ignore (htg (Call.Close fd));
+      0)
+  in
+  check_exit "session" 0 status;
+  Alcotest.(check bool) "obs off" false (Obs.enabled ());
+  List.iter
+    (fun (name, w) -> Alcotest.(check (float 0.)) name 0. w)
+    (List.rev !words)
 
 (* --- the process table holds only unreaped processes ------------------------------------- *)
 
@@ -2591,7 +2640,8 @@ let () =
         Alcotest.test_case "orphans outlive init" `Quick
           test_table_orphans_outlive_init ];
       "results",
-      [ QCheck_alcotest.to_alcotest test_done_ret_shared ];
+      [ QCheck_alcotest.to_alcotest test_done_ret_shared;
+        Alcotest.test_case "crossing words" `Quick test_crossing_words ];
       "wait-channels",
       [ Alcotest.test_case "killed in wait4" `Quick test_killed_in_wait4;
         Alcotest.test_case "killed reading a pipe" `Quick
