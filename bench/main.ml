@@ -36,38 +36,21 @@ let finish k status =
     calls = Kernel.total_syscalls k;
     status }
 
-(* The four agent configurations of Tables 3-2/3-3. *)
-type variant = V_none | V_timex | V_trace | V_union
+(* Installs [stack]'s agents inside the running session, bottom-most
+   first. *)
+let install (stack : Conformance.stack) () =
+  List.iter
+    (fun a -> Toolkit.Loader.install a ~argv:[||])
+    (stack.Conformance.sk_make ())
 
-let variant_name = function
-  | V_none -> "none"
-  | V_timex -> "timex"
-  | V_trace -> "trace"
-  | V_union -> "union"
+(* The four agent configurations of Tables 3-2/3-3; the union agent
+   mounts the workload's split tree. *)
+let none = Conformance.stack "none" []
+let timex = Conformance.stack "timex" [ "timex" ]
+let trace = Conformance.stack "trace" [ "trace:/trace.out" ]
+let union mount = Conformance.stack "union" [ "union:" ^ mount ]
 
-(* Install the variant's agent inside the running session.  [mounts]
-   configures the union agent for the workload's tree. *)
-let install_variant variant ~mounts =
-  match variant with
-  | V_none -> ()
-  | V_timex ->
-    Toolkit.Loader.install
-      (Agents.Timex.create ~offset_seconds:3600 ())
-      ~argv:[||]
-  | V_trace ->
-    (match
-       Libc.Unistd.open_ "/trace.out"
-         Flags.Open.(o_wronly lor o_creat lor o_trunc)
-         0o644
-     with
-     | Ok fd -> Toolkit.Loader.install (Agents.Trace.create ~fd ()) ~argv:[||]
-     | Error _ -> Toolkit.Loader.install (Agents.Trace.create ()) ~argv:[||])
-  | V_union ->
-    Toolkit.Loader.install (Agents.Union.create ~mounts ()) ~argv:[||]
-
-(* dfs_trace names its log in its init argv *)
-let install_dfs_trace () =
-  Toolkit.Loader.install (Agents.Dfs_trace.create ()) ~argv:[| "log=/dfs.log" |]
+let dfs_trace = Conformance.stack "dfs_trace" [ "dfs_trace:/dfs.log" ]
 
 (* One session of the workload row [w], [install] making its agent
    stack. *)
@@ -147,86 +130,66 @@ let table3_1 () =
 
 (* --- Table 3-2: formatting a document -------------------------------------- *)
 
-let run_scribe variant =
-  let k = Table.prepare Table.Paper.scribe.w_setup in
-  let mounts =
-    [ { Agents.Union.point = "/doc"; members = [ "/doc.main"; "/doc.inc" ] } ]
-  in
-  if variant = V_union then begin
-    (* split the document tree so the union agent has real work: the
-       chapters live in a second member directory *)
-    Kernel.mkdir_p k "/doc.inc";
-    List.iter
-      (fun i ->
-        let name = Printf.sprintf "chapter%d.mss" i in
-        if Kernel.exists k ("/doc/" ^ name) then
-          host_rename k ("/doc/" ^ name) ("/doc.inc/" ^ name))
-      [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ];
-    host_rename k "/doc" "/doc.main"
-  end;
-  let status =
-    Kernel.boot k ~name:"scribe-session" (fun () ->
-      install_variant variant ~mounts;
-      Table.Paper.scribe.w_body ())
-  in
-  finish k status
+(* scribe's tree split so the union agent has real work: the chapters
+   live in a second member directory *)
+let scribe_split k =
+  Table.Paper.scribe.w_setup k;
+  Kernel.mkdir_p k "/doc.inc";
+  List.iter
+    (fun i ->
+      let name = Printf.sprintf "chapter%d.mss" i in
+      if Kernel.exists k ("/doc/" ^ name) then
+        host_rename k ("/doc/" ^ name) ("/doc.inc/" ^ name))
+    [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ];
+  host_rename k "/doc" "/doc.main"
+
+let run_scribe (stack : Conformance.stack) =
+  let w = Table.Paper.scribe in
+  run_row
+    (if stack.sk_name = "union" then { w with w_setup = scribe_split } else w)
+    ~session:"scribe-session" (install stack)
+
+(* Tables 3-2/3-3: [run] under each stack beside the paper's seconds,
+   whose first row is the paper's unagented time *)
+let agent_costs run paper =
+  let paper_none = snd (List.hd paper) in
+  let base = ref 0.0 in
+  Report.print_table
+    ~headers:
+      [ "agent"; "virtual s"; "slowdown"; "syscalls"; "paper s (slowdown)";
+        "status" ]
+    (List.map
+       (fun ((s : Conformance.stack), paper_secs) ->
+         let r = run s in
+         if s == none then base := r.seconds;
+         [ s.sk_name;
+           Report.secs r.seconds;
+           Report.pct !base r.seconds;
+           string_of_int r.calls;
+           Printf.sprintf "%.1f (%s)" paper_secs
+             (Report.pct paper_none paper_secs);
+           (if r.status = 0 then "ok" else "FAILED") ])
+       paper)
 
 let table3_2 () =
   Report.print_title "Table 3-2: time to format the dissertation";
-  let paper = [ V_none, 128.9; V_timex, 129.4; V_trace, 132.4; V_union, 133.9 ] in
-  let base = ref 0.0 in
-  let rows =
-    List.map
-      (fun (v, paper_secs) ->
-        let r = run_scribe v in
-        if v = V_none then base := r.seconds;
-        [ variant_name v;
-          Report.secs r.seconds;
-          Report.pct !base r.seconds;
-          string_of_int r.calls;
-          Printf.sprintf "%.1f (%s)" paper_secs
-            (Report.pct 128.9 paper_secs);
-          (if r.status = 0 then "ok" else "FAILED") ])
-      paper
-  in
-  Report.print_table
-    ~headers:
-      [ "agent"; "virtual s"; "slowdown"; "syscalls"; "paper s (slowdown)";
-        "status" ]
-    rows
+  agent_costs run_scribe
+    [ none, 128.9; timex, 129.4; trace, 132.4;
+      union "/doc=/doc.main:/doc.inc", 133.9 ]
 
 (* --- Table 3-3: make 8 programs --------------------------------------------- *)
 
-let run_make variant =
-  let mounts =
-    [ { Agents.Union.point = "/proj"; members = [ "/objdir"; "/srcdir" ] } ]
-  in
+let run_make (stack : Conformance.stack) =
   run_row
-    (if variant = V_union then Table.Paper.make_split else Table.Paper.make)
-    ~session:"make-session" (fun () -> install_variant variant ~mounts)
+    (if stack.sk_name = "union" then Table.Paper.make_split
+     else Table.Paper.make)
+    ~session:"make-session" (install stack)
 
 let table3_3 () =
   Report.print_title "Table 3-3: time to make 8 programs";
-  let paper = [ V_none, 16.0; V_timex, 19.0; V_union, 29.0; V_trace, 33.0 ] in
-  let base = ref 0.0 in
-  let rows =
-    List.map
-      (fun (v, paper_secs) ->
-        let r = run_make v in
-        if v = V_none then base := r.seconds;
-        [ variant_name v;
-          Report.secs r.seconds;
-          Report.pct !base r.seconds;
-          string_of_int r.calls;
-          Printf.sprintf "%.1f (%s)" paper_secs (Report.pct 16.0 paper_secs);
-          (if r.status = 0 then "ok" else "FAILED") ])
-      paper
-  in
-  Report.print_table
-    ~headers:
-      [ "agent"; "virtual s"; "slowdown"; "syscalls"; "paper s (slowdown)";
-        "status" ]
-    rows;
+  agent_costs run_make
+    [ none, 16.0; timex, 19.0; union "/proj=/objdir:/srcdir", 29.0;
+      trace, 33.0 ];
   Report.print_note
     "Ordering to check: none < timex << union < trace, with the\n\
      process-heavy workload amplifying every agent's cost."
@@ -416,7 +379,7 @@ let run_afs mode =
    | `Base | `Agent -> ());
   let status =
     Kernel.boot k ~name:"afs" (fun () ->
-      if mode = `Agent then install_dfs_trace ();
+      if mode = `Agent then install dfs_trace ();
       Table.Paper.afs.w_body ())
   in
   finish k status
@@ -627,10 +590,7 @@ let alloc_read () =
    call to its sink, a descriptor sandbox and crypt do not track.  The
    application's own write goes to /dev/null opened before the stack,
    so it too crosses every descriptor layer untracked. *)
-let install_stacked () =
-  List.iter
-    (fun a -> Toolkit.Loader.install a ~argv:[||])
-    (Conformance.stacked.Conformance.sk_make ())
+let install_stacked = install Conformance.stacked
 
 let stacked_getpid_alloc () =
   alloc_probe ~install:install_stacked ~tpi:1
@@ -800,11 +760,11 @@ let session_words ~name ~setup ~obs body =
   if r.status <> 0 then failwith (Printf.sprintf "%s: exit %d" name r.status);
   (r.calls, words /. float_of_int r.calls)
 
-(* Table 3-3's make build under [variant]. *)
-let make_words variant ~obs =
-  session_words ~name:("make-words " ^ variant_name variant)
+(* Table 3-3's make build under [stack]. *)
+let make_words (stack : Conformance.stack) ~obs =
+  session_words ~name:("make-words " ^ stack.sk_name)
     ~setup:Table.Paper.make.w_setup ~obs (fun () ->
-      install_variant variant ~mounts:[];
+      install stack ();
       Table.Paper.make.w_body ())
 
 (* kvd fork-per-connection under [Conformance.stacked]: unlike the make
@@ -939,8 +899,8 @@ let reap_max_ratio = 1.5
    of 10 words of headroom over +7.78. *)
 let obs_unsampled_rate = 256
 let obs_unsampled_max_words =
-  [ ("make", "none", make_words V_none, 1.0);
-    ("make", "trace", make_words V_trace, 3.0);
+  [ ("make", "none", make_words none, 1.0);
+    ("make", "trace", make_words trace, 3.0);
     ("kvd", Conformance.stacked.Conformance.sk_name, kvd_words, 17.8) ]
 
 let ablations_schema =
@@ -1043,14 +1003,14 @@ let chrome_check fail =
 let ablations fail =
   let fail fmt = Printf.ksprintf fail fmt in
   Report.print_title "Ablation 1: selective vs full-vector interception (make)";
-  let selective = run_make V_timex in
+  let selective = run_make timex in
   let full =
     run_row Table.Paper.make ~session:"make-full" (fun () ->
       let a = Agents.Timex.create ~offset_seconds:3600 () in
       a#register_interest_all;
       Toolkit.Loader.install a ~argv:[||])
   in
-  let base = run_make V_none in
+  let base = run_make none in
   Report.print_table
     ~headers:[ "interception"; "virtual s"; "slowdown" ]
     [ [ "none"; Report.secs base.seconds; "-" ];
@@ -1181,21 +1141,16 @@ let ablations fail =
   Report.print_title
     "Ablation 5: what observation costs (make under observation agents)";
   let observed = run_row Table.Paper.make ~session:"make-obs" in
-  let base = run_make V_none in
-  let null =
-    observed (fun () ->
-      Toolkit.Loader.install (Agents.Time_symbolic.create ()) ~argv:[||])
-  in
-  let counting =
-    observed (fun () ->
-      Toolkit.Loader.install (Agents.Syscount.create ()) ~argv:[||])
-  in
+  let base = run_make none in
+  let observed_under spec = observed (install (Conformance.stack spec [ spec ])) in
+  let null = observed_under "null" in
+  let counting = observed_under "syscount" in
   let recording =
     observed (fun () ->
       Toolkit.Loader.install (Agents.Record_replay.create_recorder ())
         ~argv:[||])
   in
-  let dfs = observed install_dfs_trace in
+  let dfs = observed (install dfs_trace) in
   Report.print_table
     ~headers:[ "observation agent"; "virtual s"; "slowdown" ]
     [ [ "none"; Report.secs base.seconds; "-" ];

@@ -13,157 +13,10 @@ open Abi
 
 let log_err fmt = Printf.eprintf fmt
 
-(* --- agent specification parsing -------------------------------------- *)
+module Agent_table = Conformance.Agent_table
 
-type spec = string  (* "name" or "name:args" *)
-
-let split_spec (s : spec) =
-  match String.index_opt s ':' with
-  | None -> s, ""
-  | Some i ->
-    String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1)
-
-(* Returns an installer to run inside the session, and a reporter to
-   run (inside the session, before exit) for agents with output. *)
-let build_agent k (s : spec) :
-  (unit -> unit) * (unit -> unit) =
-  let name, arg = split_spec s in
-  let install_plain a = Toolkit.Loader.install a ~argv:[||] in
-  match name with
-  | "null" | "time_symbolic" ->
-    (fun () -> install_plain (Agents.Time_symbolic.create ())), ignore
-  | "timex" ->
-    let offset =
-      Option.value ~default:3600 (int_of_string_opt arg)
-    in
-    (fun () -> install_plain (Agents.Timex.create ~offset_seconds:offset ())),
-    ignore
-  | "trace" ->
-    (fun () ->
-       let agent =
-         match
-           if arg = "" then Error Errno.EINVAL
-           else
-             Libc.Unistd.open_ arg
-               Flags.Open.(o_wronly lor o_creat lor o_trunc)
-               0o644
-         with
-         | Ok fd -> Agents.Trace.create ~fd ()
-         | Error _ -> Agents.Trace.create ()  (* stderr *)
-       in
-       install_plain agent),
-    ignore
-  | "syscount" ->
-    let agent = Agents.Syscount.create () in
-    (fun () -> install_plain agent),
-    (fun () -> agent#write_report ~fd:2)
-  | "union" ->
-    (match Agents.Union.create ~mounts:[] () with
-     | agent ->
-       (fun () ->
-          Toolkit.Loader.install agent
-            ~argv:(if arg = "" then [||] else [| arg |])),
-       ignore)
-  | "sandbox" ->
-    let policy =
-      if arg = "emulate" then
-        { Agents.Sandbox.default_policy with emulate_denied = true }
-      else Agents.Sandbox.default_policy
-    in
-    let agent = Agents.Sandbox.create policy in
-    (fun () -> install_plain agent),
-    (fun () ->
-       match agent#violations with
-       | [] -> ignore (Libc.Unistd.write 2 "sandbox: no violations\n")
-       | vs ->
-         ignore
-           (Libc.Unistd.write 2
-              (Printf.sprintf "sandbox: %d violation(s):\n%s"
-                 (List.length vs)
-                 (String.concat ""
-                    (List.map (fun v -> "  - " ^ v ^ "\n") vs)))))
-  | "txn" ->
-    let decide () = if arg = "abort" then `Abort else `Commit in
-    let agent = Agents.Txn.create ~decide () in
-    (fun () -> install_plain agent), ignore
-  | "crypt" ->
-    let key, subtree =
-      match String.index_opt arg '@' with
-      | Some i ->
-        ( Option.value ~default:42
-            (int_of_string_opt (String.sub arg 0 i)),
-          String.sub arg (i + 1) (String.length arg - i - 1) )
-      | None -> 42, (if arg = "" then "/vault" else arg)
-    in
-    (fun () ->
-       install_plain (Agents.Crypt.create ~key ~subtrees:[ subtree ])),
-    ignore
-  | "compress" ->
-    let subtree = if arg = "" then "/arch" else arg in
-    (fun () ->
-       install_plain (Agents.Compress.create ~subtrees:[ subtree ])),
-    ignore
-  | "remap" | "vos" ->
-    (fun () -> install_plain (Agents.Remap.create ())), ignore
-  | "synthfs" ->
-    let mount = if arg = "" then "/proc" else arg in
-    let agent = Agents.Synthfs.create ~mount () in
-    (* a host-bridged generator: the synthetic file reads the real
-       process table of the simulated machine *)
-    agent#register_file "ps" (fun () ->
-      let b = Buffer.create 128 in
-      Buffer.add_string b "  PID  PPID  PGRP NAME\n";
-      List.iter
-        (fun (p : Kernel.Proc.t) ->
-          Buffer.add_string b
-            (Printf.sprintf "%5d %5d %5d %s\n" p.pid p.ppid p.pgrp p.name))
-        (Kernel.Kstate.live_procs k);
-      Buffer.contents b);
-    (fun () -> install_plain agent), ignore
-  | "faultinject" ->
-    (* numeric arg = legacy random rate; anything else is a
-       deterministic plan spec ("read#3=fail:EIO;2@write=delay:500") *)
-    (match float_of_string_opt arg with
-     | Some r when r >= 0.0 && r <= 1.0 ->
-       let agent =
-         Agents.Faultinject.create
-           { Agents.Faultinject.default_config with failure_rate = r }
-       in
-       (fun () -> install_plain agent),
-       (fun () ->
-          ignore
-            (Libc.Unistd.write 2
-               (Printf.sprintf "faultinject: %d fault(s) injected\n"
-                  agent#total_injected)))
-     | Some _ | None ->
-       (match Fault.Plan.of_spec arg with
-        | Error msg ->
-          invalid_arg (Printf.sprintf "faultinject plan: %s" msg)
-        | Ok plan ->
-          let agent = Agents.Faultinject.create_planned plan in
-          (fun () -> install_plain agent),
-          (fun () ->
-             ignore
-               (Libc.Unistd.write 2
-                  (Printf.sprintf
-                     "faultinject: %d fault(s) injected, %d EINTR \
-                      restarted, %d delayed\n"
-                     agent#total_injected agent#restarted agent#delayed)))))
-  | "dfs_trace" ->
-    (fun () ->
-       Toolkit.Loader.install (Agents.Dfs_trace.create ())
-         ~argv:[| (if arg = "" then "log=/dfstrace.log" else "log=" ^ arg) |]),
-    ignore
-  | "obs" ->
-    let mount = if arg = "" then "/obs" else arg in
-    (fun () -> install_plain (Agents.Obs_fs.create ~mount ())), ignore
-  | other -> invalid_arg (Printf.sprintf "unknown agent %S" other)
-
-let known_agents =
-  "null, timex[:OFFSET], trace[:FILE], syscount, union:/PT=/M1:/M2, \
-   sandbox[:emulate], txn[:abort], crypt[:KEY@PATH], compress[:PATH], \
-   remap, dfs_trace[:FILE], synthfs[:MOUNT], obs[:MOUNT], \
-   faultinject[:RATE|:PLAN]"
+let agent_usage =
+  String.concat ", " (List.map (fun r -> r.Agent_table.usage) Agent_table.rows)
 
 (* --- filesystem setups -------------------------------------------------- *)
 
@@ -413,10 +266,15 @@ let run_repro path =
 
 (* --- conformance ------------------------------------------------------------- *)
 
-let spawn_exit_code path argv =
-  match Libc.Spawn.run path argv with
+(* the exit code of the spawned program [path], as a shell gives it *)
+let exit_code path = function
   | Ok st when Flags.Wait.wifexited st -> Flags.Wait.wexitstatus st
-  | Ok st when Flags.Wait.wifsignaled st -> 128 + Flags.Wait.wtermsig st
+  | Ok st when Flags.Wait.wifsignaled st ->
+    ignore
+      (Libc.Unistd.write 2
+         (Printf.sprintf "agentrun: program killed by %s\n"
+            (Signal.name (Flags.Wait.wtermsig st))));
+    128 + Flags.Wait.wtermsig st
   | Ok _ -> 126
   | Error e ->
     ignore
@@ -443,7 +301,7 @@ let run_conform spec setups prog_args =
        let w =
          { Workloads.Table.w_name = prog;
            w_setup = session_setup setups;
-           w_body = (fun () -> spawn_exit_code path argv);
+           w_body = (fun () -> exit_code path (Libc.Spawn.run path argv));
            w_output = "" }
        in
        let v = Conformance.check w stack in
@@ -486,6 +344,16 @@ let run agents setups stats feed record replay metrics trace_out trace_format
           log_err "agentrun: --watch: %s\n" msg;
           exit 2
     in
+    let built =
+      List.map
+        (fun spec ->
+          match Agent_table.of_spec spec with
+          | Ok b -> b
+          | Error msg ->
+            log_err "agentrun: %s (known: %s)\n" msg agent_usage;
+            exit 2)
+        agents
+    in
     let observing =
       metrics || trace_out <> "" || flame <> "" || follow || watch <> ""
     in
@@ -524,18 +392,15 @@ let run agents setups stats feed record replay metrics trace_out trace_format
       | Some name -> Printf.sprintf "pid %d %s" pid name
       | None -> Kernel.pid_label k pid
     in
-    let installers_reporters =
-      try List.map (build_agent k) agents with
-      | Invalid_argument msg ->
-        log_err "agentrun: %s (known: %s)\n" msg known_agents;
-        exit 2
-    in
     (* --record / --replay wrap the whole stack *)
     let recorder =
       if record <> "" then Some (Agents.Record_replay.create_recorder ())
       else None
     in
-    let installers_reporters =
+    (* each installer installs its agent in the session and returns
+       the agent's report *)
+    let install a = Toolkit.Loader.install a ~argv:[||] in
+    let installers =
       (match replay with
        | "" -> []
        | path ->
@@ -546,25 +411,36 @@ let run agents setups stats feed record replay metrics trace_out trace_format
              exit 2
          in
          let replayer = Agents.Record_replay.create_replayer ~journal in
-         [ (fun () -> Toolkit.Loader.install replayer ~argv:[||]),
-           (fun () ->
-              if replayer#desyncs > 0 then
-                ignore
-                  (Libc.Unistd.write 2
-                     (Printf.sprintf "replay: %d desync(s)\n"
-                        replayer#desyncs))) ])
+         [ (fun () ->
+             install replayer;
+             fun () ->
+               if replayer#desyncs > 0 then
+                 ignore
+                   (Libc.Unistd.write 2
+                      (Printf.sprintf "replay: %d desync(s)\n"
+                         replayer#desyncs))) ])
       @ (match recorder with
-         | Some r ->
-           [ (fun () -> Toolkit.Loader.install r ~argv:[||]), ignore ]
+         | Some r -> [ (fun () -> install r; ignore) ]
          | None -> [])
-      @ installers_reporters
+      @ List.map
+          (fun b () ->
+            let a, report = Agent_table.start b in
+            install a;
+            report)
+          built
     in
     let path = resolve_prog prog in
     let argv = Array.of_list prog_args in
     let captured = ref Conformance.Signature.empty in
     let status =
       Kernel.boot k ~name:"agentrun" (fun () ->
-        List.iter (fun (install, _) -> install ()) installers_reporters;
+        match List.map (fun i -> i ()) installers with
+        | exception Libc.Unistd.Unix_error (e, what) ->
+          ignore
+            (Libc.Unistd.write 2
+               (Printf.sprintf "agentrun: %s: %s\n" what (Errno.message e)));
+          2
+        | reports ->
         (* the signature covers exactly the program's own calls: armed
            after agent installation, disarmed before agent reports *)
         let spawn () = Libc.Spawn.run path argv in
@@ -576,25 +452,9 @@ let run agents setups stats feed record replay metrics trace_out trace_format
             r
           end
         in
-        let code =
-          match spawned with
-          | Ok st when Flags.Wait.wifexited st -> Flags.Wait.wexitstatus st
-          | Ok st when Flags.Wait.wifsignaled st ->
-            ignore
-              (Libc.Unistd.write 2
-                 (Printf.sprintf "agentrun: program killed by %s\n"
-                    (Signal.name (Flags.Wait.wtermsig st))));
-            128 + Flags.Wait.wtermsig st
-          | Ok _ -> 126
-          | Error e ->
-            ignore
-              (Libc.Unistd.write 2
-                 (Printf.sprintf "agentrun: %s: %s\n" path
-                    (Errno.message e)));
-            127
-        in
+        let code = exit_code path spawned in
         (* reports must be emitted inside the session, before exit *)
-        List.iter (fun (_, report) -> report ()) installers_reporters;
+        List.iter (fun report -> report ()) reports;
         code)
     in
     (match recorder with
@@ -715,7 +575,7 @@ open Cmdliner
 let agents_arg =
   let doc =
     "Interpose this agent (repeatable; stacked in order, last is \
-     closest to the application).  Known agents: " ^ known_agents
+     closest to the application).  Known agents: " ^ agent_usage
   in
   Arg.(value & opt_all string [] & info [ "a"; "agent" ] ~docv:"AGENT" ~doc)
 
@@ -860,11 +720,12 @@ let signature_arg =
 let conform_arg =
   let doc =
     "Differential transparency check: run the program bare and again \
-     under this agent stack (a comma-separated list of stack names: \
-     trace, crypt, sandbox, remap, timex, stacked, mutant), then \
-     require the syscall signatures to agree modulo the stack's \
-     declared delta.  Exits 0 when conformant, 1 on a violation \
-     (printing the first diverging call)."
+     under this agent stack (a comma-separated list of stack names: "
+    ^ String.concat ", "
+        (List.map (fun s -> s.Conformance.sk_name) Conformance.all_stacks)
+    ^ "), then require the syscall signatures to agree modulo the \
+       stack's declared delta.  Exits 0 when conformant, 1 on a \
+       violation (printing the first diverging call)."
   in
   Arg.(value & opt string "" & info [ "conform" ] ~docv:"STACK" ~doc)
 

@@ -19,6 +19,8 @@ type mount = {
   members : string list;   (** absolute member directories, priority order *)
 }
 
+val parse_mount_arg : string -> mount option (** of ["/PT=/M1:/M2"] *)
+
 class agent : object
   inherit Toolkit.pathname_set
 

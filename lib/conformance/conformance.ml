@@ -2,6 +2,7 @@ open Abi
 
 module Signature = Signature (* [Abi.Signature], kept here by name *)
 module Strace = Strace
+module Agent_table = Agent_table
 
 (* The differential transparency checker: run a workload bare, run it
    again under an agent stack, and require the two syscall signatures
@@ -27,78 +28,27 @@ type stack = {
   sk_make : unit -> Toolkit.Numeric.numeric_syscall list;
 }
 
-let bare = { sk_name = "bare"; sk_make = (fun () -> []) }
+(* A stack of {!Agent_table} specs, parsed here, once. *)
+let stack sk_name specs = { sk_name; sk_make = Agent_table.stack specs }
 
-let agent a = (a :> Toolkit.Numeric.numeric_syscall)
+let bare = stack "bare" []
 
-(* The trace sink: a descriptor whose writes go nowhere, so tracing a
-   bench workload does not flood the console.  It is moved to the top
-   of the descriptor table — an agent descriptor parked at 3 would
-   shift every fd the client subsequently receives, and the checker
-   (correctly) flags that as a transparency violation; real tracers
-   relocate their descriptors for exactly this reason.  A kernel
-   without [/dev/null] aborts the session: falling back to some other
-   descriptor would trace into one the agent does not own. *)
-let trace_fd () =
-  let fd =
-    Libc.Unistd.ok_exn "trace sink /dev/null"
-      (Libc.Unistd.open_ "/dev/null" Flags.Open.o_wronly 0)
-  in
-  let high = Libc.Unistd.getdtablesize () - 1 in
-  match Libc.Unistd.dup2 fd high with
-  | Ok _ ->
-    ignore (Libc.Unistd.close fd);
-    high
-  | Error _ -> fd
-
-let trace = {
-  sk_name = "trace";
-  sk_make = (fun () -> [ agent (Agents.Trace.create ~fd:(trace_fd ()) ()) ]);
-}
-
-let crypt = {
-  sk_name = "crypt";
-  sk_make =
-    (fun () -> [ agent (Agents.Crypt.create ~key:42 ~subtrees:[ "/vault" ]) ]);
-}
+(* The trace stacks write to /dev/null (at the top of the descriptor
+   table); a kernel without it aborts the session. *)
+let trace = stack "trace" [ "trace:/dev/null" ]
+let crypt = stack "crypt" [ "crypt" ]
 
 (* a policy wide enough for any workload: sandbox transparency is the
    statement that an all-permitting policy leaves no trace *)
-let sandbox = {
-  sk_name = "sandbox";
-  sk_make =
-    (fun () -> [ agent (Agents.Sandbox.create Agents.Sandbox.open_policy) ]);
-}
-
-let remap = {
-  sk_name = "remap";
-  sk_make = (fun () -> [ agent (Agents.Remap.create ()) ]);
-}
-
-let timex = {
-  sk_name = "timex";
-  sk_make =
-    (fun () -> [ agent (Agents.Timex.create ~offset_seconds:3600 ()) ]);
-}
-
-let stacked = {
-  sk_name = "stacked";
-  sk_make =
-    (fun () ->
-      [
-        agent (Agents.Sandbox.create Agents.Sandbox.open_policy);
-        agent (Agents.Crypt.create ~key:42 ~subtrees:[ "/vault" ]);
-        agent (Agents.Trace.create ~fd:(trace_fd ()) ());
-      ]);
-}
+let sandbox = stack "sandbox" [ "sandbox:open" ]
+let remap = stack "remap" [ "remap" ]
+let timex = stack "timex" [ "timex" ]
+let stacked = stack "stacked" [ "sandbox:open"; "crypt"; "trace:/dev/null" ]
 
 (* an injector with an empty plan: the honest no-op — conformance of
    this stack is the statement that the injection machinery itself
    (site matching, restart bookkeeping) leaves no trace *)
-let faultinject = {
-  sk_name = "faultinject";
-  sk_make = (fun () -> [ agent (Agents.Faultinject.create_planned []) ]);
-}
+let faultinject = stack "faultinject" [ "faultinject" ]
 
 (* The seeded mutation: an injector that fails the second read with
    EIO but declares no delta at all.  Honest fault injectors restate
@@ -119,7 +69,11 @@ class undeclared_fault =
   end
 
 let mutant =
-  { sk_name = "mutant"; sk_make = (fun () -> [ agent (new undeclared_fault) ]) }
+  {
+    sk_name = "mutant";
+    sk_make =
+      (fun () -> [ (new undeclared_fault :> Toolkit.Numeric.numeric_syscall) ]);
+  }
 
 let stacks = [ trace; crypt; sandbox; faultinject; remap; timex; stacked ]
 let all_stacks = (bare :: stacks) @ [ mutant ]
@@ -135,29 +89,21 @@ let of_spec spec =
     |> List.map String.trim
     |> List.filter (fun s -> s <> "")
   in
-  if names = [] then Error "empty stack spec"
-  else
-    let rec resolve acc = function
-      | [] -> Ok (List.rev acc)
-      | n :: rest -> (
-        match stack_of_name n with
-        | Some s -> resolve (s :: acc) rest
-        | None ->
-          Error
-            (Printf.sprintf "unknown stack %S (known: %s)" n
-               (String.concat ", "
-                  (List.map (fun s -> s.sk_name) all_stacks))))
-    in
-    match resolve [] names with
-    | Error _ as e -> e
-    | Ok [ s ] -> Ok s
-    | Ok parts ->
+  match List.find_opt (fun n -> stack_of_name n = None) names with
+  | Some n ->
+    Error
+      (Printf.sprintf "unknown stack %S (known: %s)" n
+         (String.concat ", " (List.map (fun s -> s.sk_name) all_stacks)))
+  | None -> (
+    match List.filter_map stack_of_name names with
+    | [] -> Error "empty stack spec"
+    | [ s ] -> Ok s
+    | parts ->
       Ok
         {
           sk_name = spec;
-          sk_make =
-            (fun () -> List.concat_map (fun s -> s.sk_make ()) parts);
-        }
+          sk_make = (fun () -> List.concat_map (fun s -> s.sk_make ()) parts);
+        })
 
 (* --- capture -------------------------------------------------------------- *)
 

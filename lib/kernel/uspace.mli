@@ -35,12 +35,12 @@ val trap_wire : Abi.Value.wire -> Abi.Value.res
     the number. *)
 
 val syscall : Abi.Call.t -> Abi.Value.res
-(** Typed application-boundary call.  The call is encoded immediately
-    ({!Abi.Envelope.at_boundary}) — the boundary contract is the
-    untyped vector, so stacked agents see exactly what a real
-    application would have trapped with, and the first interested
-    layer performs the single decode.  The envelope record, and the
-    wire it owns, are drawn from the calling process's pool
+(** Typed application-boundary call ({!Abi.Envelope.at_boundary}).
+    The boundary contract is the untyped vector, so stacked agents see
+    exactly what a real application would have trapped with: the
+    encode is counted here, but the wire is built only if a layer
+    reads it, and the first interested layer counts the single decode.
+    The envelope record is drawn from the calling process's pool
     ([Proc.env_pool]) and recycled when the trap completes with the
     envelope still exclusively owned ({!Abi.Envelope.release}). *)
 

@@ -582,6 +582,100 @@ let test_trace_text_is_ring () =
     (List.map (fun l -> l ^ "\n") lines) ring;
   Alcotest.(check string) "byte for byte" text (String.concat "" ring)
 
+(* --- the agent table --------------------------------------------------------- *)
+
+module Agent_table = Conformance.Agent_table
+
+let contains ~needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+(* The sink rule: a trace written to a regular file leaves the
+   program's descriptors numbered as in the bare run.  A sink opened at
+   the lowest free descriptor shifts every later one. *)
+let test_trace_file_conforms () =
+  let stack = Conformance.stack "trace-file" [ "trace:/trace.log" ] in
+  List.iter
+    (fun (w : Table.workload) ->
+      let scope = if w.Table.w_name = "kvd" then `Per_process else `Global in
+      let v = Conformance.check ~scope w stack in
+      if not (Conformance.conforms v) then
+        Alcotest.fail (Conformance.verdict_to_string v))
+    Table.quick
+
+(* One session: [spec]'s agent built and installed, a getpid, then its
+   report. *)
+let run_spec spec =
+  match Agent_table.of_spec spec with
+  | Error msg -> Alcotest.failf "%s: %s" spec msg
+  | Ok b ->
+    let k = Table.prepare ignore in
+    Kernel.boot k ~name:"agent-table" (fun () ->
+      let a, report = Agent_table.start b in
+      Toolkit.Loader.install a ~argv:[||];
+      ignore (Libc.Unistd.getpid ());
+      report ();
+      0)
+
+let test_every_row_runs () =
+  List.iter
+    (fun spec -> Alcotest.(check int) spec 0 (run_spec spec))
+    (List.concat_map
+       (fun r -> r.Agent_table.name :: r.Agent_table.aliases)
+       Agent_table.rows
+    @ [ "trace:/trace.log"; "timex:86400"; "crypt:7@/secret";
+        "union:/proj=/objdir:/srcdir"; "faultinject:read#3=fail:EIO" ])
+
+let test_bad_specs () =
+  List.iter
+    (fun spec ->
+      match Agent_table.of_spec spec with
+      | Ok _ -> Alcotest.failf "accepted %S" spec
+      | Error _ -> ())
+    [ "nosuch"; "remap:1"; "timex:soon"; "sandbox:lax"; "txn:maybe";
+      "crypt:k@/vault"; "union:/proj"; "faultinject:read#3=explode" ];
+  (* a trace file that cannot be opened fails the build in the session *)
+  match Agent_table.of_spec "trace:/nodir/trace.log" with
+  | Error msg -> Alcotest.fail msg
+  | Ok b ->
+    let k = Table.prepare ignore in
+    let status =
+      Kernel.boot k ~name:"bad-sink" (fun () ->
+        match Agent_table.start b with
+        | _ -> 1
+        | exception Libc.Unistd.Unix_error (Errno.ENOENT, _) -> 0)
+    in
+    Alcotest.(check int) "ENOENT raised" 0 status
+
+(* Every agent class in lib/agents is a row, or its module is named in
+   the table's header comment with the reason it is not. *)
+let test_every_agent_is_a_row () =
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let header =
+    let mli = read "../../lib/conformance/agent_table.mli" in
+    let rec close i = if String.sub mli i 2 = "*)" then i else close (i + 1) in
+    String.sub mli 0 (close 0)
+  in
+  let dir = "../../lib/agents" in
+  Array.iter
+    (fun file ->
+      if Filename.check_suffix file ".ml" then
+        let m = Filename.chop_suffix file ".ml" in
+        let has_class =
+          List.exists
+            (String.starts_with ~prefix:"class ")
+            (String.split_on_char '\n' (read (Filename.concat dir file)))
+        in
+        let is_row =
+          List.exists
+            (fun r -> r.Agent_table.name = m || List.mem m r.Agent_table.aliases)
+            Agent_table.rows
+        in
+        if has_class && not (is_row || contains ~needle:("[" ^ m ^ "]") header)
+        then Alcotest.failf "%s is neither a row nor named in the header" m)
+    (Sys.readdir dir)
+
 (* --- the kernel's end state ------------------------------------------------ *)
 
 (* Every registered workload, bare and under the full stack, ends with
@@ -660,6 +754,15 @@ let () =
             test_remap_twin_conforms;
           Alcotest.test_case "dropped rewrite flagged" `Quick
             test_buggy_remap_flagged;
+        ] );
+      ( "agents",
+        [
+          Alcotest.test_case "trace to a file conforms" `Quick
+            test_trace_file_conforms;
+          Alcotest.test_case "every row runs" `Quick test_every_row_runs;
+          Alcotest.test_case "bad specs rejected" `Quick test_bad_specs;
+          Alcotest.test_case "every agent class is a row" `Quick
+            test_every_agent_is_a_row;
         ] );
       ( "end-state",
         [
