@@ -566,8 +566,8 @@ let alloc_getpid () =
 
 (* rewind + 64-byte read: the descriptor-path counterpart (buffer
    argument on the wire, data copied back per trap) *)
-let alloc_read () =
-  alloc_probe ~install:(fun () -> install_uninterested 4) ~tpi:2
+let alloc_read_under install =
+  alloc_probe ~install ~tpi:2
     ~prepare:(fun () ->
       (match
          Libc.Unistd.open_ "/tmp/alloc-read"
@@ -584,6 +584,17 @@ let alloc_read () =
     ~iter:(fun (fd, buf) ->
       ignore (Libc.Unistd.lseek fd 0 0);
       ignore (Libc.Unistd.read fd buf 64))
+
+let alloc_read () = alloc_read_under (fun () -> install_uninterested 4)
+
+(* The same loop through four interested null layers, each a
+   [time_symbolic] whose default hands its envelope down: it should
+   cost what the uninterested stack does. *)
+let interested_read_alloc () =
+  alloc_read_under (fun () ->
+    for _ = 1 to 4 do
+      Toolkit.Loader.install (Agents.Time_symbolic.create ()) ~argv:[||]
+    done)
 
 (* The interested counterparts, under kvd's sandbox + crypt + trace
    stack: every layer handles the call, and trace writes one line per
@@ -835,12 +846,14 @@ let read_words_ceiling = 18.0
    continuation and a device write finds its driver without a box
    (DESIGN.md §3.8); 45.0 and 74.0 since a boundary trap builds no
    wire (DESIGN.md §3.1); 25.0 and 48.0 since no envelope boxes its
-   call and no descriptor lookup builds a [result].  Each ceiling
-   leaves 10 words of headroom for compiler drift, one word short of
-   the 11 that one layer's routing closures would add back on a single
-   descriptor crossing. *)
-let stacked_getpid_words_ceiling = 35.0
-let stacked_write_words_ceiling = 58.0
+   call and no descriptor lookup builds a [result]; 13.0 and 27.0
+   since a pass-through hands its envelope down instead of rebuilding
+   the call in a second one (DESIGN.md §3.8).  Each ceiling leaves 10
+   words of headroom for compiler drift, one word short of the 11 that
+   one layer's routing closures would add back on a single descriptor
+   crossing. *)
+let stacked_getpid_words_ceiling = 23.0
+let stacked_write_words_ceiling = 37.0
 
 (* Calls that pay only for what they return (DESIGN.md §3.8), in minor
    words per trap with obs off.  A warm rewind + getdirentries over a
@@ -854,13 +867,14 @@ let stacked_write_words_ceiling = 58.0
    pool stack, 267.5 since it shares the one and grows the other,
    237.2 since a scheduling round trip allocates only its
    continuation, 236.2 since a woken call restarts on its own fibre,
-   225.8 since a boundary trap builds no wire, and 205.8 since no
-   envelope boxes its call.  Each ceiling leaves 10 words of headroom
+   225.8 since a boundary trap builds no wire, 205.8 since no
+   envelope boxes its call, and 190.8 since a pass-through hands its
+   envelope down.  Each ceiling leaves 10 words of headroom
    (rounded up to a whole word), as the interested crossings' do;
    either copy back (61 and 18 words per trap) trips the fork
    ceiling. *)
 let getdirentries_words_ceiling = 29.0
-let stacked_fork_words_ceiling = 216.0
+let stacked_fork_words_ceiling = 201.0
 
 (* Reaping gate: init reaps N exited children with wait4(-1) at two
    sizes.  Measured 101 minor words/wait at 500 children and 109 at
@@ -939,6 +953,7 @@ let ablations_schema =
                ("spans", Int); ("est_spans", Int); ("p50_us", Int);
                ("p90_us", Int); ("p99_us", Int) ]) );
       ("uninterested_read_alloc", alloc);
+      ("interested_read_alloc", alloc);
       ("stacked_getpid_alloc", alloc);
       ("stacked_write_alloc", alloc);
       ("getdirentries_alloc", alloc);
@@ -1218,6 +1233,15 @@ let ablations fail =
   if ar.al_minor_words_per_trap > read_words_ceiling then
     fail "lseek+read: %.1f minor words/trap exceeds the %.0f ceiling"
       ar.al_minor_words_per_trap read_words_ceiling;
+  let ir = interested_read_alloc () in
+  Printf.printf
+    "lseek+read through 4 interested null layers: %.1f minor words/trap \
+     (ceiling %.1f, the uninterested stack's)\n"
+    ir.al_minor_words_per_trap ar.al_minor_words_per_trap;
+  if ir.al_minor_words_per_trap > ar.al_minor_words_per_trap then
+    fail "lseek+read through 4 null layers: %.1f minor words/trap exceeds \
+          the uninterested stack's %.1f"
+      ir.al_minor_words_per_trap ar.al_minor_words_per_trap;
   let gd = alloc_getdirentries () in
   Printf.printf
     "rewind+getdirentries of 64 entries at depth 0: %.1f minor words/trap \
@@ -1410,6 +1434,7 @@ let ablations fail =
              [ ("none", base); ("null", null); ("syscount", counting);
                ("recorder", recording); ("dfs_trace", dfs) ]) );
       ("uninterested_read_alloc", alloc_json ar);
+      ("interested_read_alloc", alloc_json ir);
       ("stacked_getpid_alloc", alloc_json sg);
       ("stacked_write_alloc", alloc_json sw);
       ("getdirentries_alloc", alloc_json gd);

@@ -226,6 +226,29 @@ let encode c =
   in
   { Value.num = number c; args }
 
+(* Whether [c] is call [n] built from exactly these arguments, each
+   physically: then it cannot be told apart from [n] rebuilt from them,
+   and a layer that would rebuild it may hand [c] on instead.  The size
+   check comes first, so no field past [c]'s block is ever read.  No
+   constructor has unboxed arguments, so every field is the value the
+   caller passed. *)
+let same1 c n a =
+  let r = Obj.repr c in
+  Obj.is_block r && Obj.size r = 1 && number c = n && Obj.field r 0 == Obj.repr a
+
+let same2 c n a b =
+  let r = Obj.repr c in
+  Obj.is_block r && Obj.size r = 2 && number c = n
+  && Obj.field r 0 == Obj.repr a
+  && Obj.field r 1 == Obj.repr b
+
+let same3 c n a b d =
+  let r = Obj.repr c in
+  Obj.is_block r && Obj.size r = 3 && number c = n
+  && Obj.field r 0 == Obj.repr a
+  && Obj.field r 1 == Obj.repr b
+  && Obj.field r 2 == Obj.repr d
+
 (* --- the system-call table --------------------------------------------- *)
 
 (* Every call is one row: its number, its name, how its wire decodes,

@@ -99,6 +99,18 @@ val encode : t -> Value.wire
 (** A fresh wire: [decode (encode c)] equals [c], its out-parameter
     refs, buffers and closures physically shared. *)
 
+val same1 : t -> int -> 'a -> bool
+val same2 : t -> int -> 'a -> 'b -> bool
+
+val same3 : t -> int -> 'a -> 'b -> 'c -> bool
+(** [same3 c n a b d]: [c] is call number [n] with exactly three
+    arguments, physically [a], [b] and [d] in order.  Such a [c] cannot
+    be told apart from [n] rebuilt from those arguments, so a layer
+    that would rebuild it may pass [c] on instead ([Downlink.pass3]).
+    False for any other arity, whatever the arguments' types: no field
+    past [c]'s block is read.  {!same1} and {!same2} are the one- and
+    two-argument forms. *)
+
 (** {1 The system-call table}
 
     Each call is one row of a table in this module: its number, its

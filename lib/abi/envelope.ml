@@ -127,6 +127,11 @@ module Pool = struct
     end
 end
 
+(* No envelope: what a process serves outside any symbolic dispatch.
+   Never filled, released or read for its views; [held] sees
+   [no_call]. *)
+let none = Pool.dummy
+
 let of_wire w =
   { num = w.Value.num; wire = Some w; view = Undecoded; call = no_call;
     errno = Errno.ENOSYS; implied = false; pending = false;
@@ -219,6 +224,10 @@ let typed t =
       t.view <- Failed;
       t.errno <- e;
       raise_notrace (Undecodable e))
+
+(* [call] holds [no_call] whenever the view is not [Typed], so this
+   reads the typed view without decoding or counting anything. *)
+let held t = t.call
 
 let call t = match typed t with c -> Ok c | exception Undecodable e -> Error e
 

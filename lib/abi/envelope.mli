@@ -65,6 +65,11 @@ end
 
 (** {1 Construction} *)
 
+val none : t
+(** No envelope: the placeholder [Proc.serving] holds outside any
+    symbolic dispatch.  Its {!held} call is no real call's arguments,
+    and it is never released or decoded. *)
+
 val of_wire : Value.wire -> t
 (** Wrap an untyped vector; the typed view is decoded lazily.  Born
     {e exposed} (the caller holds the wire), so never recycles. *)
@@ -134,6 +139,15 @@ val typed : t -> Call.t
     necessary.  Raises [Undecodable e] where {!call} returns [Error e].
     The trap path reads through this, so a layer below the first
     decode allocates nothing to see the call. *)
+
+val held : t -> Call.t
+(** The call the record holds, without decoding, counting or
+    allocating: the typed view of a decoded or {!of_call} envelope, the
+    application's call in a boundary one, and a nullary call in an
+    undecoded, failed, released or {!none} envelope.  A pass-through
+    reads the envelope it serves through this and compares it with
+    {!Call.same3} ([Downlink.pass3]); a nullary call matches no call
+    with arguments. *)
 
 val wire : t -> Value.wire
 (** The untyped view, encoding (once) if necessary.  A dirty envelope's

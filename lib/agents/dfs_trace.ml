@@ -97,8 +97,22 @@ class agent =
       | Ok { Value.r0 = fd; _ } ->
         (* deliberately NOT close-on-exec: the agent survives execve
            (the toolkit keeps the emulation state), so its log must
-           survive too *)
-        log_fd <- fd
+           survive too.  It moves to the top of the descriptor table,
+           as agentrun's trace sink does: left at the lowest free
+           descriptor, it would renumber every descriptor the program
+           opens after it.  If the move fails the log stays put. *)
+        let high =
+          match self#down Call.Getdtablesize with
+          | Ok { Value.r0 = n; _ } -> n - 1
+          | Error _ -> fd
+        in
+        log_fd <-
+          (if high <> fd && Result.is_ok (self#down (Call.Dup2 (fd, high)))
+           then begin
+             ignore (self#down (Call.Close fd));
+             high
+           end
+           else fd)
       | Error _ -> log_fd <- -1
 
     (* One record per reference, stamped like the original: a getpid

@@ -53,4 +53,24 @@ let down_call t c =
   Envelope.release env;
   res
 
+(* A pass-through: the call [mk] would build from these arguments is
+   the one the process's innermost dispatch is serving, built from the
+   same arguments, so its envelope goes down as it came — no call, no
+   record, and no [agent_calls] count, for the call is not the agent's
+   own.  The owner of [serving] still releases it. *)
+let pass1 t n mk a =
+  let env = (Kernel.Uspace.self ()).serving in
+  if Call.same1 (Envelope.held env) n a then down t env
+  else down_call t (mk a)
+
+let pass2 t n mk a b =
+  let env = (Kernel.Uspace.self ()).serving in
+  if Call.same2 (Envelope.held env) n a b then down t env
+  else down_call t (mk a b)
+
+let pass3 t n mk a b c =
+  let env = (Kernel.Uspace.self ()).serving in
+  if Call.same3 (Envelope.held env) n a b c then down t env
+  else down_call t (mk a b c)
+
 let down_signal t s = Kernel.Uspace.deliver_via t.prev_sig s

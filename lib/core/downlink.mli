@@ -28,7 +28,26 @@ val down_call : t -> Abi.Call.t -> Abi.Value.res
     the raw vector).  The envelope record comes from the calling
     process's pool and is released when the lower layers return — a
     handler that stashes it must [Abi.Envelope.retain] it
-    (DESIGN.md §3.8). *)
+    (DESIGN.md §3.8).  Counted as an agent call ([Obs.Codec]'s
+    [agent_calls]). *)
+
+val pass1 : t -> int -> ('a -> Abi.Call.t) -> 'a -> Abi.Value.res
+val pass2 :
+  t -> int -> ('a -> 'b -> Abi.Call.t) -> 'a -> 'b -> Abi.Value.res
+
+val pass3 :
+  t -> int -> ('a -> 'b -> 'c -> Abi.Call.t) -> 'a -> 'b -> 'c
+  -> Abi.Value.res
+(** [pass3 t n mk a b c] is [down_call t (mk a b c)], where [mk]
+    builds call number [n] from its arguments.  When the envelope the
+    calling process is serving ([Kernel.Proc.serving]) already holds
+    call [n] built from physically these [a], [b], [c]
+    ({!Abi.Call.same3}), that envelope goes {!down} instead: a
+    pass-through builds no call, takes no record from the pool and is
+    not counted as an agent call.  The toolkit's defaults are written
+    with these; [mk] is a closed constructor, so the call allocates
+    nothing of its own.  {!pass1} and {!pass2} are the shorter
+    forms. *)
 
 val captured_handler : t -> int -> (Abi.Envelope.t -> Abi.Value.res) option
 (** What {!capture} recorded for one number (used by the loader to

@@ -9,17 +9,29 @@ class open_object (dl : Downlink.t) =
       refs
     method on_last_close = ()
 
-    method read ~fd buf cnt = Downlink.down_call dl (Call.Read (fd, buf, cnt))
-    method write ~fd data = Downlink.down_call dl (Call.Write (fd, data))
+    method read ~fd buf cnt =
+      Downlink.pass3 dl Sysno.sys_read
+        (fun a b c -> Call.Read (a, b, c)) fd buf cnt
+    method write ~fd data =
+      Downlink.pass2 dl Sysno.sys_write (fun a b -> Call.Write (a, b)) fd data
     method lseek ~fd off whence =
-      Downlink.down_call dl (Call.Lseek (fd, off, whence))
-    method fstat ~fd r = Downlink.down_call dl (Call.Fstat (fd, r))
+      Downlink.pass3 dl Sysno.sys_lseek
+        (fun a b c -> Call.Lseek (a, b, c)) fd off whence
+    method fstat ~fd r =
+      Downlink.pass2 dl Sysno.sys_fstat (fun a b -> Call.Fstat (a, b)) fd r
     method getdirentries ~fd buf =
-      Downlink.down_call dl (Call.Getdirentries (fd, buf))
-    method ftruncate ~fd len = Downlink.down_call dl (Call.Ftruncate (fd, len))
-    method fsync ~fd = Downlink.down_call dl (Call.Fsync fd)
-    method ioctl ~fd op buf = Downlink.down_call dl (Call.Ioctl (fd, op, buf))
-    method close ~fd = Downlink.down_call dl (Call.Close fd)
+      Downlink.pass2 dl Sysno.sys_getdirentries
+        (fun a b -> Call.Getdirentries (a, b)) fd buf
+    method ftruncate ~fd len =
+      Downlink.pass2 dl Sysno.sys_ftruncate
+        (fun a b -> Call.Ftruncate (a, b)) fd len
+    method fsync ~fd =
+      Downlink.pass1 dl Sysno.sys_fsync (fun a -> Call.Fsync a) fd
+    method ioctl ~fd op buf =
+      Downlink.pass3 dl Sysno.sys_ioctl
+        (fun a b c -> Call.Ioctl (a, b, c)) fd op buf
+    method close ~fd =
+      Downlink.pass1 dl Sysno.sys_close (fun a -> Call.Close a) fd
   end
 
 class directory (dl : Downlink.t) =
@@ -115,31 +127,56 @@ class descriptor ~(fd : int) (oo : open_object) =
 class pathname (dl : Downlink.t) (path : string) =
   object
     method path = path
-    method open_ flags mode = Downlink.down_call dl (Call.Open (path, flags, mode))
-    method creat mode = Downlink.down_call dl (Call.Creat (path, mode))
-    method stat r = Downlink.down_call dl (Call.Stat (path, r))
-    method lstat r = Downlink.down_call dl (Call.Lstat (path, r))
-    method access bits = Downlink.down_call dl (Call.Access (path, bits))
-    method chmod mode = Downlink.down_call dl (Call.Chmod (path, mode))
-    method chown uid gid = Downlink.down_call dl (Call.Chown (path, uid, gid))
+
+    method open_ flags mode =
+      Downlink.pass3 dl Sysno.sys_open
+        (fun a b c -> Call.Open (a, b, c)) path flags mode
+    method creat mode =
+      Downlink.pass2 dl Sysno.sys_creat (fun a b -> Call.Creat (a, b)) path mode
+    method stat r =
+      Downlink.pass2 dl Sysno.sys_stat (fun a b -> Call.Stat (a, b)) path r
+    method lstat r =
+      Downlink.pass2 dl Sysno.sys_lstat (fun a b -> Call.Lstat (a, b)) path r
+    method access bits =
+      Downlink.pass2 dl Sysno.sys_access
+        (fun a b -> Call.Access (a, b)) path bits
+    method chmod mode =
+      Downlink.pass2 dl Sysno.sys_chmod (fun a b -> Call.Chmod (a, b)) path mode
+    method chown uid gid =
+      Downlink.pass3 dl Sysno.sys_chown
+        (fun a b c -> Call.Chown (a, b, c)) path uid gid
     method utimes atime mtime =
-      Downlink.down_call dl (Call.Utimes (path, atime, mtime))
-    method truncate len = Downlink.down_call dl (Call.Truncate (path, len))
-    method readlink buf = Downlink.down_call dl (Call.Readlink (path, buf))
-    method unlink = Downlink.down_call dl (Call.Unlink path)
-    method rmdir = Downlink.down_call dl (Call.Rmdir path)
-    method mkdir mode = Downlink.down_call dl (Call.Mkdir (path, mode))
-    method mknod mode dev = Downlink.down_call dl (Call.Mknod (path, mode, dev))
-    method chdir = Downlink.down_call dl (Call.Chdir path)
+      Downlink.pass3 dl Sysno.sys_utimes
+        (fun a b c -> Call.Utimes (a, b, c)) path atime mtime
+    method truncate len =
+      Downlink.pass2 dl Sysno.sys_truncate
+        (fun a b -> Call.Truncate (a, b)) path len
+    method readlink buf =
+      Downlink.pass2 dl Sysno.sys_readlink
+        (fun a b -> Call.Readlink (a, b)) path buf
+    method unlink =
+      Downlink.pass1 dl Sysno.sys_unlink (fun a -> Call.Unlink a) path
+    method rmdir =
+      Downlink.pass1 dl Sysno.sys_rmdir (fun a -> Call.Rmdir a) path
+    method mkdir mode =
+      Downlink.pass2 dl Sysno.sys_mkdir (fun a b -> Call.Mkdir (a, b)) path mode
+    method mknod mode dev =
+      Downlink.pass3 dl Sysno.sys_mknod
+        (fun a b c -> Call.Mknod (a, b, c)) path mode dev
+    method chdir =
+      Downlink.pass1 dl Sysno.sys_chdir (fun a -> Call.Chdir a) path
 
     method link_to (newpn : pathname) =
-      Downlink.down_call dl (Call.Link (path, newpn#path))
+      Downlink.pass2 dl Sysno.sys_link
+        (fun a b -> Call.Link (a, b)) path newpn#path
 
     method rename_to (newpn : pathname) =
-      Downlink.down_call dl (Call.Rename (path, newpn#path))
+      Downlink.pass2 dl Sysno.sys_rename
+        (fun a b -> Call.Rename (a, b)) path newpn#path
 
     method symlink ~target =
-      Downlink.down_call dl (Call.Symlink (target, path))
+      Downlink.pass2 dl Sysno.sys_symlink
+        (fun a b -> Call.Symlink (a, b)) target path
 
     method execve argv envp = Boilerplate.do_execve dl path argv envp
   end

@@ -6,7 +6,12 @@
     Methods that operate on an open file take the descriptor number
     explicitly ([~fd]) because several descriptors — after [dup] or
     [fork] — may share one object, and the underlying call must be
-    made on the caller's own descriptor. *)
+    made on the caller's own descriptor.
+
+    Each default method makes its call on the next level down as the
+    symbolic defaults do ([Downlink.pass3]): a call built from the
+    arguments of the one being served goes down in that call's own
+    envelope, and any other call in a new one. *)
 
 class open_object : Downlink.t -> object
   method retain : unit

@@ -22,7 +22,21 @@ class symbolic_syscall =
           (if fresh then
              Cost_model.symbolic_decode_us ~nargs:(Envelope.nargs env)
            else Cost_model.numeric_dispatch_us);
-        self#dispatch_call call
+        (* the process serves [env] while the methods run: a default
+           that would rebuild [call] from its own arguments hands [env]
+           down instead ([Downlink.pass3]).  [serving] is restored on
+           every way out, exceptions included, so it follows the
+           process's stack (DESIGN.md §3.8) *)
+        let p = Kernel.Uspace.self () in
+        let outer = p.serving in
+        p.serving <- env;
+        match self#dispatch_call call with
+        | res ->
+          p.serving <- outer;
+          res
+        | exception e ->
+          p.serving <- outer;
+          raise e
 
     method private dispatch_call (call : Call.t) : Value.res =
       match call with
@@ -100,7 +114,9 @@ class symbolic_syscall =
 
     (* Defaults: take the call's normal action on the next level down.
        fork and execve route through the boilerplate so the agent
-       survives both. *)
+       survives both.  A default with arguments passes on the envelope
+       it is serving when that holds this very call, and builds the
+       call only when an override changed an argument. *)
 
     method sys_exit code = self#down (Call.Exit code)
 
@@ -112,76 +128,170 @@ class symbolic_syscall =
     method sys_execve path argv envp =
       Boilerplate.do_execve self#downlink path argv envp
 
-    method sys_read fd buf cnt = self#down (Call.Read (fd, buf, cnt))
-    method sys_write fd data = self#down (Call.Write (fd, data))
-    method sys_open path flags mode = self#down (Call.Open (path, flags, mode))
-    method sys_close fd = self#down (Call.Close fd)
-    method sys_wait4 pid options = self#down (Call.Wait4 (pid, options))
-    method sys_creat path mode = self#down (Call.Creat (path, mode))
-    method sys_link existing path = self#down (Call.Link (existing, path))
-    method sys_unlink path = self#down (Call.Unlink path)
-    method sys_chdir path = self#down (Call.Chdir path)
-    method sys_fchdir fd = self#down (Call.Fchdir fd)
-    method sys_mknod path mode dev = self#down (Call.Mknod (path, mode, dev))
-    method sys_chmod path mode = self#down (Call.Chmod (path, mode))
-    method sys_chown path uid gid = self#down (Call.Chown (path, uid, gid))
-    method sys_sbrk d = self#down (Call.Sbrk d)
-    method sys_lseek fd off whence = self#down (Call.Lseek (fd, off, whence))
+    method sys_read fd buf cnt =
+      Downlink.pass3 self#downlink Sysno.sys_read
+        (fun a b c -> Call.Read (a, b, c)) fd buf cnt
+    method sys_write fd data =
+      Downlink.pass2 self#downlink Sysno.sys_write
+        (fun a b -> Call.Write (a, b)) fd data
+    method sys_open path flags mode =
+      Downlink.pass3 self#downlink Sysno.sys_open
+        (fun a b c -> Call.Open (a, b, c)) path flags mode
+    method sys_close fd =
+      Downlink.pass1 self#downlink Sysno.sys_close (fun a -> Call.Close a) fd
+    method sys_wait4 pid options =
+      Downlink.pass2 self#downlink Sysno.sys_wait4
+        (fun a b -> Call.Wait4 (a, b)) pid options
+    method sys_creat path mode =
+      Downlink.pass2 self#downlink Sysno.sys_creat
+        (fun a b -> Call.Creat (a, b)) path mode
+    method sys_link existing path =
+      Downlink.pass2 self#downlink Sysno.sys_link
+        (fun a b -> Call.Link (a, b)) existing path
+    method sys_unlink path =
+      Downlink.pass1 self#downlink Sysno.sys_unlink
+        (fun a -> Call.Unlink a) path
+    method sys_chdir path =
+      Downlink.pass1 self#downlink Sysno.sys_chdir (fun a -> Call.Chdir a) path
+    method sys_fchdir fd =
+      Downlink.pass1 self#downlink Sysno.sys_fchdir (fun a -> Call.Fchdir a) fd
+    method sys_mknod path mode dev =
+      Downlink.pass3 self#downlink Sysno.sys_mknod
+        (fun a b c -> Call.Mknod (a, b, c)) path mode dev
+    method sys_chmod path mode =
+      Downlink.pass2 self#downlink Sysno.sys_chmod
+        (fun a b -> Call.Chmod (a, b)) path mode
+    method sys_chown path uid gid =
+      Downlink.pass3 self#downlink Sysno.sys_chown
+        (fun a b c -> Call.Chown (a, b, c)) path uid gid
+    method sys_sbrk d =
+      Downlink.pass1 self#downlink Sysno.sys_sbrk (fun a -> Call.Sbrk a) d
+    method sys_lseek fd off whence =
+      Downlink.pass3 self#downlink Sysno.sys_lseek
+        (fun a b c -> Call.Lseek (a, b, c)) fd off whence
     method sys_getpid () = self#down Call.Getpid
-    method sys_setuid u = self#down (Call.Setuid u)
+    method sys_setuid u =
+      Downlink.pass1 self#downlink Sysno.sys_setuid (fun a -> Call.Setuid a) u
     method sys_getuid () = self#down Call.Getuid
     method sys_geteuid () = self#down Call.Geteuid
-    method sys_alarm sec = self#down (Call.Alarm sec)
-    method sys_access path bits = self#down (Call.Access (path, bits))
+    method sys_alarm sec =
+      Downlink.pass1 self#downlink Sysno.sys_alarm (fun a -> Call.Alarm a) sec
+    method sys_access path bits =
+      Downlink.pass2 self#downlink Sysno.sys_access
+        (fun a b -> Call.Access (a, b)) path bits
     method sys_sync () = self#down Call.Sync
-    method sys_kill pid s = self#down (Call.Kill (pid, s))
-    method sys_stat path r = self#down (Call.Stat (path, r))
+    method sys_kill pid s =
+      Downlink.pass2 self#downlink Sysno.sys_kill
+        (fun a b -> Call.Kill (a, b)) pid s
+    method sys_stat path r =
+      Downlink.pass2 self#downlink Sysno.sys_stat
+        (fun a b -> Call.Stat (a, b)) path r
     method sys_getppid () = self#down Call.Getppid
-    method sys_lstat path r = self#down (Call.Lstat (path, r))
-    method sys_dup fd = self#down (Call.Dup fd)
+    method sys_lstat path r =
+      Downlink.pass2 self#downlink Sysno.sys_lstat
+        (fun a b -> Call.Lstat (a, b)) path r
+    method sys_dup fd =
+      Downlink.pass1 self#downlink Sysno.sys_dup (fun a -> Call.Dup a) fd
     method sys_pipe () = self#down Call.Pipe
     method sys_socketpair () = self#down Call.Socketpair
     method sys_socket () = self#down Call.Socket
-    method sys_bind fd addr = self#down (Call.Bind (fd, addr))
-    method sys_listen fd backlog = self#down (Call.Listen (fd, backlog))
-    method sys_accept fd = self#down (Call.Accept fd)
-    method sys_connect fd addr = self#down (Call.Connect (fd, addr))
-    method sys_send fd data = self#down (Call.Send (fd, data))
-    method sys_recv fd buf cnt = self#down (Call.Recv (fd, buf, cnt))
-    method sys_shutdown fd how = self#down (Call.Shutdown (fd, how))
+    method sys_bind fd addr =
+      Downlink.pass2 self#downlink Sysno.sys_bind
+        (fun a b -> Call.Bind (a, b)) fd addr
+    method sys_listen fd backlog =
+      Downlink.pass2 self#downlink Sysno.sys_listen
+        (fun a b -> Call.Listen (a, b)) fd backlog
+    method sys_accept fd =
+      Downlink.pass1 self#downlink Sysno.sys_accept (fun a -> Call.Accept a) fd
+    method sys_connect fd addr =
+      Downlink.pass2 self#downlink Sysno.sys_connect
+        (fun a b -> Call.Connect (a, b)) fd addr
+    method sys_send fd data =
+      Downlink.pass2 self#downlink Sysno.sys_send
+        (fun a b -> Call.Send (a, b)) fd data
+    method sys_recv fd buf cnt =
+      Downlink.pass3 self#downlink Sysno.sys_recv
+        (fun a b c -> Call.Recv (a, b, c)) fd buf cnt
+    method sys_shutdown fd how =
+      Downlink.pass2 self#downlink Sysno.sys_shutdown
+        (fun a b -> Call.Shutdown (a, b)) fd how
     method sys_getegid () = self#down Call.Getegid
-    method sys_sigaction s h o = self#down (Call.Sigaction (s, h, o))
+    method sys_sigaction s h o =
+      Downlink.pass3 self#downlink Sysno.sys_sigaction
+        (fun a b c -> Call.Sigaction (a, b, c)) s h o
     method sys_getgid () = self#down Call.Getgid
-    method sys_sigprocmask how m = self#down (Call.Sigprocmask (how, m))
+    method sys_sigprocmask how m =
+      Downlink.pass2 self#downlink Sysno.sys_sigprocmask
+        (fun a b -> Call.Sigprocmask (a, b)) how m
     method sys_sigpending () = self#down Call.Sigpending
-    method sys_sigsuspend m = self#down (Call.Sigsuspend m)
-    method sys_ioctl fd op buf = self#down (Call.Ioctl (fd, op, buf))
-    method sys_symlink target path = self#down (Call.Symlink (target, path))
-    method sys_readlink path buf = self#down (Call.Readlink (path, buf))
-    method sys_umask m = self#down (Call.Umask m)
-    method sys_fstat fd r = self#down (Call.Fstat (fd, r))
+    method sys_sigsuspend m =
+      Downlink.pass1 self#downlink Sysno.sys_sigsuspend
+        (fun a -> Call.Sigsuspend a) m
+    method sys_ioctl fd op buf =
+      Downlink.pass3 self#downlink Sysno.sys_ioctl
+        (fun a b c -> Call.Ioctl (a, b, c)) fd op buf
+    method sys_symlink target path =
+      Downlink.pass2 self#downlink Sysno.sys_symlink
+        (fun a b -> Call.Symlink (a, b)) target path
+    method sys_readlink path buf =
+      Downlink.pass2 self#downlink Sysno.sys_readlink
+        (fun a b -> Call.Readlink (a, b)) path buf
+    method sys_umask m =
+      Downlink.pass1 self#downlink Sysno.sys_umask (fun a -> Call.Umask a) m
+    method sys_fstat fd r =
+      Downlink.pass2 self#downlink Sysno.sys_fstat
+        (fun a b -> Call.Fstat (a, b)) fd r
     method sys_getpagesize () = self#down Call.Getpagesize
     method sys_getpgrp () = self#down Call.Getpgrp
-    method sys_setpgrp pid pgrp = self#down (Call.Setpgrp (pid, pgrp))
+    method sys_setpgrp pid pgrp =
+      Downlink.pass2 self#downlink Sysno.sys_setpgrp
+        (fun a b -> Call.Setpgrp (a, b)) pid pgrp
     method sys_getdtablesize () = self#down Call.Getdtablesize
-    method sys_dup2 o n = self#down (Call.Dup2 (o, n))
-    method sys_fcntl fd cmd arg = self#down (Call.Fcntl (fd, cmd, arg))
-    method sys_fsync fd = self#down (Call.Fsync fd)
-    method sys_select rmask wmask tmo = self#down (Call.Select (rmask, wmask, tmo))
-    method sys_gettimeofday r = self#down (Call.Gettimeofday r)
-    method sys_getrusage r = self#down (Call.Getrusage r)
+    method sys_dup2 o n =
+      Downlink.pass2 self#downlink Sysno.sys_dup2
+        (fun a b -> Call.Dup2 (a, b)) o n
+    method sys_fcntl fd cmd arg =
+      Downlink.pass3 self#downlink Sysno.sys_fcntl
+        (fun a b c -> Call.Fcntl (a, b, c)) fd cmd arg
+    method sys_fsync fd =
+      Downlink.pass1 self#downlink Sysno.sys_fsync (fun a -> Call.Fsync a) fd
+    method sys_select rmask wmask tmo =
+      Downlink.pass3 self#downlink Sysno.sys_select
+        (fun a b c -> Call.Select (a, b, c)) rmask wmask tmo
+    method sys_gettimeofday r =
+      Downlink.pass1 self#downlink Sysno.sys_gettimeofday
+        (fun a -> Call.Gettimeofday a) r
+    method sys_getrusage r =
+      Downlink.pass1 self#downlink Sysno.sys_getrusage
+        (fun a -> Call.Getrusage a) r
     method sys_settimeofday sec usec =
-      self#down (Call.Settimeofday (sec, usec))
-    method sys_rename src dst = self#down (Call.Rename (src, dst))
-    method sys_truncate path len = self#down (Call.Truncate (path, len))
-    method sys_ftruncate fd len = self#down (Call.Ftruncate (fd, len))
-    method sys_mkdir path mode = self#down (Call.Mkdir (path, mode))
-    method sys_rmdir path = self#down (Call.Rmdir path)
+      Downlink.pass2 self#downlink Sysno.sys_settimeofday
+        (fun a b -> Call.Settimeofday (a, b)) sec usec
+    method sys_rename src dst =
+      Downlink.pass2 self#downlink Sysno.sys_rename
+        (fun a b -> Call.Rename (a, b)) src dst
+    method sys_truncate path len =
+      Downlink.pass2 self#downlink Sysno.sys_truncate
+        (fun a b -> Call.Truncate (a, b)) path len
+    method sys_ftruncate fd len =
+      Downlink.pass2 self#downlink Sysno.sys_ftruncate
+        (fun a b -> Call.Ftruncate (a, b)) fd len
+    method sys_mkdir path mode =
+      Downlink.pass2 self#downlink Sysno.sys_mkdir
+        (fun a b -> Call.Mkdir (a, b)) path mode
+    method sys_rmdir path =
+      Downlink.pass1 self#downlink Sysno.sys_rmdir (fun a -> Call.Rmdir a) path
     method sys_utimes path atime mtime =
-      self#down (Call.Utimes (path, atime, mtime))
-    method sys_getdirentries fd buf = self#down (Call.Getdirentries (fd, buf))
-    method sys_sleepus us = self#down (Call.Sleepus us)
-    method sys_getcwd buf = self#down (Call.Getcwd buf)
+      Downlink.pass3 self#downlink Sysno.sys_utimes
+        (fun a b c -> Call.Utimes (a, b, c)) path atime mtime
+    method sys_getdirentries fd buf =
+      Downlink.pass2 self#downlink Sysno.sys_getdirentries
+        (fun a b -> Call.Getdirentries (a, b)) fd buf
+    method sys_sleepus us =
+      Downlink.pass1 self#downlink Sysno.sys_sleepus
+        (fun a -> Call.Sleepus a) us
+    method sys_getcwd buf =
+      Downlink.pass1 self#downlink Sysno.sys_getcwd (fun a -> Call.Getcwd a) buf
 
     method unknown_syscall (env : Envelope.t) : Value.res = super#syscall env
   end

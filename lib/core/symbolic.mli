@@ -8,6 +8,15 @@
     behaviour it changes — the timex agent, for example, is this class
     plus a new [sys_gettimeofday].
 
+    While the methods run, the calling process serves the envelope
+    they were dispatched from ([Kernel.Proc.serving], restored on
+    return and on exception).  A default with arguments hands that
+    envelope down when its arguments are physically the call's own
+    ([Downlink.pass3]): an unchanged call is passed on, not rebuilt.
+    An override that calls [super] with a changed argument sends the
+    changed call in an envelope of its own.  [exit], [fork], [execve]
+    and the calls without arguments build their call as before.
+
     Out-parameters keep their system-interface shape: [stat] fills a
     [Stat.t option ref], [read] fills the caller's buffer, and the
     methods return the two-register {!Abi.Value.res}. *)

@@ -92,6 +92,9 @@ type t = {
       (* Always [Some] in practice; option-typed so the trap stub can
          pass it to [Envelope.at_boundary ?pool] without wrapping a
          fresh [Some] on every trap. *)
+  mutable serving : Abi.Envelope.t;
+      (* the envelope the innermost symbolic dispatch on this
+         process's stack is serving; [Envelope.none] outside one *)
 }
 
 let fd_table_size = 64
@@ -123,7 +126,8 @@ let create ~pid ~ppid ~pgrp ~name ~cred ~cwd =
       forked_by = None;
       utime_us = 0;
       stime_us = 0;
-      env_pool = Some (Abi.Envelope.Pool.create ()) }
+      env_pool = Some (Abi.Envelope.Pool.create ());
+      serving = Abi.Envelope.none }
   in
   p
 
@@ -163,7 +167,9 @@ let fork_copy t ~pid ~name =
       stime_us = 0;
       (* The pool is a cache, not address-space state: the child starts
          with an empty one rather than stealing the parent's records. *)
-      env_pool = Some (Abi.Envelope.Pool.create ()) }
+      env_pool = Some (Abi.Envelope.Pool.create ());
+      (* the child's fibre starts outside any dispatch *)
+      serving = Abi.Envelope.none }
   in
   p
 

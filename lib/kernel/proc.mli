@@ -108,11 +108,20 @@ type t = {
   mutable utime_us : int;       (** virtual user time (cpu_work, agent work) *)
   mutable stime_us : int;       (** virtual system time (in-kernel call cost) *)
   env_pool : Abi.Envelope.Pool.t option;
-      (** free list of envelope records (each owning its wire) feeding
+      (** free list of envelope records feeding
           [Envelope.at_boundary] and [Envelope.of_call] for this
           process's traps; a cache only, so [fork] gives the child a
           fresh one.  Always [Some]; option-typed so the trap stub can
           hand it to [?pool] without allocating a [Some] per trap *)
+  mutable serving : Abi.Envelope.t;
+      (** the envelope this process's innermost symbolic dispatch is
+          serving, [Abi.Envelope.none] outside any.  The toolkit's
+          [Symbolic.syscall] sets it around its dispatch and restores
+          the outer value on return and on exception, so it follows
+          the process's own stack: a fork child starts at [none], and
+          an exec's discarded fibre restores it as it unwinds.  A
+          pass-through default hands this envelope down when the call
+          it would build is the one it holds (DESIGN.md §3.8) *)
 }
 
 val fd_table_size : int

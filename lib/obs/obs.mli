@@ -181,7 +181,10 @@ module Codec : sig
     decodes : int;       (** wire → typed materializations *)
     encodes : int;       (** typed → wire materializations *)
     crossings : int;     (** envelope handed down one stack layer *)
-    agent_calls : int;   (** envelopes originated by agent/toolkit code *)
+    agent_calls : int;   (** envelopes originated by agent/toolkit code:
+                             calls an agent builds ([Downlink.down_call]),
+                             not the pass-throughs that hand down the
+                             envelope they serve ([Downlink.pass3]) *)
   }
 
   val diff : t -> t -> t

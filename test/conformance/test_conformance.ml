@@ -591,18 +591,22 @@ let contains ~needle hay =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
-(* The sink rule: a trace written to a regular file leaves the
-   program's descriptors numbered as in the bare run.  A sink opened at
+(* The sink rule: an agent logging to a regular file leaves the
+   program's descriptors numbered as in the bare run.  A log opened at
    the lowest free descriptor shifts every later one. *)
-let test_trace_file_conforms () =
-  let stack = Conformance.stack "trace-file" [ "trace:/trace.log" ] in
+let file_log_conforms spec () =
+  let stack = Conformance.stack "file-log" [ spec ] in
   List.iter
     (fun (w : Table.workload) ->
       let scope = if w.Table.w_name = "kvd" then `Per_process else `Global in
       let v = Conformance.check ~scope w stack in
       if not (Conformance.conforms v) then
-        Alcotest.fail (Conformance.verdict_to_string v))
+        Alcotest.failf "%s on %s: %s" spec w.Table.w_name
+          (Conformance.verdict_to_string v))
     Table.quick
+
+let test_trace_file_conforms = file_log_conforms "trace:/trace.log"
+let test_dfs_trace_file_conforms = file_log_conforms "dfs_trace:/dfs.log"
 
 (* One session: [spec]'s agent built and installed, a getpid, then its
    report. *)
@@ -759,6 +763,8 @@ let () =
         [
           Alcotest.test_case "trace to a file conforms" `Quick
             test_trace_file_conforms;
+          Alcotest.test_case "dfs_trace to a file conforms" `Quick
+            test_dfs_trace_file_conforms;
           Alcotest.test_case "every row runs" `Quick test_every_row_runs;
           Alcotest.test_case "bad specs rejected" `Quick test_bad_specs;
           Alcotest.test_case "every agent class is a row" `Quick

@@ -1,5 +1,6 @@
 (* Toolkit-layer tests: installation and stacking, layer routing,
-   fork/execve survival, descriptor and pathname object plumbing. *)
+   fork/execve survival, descriptor and pathname object plumbing, and
+   pass-throughs handing down the envelope they serve. *)
 
 open Abi
 open Tharness
@@ -730,6 +731,391 @@ let test_table_model =
            (small_list (int_range (-2) (Call.max_sysno + 2)))))
     table_follows_model
 
+(* --- pass-through: a default hands down the envelope it serves -------- *)
+
+(* Notes every envelope it is handed, with the call it holds then (a
+   released envelope holds none), and passes it on unchanged. *)
+class noting_layer (seen : (Envelope.t * Call.t) list ref) =
+  object (self)
+    inherit Toolkit.numeric_syscall as super
+    method! init _ = self#register_interest_all
+    method! syscall env =
+      seen := (env, Envelope.held env) :: !seen;
+      super#syscall env
+  end
+
+(* The bottom of a stack that answers every call but exit itself, with
+   descriptor 7 for open and creat, so any call can cross the stack
+   without touching the kernel. *)
+class answering_layer (seen : (Envelope.t * Call.t) list ref) =
+  object (self)
+    inherit Toolkit.numeric_syscall as super
+    method! init _ = self#register_interest_all
+    method! syscall env =
+      let n = Envelope.number env in
+      if n = Sysno.sys_exit then super#syscall env
+      else begin
+        seen := (env, Envelope.held env) :: !seen;
+        if n = Sysno.sys_open || n = Sysno.sys_creat then Value.ret 7
+        else Value.ok
+      end
+  end
+
+let serving () = (Kernel.Uspace.self ()).Kernel.Proc.serving
+
+(* Call number [n] with arguments of its slots' kinds, read off the
+   table: the first candidate vector its row decodes.  Every integer
+   is 7, the descriptor [answering_layer]'s open returns. *)
+let sample n =
+  let kinds =
+    Value.
+      [ Int 7; Str "/pt/file"; Buf (Bytes.create 16); Strs [| "a" |];
+        Body (fun () -> 0); Stat_ref (ref None); Tv_ref (ref None);
+        Handler H_default; Handler_ref (ref None) ]
+  in
+  let rec vectors k =
+    if k = 0 then [ [] ]
+    else
+      List.concat_map (fun v -> List.map (List.cons v) (vectors (k - 1))) kinds
+  in
+  List.find_map
+    (fun args ->
+      Result.to_option
+        (Call.decode { Value.num = n; args = Array.of_list args }))
+    (vectors 3)
+
+(* Every row with arguments but the three the boilerplate rebuilds. *)
+let passable =
+  List.filter_map
+    (fun n ->
+      if List.mem n Sysno.[ sys_exit; sys_fork; sys_execve ] then None
+      else
+        match sample n with
+        | Some c when Call.nargs c > 0 -> Some c
+        | Some _ -> None
+        | None -> Alcotest.failf "no sample call for %s" (Call.name n))
+    Call.all
+
+(* [c] trapped at the boundary under [noting_layer] over [layer] over
+   [answering_layer]: the envelopes the two saw, and the pool records
+   the trap took. *)
+let cross ~top ~bottom c =
+  top := [];
+  bottom := [];
+  let k = Kernel.current_exn () in
+  let p0 = Kernel.env_pool_stats k in
+  ignore (Kernel.Uspace.syscall c);
+  let d = Obs.Env_pool.diff p0 (Kernel.env_pool_stats k) in
+  if serving () != Envelope.none then
+    Alcotest.failf "%a: serving not restored" Call.pp c;
+  (!top, !bottom, d.Obs.Env_pool.hits + d.Obs.Env_pool.misses)
+
+let passes_through ~top ~bottom c =
+  match cross ~top ~bottom c with
+  | [ (e, _) ], [ (e', c') ], 1 when e == e' && c' == c -> ()
+  | t, b, takes ->
+    Alcotest.failf "%a: %d envelope(s) above, %d below, %s, %d pool take(s)"
+      Call.pp c (List.length t) (List.length b)
+      (match t, b with
+       | [ (e, _) ], [ (e', _) ] when e == e' -> "the same one"
+       | _ -> "not the same one")
+      takes
+
+(* Boot with [layer] between the two probes; [body] gets them. *)
+let with_probe_stack (layer : #Toolkit.numeric_syscall) body =
+  let top = ref [] and bottom = ref [] in
+  let _, status =
+    boot (fun () ->
+      Toolkit.Loader.install (new answering_layer bottom) ~argv:[||];
+      Toolkit.Loader.install layer ~argv:[||];
+      Toolkit.Loader.install (new noting_layer top) ~argv:[||];
+      body ~top ~bottom;
+      0)
+  in
+  check_exit "session" 0 status
+
+let test_passthrough_every_row () =
+  with_probe_stack (Agents.Time_symbolic.create ()) (fun ~top ~bottom ->
+    List.iter (passes_through ~top ~bottom) passable)
+
+let descriptor_agent () =
+  object (self)
+    inherit Toolkit.Sets.descriptor_set
+    method! init _ = self#register_interest_all
+  end
+
+(* Each descriptor call on a descriptor the layer tracks goes through
+   its open object, which hands the envelope down too. *)
+let test_passthrough_descriptor_objects () =
+  let agent = descriptor_agent () in
+  with_probe_stack agent (fun ~top ~bottom ->
+    List.iter
+      (fun c ->
+        if List.mem (Call.number c) Call.descriptor_calls then begin
+          ignore (Kernel.Uspace.syscall (Call.Open ("/pt/file", 0, 0)));
+          if Call.fd_first (Call.number c) && agent#descriptor_of 7 = None
+          then Alcotest.fail "descriptor 7 untracked";
+          passes_through ~top ~bottom c
+        end)
+      passable)
+
+let pathname_agent () =
+  object (self)
+    inherit Toolkit.Sets.pathname_set
+    method! init _ = self#register_interest_all
+  end
+
+let test_passthrough_pathname_objects () =
+  with_probe_stack (pathname_agent ()) (fun ~top ~bottom ->
+    List.iter
+      (fun c ->
+        if List.mem (Call.number c) Call.pathname_calls then
+          passes_through ~top ~bottom c)
+      passable)
+
+(* An override that changes an argument before [super]: the call below
+   is the changed one, in an envelope of its own. *)
+let test_override_changes_call () =
+  let agent =
+    object (self)
+      inherit Toolkit.symbolic_syscall as super
+      method! init _ = self#register_interest_all
+      method! sys_read fd buf cnt = super#sys_read (fd + 1) buf cnt
+      method! sys_write fd data =
+        super#sys_write fd (String.init (String.length data) (String.get data))
+      method! sys_lseek fd off whence = super#sys_lseek fd off (whence + 1)
+    end
+  in
+  let buf = Bytes.create 8 and data = "payload" in
+  with_probe_stack agent (fun ~top ~bottom ->
+    List.iter
+      (fun (c, expect) ->
+        match cross ~top ~bottom c with
+        | [ (e, _) ], [ (e', c') ], 2 when e != e' ->
+          if not (expect c') then
+            Alcotest.failf "%a reached the layer below as %a" Call.pp c Call.pp
+              c'
+        | _ -> Alcotest.failf "%a: not rebuilt in a pooled envelope" Call.pp c)
+      [ ( Call.Read (3, buf, 8),
+          function Call.Read (4, b, 8) -> b == buf | _ -> false );
+        ( Call.Write (3, data),
+          function Call.Write (3, d) -> d = data && d != data | _ -> false );
+        ( Call.Lseek (3, 0, 0),
+          function Call.Lseek (3, 0, 1) -> true | _ -> false ) ])
+
+(* [Call.same*] holds exactly for the call's own number and arity with
+   every argument physically its field.  Each case is a call, its
+   fields, and for each field another value that is equal (a copy) or
+   not, never physically the same. *)
+type arg = A : 'a -> arg
+
+let same_case =
+  let open QCheck.Gen in
+  let* fd = small_nat and* s = map (Printf.sprintf "/p/%d") small_nat in
+  let buf = Bytes.make 4 'b' and cell = ref None in
+  let copy s = String.init (String.length s) (String.get s) in
+  (* built at run time: a constant [Some] would be one shared block *)
+  let handler () = Some (Sys.opaque_identity Value.H_default) in
+  let h = handler () and o = Some (ref None) in
+  let* c, fields, others =
+    oneofl
+      [ (Call.Read (fd, buf, 4), [ A fd; A buf; A 4 ],
+         [ A (fd + 1); A (Bytes.copy buf); A 5 ]);
+        (Call.Write (fd, s), [ A fd; A s ], [ A (fd + 1); A (copy s) ]);
+        (Call.Close fd, [ A fd ], [ A (fd + 1) ]);
+        (Call.Stat (s, cell), [ A s; A cell ], [ A (copy s); A (ref None) ]);
+        (Call.Sigaction (fd, h, o), [ A fd; A h; A o ],
+         [ A (fd + 1); A (handler ()); A (Some (ref None)) ]);
+        (Call.Getpid, [], []) ]
+  in
+  let* keep = list_repeat (List.length fields) bool in
+  let* n = oneofl [ Call.number c; Sysno.sys_lseek; Sysno.sys_fstat ] in
+  let args = List.map2 (fun k (f, o) -> if k then f else o) keep
+      (List.combine fields others) in
+  return
+    (c, n, args, fields <> [] && n = Call.number c && List.for_all Fun.id keep)
+
+let same c n = function
+  | [ A a ] -> Call.same1 c n a
+  | [ A a; A b ] -> Call.same2 c n a b
+  | [ A a; A b; A d ] -> Call.same3 c n a b d
+  | _ -> false
+
+let test_same_exact =
+  QCheck.Test.make ~name:"Call.same* holds exactly for physically equal fields"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (c, n, args, _) ->
+         Format.asprintf "%a as %s with %d arg(s)" Call.pp c (Call.name n)
+           (List.length args))
+       same_case)
+    (fun (c, n, args, expect) ->
+      (* and never at another arity, whatever is passed *)
+      let pad = [ A 0; A 0; A 0 ] in
+      let others =
+        List.filter (fun k -> k <> List.length args) [ 1; 2; 3 ]
+        |> List.map (fun k -> List.filteri (fun i _ -> i < k) (args @ pad))
+      in
+      same c n args = expect
+      && List.for_all (fun a -> not (same c n a)) others)
+
+(* --- pass-through against the process's own stack ------------------------ *)
+
+(* Passes every call down, noting which process made it and the call
+   it carried. *)
+class witness_layer (seen : (int * Call.t) list ref) =
+  object (self)
+    inherit Toolkit.numeric_syscall as super
+    method! init _ = self#register_interest_all
+    method! syscall env =
+      seen := ((Kernel.Uspace.self ()).Kernel.Proc.pid, Envelope.held env)
+              :: !seen;
+      super#syscall env
+  end
+
+let install_witnessed seen =
+  Toolkit.Loader.install (new witness_layer seen) ~argv:[||];
+  Toolkit.Loader.install (Agents.Time_symbolic.create ()) ~argv:[||]
+
+let at_rest what =
+  if serving () != Envelope.none then
+    Alcotest.failf "%s: serving not restored" what
+
+(* The pids that passed [pick]'s calls down, oldest first. *)
+let callers seen pick =
+  List.rev
+    (List.filter_map (fun (pid, c) -> if pick c then Some pid else None) seen)
+
+(* A read into buffer [b], a write of string [d], each physically. *)
+let reads_into b = function Call.Read (_, b', _) -> b' == b | _ -> false
+let writes d = function Call.Write (_, d') -> d' == d | _ -> false
+
+(* Two processes share one agent after fork: the child parks in a read
+   while the parent traps, then the parent parks while the child
+   writes.  Each read and write below carries its own process's
+   buffer or string. *)
+let test_passthrough_fork_shares_agent () =
+  let module U = Libc.Unistd in
+  let seen = ref [] in
+  let cbuf = Bytes.create 8 and pbuf = Bytes.create 8 in
+  let ping = "ping" and pong = "pong" in
+  let pids = ref (0, 0) in
+  let _, status =
+    boot (fun () ->
+      let r1, w1 = check_ok "pipe" (U.pipe ()) in
+      let r2, w2 = check_ok "pipe" (U.pipe ()) in
+      install_witnessed seen;
+      let child =
+        check_ok "fork"
+          (U.fork ~child:(fun () ->
+             (* runs first, and parks: the pipe is empty *)
+             ignore (check_ok "child read" (U.read r1 cbuf 8));
+             at_rest "child after read";
+             ignore (check_ok "child write" (U.write w2 pong));
+             at_rest "child after write";
+             0))
+      in
+      pids := (U.getpid (), child);
+      ignore (check_ok "parent write" (U.write w1 ping));
+      ignore (check_ok "parent read" (U.read r2 pbuf 8));
+      at_rest "parent after read";
+      let _, st = check_ok "wait" (U.waitpid child 0) in
+      List.iter (fun fd -> ignore (U.close fd)) [ r1; w1; r2; w2 ];
+      exit_code st)
+  in
+  check_exit "session" 0 status;
+  let parent, child = !pids in
+  let check what pick pid =
+    Alcotest.(check (list int)) what [ pid ] (callers !seen pick)
+  in
+  check "the child's read" (reads_into cbuf) child;
+  check "the parent's read" (reads_into pbuf) parent;
+  check "the parent's write" (writes ping) parent;
+  check "the child's write" (writes pong) child
+
+(* A handler runs inside a parked read and traps; the read then
+   finishes as its own call. *)
+let test_passthrough_handler_in_parked_call () =
+  let module U = Libc.Unistd in
+  let seen = ref [] in
+  let buf = Bytes.create 8 and note = "handled" in
+  let inside = ref [] and parent = ref 0 in
+  let _, status =
+    boot (fun () ->
+      parent := U.getpid ();
+      let r, w = check_ok "pipe" (U.pipe ()) in
+      let null = check_ok "open" (U.open_ "/dev/null" Flags.Open.o_wronly 0) in
+      install_witnessed seen;
+      ignore
+        (check_ok "signal"
+           (U.signal Signal.sigusr1
+              (Value.H_fn
+                 (fun _ ->
+                   let outer = serving () in
+                   ignore (U.write null note);
+                   inside :=
+                     (Envelope.held outer, serving () == outer) :: !inside))));
+      let child =
+        check_ok "fork"
+          (U.fork ~child:(fun () ->
+             ignore (U.sleep_us 1000);
+             ignore (check_ok "kill" (U.kill (U.getppid ()) Signal.sigusr1));
+             ignore (U.sleep_us 1000);
+             ignore (check_ok "write" (U.write w "x"));
+             0))
+      in
+      let rec read () =
+        match U.read r buf 8 with
+        | Error Errno.EINTR -> read ()
+        | res -> check_ok "read" res
+      in
+      ignore (read ());
+      at_rest "after the read";
+      let _, st = check_ok "wait" (U.waitpid child 0) in
+      List.iter (fun fd -> ignore (U.close fd)) [ r; w; null ];
+      exit_code st)
+  in
+  check_exit "session" 0 status;
+  (match !inside with
+   | [ (Call.Read (_, b, _), true) ] when b == buf -> ()
+   | [ (c, restored) ] ->
+     Alcotest.failf "the handler ran serving %a, restored %b" Call.pp c restored
+   | l -> Alcotest.failf "the handler ran %d times" (List.length l));
+  Alcotest.(check int) "the handler's write went down once" 1
+    (List.length (callers !seen (writes note)));
+  let readers = callers !seen (reads_into buf) in
+  Alcotest.(check bool) "the read went down as the parent's" true
+    (readers <> [] && List.for_all (( = ) !parent) readers)
+
+(* The image an exec loads under the stack starts serving nothing, and
+   its calls cross as its own. *)
+let probe_note = "probe"
+
+let test_passthrough_across_execve () =
+  let module U = Libc.Unistd in
+  let seen = ref [] in
+  let k = fresh_kernel () in
+  Kernel.register_image k "pt-probe" (fun ~argv:_ ~envp:_ () ->
+    if serving () != Envelope.none then 3
+    else
+      match U.open_ "/dev/null" Flags.Open.o_wronly 0 with
+      | Error _ -> 4
+      | Ok fd ->
+        ignore (U.write fd probe_note);
+        ignore (U.close fd);
+        if serving () == Envelope.none then 0 else 5);
+  Kernel.install_image k ~path:"/bin/pt-probe" ~image:"pt-probe";
+  let status =
+    boot_k k (fun () ->
+      install_witnessed seen;
+      match U.execv "/bin/pt-probe" [| "pt-probe" |] with
+      | Error _ -> 1
+      | Ok _ -> 2)
+  in
+  check_exit "the probe ran clean" 0 status;
+  Alcotest.(check int) "its write went down once" 1
+    (List.length (callers !seen (writes probe_note)))
+
 let () =
   Alcotest.run "toolkit"
     [ "loader",
@@ -779,4 +1165,20 @@ let () =
         Alcotest.test_case "counter identity" `Quick test_counter_identity;
         Alcotest.test_case "out-of-range numbers" `Quick
           test_out_of_range_numbers;
-        qtest test_table_model ] ]
+        qtest test_table_model ];
+      "passthrough",
+      [ Alcotest.test_case "every row hands its envelope down" `Quick
+          test_passthrough_every_row;
+        Alcotest.test_case "descriptor objects hand it down" `Quick
+          test_passthrough_descriptor_objects;
+        Alcotest.test_case "pathname objects hand it down" `Quick
+          test_passthrough_pathname_objects;
+        Alcotest.test_case "an override's changed call" `Quick
+          test_override_changes_call;
+        Alcotest.test_case "forked processes share an agent" `Quick
+          test_passthrough_fork_shares_agent;
+        Alcotest.test_case "a handler inside a parked call" `Quick
+          test_passthrough_handler_in_parked_call;
+        Alcotest.test_case "across execve" `Quick
+          test_passthrough_across_execve;
+        qtest test_same_exact ] ]
