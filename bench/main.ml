@@ -1178,8 +1178,9 @@ let ablations fail =
       [ "dfs_trace (stamped records)"; Report.secs dfs.seconds;
         Report.pct base.seconds dfs.seconds ] ];
   Report.print_note
-    "Observation gets more expensive with the work done per call:\n\
-     counting < journaling < per-record timestamps and log writes.";
+    "Observation costs what an agent intercepts, and at which layer,\n\
+     more than its work per call: journaling only the replayable calls\n\
+     < counting every call < decoding every call < stamped records.";
 
   Report.print_title
     "Ablation 6: uninterested-trap fast path (open-only agents, getpid)";

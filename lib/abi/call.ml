@@ -73,189 +73,14 @@ type t =
   | Sleepus of int
   | Getcwd of Bytes.t
 
-let number = function
-  | Exit _ -> Sysno.sys_exit
-  | Fork _ -> Sysno.sys_fork
-  | Read _ -> Sysno.sys_read
-  | Write _ -> Sysno.sys_write
-  | Open _ -> Sysno.sys_open
-  | Close _ -> Sysno.sys_close
-  | Wait4 _ -> Sysno.sys_wait4
-  | Creat _ -> Sysno.sys_creat
-  | Link _ -> Sysno.sys_link
-  | Unlink _ -> Sysno.sys_unlink
-  | Execve _ -> Sysno.sys_execve
-  | Chdir _ -> Sysno.sys_chdir
-  | Fchdir _ -> Sysno.sys_fchdir
-  | Mknod _ -> Sysno.sys_mknod
-  | Chmod _ -> Sysno.sys_chmod
-  | Chown _ -> Sysno.sys_chown
-  | Sbrk _ -> Sysno.sys_sbrk
-  | Lseek _ -> Sysno.sys_lseek
-  | Getpid -> Sysno.sys_getpid
-  | Setuid _ -> Sysno.sys_setuid
-  | Getuid -> Sysno.sys_getuid
-  | Geteuid -> Sysno.sys_geteuid
-  | Alarm _ -> Sysno.sys_alarm
-  | Access _ -> Sysno.sys_access
-  | Sync -> Sysno.sys_sync
-  | Kill _ -> Sysno.sys_kill
-  | Stat _ -> Sysno.sys_stat
-  | Getppid -> Sysno.sys_getppid
-  | Lstat _ -> Sysno.sys_lstat
-  | Dup _ -> Sysno.sys_dup
-  | Pipe -> Sysno.sys_pipe
-  | Socketpair -> Sysno.sys_socketpair
-  | Getegid -> Sysno.sys_getegid
-  | Sigaction _ -> Sysno.sys_sigaction
-  | Getgid -> Sysno.sys_getgid
-  | Sigprocmask _ -> Sysno.sys_sigprocmask
-  | Sigpending -> Sysno.sys_sigpending
-  | Sigsuspend _ -> Sysno.sys_sigsuspend
-  | Ioctl _ -> Sysno.sys_ioctl
-  | Symlink _ -> Sysno.sys_symlink
-  | Readlink _ -> Sysno.sys_readlink
-  | Umask _ -> Sysno.sys_umask
-  | Fstat _ -> Sysno.sys_fstat
-  | Getpagesize -> Sysno.sys_getpagesize
-  | Getpgrp -> Sysno.sys_getpgrp
-  | Setpgrp _ -> Sysno.sys_setpgrp
-  | Getdtablesize -> Sysno.sys_getdtablesize
-  | Dup2 _ -> Sysno.sys_dup2
-  | Fcntl _ -> Sysno.sys_fcntl
-  | Fsync _ -> Sysno.sys_fsync
-  | Socket -> Sysno.sys_socket
-  | Bind _ -> Sysno.sys_bind
-  | Listen _ -> Sysno.sys_listen
-  | Accept _ -> Sysno.sys_accept
-  | Connect _ -> Sysno.sys_connect
-  | Send _ -> Sysno.sys_send
-  | Recv _ -> Sysno.sys_recv
-  | Shutdown _ -> Sysno.sys_shutdown
-  | Select _ -> Sysno.sys_select
-  | Gettimeofday _ -> Sysno.sys_gettimeofday
-  | Getrusage _ -> Sysno.sys_getrusage
-  | Settimeofday _ -> Sysno.sys_settimeofday
-  | Rename _ -> Sysno.sys_rename
-  | Truncate _ -> Sysno.sys_truncate
-  | Ftruncate _ -> Sysno.sys_ftruncate
-  | Mkdir _ -> Sysno.sys_mkdir
-  | Rmdir _ -> Sysno.sys_rmdir
-  | Utimes _ -> Sysno.sys_utimes
-  | Getdirentries _ -> Sysno.sys_getdirentries
-  | Sleepus _ -> Sysno.sys_sleepus
-  | Getcwd _ -> Sysno.sys_getcwd
-
-let encode c =
-  let args =
-    match c with
-    | Exit code -> [| Int code |]
-    | Fork body -> [| Body body |]
-    | Read (fd, buf, n) -> [| Int fd; Buf buf; Int n |]
-    | Write (fd, data) -> [| Int fd; Str data |]
-    | Open (p, flags, mode) -> [| Str p; Int flags; Int mode |]
-    | Close fd -> [| Int fd |]
-    | Wait4 (pid, opts) -> [| Int pid; Int opts |]
-    | Creat (p, mode) -> [| Str p; Int mode |]
-    | Link (p, q) -> [| Str p; Str q |]
-    | Unlink p -> [| Str p |]
-    | Execve (p, argv, envp) -> [| Str p; Strs argv; Strs envp |]
-    | Chdir p -> [| Str p |]
-    | Fchdir fd -> [| Int fd |]
-    | Mknod (p, mode, dev) -> [| Str p; Int mode; Int dev |]
-    | Chmod (p, mode) -> [| Str p; Int mode |]
-    | Chown (p, uid, gid) -> [| Str p; Int uid; Int gid |]
-    | Sbrk n -> [| Int n |]
-    | Lseek (fd, off, whence) -> [| Int fd; Int off; Int whence |]
-    | Getpid -> [||]
-    | Setuid u -> [| Int u |]
-    | Getuid -> [||]
-    | Geteuid -> [||]
-    | Alarm s -> [| Int s |]
-    | Access (p, m) -> [| Str p; Int m |]
-    | Sync -> [||]
-    | Kill (pid, s) -> [| Int pid; Int s |]
-    | Stat (p, r) -> [| Str p; Stat_ref r |]
-    | Getppid -> [||]
-    | Lstat (p, r) -> [| Str p; Stat_ref r |]
-    | Dup fd -> [| Int fd |]
-    | Pipe -> [||]
-    | Socketpair -> [||]
-    | Getegid -> [||]
-    | Sigaction (s, h, o) ->
-      [| Int s;
-         (match h with Some h -> Handler h | None -> Nil);
-         (match o with Some r -> Handler_ref r | None -> Nil) |]
-    | Getgid -> [||]
-    | Sigprocmask (how, m) -> [| Int how; Int m |]
-    | Sigpending -> [||]
-    | Sigsuspend m -> [| Int m |]
-    | Ioctl (fd, op, b) -> [| Int fd; Int op; Buf b |]
-    | Symlink (tgt, p) -> [| Str tgt; Str p |]
-    | Readlink (p, b) -> [| Str p; Buf b |]
-    | Umask m -> [| Int m |]
-    | Fstat (fd, r) -> [| Int fd; Stat_ref r |]
-    | Getpagesize -> [||]
-    | Getpgrp -> [||]
-    | Setpgrp (pid, pgrp) -> [| Int pid; Int pgrp |]
-    | Getdtablesize -> [||]
-    | Dup2 (o, n) -> [| Int o; Int n |]
-    | Fcntl (fd, cmd, arg) -> [| Int fd; Int cmd; Int arg |]
-    | Fsync fd -> [| Int fd |]
-    | Socket -> [||]
-    | Bind (fd, addr) -> [| Int fd; Str addr |]
-    | Listen (fd, backlog) -> [| Int fd; Int backlog |]
-    | Accept fd -> [| Int fd |]
-    | Connect (fd, addr) -> [| Int fd; Str addr |]
-    | Send (fd, data) -> [| Int fd; Str data |]
-    | Recv (fd, buf, n) -> [| Int fd; Buf buf; Int n |]
-    | Shutdown (fd, how) -> [| Int fd; Int how |]
-    | Select (r, w, tmo) -> [| Int r; Int w; Int tmo |]
-    | Gettimeofday r -> [| Tv_ref r |]
-    | Getrusage r -> [| Tv_ref r |]
-    | Settimeofday (s, us) -> [| Int s; Int us |]
-    | Rename (p, q) -> [| Str p; Str q |]
-    | Truncate (p, len) -> [| Str p; Int len |]
-    | Ftruncate (fd, len) -> [| Int fd; Int len |]
-    | Mkdir (p, mode) -> [| Str p; Int mode |]
-    | Rmdir p -> [| Str p |]
-    | Utimes (p, a, m) -> [| Str p; Int a; Int m |]
-    | Getdirentries (fd, b) -> [| Int fd; Buf b |]
-    | Sleepus us -> [| Int us |]
-    | Getcwd b -> [| Buf b |]
-  in
-  { Value.num = number c; args }
-
-(* Whether [c] is call [n] built from exactly these arguments, each
-   physically: then it cannot be told apart from [n] rebuilt from them,
-   and a layer that would rebuild it may hand [c] on instead.  The size
-   check comes first, so no field past [c]'s block is ever read.  No
-   constructor has unboxed arguments, so every field is the value the
-   caller passed. *)
-let same1 c n a =
-  let r = Obj.repr c in
-  Obj.is_block r && Obj.size r = 1 && number c = n && Obj.field r 0 == Obj.repr a
-
-let same2 c n a b =
-  let r = Obj.repr c in
-  Obj.is_block r && Obj.size r = 2 && number c = n
-  && Obj.field r 0 == Obj.repr a
-  && Obj.field r 1 == Obj.repr b
-
-let same3 c n a b d =
-  let r = Obj.repr c in
-  Obj.is_block r && Obj.size r = 3 && number c = n
-  && Obj.field r 0 == Obj.repr a
-  && Obj.field r 1 == Obj.repr b
-  && Obj.field r 2 == Obj.repr d
-
 (* --- the system-call table --------------------------------------------- *)
 
 (* Every call is one row: its number, its name, how its wire decodes,
    the Linux names strace(1) reports it under, and whether the
    toolkit's [descriptor_set] starts tracking the descriptor it
-   returns.  Decoding, the name lookups, the pathname and descriptor
-   families and strace's name map are all read off these rows. *)
+   returns.  A call's number and wire layout, decoding, the name
+   lookups, the pathname and descriptor families and strace's name map
+   are all read off these rows. *)
 
 (* The kind of one argument slot, typed by what it decodes to.  [Fd]
    decodes as [Int] does and [Path] as [Str] does; they mark the
@@ -451,6 +276,121 @@ let all = List.map (fun r -> r.num) rows
 let of_linux s =
   List.find_map (fun r -> if List.mem s r.linux then Some r.num else None) rows
 
+(* --- a call's own row ----------------------------------------------------- *)
+
+(* A call finds its row by how OCaml represents its constructor, which
+   this relies on: [t] is an ordinary variant, with no inline records,
+   no unboxed arguments and fewer than 246 block constructors.  A
+   constant constructor is the immediate counting it among the constant
+   ones; any other is a block whose tag counts it among the others and
+   whose fields are its arguments, in order.  [by_const] indexes the
+   rows by the one and [by_tag] by the other.  Both are built once,
+   when the module initialises, from each row's constructor applied to
+   a sample of each slot, and never written after.  A row whose
+   constructor does not take its slots as its fields, two rows that
+   build one constructor, and a constructor no row builds each fail
+   the build. *)
+
+let sample : type a. a Slot.t -> a = function
+  | Slot.Int -> 0
+  | Slot.Fd -> 0
+  | Slot.Str -> ""
+  | Slot.Path -> ""
+  | Slot.Buf -> Bytes.empty
+  | Slot.Strs -> [||]
+  | Slot.Body -> fun () -> 0
+  | Slot.Stat_ref -> ref None
+  | Slot.Tv_ref -> ref None
+  | Slot.Handler -> None
+  | Slot.Handler_ref -> None
+
+let arity = function A0 _ -> 0 | A1 _ -> 1 | A2 _ -> 2 | A3 _ -> 3
+
+let built r =
+  match r.spec with
+  | A0 ok -> Result.get_ok ok
+  | A1 (a, f) -> f (sample a)
+  | A2 (a, b, f) -> f (sample a) (sample b)
+  | A3 (a, b, d, f) -> f (sample a) (sample b) (sample d)
+
+(* [keyed]'s rows in the order of their keys, which must run 0, 1, ...
+   exactly. *)
+let dense what keyed =
+  List.sort (fun (k, _) (k', _) -> compare k k') keyed
+  |> List.mapi (fun i (k, r) ->
+         if k < i then
+           failwith
+             (Printf.sprintf "Call: %s %d is built by two rows, %s one" what
+                k r.name);
+         if k > i then
+           failwith (Printf.sprintf "Call: %s %d is built by no row" what i);
+         r)
+  |> Array.of_list
+
+let by_const, by_tag =
+  let const, block =
+    List.partition_map
+      (fun r ->
+        let c = Obj.repr (built r) and n = arity r.spec in
+        if Obj.is_int c && n = 0 then Left ((Obj.obj c : int), r)
+        else if Obj.is_block c && Obj.size c = n then Right (Obj.tag c, r)
+        else failwith ("Call: row " ^ r.name ^ " takes other fields"))
+      rows
+  in
+  (dense "constant constructor" const, dense "block tag" block)
+
+let row_of_call (c : t) =
+  let r = Obj.repr c in
+  if Obj.is_int r then by_const.((Obj.obj r : int)) else by_tag.(Obj.tag r)
+
+let number c = (row_of_call c).num
+
+(* One field of a call as its wire value: the inverse of [get]. *)
+let put : type a. a Slot.t -> a -> Value.t =
+ fun s x ->
+  match s with
+  | Slot.Int -> Int x
+  | Slot.Fd -> Int x
+  | Slot.Str -> Str x
+  | Slot.Path -> Str x
+  | Slot.Buf -> Buf x
+  | Slot.Strs -> Strs x
+  | Slot.Body -> Body x
+  | Slot.Stat_ref -> Stat_ref x
+  | Slot.Tv_ref -> Tv_ref x
+  | Slot.Handler -> (match x with Some h -> Handler h | None -> Nil)
+  | Slot.Handler_ref -> (match x with Some r -> Handler_ref r | None -> Nil)
+
+let field (c : t) i = Obj.obj (Obj.field (Obj.repr c) i)
+
+let args r c =
+  match r.spec with
+  | A0 _ -> [||]
+  | A1 (a, _) -> [| put a (field c 0) |]
+  | A2 (a, b, _) -> [| put a (field c 0); put b (field c 1) |]
+  | A3 (a, b, d, _) ->
+    [| put a (field c 0); put b (field c 1); put d (field c 2) |]
+
+let encode c =
+  let r = row_of_call c in
+  { Value.num = r.num; args = args r c }
+
+let nargs c = arity (row_of_call c).spec
+
+(* Whether [c] is call [n] built from exactly these arguments, each
+   physically: then it cannot be told apart from [n] rebuilt from them,
+   and a layer that would rebuild it may hand [c] on instead.  The size
+   check comes first, so no field past [c]'s block is ever read. *)
+let[@inline] shaped c n size =
+  let r = Obj.repr c in
+  Obj.is_block r && Obj.size r = size && number c = n
+
+let same1 c n a = shaped c n 1 && field c 0 == a
+let same2 c n a b = shaped c n 2 && field c 0 == a && field c 1 == b
+
+let same3 c n a b d =
+  shaped c n 3 && field c 0 == a && field c 1 == b && field c 2 == d
+
 (* --- the families, read off the slots ----------------------------------- *)
 
 (* A test of a slot's kind, whatever the slot decodes to. *)
@@ -491,15 +431,6 @@ let file_calls = List.sort_uniq compare (pathname_calls @ descriptor_calls)
 
 let fd_first n =
   match row_of n with Some r -> first_slot is_fd r.spec | None -> false
-
-(* The arity [encode] gives the call, read off its row's spec. *)
-let nargs c =
-  match row_of (number c) with
-  | Some { spec = A0 _; _ } -> 0
-  | Some { spec = A1 _; _ } -> 1
-  | Some { spec = A2 _; _ } -> 2
-  | Some { spec = A3 _; _ } -> 3
-  | None -> assert false (* every constructor has a row *)
 
 (* --- decoding ------------------------------------------------------------ *)
 
@@ -552,20 +483,19 @@ let decode (w : wire) : (t, Errno.t) result =
      with Fault -> efault)
 
 let pp ppf c =
-  let w = encode c in
-  Format.fprintf ppf "%s(" (name (number c));
+  let r = row_of_call c in
+  Format.fprintf ppf "%s(" r.name;
   (match c with
    | Open (p, flags, mode) ->
      Format.fprintf ppf "%S, %a, 0%o" p Flags.Open.pp flags mode
    | Kill (pid, s) ->
      Format.fprintf ppf "%d, %s" pid (Signal.name s)
    | Sigaction (s, h, _) ->
-     Format.fprintf ppf "%s, %a" (Signal.name s) Value.pp
-       (match h with Some h -> Handler h | None -> Nil)
+     Format.fprintf ppf "%s, %a" (Signal.name s) Value.pp (put Slot.Handler h)
    | _ ->
      Array.iteri
        (fun i v ->
          if i > 0 then Format.fprintf ppf ", ";
          Value.pp ppf v)
-       w.args);
+       (args r c));
   Format.fprintf ppf ")"

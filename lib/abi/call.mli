@@ -93,12 +93,6 @@ type t =
   | Sleepus of int
   | Getcwd of Bytes.t
 
-val number : t -> int
-
-val encode : t -> Value.wire
-(** A fresh wire: [decode (encode c)] equals [c], its out-parameter
-    refs, buffers and closures physically shared. *)
-
 val same1 : t -> int -> 'a -> bool
 val same2 : t -> int -> 'a -> 'b -> bool
 
@@ -117,7 +111,17 @@ val same3 : t -> int -> 'a -> 'b -> 'c -> bool
     name, the kinds of its argument slots with the constructor that
     takes them, the Linux names strace(1) reports it under, and
     whether the toolkit's [descriptor_set] tracks the descriptor it
-    returns.  Everything below is read off that table. *)
+    returns.  Everything below is read off that table; a call finds its
+    row by its constructor. *)
+
+val number : t -> int
+
+val encode : t -> Value.wire
+(** A fresh wire: [decode (encode c)] equals [c], its out-parameter
+    refs, buffers and closures physically shared. *)
+
+val nargs : t -> int
+(** The length of [encode c]'s argument vector, without encoding. *)
 
 val decode : Value.wire -> (t, Errno.t) result
 (** [decode w] fails with [ENOSYS] for an unknown number and [EFAULT]
@@ -159,10 +163,6 @@ val file_calls : int list
 
 val fd_first : int -> bool
 (** The call's first argument is a descriptor. *)
-
-val nargs : t -> int
-(** The length of [encode c]'s argument vector, read off the call's
-    row without encoding. *)
 
 val pp : Format.formatter -> t -> unit
 (** trace(1)-style rendering: [open("/etc/motd", O_RDONLY, 0)]. *)

@@ -57,7 +57,16 @@ let down_call t c =
    the one the process's innermost dispatch is serving, built from the
    same arguments, so its envelope goes down as it came — no call, no
    record, and no [agent_calls] count, for the call is not the agent's
-   own.  The owner of [serving] still releases it. *)
+   own.  The owner of [serving] still releases it.  A nullary call is
+   known by its number as well: every record without a typed view
+   holds a nullary call, [Envelope.none] included, whose number 0 is no
+   call's. *)
+let pass0 t c =
+  let env = (Kernel.Uspace.self ()).serving in
+  if Envelope.held env == c && Envelope.number env = Call.number c then
+    down t env
+  else down_call t c
+
 let pass1 t n mk a =
   let env = (Kernel.Uspace.self ()).serving in
   if Call.same1 (Envelope.held env) n a then down t env

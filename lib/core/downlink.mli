@@ -31,6 +31,7 @@ val down_call : t -> Abi.Call.t -> Abi.Value.res
     (DESIGN.md §3.8).  Counted as an agent call ([Obs.Codec]'s
     [agent_calls]). *)
 
+val pass0 : t -> Abi.Call.t -> Abi.Value.res
 val pass1 : t -> int -> ('a -> Abi.Call.t) -> 'a -> Abi.Value.res
 val pass2 :
   t -> int -> ('a -> 'b -> Abi.Call.t) -> 'a -> 'b -> Abi.Value.res
@@ -47,7 +48,8 @@ val pass3 :
     not counted as an agent call.  The toolkit's defaults are written
     with these; [mk] is a closed constructor, so the call allocates
     nothing of its own.  {!pass1} and {!pass2} are the shorter
-    forms. *)
+    forms, and [pass0 t c] the nullary one: it hands down the envelope
+    that holds [c] under [c]'s own number, never {!Abi.Envelope.none}. *)
 
 val captured_handler : t -> int -> (Abi.Envelope.t -> Abi.Value.res) option
 (** What {!capture} recorded for one number (used by the loader to

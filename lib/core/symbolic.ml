@@ -169,32 +169,32 @@ class symbolic_syscall =
     method sys_lseek fd off whence =
       Downlink.pass3 self#downlink Sysno.sys_lseek
         (fun a b c -> Call.Lseek (a, b, c)) fd off whence
-    method sys_getpid () = self#down Call.Getpid
+    method sys_getpid () = Downlink.pass0 self#downlink Call.Getpid
     method sys_setuid u =
       Downlink.pass1 self#downlink Sysno.sys_setuid (fun a -> Call.Setuid a) u
-    method sys_getuid () = self#down Call.Getuid
-    method sys_geteuid () = self#down Call.Geteuid
+    method sys_getuid () = Downlink.pass0 self#downlink Call.Getuid
+    method sys_geteuid () = Downlink.pass0 self#downlink Call.Geteuid
     method sys_alarm sec =
       Downlink.pass1 self#downlink Sysno.sys_alarm (fun a -> Call.Alarm a) sec
     method sys_access path bits =
       Downlink.pass2 self#downlink Sysno.sys_access
         (fun a b -> Call.Access (a, b)) path bits
-    method sys_sync () = self#down Call.Sync
+    method sys_sync () = Downlink.pass0 self#downlink Call.Sync
     method sys_kill pid s =
       Downlink.pass2 self#downlink Sysno.sys_kill
         (fun a b -> Call.Kill (a, b)) pid s
     method sys_stat path r =
       Downlink.pass2 self#downlink Sysno.sys_stat
         (fun a b -> Call.Stat (a, b)) path r
-    method sys_getppid () = self#down Call.Getppid
+    method sys_getppid () = Downlink.pass0 self#downlink Call.Getppid
     method sys_lstat path r =
       Downlink.pass2 self#downlink Sysno.sys_lstat
         (fun a b -> Call.Lstat (a, b)) path r
     method sys_dup fd =
       Downlink.pass1 self#downlink Sysno.sys_dup (fun a -> Call.Dup a) fd
-    method sys_pipe () = self#down Call.Pipe
-    method sys_socketpair () = self#down Call.Socketpair
-    method sys_socket () = self#down Call.Socket
+    method sys_pipe () = Downlink.pass0 self#downlink Call.Pipe
+    method sys_socketpair () = Downlink.pass0 self#downlink Call.Socketpair
+    method sys_socket () = Downlink.pass0 self#downlink Call.Socket
     method sys_bind fd addr =
       Downlink.pass2 self#downlink Sysno.sys_bind
         (fun a b -> Call.Bind (a, b)) fd addr
@@ -215,15 +215,15 @@ class symbolic_syscall =
     method sys_shutdown fd how =
       Downlink.pass2 self#downlink Sysno.sys_shutdown
         (fun a b -> Call.Shutdown (a, b)) fd how
-    method sys_getegid () = self#down Call.Getegid
+    method sys_getegid () = Downlink.pass0 self#downlink Call.Getegid
     method sys_sigaction s h o =
       Downlink.pass3 self#downlink Sysno.sys_sigaction
         (fun a b c -> Call.Sigaction (a, b, c)) s h o
-    method sys_getgid () = self#down Call.Getgid
+    method sys_getgid () = Downlink.pass0 self#downlink Call.Getgid
     method sys_sigprocmask how m =
       Downlink.pass2 self#downlink Sysno.sys_sigprocmask
         (fun a b -> Call.Sigprocmask (a, b)) how m
-    method sys_sigpending () = self#down Call.Sigpending
+    method sys_sigpending () = Downlink.pass0 self#downlink Call.Sigpending
     method sys_sigsuspend m =
       Downlink.pass1 self#downlink Sysno.sys_sigsuspend
         (fun a -> Call.Sigsuspend a) m
@@ -241,12 +241,13 @@ class symbolic_syscall =
     method sys_fstat fd r =
       Downlink.pass2 self#downlink Sysno.sys_fstat
         (fun a b -> Call.Fstat (a, b)) fd r
-    method sys_getpagesize () = self#down Call.Getpagesize
-    method sys_getpgrp () = self#down Call.Getpgrp
+    method sys_getpagesize () = Downlink.pass0 self#downlink Call.Getpagesize
+    method sys_getpgrp () = Downlink.pass0 self#downlink Call.Getpgrp
     method sys_setpgrp pid pgrp =
       Downlink.pass2 self#downlink Sysno.sys_setpgrp
         (fun a b -> Call.Setpgrp (a, b)) pid pgrp
-    method sys_getdtablesize () = self#down Call.Getdtablesize
+    method sys_getdtablesize () =
+      Downlink.pass0 self#downlink Call.Getdtablesize
     method sys_dup2 o n =
       Downlink.pass2 self#downlink Sysno.sys_dup2
         (fun a b -> Call.Dup2 (a, b)) o n

@@ -14,8 +14,10 @@
     envelope down when its arguments are physically the call's own
     ([Downlink.pass3]): an unchanged call is passed on, not rebuilt.
     An override that calls [super] with a changed argument sends the
-    changed call in an envelope of its own.  [exit], [fork], [execve]
-    and the calls without arguments build their call as before.
+    changed call in an envelope of its own.  A default without
+    arguments hands the envelope down when its typed view is that very
+    call ([Downlink.pass0]).  [exit], [fork] and [execve] build their
+    call as before.
 
     Out-parameters keep their system-interface shape: [stat] fills a
     [Stat.t option ref], [read] fills the caller's buffer, and the

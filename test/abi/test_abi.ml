@@ -415,12 +415,33 @@ let test_builders_cover_interface () =
   (* the generator table IS the interface: every syscall number, once *)
   Alcotest.(check (list int))
     "one builder per syscall" Call.all
-    (List.sort compare (List.map fst call_builders));
-  List.iter
-    (fun (num, gen) ->
-      let c = QCheck.Gen.generate1 gen in
-      Alcotest.(check int) (Call.name num) num (Call.number c))
-    call_builders
+    (List.sort compare (List.map fst call_builders))
+
+(* Every row's constructor maps back to that row.  The builders, one
+   per number, are the oracle the table is read against: the call a
+   builder makes reads its own number off the table, and the arity of
+   its constructor as both [nargs] and the length of its wire.  No two
+   builders share a constructor, so the table pairs rows and
+   constructors one to one. *)
+let test_row_of_every_constructor () =
+  let constructors =
+    List.map
+      (fun (num, gen) ->
+        let c = QCheck.Gen.generate1 gen in
+        let r = Obj.repr c in
+        let arity = if Obj.is_int r then 0 else Obj.size r in
+        let what s = Printf.sprintf "%s: %s" (Call.name num) s in
+        let w = Call.encode c in
+        Alcotest.(check int) (what "number") num (Call.number c);
+        Alcotest.(check int) (what "wire number") num w.Value.num;
+        Alcotest.(check int) (what "nargs") arity (Call.nargs c);
+        Alcotest.(check int) (what "wire arguments") arity
+          (Array.length w.Value.args);
+        (Obj.is_int r, if Obj.is_int r then Obj.obj r else Obj.tag r))
+      call_builders
+  in
+  Alcotest.(check int) "one constructor per builder" (List.length Call.all)
+    (List.length (List.sort_uniq compare constructors))
 
 let gen_call =
   QCheck.Gen.(oneofl call_builders >>= fun (_, g) -> g)
@@ -1247,6 +1268,8 @@ let () =
       "call",
       [ Alcotest.test_case "roundtrip" `Quick test_call_roundtrip;
         Alcotest.test_case "coverage" `Quick test_builders_cover_interface;
+        Alcotest.test_case "row of every constructor" `Quick
+          test_row_of_every_constructor;
         qtest test_call_roundtrip_exhaustive;
         qtest test_decode_matches_reference;
         Alcotest.test_case "bad decode" `Quick test_call_decode_bad;

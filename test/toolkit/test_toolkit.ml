@@ -784,15 +784,14 @@ let sample n =
         (Call.decode { Value.num = n; args = Array.of_list args }))
     (vectors 3)
 
-(* Every row with arguments but the three the boilerplate rebuilds. *)
+(* Every row but the three the boilerplate rebuilds. *)
 let passable =
   List.filter_map
     (fun n ->
       if List.mem n Sysno.[ sys_exit; sys_fork; sys_execve ] then None
       else
         match sample n with
-        | Some c when Call.nargs c > 0 -> Some c
-        | Some _ -> None
+        | Some c -> Some c
         | None -> Alcotest.failf "no sample call for %s" (Call.name n))
     Call.all
 
@@ -902,6 +901,61 @@ let test_override_changes_call () =
           function Call.Write (3, d) -> d = data && d != data | _ -> false );
         ( Call.Lseek (3, 0, 0),
           function Call.Lseek (3, 0, 1) -> true | _ -> false ) ])
+
+(* A nullary default called outside any dispatch: the process serves
+   [Envelope.none], whose record holds a nullary call as every record
+   without a typed view does, so the call must go down in a record of
+   its own, and reach the kernel. *)
+let test_nullary_outside_dispatch () =
+  let below = ref [] and at_init = ref [] in
+  let outside = ref false and res = ref (Error Errno.EINVAL) in
+  let agent =
+    object (self)
+      inherit Toolkit.symbolic_syscall
+      method! init _ =
+        self#register_interest_all;
+        outside := serving () == Envelope.none;
+        res := self#sys_sync ();
+        at_init := !below
+    end
+  in
+  let _, status =
+    boot (fun () ->
+      Toolkit.Loader.install (new noting_layer below) ~argv:[||];
+      Toolkit.Loader.install agent ~argv:[||];
+      0)
+  in
+  check_exit "session" 0 status;
+  Alcotest.(check bool) "init runs outside any dispatch" true !outside;
+  Alcotest.(check bool) "sync reached the kernel" true (Result.is_ok !res);
+  match !at_init with
+  | [ (e, Call.Sync) ] when e != Envelope.none -> ()
+  | seen ->
+    Alcotest.failf "%d envelope(s) below, Envelope.none among them: %b"
+      (List.length seen)
+      (List.exists (fun (e, _) -> e == Envelope.none) seen)
+
+(* A getpid under four null layers takes one pool record, the
+   boundary's, which goes down through every layer: not one per
+   layer. *)
+let test_passthrough_stacked_getpid () =
+  let takes = ref 0 in
+  let _, status =
+    boot (fun () ->
+      for _ = 1 to 4 do
+        Toolkit.Loader.install (Agents.Time_symbolic.create ()) ~argv:[||]
+      done;
+      let k = Kernel.current_exn () in
+      let p0 = Kernel.env_pool_stats k in
+      for _ = 1 to 100 do
+        ignore (Kernel.Uspace.syscall Call.Getpid)
+      done;
+      let d = Obs.Env_pool.diff p0 (Kernel.env_pool_stats k) in
+      takes := d.Obs.Env_pool.hits + d.Obs.Env_pool.misses;
+      0)
+  in
+  check_exit "session" 0 status;
+  Alcotest.(check int) "pool records for 100 traps" 100 !takes
 
 (* [Call.same*] holds exactly for the call's own number and arity with
    every argument physically its field.  Each case is a call, its
@@ -1181,4 +1235,8 @@ let () =
           test_passthrough_handler_in_parked_call;
         Alcotest.test_case "across execve" `Quick
           test_passthrough_across_execve;
+        Alcotest.test_case "a nullary call outside any dispatch" `Quick
+          test_nullary_outside_dispatch;
+        Alcotest.test_case "a stacked getpid takes one record" `Quick
+          test_passthrough_stacked_getpid;
         qtest test_same_exact ] ]
