@@ -21,9 +21,13 @@ lint-globals:
 	tools/lint_globals.sh
 
 # Every `val` in lib/**/*.mli has a caller outside its own module in
-# lib/, bin/, bench/, perf/ or examples/, or a reason in
-# tools/exports_allowlist.txt (test hooks, the modelled ABI's
-# constants); stale allowlist lines fail too.
+# lib/, bin/, bench/, perf/ or examples/, and every optional parameter
+# of one is passed by such a caller (a knob no program sets is dead),
+# or the export or `val?label` has a line in tools/exports_allowlist.txt.
+# Lines outside the modelled-interface group (the ABI's constants and
+# the libc wrappers) must be named in the comment block above them,
+# which says what production behaviour a test observes through the
+# hook; stale allowlist lines fail too.
 lint-exports:
 	tools/lint_exports.sh
 

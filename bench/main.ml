@@ -2213,7 +2213,7 @@ let causal_cluster_once () =
           0))
   in
   Kernel.Cluster.run c;
-  Obs.Span.edges (List.concat_map snd (Kernel.Cluster.drain_obs c))
+  Obs.Span.edges (Kernel.Cluster.drain_obs c)
 
 let causal_schema =
   let open Report.Schema in

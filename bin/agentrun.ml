@@ -309,7 +309,7 @@ let run_conform spec setups prog_args =
        if Conformance.conforms v then 0 else 1)
 
 let run agents setups stats feed record replay metrics trace_out trace_format
-    sample sample_seed flame flame_weight follow watch campaign campaign_out
+    sample sample_seed flame follow watch campaign campaign_out
     repro signature conform prog_args =
   match prog_args with
   | _ when repro <> "" -> run_repro repro
@@ -321,10 +321,6 @@ let run agents setups stats feed record replay metrics trace_out trace_format
   | _ when trace_format <> "jsonl" && trace_format <> "chrome" ->
     log_err "agentrun: --trace-format must be jsonl or chrome (got %S)\n"
       trace_format;
-    2
-  | _ when flame_weight <> "virtual" && flame_weight <> "host" ->
-    log_err "agentrun: --flame-weight must be virtual or host (got %S)\n"
-      flame_weight;
     2
   | prog :: _ ->
     (* watchdog rules parse before anything boots: a bad file is a
@@ -511,25 +507,13 @@ let run agents setups stats feed record replay metrics trace_out trace_format
               records
           in
           let folds = Obs.Flame.fold segments in
-          let scale =
-            match flame_weight with
-            | "host" ->
-              (* reweight virtual µs by measured host ns per virtual
-                 µs: the same stacks, at raw-machine cost *)
-              let tot = Obs.Flame.total folds in
-              if tot > 0 then host_cpu_s h0 *. 1e9 /. float_of_int tot
-              else 1.0
-            | _ -> 1.0
-          in
-          (try
-             write_host_file flame
-               (Obs.Flame.to_string ~name:Call.name ~scale folds)
+          (try write_host_file flame (Obs.Flame.to_string ~name:Call.name folds)
            with
            | Sys_error msg -> log_err "agentrun: --flame: %s\n" msg);
           if stats then
             Printf.eprintf
-              "[agentrun] wrote %d flame stack(s) (%s-weighted) to %s\n"
-              (List.length folds) flame_weight flame
+              "[agentrun] wrote %d flame stack(s) (virtual-weighted) to %s\n"
+              (List.length folds) flame
         end
       end;
       if metrics then print_metrics k h0
@@ -659,14 +643,6 @@ let flame_arg =
   in
   Arg.(value & opt string "" & info [ "flame" ] ~docv:"FILE" ~doc)
 
-let flame_weight_arg =
-  let doc =
-    "Weights for --flame: 'virtual' (virtual-clock self µs, \
-     deterministic) or 'host' (the same stacks reweighted by measured \
-     host ns per virtual µs from the host counters)."
-  in
-  Arg.(value & opt string "virtual" & info [ "flame-weight" ] ~docv:"W" ~doc)
-
 let follow_arg =
   let doc =
     "Enable the observability engine and stream flight-recorder \
@@ -760,7 +736,7 @@ let cmd =
       const run $ agents_arg $ setup_arg $ stats_arg $ feed_arg
       $ record_arg $ replay_arg $ metrics_arg $ trace_out_arg
       $ trace_format_arg $ sample_arg $ sample_seed_arg $ flame_arg
-      $ flame_weight_arg $ follow_arg $ watch_arg $ campaign_arg
+      $ follow_arg $ watch_arg $ campaign_arg
       $ campaign_out_arg $ repro_arg $ signature_arg $ conform_arg
       $ prog_arg)
 

@@ -44,8 +44,8 @@ let run_under agent ?(argv = [||]) f =
   install agent ~argv;
   Fun.protect ~finally:(fun () -> uninstall agent) f
 
-let exec_under agent ?(agent_argv = [||]) ~path ~argv ?(envp = [||]) () =
-  install agent ~argv:agent_argv;
+let exec_under agent ~path ~argv ?(envp = [||]) () =
+  install agent ~argv:[||];
   match Boilerplate.do_execve agent#downlink path argv envp with
   | Error e ->
     ignore

@@ -14,18 +14,14 @@ val install : #Numeric.numeric_syscall -> argv:string array -> unit
 (** Install in the calling process.  Installing a second agent stacks
     it above the first. *)
 
-val uninstall : #Numeric.numeric_syscall -> unit
-(** Restore the previously captured handlers.  Only valid for the most
-    recently installed agent (LIFO). *)
-
 val run_under :
   #Numeric.numeric_syscall -> ?argv:string array -> (unit -> 'a) -> 'a
 (** [run_under agent f] installs, runs [f], uninstalls — even if [f]
     raises.  The workhorse for tests and in-process uses. *)
 
 val exec_under :
-  #Numeric.numeric_syscall -> ?agent_argv:string array -> path:string
-  -> argv:string array -> ?envp:string array -> unit -> int
+  #Numeric.numeric_syscall -> path:string -> argv:string array
+  -> ?envp:string array -> unit -> int
 (** Install the agent, then exec the target program under it via the
     toolkit execve (the agent survives into the new image).  Returns
     only on exec failure, with a shell-style 127. *)

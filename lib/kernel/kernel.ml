@@ -278,8 +278,8 @@ let current_exn = Kstate.Ambient.get_exn
 
 (* --- creation and boot ------------------------------------------------------ *)
 
-let create ?shard_id () =
-  let t = Kstate.create ?shard_id () in
+let create_shard shard_id =
+  let t = Kstate.create ~shard_id in
   (* give this shard's observability engine this shard's clock and
      current-process context; they live and die with the handle *)
   Obs.with_engine t.obs (fun () ->
@@ -293,6 +293,8 @@ let create ?shard_id () =
      create-configure-boot sequences keep addressing it *)
   enter t;
   t
+
+let create () = create_shard 0
 
 let open_tty_fds (t : t) (proc : Proc.t) =
   match Vfs.Fs.resolve t.fs Vfs.Fs.root_cred ~cwd:proc.cwd "/dev/tty" with
@@ -465,22 +467,18 @@ let eval_watch rules (m : Obs.metrics) =
 
 let watch_verdicts (t : t) = eval_watch t.watch (Obs.metrics_of t.obs)
 
-(* [m] as JSON, then the [extra] members, then the verdicts of [rules]
-   over [m]. *)
-let json_with ~rules m extra =
-  let watchdogs = Obs.Watch.verdicts_to_json (eval_watch rules m) in
-  match Obs.metrics_to_json ~name:Abi.Call.name m with
-  | Obs.Json.Obj fields ->
-    Obs.Json.Obj (fields @ extra @ [ ("watchdogs", watchdogs) ])
-  | other -> other
-
 (* One document for every runtime statistic of one shard: span/latency
    metrics from its [Obs] engine, its codec (incl. [fast_path] and
    [intercepted]) and envelope-pool counters, and its watchdogs.
    [/obs/metrics] serves exactly this JSON, so programs inside the
    simulation and hosts outside it read the same numbers, and every
    byte is a function of simulation state. *)
-let metrics_json (t : t) = json_with ~rules:t.watch (Obs.metrics_of t.obs) []
+let metrics_json (t : t) =
+  let m = Obs.metrics_of t.obs in
+  let watchdogs = Obs.Watch.verdicts_to_json (eval_watch t.watch m) in
+  match Obs.metrics_to_json ~name:Abi.Call.name m with
+  | Obs.Json.Obj fields -> Obs.Json.Obj (fields @ [ ("watchdogs", watchdogs) ])
+  | other -> other
 
 let drain_obs (t : t) = Obs.drain_of t.obs
 let obs_engine (t : t) = t.obs
@@ -523,7 +521,6 @@ module Cluster = struct
 
   type nonrec t = {
     shards : t array;
-    quantum_us : int;
     mutable mailbox : mail list;
     mutable seq : int;
   }
@@ -545,13 +542,9 @@ module Cluster = struct
         m_ev = Post_signal { pid; signal; origin } }
       :: c.mailbox
 
-  let create ?(quantum_us = default_quantum_us) ~shards:n () =
+  let create ~shards:n () =
     if n < 1 then invalid_arg "Cluster.create: need at least one shard";
-    if quantum_us < 1 then invalid_arg "Cluster.create: quantum must be positive";
-    let c =
-      { shards = Array.init n (fun i -> create ~shard_id:i ());
-        quantum_us; mailbox = []; seq = 0 }
-    in
+    let c = { shards = Array.init n create_shard; mailbox = []; seq = 0 } in
     Array.iter
       (fun (t : Kstate.t) -> t.send <- post c t)
       c.shards;
@@ -619,32 +612,13 @@ module Cluster = struct
       if next < max_int then
         (* jump idle gaps, but never retreat: each new horizon is at
            least a quantum past the old one *)
-        rounds (max next (horizon + c.quantum_us))
+        rounds (max next (horizon + default_quantum_us))
     in
-    rounds c.quantum_us;
+    rounds default_quantum_us;
     (* quiescent everywhere: give each shard its straggler pass
        (deadlocked processes are killed exactly as under [boot]) *)
     Array.iter (fun t -> with_shard t (fun () -> sched_loop t)) c.shards
 
-  (* --- cluster-wide observability ------------------------------------- *)
-
-  let metrics c =
-    Obs.merge_metrics
-      (Array.to_list
-         (Array.map (fun s -> Obs.metrics_of s.Kstate.obs) c.shards))
-
-  (* Same document shape as the per-shard [metrics_json] over the
-     merged metrics, plus a [shards] field recording the fan-in.
-     Cluster watchdogs: shard 0's rules (rule sets are installed shard
-     by shard; by convention shard 0 carries the cluster-wide set)
-     evaluated over the merged metrics. *)
-  let metrics_json c =
-    json_with ~rules:c.shards.(0).Kstate.watch (metrics c)
-      [ ("shards", Obs.Json.Int (Array.length c.shards)) ]
-
-  (* Per-shard record streams, tagged with shard ids — the shape
-     [Obs.Chrome.to_json_sharded] consumes for disjoint trace lanes. *)
   let drain_obs c =
-    Array.to_list
-      (Array.mapi (fun i s -> (i, Obs.drain_of s.Kstate.obs)) c.shards)
+    List.concat_map (fun s -> Obs.drain_of s.Kstate.obs) (Array.to_list c.shards)
 end

@@ -50,13 +50,13 @@ module Uspace = Uspace
 
 type t = Kstate.t
 
-val create : ?shard_id:int -> unit -> t
+val create : unit -> t
 (** A fresh shard with its own clock, filesystem, registry, obs engine
     (inheriting the installed engine's {e configuration} — enablement,
     sampling, ring capacity — so observation set up before [create]
     applies to the new kernel) and counters.  The new kernel is
-    installed as the current shard.  [shard_id] (default 0) is
-    its position in a {!Cluster}. *)
+    installed as the current shard, with shard id 0; a {!Cluster}
+    numbers its own members. *)
 
 (** {1 The current shard}
 
@@ -201,8 +201,8 @@ val set_trace_hook :
 (** {1 Deterministic multi-shard driver}
 
     N single-domain shards with independent virtual clocks, stepped
-    round-robin in shard-id order over fixed virtual-time quanta
-    ([quantum_us]).  Cross-shard events are mailed with a (virtual send
+    round-robin in shard-id order over fixed virtual-time quanta (50 000
+    virtual µs each).  Cross-shard events are mailed with a (virtual send
     time, sender shard id, sequence number) stamp and delivered at
     quantum boundaries sorted by exactly that triple — sort by virtual
     timestamp, tie-break by shard id, then send order — which makes the
@@ -225,10 +225,9 @@ module Cluster : sig
       [send] time), which the receiving shard's post files as the
       signal's half-edge. *)
 
-  val create : ?quantum_us:int -> shards:int -> unit -> t
-  (** [shards] ≥ 1 fresh kernels with shard ids [0 .. shards-1];
-      [quantum_us] (default 50 000 virtual µs) is the round horizon.
-      Raises [Invalid_argument] on a non-positive argument. *)
+  val create : shards:int -> unit -> t
+  (** [shards] ≥ 1 fresh kernels with shard ids [0 .. shards-1].
+      Raises [Invalid_argument] on a non-positive count. *)
 
   val shard : t -> int -> kernel
   (** The [i]th member kernel — use the ordinary handle API on it
@@ -254,22 +253,10 @@ module Cluster : sig
       [Invalid_argument] on a shard outside any cluster or for an
       unknown [dst]. *)
 
-  val metrics : t -> Obs.metrics
-  (** Cluster-wide aggregate over every shard's obs engine: exact
-      counters summed, latency histograms merged bucket-wise
-      ({!Obs.merge_metrics}). *)
-
-  val metrics_json : t -> Obs.Json.t
-  (** {!metrics} as the same JSON document shape a single kernel's
-      [metrics_json] produces, plus a [shards] field with the fan-in and
-      a [watchdogs] block evaluating shard 0's rules over the merged
-      metrics. *)
-
-  val drain_obs : t -> (int * Obs.Span.record list) list
-  (** Drain every shard's flight recorder, tagged with shard ids —
-      feed directly to {!Obs.Chrome.to_json_sharded} for a trace with
-      disjoint per-shard process lanes.  [Obs.Span.edges] over the
-      concatenated records is the cluster-wide edge table, sorted by
-      (virtual time, recording shard, seq) — the mailbox's total
-      order, so two same-seed runs produce byte-identical tables. *)
+  val drain_obs : t -> Obs.Span.record list
+  (** Drain every shard's flight recorder, in shard-id order.
+      [Obs.Span.edges] over the result is the cluster-wide edge table,
+      sorted by (virtual time, recording shard, seq) — the mailbox's
+      total order, so two same-seed runs produce byte-identical
+      tables. *)
 end

@@ -65,7 +65,7 @@ let chunk_capacity = 8
 let log_src = Logs.Src.create "kernel" ~doc:"simulated kernel"
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-let create ?(shard_id = 0) () =
+let create ~shard_id =
   let clock = Sim.Clock.create () in
   let fs = Vfs.Fs.create ~now:(fun () -> Sim.Clock.now_us clock / 1_000_000) () in
   let console = Dev.Console.create () in

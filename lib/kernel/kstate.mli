@@ -107,7 +107,7 @@ type t = {
       (** chunks given back while the free list was full, and dropped *)
 }
 
-val create : ?shard_id:int -> unit -> t
+val create : shard_id:int -> t
 (** A fresh shard: everything above is newly allocated, except that the
     obs engine inherits the {e configuration} (enablement, sampling,
     ring capacity — never the data) of the currently installed engine,

@@ -3,21 +3,20 @@ open Abi
 let redirect fd target =
   if fd <> target then ignore (Unistd.dup2 fd target)
 
-let child_body ?stdin ?stdout ?stderr path argv () =
+let child_body ?stdin ?stdout path argv () =
   Option.iter (fun fd -> redirect fd 0) stdin;
   Option.iter (fun fd -> redirect fd 1) stdout;
-  Option.iter (fun fd -> redirect fd 2) stderr;
   match Unistd.execve path argv [||] with
   | Ok _ -> 0
   | Error e ->
     Stdio.eprintf "%s: %s\n" path (Errno.message e);
     127
 
-let spawn ?stdin ?stdout ?stderr path argv =
-  Unistd.fork ~child:(child_body ?stdin ?stdout ?stderr path argv)
+let spawn ?stdin ?stdout path argv =
+  Unistd.fork ~child:(child_body ?stdin ?stdout path argv)
 
-let run ?stdin ?stdout ?stderr path argv =
-  match spawn ?stdin ?stdout ?stderr path argv with
+let run ?stdin ?stdout path argv =
+  match spawn ?stdin ?stdout path argv with
   | Error e -> Error e
   | Ok pid ->
     (match Unistd.waitpid pid 0 with

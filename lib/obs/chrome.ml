@@ -66,10 +66,9 @@ let default_pid_label pid = Printf.sprintf "pid %d" pid
    destination span's slice, matched by id — the arrows Perfetto draws
    across process lanes.  Binding needs a concrete slice, so each
    endpoint is looked up among the records' outermost segments (keyed
-   by (pid, span): span ids are unique per shard only, pids are
-   already shard-disjoint here) and its timestamp clamped into that
-   slice; edges whose endpoints the ring dropped or the sampler
-   skipped are omitted. *)
+   by (pid, span), which is unique within one shard's records) and its
+   timestamp clamped into that slice; edges whose endpoints the ring
+   dropped or the sampler skipped are omitted. *)
 let flow_events records ~by_track =
   let slices : (int * int, int * string * int * int) Hashtbl.t =
     Hashtbl.create 64
@@ -238,35 +237,3 @@ let to_json ?(name = default_name) ?(pid_label = default_pid_label) records =
 
 let to_string ?name ?pid_label records =
   Json.to_string (to_json ?name ?pid_label records)
-
-(* Cluster export: shards reuse pid numbers (each runs its own init as
-   pid 1), so lanes from different shards would collide in the viewer.
-   Offsetting every pid by [shard * shard_stride] keeps lanes disjoint
-   while staying reversible for the label. *)
-let shard_stride = 100_000
-
-let lane shard pid = (shard * shard_stride) + pid
-
-(* An edge's endpoints map through their own shards: a cross-shard
-   edge's source lives on another shard than the one that recorded it. *)
-let to_lanes shard = function
-  | Span.Segment s -> Span.Segment { s with Span.pid = lane shard s.Span.pid }
-  | Span.Call c -> Span.Call { c with Span.c_pid = lane shard c.Span.c_pid }
-  | Span.Mark m -> Span.Mark { m with Span.m_pid = lane shard m.Span.m_pid }
-  | Span.Edge ed ->
-    Span.Edge
-      { ed with
-        Causal.ed_src_pid = lane ed.Causal.ed_src_shard ed.Causal.ed_src_pid;
-        ed_dst_pid = lane ed.Causal.ed_shard ed.Causal.ed_dst_pid }
-
-let default_sharded_pid_label pid =
-  Printf.sprintf "s%d pid %d" (pid / shard_stride) (pid mod shard_stride)
-
-let to_json_sharded ?name ?(pid_label = default_sharded_pid_label) shards =
-  to_json ?name ~pid_label
-    (List.concat_map
-       (fun (shard, records) -> List.map (to_lanes shard) records)
-       shards)
-
-let to_string_sharded ?name ?pid_label shards =
-  Json.to_string (to_json_sharded ?name ?pid_label shards)

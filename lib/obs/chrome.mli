@@ -33,26 +33,3 @@ val to_string :
   Span.record list ->
   string
 (** [to_json] rendered compactly (no trailing newline). *)
-
-val shard_stride : int
-(** Pid offset between shard lanes in the sharded export: shard [i]'s
-    pid [p] renders as process [i * shard_stride + p]. *)
-
-val to_json_sharded :
-  ?name:(int -> string) ->
-  ?pid_label:(int -> string) ->
-  (int * Span.record list) list ->
-  Json.t
-(** Merge per-shard record streams into one trace.  Every shard runs
-    its own pid 1, so pids are offset by [shard * shard_stride] to
-    keep lanes disjoint; [pid_label] receives the offset pid and
-    defaults to ["s<shard> pid <n>"].  Edge records may span shards —
-    each endpoint's pid is offset through its own shard before the
-    flow events bind. *)
-
-val to_string_sharded :
-  ?name:(int -> string) ->
-  ?pid_label:(int -> string) ->
-  (int * Span.record list) list ->
-  string
-(** [to_json_sharded] rendered compactly (no trailing newline). *)

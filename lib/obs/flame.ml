@@ -10,10 +10,8 @@
    (obs engine invariant), so the fold's total weight equals the sum
    of segment self times — the bench gate checks exactly that.
 
-   Weights are virtual µs; [to_string ~scale] rescales them (the
-   host-ns variant multiplies by measured ns per virtual µs from the
-   §3.8 host counters).  Span ids are unique per engine only, so fold
-   per shard and [combine] the results for a cluster view. *)
+   Weights are virtual µs.  Span ids are unique per engine only, so a
+   fold covers one shard's records. *)
 
 type fold = {
   fl_sysno : int;
@@ -74,43 +72,18 @@ let fold segments =
   |> List.sort (fun a b ->
          compare (a.fl_sysno, a.fl_stack) (b.fl_sysno, b.fl_stack))
 
-let combine folds_list =
-  let acc : (int * string list, int ref * int ref) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  List.iter
-    (List.iter (fun f ->
-         let key = (f.fl_sysno, f.fl_stack) in
-         match Hashtbl.find_opt acc key with
-         | Some (self, frames) ->
-           self := !self + f.fl_self_us;
-           frames := !frames + f.fl_frames
-         | None -> Hashtbl.replace acc key (ref f.fl_self_us, ref f.fl_frames)))
-    folds_list;
-  Hashtbl.fold
-    (fun (sysno, stack) (self, frames) l ->
-      { fl_sysno = sysno; fl_stack = stack; fl_self_us = !self;
-        fl_frames = !frames }
-      :: l)
-    acc []
-  |> List.sort (fun a b ->
-         compare (a.fl_sysno, a.fl_stack) (b.fl_sysno, b.fl_stack))
-
 let total folds = List.fold_left (fun acc f -> acc + f.fl_self_us) 0 folds
 
 let default_name n = Printf.sprintf "syscall#%d" n
 
-let to_string ?(name = default_name) ?(scale = 1.0) folds =
+let to_string ?(name = default_name) folds =
   let buf = Buffer.create 1024 in
   List.iter
     (fun f ->
-      let weight =
-        int_of_float (Float.round (float_of_int f.fl_self_us *. scale))
-      in
       Buffer.add_string buf
         (String.concat ";" (name f.fl_sysno :: f.fl_stack));
       Buffer.add_char buf ' ';
-      Buffer.add_string buf (string_of_int weight);
+      Buffer.add_string buf (string_of_int f.fl_self_us);
       Buffer.add_char buf '\n')
     folds;
   Buffer.contents buf

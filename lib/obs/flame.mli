@@ -15,18 +15,13 @@ type fold = {
 
 val fold : Span.segment list -> fold list
 (** Sorted by (sysno, stack).  Span ids are unique per engine only:
-    fold per shard, then {!combine} for a cluster view. *)
-
-val combine : fold list list -> fold list
-(** Re-aggregate per-shard folds by (sysno, stack). *)
+    fold one shard's segments. *)
 
 val total : fold list -> int
 (** Summed [fl_self_us] — equals the sum of folded segment self
     times (the bench gate checks this). *)
 
-val to_string : ?name:(int -> string) -> ?scale:float -> fold list -> string
-(** Collapsed-stack lines: [name(sysno);layer;...;layer weight].
-    [name] renders syscall numbers (callers pass [Abi.Call.name]).
-    [scale] multiplies weights — 1.0 keeps virtual µs; passing
-    measured ns per virtual µs (from the §3.8 host counters) yields
-    the host-ns weighted variant. *)
+val to_string : ?name:(int -> string) -> fold list -> string
+(** Collapsed-stack lines: [name(sysno);layer;...;layer weight], the
+    weight in virtual self µs.  [name] renders syscall numbers
+    (callers pass [Abi.Call.name]). *)

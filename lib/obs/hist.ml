@@ -67,9 +67,3 @@ let quantile t q =
 
 let copy t =
   { counts = Array.copy t.counts; total = t.total; sum_us = t.sum_us; max_us = t.max_us }
-
-let merge ~into src =
-  Array.iteri (fun i n -> into.counts.(i) <- into.counts.(i) + n) src.counts;
-  into.total <- into.total + src.total;
-  into.sum_us <- into.sum_us + src.sum_us;
-  if src.max_us > into.max_us then into.max_us <- src.max_us

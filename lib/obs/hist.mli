@@ -38,4 +38,3 @@ val quantile : t -> float -> int
     raises. *)
 
 val copy : t -> t
-val merge : into:t -> t -> unit

@@ -73,10 +73,6 @@ module Codec = struct
       crossings = f a.crossings b.crossings;
       agent_calls = f a.agent_calls b.agent_calls }
 
-  let zero =
-    { traps = 0; intercepted = 0; fast_path = 0; decodes = 0; encodes = 0;
-      crossings = 0; agent_calls = 0 }
-
   let diff before after = map2 ( - ) after before
 
   let pp fmt s =
@@ -104,7 +100,6 @@ module Env_pool = struct
     { hits = f a.hits b.hits; misses = f a.misses b.misses;
       recycled = f a.recycled b.recycled; dropped = f a.dropped b.dropped }
 
-  let zero = { hits = 0; misses = 0; recycled = 0; dropped = 0 }
   let diff before after = map2 ( - ) after before
 
   let to_json s =
@@ -195,7 +190,7 @@ type engine = {
   mutable e_pool_dropped : int;
 }
 
-let engine ?(ring_capacity = default_ring_capacity) () =
+let make_engine ring_capacity =
   {
     e_on = false;
     e_clock_fn = (fun () -> 0);
@@ -228,6 +223,8 @@ let engine ?(ring_capacity = default_ring_capacity) () =
     e_pool_dropped = 0;
   }
 
+let engine () = make_engine default_ring_capacity
+
 (* A fresh engine carrying the *configuration* of [src] — on/off
    switch, sampling rate and seed (decision stream restarted), ring
    capacity — but none of its data.  [Kernel.create] builds each
@@ -235,7 +232,7 @@ let engine ?(ring_capacity = default_ring_capacity) () =
    established "configure observation, then create the kernel" call
    order keeps working across the per-shard ownership change. *)
 let engine_like src =
-  let e = engine ~ring_capacity:src.e_ring_capacity () in
+  let e = make_engine src.e_ring_capacity in
   e.e_on <- src.e_on;
   e.e_sample_n <- src.e_sample_n;
   e.e_sample_seed <- src.e_sample_seed;
@@ -908,71 +905,6 @@ let metrics_of e =
   }
 
 let metrics () = metrics_of !cur
-
-(* Cross-shard aggregation: exact counters add, histograms merge
-   bucket-wise (into fresh copies — the inputs are snapshots and stay
-   untouched), so a cluster total has the same exact/sampled split as
-   any single engine's snapshot.  Shards share their sampling rate by
-   construction ([engine_like] copies it); should they ever differ,
-   the most-thinned rate is reported so estimates stay conservative. *)
-let merge_metrics (ms : metrics list) =
-  let sys : (int, syscall_metrics) Hashtbl.t = Hashtbl.create 32 in
-  let lay : (int * string, layer_metrics) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
-    (fun m ->
-      List.iter
-        (fun s ->
-          match Hashtbl.find_opt sys s.sm_sysno with
-          | None ->
-            Hashtbl.replace sys s.sm_sysno
-              { s with sm_hist = Hist.copy s.sm_hist }
-          | Some acc ->
-            Hist.merge ~into:acc.sm_hist s.sm_hist;
-            Hashtbl.replace sys s.sm_sysno
-              { acc with
-                sm_calls = acc.sm_calls + s.sm_calls;
-                sm_errors = acc.sm_errors + s.sm_errors })
-        m.m_syscalls;
-      List.iter
-        (fun l ->
-          let key = (l.lm_depth, l.lm_layer) in
-          match Hashtbl.find_opt lay key with
-          | None ->
-            Hashtbl.replace lay key { l with lm_hist = Hist.copy l.lm_hist }
-          | Some acc ->
-            Hist.merge ~into:acc.lm_hist l.lm_hist;
-            Hashtbl.replace lay key
-              { acc with
-                lm_traps = acc.lm_traps + l.lm_traps;
-                lm_decodes = acc.lm_decodes + l.lm_decodes;
-                lm_encodes = acc.lm_encodes + l.lm_encodes;
-                lm_rewrites = acc.lm_rewrites + l.lm_rewrites;
-                lm_self_us = acc.lm_self_us + l.lm_self_us;
-                lm_total_us = acc.lm_total_us + l.lm_total_us })
-        m.m_layers)
-    ms;
-  let sum f = List.fold_left (fun acc m -> acc + f m) 0 ms in
-  {
-    m_spans = sum (fun m -> m.m_spans);
-    m_aborted = sum (fun m -> m.m_aborted);
-    m_injected = sum (fun m -> m.m_injected);
-    m_open = sum (fun m -> m.m_open);
-    m_dropped = sum (fun m -> m.m_dropped);
-    m_sample_n = List.fold_left (fun acc m -> max acc m.m_sample_n) 1 ms;
-    m_syscalls =
-      Hashtbl.fold (fun _ s acc -> s :: acc) sys []
-      |> List.sort (fun a b -> compare a.sm_sysno b.sm_sysno);
-    m_layers =
-      Hashtbl.fold (fun _ l acc -> l :: acc) lay []
-      |> List.sort (fun a b ->
-           compare (a.lm_depth, a.lm_layer) (b.lm_depth, b.lm_layer));
-    m_codec =
-      List.fold_left (fun acc m -> Codec.map2 ( + ) acc m.m_codec) Codec.zero ms;
-    m_env_pool =
-      List.fold_left
-        (fun acc m -> Env_pool.map2 ( + ) acc m.m_env_pool)
-        Env_pool.zero ms;
-  }
 
 (* Exact vs estimated (DESIGN.md §3.4): per-syscall [calls]/[errors]
    are exact at any sampling rate; everything derived from spans the

@@ -56,9 +56,9 @@ module Watch = Watch
 
 type engine
 
-val engine : ?ring_capacity:int -> unit -> engine
-(** A fresh, disabled engine with empty tables (ring capacity defaults
-    to 4096 records). *)
+val engine : unit -> engine
+(** A fresh, disabled engine with empty tables and a ring of 4096
+    records. *)
 
 val engine_like : engine -> engine
 (** A fresh engine inheriting [src]'s {e configuration} — enabled
@@ -416,13 +416,6 @@ val metrics : unit -> metrics
 val metrics_of : engine -> metrics
 (** Snapshot a specific engine (the kernel's handle-based accessors use
     this; {!metrics} is [metrics_of (installed ())]). *)
-
-val merge_metrics : metrics list -> metrics
-(** Aggregate per-shard snapshots into one cluster-wide view: exact
-    counters sum, per-syscall and per-layer histograms merge
-    bucket-wise (inputs are left untouched), the codec and pool
-    counters add, and [sample_n] is the maximum across inputs so
-    sampled estimates stay conservative. *)
 
 val drain_of : engine -> Span.record list
 

@@ -8,10 +8,10 @@
 
 type t
 
-val create : ?epoch_us:int -> unit -> t
-(** [create ()] returns a clock whose current time is [epoch_us]
-    (default: a fixed epoch, 1992-09-01T00:00:00Z, the month the
-    dissertation behind the paper was submitted). *)
+val create : unit -> t
+(** [create ()] returns a clock whose current time is a fixed epoch,
+    1992-09-01T00:00:00Z, the month the dissertation behind the paper
+    was submitted. *)
 
 val now_us : t -> int
 (** Current virtual time in microseconds since the Unix epoch. *)
@@ -26,11 +26,6 @@ val charge : t -> int -> unit
 val advance_to : t -> int -> unit
 (** [advance_to c t] moves the clock forward to absolute time [t]
     (microseconds since the epoch); no-op if [t] is in the past. *)
-
-val set_scale : t -> float -> unit
-(** [set_scale c f] multiplies every subsequent {!charge} by [f].
-    Used by ablation benchmarks to model faster or slower interception
-    mechanisms; default scale is [1.0].  [advance_to] is unaffected. *)
 
 val seconds : t -> float
 (** [seconds c] is {!elapsed_us} expressed in seconds. *)

@@ -6,13 +6,10 @@ type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let of_state s =
+let create seed =
   let t = Bytes.create 8 in
-  Bytes.set_int64_le t 0 s;
+  Bytes.set_int64_le t 0 (Int64.of_int seed);
   t
-
-let create seed = of_state (Int64.of_int seed)
-let copy = Bytes.copy
 
 (* splitmix64 finaliser (Steele, Lea & Flood 2014). *)
 let[@inline] mix z =
@@ -37,13 +34,3 @@ let bool t = Int64.logand (next t) 1L = 1L
 let pick t a =
   assert (Array.length a > 0);
   a.(int t (Array.length a))
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let split t = of_state (mix (next t))

@@ -8,8 +8,6 @@ type t
 val create : int -> t
 (** [create seed] returns an independent generator. *)
 
-val copy : t -> t
-
 val next : t -> int64
 (** Next raw 64-bit value. *)
 
@@ -20,9 +18,3 @@ val bool : t -> bool
 
 val pick : t -> 'a array -> 'a
 (** Uniform choice from a non-empty array. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
-val split : t -> t
-(** A generator statistically independent of the parent. *)

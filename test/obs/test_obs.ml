@@ -1017,183 +1017,6 @@ let test_sampling_exact_counts_across_rates () =
         (sampled_session_counts ~n))
     [ 2; 16; 256 ]
 
-(* --- merge_metrics -------------------------------------------------------- *)
-
-let hist_from_observations obs =
-  let h = Obs.Hist.create () in
-  List.iter (Obs.Hist.observe h) obs;
-  h
-
-(* random per-shard snapshots, layers included; observations straddle
-   the overflow bucket (>= 2^30 µs) so merging exercises it *)
-let metrics_gen =
-  QCheck.Gen.(
-    let observation =
-      oneof [ int_range 0 5000; int_range (1 lsl 30) ((1 lsl 40) + 7) ]
-    in
-    let sm_gen =
-      let* sysno = int_range 1 6 in
-      let* calls = int_range 1 50 in
-      let* errors = int_range 0 5 in
-      let* obs = list_size (int_range 0 12) observation in
-      return
-        { Obs.sm_sysno = sysno; sm_calls = calls; sm_errors = min errors calls;
-          sm_hist = hist_from_observations obs }
-    in
-    let lm_gen =
-      let* depth = int_range 0 2 in
-      let* layer = oneofl [ "uspace"; "null"; "kernel" ] in
-      let* traps = int_range 0 40 in
-      let* self = int_range 0 10_000 in
-      let* obs = list_size (int_range 0 8) observation in
-      return
-        { Obs.lm_depth = depth; lm_layer = layer; lm_traps = traps;
-          lm_decodes = traps; lm_encodes = traps; lm_rewrites = 0;
-          lm_self_us = self; lm_total_us = self; lm_hist = hist_from_observations obs }
-    in
-    let dedup key l =
-      List.sort_uniq (fun a b -> compare (key a) (key b)) l
-    in
-    let* sms = list_size (int_range 0 5) sm_gen in
-    let* lms = list_size (int_range 0 4) lm_gen in
-    let* spans = int_range 0 100 in
-    let* aborted = int_range 0 5 in
-    let* sample_n = int_range 1 8 in
-    let* traps = int_range 0 100 in
-    let* fast = int_range 0 traps in
-    let* decodes = int_range 0 100 in
-    let* hits = int_range 0 100 in
-    let* misses = int_range 0 10 in
-    return
-      { Obs.m_spans = spans; m_aborted = aborted; m_injected = 0;
-        m_open = 0; m_dropped = 0; m_sample_n = sample_n;
-        m_syscalls = dedup (fun s -> s.Obs.sm_sysno) sms;
-        m_layers = dedup (fun l -> (l.Obs.lm_depth, l.Obs.lm_layer)) lms;
-        m_codec =
-          { Obs.Codec.traps; intercepted = traps - fast; fast_path = fast;
-            decodes; encodes = traps; crossings = 2 * decodes;
-            agent_calls = misses };
-        m_env_pool = { Obs.Env_pool.hits; misses; recycled = hits; dropped = 0 } })
-
-let print_metrics m =
-  Printf.sprintf "spans=%d sysnos=[%s] sample_n=%d" m.Obs.m_spans
-    (String.concat ";"
-       (List.map (fun s -> string_of_int s.Obs.sm_sysno) m.Obs.m_syscalls))
-    m.Obs.m_sample_n
-
-let sm_buckets s = Obs.Hist.nonzero s.Obs.sm_hist
-
-let qcheck_merge_counts_and_overflow =
-  QCheck.Test.make
-    ~name:"merge_metrics: counters sum, overflow buckets and max survive"
-    ~count:200
-    (QCheck.make ~print:(fun ms -> String.concat " | " (List.map print_metrics ms))
-       QCheck.Gen.(list_size (int_range 0 4) metrics_gen))
-    (fun ms ->
-      let merged = Obs.merge_metrics ms in
-      let all_sms = List.concat_map (fun m -> m.Obs.m_syscalls) ms in
-      let sum f = List.fold_left (fun acc m -> acc + f m) 0 ms in
-      let ascending =
-        let rec go = function
-          | a :: (b :: _ as tl) -> a.Obs.sm_sysno < b.Obs.sm_sysno && go tl
-          | _ -> true
-        in
-        go merged.Obs.m_syscalls
-      in
-      merged.Obs.m_spans = sum (fun m -> m.Obs.m_spans)
-      && merged.Obs.m_aborted = sum (fun m -> m.Obs.m_aborted)
-      && merged.Obs.m_codec
-         = Obs.Codec.
-             { traps = sum (fun m -> m.Obs.m_codec.traps);
-               intercepted = sum (fun m -> m.Obs.m_codec.intercepted);
-               fast_path = sum (fun m -> m.Obs.m_codec.fast_path);
-               decodes = sum (fun m -> m.Obs.m_codec.decodes);
-               encodes = sum (fun m -> m.Obs.m_codec.encodes);
-               crossings = sum (fun m -> m.Obs.m_codec.crossings);
-               agent_calls = sum (fun m -> m.Obs.m_codec.agent_calls) }
-      && merged.Obs.m_env_pool
-         = Obs.Env_pool.
-             { hits = sum (fun m -> m.Obs.m_env_pool.hits);
-               misses = sum (fun m -> m.Obs.m_env_pool.misses);
-               recycled = sum (fun m -> m.Obs.m_env_pool.recycled);
-               dropped = sum (fun m -> m.Obs.m_env_pool.dropped) }
-      && merged.Obs.m_sample_n
-         = List.fold_left (fun acc m -> max acc m.Obs.m_sample_n) 1 ms
-      && ascending
-      && List.for_all
-           (fun out ->
-             let ins =
-               List.filter (fun s -> s.Obs.sm_sysno = out.Obs.sm_sysno) all_sms
-             in
-             let sum_in f = List.fold_left (fun acc s -> acc + f s) 0 ins in
-             out.Obs.sm_calls = sum_in (fun s -> s.Obs.sm_calls)
-             && out.Obs.sm_errors = sum_in (fun s -> s.Obs.sm_errors)
-             && Obs.Hist.count out.Obs.sm_hist
-                = sum_in (fun s -> Obs.Hist.count s.Obs.sm_hist)
-             (* the overflow bucket merges like any other... *)
-             && Obs.Hist.bucket out.Obs.sm_hist (Obs.Hist.buckets - 1)
-                = sum_in (fun s ->
-                      Obs.Hist.bucket s.Obs.sm_hist (Obs.Hist.buckets - 1))
-             (* ...and the exact max (its quantile answer) is the max
-                of the inputs' *)
-             && Obs.Hist.max_us out.Obs.sm_hist
-                = List.fold_left
-                    (fun acc s -> max acc (Obs.Hist.max_us s.Obs.sm_hist))
-                    0 ins)
-           merged.Obs.m_syscalls)
-
-let qcheck_merge_identities =
-  QCheck.Test.make
-    ~name:"merge_metrics: [] is zero, [m] is m, inputs untouched" ~count:200
-    (QCheck.make ~print:print_metrics metrics_gen)
-    (fun m ->
-      let empty = Obs.merge_metrics [] in
-      let before = List.map sm_buckets m.Obs.m_syscalls in
-      let one = Obs.merge_metrics [ m ] in
-      let untouched = List.map sm_buckets m.Obs.m_syscalls = before in
-      empty.Obs.m_spans = 0
-      && empty.Obs.m_syscalls = [] && empty.Obs.m_layers = []
-      && empty.Obs.m_sample_n = 1
-      && untouched
-      && one.Obs.m_spans = m.Obs.m_spans
-      && one.Obs.m_sample_n = m.Obs.m_sample_n
-      && List.length one.Obs.m_syscalls = List.length m.Obs.m_syscalls
-      && List.for_all2
-           (fun a b ->
-             a.Obs.sm_sysno = b.Obs.sm_sysno
-             && a.Obs.sm_calls = b.Obs.sm_calls
-             && a.Obs.sm_errors = b.Obs.sm_errors
-             && sm_buckets a = sm_buckets b
-             && Obs.Hist.max_us a.Obs.sm_hist = Obs.Hist.max_us b.Obs.sm_hist)
-           one.Obs.m_syscalls m.Obs.m_syscalls)
-
-let qcheck_merge_quantiles_monotone =
-  QCheck.Test.make
-    ~name:"merge_metrics: quantiles stay monotone and bounded by the max"
-    ~count:200
-    (QCheck.make ~print:(fun ms -> String.concat " | " (List.map print_metrics ms))
-       QCheck.Gen.(list_size (int_range 1 4) metrics_gen))
-    (fun ms ->
-      let merged = Obs.merge_metrics ms in
-      List.for_all
-        (fun s ->
-          let h = s.Obs.sm_hist in
-          let qs = [ 0.0; 0.25; 0.5; 0.9; 0.99; 1.0 ] in
-          let vs = List.map (Obs.Hist.quantile h) qs in
-          let rec monotone = function
-            | a :: (b :: _ as tl) -> a <= b && monotone tl
-            | _ -> true
-          in
-          monotone vs
-          && List.for_all
-               (fun v -> Obs.Hist.count h = 0 || v <= max (Obs.Hist.max_us h)
-                  (* non-overflow buckets answer their upper bound,
-                     which can exceed the raw max within its bucket *)
-                  (let b = Obs.Hist.bucket_of_us (Obs.Hist.max_us h) in
-                   if b = 0 then 0 else (1 lsl b) - 1))
-               vs)
-        merged.Obs.m_syscalls)
-
 (* --- chrome trace export -------------------------------------------------- *)
 
 let get_int k e =
@@ -1352,21 +1175,6 @@ let test_chrome_pid_labels () =
   Alcotest.(check (list (pair int string))) "default keeps the bare pid"
     [ (2, "pid 2") ]
     (process_names (Obs.Chrome.to_json (tiny_records 2)))
-
-let test_chrome_sharded_lane_names () =
-  let stride = Obs.Chrome.shard_stride in
-  let shards = [ (0, tiny_records 2); (1, tiny_records 2) ] in
-  (* same pid on two shards: lanes must stay disjoint (offset by the
-     stride) and the default label must name the shard *)
-  Alcotest.(check (list (pair int string))) "disjoint per-shard lanes"
-    [ (2, "s0 pid 2"); (stride + 2, "s1 pid 2") ]
-    (process_names (Obs.Chrome.to_json_sharded shards));
-  let label pid =
-    Printf.sprintf "shard %d / proc %d" (pid / stride) (pid mod stride)
-  in
-  Alcotest.(check (list (pair int string))) "custom label sees offset pids"
-    [ (2, "shard 0 / proc 2"); (stride + 2, "shard 1 / proc 2") ]
-    (process_names (Obs.Chrome.to_json_sharded ~pid_label:label shards))
 
 (* --- rewrite flags -------------------------------------------------------- *)
 
@@ -1541,16 +1349,10 @@ let () =
             `Quick test_out_of_range_sysnos_share_overflow_row;
           Alcotest.test_case "wild trap numbers answer ENOSYS under obs"
             `Quick test_wild_trap_numbers_enosys_under_obs ] );
-      ( "merge",
-        [ qtest qcheck_merge_counts_and_overflow;
-          qtest qcheck_merge_identities;
-          qtest qcheck_merge_quantiles_monotone ] );
       ( "chrome",
         [ Alcotest.test_case "export shape" `Quick test_chrome_export_shape;
           Alcotest.test_case "session export" `Quick test_chrome_from_session;
-          Alcotest.test_case "pid labels" `Quick test_chrome_pid_labels;
-          Alcotest.test_case "sharded lane names" `Quick
-            test_chrome_sharded_lane_names ] );
+          Alcotest.test_case "pid labels" `Quick test_chrome_pid_labels ] );
       ( "rewrites",
         [ Alcotest.test_case "timex under trace" `Quick
             test_rewrite_flag_timex_under_trace;

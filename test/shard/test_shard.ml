@@ -322,128 +322,6 @@ let test_installed_sets () =
     codec_amb.Obs.Codec.traps
     (Kernel.codec_stats k).Obs.Codec.traps
 
-(* --- cluster-wide metrics: exact counters sum, histograms merge ---------- *)
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
-let observed_cluster () =
-  let c = Kernel.Cluster.create ~shards:2 () in
-  for i = 0 to 1 do
-    Kernel.populate_standard (Kernel.Cluster.shard c i)
-  done;
-  let procs =
-    List.init 2 (fun i ->
-      Kernel.Cluster.boot_shard c i ~name:"metrics" (fun () ->
-        Obs.enable ();
-        let rc = traffic (Printf.sprintf "m%d" i) (5 + (7 * i)) () in
-        Obs.disable ();
-        rc))
-  in
-  Kernel.Cluster.run c;
-  List.iter
-    (fun (p : Kernel.Proc.t) ->
-      Tharness.check_exit "metrics init" 0 p.Kernel.Proc.exit_status)
-    procs;
-  c
-
-let test_cluster_metrics_merge () =
-  let c = observed_cluster () in
-  let per_shard =
-    List.init 2 (fun i -> Kernel.metrics (Kernel.Cluster.shard c i))
-  in
-  let agg = Kernel.Cluster.metrics c in
-  let sum f = List.fold_left (fun acc m -> acc + f m) 0 per_shard in
-  Alcotest.(check int)
-    "spans sum across shards" (sum (fun m -> m.Obs.m_spans)) agg.Obs.m_spans;
-  Alcotest.(check bool) "cluster saw spans" true (agg.Obs.m_spans > 0);
-  (* per-syscall: calls, errors, and histogram populations all sum *)
-  let calls_of sysno m =
-    match List.find_opt (fun s -> s.Obs.sm_sysno = sysno) m.Obs.m_syscalls with
-    | Some s -> (s.Obs.sm_calls, Obs.Hist.count s.Obs.sm_hist)
-    | None -> (0, 0)
-  in
-  List.iter
-    (fun s ->
-      let want =
-        List.fold_left
-          (fun (a, b) m ->
-            let x, y = calls_of s.Obs.sm_sysno m in
-            (a + x, b + y))
-          (0, 0) per_shard
-      in
-      Alcotest.(check (pair int int))
-        (Printf.sprintf "sysno %d calls+hist sum" s.Obs.sm_sysno)
-        want
-        (s.Obs.sm_calls, Obs.Hist.count s.Obs.sm_hist))
-    agg.Obs.m_syscalls;
-  (* the merge reads, never mutates, its inputs *)
-  let again = List.init 2 (fun i -> Kernel.metrics (Kernel.Cluster.shard c i)) in
-  List.iter2
-    (fun a b ->
-      Alcotest.(check int) "shard snapshot undisturbed" a.Obs.m_spans
-        b.Obs.m_spans)
-    per_shard again;
-  (* the JSON document sums codec counters and records the fan-in *)
-  let json = Obs.Json.to_string (Kernel.Cluster.metrics_json c) in
-  let doc =
-    match Obs.Json.of_string json with
-    | Ok d -> d
-    | Error e -> Alcotest.failf "metrics json does not parse: %s" e
-  in
-  let int_at path =
-    let rec go doc = function
-      | [] -> Obs.Json.to_int doc
-      | k :: rest -> Option.bind (Obs.Json.member k doc) (fun d -> go d rest)
-    in
-    match go doc path with
-    | Some n -> n
-    | None -> Alcotest.failf "missing field %s" (String.concat "." path)
-  in
-  Alcotest.(check int) "shards field" 2 (int_at [ "shards" ]);
-  let codec_traps = int_at [ "codec"; "traps" ] in
-  let want_traps =
-    List.fold_left
-      (fun acc i ->
-        acc
-        + (Kernel.codec_stats (Kernel.Cluster.shard c i)).Obs.Codec.traps)
-      0 [ 0; 1 ]
-  in
-  Alcotest.(check int) "codec traps sum across shards" want_traps codec_traps
-
-let test_cluster_chrome_lanes () =
-  let c = observed_cluster () in
-  let shards = Kernel.Cluster.drain_obs c in
-  Alcotest.(check int) "one stream per shard" 2 (List.length shards);
-  List.iter
-    (fun (_, records) ->
-      Alcotest.(check bool) "each shard drained records" true (records <> []))
-    shards;
-  let trace = Obs.Chrome.to_string_sharded ~name:Call.name shards in
-  Alcotest.(check bool)
-    "shard 0 lane labelled" true
-    (contains trace "s0 pid 1");
-  Alcotest.(check bool)
-    "shard 1 lane labelled" true
-    (contains trace "s1 pid 1");
-  (* pids from different shards land in disjoint ranges *)
-  (match Obs.Json.of_string trace with
-   | Ok (Obs.Json.Arr events) ->
-     let pids =
-       List.filter_map
-         (fun e -> Option.bind (Obs.Json.member "pid" e) Obs.Json.to_int)
-         events
-     in
-     Alcotest.(check bool)
-       "low-range (shard 0) pids present" true
-       (List.exists (fun p -> p < Obs.Chrome.shard_stride) pids);
-     Alcotest.(check bool)
-       "high-range (shard 1) pids present" true
-       (List.exists (fun p -> p >= Obs.Chrome.shard_stride) pids)
-   | _ -> Alcotest.fail "sharded trace is not a JSON array")
-
 (* --- select timer hygiene ------------------------------------------------ *)
 
 (* Every way out of a timed select must drop its armed deadline: the
@@ -555,11 +433,6 @@ let () =
             `Quick test_cluster_mail_order;
           Alcotest.test_case "send from a solo kernel or to no shard raises" `Quick
             test_cluster_send_misuse ] );
-      ( "cluster metrics",
-        [ Alcotest.test_case "counters sum, histograms merge" `Quick
-            test_cluster_metrics_merge;
-          Alcotest.test_case "chrome export gets per-shard lanes" `Quick
-            test_cluster_chrome_lanes ] );
       ( "timer-hygiene",
         [ Alcotest.test_case "select deadlines never leak" `Quick
             test_select_timer_hygiene ] ) ]

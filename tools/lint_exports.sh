@@ -15,11 +15,19 @@
 # Tests do not count as callers: an export only tests reach is either
 # a test hook, which the allowlist says, or dead code.
 #
+# The same holds for each optional parameter `?l` in an exported val's
+# type: it counts as used when some .ml file outside the module passes
+# `~l` or `?l`.  A knob no program sets is dead code too.
+#
 # Survivors must appear in tools/exports_allowlist.txt as
-# `<mli path>:<name>`, and every allowlist line must name a current
-# survivor (stale lines fail).  The check is a lexical heuristic: a
-# bare name in a file that opens the module, or a module of the same
-# name elsewhere, can hide a dead export, never invent one.
+# `<mli path>:<name>` (a label as `<mli path>:<name>?<label>`), and
+# every allowlist line must name a current survivor (stale lines
+# fail).  Outside the allowlist's modelled-interface group, each line
+# must be named in the comment block directly above it, which gives
+# its reason.  The check is a lexical heuristic: a bare name in a file
+# that opens the module, a module of the same name elsewhere, or a
+# label of the same name passed to another function, can hide a dead
+# export, never invent one.
 
 set -eu
 cd "$(dirname "$0")/.."
@@ -41,7 +49,7 @@ set -- $(find lib bin bench perf examples \( -name '*.ml' -o -name '*.mli' \) \
 found=$(
   awk '
     FNR == 1 {
-      depth = 0; str = 0; sp = 0; pend = ""; next_is = ""
+      depth = 0; str = 0; sp = 0; pend = ""; next_is = ""; cur = 0
       f = FILENAME; sub(/\.mli?$/, "", f)
       fm = f; sub(/.*\//, "", fm); fm = toupper(substr(fm, 1, 1)) substr(fm, 2)
       mli = FILENAME ~ /^lib\/.*\.mli$/
@@ -105,22 +113,31 @@ found=$(
       }
       while (match(out, /[A-Za-z_][A-Za-z0-9_\047]*/)) {
         word = substr(out, RSTART, RLENGTH)
+        pre = RSTART > 1 ? substr(out, RSTART - 1, 1) : ""
         out = substr(out, RSTART + RLENGTH)
+        # a label an .ml passes: `~l`, `~l:`, `?l`, `?l:`
+        if (!mli && (pre == "~" || pre == "?") && !((f, word) in passed)) {
+          passed[f, word] = 1; lfiles[word] = lfiles[word] "|" f
+        }
         # an .mli'"'"'s vals, each under the innermost `module X : sig`
-        # (the file'"'"'s module at top level); vals of module types and
-        # class types are not exports
+        # (the file'"'"'s module at top level), with the `?l` labels of
+        # their types; vals of module types and class types are not
+        # exports
         if (mli) {
           if (next_is == "val") {
-            named = fm; skip = 0
+            named = fm; skip = 0; cur = 0
             for (j = 1; j <= sp; j++)
               if (stk[j] == "-") skip = 1; else named = stk[j]
-            if (!skip) { nv++; vfile[nv] = f; vname[nv] = word; vmod[nv] = named }
+            if (!skip) { nv++; vfile[nv] = f; vname[nv] = word; vmod[nv] = named; cur = nv }
           } else if (next_is == "module") pend = word == "type" ? "-" : word
+          else if (cur && pre == "?") vlabels[cur] = vlabels[cur] " " word
           next_is = ""
           if (word == "val" || word == "module") next_is = word
           else if (word == "sig") { stk[++sp] = pend == "" ? "-" : pend; pend = "" }
           else if (word == "object") stk[++sp] = "-"
           else if (word == "end" && sp > 0) sp--
+          # any other item ends the val'"'"'s type
+          if (word ~ /^(type|module|end|exception|external|include|open|class)$/) cur = 0
         }
         if (!((f, word) in has)) {
           has[f, word] = 1; files[word] = files[word] "|" f
@@ -145,7 +162,17 @@ found=$(
         }
         # a val of a nested module is named with its module
         fm = own; sub(/.*\//, "", fm); fm = toupper(substr(fm, 1, 1)) substr(fm, 2)
-        if (!used) print own ".mli:" (m == fm ? "" : m ".") vname[k]
+        entry = own ".mli:" (m == fm ? "" : m ".") vname[k]
+        if (!used) print entry
+        # a label is passed by some .ml outside the module
+        nl = split(vlabels[k], ls, " ")
+        for (j = 1; j <= nl; j++) {
+          nf = split(lfiles[ls[j]], fs, "|")
+          lused = 0
+          for (i = 1; i <= nf && !lused; i++)
+            if (fs[i] != "" && fs[i] != own) lused = 1
+          if (!lused) print entry "?" ls[j]
+        }
       }
     }' "$@" | sort -u
 )
@@ -153,7 +180,10 @@ found=$(
 status=0
 for entry in $found; do
   if ! grep -qxF "$entry" "$allow"; then
-    printf 'lint-exports: %s: no caller outside its module\n' "$entry"
+    case $entry in
+      *\?*) printf 'lint-exports: %s: no program passes it outside its module\n' "$entry" ;;
+      *) printf 'lint-exports: %s: no caller outside its module\n' "$entry" ;;
+    esac
     status=1
   fi
 done
@@ -168,6 +198,37 @@ for entry in $(grep -vE '^[[:space:]]*(#|$)' "$allow"); do
     printf 'lint-exports: stale allowlist line %s: exported and used, or gone\n' "$entry"
     status=1
   fi
+done
+
+# Reasons: outside the `## Modelled interfaces` group, each line's
+# name (`?label` for a label line) appears as a word, bare or at the
+# end of a qualified name, in the `#` block directly above it (the
+# block that ends at the line or at the lines sharing it).
+unnamed=$(
+  awk '
+    function named(text, w,    i, off, b, a) {
+      off = 0
+      while ((i = index(substr(text, off + 1), w)) > 0) {
+        i += off
+        b = substr(text, i - 1, 1); a = substr(text, i + length(w), 1)
+        if (b !~ /[A-Za-z0-9_\047]/ && a !~ /[A-Za-z0-9_\047]/) return 1
+        off = i
+      }
+      return 0
+    }
+    /^##/ { exempt = $0 ~ /^## Modelled interfaces/; block = ""; after = 0; next }
+    /^[[:space:]]*#/ { if (after) block = ""; block = block " " $0; after = 0; next }
+    /^[[:space:]]*$/ { block = ""; after = 0; next }
+    {
+      after = 1
+      w = $0; sub(/^[^:]*:/, "", w)
+      if (index(w, "?")) w = substr(w, index(w, "?"))
+      if (!exempt && !named(block, w)) print $0
+    }' "$allow"
+)
+for entry in $unnamed; do
+  printf 'lint-exports: allowlist line %s: not named in the comment block above it\n' "$entry"
+  status=1
 done
 
 [ "$status" -eq 0 ] && echo "lint-exports: ok (every export in lib/ has a caller or a reason)"
