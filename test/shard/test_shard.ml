@@ -322,6 +322,61 @@ let test_installed_sets () =
     codec_amb.Obs.Codec.traps
     (Kernel.codec_stats k).Obs.Codec.traps
 
+(* --- a cluster's metrics stay per shard ----------------------------------- *)
+
+(* Each shard of an observed cluster counts only the traffic booted on
+   it, and [Cluster.drain_obs] is the shards' own drains concatenated in
+   shard-id order (checked against a same-seed twin drained shard by
+   shard). *)
+
+let observed_cluster () =
+  let c = Kernel.Cluster.create ~shards:2 () in
+  for i = 0 to 1 do
+    Kernel.populate_standard (Kernel.Cluster.shard c i)
+  done;
+  let procs =
+    List.init 2 (fun i ->
+      Kernel.Cluster.boot_shard c i ~name:"metrics" (fun () ->
+        Obs.enable ();
+        let rc = traffic (Printf.sprintf "m%d" i) (5 + (7 * i)) () in
+        Obs.disable ();
+        rc))
+  in
+  Kernel.Cluster.run c;
+  List.iter
+    (fun (p : Kernel.Proc.t) ->
+      Tharness.check_exit "metrics init" 0 p.Kernel.Proc.exit_status)
+    procs;
+  c
+
+let test_cluster_metrics_per_shard () =
+  let c = observed_cluster () in
+  let getpids i =
+    let m = Kernel.metrics (Kernel.Cluster.shard c i) in
+    match
+      List.find_opt
+        (fun s -> s.Obs.sm_sysno = Sysno.sys_getpid)
+        m.Obs.m_syscalls
+    with
+    | Some s -> s.Obs.sm_calls
+    | None -> 0
+  in
+  Alcotest.(check bool) "shard 0 saw its burst" true (getpids 0 >= 5);
+  Alcotest.(check int) "shard 1 saw 7 getpids more" 7 (getpids 1 - getpids 0);
+  let lines = List.map Obs.Span.to_line in
+  let twin = observed_cluster () in
+  let by_shard =
+    List.concat_map
+      (fun i -> Kernel.drain_obs (Kernel.Cluster.shard twin i))
+      [ 0; 1 ]
+  in
+  Alcotest.(check bool) "shards drained records" true (by_shard <> []);
+  Alcotest.(check (list string))
+    "drain_obs = shard drains in shard-id order" (lines by_shard)
+    (lines (Kernel.Cluster.drain_obs c));
+  Alcotest.(check int) "drained empty" 0
+    (List.length (Kernel.Cluster.drain_obs c))
+
 (* --- select timer hygiene ------------------------------------------------ *)
 
 (* Every way out of a timed select must drop its armed deadline: the
@@ -433,6 +488,9 @@ let () =
             `Quick test_cluster_mail_order;
           Alcotest.test_case "send from a solo kernel or to no shard raises" `Quick
             test_cluster_send_misuse ] );
+      ( "cluster metrics",
+        [ Alcotest.test_case "each shard counts and drains its own" `Quick
+            test_cluster_metrics_per_shard ] );
       ( "timer-hygiene",
         [ Alcotest.test_case "select deadlines never leak" `Quick
             test_select_timer_hygiene ] ) ]
