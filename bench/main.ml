@@ -1469,7 +1469,7 @@ let ablations fail =
 let injected_cost_probe () =
   let session with_read =
     let agent =
-      Agents.Faultinject.create_planned
+      Agents.Faultinject.create
         [ Agents.Faultinject.site ~kth:1 Sysno.sys_read
             (Agents.Faultinject.Fail Errno.EIO) ]
     in
@@ -1562,7 +1562,7 @@ let faults fail =
         (fun (c : Fault.Campaign.case) ->
           if c.c_run.Fault.Campaign.r_outcome <> Fault.Oracle.Tolerated then
             Printf.printf "  %s: %-30s %s (%s)\n" w.Table.w_name
-              (Fault.Plan.describe_site c.c_site)
+              (Fault.Plan.to_spec [ c.c_site ])
               (Fault.Oracle.outcome_name c.c_run.Fault.Campaign.r_outcome)
               c.c_run.Fault.Campaign.r_detail)
         cases)
@@ -1614,13 +1614,13 @@ let faults fail =
         Printf.printf
           "repro bundle: scribe under [%s] -> %s; replay from the bundle \
            is byte-identical (%d desyncs)\n"
-          (Fault.Plan.describe_site c.c_site)
+          (Fault.Plan.to_spec [ c.c_site ])
           (Fault.Oracle.outcome_name outcome)
           desyncs;
       Obs.Json.(
         Obj
           [ ("workload", Str "scribe");
-            ("site", Str (Fault.Plan.describe_site c.c_site));
+            ("site", Str (Fault.Plan.to_spec [ c.c_site ]));
             ("outcome", Str (Fault.Oracle.outcome_name outcome));
             ("replay_ok", Bool replay_ok);
             ("desyncs", Int desyncs) ])
@@ -1654,7 +1654,7 @@ let faults fail =
                           (fun (c : Fault.Campaign.case) ->
                             Obj
                               [ ( "site",
-                                  Str (Fault.Plan.describe_site c.c_site)
+                                  Str (Fault.Plan.to_spec [ c.c_site ])
                                 );
                                 ( "outcome",
                                   Str

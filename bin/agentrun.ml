@@ -193,7 +193,7 @@ let run_campaign wname out_dir =
           (1 + Option.value ~default:0 (Hashtbl.find_opt tally o));
         if o <> Fault.Oracle.Tolerated then failing := (i, c) :: !failing;
         Printf.printf "[campaign] %-34s %-12s %s\n"
-          (Fault.Plan.describe_site c.c_site)
+          (Fault.Plan.to_spec [ c.c_site ])
           (Fault.Oracle.outcome_name o)
           c.c_run.Fault.Campaign.r_detail)
       cases;
@@ -245,7 +245,7 @@ let run_repro path =
        Printf.printf "[repro] %s: %s under plan:\n" b.Fault.Bundle.b_workload
          (Fault.Oracle.outcome_name b.Fault.Bundle.b_outcome);
        List.iter
-         (fun s -> Printf.printf "[repro]   %s\n" (Fault.Plan.describe_site s))
+         (fun s -> Printf.printf "[repro]   %s\n" (Fault.Plan.to_spec [ s ]))
          b.Fault.Bundle.b_sites;
        (match Fault.Bundle.replay b with
         | Error msg ->

@@ -2,13 +2,6 @@ open Abi
 
 let header = "RLE1\n"
 
-let has_prefix prefix path =
-  prefix = "/"
-  || path = prefix
-  || (String.length path > String.length prefix
-      && String.sub path 0 (String.length prefix) = prefix
-      && path.[String.length prefix] = '/')
-
 let split_header content =
   let hl = String.length header in
   if String.length content >= hl && String.sub content 0 hl = header then
@@ -152,7 +145,7 @@ class agent ~(subtrees : string list) =
 
     method! make_open_object ~fd ~path ~flags =
       match path with
-      | Some p when List.exists (fun s -> has_prefix s p) subtrees ->
+      | Some p when Subtree.mem subtrees p ->
         handled <- handled + 1;
         (new compress_object self#downlink ~path:p ~flags
           :> Toolkit.Objects.open_object)

@@ -18,13 +18,6 @@ let transform ~key ~pos buf ~off ~len =
       (Char.chr (c lxor keystream_byte ~key ~pos:(pos + i)))
   done
 
-let has_prefix prefix path =
-  prefix = "/"
-  || path = prefix
-  || (String.length path > String.length prefix
-      && String.sub path 0 (String.length prefix) = prefix
-      && path.[String.length prefix] = '/')
-
 (* Deciphers reads and enciphers writes at the descriptor's current
    file position, which it learns from the file table through the down
    path. *)
@@ -122,7 +115,7 @@ class agent ~(key : int) ~(subtrees : string list) =
 
     method! make_open_object ~fd ~path ~flags =
       match path with
-      | Some p when List.exists (fun s -> has_prefix s p) subtrees ->
+      | Some p when Subtree.mem subtrees p ->
         protected_opens <- protected_opens + 1;
         (new crypt_object self#downlink ~key ~flags
           :> Toolkit.Objects.open_object)

@@ -50,12 +50,13 @@ let op_name = function
   | R_symlink _ -> "symlink"
 
 (* Pathnames are %-encoded so the record stays one space-separated
-   line regardless of the characters in the name. *)
+   line regardless of the characters in the name; the record_replay
+   journal encodes its payloads the same way. *)
 let quote s =
   let b = Buffer.create (String.length s) in
   String.iter
     (fun c ->
-      if c = ' ' || c = '%' || c = '\n' || c = '\t' then
+      if c = ' ' || c = '%' || Char.code c < 32 || Char.code c > 126 then
         Buffer.add_string b (Printf.sprintf "%%%02x" (Char.code c))
       else Buffer.add_char b c)
     s;

@@ -41,6 +41,14 @@ type t = {
 
 val op_name : op -> string
 
+val quote : string -> string
+(** %-encode space, ['%'], control bytes and bytes above ['~'] as
+    [%xx], so a text field is one space-free token on its line.  The
+    record_replay journal encodes its payloads with it too. *)
+
+val unquote : string -> string
+(** Inverse of {!quote}. *)
+
 val encode : t -> string
 (** One line, newline-terminated. *)
 

@@ -2,29 +2,26 @@
     paper's "monitoring and emulating schemes" (§1.4): make a program's
     environment hostile without touching the program or the kernel.
 
-    Two modes share the machinery:
+    The {!agent} executes a deterministic {e plan} of injection
+    {!site}s — fail the k-th matching call in pid P with errno E, or
+    add virtual latency — which is what the [lib/fault] campaign driver
+    sweeps, shrinks and replays.  It makes no random choice: matching
+    is bookkeeping over per-site ordinals.  A site's one text form is
+    [Fault.Plan]'s spec, e.g. [read#3=fail:EIO].
 
-    - the original {!agent} flips a deterministic PRNG coin per
-      candidate call and fails it with a configured errno;
-    - the {!planned} agent executes a deterministic {e plan} of
-      injection {!site}s — fail the k-th matching call in pid P with
-      errno E, or add virtual latency — which is what the [lib/fault]
-      campaign driver sweeps, shrinks and replays.
-
-    Both honour the kernel's restart policy for injected [EINTR]
+    An injected [EINTR] honours the kernel's restart policy
     ([Kernel.Syscalls.restartable]): on a call the scheduler would
     transparently re-issue, the injection becomes an invisible restart
     and the call passes down; only sleepus-class calls surface a blind
-    EINTR.  Both charge the interception cost on the injected-error
-    path, so a faulted call is never cheaper than a successful one.
-    When [Obs] is enabled, every injection bumps the exact [injected]
-    metrics counter and drops a [~kind:"inject"] mark on the trap's
-    span.
+    EINTR.  The injected-error path charges the interception cost, so a
+    faulted call is never cheaper than a successful one.  When [Obs] is
+    enabled, every injection bumps the exact [injected] metrics counter
+    and drops a [~kind:"inject"] mark on the trap's span.
 
-    Declared delta: the configuration restated as a mask — [May_fail]
-    over the candidate calls with the configured errno(s), [May_delay]
-    for [Delay] sites.  Restart-absorbed EINTR needs no mask: the
-    application-visible span still succeeds. *)
+    Declared delta: the plan restated as a mask — [May_fail] over each
+    [Fail] site's call with its errno, [May_delay] for [Delay] sites.
+    Restart-absorbed EINTR needs no mask: the application-visible span
+    still succeeds. *)
 
 (** What to do to a matched call. *)
 type action =
@@ -46,51 +43,18 @@ type site = {
 val site : ?pid:int -> ?kth:int -> int -> action -> site
 (** [site ~pid ~kth num action]; [pid] and [kth] default to 0. *)
 
-type config = {
-  seed : int;
-  failure_rate : float;     (** probability per candidate call, 0..1 *)
-  errno : Abi.Errno.t;      (** what the victim sees *)
-  candidates : int list;    (** syscall numbers eligible for injection;
-                                duplicates are absorbed *)
-}
-
-val default_config : config
-(** seed 1, rate 0.1, [EIO], on read/write/open. *)
-
-class agent : config -> object
+class agent : plan:site list -> object
   inherit Toolkit.numeric_syscall
 
-  method injected : (int * int) list
-  (** (syscall number, count) of faults surfaced so far. *)
-
   method total_injected : int
+  (** Faults surfaced to the application so far. *)
 
   method restarted : int
   (** Injected [EINTR]s the restart policy absorbed (the call was
       re-issued instead of failed). *)
-end
-
-val create : config -> agent
-
-class planned : plan:site list -> object
-  inherit Toolkit.numeric_syscall
-
-  method plan : site list
-
-  method injected : (int * int) list
-  (** (syscall number, count) of faults surfaced so far. *)
-
-  method total_injected : int
-
-  method restarted : int
-  (** Injected [EINTR]s the restart policy absorbed. *)
 
   method delayed : int
   (** [Delay] sites that fired. *)
-
-  method matches : (int * int) list
-  (** Per-site (index in plan order, matching calls seen) —
-      the ordinal bookkeeping behind [s_kth]. *)
 end
 
-val create_planned : site list -> planned
+val create : site list -> agent

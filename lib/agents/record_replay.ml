@@ -18,41 +18,11 @@ type entry = {
   e_out : string;
 }
 
-let quote s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      if c = ' ' || c = '%' || c = '\n' || Char.code c < 32
-         || Char.code c > 126
-      then Buffer.add_string b (Printf.sprintf "%%%02x" (Char.code c))
-      else Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let unquote s =
-  let b = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec go i =
-    if i < n then
-      if s.[i] = '%' && i + 2 < n then begin
-        (match int_of_string_opt ("0x" ^ String.sub s (i + 1) 2) with
-         | Some c -> Buffer.add_char b (Char.chr (c land 0xff))
-         | None -> Buffer.add_char b s.[i]);
-        go (i + 3)
-      end
-      else begin
-        Buffer.add_char b s.[i];
-        go (i + 1)
-      end
-  in
-  go 0;
-  Buffer.contents b
-
 (* the out field carries a '=' marker so an empty payload still
    occupies its column *)
 let entry_line e =
   Printf.sprintf "J %d %d %d %d %d =%s\n" e.e_pid e.e_num e.e_r0 e.e_r1
-    e.e_err (quote e.e_out)
+    e.e_err (Dfs_record.quote e.e_out)
 
 let parse_line line =
   match String.split_on_char ' ' (String.trim line) with
@@ -65,7 +35,8 @@ let parse_line line =
        when String.length out > 0 && out.[0] = '=' ->
        Some
          { e_pid; e_num; e_r0; e_r1; e_err;
-           e_out = unquote (String.sub out 1 (String.length out - 1)) }
+           e_out =
+             Dfs_record.unquote (String.sub out 1 (String.length out - 1)) }
      | _ -> None)
   | _ -> None
 

@@ -30,18 +30,6 @@ let default_policy = {
   emulate_denied = false;
 }
 
-let has_prefix prefix path =
-  prefix = "/"
-  || path = prefix
-  || (String.length path > String.length prefix
-      && String.sub path 0 (String.length prefix) = prefix
-      && path.[String.length prefix] = '/')
-
-let allowed prefixes path =
-  match prefixes with
-  | [] -> false
-  | _ -> List.exists (fun p -> has_prefix p path) prefixes
-
 (* Enforces the write budget on every tracked descriptor. *)
 class budget_object (dl : Toolkit.Downlink.t) (note : int -> bool) =
   object
@@ -88,9 +76,9 @@ class agent (policy : policy) =
       violations <- what :: violations
 
     method private readable_path path =
-      policy.readable = [] || allowed policy.readable path
+      policy.readable = [] || Subtree.mem policy.readable path
 
-    method private writable_path path = allowed policy.writable path
+    method private writable_path path = Subtree.mem policy.writable path
 
     (* hide everything outside the readable set *)
     method! getpn path =
@@ -203,7 +191,7 @@ class agent (policy : policy) =
       end
 
     method! sys_execve path argv envp =
-      if allowed policy.executable path then super#sys_execve path argv envp
+      if Subtree.mem policy.executable path then super#sys_execve path argv envp
       else begin
         self#violate (Printf.sprintf "execve %s" path);
         Error Errno.EPERM

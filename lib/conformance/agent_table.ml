@@ -60,32 +60,20 @@ let ps () =
     (Kernel.Kstate.live_procs (Kernel.current_exn ()));
   Buffer.contents b
 
-(* a random rate, or a deterministic plan ("read#3=fail:EIO"; none is
-   the empty plan) *)
+(* a deterministic plan ("read#3=fail:EIO"; none is the empty plan) *)
 let faultinject arg =
-  match float_of_string_opt arg with
-  | Some r when r >= 0.0 && r <= 1.0 ->
-    let config = { Agents.Faultinject.default_config with failure_rate = r } in
+  match if arg = "" then Ok [] else Fault.Plan.of_spec arg with
+  | Error msg -> Error ("plan: " ^ msg)
+  | Ok plan ->
     Ok
       (reporting
-         (fun () -> Agents.Faultinject.create config)
+         (fun () -> Agents.Faultinject.create plan)
          (fun a ->
            say
-             (Printf.sprintf "faultinject: %d fault(s) injected\n"
-                a#total_injected)))
-  | _ -> (
-    match if arg = "" then Ok [] else Fault.Plan.of_spec arg with
-    | Error msg -> Error ("plan: " ^ msg)
-    | Ok plan ->
-      Ok
-        (reporting
-           (fun () -> Agents.Faultinject.create_planned plan)
-           (fun a ->
-             say
-               (Printf.sprintf
-                  "faultinject: %d fault(s) injected, %d EINTR restarted, \
-                   %d delayed\n"
-                  a#total_injected a#restarted a#delayed))))
+             (Printf.sprintf
+                "faultinject: %d fault(s) injected, %d EINTR restarted, \
+                 %d delayed\n"
+                a#total_injected a#restarted a#delayed)))
 
 let row ?(aliases = []) name usage parse = { name; aliases; usage; parse }
 
@@ -165,7 +153,7 @@ let rows =
     row "obs" "obs[:MOUNT]" (fun arg ->
       let mount = or_default "/obs" arg in
       Ok (quietly (fun () -> Agents.Obs_fs.create ~mount ())));
-    row "faultinject" "faultinject[:RATE|:PLAN]" faultinject ]
+    row "faultinject" "faultinject[:PLAN]" faultinject ]
 
 let of_spec spec =
   let name, arg =

@@ -57,7 +57,7 @@ let faultinject = stack "faultinject" [ "faultinject" ]
 class undeclared_fault =
   object
     inherit
-      Agents.Faultinject.planned
+      Agents.Faultinject.agent
         ~plan:
           [
             Agents.Faultinject.site ~kth:2 Sysno.sys_read

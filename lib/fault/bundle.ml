@@ -1,21 +1,22 @@
 (* Repro bundles: everything needed to replay a failing campaign case
    deterministically, in one line-oriented text file.
 
-     # interpose fault repro bundle v1
+     # interpose fault repro bundle v2
      W <workload>            what to run
      O <outcome>             the classification being reproduced
      D <detail>              human detail line (rest of line verbatim)
      E <status>              pid 1 wait status of the failing run
      H output <hex>          FNV-1a digest of the output artifact
      H console <hex>         FNV-1a digest of the console
-     F <pid> <num> <kth> <action>   the (shrunk) injection plan
+     F <site>                one site of the (shrunk) injection plan,
+                             as a Plan spec: F read#4=fail:EIO
      J ...                   record_replay journal lines, verbatim
 
    Replaying = same workload + same plan + inputs pinned by the
    journal; byte-identical means outcome, status and both digests
    match the recorded ones. *)
 
-let header = "# interpose fault repro bundle v1"
+let header = "# interpose fault repro bundle v2"
 
 (* FNV-1a, 64-bit: tiny, dependency-free, and stable across runs —
    enough to certify byte-identity of replays (this is an integrity
@@ -64,7 +65,10 @@ let to_string b =
   Buffer.add_string buf (Printf.sprintf "E %d\n" b.b_status);
   Buffer.add_string buf (Printf.sprintf "H output %s\n" b.b_output_hash);
   Buffer.add_string buf (Printf.sprintf "H console %s\n" b.b_console_hash);
-  Buffer.add_string buf (Plan.to_string b.b_sites);
+  List.iter
+    (fun site ->
+      Buffer.add_string buf (Printf.sprintf "F %s\n" (Plan.to_spec [ site ])))
+    b.b_sites;
   Buffer.add_string buf b.b_journal;
   Buffer.contents buf
 
@@ -104,9 +108,9 @@ let of_string text =
         | [ "console"; h ] -> con_hash := Some h
         | _ -> bad := Some ("bad digest line: " ^ line))
       else if String.length line > 2 && String.sub line 0 2 = "F " then (
-        match Plan.site_of_string line with
-        | Some s -> sites := s :: !sites
-        | None -> bad := Some ("bad plan line: " ^ line))
+        match Plan.of_spec (after "F " line) with
+        | Ok [ s ] -> sites := s :: !sites
+        | Ok _ | Error _ -> bad := Some ("bad plan line: " ^ line))
       else if String.length line > 2 && String.sub line 0 2 = "J " then (
         Buffer.add_string journal line;
         Buffer.add_char journal '\n')

@@ -17,7 +17,10 @@ type run = {
   r_desyncs : int;
 }
 
-let execute (w : Workloads.Table.workload) ~mode ~sites =
+(* One session of [w] under [sites], classified against [clean] (the
+   run's own report when none is given: a fault-free run is its own
+   reference). *)
+let execute ?clean (w : Workloads.Table.workload) ~mode sites =
   let k = Workloads.Table.prepare w.w_setup in
   let recorder =
     match mode with
@@ -29,7 +32,7 @@ let execute (w : Workloads.Table.workload) ~mode ~sites =
     | Replay journal -> Some (Agents.Record_replay.create_replayer ~journal)
     | Bare | Record -> None
   in
-  let agent = create_planned sites in
+  let agent = create sites in
   (* recorder/replayer sit below the injector: the journal holds what
      the kernel answered, and injected faults replay from the
      injector's own deterministic bookkeeping, not from the journal *)
@@ -41,40 +44,23 @@ let execute (w : Workloads.Table.workload) ~mode ~sites =
       w.w_body ())
   in
   let report = Oracle.observe k ~status ~output_path:w.w_output in
-  ( report,
-    (match recorder with Some r -> r#journal | None -> ""),
-    agent,
-    match replayer with Some r -> r#desyncs | None -> 0 )
-
-let run_plan ?(mode = Record) ~clean w sites =
-  let report, journal, agent, desyncs = execute w ~mode ~sites in
-  let outcome, detail = Oracle.classify ~clean report in
+  let outcome, detail =
+    Oracle.classify ~clean:(Option.value clean ~default:report) report
+  in
   {
     r_sites = sites;
     r_outcome = outcome;
     r_detail = detail;
     r_report = report;
-    r_journal = journal;
+    r_journal = (match recorder with Some r -> r#journal | None -> "");
     r_injected = agent#total_injected;
     r_restarted = agent#restarted;
     r_delayed = agent#delayed;
-    r_desyncs = desyncs;
+    r_desyncs = (match replayer with Some r -> r#desyncs | None -> 0);
   }
 
-let clean_run ?(mode = Bare) w =
-  let report, journal, agent, desyncs = execute w ~mode ~sites:[] in
-  let outcome, detail = Oracle.classify ~clean:report report in
-  {
-    r_sites = [];
-    r_outcome = outcome;
-    r_detail = detail;
-    r_report = report;
-    r_journal = journal;
-    r_injected = agent#total_injected;
-    r_restarted = agent#restarted;
-    r_delayed = agent#delayed;
-    r_desyncs = desyncs;
-  }
+let run_plan ?(mode = Record) ~clean w sites = execute ~clean w ~mode sites
+let clean_run ?(mode = Bare) w = execute w ~mode []
 
 (* --- site discovery from an obs-profiled fault-free run ------------------------ *)
 
@@ -96,7 +82,7 @@ let baseline ?(candidates = default_candidates) w =
   let was_enabled = Obs.enabled () in
   Obs.reset ();
   Obs.enable ();
-  let report, journal, agent, desyncs = execute w ~mode:Record ~sites:[] in
+  let b_run = clean_run ~mode:Record w in
   let m = Obs.metrics () in
   Obs.disable ();
   Obs.reset ();
@@ -109,22 +95,7 @@ let baseline ?(candidates = default_candidates) w =
         else None)
       m.Obs.m_syscalls
   in
-  let outcome, detail = Oracle.classify ~clean:report report in
-  {
-    b_run =
-      {
-        r_sites = [];
-        r_outcome = outcome;
-        r_detail = detail;
-        r_report = report;
-        r_journal = journal;
-        r_injected = agent#total_injected;
-        r_restarted = agent#restarted;
-        r_delayed = agent#delayed;
-        r_desyncs = desyncs;
-      };
-    b_profile = profile;
-  }
+  { b_run; b_profile = profile }
 
 (* first, middle and last occurrence of each discovered call — the
    cheap ends-and-middle probe of the call stream *)

@@ -1,11 +1,11 @@
 open Abi
 open Agents.Faultinject
 
-(* One site per line:  F <pid> <sysno> <kth> <action>
-   with <action> one of  fail:<ERRNO>  |  delay:<US>
-   pid 0 = any process, kth 0 = every matching call.  The same line
-   grammar serves plan files, repro bundles and the agentrun
-   faultinject:PLAN spec (there ';' separates sites). *)
+(* One site:  [pid@]sysname[#k]=<action>  with <action> one of
+   fail:<ERRNO> | delay:<US>; a plan joins sites with ';', e.g.
+   "read#3=fail:EIO;2@write=delay:500".  No pid = any process (pid 0),
+   no #k = every matching call (kth 0).  The one grammar serves the
+   agentrun faultinject:PLAN argument, repro bundles and reports. *)
 
 let action_to_string = function
   | Fail e -> "fail:" ^ Errno.name e
@@ -25,42 +25,6 @@ let action_of_string s =
         | _ -> None)
      | _ -> None)
 
-let site_to_string s =
-  Printf.sprintf "F %d %d %d %s" s.s_pid s.s_num s.s_kth
-    (action_to_string s.s_action)
-
-let site_of_string line =
-  match String.split_on_char ' ' (String.trim line) with
-  | [ "F"; pid; num; kth; action ] ->
-    (match
-       ( int_of_string_opt pid, int_of_string_opt num,
-         int_of_string_opt kth, action_of_string action )
-     with
-     | Some s_pid, Some s_num, Some s_kth, Some s_action
-       when s_pid >= 0 && s_num >= 0 && s_kth >= 0 ->
-       Some { s_pid; s_num; s_kth; s_action }
-     | _ -> None)
-  | _ -> None
-
-let to_string sites =
-  String.concat "" (List.map (fun s -> site_to_string s ^ "\n") sites)
-
-let of_string text =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest ->
-      let line = String.trim line in
-      if line = "" || line.[0] = '#' then go acc rest
-      else
-        (match site_of_string line with
-         | Some s -> go (s :: acc) rest
-         | None -> Error (Printf.sprintf "bad plan line %S" line))
-  in
-  go [] (String.split_on_char '\n' text)
-
-(* The compact one-liner used on the agentrun command line:
-   sites separated by ';', each  [pid@]sysname[#k]=action  e.g.
-   "read#3=fail:EIO;2@write=delay:500". *)
 let site_of_spec spec =
   let pid, rest =
     match String.index_opt spec '@' with
@@ -99,12 +63,18 @@ let of_spec spec =
   in
   if parts = [] then Error "empty plan spec" else go [] parts
 
-let describe_site s =
-  let where =
-    if s.s_pid = 0 then Call.name s.s_num
-    else Printf.sprintf "pid %d %s" s.s_pid (Call.name s.s_num)
+(* A site no spec can carry (a number with no [Call] name, a negative
+   pid, ordinal or delay) fails here rather than write a line that
+   [of_spec] refuses or reads back as another site. *)
+let site_to_spec s =
+  let spec =
+    (if s.s_pid = 0 then "" else Printf.sprintf "%d@" s.s_pid)
+    ^ Call.name s.s_num
+    ^ (if s.s_kth = 0 then "" else Printf.sprintf "#%d" s.s_kth)
+    ^ "=" ^ action_to_string s.s_action
   in
-  let which =
-    if s.s_kth = 0 then "every call" else Printf.sprintf "call #%d" s.s_kth
-  in
-  Printf.sprintf "%s %s %s" (action_to_string s.s_action) where which
+  if site_of_spec spec <> Some s then
+    invalid_arg (Printf.sprintf "Plan.to_spec: no spec reads back as %S" spec);
+  spec
+
+let to_spec sites = String.concat ";" (List.map site_to_spec sites)

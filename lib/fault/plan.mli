@@ -1,27 +1,19 @@
-(** Serialized deterministic injection plans.
+(** The text form of deterministic injection plans.
 
-    A plan is a list of {!Agents.Faultinject.site}s.  The file form is
-    one site per line:
-
-    {v F <pid> <sysno> <kth> fail:<ERRNO>|delay:<US> v}
-
-    ([pid] 0 = any process, [kth] 0 = every matching call).  The same
-    grammar appears inside repro bundles; the command line uses the
-    compact {!of_spec} form
-    [ [pid@]sysname[#k]=fail:ERRNO|delay:US[;...] ], e.g.
-    ["read#3=fail:EIO;2@write=delay:500"]. *)
-
-val site_to_string : Agents.Faultinject.site -> string
-val site_of_string : string -> Agents.Faultinject.site option
-
-val to_string : Agents.Faultinject.site list -> string
-(** One ["F ..."] line per site, newline-terminated. *)
-
-val of_string : string -> (Agents.Faultinject.site list, string) result
-(** Inverse of {!to_string}; blank lines and [#] comments skipped. *)
+    A plan is a list of {!Agents.Faultinject.site}s, written as specs
+    separated by [;], each [ [pid@]sysname[#k]=fail:ERRNO|delay:US ]
+    ([pid] absent = any process, [#k] absent = every matching call),
+    e.g. ["read#3=fail:EIO;2@write=delay:500"].  It is the one text
+    form of a site: [agentrun -a faultinject:SPEC] takes it, repro
+    bundles store it, and campaign reports print it, so any printed
+    site can be pasted back on the command line. *)
 
 val of_spec : string -> (Agents.Faultinject.site list, string) result
-(** Parse the command-line plan spec (sites separated by [;]). *)
+(** Parse a plan spec; blank sites between [;]s are skipped, an empty
+    plan is an error. *)
 
-val describe_site : Agents.Faultinject.site -> string
-(** Human one-liner, e.g. ["fail:EIO read call #3"]. *)
+val to_spec : Agents.Faultinject.site list -> string
+(** The inverse of {!of_spec}: [of_spec (to_spec sites) = Ok sites]
+    for every nonempty [sites].  Raises [Invalid_argument] on a site
+    no spec can carry: a syscall number with no name, or a negative
+    pid, ordinal or delay. *)

@@ -1118,76 +1118,6 @@ let test_wire_slots_never_written () =
   Alcotest.(check bool) "traps watched" true (watch#traps > 0);
   Alcotest.(check int) "traps whose wire a layer wrote" 0 watch#written
 
-(* --- fault injection --------------------------------------------------------------- *)
-
-let test_faultinject_zero_rate_transparent () =
-  let agent =
-    Agents.Faultinject.create
-      { Agents.Faultinject.default_config with failure_rate = 0.0 }
-  in
-  let _, status =
-    boot_under_agent agent (fun () ->
-      ignore (check_ok "w" (Libc.Stdio.write_file "/tmp/f" "fine"));
-      match Libc.Stdio.read_file "/tmp/f" with
-      | Ok "fine" -> 0
-      | Ok _ | Error _ -> 1)
-  in
-  check_exit "0% rate is a no-op" 0 status;
-  Alcotest.(check int) "nothing injected" 0 agent#total_injected
-
-let test_faultinject_injects_and_records () =
-  let agent =
-    Agents.Faultinject.create
-      { Agents.Faultinject.seed = 7;
-        failure_rate = 0.5;
-        errno = Errno.EIO;
-        candidates = [ Sysno.sys_read ] }
-  in
-  let failures = ref 0 in
-  let _, status =
-    boot_under_agent agent (fun () ->
-      ignore (check_ok "w" (Libc.Stdio.write_file "/tmp/f" "x"));
-      for _ = 1 to 40 do
-        match Libc.Stdio.read_file "/tmp/f" with
-        | Ok _ -> ()
-        | Error Errno.EIO -> incr failures
-        | Error _ -> Libc.Unistd._exit 9
-      done;
-      0)
-  in
-  check_exit "survives faults" 0 status;
-  Alcotest.(check bool) "some faults seen" true (!failures > 5);
-  Alcotest.(check int) "agent counted them" !failures agent#total_injected;
-  Alcotest.(check bool) "only reads were hit" true
-    (List.for_all (fun (num, _) -> num = Sysno.sys_read) agent#injected)
-
-let test_faultinject_deterministic () =
-  let run () =
-    let agent =
-      Agents.Faultinject.create
-        { Agents.Faultinject.seed = 99;
-          failure_rate = 0.3;
-          errno = Errno.ENOSPC;
-          candidates = [ Sysno.sys_write ] }
-    in
-    let outcomes = Buffer.create 64 in
-    let _ =
-      boot_under_agent agent (fun () ->
-        let fd =
-          check_ok "open"
-            (Libc.Unistd.open_ "/tmp/f" Flags.Open.(o_wronly lor o_creat) 0o644)
-        in
-        for _ = 1 to 30 do
-          match Libc.Unistd.write fd "data" with
-          | Ok _ -> Buffer.add_char outcomes 'o'
-          | Error _ -> Buffer.add_char outcomes 'x'
-        done;
-        0)
-    in
-    Buffer.contents outcomes
-  in
-  Alcotest.(check string) "same seed, same fault pattern" (run ()) (run ())
-
 (* --- record codec ----------------------------------------------------------------------- *)
 
 let test_dfs_record_roundtrip =
@@ -1335,13 +1265,6 @@ let () =
           test_foreign_fails_without_agent;
         Alcotest.test_case "VOS under remap" `Quick
           test_foreign_runs_under_remap ];
-      "faultinject",
-      [ Alcotest.test_case "zero rate" `Quick
-          test_faultinject_zero_rate_transparent;
-        Alcotest.test_case "injects + records" `Quick
-          test_faultinject_injects_and_records;
-        Alcotest.test_case "deterministic" `Quick
-          test_faultinject_deterministic ];
       "record-replay",
       [ Alcotest.test_case "pins inputs" `Quick
           test_record_then_replay_pins_inputs;

@@ -638,7 +638,8 @@ let test_bad_specs () =
       | Ok _ -> Alcotest.failf "accepted %S" spec
       | Error _ -> ())
     [ "nosuch"; "remap:1"; "timex:soon"; "sandbox:lax"; "txn:maybe";
-      "crypt:k@/vault"; "union:/proj"; "faultinject:read#3=explode" ];
+      "crypt:k@/vault"; "union:/proj"; "faultinject:read#3=explode";
+      "faultinject:0.5" ];
   (* a trace file that cannot be opened fails the build in the session *)
   match Agent_table.of_spec "trace:/nodir/trace.log" with
   | Error msg -> Alcotest.fail msg

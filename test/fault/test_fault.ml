@@ -1,4 +1,4 @@
-(* The fault-campaign subsystem: plan serialization, the plan-driven
+(* The fault-campaign subsystem: the plan spec, the plan-driven
    injector's determinism, the divergence oracles' four-way
    classification, plan shrinking, and repro bundles replaying
    byte-identically. *)
@@ -7,18 +7,7 @@ open Abi
 open Tharness
 module F = Agents.Faultinject
 
-(* --- plan serialization ------------------------------------------------ *)
-
-let test_plan_roundtrip () =
-  let sites =
-    [ F.site ~kth:3 Sysno.sys_read (F.Fail Errno.EIO);
-      F.site ~pid:2 Sysno.sys_write (F.Fail Errno.ENOSPC);
-      F.site ~kth:1 Sysno.sys_sleepus (F.Fail Errno.EINTR);
-      F.site Sysno.sys_open (F.Delay 500) ]
-  in
-  match Fault.Plan.of_string (Fault.Plan.to_string sites) with
-  | Ok parsed -> Alcotest.(check bool) "round-trips" true (parsed = sites)
-  | Error msg -> Alcotest.failf "plan did not parse back: %s" msg
+(* --- the plan spec ------------------------------------------------ *)
 
 let test_plan_spec () =
   match Fault.Plan.of_spec "read#3=fail:EIO;2@write=delay:500" with
@@ -54,11 +43,21 @@ let site_gen =
     in
     return (F.site ~pid ~kth num action))
 
-let test_plan_roundtrip_qcheck =
-  QCheck.Test.make ~name:"plan line round-trip" ~count:300
-    (QCheck.make site_gen)
+let test_plan_spec_roundtrip =
+  QCheck.Test.make ~name:"spec round-trip" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 4) site_gen))
+    (fun sites -> Fault.Plan.of_spec (Fault.Plan.to_spec sites) = Ok sites)
+
+(* a site no spec can carry is refused, never printed *)
+let test_to_spec_refuses_unnamed () =
+  List.iter
     (fun s ->
-      Fault.Plan.site_of_string (Fault.Plan.site_to_string s) = Some s)
+      match Fault.Plan.to_spec [ s ] with
+      | text -> Alcotest.failf "printed an unreadable site as %S" text
+      | exception Invalid_argument _ -> ())
+    [ F.site (Call.max_sysno + 1) (F.Fail Errno.EIO);
+      F.site ~kth:(-1) Sysno.sys_read (F.Fail Errno.EIO);
+      F.site Sysno.sys_read (F.Delay (-5)) ]
 
 (* --- the plan-driven injector ------------------------------------------- *)
 
@@ -73,7 +72,7 @@ let read_outcomes fd n =
          | Error e -> Errno.name e ^ ";"))
 
 let test_kth_read_exactly () =
-  let agent = F.create_planned [ F.site ~kth:3 Sysno.sys_read (F.Fail Errno.EIO) ] in
+  let agent = F.create [ F.site ~kth:3 Sysno.sys_read (F.Fail Errno.EIO) ] in
   let outcomes = ref "" in
   let _, status =
     boot_under_agent agent (fun () ->
@@ -96,7 +95,7 @@ let test_ls_second_getdirentries_fails () =
     | Ok plan -> plan
     | Error msg -> Alcotest.failf "spec did not parse: %s" msg
   in
-  let agent = F.create_planned plan in
+  let agent = F.create plan in
   let k = fresh_kernel () in
   Workloads.Progs.install_all k;
   (* 40 sixteen-byte records and "." and ".." overflow one 512-byte
@@ -116,7 +115,7 @@ let test_ls_second_getdirentries_fails () =
 
 let test_pid_scoped_site () =
   (* pid 2 (the child) sees the fault, pid 1 does not *)
-  let agent = F.create_planned [ F.site ~pid:2 ~kth:1 Sysno.sys_read (F.Fail Errno.EIO) ] in
+  let agent = F.create [ F.site ~pid:2 ~kth:1 Sysno.sys_read (F.Fail Errno.EIO) ] in
   let _, status =
     boot_under_agent agent (fun () ->
       ignore (check_ok "w" (Libc.Stdio.write_file "/tmp/f" "data"));
@@ -137,16 +136,16 @@ let test_pid_scoped_site () =
   check_exit "child faulted, parent clean" 0 status
 
 let test_duplicated_candidates () =
-  (* regression: duplicated/overlapping candidate lists must not skew
-     interests or bookkeeping — one bitset is the single truth source *)
+  (* regression: a plan that repeats a call's sites must not skew
+     interests or bookkeeping — one bitset is the single truth source,
+     and the first matching site alone fires on a trap *)
   let agent =
     F.create
-      { F.seed = 5;
-        failure_rate = 1.0;
-        errno = Errno.EIO;
-        candidates =
-          [ Sysno.sys_read; Sysno.sys_read; Sysno.sys_write;
-            Sysno.sys_read; Sysno.sys_write ] }
+      [ F.site Sysno.sys_read (F.Fail Errno.EIO);
+        F.site Sysno.sys_read (F.Fail Errno.EIO);
+        F.site Sysno.sys_write (F.Fail Errno.EIO);
+        F.site Sysno.sys_read (F.Fail Errno.EIO);
+        F.site Sysno.sys_write (F.Fail Errno.EIO) ]
   in
   let failures = ref 0 in
   let _, status =
@@ -166,13 +165,14 @@ let test_duplicated_candidates () =
        (List.filter
           (fun n -> n = Sysno.sys_read || n = Sysno.sys_write)
           interests));
+  Alcotest.(check int) "the write and the read failed" 2 !failures;
   Alcotest.(check int) "each failure counted once" !failures
     agent#total_injected
 
 let test_eintr_restart_pair () =
   (* an injected EINTR on read is invisibly restarted (BSD restart
      policy); on sleepus it surfaces, as from a real interruption *)
-  let agent = F.create_planned [ F.site ~kth:1 Sysno.sys_read (F.Fail Errno.EINTR) ] in
+  let agent = F.create [ F.site ~kth:1 Sysno.sys_read (F.Fail Errno.EINTR) ] in
   let _, status =
     boot_under_agent agent (fun () ->
       ignore (check_ok "w" (Libc.Stdio.write_file "/tmp/f" "data"));
@@ -184,7 +184,7 @@ let test_eintr_restart_pair () =
   check_exit "read restarted, app saw data" 0 status;
   Alcotest.(check int) "policy absorbed it" 1 agent#restarted;
   Alcotest.(check int) "nothing surfaced" 0 agent#total_injected;
-  let agent = F.create_planned [ F.site ~kth:1 Sysno.sys_sleepus (F.Fail Errno.EINTR) ] in
+  let agent = F.create [ F.site ~kth:1 Sysno.sys_sleepus (F.Fail Errno.EINTR) ] in
   let _, status =
     boot_under_agent agent (fun () ->
       match Libc.Unistd.sleep_us 5_000 with
@@ -207,7 +207,7 @@ let test_epipe_never_restarted () =
   Alcotest.(check bool) "EPIPE send does not" false
     (Kernel.Syscalls.restartable ~errno:Errno.EPIPE Sysno.sys_send);
   let agent =
-    F.create_planned [ F.site ~kth:1 Sysno.sys_write (F.Fail Errno.EPIPE) ]
+    F.create [ F.site ~kth:1 Sysno.sys_write (F.Fail Errno.EPIPE) ]
   in
   let _, status =
     boot_under_agent agent (fun () ->
@@ -232,7 +232,7 @@ let test_injected_failure_charges_time () =
   (* a faulted read must not be cheaper than the interception it rode
      in on: the injected-error path charges the intercept cost *)
   let session with_read =
-    let agent = F.create_planned [ F.site ~kth:1 Sysno.sys_read (F.Fail Errno.EIO) ] in
+    let agent = F.create [ F.site ~kth:1 Sysno.sys_read (F.Fail Errno.EIO) ] in
     let k = fresh_kernel () in
     Kernel.write_file k ~path:"/tmp/f" "data";
     let _ =
@@ -258,7 +258,7 @@ let test_injected_failure_charges_time () =
 let test_delay_charges_latency () =
   let delay = 10_000 in
   let session sites =
-    let agent = F.create_planned sites in
+    let agent = F.create sites in
     let k = fresh_kernel () in
     Kernel.write_file k ~path:"/tmp/f" "data";
     let _ =
@@ -279,7 +279,7 @@ let test_delay_charges_latency () =
 let test_planned_deterministic () =
   let run () =
     let agent =
-      F.create_planned
+      F.create
         [ F.site ~kth:2 Sysno.sys_read (F.Fail Errno.EIO);
           F.site ~kth:4 Sysno.sys_read (F.Fail Errno.ENOENT) ]
     in
@@ -548,14 +548,19 @@ let test_bundle_rejects_garbage () =
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "bundle %S should not parse" text)
     [ "W scribe\n"; "O wrong-result\nE 0\n"; "W scribe\nO nonsense\nE 0\n";
-      "W scribe\nO crash\nE 0\nH output zz\nH console zz\nX what\n" ]
+      "W scribe\nO crash\nE 0\nH output zz\nH console zz\nX what\n";
+      (* a v1 plan line: sites are specs since v2 *)
+      "W scribe\nO crash\nE 0\nH output zz\nH console zz\n\
+       F 0 3 4 fail:EIO\n";
+      "W scribe\nO crash\nE 0\nH output zz\nH console zz\n\
+       F read=fail:EIO;write=fail:EIO\n" ]
 
 (* --- obs integration ------------------------------------------------------- *)
 
 let test_obs_counts_injections () =
   Obs.reset ();
   Obs.enable ();
-  let agent = F.create_planned [ F.site ~kth:1 Sysno.sys_read (F.Fail Errno.EIO) ] in
+  let agent = F.create [ F.site ~kth:1 Sysno.sys_read (F.Fail Errno.EIO) ] in
   let _ =
     boot (fun () ->
       Toolkit.Loader.install agent ~argv:[||];
@@ -584,10 +589,11 @@ let qtest = QCheck_alcotest.to_alcotest
 let () =
   Alcotest.run "fault"
     [ "plan",
-      [ Alcotest.test_case "round-trip" `Quick test_plan_roundtrip;
-        Alcotest.test_case "spec form" `Quick test_plan_spec;
+      [ Alcotest.test_case "spec form" `Quick test_plan_spec;
         Alcotest.test_case "rejects garbage" `Quick test_plan_rejects_garbage;
-        qtest test_plan_roundtrip_qcheck ];
+        Alcotest.test_case "unreadable site refused" `Quick
+          test_to_spec_refuses_unnamed;
+        qtest test_plan_spec_roundtrip ];
       "injector",
       [ Alcotest.test_case "k-th call exactly" `Quick test_kth_read_exactly;
         Alcotest.test_case "pid-scoped site" `Quick test_pid_scoped_site;

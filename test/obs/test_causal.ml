@@ -983,7 +983,7 @@ let test_watch_examples_file_trips_on_campaign () =
   let rules = load_example_rules () in
   Alcotest.(check int) "five rules ship" 5 (List.length rules);
   Obs.reset ();
-  let agent = F.create_planned [ F.site Sysno.sys_read (F.Fail Errno.EIO) ] in
+  let agent = F.create [ F.site Sysno.sys_read (F.Fail Errno.EIO) ] in
   let k, status = boot_under_agent agent eio_workload in
   check_exit "campaign session" 0 status;
   Alcotest.(check bool) "the campaign injected" true (agent#total_injected >= 5);

@@ -11,7 +11,10 @@
 # file that opens the module (`open M`, `let open M`, `include M`,
 # `M.(`...`)`).  A same-named value of another module is not a caller.
 # Words inside comments and string literals do not count: a comment
-# or a string naming an export is not a caller.
+# or a string naming an export is not a caller.  Nor does a name in a
+# type position (an interface, a `type` item, a signature, an
+# annotation): a field `obs : Obs.engine` names the type, not the
+# value `Obs.engine`.
 # Tests do not count as callers: an export only tests reach is either
 # a test hook, which the allowlist says, or dead code.
 #
@@ -38,7 +41,9 @@ allow=tools/exports_allowlist.txt
 # the contents of its string literals blanked out first: comments
 # nest, and string and character literals are skipped whole, inside
 # comments as well as outside, as the OCaml lexer does; the lexer
-# state resets at each file's first line.  Of what is left, per file
+# state resets at each file's first line.  An .ml line then has its
+# type positions blanked too, and an .mli line is read only for its
+# vals.  Of what is left, per file
 # (extension dropped, so <m>.ml and <m>.mli are one module), the
 # words, the qualified names `M.v`, the opened modules and the local
 # module aliases are recorded, and every `val` of an .mli under lib/
@@ -48,11 +53,62 @@ set -- $(find lib bin bench perf examples \( -name '*.ml' -o -name '*.mli' \) \
   -not -path '*/_build/*' | sort)
 found=$(
   awk '
+    # The line of an .ml with its type positions blanked: a `type` item
+    # up to the next keyword that is not a type'"'"'s, a `sig ... end`, and
+    # an annotation from its `:` or `:>` up to the `=`, `;`, closing
+    # bracket or keyword that ends it.  The state carries over lines.
+    # A type position it misses still counts as a caller, which can
+    # hide a dead export, never invent one.
+    function untyped(s,    r, i, j, n, c, t) {
+      r = ""; n = length(s); i = 1
+      while (i <= n) {
+        c = substr(s, i, 1); j = i + 1
+        if (c ~ /[A-Za-z_]/) {
+          while (j <= n && substr(s, j, 1) ~ /[A-Za-z0-9_\047]/) j++
+          t = substr(s, i, j - i)
+          if (t ~ ends_type) tdef = ann = 0
+          # not `(type a)`, `: type a.` or `module type`
+          if (t == "type" && prev !~ /^(\(|:|module)$/) tdef = 1
+          if (t ~ /^(sig|struct|object|begin)$/) insig += blk[++nb] = t == "sig"
+          else if (t == "end" && nb > 0) insig -= blk[nb--]
+          # the `:` right after a label `~l` or `?l` is not an annotation
+          c = substr(s, i - 1, 1); label_end = c == "~" || c == "?" ? j : 0
+          prev = t
+        } else if (c == "\047" && substr(s, i + 2, 1) == "\047") {
+          j = i + 3
+        } else if (c == "\047" && substr(s, i + 1, 1) == "\\") {
+          j = i + 3
+          while (j <= n && substr(s, j, 1) != "\047") j++
+          j++
+        } else if (c == ":") {
+          t = substr(s, j, 1)
+          if (t == ":" || t == "=") j++
+          else if (label_end != i) { ann = 1; ad = 0 }
+          prev = c
+        } else if (c != " ") {
+          if (ann && c ~ /[([{]/) ad++
+          else if (ann && c ~ /[)\]}]/) { if (ad) ad--; else ann = 0 }
+          else if (ann && !ad && (c == "=" || c == ";")) ann = 0
+          prev = c
+        }
+        t = substr(s, i, j - i)
+        if (tdef || ann || insig) gsub(/./, " ", t)
+        r = r t; i = j
+      }
+      return r
+    }
+    BEGIN {
+      ends_type = "^(let|module|open|include|exception|external|class|val|" \
+        "method|initializer|struct|sig|object|begin|end|in|match|fun|" \
+        "function|if|then|else|try|while|for|do|with|when|assert|lazy|new)$"
+    }
     FNR == 1 {
       depth = 0; str = 0; sp = 0; pend = ""; next_is = ""; cur = 0
+      tdef = 0; nb = 0; insig = 0; ann = 0; ad = 0; prev = ""; label_end = 0
       f = FILENAME; sub(/\.mli?$/, "", f)
       fm = f; sub(/.*\//, "", fm); fm = toupper(substr(fm, 1, 1)) substr(fm, 2)
       mli = FILENAME ~ /^lib\/.*\.mli$/
+      intf = FILENAME ~ /\.mli$/
     }
     {
       line = $0; out = ""; n = length(line); i = 1
@@ -82,66 +138,72 @@ found=$(
         else out = out " "
         i += w
       }
+      # what can call a value: an interface names only types, and an
+      # implementation is read with its type positions blanked
+      vals = intf ? "" : untyped(out)
       # opens: `open M`, `open! M`, `let open A.M in`, `include M`
       # (the path'"'"'s last module), and local opens `M.(`, `M.[`, `M.{`
-      rest = out
+      rest = vals
       while (match(rest, /(^|[^A-Za-z0-9_\047.])(open!?|include)[ \t]+[A-Z][A-Za-z0-9_\047.]*/)) {
         m = substr(rest, RSTART, RLENGTH)
         rest = substr(rest, RSTART + RLENGTH)
         sub(/.*[ \t]/, "", m); sub(/.*\./, "", m)
         opened[f, m] = 1
       }
-      rest = out
+      rest = vals
       while (match(rest, /[A-Z][A-Za-z0-9_\047]*\.[([{]/)) {
         opened[f, substr(rest, RSTART, RLENGTH - 2)] = 1
         rest = substr(rest, RSTART + RLENGTH)
       }
       # aliases: `module X = A.M` makes `X.v` name `M.v`
-      if (match(out, /module[ \t]+[A-Z][A-Za-z0-9_\047]*[ \t]*=[ \t]*[A-Z][A-Za-z0-9_\047.]*/)) {
-        m = substr(out, RSTART, RLENGTH)
+      if (match(vals, /module[ \t]+[A-Z][A-Za-z0-9_\047]*[ \t]*=[ \t]*[A-Z][A-Za-z0-9_\047.]*/)) {
+        m = substr(vals, RSTART, RLENGTH)
         x = m; sub(/^module[ \t]+/, "", x); sub(/[ \t]*=.*/, "", x)
         sub(/.*[ \t=]/, "", m); sub(/.*\./, "", m)
         if (x != m) alias[f] = alias[f] " " x "=" m
       }
       # qualified names, the module the one right before the value
-      rest = out; off = 0
+      rest = vals; off = 0
       while (match(rest, /[A-Z][A-Za-z0-9_\047]*\.[a-z_][A-Za-z0-9_\047]*/)) {
-        pre = off + RSTART > 1 ? substr(out, off + RSTART - 1, 1) : ""
+        pre = off + RSTART > 1 ? substr(vals, off + RSTART - 1, 1) : ""
         if (pre !~ /[A-Za-z0-9_\047]/) qual[f, substr(rest, RSTART, RLENGTH)] = 1
         off += RSTART + RLENGTH - 1
         rest = substr(rest, RSTART + RLENGTH)
       }
-      while (match(out, /[A-Za-z_][A-Za-z0-9_\047]*/)) {
-        word = substr(out, RSTART, RLENGTH)
-        pre = RSTART > 1 ? substr(out, RSTART - 1, 1) : ""
-        out = substr(out, RSTART + RLENGTH)
+      while (match(vals, /[A-Za-z_][A-Za-z0-9_\047]*/)) {
+        word = substr(vals, RSTART, RLENGTH)
+        pre = RSTART > 1 ? substr(vals, RSTART - 1, 1) : ""
+        vals = substr(vals, RSTART + RLENGTH)
         # a label an .ml passes: `~l`, `~l:`, `?l`, `?l:`
-        if (!mli && (pre == "~" || pre == "?") && !((f, word) in passed)) {
+        if ((pre == "~" || pre == "?") && !((f, word) in passed)) {
           passed[f, word] = 1; lfiles[word] = lfiles[word] "|" f
-        }
-        # an .mli'"'"'s vals, each under the innermost `module X : sig`
-        # (the file'"'"'s module at top level), with the `?l` labels of
-        # their types; vals of module types and class types are not
-        # exports
-        if (mli) {
-          if (next_is == "val") {
-            named = fm; skip = 0; cur = 0
-            for (j = 1; j <= sp; j++)
-              if (stk[j] == "-") skip = 1; else named = stk[j]
-            if (!skip) { nv++; vfile[nv] = f; vname[nv] = word; vmod[nv] = named; cur = nv }
-          } else if (next_is == "module") pend = word == "type" ? "-" : word
-          else if (cur && pre == "?") vlabels[cur] = vlabels[cur] " " word
-          next_is = ""
-          if (word == "val" || word == "module") next_is = word
-          else if (word == "sig") { stk[++sp] = pend == "" ? "-" : pend; pend = "" }
-          else if (word == "object") stk[++sp] = "-"
-          else if (word == "end" && sp > 0) sp--
-          # any other item ends the val'"'"'s type
-          if (word ~ /^(type|module|end|exception|external|include|open|class)$/) cur = 0
         }
         if (!((f, word) in has)) {
           has[f, word] = 1; files[word] = files[word] "|" f
         }
+      }
+      # an .mli'"'"'s vals, each under the innermost `module X : sig`
+      # (the file'"'"'s module at top level), with the `?l` labels of
+      # their types; vals of module types and class types are not
+      # exports
+      while (mli && match(out, /[A-Za-z_][A-Za-z0-9_\047]*/)) {
+        word = substr(out, RSTART, RLENGTH)
+        pre = RSTART > 1 ? substr(out, RSTART - 1, 1) : ""
+        out = substr(out, RSTART + RLENGTH)
+        if (next_is == "val") {
+          named = fm; skip = 0; cur = 0
+          for (j = 1; j <= sp; j++)
+            if (stk[j] == "-") skip = 1; else named = stk[j]
+          if (!skip) { nv++; vfile[nv] = f; vname[nv] = word; vmod[nv] = named; cur = nv }
+        } else if (next_is == "module") pend = word == "type" ? "-" : word
+        else if (cur && pre == "?") vlabels[cur] = vlabels[cur] " " word
+        next_is = ""
+        if (word == "val" || word == "module") next_is = word
+        else if (word == "sig") { stk[++sp] = pend == "" ? "-" : pend; pend = "" }
+        else if (word == "object") stk[++sp] = "-"
+        else if (word == "end" && sp > 0) sp--
+        # any other item ends the val'"'"'s type
+        if (word ~ /^(type|module|end|exception|external|include|open|class)$/) cur = 0
       }
     }
     END {
