@@ -780,8 +780,8 @@ let make_words (stack : Conformance.stack) ~obs =
 
 (* kvd fork-per-connection under [Conformance.stacked]: unlike the make
    build, every request makes socket reads and writes, whose causal
-   bookkeeping runs on every trap, sampled or not, and every connection
-   a fork edge. *)
+   stamps are kept on every trap, sampled or not, and every connection
+   a fork origin; an edge is made only into a sampled trap. *)
 let kvd_words_params = { Workloads.Kvd.default_params with clients = 200 }
 
 let kvd_words ~obs =
@@ -900,22 +900,25 @@ let reap_max_ratio = 1.5
    an unsampled trap, so such a trap allocates nothing for obs; what
    remains is the sampled traps' spans, frames, segments and records,
    amortised over 256, and on kvd the exact pipe and socket stamps and
-   the edges they make.  Measured on make +0.58 (no agent) and +1.86
-   (trace) words/trap; before that work, +20.6 and +52.9.  kvd measures
-   +7.78 (+9.81 while a pipe read built a closure to walk the stamps and
+   the edges they make into sampled traps.  Measured on make +0.53 (no
+   agent) and +1.83 (trace) words/trap; before that work, +20.6 and
+   +52.9.  kvd measures +4.61 (+7.78 while every fork, signal and pipe
+   edge was pushed into the log, its destination sampled or not, and
+   each read into an unsampled trap built its detail string; +9.81
+   while a pipe read built a closure to walk the stamps and
    consed each writer it linked onto a list; +9.70 while every ring made
    its stamps queue at creation, obs on or off: the 4-word queue left
    the off column, 151.40 -> 151.25, and a 3-word one joined the sampled
    column, 161.10 -> 161.06; +12.56 while the edge detail's digit writer
    allocated a closure per number, +13.05 while an unsampled trap still
    boxed ring slots and hashed its sysno; DESIGN.md §3.4 splits it).  Its
-   ceiling sits at 17.8 (it was 19.7), set by the allocation probes' rule
-   of 10 words of headroom over +7.78. *)
+   ceiling sits at 14.6 (it was 17.8, and 19.7 before that), set by the
+   allocation probes' rule of 10 words of headroom over +4.61. *)
 let obs_unsampled_rate = 256
 let obs_unsampled_max_words =
   [ ("make", "none", make_words none, 1.0);
     ("make", "trace", make_words trace, 3.0);
-    ("kvd", Conformance.stacked.Conformance.sk_name, kvd_words, 17.8) ]
+    ("kvd", Conformance.stacked.Conformance.sk_name, kvd_words, 14.6) ]
 
 let ablations_schema =
   let open Report.Schema in
@@ -2357,10 +2360,11 @@ let causal fail =
     "cluster: %d cross-shard signal edge(s) over 2 shards, reproducible: %b\n"
     (List.length cross) cluster_repro;
   Report.print_note
-    "Causal edges are records of the one log, kept at any sampling\n\
-     rate at zero virtual cost: fork edges resolve at the child's first\n\
-     trap, signal edges at delivery (kill-originated, incl. cross-shard\n\
-     mail), pipe edges by byte-offset watermark (DESIGN.md 3.9).";
+    "Causal edges are records of the one log at zero virtual cost; at\n\
+     1-in-N it holds only edges into sampled traps: fork edges resolve\n\
+     at the child's first trap, signal edges at delivery (kill-originated,\n\
+     incl. cross-shard mail), pipe edges by byte-offset watermark\n\
+     (DESIGN.md 3.9).";
   let open Obs.Json in
   Obj
     [ ("name", Str "causal");

@@ -506,8 +506,8 @@ module Cluster = struct
   (* Besides the delivery payload, a signal mail carries its causal
      origin — (shard, span, pid) of the sender at [send] time — which
      the receiving shard's post files as the signal's half-edge
-     (DESIGN.md §3.9).  Its span may be a sampler sentinel; edge
-     recording keeps it verbatim. *)
+     (DESIGN.md §3.9).  Its span is 0 when the sender had no sampled
+     span open; edge recording keeps it verbatim. *)
   type event =
     | Post_signal of { pid : int; signal : int; origin : int * int * int }
 

@@ -221,7 +221,7 @@ module Cluster : sig
       agents communicate through the system interface, and the asynchronous
       half of that interface is exactly signal delivery).  [origin]
       stamps the sender's causal origin ([Obs.causal_origin]: shard,
-      innermost open span, possibly a sampler sentinel, and pid at
+      innermost open sampled span or 0, and pid at
       [send] time), which the receiving shard's post files as the
       signal's half-edge. *)
 

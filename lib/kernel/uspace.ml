@@ -207,9 +207,9 @@ let in_span (proc : Proc.t) span (env : Envelope.t) =
    Observation itself charges no virtual time. *)
 let instrumented (proc : Proc.t) ~sysno build arg =
   let span = Obs.span_begin ~pid:proc.pid ~sysno in
-  (* a fork child's first trap completes its fork edge, sampled or
-     not: an unsampled one is a sentinel endpoint, which slice and flow
-     views skip *)
+  (* a fork child's first trap takes its fork origin, and completes
+     the edge only if the trap is sampled: no edge goes into an
+     unsampled trap *)
   (match proc.forked_by with
    | Some origin ->
      proc.forked_by <- None;

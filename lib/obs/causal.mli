@@ -22,7 +22,8 @@ type edge = {
   ed_src_span : int;   (** 0 when no span was open at the source *)
   ed_src_pid : int;
   ed_shard : int;      (** recording (destination) shard *)
-  ed_dst_span : int;   (** negative sentinel when the sampler skipped it *)
+  ed_dst_span : int;   (** always a sampled span: the engine records no
+                           edge into an unsampled trap *)
   ed_dst_pid : int;
   ed_t_us : int;       (** virtual time the edge resolved, dst clock *)
   ed_seq : int;        (** the record's 1-based position in the

@@ -168,7 +168,8 @@ type engine = {
   mutable e_injected : int;
   (* which shard this engine belongs to, stamped into every causal
      edge it records (DESIGN.md §3.9).  The edges are [Span.Edge]
-     records of the ring: kept at any sampling rate, but raw records,
+     records of the ring, pushed only into a sampled trap, so at
+     1-in-N the log holds only edges into sampled traps; raw records,
      so the oldest go first when the ring wraps, counted in [dropped].
      Their pending halves live on the kernel objects they describe. *)
   mutable e_shard : int;
@@ -364,7 +365,11 @@ let innermost e pid =
     | { contents = [] } | (exception Not_found) -> 0
 
 (* An edge is a record of the one log; its [seq] is its position there
-   (the ring's [pushed] once it is in), monotone per engine. *)
+   (the ring's [pushed] once it is in), monotone per engine.  Both
+   callers push an edge only into a sampled span: like a segment or a
+   trace record, an edge into an unsampled trap would be a record every
+   reader drops.  The source may be unsampled or span-less; its pid
+   still names it. *)
 let emit_edge e ~kind ~src_shard ~src_span ~src_pid ~dst_span ~dst_pid ~detail =
   Ring.push e.e_ring
     (Span.Edge
@@ -394,7 +399,7 @@ let causal_origin pid =
 let causal_edge kind ~origin:(src_shard, src_span, src_pid) ~span ~pid
     ~detail =
   let e = !cur in
-  if e.e_on then
+  if e.e_on && span > 0 then
     emit_edge e ~kind ~src_shard ~src_span ~src_pid ~dst_span:span
       ~dst_pid:pid ~detail
 
@@ -490,7 +495,9 @@ let drop_oldest = function
   | Stamps { first = Nil; _ } | No_stamps -> ()
 
 (* One read's pass over a ring's stamps: one edge per distinct writer
-   span the bytes [\[lo, hi)] came from.  The first writer linked is
+   span the bytes [\[lo, hi)] came from, if the reader's span is
+   sampled; a read into an unsampled trap only drops the stamps it
+   used up, and builds no detail.  The first writer linked is
    held as the ints [span1] and [pid1] ([pid1] is -1 until then), so a
    read that links one writer, as nearly every read does, conses
    nothing; [seen] holds the later distinct ones.  Top level, so a
@@ -511,7 +518,7 @@ let rec consume e q ~chan ~lo ~hi ~dst_span ~pid ~span1 ~pid1 seen =
              ((w.w_span = span1 && w.w_pid = pid1)
               || seen_writer w.w_span w.w_pid seen)
       in
-      if fresh then
+      if fresh && dst_span > 0 then
         emit_edge e ~kind:Causal.Pipe ~src_shard:e.e_shard ~src_span:w.w_span
           ~src_pid:w.w_pid ~dst_span ~dst_pid:pid
           ~detail:

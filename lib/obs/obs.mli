@@ -273,10 +273,12 @@ val note_injected : unit -> unit
 
     The cross-process event graph (DESIGN.md §3.9): fork, signal and
     pipe edges between spans, recorded by kernel hooks as
-    {!Span.Edge} records of the flight recorder.  The sampler does not
-    thin them (an endpoint it skipped carries its negative sentinel
-    and drops out of {!Causal.slice} and Chrome flow views), but they
-    are raw records: when the ring wraps the oldest are lost and
+    {!Span.Edge} records of the flight recorder.  An edge is recorded
+    only into a sampled trap, so at 1-in-N the log holds only edges
+    whose destination is a sampled span; its source may be unsampled
+    or span-less (a non-positive span, which drops out of
+    {!Causal.slice} and Chrome flow views) and is still named by pid.
+    They are raw records: when the ring wraps the oldest are lost and
     counted in {!dropped}.  Read them with {!Span.edges} over a drain,
     or follow them with {!poll}.  Each hook is pure bookkeeping on the
     installed engine: edges charge zero virtual time, so no published
@@ -310,7 +312,8 @@ val causal_edge :
   Causal.kind -> origin:origin -> span:int -> pid:int -> detail:string
   -> unit
 (** Complete a fork or signal edge from [origin] to span [span] of
-    [pid] on the installed engine; a no-op with obs off. *)
+    [pid] on the installed engine; a no-op with obs off or when [span]
+    is not a sampled span ([span <= 0]). *)
 
 val chan_pipe : int -> int
 (** The causal channel of an anonymous pipe, by pipe id: an immediate
@@ -345,8 +348,8 @@ val causal_pipe_read :
 (** [pid]'s current trap read the ring's bytes [\[at, at + bytes)]:
     emit one Pipe edge per distinct writer span those bytes came from,
     detail ["<kind>#<id> bytes <lo>..<hi>"] for channel [chan], and
-    drop the stamps this read used up or passed.  A no-op with obs
-    off. *)
+    drop the stamps this read used up or passed.  A read outside a
+    sampled span only drops the stamps.  A no-op with obs off. *)
 
 (** {1 Streaming} *)
 

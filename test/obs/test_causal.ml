@@ -145,9 +145,10 @@ let test_edge_jsonl_roundtrip () =
 (* The stamp algorithm as it stood when channels were [(kind, id)]
    pairs: a tuple list appended at its tail, a [Hashtbl] of seen
    writers per read and a [Printf] detail.  It takes the ring's own
-   byte offsets, as the engine does, and stamps and links only while
-   obs is on.  The engine's queue and immediate-int channels must
-   reproduce its edges exactly. *)
+   byte offsets, as the engine does, stamps and links only while obs
+   is on, and emits an edge only toward a sampled reader.  The
+   engine's queue and immediate-int channels must reproduce its edges
+   exactly. *)
 module Ref_pipes = struct
   let writes tbl key = Option.value ~default:[] (Hashtbl.find_opt tbl key)
 
@@ -166,7 +167,7 @@ module Ref_pipes = struct
           if t <= lo then consume tl
           else if s >= hi then iv :: tl
           else begin
-            if not (Hashtbl.mem seen (wspan, wpid)) then begin
+            if span > 0 && not (Hashtbl.mem seen (wspan, wpid)) then begin
               Hashtbl.replace seen (wspan, wpid) ();
               emit
                 ( wspan, wpid, span, pid,
@@ -764,17 +765,12 @@ let test_stream_session_complete () =
 
 (* --- soak: obs live words stay flat ------------------------------------------ *)
 
-(* Fork-per-connection kvd under the stacked agents at 1-in-256, at N
-   and 3N clients, with a ring small enough that both runs wrap it.
-   Every per-shard structure is bounded — the log by its capacity
-   (edges included), pending half-edges and pipe stamps by the live
-   processes and rings that hold them — so the kernel's reachable
-   words after 3N clients stay within 10% of the N run's. *)
-let soak_ring = 512
-
-let kvd_soak_words clients =
+(* Fork-per-connection kvd under the stacked agents at 1-in-256, with
+   [ring_capacity] log slots (the default if absent): the kernel after
+   every client is served. *)
+let kvd_stacked ?ring_capacity clients =
   Obs.reset ();
-  Obs.configure ~ring_capacity:soak_ring ();
+  Obs.configure ?ring_capacity ();
   Obs.set_sampling ~seed:1 256;
   Obs.enable ();
   let k = fresh_kernel () in
@@ -788,19 +784,31 @@ let kvd_soak_words clients =
           (Conformance.stacked.Conformance.sk_make ());
         Workloads.Kvd.body ~params ~stats ~mode:Workloads.Kvd.Fork_per_conn ())
   in
-  check_exit "kvd soak" 0 status;
+  check_exit "kvd" 0 status;
   Alcotest.(check int) "every client served" clients stats.Workloads.Kvd.conns;
+  k
+
+let restore_obs () =
+  Obs.disable ();
+  Obs.set_sampling 1;
+  Obs.configure ();
+  Obs.reset ()
+
+(* At N and 3N clients, with a ring small enough that both runs wrap
+   it.  Every per-shard structure is bounded — the log by its capacity
+   (edges included), pending half-edges and pipe stamps by the live
+   processes and rings that hold them — so the kernel's reachable
+   words after 3N clients stay within 10% of the N run's. *)
+let soak_ring = 128
+
+let kvd_soak_words clients =
+  let k = kvd_stacked ~ring_capacity:soak_ring clients in
   Obs.with_engine (Kernel.obs_engine k) (fun () ->
       Alcotest.(check bool) "the log wrapped" true (Obs.dropped () > 0));
   Obj.reachable_words (Obj.repr k)
 
 let test_soak_words_flat () =
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.disable ();
-      Obs.set_sampling 1;
-      Obs.configure ();
-      Obs.reset ())
+  Fun.protect ~finally:restore_obs
     (fun () ->
       let small = kvd_soak_words 100 in
       let large = kvd_soak_words 300 in
@@ -808,6 +816,26 @@ let test_soak_words_flat () =
         Alcotest.failf "kernel words %d -> %d (%.2fx) from 100 to 300 clients"
           small large
           (float_of_int large /. float_of_int small))
+
+(* The default run, 1,000 clients, in the default 4,096-slot log.  An
+   edge is recorded only into a sampled trap, as segments are, so the
+   run's edges fit the log beside its segments: nothing is dropped,
+   and every edge ends at a sampled span. *)
+let test_kvd_edges_only_into_sampled_traps () =
+  Fun.protect ~finally:restore_obs
+    (fun () ->
+      let k = kvd_stacked Workloads.Kvd.default_params.Workloads.Kvd.clients in
+      Obs.with_engine (Kernel.obs_engine k) (fun () ->
+          Alcotest.(check int) "nothing dropped" 0 (Obs.dropped ());
+          let edges = Obs.Span.edges (Obs.records ()) in
+          Alcotest.(check bool) "the run made edges" true (edges <> []);
+          List.iter
+            (fun (e : Obs.Causal.edge) ->
+              if e.Obs.Causal.ed_dst_span <= 0 then
+                Alcotest.failf "%s edge into unsampled span %d (pid %d)"
+                  (Obs.Causal.kind_name e.Obs.Causal.ed_kind)
+                  e.Obs.Causal.ed_dst_span e.Obs.Causal.ed_dst_pid)
+            edges))
 
 (* Edges are records of the one log, so a cursor tailing the causal
    session sees every edge the final drain holds. *)
@@ -1046,6 +1074,9 @@ let () =
       ( "soak",
         [ Alcotest.test_case "kvd words flat from N to 3N clients" `Quick
             test_soak_words_flat ] );
+      ( "sampling",
+        [ Alcotest.test_case "kvd at 1-in-256 drops nothing" `Quick
+            test_kvd_edges_only_into_sampled_traps ] );
       ( "watch",
         [ Alcotest.test_case "parse" `Quick test_watch_parse;
           Alcotest.test_case "rejects garbage" `Quick test_watch_rejects_garbage;

@@ -869,9 +869,10 @@ let sampled_session_counts ~n =
    [other] sits in an unsampled one.  The engine's open-span answers
    -- [current], [causal_origin], a pipe edge's endpoints each way --
    must match a model that looks up every pid, for both and for a pid
-   that never trapped.  Then both spans close, so the engine answers
-   through its guard on an empty open-span table, and must still match
-   the model. *)
+   that never trapped; the edge exists only toward a sampled reader,
+   so only into [holder]'s span.  Then both spans close, so the engine
+   answers through its guard on an empty open-span table, and must
+   still match the model: no edge either way. *)
 let test_open_span_guard () =
   Obs.with_engine (Obs.engine ()) (fun () ->
     Obs.set_sampling ~seed:3 8;
@@ -911,7 +912,8 @@ let test_open_span_guard () =
           let ends = Printf.sprintf "span %d pid %d -> span %d pid %d" in
           Alcotest.(check (list string))
             (Printf.sprintf "%s: pipe edge %d -> %d" phase w r)
-            [ ends (innermost w) w (innermost r) r ]
+            (if innermost r > 0 then [ ends (innermost w) w (innermost r) r ]
+             else [])
             (List.map
                (fun (e : Obs.Causal.edge) ->
                  Obs.Causal.(ends e.ed_src_span e.ed_src_pid e.ed_dst_span e.ed_dst_pid))
@@ -931,8 +933,9 @@ let test_open_span_guard () =
 (* An application may trap with any int: every number outside the
    per-syscall table shares its one overflow row (sysno 1024), sampled
    or not, so a hostile number neither grows the table nor escapes as
-   an exception, and a negative one's span, sampled or a sentinel, is
-   still a fork edge's endpoint. *)
+   an exception, and a negative one's span, when sampled, is still a
+   fork edge's endpoint: the edge exists iff the child's first span is
+   a sampled one, so always at 1-in-1. *)
 let test_out_of_range_sysnos_share_overflow_row () =
   let wild = [ -3; max_int; 1_000_000_000; min_int; 1024 ] in
   List.iter
@@ -944,12 +947,14 @@ let test_out_of_range_sysnos_share_overflow_row () =
         (* the kernel's fork: the child carries the origin to its first
            trap, which completes the edge *)
         let forked_by = ref (Some (Obs.causal_origin 1)) in
+        let first_span = ref 0 in
         List.iter
           (fun sysno ->
             let span = Obs.span_begin ~pid:7 ~sysno in
             Option.iter
               (fun origin ->
                 forked_by := None;
+                first_span := span;
                 Obs.causal_edge Obs.Causal.Fork ~origin ~span ~pid:7 ~detail:"")
               !forked_by;
             if n > 1 then
@@ -973,9 +978,13 @@ let test_out_of_range_sysnos_share_overflow_row () =
               | _ -> None)
             (Obs.records ())
         in
+        if n = 1 then
+          Alcotest.(check bool) "at 1-in-1 the first trap is sampled" true
+            (!first_span > 0);
         Alcotest.(check (list (pair int int)))
-          "the child's first (negative) trap completes its fork edge"
-          [ (1, 7) ] forks;
+          "the child's first (negative) trap completes its fork edge iff sampled"
+          (if !first_span > 0 then [ (1, 7) ] else [])
+          forks;
         Obs.disable ()))
     [ 1; 256 ]
 
