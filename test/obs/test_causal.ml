@@ -1074,7 +1074,7 @@ let () =
       ( "soak",
         [ Alcotest.test_case "kvd words flat from N to 3N clients" `Quick
             test_soak_words_flat ] );
-      ( "sampling",
+      ( "sampled",
         [ Alcotest.test_case "kvd at 1-in-256 drops nothing" `Quick
             test_kvd_edges_only_into_sampled_traps ] );
       ( "watch",
